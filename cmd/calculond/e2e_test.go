@@ -65,11 +65,59 @@ type result struct {
 	} `json:"serving"`
 }
 
-func TestCalculondE2E(t *testing.T) {
+// buildDaemon compiles the calculond binary into a temporary directory.
+func buildDaemon(t *testing.T) string {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "calculond")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// TestCalculondE2EPromptSIGTERM: a SIGTERM sent the moment the daemon
+// announces its address, before any request, must drain it and exit 0 — the
+// handler is installed before the line is printed.
+func TestCalculondE2EPromptSIGTERM(t *testing.T) {
+	daemon := exec.Command(buildDaemon(t), "-addr", "127.0.0.1:0", "-workers", "1")
+	stdout, err := daemon.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	daemon.Stderr = &stderr
+	if err := daemon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	scanner := bufio.NewScanner(stdout)
+	if !scanner.Scan() || !strings.Contains(scanner.Text(), "listening on ") {
+		daemon.Process.Kill()
+		daemon.Wait()
+		t.Fatalf("no startup line; stderr:\n%s", stderr.String())
+	}
+	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	go io.Copy(io.Discard, stdout)
+	waited := make(chan error, 1)
+	go func() { waited <- daemon.Wait() }()
+	select {
+	case err := <-waited:
+		if err != nil {
+			t.Fatalf("prompt SIGTERM: exit %v, want a drain and exit 0\nstderr:\n%s", err, stderr.String())
+		}
+	case <-time.After(20 * time.Second):
+		daemon.Process.Kill()
+		<-waited
+		t.Fatalf("daemon still alive 20s after SIGTERM\nstderr:\n%s", stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "draining") {
+		t.Errorf("stderr missing the draining line:\n%s", stderr.String())
+	}
+}
+
+func TestCalculondE2E(t *testing.T) {
+	bin := buildDaemon(t)
 
 	storePath := filepath.Join(t.TempDir(), "results.jsonl")
 	daemon := exec.Command(bin,

@@ -105,16 +105,19 @@ func run(args []string) int {
 		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	// The handler goes in before the address is announced: a supervisor may
+	// signal as soon as it reads the line, and that signal must drain the
+	// daemon, not kill it.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
+
 	// The supervisor (and the e2e smoke client) learns the bound port from
 	// this line; keep its shape stable.
 	fmt.Printf("calculond: listening on %s\n", ln.Addr())
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
 
 	select {
 	case err := <-serveErr:

@@ -17,7 +17,7 @@ import (
 // default delta path, so the ratio of the two keeps the delta win honest
 // the same way the sweep/no-prune pair does for the lattice prune.
 func BenchmarkExecutionSearch(b *testing.B) {
-	benchExecutionSearch(b, true)
+	benchExecutionSearch(b, func(o *Options) { o.DisableDelta = true })
 }
 
 // BenchmarkExecutionSearchDelta is the identical search on the default
@@ -25,16 +25,23 @@ func BenchmarkExecutionSearch(b *testing.B) {
 // adjacent toggle order, recomputing only the term groups each flipped
 // toggle can perturb.
 func BenchmarkExecutionSearchDelta(b *testing.B) {
-	benchExecutionSearch(b, false)
+	benchExecutionSearch(b, func(*Options) {})
 }
 
-func benchExecutionSearch(b *testing.B, disableDelta bool) {
+// BenchmarkExecutionSearchFold is the delta search keeping a top-10 and the
+// Pareto front, as the CLI's headline search does, so the gate also sees the
+// cost of folding every feasible result into best/top-K/Pareto.
+func BenchmarkExecutionSearchFold(b *testing.B) {
+	benchExecutionSearch(b, func(o *Options) { o.TopK, o.Pareto = 10, true })
+}
+
+func benchExecutionSearch(b *testing.B, configure func(*Options)) {
 	m := model.MustPreset("gpt3-13B").WithBatch(64)
 	sys := system.A100(64)
 	opts := Options{
-		Enum:         execution.EnumOptions{Procs: 64, Features: execution.FeatureSeqPar, MaxInterleave: 2},
-		DisableDelta: disableDelta,
+		Enum: execution.EnumOptions{Procs: 64, Features: execution.FeatureSeqPar, MaxInterleave: 2},
 	}
+	configure(&opts)
 	var evaluated int
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +12,34 @@ import (
 	"calculon/internal/system"
 	"calculon/internal/units"
 )
+
+// ParetoFront is the reference oracle for the search fold's staircase: the
+// configurations not dominated on the (batch time, first-tier memory) plane,
+// for each one no other result both faster and smaller — Fig. 5's "a variety
+// of configurations that could be chosen to minimize either time or memory
+// capacity, as desired." It sorts everything at once, fastest first, with
+// input order breaking exact ties.
+func ParetoFront(results []perf.Result) []perf.Result {
+	if len(results) == 0 {
+		return nil
+	}
+	sorted := append([]perf.Result(nil), results...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		if sorted[i].BatchTime != sorted[j].BatchTime {
+			return sorted[i].BatchTime < sorted[j].BatchTime
+		}
+		return sorted[i].Mem1.Total() < sorted[j].Mem1.Total()
+	})
+	var front []perf.Result
+	bestMem := sorted[0].Mem1.Total() + 1
+	for _, r := range sorted {
+		if m := r.Mem1.Total(); m < bestMem {
+			front = append(front, r)
+			bestMem = m
+		}
+	}
+	return front
+}
 
 func resultTM(t, mem float64) perf.Result {
 	var r perf.Result

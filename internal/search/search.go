@@ -25,6 +25,7 @@ import (
 	"calculon/internal/model"
 	"calculon/internal/perf"
 	"calculon/internal/system"
+	"calculon/internal/units"
 )
 
 // Options configures an execution search.
@@ -155,15 +156,6 @@ type scored struct {
 	res perf.Result
 }
 
-// better reports whether a should be preferred over b: higher sample rate,
-// with enumeration order as the deterministic tie-break.
-func better(a, b scored) bool {
-	if a.res.SampleRate != b.res.SampleRate {
-		return a.res.SampleRate > b.res.SampleRate
-	}
-	return a.seq < b.seq
-}
-
 const chunkSize = 256
 
 // chunkPool recycles the producer's strategy buffers: workers return each
@@ -243,7 +235,7 @@ func Execution(ctx context.Context, m model.LLM, sys system.System, opts Options
 	if err != nil {
 		return Result{}, err
 	}
-	out := resultFrom(merged, subtreePruned, opts)
+	out := resultFrom(&merged, subtreePruned)
 	if useStore && ctx.Err() == nil {
 		// Only complete verdicts are stored: a cancelled walk's counters and
 		// fronts cover an unpredictable prefix of the space.
@@ -417,7 +409,8 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 
 	merged := workerState{topK: opts.TopK, pareto: opts.Pareto}
 	for w := 0; w < workers; w++ {
-		merged.merge(<-results)
+		o := <-results
+		merged.merge(&o)
 	}
 	merged.evaluated += subtreePruned
 	merged.prescreened += subtreePruned
@@ -425,8 +418,9 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 }
 
 // resultFrom converts the merged worker state into the exported Result,
-// dropping the sequence numbers after the final deterministic ordering.
-func resultFrom(merged workerState, subtreePruned int, opts Options) Result {
+// dropping the sequence numbers; top and front are already in their final
+// deterministic order.
+func resultFrom(merged *workerState, subtreePruned int) Result {
 	out := Result{
 		Evaluated:     merged.evaluated,
 		Feasible:      merged.feasible,
@@ -437,14 +431,11 @@ func resultFrom(merged workerState, subtreePruned int, opts Options) Result {
 	}
 	if merged.feasible > 0 {
 		out.Best = merged.best.res
-		sort.Slice(merged.top, func(i, j int) bool { return better(merged.top[i], merged.top[j]) })
-		for _, s := range merged.top {
-			out.Top = append(out.Top, s.res)
+		for i := range merged.top {
+			out.Top = append(out.Top, merged.top[i].res)
 		}
-		if opts.Pareto {
-			for _, s := range compactParetoScored(merged.front) {
-				out.Pareto = append(out.Pareto, s.res)
-			}
+		for i := range merged.front {
+			out.Pareto = append(out.Pareto, merged.front[i].res)
 		}
 	}
 	return out
@@ -479,6 +470,9 @@ func startProgressTicker(p *Progress, cb func(ProgressSnapshot), interval time.D
 }
 
 // workerState accumulates per-goroutine results for a deterministic merge.
+// Every fold — a worker's leaves, the merge of workers, the merge of shards —
+// goes through offerBest/offerTop/offerFront, which compare a candidate in
+// place and copy its Result only when it is kept.
 type workerState struct {
 	evaluated   int
 	feasible    int
@@ -487,89 +481,119 @@ type workerState struct {
 	best        scored
 	hasBest     bool
 	topK        int
-	top         []scored
-	rates       []float64
-	pareto      bool
-	front       []scored
+	// top holds at most topK results, best first under ahead.
+	top    []scored
+	rates  []float64
+	pareto bool
+	// front is the Pareto staircase: sorted by (BatchTime, Mem1.Total(),
+	// seq) with strictly decreasing memory, so it is always the exact front
+	// of every candidate offered so far.
+	front []scored
 }
 
-// add records one feasible result. The result is passed by pointer so the
-// hot loop's single reused Result is copied only into the slices that keep
-// it, not through a parameter frame per call.
+// add records one feasible result. The result is passed by pointer and
+// copied only into the places that keep it.
 func (ws *workerState) add(seq int, res *perf.Result, collectRates bool) {
-	s := scored{seq, *res}
 	ws.feasible++
-	if !ws.hasBest || better(s, ws.best) {
-		ws.best = s
+	ws.offerBest(seq, res)
+	ws.offerTop(seq, res)
+	ws.offerFront(seq, res)
+	if collectRates {
+		ws.rates = append(ws.rates, res.SampleRate)
+	}
+}
+
+// ahead reports whether the candidate (rate, seq) is preferred over s:
+// higher sample rate, with enumeration order as the deterministic tie-break.
+// It takes the candidate's keys and a pointer, so ranking never copies a
+// Result.
+func ahead(rate float64, seq int, s *scored) bool {
+	if rate != s.res.SampleRate {
+		return rate > s.res.SampleRate
+	}
+	return seq < s.seq
+}
+
+// precedes reports whether the candidate (t, m, seq) sorts before s in the
+// staircase order: batch time, then first-tier memory, then enumeration
+// order.
+func precedes(t units.Seconds, m units.Bytes, seq int, s *scored) bool {
+	if t != s.res.BatchTime {
+		return t < s.res.BatchTime
+	}
+	if sm := s.res.Mem1.Total(); m != sm {
+		return m < sm
+	}
+	return seq < s.seq
+}
+
+func (ws *workerState) offerBest(seq int, res *perf.Result) {
+	if !ws.hasBest || ahead(res.SampleRate, seq, &ws.best) {
+		ws.best.seq, ws.best.res = seq, *res
 		ws.hasBest = true
 	}
-	if ws.topK > 0 {
-		ws.top = append(ws.top, s)
-		if len(ws.top) > 4*ws.topK {
-			ws.compactTop()
-		}
-	}
-	if ws.pareto {
-		ws.front = append(ws.front, s)
-		if len(ws.front) > 512 {
-			ws.front = compactParetoScored(ws.front)
-		}
-	}
-	if collectRates {
-		ws.rates = append(ws.rates, s.res.SampleRate)
-	}
 }
 
-// compactParetoScored reduces candidates to the time-vs-memory front with
-// enumeration order as the deterministic tie-break. It works in place —
-// sorting cands and compacting the front into its prefix — so the periodic
-// re-compaction of a worker's running front costs no copy of the candidate
-// slice; every caller owns its slice.
-func compactParetoScored(cands []scored) []scored {
-	if len(cands) == 0 {
-		return nil
+// offerTop admits the candidate only while fewer than topK results are held
+// or when it ranks ahead of the current K-th, which then drops out; a
+// candidate that would not survive costs one comparison.
+func (ws *workerState) offerTop(seq int, res *perf.Result) {
+	n := len(ws.top)
+	if n == ws.topK && (n == 0 || !ahead(res.SampleRate, seq, &ws.top[n-1])) {
+		return
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.res.BatchTime != b.res.BatchTime {
-			return a.res.BatchTime < b.res.BatchTime
-		}
-		if am, bm := a.res.Mem1.Total(), b.res.Mem1.Total(); am != bm {
-			return am < bm
-		}
-		return a.seq < b.seq
-	})
-	front := cands[:0]
-	bestMem := cands[0].res.Mem1.Total() + 1
-	for _, s := range cands {
-		if m := s.res.Mem1.Total(); m < bestMem {
-			front = append(front, s)
-			bestMem = m
-		}
+	i := sort.Search(n, func(j int) bool { return ahead(res.SampleRate, seq, &ws.top[j]) })
+	if n < ws.topK {
+		ws.top = append(ws.top, scored{})
 	}
-	return front
+	copy(ws.top[i+1:], ws.top[i:])
+	ws.top[i].seq, ws.top[i].res = seq, *res
 }
 
-func (ws *workerState) compactTop() {
-	sort.Slice(ws.top, func(i, j int) bool { return better(ws.top[i], ws.top[j]) })
-	ws.top = ws.top[:ws.topK]
+// offerFront folds the candidate into the Pareto staircase. Everything
+// before its place i precedes it, and memory strictly decreases along the
+// staircase, so the candidate is dominated exactly when the point at i-1
+// uses no more memory; otherwise the points it dominates are the contiguous
+// run from i whose memory is no smaller, and the candidate replaces them.
+// Which points survive depends only on the set offered, never on the order,
+// so any split or merge order yields the same front.
+func (ws *workerState) offerFront(seq int, res *perf.Result) {
+	if !ws.pareto {
+		return
+	}
+	t, m := res.BatchTime, res.Mem1.Total()
+	f := ws.front
+	i := sort.Search(len(f), func(j int) bool { return precedes(t, m, seq, &f[j]) })
+	if i > 0 && f[i-1].res.Mem1.Total() <= m {
+		return
+	}
+	e := i
+	for e < len(f) && f[e].res.Mem1.Total() >= m {
+		e++
+	}
+	if e == i {
+		f = append(f, scored{})
+		copy(f[i+1:], f[i:])
+	} else {
+		f = append(f[:i+1], f[e:]...)
+	}
+	f[i].seq, f[i].res = seq, *res
+	ws.front = f
 }
 
-func (ws *workerState) merge(o workerState) {
+func (ws *workerState) merge(o *workerState) {
 	ws.evaluated += o.evaluated
 	ws.feasible += o.feasible
 	ws.prescreened += o.prescreened
 	ws.cacheHits += o.cacheHits
-	if o.hasBest && (!ws.hasBest || better(o.best, ws.best)) {
-		ws.best = o.best
-		ws.hasBest = true
+	if o.hasBest {
+		ws.offerBest(o.best.seq, &o.best.res)
 	}
-	ws.top = append(ws.top, o.top...)
-	if ws.topK > 0 && len(ws.top) > ws.topK {
-		ws.compactTop()
+	for i := range o.top {
+		ws.offerTop(o.top[i].seq, &o.top[i].res)
 	}
-	if ws.pareto {
-		ws.front = compactParetoScored(append(ws.front, o.front...))
+	for i := range o.front {
+		ws.offerFront(o.front[i].seq, &o.front[i].res)
 	}
 	ws.rates = append(ws.rates, o.rates...)
 }

@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"calculon/internal/model"
@@ -70,10 +69,10 @@ type SeqResult struct {
 // the single-process Result exactly: counters over the shard's leaves
 // (including the closed-form subtree-pruned ones), and the shard-local
 // best/top-K/Pareto candidates with their global sequence numbers. The
-// merge invariants: the global best is the better()-minimum over shard
-// bests; every global top-K member is in its shard's top-K; every global
-// Pareto point is shard-locally nondominated — so merging the shard
-// candidate sets loses nothing. CacheHits is the one counter that is NOT
+// merge invariants: the global best is the highest-ranked shard best; every
+// global top-K member is in its shard's top-K; every global Pareto point is
+// shard-locally nondominated — so merging the shard candidate sets loses
+// nothing. CacheHits is the one counter that is NOT
 // split-invariant (each process warms its own block-profile memo), which is
 // why the CLI's canonical JSON omits it.
 type ShardResult struct {
@@ -162,37 +161,41 @@ func ExecutionShard(ctx context.Context, m model.LLM, sys system.System, opts Op
 	if err != nil {
 		return ShardResult{}, err
 	}
+	return merged.shardResult(sh, subtreePruned), ctx.Err()
+}
+
+// shardResult exports a folded state as the mergeable partial of shard sh.
+// The top and front are already in their final order, and MergeResults
+// re-offers them through the same fold.
+func (ws *workerState) shardResult(sh Shard, subtreePruned int) ShardResult {
 	out := ShardResult{
 		Shard:         sh,
-		TopK:          opts.TopK,
-		Pareto:        opts.Pareto,
-		Evaluated:     merged.evaluated,
-		Feasible:      merged.feasible,
-		PreScreened:   merged.prescreened,
-		CacheHits:     merged.cacheHits,
+		TopK:          ws.topK,
+		Pareto:        ws.pareto,
+		Evaluated:     ws.evaluated,
+		Feasible:      ws.feasible,
+		PreScreened:   ws.prescreened,
+		CacheHits:     ws.cacheHits,
 		SubtreePruned: subtreePruned,
 	}
-	if merged.hasBest {
-		out.Best = &SeqResult{Seq: merged.best.seq, Result: merged.best.res}
+	if ws.hasBest {
+		out.Best = &SeqResult{Seq: ws.best.seq, Result: ws.best.res}
 	}
-	sort.Slice(merged.top, func(i, j int) bool { return better(merged.top[i], merged.top[j]) })
-	for _, s := range merged.top {
+	for _, s := range ws.top {
 		out.Top = append(out.Top, SeqResult{Seq: s.seq, Result: s.res})
 	}
-	if opts.Pareto {
-		for _, s := range compactParetoScored(merged.front) {
-			out.Front = append(out.Front, SeqResult{Seq: s.seq, Result: s.res})
-		}
+	for _, s := range ws.front {
+		out.Front = append(out.Front, SeqResult{Seq: s.seq, Result: s.res})
 	}
-	return out, ctx.Err()
+	return out
 }
 
 // MergeResults combines the partial results of a complete shard set into
 // exactly the Result the single-process search would return: counters sum
-// (they are per-leaf deterministic), the best is the better()-minimum, the
-// top-K and Pareto front re-rank the shard candidates under the same
-// deterministic comparators the single process uses, with the global
-// sequence numbers breaking ties. The shards may be given in any order but
+// (they are per-leaf deterministic), the best is the highest-ranked shard
+// best, the top-K and Pareto front re-rank the shard candidates through the
+// same fold the single process uses, with the global sequence numbers
+// breaking ties. The shards may be given in any order but
 // must form a complete partition: same Count, every Index exactly once,
 // and agreeing TopK/Pareto settings. The one non-mergeable counter is
 // CacheHits (per-process memo warm-up); it is summed, and callers that
@@ -223,26 +226,24 @@ func MergeResults(shards []ShardResult) (Result, error) {
 		}
 	}
 
-	merged := workerState{topK: shards[0].TopK, pareto: shards[0].Pareto}
+	merged := &workerState{topK: shards[0].TopK, pareto: shards[0].Pareto}
 	subtreePruned := 0
-	for _, s := range shards {
-		ws := workerState{topK: s.TopK, pareto: s.Pareto}
-		ws.evaluated = s.Evaluated
-		ws.feasible = s.Feasible
-		ws.prescreened = s.PreScreened
-		ws.cacheHits = s.CacheHits
-		if s.Best != nil {
-			ws.best = scored{s.Best.Seq, s.Best.Result}
-			ws.hasBest = true
-		}
-		for _, t := range s.Top {
-			ws.top = append(ws.top, scored{t.Seq, t.Result})
-		}
-		for _, f := range s.Front {
-			ws.front = append(ws.front, scored{f.Seq, f.Result})
-		}
+	for i := range shards {
+		s := &shards[i]
+		merged.evaluated += s.Evaluated
+		merged.feasible += s.Feasible
+		merged.prescreened += s.PreScreened
+		merged.cacheHits += s.CacheHits
 		subtreePruned += s.SubtreePruned
-		merged.merge(ws)
+		if s.Best != nil {
+			merged.offerBest(s.Best.Seq, &s.Best.Result)
+		}
+		for j := range s.Top {
+			merged.offerTop(s.Top[j].Seq, &s.Top[j].Result)
+		}
+		for j := range s.Front {
+			merged.offerFront(s.Front[j].Seq, &s.Front[j].Result)
+		}
 	}
-	return resultFrom(merged, subtreePruned, Options{TopK: merged.topK, Pareto: merged.pareto}), nil
+	return resultFrom(merged, subtreePruned), nil
 }

@@ -78,17 +78,20 @@ func (m *Manager) Metrics() *Metrics { return m.metrics }
 // FleetSnapshot is the aggregate strategy-counter view across all jobs.
 func (m *Manager) FleetSnapshot() search.ProgressSnapshot { return m.fleet.Snapshot() }
 
-// Submit validates the spec, registers the job, and queues it. The error
-// distinguishes bad specs (client's fault) from a full queue or a draining
-// daemon (server's state); the HTTP layer maps them to 400/503.
-func (m *Manager) Submit(spec JobSpec) (*Job, error) {
+// Submit validates the spec, registers the job, and queues it. It returns
+// the job's status as snapshotted at registration, before the scheduler can
+// see the job, so the snapshot always says queued however fast the job
+// starts. The error distinguishes bad specs (client's fault) from a full
+// queue or a draining daemon (server's state); the HTTP layer maps them to
+// 400/503.
+func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	prep, err := spec.prepare()
 	if err != nil {
-		return nil, err
+		return JobStatus{}, err
 	}
 	if m.intakeCtx.Err() != nil {
 		m.metrics.rejected.Add(1)
-		return nil, ErrDraining
+		return JobStatus{}, ErrDraining
 	}
 	m.mu.Lock()
 	m.seq++
@@ -96,20 +99,21 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	job.prog.MirrorTo(m.fleet)
 	m.jobs[job.ID] = job
 	m.evictLocked()
+	queued := job.Status()
 	m.mu.Unlock()
 	if err := m.queue.Push(job); err != nil {
 		m.mu.Lock()
 		delete(m.jobs, job.ID)
 		m.mu.Unlock()
 		m.metrics.rejected.Add(1)
-		return nil, err
+		return JobStatus{}, err
 	}
 	m.metrics.submitted.Add(1)
 	m.metrics.queued.Add(1)
 	if spec.Serving != nil {
 		m.metrics.servingJobs.Add(1)
 	}
-	return job, nil
+	return queued, nil
 }
 
 // Job looks up a registered job by ID.

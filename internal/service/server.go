@@ -131,7 +131,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
 		return
 	}
-	job, err := s.man.Submit(spec)
+	queued, err := s.man.Submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "1")
@@ -141,7 +141,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, job.Status())
+	writeJSON(w, http.StatusAccepted, queued)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
