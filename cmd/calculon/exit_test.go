@@ -52,8 +52,10 @@ func TestExitCodeConvention(t *testing.T) {
 		{"bad flag value", []string{"run", "-tp", "zebra"}, 2, "invalid value"},
 		{"infer non-dividing tp", []string{"infer", "-model", "gpt3-175B", "-tp", "7"}, 2, "infeasible"},
 		{"infer non-dividing pp", []string{"infer", "-model", "gpt3-175B", "-tp", "8", "-pp", "7"}, 2, "infeasible"},
-		{"timeout", []string{"search", "-model", "gpt3-13B", "-batch", "64", "-procs", "64",
-			"-max-interleave", "2", "-timeout", "50ms"}, 124, "timed out"},
+		// The timed-out search must outlast its deadline on any machine: the
+		// 10.3M-strategy headline search takes seconds, not milliseconds.
+		{"timeout", []string{"search", "-model", "gpt3-175B", "-batch", "3072", "-procs", "4096",
+			"-timeout", "50ms"}, 124, "timed out"},
 	}
 	for _, tc := range cases {
 		tc := tc

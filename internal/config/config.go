@@ -95,8 +95,9 @@ func (sc Scenario) Resolve() (model.LLM, system.System, execution.Strategy, erro
 	if err != nil {
 		return m, sys, sc.Strategy, err
 	}
-	st := sc.Strategy.Normalize()
-	return m, sys, st, st.Validate(m)
+	st := sc.Strategy
+	st.Normalize()
+	return m, sys, st, st.Validate(&m)
 }
 
 // Load reads a JSON file into any of the spec types.

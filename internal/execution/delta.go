@@ -40,7 +40,7 @@ const (
 func (m FieldMask) Has(q FieldMask) bool { return m&q != 0 }
 
 // DiffMask returns the set of fields on which a and b differ.
-func DiffMask(a, b Strategy) FieldMask {
+func DiffMask(a, b *Strategy) FieldMask {
 	var m FieldMask
 	if a.TP != b.TP {
 		m |= FieldTP

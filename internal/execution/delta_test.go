@@ -10,7 +10,7 @@ import (
 // toggleDim identifies which of the seven toggle dimensions two strategies
 // differ in, treating the comm combo (TPRSAG/SeqParallel/TPRedoForSP/PPRSAG)
 // and the offload triple (Weight/Act/Optim) each as one dimension, exactly
-// as forEachToggle enumerates them.
+// as Toggles.Walk enumerates them.
 func toggleDims(a, b Strategy) []string {
 	var dims []string
 	if a.Recompute != b.Recompute {
@@ -39,6 +39,12 @@ func toggleDims(a, b Strategy) []string {
 	return dims
 }
 
+// walkToggles collects the segment rooted at root, in walk order.
+func walkToggles(o EnumOptions, root Strategy, yield func(Strategy) bool) bool {
+	tog := o.Toggles()
+	return tog.Walk(&root, func(s *Strategy) bool { return yield(*s) })
+}
+
 // TestForEachToggleGrayAdjacent proves the Gray property delta evaluation
 // relies on: successive toggle emissions differ in exactly one dimension,
 // and for the offload dimension in exactly one offload switch.
@@ -56,12 +62,13 @@ func TestForEachToggleGrayAdjacent(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var seq []Strategy
-			tc.opts.forEachToggle(Strategy{TP: 2, PP: 2, DP: 2, Microbatch: 1, Interleave: 1}, func(s Strategy) bool {
+			walkToggles(tc.opts, Strategy{TP: 2, PP: 2, DP: 2, Microbatch: 1, Interleave: 1}, func(s Strategy) bool {
 				seq = append(seq, s)
 				return true
 			})
-			if len(seq) != tc.opts.togglesPerLeaf() {
-				t.Fatalf("emitted %d toggles, togglesPerLeaf says %d", len(seq), tc.opts.togglesPerLeaf())
+			tog := tc.opts.Toggles()
+			if len(seq) != tog.Len() {
+				t.Fatalf("emitted %d toggles, Toggles().Len() says %d", len(seq), tog.Len())
 			}
 			for i := 1; i < len(seq); i++ {
 				dims := toggleDims(seq[i-1], seq[i])
@@ -100,12 +107,12 @@ func TestForEachToggleExactlyOnce(t *testing.T) {
 		{Features: FeatureAll, HasMem2: true, PinBeneficial: true},
 	} {
 		seen := map[Strategy]int{}
-		opts.forEachToggle(Strategy{TP: 4, PP: 1, DP: 1, Microbatch: 2, Interleave: 1}, func(s Strategy) bool {
+		walkToggles(opts, Strategy{TP: 4, PP: 1, DP: 1, Microbatch: 2, Interleave: 1}, func(s Strategy) bool {
 			seen[s]++
 			return true
 		})
-		if len(seen) != opts.togglesPerLeaf() {
-			t.Fatalf("opts %+v: %d distinct toggles, want %d", opts, len(seen), opts.togglesPerLeaf())
+		if tog := opts.Toggles(); len(seen) != tog.Len() {
+			t.Fatalf("opts %+v: %d distinct toggles, want %d", opts, len(seen), tog.Len())
 		}
 		for s, n := range seen {
 			if n != 1 {
@@ -119,7 +126,7 @@ func TestForEachToggleExactlyOnce(t *testing.T) {
 func TestForEachToggleEarlyStop(t *testing.T) {
 	opts := EnumOptions{Features: FeatureAll, HasMem2: true}
 	n := 0
-	done := opts.forEachToggle(Strategy{TP: 1, PP: 1, DP: 1, Microbatch: 1, Interleave: 1}, func(Strategy) bool {
+	done := walkToggles(opts, Strategy{TP: 1, PP: 1, DP: 1, Microbatch: 1, Interleave: 1}, func(Strategy) bool {
 		n++
 		return n < 5
 	})
@@ -141,7 +148,7 @@ func TestDiffMaskCoversAllFields(t *testing.T) {
 		TP: 2, PP: 2, DP: 2, Microbatch: 2, Interleave: 1,
 		Recompute: RecomputeNone, TPOverlap: TPOverlapNone,
 	}
-	if m := DiffMask(base, base); m != 0 {
+	if m := DiffMask(&base, &base); m != 0 {
 		t.Fatalf("DiffMask(x,x) = %b, want 0", m)
 	}
 	perturb := []struct {
@@ -174,14 +181,14 @@ func TestDiffMaskCoversAllFields(t *testing.T) {
 	for i, p := range perturb {
 		v := base
 		p.mut(&v)
-		got := DiffMask(base, v)
+		got := DiffMask(&base, &v)
 		if got != p.want {
 			t.Errorf("perturbation %d: DiffMask = %b, want %b", i, got, p.want)
 		}
 		if bits.OnesCount32(uint32(got)) != 1 {
 			t.Errorf("perturbation %d: %d bits set, want 1", i, bits.OnesCount32(uint32(got)))
 		}
-		if got := DiffMask(v, base); got != p.want {
+		if got := DiffMask(&v, &base); got != p.want {
 			t.Errorf("perturbation %d: DiffMask not symmetric", i)
 		}
 	}
@@ -192,7 +199,7 @@ func ExampleDiffMask() {
 	b := a
 	b.Recompute = RecomputeFull
 	b.ActOffload = true
-	m := DiffMask(a, b)
+	m := DiffMask(&a, &b)
 	fmt.Println(m.Has(FieldRecompute), m.Has(FieldActOffload), m.Has(FieldTP))
 	// Output: true true false
 }

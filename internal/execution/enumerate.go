@@ -131,33 +131,56 @@ func (o EnumOptions) Enumerate(m model.LLM, yield func(Strategy) bool) int {
 // strategies generated and whether the subtree ran to completion (false when
 // yield stopped it). The triple must come from Triples — the structural
 // constraints are not re-checked here.
+//
+// The subtree is its segments (Segments) in order, each walked through the
+// toggle lattice (Toggles.Walk); the parallel search hands whole segments to
+// its workers and walks them there, in this same order.
 func (o EnumOptions) EnumerateTriple(m model.LLM, tpd [3]int, yield func(Strategy) bool) (int, bool) {
 	count := 0
-	emit := func(s Strategy) bool {
-		count++
-		return yield(s)
-	}
-	perPipe := m.Batch / tpd[2]
-	base := Strategy{TP: tpd[0], PP: tpd[1], DP: tpd[2]}
-	for _, mb := range divisors(perPipe) {
-		s1 := base
-		s1.Microbatch = mb
-		if !o.forEachSchedule(m, s1, func(s2 Strategy) bool {
-			return o.forEachToggle(s2, emit)
-		}) {
-			return count, false
+	tog := o.Toggles()
+	more := o.Segments(&m, tpd, func(root *Strategy) bool {
+		return tog.Walk(root, func(s *Strategy) bool {
+			count++
+			return yield(*s)
+		})
+	})
+	return count, more
+}
+
+// Segments streams the roots of the (t,p,d) subtree's segments through
+// yield, in enumeration order, and reports whether it ran to completion. A
+// segment fixes everything but the toggles — the triple, the microbatch,
+// and the pipeline schedule — and holds the Toggles().Len() strategies
+// Toggles.Walk visits from its root. The root's toggle fields are
+// unspecified (the walk overwrites them all), and the root is only valid
+// until yield returns.
+func (o EnumOptions) Segments(m *model.LLM, tpd [3]int, yield func(*Strategy) bool) bool {
+	s := Strategy{TP: tpd[0], PP: tpd[1], DP: tpd[2]}
+	interleaves := divisors(s.BlocksPerProc(m))
+	for _, mb := range divisors(m.Batch / tpd[2]) {
+		s.Microbatch = mb
+		if !o.forEachSchedule(&s, interleaves, yield) {
+			return false
 		}
 	}
-	return count, true
+	return true
 }
 
 // TripleLeafCount returns, in closed form, the number of strategies
-// EnumerateTriple generates for the (t,p,d) subtree: the microbatch divisor
-// count times the schedule variants times the toggle combinations. The
-// lattice-pruned search uses it to keep the Evaluated/PreScreened counters
-// and the ETA total exact without materializing pruned subtrees;
-// TestLatticeCountsConsistent pins the equality against the enumerator.
+// EnumerateTriple generates for the (t,p,d) subtree: its segment count
+// times the toggle combinations per segment. The lattice-pruned search uses
+// it to keep the Evaluated/PreScreened counters and the ETA total exact
+// without materializing pruned subtrees; TestLatticeCountsConsistent pins
+// the equality against the enumerator.
 func (o EnumOptions) TripleLeafCount(m model.LLM, tpd [3]int) int {
+	tog := o.Toggles()
+	return o.tripleSegments(&m, tpd) * tog.Len()
+}
+
+// tripleSegments returns, in closed form, the number of segments Segments
+// yields for the (t,p,d) subtree: the microbatch divisor count times the
+// schedule variants.
+func (o EnumOptions) tripleSegments(m *model.LLM, tpd [3]int) int {
 	mbs := len(divisors(m.Batch / tpd[2]))
 	sched := 0
 	if !o.PinBeneficial {
@@ -174,58 +197,26 @@ func (o EnumOptions) TripleLeafCount(m model.LLM, tpd [3]int) int {
 			sched++
 		}
 	}
-	return mbs * sched * o.togglesPerLeaf()
-}
-
-// togglesPerLeaf counts the switch combinations forEachToggle emits per
-// (triple, microbatch, schedule) point; it mirrors that function's slices
-// exactly and depends only on the options.
-func (o EnumOptions) togglesPerLeaf() int {
-	recomputes, comms := 2, 2
-	tpOv, dpOv, shards, fused, offloads := 1, 1, 1, 1, 1
-	switch o.Features {
-	case FeatureBaseline:
-	case FeatureSeqPar:
-		recomputes, comms = 3, 4
-	default: // FeatureAll
-		recomputes, comms = 3, 7
-		tpOv, dpOv, shards, fused = 3, 2, 2, 2
-		if o.HasMem2 {
-			offloads = 8
-		}
-	}
-	if o.PinBeneficial {
-		tpOv, dpOv, shards, fused = 1, 1, 1, 1
-	}
-	return recomputes * comms * tpOv * dpOv * shards * fused * offloads
+	return mbs * sched
 }
 
 // boundLeaves returns one representative strategy per distinct pre-screen
 // verdict in the (t,p,d) subtree. PreScreen.Check reads only the parallelism
 // degrees and the WeightOffload/OptimOffload/OptimSharding/DPOverlap
 // switches (ActOffload reaches only the tier-presence check, which the
-// offload projections cover), so projecting the toggle space onto those
-// switches covers every leaf's verdict; the slices mirror forEachToggle.
+// offload projections cover), so projecting the toggle lattice onto those
+// switches covers every leaf's verdict.
 func (o EnumOptions) boundLeaves(tpd [3]int) []Strategy {
-	offs := []bool{false}
-	shards := []bool{false}
-	dpovs := []bool{false}
-	switch o.Features {
-	case FeatureBaseline, FeatureSeqPar:
-	default: // FeatureAll
-		shards, dpovs = []bool{false, true}, []bool{false, true}
-		if o.PinBeneficial {
-			shards, dpovs = shards[1:], dpovs[1:]
-		}
-		if o.HasMem2 {
-			offs = []bool{false, true}
-		}
+	tog := o.Toggles()
+	offs := bools[:1]
+	if len(tog.offloads) > 1 {
+		offs = bools
 	}
-	out := make([]Strategy, 0, len(offs)*len(offs)*len(shards)*len(dpovs))
+	out := make([]Strategy, 0, len(offs)*len(offs)*len(tog.shards)*len(tog.dpOverlaps))
 	for _, w := range offs {
 		for _, oo := range offs {
-			for _, sh := range shards {
-				for _, dov := range dpovs {
+			for _, sh := range tog.shards {
+				for _, dov := range tog.dpOverlaps {
 					out = append(out, Strategy{
 						TP: tpd[0], PP: tpd[1], DP: tpd[2],
 						Microbatch: 1, Interleave: 1,
@@ -241,38 +232,131 @@ func (o EnumOptions) boundLeaves(tpd [3]int) []Strategy {
 }
 
 // forEachSchedule enumerates pipeline schedule variants (1F1B on/off,
-// interleave factors).
-func (o EnumOptions) forEachSchedule(m model.LLM, s Strategy, yield func(Strategy) bool) bool {
+// interleave factors among the divisors of the per-proc block count) of s,
+// yielding s itself with the schedule fields set.
+func (o EnumOptions) forEachSchedule(s *Strategy, interleaves []int, yield func(*Strategy) bool) bool {
 	if !o.PinBeneficial {
 		// Plain GPipe-like schedule (only sensible without interleaving).
-		plain := s
-		plain.OneFOneB = false
-		plain.Interleave = 1
-		if !yield(plain) {
+		s.OneFOneB = false
+		s.Interleave = 1
+		if !yield(s) {
 			return false
 		}
 	}
 	// 1F1B with every divisor interleaving of the per-proc block count.
-	bp := s.BlocksPerProc(m)
-	for _, v := range divisors(bp) {
+	for _, v := range interleaves {
 		if o.MaxInterleave > 0 && v > o.MaxInterleave {
 			break
 		}
 		if v > 1 && s.PP == 1 {
 			break
 		}
-		ofb := s
-		ofb.OneFOneB = true
-		ofb.Interleave = v
-		if !yield(ofb) {
+		s.OneFOneB = true
+		s.Interleave = v
+		if !yield(s) {
 			return false
 		}
 	}
 	return true
 }
 
-// forEachToggle enumerates the optimization switches consistent with the
-// feature set and the validation rules.
+type commCombo struct {
+	rsag, sp, redo, pprsag bool
+}
+
+// The values each toggle dimension takes, per feature set. Toggles slices
+// these fixed tables, so building a lattice allocates nothing.
+var (
+	recomputesBaseline = []RecomputeMode{RecomputeNone, RecomputeFull}
+	recomputesAll      = []RecomputeMode{RecomputeNone, RecomputeAttn, RecomputeFull}
+	commsBaseline      = []commCombo{{}, {rsag: true}}
+	commsSeqPar        = []commCombo{
+		{}, {rsag: true},
+		{rsag: true, sp: true}, {rsag: true, sp: true, redo: true},
+	}
+	commsAll = []commCombo{
+		{}, {rsag: true}, {rsag: true, pprsag: true},
+		{rsag: true, sp: true}, {rsag: true, sp: true, redo: true},
+		{rsag: true, sp: true, pprsag: true}, {rsag: true, sp: true, redo: true, pprsag: true},
+	}
+	tpOverlapsAll = []TPOverlapMode{TPOverlapNone, TPOverlapPipe, TPOverlapRing}
+	bools         = []bool{false, true}
+	// offloadsGray is the 3-bit reflected Gray sequence over (weights,
+	// activations, optimizer): one switch flips per step.
+	offloadsGray = [][3]bool{
+		{false, false, false}, {false, false, true},
+		{false, true, true}, {false, true, false},
+		{true, true, false}, {true, true, true},
+		{true, false, true}, {true, false, false},
+	}
+)
+
+// Toggles is the lattice of optimization switches one segment spans under
+// some EnumOptions: every combination consistent with the feature set and
+// the validation rules. It depends only on the options, never on the
+// segment.
+type Toggles struct {
+	recomputes []RecomputeMode
+	comms      []commCombo
+	tpOverlaps []TPOverlapMode
+	dpOverlaps []bool
+	shards     []bool
+	fused      []bool
+	offloads   [][3]bool
+}
+
+// Toggles returns the options' toggle lattice.
+func (o EnumOptions) Toggles() Toggles {
+	t := Toggles{
+		recomputes: recomputesBaseline,
+		comms:      commsBaseline,
+		tpOverlaps: tpOverlapsAll[:1],
+		dpOverlaps: bools[:1],
+		shards:     bools[:1],
+		fused:      bools[:1],
+		offloads:   offloadsGray[:1],
+	}
+	switch o.Features {
+	case FeatureBaseline:
+	case FeatureSeqPar:
+		t.recomputes, t.comms = recomputesAll, commsSeqPar
+	default: // FeatureAll
+		t.recomputes, t.comms = recomputesAll, commsAll
+		t.tpOverlaps, t.dpOverlaps, t.shards, t.fused = tpOverlapsAll, bools, bools, bools
+		if o.HasMem2 {
+			t.offloads = offloadsGray
+		}
+	}
+	if o.PinBeneficial {
+		t.tpOverlaps = t.tpOverlaps[len(t.tpOverlaps)-1:]
+		t.dpOverlaps = t.dpOverlaps[len(t.dpOverlaps)-1:]
+		t.shards = t.shards[len(t.shards)-1:]
+		t.fused = t.fused[len(t.fused)-1:]
+	}
+	return t
+}
+
+func (t *Toggles) sizes() [7]int {
+	return [7]int{
+		len(t.recomputes), len(t.comms), len(t.tpOverlaps), len(t.dpOverlaps),
+		len(t.shards), len(t.fused), len(t.offloads),
+	}
+}
+
+// Len returns the number of strategies in one segment: the product of the
+// dimension sizes.
+func (t *Toggles) Len() int {
+	n := 1
+	for _, k := range t.sizes() {
+		n *= k
+	}
+	return n
+}
+
+// Walk visits every toggle combination of the segment rooted at st,
+// overwriting st's toggle fields in place before each yield — no strategy
+// is copied — and reports whether the walk ran to completion (false when
+// yield stopped it). The other fields of st are left as they are.
 //
 // The walk is a reflected mixed-radix Gray code over the toggle dimensions
 // (recompute, comm combo, TP overlap, DP overlap, optimizer sharding, fused
@@ -286,77 +370,26 @@ func (o EnumOptions) forEachSchedule(m model.LLM, s Strategy, yield func(Strateg
 // still emitted exactly once; only the order differs from a plain nested
 // loop. The order is part of the deterministic tie-break sequence, so
 // changing it is a strategy-space version bump (resultstore).
-func (o EnumOptions) forEachToggle(s Strategy, yield func(Strategy) bool) bool {
-	type commCombo struct {
-		rsag, sp, redo, pprsag bool
-	}
-	var comms []commCombo
-	recomputes := []RecomputeMode{RecomputeNone, RecomputeFull}
-	tpOverlaps := []TPOverlapMode{TPOverlapNone}
-	dpOverlaps := []bool{false}
-	shards := []bool{false}
-	fused := []bool{false}
-	switch o.Features {
-	case FeatureBaseline:
-		comms = []commCombo{{}, {rsag: true}}
-	case FeatureSeqPar:
-		recomputes = []RecomputeMode{RecomputeNone, RecomputeAttn, RecomputeFull}
-		comms = []commCombo{
-			{}, {rsag: true},
-			{rsag: true, sp: true}, {rsag: true, sp: true, redo: true},
-		}
-	default: // FeatureAll
-		recomputes = []RecomputeMode{RecomputeNone, RecomputeAttn, RecomputeFull}
-		comms = []commCombo{
-			{}, {rsag: true}, {rsag: true, pprsag: true},
-			{rsag: true, sp: true}, {rsag: true, sp: true, redo: true},
-			{rsag: true, sp: true, pprsag: true}, {rsag: true, sp: true, redo: true, pprsag: true},
-		}
-		tpOverlaps = []TPOverlapMode{TPOverlapNone, TPOverlapPipe, TPOverlapRing}
-		dpOverlaps = []bool{false, true}
-		shards = []bool{false, true}
-		fused = []bool{false, true}
-	}
-	if o.PinBeneficial {
-		tpOverlaps = tpOverlaps[len(tpOverlaps)-1:]
-		dpOverlaps = dpOverlaps[len(dpOverlaps)-1:]
-		shards = shards[len(shards)-1:]
-		fused = fused[len(fused)-1:]
-	}
-	offloads := [][3]bool{{false, false, false}}
-	if o.HasMem2 && o.Features == FeatureAll {
-		// 3-bit reflected Gray sequence over (weights, activations,
-		// optimizer): one switch flips per step.
-		offloads = [][3]bool{
-			{false, false, false}, {false, false, true},
-			{false, true, true}, {false, true, false},
-			{true, true, false}, {true, true, true},
-			{true, false, true}, {true, false, false},
-		}
-	}
-	sizes := [7]int{
-		len(recomputes), len(comms), len(tpOverlaps), len(dpOverlaps),
-		len(shards), len(fused), len(offloads),
-	}
+func (t *Toggles) Walk(st *Strategy, yield func(*Strategy) bool) bool {
+	sizes := t.sizes()
 	var idx [7]int
 	dir := [7]int{1, 1, 1, 1, 1, 1, 1}
 	for {
-		cc := comms[idx[1]]
-		off := offloads[idx[6]]
-		v := s
-		v.Recompute = recomputes[idx[0]]
-		v.TPRSAG = cc.rsag
-		v.SeqParallel = cc.sp
-		v.TPRedoForSP = cc.redo
-		v.PPRSAG = cc.pprsag
-		v.TPOverlap = tpOverlaps[idx[2]]
-		v.DPOverlap = dpOverlaps[idx[3]]
-		v.OptimSharding = shards[idx[4]]
-		v.FusedLayers = fused[idx[5]]
-		v.WeightOffload = off[0]
-		v.ActOffload = off[1]
-		v.OptimOffload = off[2]
-		if !yield(v) {
+		cc := &t.comms[idx[1]]
+		off := &t.offloads[idx[6]]
+		st.Recompute = t.recomputes[idx[0]]
+		st.TPRSAG = cc.rsag
+		st.SeqParallel = cc.sp
+		st.TPRedoForSP = cc.redo
+		st.PPRSAG = cc.pprsag
+		st.TPOverlap = t.tpOverlaps[idx[2]]
+		st.DPOverlap = t.dpOverlaps[idx[3]]
+		st.OptimSharding = t.shards[idx[4]]
+		st.FusedLayers = t.fused[idx[5]]
+		st.WeightOffload = off[0]
+		st.ActOffload = off[1]
+		st.OptimOffload = off[2]
+		if !yield(st) {
 			return false
 		}
 		// Advance the deepest dimension that can still move in its current
@@ -384,11 +417,12 @@ func (o EnumOptions) forEachToggle(s Strategy, yield func(Strategy) bool) bool {
 // lattice — so it costs divisor arithmetic, not an enumeration pass;
 // TestLatticeCountsConsistent pins it against the enumerator.
 func (o EnumOptions) SpaceSize(m model.LLM) int {
-	total := 0
+	segs := 0
 	for _, tpd := range o.Triples(m) {
-		total += o.TripleLeafCount(m, tpd)
+		segs += o.tripleSegments(&m, tpd)
 	}
-	return total
+	tog := o.Toggles()
+	return segs * tog.Len()
 }
 
 // Validate checks the options themselves.

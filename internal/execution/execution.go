@@ -124,9 +124,9 @@ type Strategy struct {
 // Procs returns the number of processors the strategy occupies.
 func (s Strategy) Procs() int { return s.TP * s.PP * s.DP }
 
-// Normalize fills defaulted fields (zero Microbatch/Interleave become 1,
-// empty modes become "none") and returns the result.
-func (s Strategy) Normalize() Strategy {
+// Normalize fills defaulted fields in place: zero Microbatch/Interleave
+// become 1, empty modes become "none".
+func (s *Strategy) Normalize() {
 	if s.Microbatch == 0 {
 		s.Microbatch = 1
 	}
@@ -139,13 +139,12 @@ func (s Strategy) Normalize() Strategy {
 	if s.TPOverlap == "" {
 		s.TPOverlap = TPOverlapNone
 	}
-	return s
 }
 
 // Validate checks the strategy's internal and model-relative feasibility
 // rules. System-relative checks (memory capacity, offload tier presence,
 // processor count) live in the performance model, which has the system.
-func (s Strategy) Validate(m model.LLM) error {
+func (s *Strategy) Validate(m *model.LLM) error {
 	if s.TP < 1 || s.PP < 1 || s.DP < 1 {
 		return fmt.Errorf("execution: parallelism degrees must be ≥1, got (%d,%d,%d)", s.TP, s.PP, s.DP)
 	}
@@ -210,19 +209,19 @@ func (s Strategy) Validate(m model.LLM) error {
 // busiest processor: ceil(L/p). Uneven splits are allowed — they are what
 // produces the paper's "efficiency cliffs" — and the busiest stage bounds
 // the pipeline's throughput.
-func (s Strategy) BlocksPerProc(m model.LLM) int {
+func (s *Strategy) BlocksPerProc(m *model.LLM) int {
 	return (m.Blocks + s.PP - 1) / s.PP
 }
 
 // BlocksPerChunk returns the number of consecutive blocks in each interleave
 // chunk on the busiest processor.
-func (s Strategy) BlocksPerChunk(m model.LLM) int {
+func (s *Strategy) BlocksPerChunk(m *model.LLM) int {
 	bp := s.BlocksPerProc(m)
 	return (bp + s.Interleave - 1) / s.Interleave
 }
 
 // Microbatches returns n, the number of microbatches per pipeline pass.
-func (s Strategy) Microbatches(m model.LLM) int {
+func (s *Strategy) Microbatches(m *model.LLM) int {
 	return m.Batch / s.DP / s.Microbatch
 }
 

@@ -18,7 +18,8 @@ func validBase() Strategy {
 }
 
 func TestValidateAcceptsMegatronConfig(t *testing.T) {
-	if err := validBase().Validate(gpt3()); err != nil {
+	s, m := validBase(), gpt3()
+	if err := s.Validate(&m); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 }
@@ -56,7 +57,7 @@ func TestValidateRules(t *testing.T) {
 	for _, c := range cases {
 		s := validBase()
 		c.mut(&s)
-		err := s.Validate(m)
+		err := s.Validate(&m)
 		if err == nil {
 			t.Errorf("%s: should fail", c.name)
 			continue
@@ -70,11 +71,11 @@ func TestValidateRules(t *testing.T) {
 func TestBlocksPerProcCeil(t *testing.T) {
 	m := model.MustPreset("turing-530B") // 105 blocks
 	s := Strategy{TP: 1, PP: 10, DP: 1}
-	if got := s.BlocksPerProc(m); got != 11 {
+	if got := s.BlocksPerProc(&m); got != 11 {
 		t.Errorf("BlocksPerProc = %d, want ceil(105/10)=11", got)
 	}
 	s.PP = 35
-	if got := s.BlocksPerProc(m); got != 3 {
+	if got := s.BlocksPerProc(&m); got != 3 {
 		t.Errorf("BlocksPerProc = %d, want 3", got)
 	}
 }
@@ -82,7 +83,7 @@ func TestBlocksPerProcCeil(t *testing.T) {
 func TestBlocksPerChunk(t *testing.T) {
 	m := gpt3() // 96 blocks
 	s := Strategy{TP: 1, PP: 8, DP: 1, Interleave: 3}
-	if got := s.BlocksPerChunk(m); got != 4 {
+	if got := s.BlocksPerChunk(&m); got != 4 {
 		t.Errorf("BlocksPerChunk = %d, want 96/8/3=4", got)
 	}
 }
@@ -90,13 +91,14 @@ func TestBlocksPerChunk(t *testing.T) {
 func TestMicrobatches(t *testing.T) {
 	m := gpt3().WithBatch(512)
 	s := Strategy{TP: 8, PP: 8, DP: 4, Microbatch: 2}
-	if got := s.Microbatches(m); got != 64 {
+	if got := s.Microbatches(&m); got != 64 {
 		t.Errorf("Microbatches = %d, want 512/4/2=64", got)
 	}
 }
 
 func TestNormalize(t *testing.T) {
-	s := Strategy{TP: 1, PP: 1, DP: 1}.Normalize()
+	s := Strategy{TP: 1, PP: 1, DP: 1}
+	s.Normalize()
 	if s.Microbatch != 1 || s.Interleave != 1 || s.Recompute != RecomputeNone || s.TPOverlap != TPOverlapNone {
 		t.Fatalf("Normalize() = %+v", s)
 	}
@@ -180,7 +182,7 @@ func TestEnumerateAllValid(t *testing.T) {
 		n := 0
 		o.Enumerate(m, func(s Strategy) bool {
 			n++
-			if err := s.Validate(m); err != nil {
+			if err := s.Validate(&m); err != nil {
 				t.Fatalf("%s: generated invalid strategy %v: %v", fs, s, err)
 			}
 			return true
@@ -262,12 +264,13 @@ func TestInferenceRejectsTrainingOffload(t *testing.T) {
 	s.Recompute = RecomputeNone
 	s.Inference = true
 	s.WeightOffload = true
-	if err := s.Validate(gpt3()); err == nil {
+	m := gpt3()
+	if err := s.Validate(&m); err == nil {
 		t.Error("weight offload must be rejected for inference")
 	}
 	s.WeightOffload = false
 	s.ActOffload = true
-	if err := s.Validate(gpt3()); err == nil {
+	if err := s.Validate(&m); err == nil {
 		t.Error("activation offload must be rejected for inference")
 	}
 }

@@ -2,6 +2,7 @@ package execution
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"calculon/internal/model"
@@ -50,12 +51,79 @@ func TestLatticeCountsConsistent(t *testing.T) {
 		}
 
 		// Per-triple: the closed-form leaf count must match the enumerator's
-		// count for that subtree alone.
+		// count for that subtree alone, and the subtree's segment count times
+		// the segment length (the parallel search's unit of work).
+		tog := o.Toggles()
 		for _, tpd := range triples {
+			want := o.TripleLeafCount(m, tpd)
 			n, _ := o.EnumerateTriple(m, tpd, func(Strategy) bool { return true })
-			if want := o.TripleLeafCount(m, tpd); n != want {
+			if n != want {
 				t.Errorf("draw %d triple %v: TripleLeafCount=%d, EnumerateTriple=%d",
 					i, tpd, want, n)
+			}
+			segs := 0
+			o.Segments(&m, tpd, func(*Strategy) bool { segs++; return true })
+			if segs*tog.Len() != want {
+				t.Errorf("draw %d triple %v: %d segments × %d toggles != TripleLeafCount %d",
+					i, tpd, segs, tog.Len(), want)
+			}
+		}
+	}
+}
+
+// TestSegmentWalkMatchesEnumerateTriple is the ordering obligation of the
+// segment hand-off: the parallel search copies each segment root out of
+// Segments, ships it to a worker, and walks its toggles there. Walking the
+// copied roots, in order and concatenated, must reproduce EnumerateTriple
+// element for element — same strategies, same order, so the same sequence
+// numbers — for every feature set, offload tier, pinning, and interleave
+// cap.
+func TestSegmentWalkMatchesEnumerateTriple(t *testing.T) {
+	models := []model.LLM{
+		model.MustPreset("gpt3-13B").WithBatch(16),
+		model.MustPreset("turing-530B").WithBatch(24),
+	}
+	for _, m := range models {
+		for _, fs := range []FeatureSet{FeatureBaseline, FeatureSeqPar, FeatureAll} {
+			for _, mem2 := range []bool{false, true} {
+				for _, pin := range []bool{false, true} {
+					for _, maxIl := range []int{0, 2, 4} {
+						o := EnumOptions{Procs: 24, Features: fs, HasMem2: mem2,
+							PinBeneficial: pin, MaxInterleave: maxIl}
+						triples := o.Triples(m)
+						if len(triples) > 2 {
+							triples = triples[len(triples)-2:] // the deepest pipelines: most schedules
+						}
+						for _, tpd := range triples {
+							var want []Strategy
+							o.EnumerateTriple(m, tpd, func(s Strategy) bool {
+								want = append(want, s)
+								return true
+							})
+							var roots []Strategy
+							o.Segments(&m, tpd, func(root *Strategy) bool {
+								roots = append(roots, *root)
+								return true
+							})
+							tog := o.Toggles()
+							var got []Strategy
+							for _, root := range roots {
+								tog.Walk(&root, func(s *Strategy) bool {
+									got = append(got, *s)
+									return true
+								})
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s %+v triple %v: segment walk (%d leaves) differs from EnumerateTriple (%d leaves)",
+									m.Name, o, tpd, len(got), len(want))
+							}
+							if len(roots)*tog.Len() != o.TripleLeafCount(m, tpd) {
+								t.Fatalf("%s %+v triple %v: %d segments × %d toggles != TripleLeafCount %d",
+									m.Name, o, tpd, len(roots), tog.Len(), o.TripleLeafCount(m, tpd))
+							}
+						}
+					}
+				}
 			}
 		}
 	}
@@ -99,7 +167,7 @@ func TestCheckTripleDecidesSubtree(t *testing.T) {
 			verdict := p.CheckTriple(o, tpd)
 			anyPass := false
 			o.EnumerateTriple(m, tpd, func(s Strategy) bool {
-				if p.Check(s) == nil {
+				if p.Check(&s).OK() {
 					anyPass = true
 					return false
 				}

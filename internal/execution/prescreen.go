@@ -40,10 +40,11 @@ func NewPreScreen(m model.LLM, lim Limits) *PreScreen {
 	return &PreScreen{m: m, lim: lim}
 }
 
-// Check reports why the strategy certainly cannot run within the limits, or
-// nil when it might be feasible and deserves a full evaluation. The strategy
-// must already be normalized and structurally valid (Validate). Check is
-// pure and safe for concurrent use.
+// Check reports whether the strategy certainly cannot run within the
+// limits: a non-OK verdict names the bound that rejects it, an OK one means
+// it might be feasible and deserves a full evaluation. The strategy must
+// already be normalized and structurally valid (Validate). Check is pure,
+// allocation-free, and safe for concurrent use.
 //
 // The memory bound replicates the weight, weight-gradient, and optimizer
 // rows of the full model's per-tier accounting exactly — those rows need no
@@ -57,16 +58,13 @@ func NewPreScreen(m model.LLM, lim Limits) *PreScreen {
 // FMA-free (see docs/LINT.md).
 //
 //calculonvet:ordered
-func (p *PreScreen) Check(st Strategy) error {
-	if st.Procs() > p.lim.Procs {
-		return &screenError{kind: screenProcs, need: int64(st.Procs()), have: int64(p.lim.Procs)}
-	}
-	if (st.WeightOffload || st.ActOffload || st.OptimOffload) && p.lim.Mem2 <= 0 {
-		return &screenError{kind: screenNoMem2}
+func (p *PreScreen) Check(st *Strategy) ScreenVerdict {
+	if v := p.CheckFit(st); !v.OK() {
+		return v
 	}
 
-	bp := st.BlocksPerProc(p.m)
-	blockW := layers.BlockWeightBytes(p.m, st.TP)
+	bp := st.BlocksPerProc(&p.m)
+	blockW := layers.BlockWeightBytes(&p.m, st.TP)
 	weights := blockW.Times(float64(bp))
 
 	var mem1, mem2 units.Bytes
@@ -102,34 +100,63 @@ func (p *PreScreen) Check(st Strategy) error {
 	}
 
 	if mem1 > p.lim.Mem1 {
-		return &screenError{kind: screenMem1, need: int64(mem1), have: int64(p.lim.Mem1)}
+		return ScreenVerdict{kind: screenMem1, need: int64(mem1), have: int64(p.lim.Mem1)}
 	}
 	if mem2 > p.lim.Mem2 {
-		return &screenError{kind: screenMem2, need: int64(mem2), have: int64(p.lim.Mem2)}
+		return ScreenVerdict{kind: screenMem2, need: int64(mem2), have: int64(p.lim.Mem2)}
 	}
-	return nil
+	return ScreenVerdict{}
+}
+
+// CheckFit applies the two bounds of Check that need no memory accounting:
+// the strategy must fit the processor count, and an offloading strategy
+// needs a second memory tier. They are exact rather than lower bounds, so
+// an evaluation with the pre-screen disabled still applies them.
+func (p *PreScreen) CheckFit(st *Strategy) ScreenVerdict {
+	if st.Procs() > p.lim.Procs {
+		return ScreenVerdict{kind: screenProcs, need: int64(st.Procs()), have: int64(p.lim.Procs)}
+	}
+	if (st.WeightOffload || st.ActOffload || st.OptimOffload) && p.lim.Mem2 <= 0 {
+		return ScreenVerdict{kind: screenNoMem2}
+	}
+	return ScreenVerdict{}
 }
 
 type screenKind uint8
 
 const (
-	screenProcs screenKind = iota
+	screenPass screenKind = iota
+	screenProcs
 	screenNoMem2
 	screenMem1
 	screenMem2
 )
 
-// screenError defers message formatting to Error(): the search path rejects
-// millions of strategies and discards every message, so Check must not pay
-// fmt (and units.Bytes' log10-based rendering) on the hot path. The operands
-// are captured as raw numbers; formatting only happens when someone actually
-// reads the error.
-type screenError struct {
+// ScreenVerdict is the pre-screen's answer for one strategy. It is a plain
+// value carrying the rejecting bound and its raw operands: the search path
+// screens millions of strategies and reads none of the messages, so Check
+// builds no error and pays no fmt (nor units.Bytes' log10-based rendering).
+// Err formats the message only when someone asks for it. The zero value is
+// the passing verdict.
+type ScreenVerdict struct {
 	kind       screenKind
 	need, have int64
 }
 
-func (e *screenError) Error() string {
+// OK reports whether the strategy passed the screen.
+func (v ScreenVerdict) OK() bool { return v.kind == screenPass }
+
+// Err returns the rejection as an error, or nil for a passing verdict.
+func (v ScreenVerdict) Err() error {
+	if v.OK() {
+		return nil
+	}
+	return screenError(v)
+}
+
+type screenError ScreenVerdict
+
+func (e screenError) Error() string {
 	switch e.kind {
 	case screenProcs:
 		return fmt.Sprintf("strategy needs %d procs, system has %d", e.need, e.have)
@@ -154,17 +181,18 @@ func (e *screenError) Error() string {
 // pre-screened without enumerating them, bit-identically to the leaf-by-leaf
 // path. The returned error is the first projection's rejection.
 func (p *PreScreen) CheckTriple(o EnumOptions, tpd [3]int) error {
-	var firstErr error
-	for _, st := range o.boundLeaves(tpd) {
-		err := p.Check(st)
-		if err == nil {
+	var first ScreenVerdict
+	leaves := o.boundLeaves(tpd)
+	for i := range leaves {
+		v := p.Check(&leaves[i])
+		if v.OK() {
 			return nil
 		}
-		if firstErr == nil {
-			firstErr = err
+		if first.OK() {
+			first = v
 		}
 	}
-	return firstErr
+	return first.Err()
 }
 
 func minB(a, b units.Bytes) units.Bytes {

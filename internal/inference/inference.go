@@ -91,7 +91,7 @@ func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload)
 	if err := w.Validate(); err != nil {
 		return Result{}, err
 	}
-	st = st.Normalize()
+	st.Normalize()
 	st.Inference = true
 	st.Recompute = execution.RecomputeNone
 
@@ -116,7 +116,7 @@ func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload)
 	// TP; the pipeline processes the step stage by stage.
 	sh := layers.Shard{TP: st.TP, Microbatch: 1, Inference: true, Fused: st.FusedLayers}
 	tot := layers.Sum(layers.Block(m, sh))
-	blocksPerProc := st.BlocksPerProc(m)
+	blocksPerProc := st.BlocksPerProc(&m)
 	ctx := w.PromptLen + w.GenLen
 	b := float64(w.Batch)
 

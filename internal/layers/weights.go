@@ -19,7 +19,7 @@ import (
 // every architecture, so the arithmetic is kept FMA-free (see docs/LINT.md).
 //
 //calculonvet:ordered
-func BlockWeightBytes(m model.LLM, tp int) units.Bytes {
+func BlockWeightBytes(m *model.LLM, tp int) units.Bytes {
 	if tp < 1 {
 		tp = 1
 	}

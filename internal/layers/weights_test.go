@@ -20,7 +20,7 @@ func TestBlockWeightBytesMatchesGraph(t *testing.T) {
 				continue
 			}
 			want := Sum(Block(m, Shard{TP: tp, Microbatch: 1})).WeightBytes
-			if got := BlockWeightBytes(m, tp); got != want {
+			if got := BlockWeightBytes(&m, tp); got != want {
 				t.Errorf("%s tp=%d: closed form %v != graph sum %v", name, tp, got, want)
 			}
 			// Weight bytes must be invariant under everything but TP — the

@@ -25,14 +25,15 @@ func TestBubbleMatchesDiscreteSimulation(t *testing.T) {
 		{TP: 8, PP: 8, DP: 8, Microbatch: 2, Interleave: 3, OneFOneB: true, Recompute: execution.RecomputeAttn, TPRSAG: true, SeqParallel: true},
 	}
 	for _, st := range cases {
-		st = st.Normalize()
-		if err := st.Validate(m); err != nil {
+		st.Normalize()
+		if err := st.Validate(&m); err != nil {
 			t.Fatalf("%v: %v", st, err)
 		}
 		e := newEval(m, sys, st)
 		e.tensorComm()
 		e.pipelineComm()
-		bd := e.assemble()
+		var bd TimeBreakdown
+		e.assemble(&bd)
 
 		hop := units.Seconds(0)
 		if st.PP > 1 {
@@ -80,7 +81,7 @@ func TestInFlightMatchesDiscreteSimulation(t *testing.T) {
 		{TP: 8, PP: 8, DP: 8, Microbatch: 1, Interleave: 4, OneFOneB: true, Recompute: execution.RecomputeFull},
 	}
 	for _, st := range cases {
-		st = st.Normalize()
+		st.Normalize()
 		e := newEval(m, sys, st)
 		analytical := e.inflightMicrobatches()
 

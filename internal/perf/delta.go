@@ -87,14 +87,14 @@ type deltaState struct {
 	r *Runner // owning runner; a chain never crosses runners
 
 	valid bool
-	prev  execution.Strategy // normalized, groups fully evaluated
+	prev  execution.Strategy // normalized, groups fully evaluated; e.st points here
 	e     eval
 	mem1  MemBreakdown
 	mem2  MemBreakdown
 
 	screenValid bool
 	screenPrev  execution.Strategy
-	screenErr   error
+	screen      execution.ScreenVerdict
 
 	// profCache is a chain-local mirror of the Runner's shared profile memo:
 	// a plain map with a concrete key type, so repeat lookups on this chain
@@ -137,84 +137,86 @@ func (r *Runner) RunDelta(prev RunInfo, st execution.Strategy) (Result, RunInfo,
 // on error (or on the DisableDelta fallback's error path) *out is zeroed,
 // exactly the Result a scratch call would have returned.
 func (r *Runner) RunDeltaInto(prev RunInfo, st execution.Strategy, out *Result) (RunInfo, error) {
+	if v := r.step(&prev, &st, out); v.kind != feasible {
+		*out = Result{}
+		return prev, v.err()
+	}
+	return prev, nil
+}
+
+// RunLeaf is the search's per-leaf entry point: RunDeltaInto with the chain
+// advanced in place and the verdict read as a bool. It allocates nothing on
+// a warm chain and copies no strategy: *st is normalized in place (the
+// enumeration's strategies already are), and *out is written only when
+// RunLeaf reports the strategy feasible — on false it holds whatever it
+// held before. The PreScreened and CacheHit flags are read from *chain
+// afterwards, as from RunDelta's returned RunInfo.
+func (r *Runner) RunLeaf(chain *RunInfo, st *execution.Strategy, out *Result) bool {
+	return r.step(chain, st, out).kind == feasible
+}
+
+// step evaluates *st on the chain, replacing *chain with the new chain
+// state, and counts the evaluation.
+func (r *Runner) step(chain *RunInfo, st *execution.Strategy, out *Result) verdict {
+	var v verdict
 	if r.noDelta {
-		var info RunInfo
-		var err error
-		*out, info, err = r.RunDetailed(st)
-		return info, err
-	}
-	d := prev.delta
-	if d == nil || d.r != r {
-		d = &deltaState{r: r}
-	}
-	info, err := r.runDelta(d, st, out)
-	info.delta = d
-	if c := r.counters; c != nil {
-		c.evaluated.Add(1)
-		if err != nil {
-			c.infeasible.Add(1)
+		*chain, v = r.run(st, out)
+	} else {
+		d := chain.delta
+		if d == nil || d.r != r {
+			d = &deltaState{r: r}
 		}
-		if info.PreScreened {
-			c.prescreened.Add(1)
-		}
-		if info.CacheHit {
-			c.cacheHits.Add(1)
-		}
+		*chain, v = r.runDelta(d, st, out)
+		chain.delta = d
 	}
-	return info, err
+	r.count(*chain, v)
+	return v
 }
 
 // runDelta mirrors Runner.run stage by stage; every recomputed group calls
 // the same method on the same inputs, and every skipped group's outputs are
 // pure functions of inputs the field diff proves unchanged, so the two
 // paths are bit-identical by construction (and by the equivalence tests).
-// The result lands in *out, which is zeroed on every error path.
-func (r *Runner) runDelta(d *deltaState, st execution.Strategy, out *Result) (RunInfo, error) {
-	m, sys := r.m, r.sys
-	st = st.Normalize()
-	if err := st.Validate(m); err != nil {
-		*out = Result{}
-		return RunInfo{}, infeasible("%v", err)
+// It reads the model and system through the Runner and the strategy through
+// st, copying only st into the chain's diff bases, and writes *out only for
+// a feasible verdict.
+func (r *Runner) runDelta(d *deltaState, st *execution.Strategy, out *Result) (RunInfo, verdict) {
+	st.Normalize()
+	if err := st.Validate(&r.m); err != nil {
+		return RunInfo{}, verdict{kind: invalidStrategy, cause: err}
 	}
-	if r.screen != nil && !r.noPreScreen {
+	if !r.noPreScreen {
 		// The pre-screen verdict depends only on screenMask fields, so a
-		// diff outside the mask reuses the previous verdict (same error
-		// value, same nil). The screen chain is tracked separately from the
-		// eval chain: screened-and-rejected strategies never reach the eval
-		// stages, so d.prev would be the wrong diff base.
-		var err error
-		if d.screenValid && !execution.DiffMask(d.screenPrev, st).Has(screenMask) {
-			err = d.screenErr
-		} else {
-			err = r.screen.Check(st)
+		// diff outside the mask reuses the previous verdict. The base is
+		// replaced only when a screenMask field changed — otherwise it
+		// already agrees with st on every field the verdict reads. The
+		// screen chain is tracked separately from the eval chain:
+		// screened-and-rejected strategies never reach the eval stages, so
+		// d.prev would be the wrong diff base.
+		if !d.screenValid || execution.DiffMask(&d.screenPrev, st).Has(screenMask) {
+			d.screenPrev, d.screen, d.screenValid = *st, r.screen.Check(st), true
 		}
-		d.screenValid, d.screenPrev, d.screenErr = true, st, err
-		if err != nil {
-			*out = Result{}
-			return RunInfo{PreScreened: true}, infeasible("%v", err)
+		if !d.screen.OK() {
+			return RunInfo{PreScreened: true}, verdict{kind: preScreened, screen: d.screen}
 		}
-	} else {
-		if st.Procs() > sys.Procs {
-			*out = Result{}
-			return RunInfo{}, infeasible("strategy needs %d procs, system has %d", st.Procs(), sys.Procs)
-		}
-		if (st.WeightOffload || st.ActOffload || st.OptimOffload) && !sys.Mem2.Present() {
-			*out = Result{}
-			return RunInfo{}, infeasible("offloading requires a second memory tier")
-		}
+	} else if sv := r.screen.CheckFit(st); !sv.OK() {
+		return RunInfo{}, verdict{kind: unfit, screen: sv}
 	}
 
 	mask := allFields
 	if d.valid {
-		mask = execution.DiffMask(d.prev, st)
+		mask = execution.DiffMask(&d.prev, st)
 	} else {
-		d.e.m, d.e.sys = m, sys
+		d.e.m, d.e.sys, d.e.st = &r.m, &r.sys, &d.prev
 	}
+	// The eval reads the strategy from d.prev, which is now st; a later
+	// infeasibility (memory overflow) does not invalidate it as the next
+	// diff base.
+	d.prev, d.valid = *st, true
 	e := &d.e
-	e.st = st
 
 	var hit bool
-	if !d.valid || r.noMemo || mask.Has(profileMask) {
+	if r.noMemo || mask.Has(profileMask) { // a fresh chain's mask is allFields
 		var prof *blockProfile
 		if r.noMemo {
 			prof, hit = r.profile(st)
@@ -239,9 +241,9 @@ func (r *Runner) runDelta(d *deltaState, st execution.Strategy, out *Result) (Ru
 	info := RunInfo{CacheHit: hit}
 
 	if mask.Has(shapeMask) {
-		e.n = st.Microbatches(m)
-		e.bp = st.BlocksPerProc(m)
-		e.bc = st.BlocksPerChunk(m)
+		e.n = st.Microbatches(&r.m)
+		e.bp = st.BlocksPerProc(&r.m)
+		e.bc = st.BlocksPerChunk(&r.m)
 	}
 	// Each group's outputs are zeroed before the recompute because the
 	// methods accumulate (+=) or early-return leaving zeros (TP≤1, PP≤1,
@@ -272,37 +274,10 @@ func (r *Runner) runDelta(d *deltaState, st execution.Strategy, out *Result) (Ru
 	if mask.Has(memoryMask) {
 		d.mem1, d.mem2 = e.memory()
 	}
-	// The eval state is now fully that of st; later infeasibility (memory
-	// overflow) does not invalidate it as a diff base.
-	d.prev, d.valid = st, true
 
-	mem1, mem2 := d.mem1, d.mem2
-	if mem1.Total() > sys.Mem1.Capacity {
-		*out = Result{}
-		return info, infeasible("mem1 needs %v of %v", mem1.Total(), sys.Mem1.Capacity)
+	if v := r.capacity(&d.mem1, &d.mem2); v.kind != feasible {
+		return info, v
 	}
-	if mem2.Total() > sys.Mem2.Capacity {
-		*out = Result{}
-		return info, infeasible("mem2 needs %v of %v", mem2.Total(), sys.Mem2.Capacity)
-	}
-
-	t := e.assemble()
-	batch := t.Total()
-	*out = Result{
-		Model:             m,
-		System:            sys.Name,
-		Strategy:          st,
-		BatchTime:         batch,
-		SampleRate:        batch.Rate(float64(m.Batch)),
-		Time:              t,
-		Mem1:              mem1,
-		Mem2:              mem2,
-		OffloadBWRequired: e.offloadBWRequired,
-		OffloadBWUsed:     e.offloadBWUsed,
-		ProcsUsed:         st.Procs(),
-	}
-	useful := r.usefulFLOPs(st)
-	peak := sys.Compute.MatrixPeak.Times(float64(st.Procs()))
-	out.MFU = useful.Ratio(peak.For(batch))
-	return info, nil
+	r.finish(e, &d.mem1, &d.mem2, out)
+	return info, verdict{}
 }

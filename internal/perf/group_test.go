@@ -28,9 +28,11 @@ func TestBlockProfileProcsIndependent(t *testing.T) {
 	}
 	sizes := []int{8, 64, 1024}
 	for _, st := range sts {
-		ref := computeProfile(m, system.A100(sizes[0]), st)
+		base := system.A100(sizes[0])
+		ref := computeProfile(&m, &base, &st)
 		for _, n := range sizes[1:] {
-			got := computeProfile(m, system.A100(n), st)
+			sys := system.A100(n)
+			got := computeProfile(&m, &sys, &st)
 			if got != ref {
 				t.Fatalf("profile for %v differs between %d and %d procs:\n%+v\nvs\n%+v",
 					st, sizes[0], n, ref, got)

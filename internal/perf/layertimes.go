@@ -29,21 +29,21 @@ type LayerTiming struct {
 // LayerTimes profiles one transformer block under the configuration,
 // layer by layer — the observability view behind `calculon run -layers`.
 func LayerTimes(m model.LLM, sys system.System, st execution.Strategy) ([]LayerTiming, error) {
-	st = st.Normalize()
+	st.Normalize()
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-	if err := st.Validate(m); err != nil {
-		return nil, infeasible("%v", err)
+	if err := st.Validate(&m); err != nil {
+		return nil, verdict{kind: invalidStrategy, cause: err}.err()
 	}
-	ls := layers.Block(m, shardFor(st))
+	ls := layers.Block(m, shardFor(&st))
 	out := make([]LayerTiming, 0, len(ls))
 	for _, l := range ls {
-		ft, slack := opTime(sys, l.Engine, l.FLOPs, l.Traffic)
-		bt, _ := opTime(sys, l.Engine, l.BwdFLOPs, l.BwdTraffic)
+		ft, slack := opTime(&sys, l.Engine, l.FLOPs, l.Traffic)
+		bt, _ := opTime(&sys, l.Engine, l.BwdFLOPs, l.BwdTraffic)
 		bound := "memory"
 		if slack > 0 || l.Traffic == 0 {
 			bound = "compute"

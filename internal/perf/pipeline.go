@@ -15,15 +15,15 @@ import (
 // cross-validated, and it lets users render Fig. 2-style timelines for
 // their own configurations.
 func PipelineParams(m model.LLM, sys system.System, st execution.Strategy) (pipesim.Params, error) {
-	st = st.Normalize()
+	st.Normalize()
 	if err := m.Validate(); err != nil {
 		return pipesim.Params{}, err
 	}
 	if err := sys.Validate(); err != nil {
 		return pipesim.Params{}, err
 	}
-	if err := st.Validate(m); err != nil {
-		return pipesim.Params{}, infeasible("%v", err)
+	if err := st.Validate(&m); err != nil {
+		return pipesim.Params{}, verdict{kind: invalidStrategy, cause: err}.err()
 	}
 	e := newEval(m, sys, st)
 	e.tensorComm()

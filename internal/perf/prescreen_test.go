@@ -80,8 +80,9 @@ func TestPreScreenSoundAndExact(t *testing.T) {
 				}
 			}
 			// The standalone screen must agree with the Runner's own use of it.
-			norm := st.Normalize()
-			if norm.Validate(tc.m) == nil && (screen.Check(norm) != nil) != info.PreScreened {
+			norm := st
+			norm.Normalize()
+			if norm.Validate(&tc.m) == nil && !screen.Check(&norm).OK() != info.PreScreened {
 				t.Fatalf("%s on %s, %v: standalone Check disagrees with RunInfo.PreScreened",
 					tc.m.Name, tc.sys.Name, st)
 			}

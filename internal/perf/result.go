@@ -22,21 +22,56 @@ import (
 // Search engines count these rather than failing.
 var ErrInfeasible = errors.New("infeasible configuration")
 
-// infeasible builds an ErrInfeasible-wrapped error without formatting the
-// message: search paths reject millions of configurations and read none of
-// the messages, so the fmt work (and the log10-based unit rendering it
-// triggers) is deferred until someone calls Error().
-func infeasible(format string, args ...any) error {
-	return &infeasibleError{format: format, args: args}
+// verdictKind classifies one evaluation's feasibility outcome.
+type verdictKind uint8
+
+const (
+	feasible        verdictKind = iota
+	invalidStrategy             // a structural rule fails (Strategy.Validate)
+	preScreened                 // the phase-1 analytic bound rejects it
+	unfit                       // too many procs or no offload tier, with the pre-screen off
+	mem1Overflow
+	mem2Overflow
+)
+
+// verdict is one evaluation's feasibility outcome as a plain value: the kind
+// plus the raw operands its message needs. The evaluators return it unboxed,
+// so the search rejects millions of configurations without allocating or
+// formatting anything; err boxes it into an error only for callers that
+// want one, and the message is formatted (with the log10-based unit
+// rendering it triggers) only when someone calls Error().
+type verdict struct {
+	kind       verdictKind
+	screen     execution.ScreenVerdict // preScreened, unfit
+	need, have units.Bytes             // mem1Overflow, mem2Overflow
+	cause      error                   // invalidStrategy
 }
 
-type infeasibleError struct {
-	format string
-	args   []any
+// err returns nil for a feasible verdict and an ErrInfeasible-wrapped error
+// otherwise.
+func (v verdict) err() error {
+	if v.kind == feasible {
+		return nil
+	}
+	return &infeasibleError{v}
 }
+
+type infeasibleError struct{ v verdict }
 
 func (e *infeasibleError) Error() string {
-	return fmt.Sprintf("%v: "+e.format, append([]any{ErrInfeasible}, e.args...)...)
+	v := &e.v
+	var why string
+	switch v.kind {
+	case invalidStrategy:
+		why = v.cause.Error()
+	case preScreened, unfit:
+		why = v.screen.Err().Error()
+	case mem1Overflow:
+		why = fmt.Sprintf("mem1 needs %v of %v", v.need, v.have)
+	default:
+		why = fmt.Sprintf("mem2 needs %v of %v", v.need, v.have)
+	}
+	return ErrInfeasible.Error() + ": " + why
 }
 
 func (e *infeasibleError) Unwrap() error { return ErrInfeasible }

@@ -89,7 +89,7 @@ func newRunner(m model.LLM, sys system.System) *Runner {
 
 // usefulFLOPs returns the precomputed whole-batch useful FLOP count for the
 // strategy's pass mode.
-func (r *Runner) usefulFLOPs(st execution.Strategy) units.FLOPs {
+func (r *Runner) usefulFLOPs(st *execution.Strategy) units.FLOPs {
 	if st.Inference {
 		return r.usefulInfer
 	}
@@ -185,45 +185,80 @@ func (r *Runner) Run(st execution.Strategy) (Result, error) {
 // attribute pre-screen rejections and cache hits without touching shared
 // counters.
 func (r *Runner) RunDetailed(st execution.Strategy) (Result, RunInfo, error) {
-	res, info, err := r.run(st)
-	if c := r.counters; c != nil {
-		c.evaluated.Add(1)
-		if err != nil {
-			c.infeasible.Add(1)
-		}
-		if info.PreScreened {
-			c.prescreened.Add(1)
-		}
-		if info.CacheHit {
-			c.cacheHits.Add(1)
-		}
-	}
-	return res, info, err
+	var res Result // run writes it only when the strategy is feasible
+	info, v := r.run(&st, &res)
+	r.count(info, v)
+	return res, info, v.err()
 }
 
-func (r *Runner) run(st execution.Strategy) (Result, RunInfo, error) {
-	m, sys := r.m, r.sys
-	st = st.Normalize()
-	if err := st.Validate(m); err != nil {
-		return Result{}, RunInfo{}, infeasible("%v", err)
+// count records one evaluation in the optional stats counters.
+func (r *Runner) count(info RunInfo, v verdict) {
+	c := r.counters
+	if c == nil {
+		return
 	}
-	if r.screen != nil && !r.noPreScreen {
-		if err := r.screen.Check(st); err != nil {
-			return Result{}, RunInfo{PreScreened: true}, infeasible("%v", err)
+	c.evaluated.Add(1)
+	if v.kind != feasible {
+		c.infeasible.Add(1)
+	}
+	if info.PreScreened {
+		c.prescreened.Add(1)
+	}
+	if info.CacheHit {
+		c.cacheHits.Add(1)
+	}
+}
+
+// capacity checks the per-tier memory totals against the system.
+func (r *Runner) capacity(mem1, mem2 *MemBreakdown) verdict {
+	if t := mem1.Total(); t > r.sys.Mem1.Capacity {
+		return verdict{kind: mem1Overflow, need: t, have: r.sys.Mem1.Capacity}
+	}
+	if t := mem2.Total(); t > r.sys.Mem2.Capacity {
+		return verdict{kind: mem2Overflow, need: t, have: r.sys.Mem2.Capacity}
+	}
+	return verdict{}
+}
+
+// finish assembles the Result of a feasible evaluation into *out. It sets
+// every field in place rather than assigning a composite literal, which
+// would build the ~400-byte Result on the stack and copy it over.
+func (r *Runner) finish(e *eval, mem1, mem2 *MemBreakdown, out *Result) {
+	st := e.st
+	out.Model = r.m
+	out.System = r.sys.Name
+	out.Strategy = *st
+	e.assemble(&out.Time)
+	batch := out.Time.Total()
+	out.BatchTime = batch
+	out.SampleRate = batch.Rate(float64(r.m.Batch))
+	out.Mem1, out.Mem2 = *mem1, *mem2
+	out.OffloadBWRequired = e.offloadBWRequired
+	out.OffloadBWUsed = e.offloadBWUsed
+	out.ProcsUsed = st.Procs()
+	useful := r.usefulFLOPs(st)
+	peak := r.sys.Compute.MatrixPeak.Times(float64(st.Procs()))
+	out.MFU = useful.Ratio(peak.For(batch))
+}
+
+// run is the scratch evaluator: every term group computed afresh. It
+// normalizes *st in place and writes *out only for a feasible verdict.
+func (r *Runner) run(st *execution.Strategy, out *Result) (RunInfo, verdict) {
+	st.Normalize()
+	if err := st.Validate(&r.m); err != nil {
+		return RunInfo{}, verdict{kind: invalidStrategy, cause: err}
+	}
+	if !r.noPreScreen {
+		if sv := r.screen.Check(st); !sv.OK() {
+			return RunInfo{PreScreened: true}, verdict{kind: preScreened, screen: sv}
 		}
-	} else {
-		if st.Procs() > sys.Procs {
-			return Result{}, RunInfo{}, infeasible("strategy needs %d procs, system has %d", st.Procs(), sys.Procs)
-		}
-		if (st.WeightOffload || st.ActOffload || st.OptimOffload) && !sys.Mem2.Present() {
-			return Result{}, RunInfo{}, infeasible("offloading requires a second memory tier")
-		}
+	} else if sv := r.screen.CheckFit(st); !sv.OK() {
+		return RunInfo{}, verdict{kind: unfit, screen: sv}
 	}
 
 	prof, hit := r.profile(st)
 	info := RunInfo{CacheHit: hit}
-	var e eval
-	e.init(m, sys, st, prof)
+	e := makeEval(&r.m, &r.sys, st, prof)
 	e.tensorComm()
 	e.pipelineComm()
 	e.dataComm()
@@ -231,32 +266,11 @@ func (r *Runner) run(st execution.Strategy) (Result, RunInfo, error) {
 	e.offload()
 
 	mem1, mem2 := e.memory()
-	if mem1.Total() > sys.Mem1.Capacity {
-		return Result{}, info, infeasible("mem1 needs %v of %v", mem1.Total(), sys.Mem1.Capacity)
+	if v := r.capacity(&mem1, &mem2); v.kind != feasible {
+		return info, v
 	}
-	if mem2.Total() > sys.Mem2.Capacity {
-		return Result{}, info, infeasible("mem2 needs %v of %v", mem2.Total(), sys.Mem2.Capacity)
-	}
-
-	t := e.assemble()
-	batch := t.Total()
-	res := Result{
-		Model:             m,
-		System:            sys.Name,
-		Strategy:          st,
-		BatchTime:         batch,
-		SampleRate:        batch.Rate(float64(m.Batch)),
-		Time:              t,
-		Mem1:              mem1,
-		Mem2:              mem2,
-		OffloadBWRequired: e.offloadBWRequired,
-		OffloadBWUsed:     e.offloadBWUsed,
-		ProcsUsed:         st.Procs(),
-	}
-	useful := r.usefulFLOPs(st)
-	peak := sys.Compute.MatrixPeak.Times(float64(st.Procs()))
-	res.MFU = useful.Ratio(peak.For(batch))
-	return res, info, nil
+	r.finish(&e, &mem1, &mem2, out)
+	return info, verdict{}
 }
 
 // usefulFLOPsPerSample is the recompute-free model FLOP count per sample
@@ -284,7 +298,7 @@ type blockKey struct {
 	inference   bool
 }
 
-func keyFor(st execution.Strategy) blockKey {
+func keyFor(st *execution.Strategy) blockKey {
 	return blockKey{
 		tp:          st.TP,
 		microbatch:  st.Microbatch,
@@ -309,7 +323,7 @@ type blockProfile struct {
 	fwdSlack, bwdSlack, rcSlack units.Seconds
 }
 
-func shardFor(st execution.Strategy) layers.Shard {
+func shardFor(st *execution.Strategy) layers.Shard {
 	return layers.Shard{
 		TP:          st.TP,
 		SeqParallel: st.SeqParallel,
@@ -353,12 +367,12 @@ type pricedGraph struct {
 // one microbatch through it. The per-field accumulation visits layers in
 // graph order, matching the historical single-pass loop term for term, so
 // every derived blockProfile is bit-identical to what that loop produced.
-func priceGraph(m model.LLM, sys system.System, st execution.Strategy) pricedGraph {
+func priceGraph(m *model.LLM, sys *system.System, st *execution.Strategy) pricedGraph {
 	sh := shardFor(st)
-	ls := layers.Block(m, sh)
+	ls := layers.Block(*m, sh)
 	g := pricedGraph{
 		tot:           layers.Sum(ls),
-		boundaryBytes: layers.BlockInputBytes(m, sh),
+		boundaryBytes: layers.BlockInputBytes(*m, sh),
 	}
 	for i := range ls {
 		l := &ls[i]
@@ -400,14 +414,14 @@ func profileFrom(g *pricedGraph, mode execution.RecomputeMode) blockProfile {
 // computeProfile builds the block layer graph and times one microbatch
 // through it: forward, backward, and the recompute portion selected by the
 // strategy.
-func computeProfile(m model.LLM, sys system.System, st execution.Strategy) blockProfile {
+func computeProfile(m *model.LLM, sys *system.System, st *execution.Strategy) blockProfile {
 	g := priceGraph(m, sys, st)
 	return profileFrom(&g, st.Recompute)
 }
 
 // graph returns the priced layer graph for the strategy's shard, from the
 // graph memo when possible.
-func (r *Runner) graph(st execution.Strategy) *pricedGraph {
+func (r *Runner) graph(st *execution.Strategy) *pricedGraph {
 	k := graphKey{
 		tp:          st.TP,
 		microbatch:  st.Microbatch,
@@ -419,7 +433,7 @@ func (r *Runner) graph(st execution.Strategy) *pricedGraph {
 	if v, ok := r.graphs.Load(k); ok {
 		return v.(*pricedGraph)
 	}
-	g := priceGraph(r.m, r.sys, st)
+	g := priceGraph(&r.m, &r.sys, st)
 	v, _ := r.graphs.LoadOrStore(k, &g)
 	return v.(*pricedGraph)
 }
@@ -436,9 +450,9 @@ func (r *Runner) graph(st execution.Strategy) *pricedGraph {
 // tests), so each distinct key reports exactly one miss: when two workers
 // race to first-compute a key, LoadOrStore publishes one profile and the
 // loser reports a hit — the same totals a serial run would count.
-func (r *Runner) profile(st execution.Strategy) (*blockProfile, bool) {
+func (r *Runner) profile(st *execution.Strategy) (*blockProfile, bool) {
 	if r.noMemo {
-		p := computeProfile(r.m, r.sys, st)
+		p := computeProfile(&r.m, &r.sys, st)
 		return &p, false
 	}
 	k := keyFor(st)
@@ -450,13 +464,13 @@ func (r *Runner) profile(st execution.Strategy) (*blockProfile, bool) {
 	return v.(*blockProfile), loaded
 }
 
-// eval carries the intermediate quantities of one evaluation. It is a plain
-// value initialized from a blockProfile — the hot path keeps it on the
-// stack.
+// eval carries the intermediate quantities of one evaluation, initialized
+// from a blockProfile. It reads the model, system, and strategy through
+// pointers, so starting an evaluation copies none of them.
 type eval struct {
-	m   model.LLM
-	sys system.System
-	st  execution.Strategy
+	m   *model.LLM
+	sys *system.System
+	st  *execution.Strategy
 
 	tot layers.Totals
 
@@ -479,10 +493,12 @@ type eval struct {
 	boundaryBytes                              units.Bytes
 }
 
-// init populates the evaluation state from a (possibly memoized) block
-// profile and the strategy's pipeline shape.
-func (e *eval) init(m model.LLM, sys system.System, st execution.Strategy, prof *blockProfile) {
-	*e = eval{
+// makeEval builds the evaluation state from a (possibly memoized) block
+// profile and the strategy's pipeline shape. It returns the state by value
+// rather than filling a *eval, so escape analysis keeps the pointed-to
+// model, system, and strategy wherever the caller put them.
+func makeEval(m *model.LLM, sys *system.System, st *execution.Strategy, prof *blockProfile) eval {
+	return eval{
 		m: m, sys: sys, st: st,
 		tot:            prof.tot,
 		n:              st.Microbatches(m),
@@ -502,16 +518,15 @@ func (e *eval) init(m model.LLM, sys system.System, st execution.Strategy, prof 
 // profiling, pipeline cross-validation, tests); block times are already
 // computed.
 func newEval(m model.LLM, sys system.System, st execution.Strategy) *eval {
-	prof := computeProfile(m, sys, st)
-	e := &eval{}
-	e.init(m, sys, st, &prof)
-	return e
+	prof := computeProfile(&m, &sys, &st)
+	e := makeEval(&m, &sys, &st, &prof)
+	return &e
 }
 
 // opTime applies the processing model of §2.2 to one operation: the time is
 // the maximum of raw compute and raw memory access, each with size-based
 // efficiency. slack is the HBM-idle portion usable for offload transfers.
-func opTime(sys system.System, engine layers.Engine, flops units.FLOPs, traffic units.Bytes) (t, slack units.Seconds) {
+func opTime(sys *system.System, engine layers.Engine, flops units.FLOPs, traffic units.Bytes) (t, slack units.Seconds) {
 	var rate units.FLOPsPerSec
 	if engine == layers.Matrix {
 		rate = sys.Compute.MatrixRate(flops)
@@ -666,9 +681,10 @@ func (e *eval) optimizer() {
 	e.optimTime = maxSec(ct, mt)
 }
 
-// assemble composes the per-batch breakdown from the per-block quantities.
-func (e *eval) assemble() TimeBreakdown {
-	var t TimeBreakdown
+// assemble composes the per-batch breakdown from the per-block quantities
+// into *t, overwriting every field.
+func (e *eval) assemble(t *TimeBreakdown) {
+	*t = TimeBreakdown{}
 	nb := float64(e.n) * float64(e.bp)
 	t.FwdPass = e.blockFwd.Times(nb) + e.fwdPenalty.Times(nb)
 	t.Recompute = e.blockRecompute.Times(nb)
@@ -696,7 +712,6 @@ func (e *eval) assemble() TimeBreakdown {
 		}
 		t.PPBubble = (chunkFwd + chunkBwd).Times(float64(p - 1))
 	}
-	return t
 }
 
 func minSec(a, b units.Seconds) units.Seconds {

@@ -103,8 +103,14 @@ func TestExecutionPreCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// At most the chunks already buffered at cancellation get evaluated.
-	if res.Evaluated > 16*chunkSize {
+	// At most the chunks already buffered at cancellation get evaluated. A
+	// chunk is whole toggle segments, as many leaves as the producer packs.
+	opts, err := normalizeOptions(m, sys, bigOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tog := opts.Enum.Toggles()
+	if perChunk := segmentsPerChunk(tog.Len()) * tog.Len(); res.Evaluated > 16*perChunk {
 		t.Fatalf("pre-cancelled search still evaluated %d strategies", res.Evaluated)
 	}
 	waitForGoroutines(t, baseline)

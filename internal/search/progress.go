@@ -9,10 +9,10 @@ import (
 // Progress is a live, lock-free view into a running search. Attach one via
 // Options.Progress and read it from any goroutine — a progress ticker, an
 // HTTP status handler, a signal handler printing partial results — while the
-// search runs. Counters are flushed by the workers once per chunk, so a
-// Snapshot taken mid-flight may lag the true position by at most one chunk
-// per worker; once the search returns, the counters exactly match the
-// returned Result.
+// search runs. Workers flush counters once per work chunk (about 256 leaves,
+// or one toggle segment when that is larger), so a mid-flight Snapshot may
+// lag the true position by at most one chunk per worker; once the search
+// returns, the counters exactly match the returned Result.
 //
 // A single Progress may be shared across several searches (SystemSize and
 // the budget sweep do this): counters and totals accumulate, and the rate

@@ -146,9 +146,11 @@ type Result struct {
 // Found reports whether any feasible configuration exists.
 func (r Result) Found() bool { return r.Feasible > 0 }
 
-type indexed struct {
-	seq int
-	st  execution.Strategy
+// segment is a toggle segment's root (execution.EnumOptions.Segments) and
+// the sequence number of its first leaf; workers walk its toggles.
+type segment struct {
+	seq  int
+	root execution.Strategy
 }
 
 type scored struct {
@@ -158,28 +160,19 @@ type scored struct {
 
 const chunkSize = 256
 
-// chunkPool recycles the producer's strategy buffers: workers return each
-// chunk after evaluating it, so a steady-state search keeps roughly one
-// buffer in flight per worker instead of allocating one per 256 strategies.
-// Chunks travel by pointer so neither side boxes a slice header per cycle.
-var chunkPool = sync.Pool{New: func() any {
-	b := make([]indexed, 0, chunkSize)
-	return &b
-}}
-
-// newChunk returns an empty chunk buffer, recycled when available.
-func newChunk() *[]indexed {
-	b := chunkPool.Get().(*[]indexed)
-	*b = (*b)[:0]
-	return b
+// segmentsPerChunk is how many whole segments of segLen leaves a work chunk
+// carries: about chunkSize leaves, at least one segment. A worker checks for
+// cancellation once per chunk: at most max(chunkSize, segLen) leaves apart.
+func segmentsPerChunk(segLen int) int {
+	return maxInt(1, chunkSize/segLen)
 }
 
 // Execution exhaustively evaluates every strategy the options allow for the
 // model on the system and returns the best performer with statistics.
 //
 // Cancelling the context stops the search promptly — enumeration halts, each
-// worker finishes at most its current chunk, and no goroutines are leaked.
-// On cancellation the returned error is ctx.Err() and the Result still
+// worker finishes at most its current chunk of segments, and no goroutines
+// are leaked. On cancellation the returned error is ctx.Err() and the Result still
 // carries the partial Evaluated/Feasible counters (consistent with any
 // attached Progress), though Best/Top/Pareto cover only the strategies seen.
 func Execution(ctx context.Context, m model.LLM, sys system.System, opts Options) (Result, error) {
@@ -298,13 +291,14 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 			runner.DisableDelta()
 		}
 	}
-	chunks := make(chan *[]indexed, workers)
+	tog := opts.Enum.Toggles()
+	chunks := make(chan []segment, workers)
 	results := make(chan workerState, workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			ws := workerState{topK: opts.TopK, pareto: opts.Pareto}
 			// Each worker threads one delta chain through its strategies:
-			// inside a chunk the Gray-code toggle order makes neighbors
+			// inside a segment the Gray-code toggle order makes neighbors
 			// differ in a single toggle, so most term groups carry over.
 			// The chain is goroutine-local; the Runner stays shared.
 			var chain perf.RunInfo
@@ -313,27 +307,27 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 				// After cancellation, keep draining so the producer's sends
 				// and close always complete, but stop evaluating.
 				if ctx.Err() != nil {
-					chunkPool.Put(chunk)
 					continue
 				}
 				evalBefore, feasBefore := ws.evaluated, ws.feasible
 				preBefore, hitBefore := ws.prescreened, ws.cacheHits
-				for _, it := range *chunk {
-					ws.evaluated++
-					info, err := runner.RunDeltaInto(chain, it.st, &res)
-					chain = info
-					if info.PreScreened {
-						ws.prescreened++
-					}
-					if info.CacheHit {
-						ws.cacheHits++
-					}
-					if err != nil {
-						continue
-					}
-					ws.add(it.seq, &res, opts.CollectRates)
+				for i := range chunk {
+					seq := chunk[i].seq
+					tog.Walk(&chunk[i].root, func(st *execution.Strategy) bool {
+						ws.evaluated++
+						if runner.RunLeaf(&chain, st, &res) {
+							ws.add(seq, &res, opts.CollectRates)
+						}
+						if chain.PreScreened {
+							ws.prescreened++
+						}
+						if chain.CacheHit {
+							ws.cacheHits++
+						}
+						seq++
+						return true
+					})
 				}
-				chunkPool.Put(chunk)
 				if prog != nil {
 					prog.add(progressDelta{
 						evaluated:   int64(ws.evaluated - evalBefore),
@@ -351,7 +345,7 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 	// projection fails the closed-form bound are dropped whole, with their
 	// leaf count — exact, by TripleLeafCount — folded into the counters and
 	// the enumeration sequence so downstream tie-breaks and ETAs are
-	// bit-identical to the leaf-by-leaf path.
+	// bit-identical to the leaf-by-leaf path. The rest go out as segments.
 	var screen *execution.PreScreen
 	if !opts.DisableSubtreePrune && !opts.DisablePreScreen {
 		screen = execution.NewPreScreen(m, execution.Limits{
@@ -360,7 +354,8 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 			Mem2:  sys.Mem2.Capacity,
 		})
 	}
-	buf := newChunk()
+	perChunk := segmentsPerChunk(tog.Len())
+	buf := make([]segment, 0, perChunk)
 	seq := seqBase
 	subtreePruned := 0
 	for _, tpd := range triples {
@@ -382,16 +377,16 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 				continue
 			}
 		}
-		_, more := opts.Enum.EnumerateTriple(m, tpd, func(st execution.Strategy) bool {
-			*buf = append(*buf, indexed{seq, st})
-			seq++
-			if len(*buf) == chunkSize {
+		more := opts.Enum.Segments(&m, tpd, func(root *execution.Strategy) bool {
+			buf = append(buf, segment{seq, *root})
+			seq += tog.Len()
+			if len(buf) == perChunk {
 				select {
 				case chunks <- buf:
 				case <-ctx.Done():
 					return false
 				}
-				buf = newChunk()
+				buf = make([]segment, 0, perChunk)
 			}
 			return true
 		})
@@ -399,7 +394,7 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 			break
 		}
 	}
-	if len(*buf) > 0 {
+	if len(buf) > 0 {
 		select {
 		case chunks <- buf:
 		case <-ctx.Done():
@@ -673,6 +668,9 @@ func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.S
 				return
 			}
 			defer func() { <-sem }()
+			if ctx.Err() != nil {
+				return // select picks at random when both cases are ready
+			}
 			o := opts
 			o.Enum.Procs = n
 			o.Workers = perSize

@@ -127,7 +127,7 @@ func newPreScreen(spec *Spec, ctx int) *preScreen {
 //calculonvet:ordered
 func (p *preScreen) check(cfg engineConfig) error {
 	bp := (p.m.Blocks + cfg.pp - 1) / cfg.pp
-	blockW := layers.BlockWeightBytes(p.m, cfg.tp)
+	blockW := layers.BlockWeightBytes(&p.m, cfg.tp)
 	weights := blockW.Times(float64(bp))
 	// Identical expression (and rounding) to inference.Estimate's kvPerBlock.
 	kvPerBlock := units.Bytes(2*p.ctx*p.m.Hidden*2) / units.Bytes(cfg.tp) * units.Bytes(cfg.batch)
