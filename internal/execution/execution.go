@@ -121,8 +121,10 @@ type Strategy struct {
 	Inference bool `json:"inference,omitempty"`
 }
 
-// Procs returns the number of processors the strategy occupies.
-func (s Strategy) Procs() int { return s.TP * s.PP * s.DP }
+// Procs returns the number of processors the strategy occupies. The
+// pointer receiver keeps the per-leaf callers (the pre-screen's fit check
+// and Result assembly) from copying the whole strategy.
+func (s *Strategy) Procs() int { return s.TP * s.PP * s.DP }
 
 // Normalize fills defaulted fields in place: zero Microbatch/Interleave
 // become 1, empty modes become "none".
@@ -144,7 +146,27 @@ func (s *Strategy) Normalize() {
 // Validate checks the strategy's internal and model-relative feasibility
 // rules. System-relative checks (memory capacity, offload tier presence,
 // processor count) live in the performance model, which has the system.
+//
+// It is the composition of ValidateShape and ValidateToggles, in that
+// order, so the first failing rule — and its message — is the same whether
+// a caller runs Validate or the two halves.
 func (s *Strategy) Validate(m *model.LLM) error {
+	if err := s.ValidateShape(m); err != nil {
+		return err
+	}
+	return s.ValidateToggles()
+}
+
+// ShapeFields are the fields ValidateShape reads: the parallelism degrees,
+// the microbatch size, and the pipeline schedule. Two strategies that agree
+// on them (for the same model) get the same ValidateShape verdict.
+const ShapeFields = FieldTP | FieldPP | FieldDP | FieldMicrobatch |
+	FieldInterleave | FieldOneFOneB
+
+// ValidateShape checks the rules over ShapeFields: the parallelism degrees,
+// microbatch size, and interleaving factor against the model, and the
+// schedule the interleaving needs.
+func (s *Strategy) ValidateShape(m *model.LLM) error {
 	if s.TP < 1 || s.PP < 1 || s.DP < 1 {
 		return fmt.Errorf("execution: parallelism degrees must be ≥1, got (%d,%d,%d)", s.TP, s.PP, s.DP)
 	}
@@ -176,6 +198,14 @@ func (s *Strategy) Validate(m *model.LLM) error {
 	if s.Interleave > 1 && s.PP == 1 {
 		return fmt.Errorf("execution: interleaving is meaningless without pipeline parallelism")
 	}
+	return nil
+}
+
+// ValidateToggles checks the rules over every field outside ShapeFields:
+// the recompute and overlap modes, the dependencies between the
+// communication switches, and the techniques inference excludes. It reads
+// no model.
+func (s *Strategy) ValidateToggles() error {
 	if !s.Recompute.Valid() {
 		return fmt.Errorf("execution: bad recompute mode %q", s.Recompute)
 	}

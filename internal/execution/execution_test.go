@@ -1,6 +1,7 @@
 package execution
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -24,37 +25,40 @@ func TestValidateAcceptsMegatronConfig(t *testing.T) {
 	}
 }
 
+// validateRuleCases are single-rule violations of validBase on gpt3()
+// (heads=96, blocks=96, batch=64), with a fragment of each rule's message.
+var validateRuleCases = []struct {
+	name string
+	mut  func(*Strategy)
+	frag string
+}{
+	{"zero tp", func(s *Strategy) { s.TP = 0 }, "≥1"},
+	{"tp beyond heads", func(s *Strategy) { s.TP = 128 }, "attention heads"},
+	{"pp beyond blocks", func(s *Strategy) { s.PP = 97 }, "blocks"},
+	{"dp beyond batch", func(s *Strategy) { s.DP = 65 }, "batch"},
+	{"dp not dividing batch", func(s *Strategy) { s.DP = 3 }, "divide"},
+	{"microbatch zero", func(s *Strategy) { s.Microbatch = 0 }, "microbatch"},
+	{"microbatch beyond per-pipe", func(s *Strategy) { s.Microbatch = 65 }, "microbatch"},
+	{"microbatch non-divisor", func(s *Strategy) { s.Microbatch = 3; s.DP = 2 }, "divide"},
+	{"interleave beyond blocks/p", func(s *Strategy) { s.Interleave = 13 }, "interleave"},
+	{"interleave without 1f1b", func(s *Strategy) { s.Interleave = 2; s.OneFOneB = false }, "1F1B"},
+	{"interleave without pp", func(s *Strategy) { s.PP = 1; s.TP = 8; s.DP = 8; s.Interleave = 2 }, "pipeline"},
+	{"bad recompute", func(s *Strategy) { s.Recompute = "sometimes" }, "recompute"},
+	{"bad overlap", func(s *Strategy) { s.TPOverlap = "maybe" }, "overlap"},
+	{"seqpar without rsag", func(s *Strategy) { s.SeqParallel = true }, "RS+AG"},
+	{"redo without seqpar", func(s *Strategy) { s.TPRedoForSP = true }, "redo"},
+	{"pp rsag without tp rsag", func(s *Strategy) { s.PPRSAG = true }, "RS+AG"},
+	{"inference with recompute", func(s *Strategy) { s.Inference = true }, "training-only"},
+	{"inference with sharding", func(s *Strategy) {
+		s.Inference = true
+		s.Recompute = RecomputeNone
+		s.OptimSharding = true
+	}, "training-only"},
+}
+
 func TestValidateRules(t *testing.T) {
-	m := gpt3() // heads=96, blocks=96, batch=64
-	cases := []struct {
-		name string
-		mut  func(*Strategy)
-		frag string
-	}{
-		{"zero tp", func(s *Strategy) { s.TP = 0 }, "≥1"},
-		{"tp beyond heads", func(s *Strategy) { s.TP = 128 }, "attention heads"},
-		{"pp beyond blocks", func(s *Strategy) { s.PP = 97 }, "blocks"},
-		{"dp beyond batch", func(s *Strategy) { s.DP = 65 }, "batch"},
-		{"dp not dividing batch", func(s *Strategy) { s.DP = 3 }, "divide"},
-		{"microbatch zero", func(s *Strategy) { s.Microbatch = 0 }, "microbatch"},
-		{"microbatch beyond per-pipe", func(s *Strategy) { s.Microbatch = 65 }, "microbatch"},
-		{"microbatch non-divisor", func(s *Strategy) { s.Microbatch = 3; s.DP = 2 }, "divide"},
-		{"interleave beyond blocks/p", func(s *Strategy) { s.Interleave = 13 }, "interleave"},
-		{"interleave without 1f1b", func(s *Strategy) { s.Interleave = 2; s.OneFOneB = false }, "1F1B"},
-		{"interleave without pp", func(s *Strategy) { s.PP = 1; s.TP = 8; s.DP = 8; s.Interleave = 2 }, "pipeline"},
-		{"bad recompute", func(s *Strategy) { s.Recompute = "sometimes" }, "recompute"},
-		{"bad overlap", func(s *Strategy) { s.TPOverlap = "maybe" }, "overlap"},
-		{"seqpar without rsag", func(s *Strategy) { s.SeqParallel = true }, "RS+AG"},
-		{"redo without seqpar", func(s *Strategy) { s.TPRedoForSP = true }, "redo"},
-		{"pp rsag without tp rsag", func(s *Strategy) { s.PPRSAG = true }, "RS+AG"},
-		{"inference with recompute", func(s *Strategy) { s.Inference = true }, "training-only"},
-		{"inference with sharding", func(s *Strategy) {
-			s.Inference = true
-			s.Recompute = RecomputeNone
-			s.OptimSharding = true
-		}, "training-only"},
-	}
-	for _, c := range cases {
+	m := gpt3()
+	for _, c := range validateRuleCases {
 		s := validBase()
 		c.mut(&s)
 		err := s.Validate(&m)
@@ -272,5 +276,112 @@ func TestInferenceRejectsTrainingOffload(t *testing.T) {
 	s.ActOffload = true
 	if err := s.Validate(&m); err == nil {
 		t.Error("activation offload must be rejected for inference")
+	}
+}
+
+// TestValidateSplit pins Validate as the composition of its two halves,
+// which delta evaluation relies on when it re-checks only the toggle rules
+// of a strategy whose shape matches an already-validated one. Over
+// enumerated strategies, random single-field mutations of them (valid and
+// not), and every TestValidateRules case, it checks that Validate returns
+// the shape rules' error when they fail and exactly the toggle rules'
+// result when they pass, and that the shape rules read nothing outside
+// ShapeFields.
+func TestValidateSplit(t *testing.T) {
+	m := model.MustPreset("gpt3-13B").WithBatch(64)
+	o := EnumOptions{Procs: 64, Features: FeatureAll, HasMem2: true, MaxInterleave: 4}
+	var enum []Strategy
+	o.Enumerate(m, func(s Strategy) bool {
+		enum = append(enum, s)
+		return true
+	})
+	rng := rand.New(rand.NewSource(5))
+	ints := []int{-1, 0, 1, 2, 3, 4, 8, 16, 40, 64, 65}
+	mutate := func(s Strategy) Strategy {
+		switch rng.Intn(9) {
+		case 0:
+			s.TP = ints[rng.Intn(len(ints))]
+		case 1:
+			s.PP = ints[rng.Intn(len(ints))]
+		case 2:
+			s.DP = ints[rng.Intn(len(ints))]
+		case 3:
+			s.Microbatch = ints[rng.Intn(len(ints))]
+		case 4:
+			s.Interleave = ints[rng.Intn(len(ints))]
+		case 5:
+			s.Recompute = []RecomputeMode{RecomputeNone, RecomputeAttn, RecomputeFull, "bogus"}[rng.Intn(4)]
+		case 6:
+			s.TPOverlap = []TPOverlapMode{TPOverlapNone, TPOverlapPipe, TPOverlapRing, "bogus"}[rng.Intn(4)]
+		default:
+			// Flip one of the boolean fields.
+			bs := []*bool{&s.OneFOneB, &s.SeqParallel, &s.TPRSAG, &s.TPRedoForSP, &s.DPOverlap,
+				&s.PPRSAG, &s.OptimSharding, &s.FusedLayers, &s.WeightOffload, &s.ActOffload,
+				&s.OptimOffload, &s.Inference}
+			b := bs[rng.Intn(len(bs))]
+			*b = !*b
+		}
+		return s
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	check := func(label string, s Strategy, m *model.LLM) {
+		t.Helper()
+		full := errText(s.Validate(m))
+		want := errText(s.ValidateShape(m))
+		if want == "<nil>" {
+			want = errText(s.ValidateToggles())
+		}
+		if full != want {
+			t.Fatalf("%s %+v: Validate = %s, shape then toggles = %s", label, s, full, want)
+		}
+		// The shape verdict must not depend on any field outside ShapeFields:
+		// graft another strategy's toggles onto this shape.
+		g := enum[rng.Intn(len(enum))]
+		g.TP, g.PP, g.DP = s.TP, s.PP, s.DP
+		g.Microbatch, g.Interleave, g.OneFOneB = s.Microbatch, s.Interleave, s.OneFOneB
+		if DiffMask(&g, &s).Has(ShapeFields) {
+			t.Fatalf("graft left shape fields differing")
+		}
+		if a, b := errText(s.ValidateShape(m)), errText(g.ValidateShape(m)); a != b {
+			t.Fatalf("%s %+v: ValidateShape reads toggles: %s vs %s for %+v", label, s, a, b, g)
+		}
+	}
+
+	shapeFails, toggleFails := 0, 0
+	for i := 0; i < 2000; i++ {
+		s := enum[rng.Intn(len(enum))]
+		check("enumerated", s, &m)
+		for cur, k := s, 0; k < 3; k++ {
+			cur = mutate(cur)
+			check("mutated", cur, &m)
+			switch {
+			case cur.ValidateShape(&m) != nil:
+				shapeFails++
+			case cur.ValidateToggles() != nil:
+				toggleFails++
+			}
+		}
+	}
+	if shapeFails == 0 || toggleFails == 0 {
+		t.Fatalf("mutations reached %d shape and %d toggle failures; want both", shapeFails, toggleFails)
+	}
+
+	g := gpt3()
+	for _, c := range validateRuleCases {
+		s := validBase()
+		c.mut(&s)
+		check(c.name, s, &g)
+		err := s.ValidateShape(&g)
+		if err == nil {
+			err = s.ValidateToggles()
+		}
+		if err == nil || !strings.Contains(err.Error(), c.frag) {
+			t.Errorf("%s: shape then toggles = %v, want an error with %q", c.name, err, c.frag)
+		}
 	}
 }

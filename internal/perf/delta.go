@@ -1,7 +1,10 @@
 package perf
 
 import (
+	"calculon/internal/comm"
 	"calculon/internal/execution"
+	"calculon/internal/system"
+	"calculon/internal/units"
 )
 
 // Term-group invalidation masks: for each group of evaluation terms, the set
@@ -67,22 +70,17 @@ const (
 		execution.FieldWeightOffload | execution.FieldActOffload |
 		execution.FieldOptimOffload
 
-	// screenMask covers the fields the phase-1 analytic pre-screen verdict
-	// (and its error operands) can depend on; see
-	// execution.PreScreen.Check and EnumOptions.boundLeaves.
-	screenMask = execution.FieldTP | execution.FieldPP | execution.FieldDP |
-		execution.FieldOptimSharding | execution.FieldDPOverlap |
-		execution.FieldWeightOffload | execution.FieldActOffload |
-		execution.FieldOptimOffload | execution.FieldInference
-
 	allFields = ^execution.FieldMask(0)
 )
 
 // deltaState carries one evaluation chain's reusable terms between RunDelta
 // calls: the last fully evaluated strategy, its eval state and memory
-// breakdown, and the last pre-screened strategy with its verdict. It is NOT
-// safe for concurrent use — each worker goroutine threads its own chain
-// through the RunInfo it gets back — while the owning Runner stays shared.
+// breakdown, the pre-screen verdicts of the current parallelism base, and
+// the one-entry memos of the log10-priced lookups. It is NOT safe for
+// concurrent use — each worker goroutine threads its own chain through the
+// RunInfo it gets back — while the owning Runner stays shared. Everything
+// here is built lazily by the chain itself, so neither the Runner
+// constructors nor the scratch path pay for it.
 type deltaState struct {
 	r *Runner // owning runner; a chain never crosses runners
 
@@ -92,9 +90,8 @@ type deltaState struct {
 	mem1  MemBreakdown
 	mem2  MemBreakdown
 
-	screenValid bool
-	screenPrev  execution.Strategy
-	screen      execution.ScreenVerdict
+	screens screenTable
+	memo    termMemo // e.memo points here
 
 	// profCache is a chain-local mirror of the Runner's shared profile memo:
 	// a plain map with a concrete key type, so repeat lookups on this chain
@@ -177,37 +174,41 @@ func (r *Runner) step(chain *RunInfo, st *execution.Strategy, out *Result) verdi
 // the same method on the same inputs, and every skipped group's outputs are
 // pure functions of inputs the field diff proves unchanged, so the two
 // paths are bit-identical by construction (and by the equivalence tests).
+// The chain's shortcuts around the groups return what the scratch path
+// computes, too: an unchanged shape re-checks only the toggle rules, the
+// pre-screen verdict comes from the chain's screenTable, and the priced
+// lookups go through its termMemo.
 // It reads the model and system through the Runner and the strategy through
 // st, copying only st into the chain's diff bases, and writes *out only for
 // a feasible verdict.
 func (r *Runner) runDelta(d *deltaState, st *execution.Strategy, out *Result) (RunInfo, verdict) {
 	st.Normalize()
-	if err := st.Validate(&r.m); err != nil {
+	mask := allFields
+	if d.valid {
+		mask = execution.DiffMask(&d.prev, st)
+	}
+	// d.prev passed Validate on this model, so a strategy with the same
+	// shape passes the shape rules too, and Validate's verdict is exactly
+	// the toggle rules'.
+	var err error
+	if mask.Has(execution.ShapeFields) {
+		err = st.Validate(&r.m)
+	} else {
+		err = st.ValidateToggles()
+	}
+	if err != nil {
 		return RunInfo{}, verdict{kind: invalidStrategy, cause: err}
 	}
 	if !r.noPreScreen {
-		// The pre-screen verdict depends only on screenMask fields, so a
-		// diff outside the mask reuses the previous verdict. The base is
-		// replaced only when a screenMask field changed — otherwise it
-		// already agrees with st on every field the verdict reads. The
-		// screen chain is tracked separately from the eval chain:
-		// screened-and-rejected strategies never reach the eval stages, so
-		// d.prev would be the wrong diff base.
-		if !d.screenValid || execution.DiffMask(&d.screenPrev, st).Has(screenMask) {
-			d.screenPrev, d.screen, d.screenValid = *st, r.screen.Check(st), true
-		}
-		if !d.screen.OK() {
-			return RunInfo{PreScreened: true}, verdict{kind: preScreened, screen: d.screen}
+		if sv := d.screens.check(r.screen, st); !sv.OK() {
+			return RunInfo{PreScreened: true}, verdict{kind: preScreened, screen: sv}
 		}
 	} else if sv := r.screen.CheckFit(st); !sv.OK() {
 		return RunInfo{}, verdict{kind: unfit, screen: sv}
 	}
 
-	mask := allFields
-	if d.valid {
-		mask = execution.DiffMask(&d.prev, st)
-	} else {
-		d.e.m, d.e.sys, d.e.st = &r.m, &r.sys, &d.prev
+	if !d.valid {
+		d.e.m, d.e.sys, d.e.st, d.e.memo = &r.m, &r.sys, &d.prev, &d.memo
 	}
 	// The eval reads the strategy from d.prev, which is now st; a later
 	// infeasibility (memory overflow) does not invalidate it as the next
@@ -280,4 +281,138 @@ func (r *Runner) runDelta(d *deltaState, st *execution.Strategy, out *Result) (R
 	}
 	r.finish(e, &d.mem1, &d.mem2, out)
 	return info, verdict{}
+}
+
+// screenTable holds a chain's pre-screen verdicts for one base: PreScreen.Check
+// reads the parallelism degrees, the pass mode, and the five screen switches
+// (WeightOffload, ActOffload, OptimOffload, OptimSharding, DPOverlap) and
+// nothing else — see execution.EnumOptions.boundLeaves — so per (TP, PP, DP,
+// Inference) base it has at most 32 distinct verdicts, one per switch
+// combination. The table is filled lazily from Check and cleared when the
+// base changes, so a hit returns, by construction, the verdict Check would
+// have returned. The search walks a triple's segments contiguously on one
+// chain, so Check runs at most 32 times per triple per worker.
+type screenTable struct {
+	tp, pp, dp int // base; TP 0 (never valid) marks an empty table
+	inference  bool
+	filled     uint32 // bit i set: verdicts[i] holds Check's verdict
+	verdicts   [32]execution.ScreenVerdict
+}
+
+// check returns ps.Check(st) from the table, calling Check on a miss.
+func (t *screenTable) check(ps *execution.PreScreen, st *execution.Strategy) execution.ScreenVerdict {
+	if st.TP != t.tp || st.PP != t.pp || st.DP != t.dp || st.Inference != t.inference {
+		t.tp, t.pp, t.dp, t.inference, t.filled = st.TP, st.PP, st.DP, st.Inference, 0
+	}
+	i := b2u(st.WeightOffload) | b2u(st.ActOffload)<<1 | b2u(st.OptimOffload)<<2 |
+		b2u(st.OptimSharding)<<3 | b2u(st.DPOverlap)<<4
+	if t.filled&(1<<i) == 0 {
+		t.verdicts[i] = ps.Check(st)
+		t.filled |= 1 << i
+	}
+	return t.verdicts[i]
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Call sites of comm.Time in the eval term groups, one memo slot each.
+const (
+	siteTPReduceScatter = iota
+	siteTPAllGather
+	siteTPAllReduce
+	sitePPReassemble
+	sitePPHop
+	siteDPReduceScatter
+	siteDPAllGather
+	siteDPAllReduce
+	numCommSites
+)
+
+// termMemo holds a chain's one-entry memos of the lookups that price a
+// size through an efficiency curve (a log10 each): the collectives of
+// tensorComm, pipelineComm and dataComm, and the optimizer's vector rate,
+// first-tier access time and second-tier bandwidth. Their arguments change
+// only with the parallelism degrees, microbatch and sharding, while the
+// delta masks re-run the groups on every toggle that reaches the block
+// profile. Each memo is keyed on its lookup's exact arguments — the network
+// or memory is the Runner's own, fixed for the chain — so a hit returns
+// what the lookup returned for equal arguments, bit for bit, with no mask
+// reasoning. (±0 price alike everywhere here; a NaN key never hits.)
+type termMemo struct {
+	comm [numCommSites]commMemo
+
+	vecOK    bool
+	vecFLOPs units.FLOPs
+	vecRate  units.FLOPsPerSec
+
+	mem1OK    bool
+	mem1Bytes units.Bytes
+	mem1Time  units.Seconds
+
+	mem2OK    bool
+	mem2Bytes units.Bytes
+	mem2BW    units.BytesPerSec
+}
+
+// commMemo is one comm.Time call site's memo; a nil net is empty.
+type commMemo struct {
+	net   *system.Network
+	op    comm.Op
+	g     int
+	bytes units.Bytes
+	t     units.Seconds
+}
+
+// commTime is comm.Time through the chain's memo slot for site; the scratch
+// path (no memo) calls comm.Time directly.
+func (e *eval) commTime(site int, net *system.Network, op comm.Op, g int, b units.Bytes) units.Seconds {
+	if e.memo == nil {
+		return comm.Time(net, op, g, b)
+	}
+	c := &e.memo.comm[site]
+	if c.net != net || c.op != op || c.g != g || c.bytes != b {
+		*c = commMemo{net: net, op: op, g: g, bytes: b, t: comm.Time(net, op, g, b)}
+	}
+	return c.t
+}
+
+// vectorRate is Compute.VectorRate through the chain's memo.
+func (e *eval) vectorRate(f units.FLOPs) units.FLOPsPerSec {
+	m := e.memo
+	if m == nil {
+		return e.sys.Compute.VectorRate(f)
+	}
+	if !m.vecOK || m.vecFLOPs != f {
+		m.vecOK, m.vecFLOPs, m.vecRate = true, f, e.sys.Compute.VectorRate(f)
+	}
+	return m.vecRate
+}
+
+// mem1AccessTime is Mem1.AccessTime through the chain's memo.
+func (e *eval) mem1AccessTime(b units.Bytes) units.Seconds {
+	m := e.memo
+	if m == nil {
+		return e.sys.Mem1.AccessTime(b)
+	}
+	if !m.mem1OK || m.mem1Bytes != b {
+		m.mem1OK, m.mem1Bytes, m.mem1Time = true, b, e.sys.Mem1.AccessTime(b)
+	}
+	return m.mem1Time
+}
+
+// mem2Bandwidth is Mem2.EffectiveBandwidth through the chain's memo.
+func (e *eval) mem2Bandwidth(b units.Bytes) units.BytesPerSec {
+	m := e.memo
+	if m == nil {
+		return e.sys.Mem2.EffectiveBandwidth(b)
+	}
+	if !m.mem2OK || m.mem2Bytes != b {
+		m.mem2OK, m.mem2Bytes, m.mem2BW = true, b, e.sys.Mem2.EffectiveBandwidth(b)
+	}
+	return m.mem2BW
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"calculon/internal/execution"
@@ -14,7 +15,8 @@ import (
 
 // deltaSequences builds strategy sequences that exercise the delta path:
 // the real enumeration order (Gray-adjacent toggles inside each triple, so
-// most steps reuse most groups) and random jumps (every mask bit flips).
+// most steps reuse most groups), random jumps (every mask bit flips), and
+// random walks of single-field mutations (see mutationSequence).
 func deltaSequences(t *testing.T, rng *rand.Rand, m model.LLM, opts execution.EnumOptions) [][]execution.Strategy {
 	t.Helper()
 	var enum []execution.Strategy
@@ -29,10 +31,117 @@ func deltaSequences(t *testing.T, rng *rand.Rand, m model.LLM, opts execution.En
 	for i := 0; i < 300; i++ {
 		jumps = append(jumps, enum[rng.Intn(len(enum))])
 	}
+	muts := mutationSequence(rng, enum)
 	if len(enum) > 2000 {
 		enum = enum[:2000]
 	}
-	return [][]execution.Strategy{enum, jumps}
+	return [][]execution.Strategy{enum, jumps, muts}
+}
+
+// mutationSequence aims at the chain's shortcuts: the toggle-rules-only
+// validation of an unchanged shape, and the pre-screen verdict table keyed
+// by (TP, PP, DP, Inference). It revisits a handful of enumerated bases in
+// random order — so the table is reset for another base and later refilled
+// for an earlier one — and from each takes a short random walk of
+// single-field mutations. The walks reach invalid toggle combinations on an
+// unchanged shape (sequence parallelism without TP RS+AG, redo without
+// sequence parallelism), shapes off the enumeration, and Inference flips;
+// half the bases are inference-compatible (no recompute, no training-only
+// switches), so a flip there yields a valid inference strategy that reaches
+// the screen with the same switch combination as its training twin.
+func mutationSequence(rng *rand.Rand, enum []execution.Strategy) []execution.Strategy {
+	// Shape mutations draw from the values the enumeration uses, so most
+	// stay valid.
+	var tps, pps, dps, mbs, vs []int
+	for _, s := range enum {
+		tps, pps, dps = appendNew(tps, s.TP), appendNew(pps, s.PP), appendNew(dps, s.DP)
+		mbs, vs = appendNew(mbs, s.Microbatch), appendNew(vs, s.Interleave)
+	}
+	pick := func(vals []int) int { return vals[rng.Intn(len(vals))] }
+	recomputes := []execution.RecomputeMode{execution.RecomputeNone, execution.RecomputeAttn, execution.RecomputeFull}
+	overlaps := []execution.TPOverlapMode{execution.TPOverlapNone, execution.TPOverlapPipe, execution.TPOverlapRing}
+	mutate := func(s execution.Strategy) execution.Strategy {
+		switch rng.Intn(19) {
+		case 0:
+			s.TP = pick(tps)
+		case 1:
+			s.PP = pick(pps)
+		case 2:
+			s.DP = pick(dps)
+		case 3:
+			s.Microbatch = pick(mbs)
+		case 4:
+			s.Interleave = pick(vs)
+		case 5:
+			s.OneFOneB = !s.OneFOneB
+		case 6:
+			s.Recompute = recomputes[rng.Intn(len(recomputes))]
+		case 7:
+			s.SeqParallel = !s.SeqParallel
+		case 8:
+			s.TPRSAG = !s.TPRSAG
+		case 9:
+			s.TPRedoForSP = !s.TPRedoForSP
+		case 10:
+			s.TPOverlap = overlaps[rng.Intn(len(overlaps))]
+		case 11:
+			s.DPOverlap = !s.DPOverlap
+		case 12:
+			s.PPRSAG = !s.PPRSAG
+		case 13:
+			s.OptimSharding = !s.OptimSharding
+		case 14:
+			s.FusedLayers = !s.FusedLayers
+		case 15:
+			s.WeightOffload = !s.WeightOffload
+		case 16:
+			s.ActOffload = !s.ActOffload
+		case 17:
+			s.OptimOffload = !s.OptimOffload
+		default:
+			s.Inference = !s.Inference
+		}
+		return s
+	}
+
+	var inferable []execution.Strategy
+	for _, s := range enum {
+		if s.Recompute == execution.RecomputeNone && !s.OptimSharding && !s.DPOverlap &&
+			!s.WeightOffload && !s.ActOffload && !s.OptimOffload {
+			inferable = append(inferable, s)
+		}
+	}
+	bases := make([]execution.Strategy, 0, 8)
+	for len(bases) < 8 {
+		if len(bases)%2 == 1 && len(inferable) > 0 {
+			bases = append(bases, inferable[rng.Intn(len(inferable))])
+		} else {
+			bases = append(bases, enum[rng.Intn(len(enum))])
+		}
+	}
+
+	seq := make([]execution.Strategy, 0, 600)
+	for len(seq) < 600 {
+		cur := bases[rng.Intn(len(bases))]
+		seq = append(seq, cur)
+		if rng.Intn(2) == 0 {
+			twin := cur
+			twin.Inference = !twin.Inference
+			seq = append(seq, twin, cur)
+		}
+		for j := rng.Intn(8); j >= 0; j-- {
+			cur = mutate(cur)
+			seq = append(seq, cur)
+		}
+	}
+	return seq
+}
+
+func appendNew(vals []int, v int) []int {
+	if slices.Contains(vals, v) {
+		return vals
+	}
+	return append(vals, v)
 }
 
 // runScratch evaluates the sequence on the scratch path.

@@ -472,6 +472,10 @@ type eval struct {
 	sys *system.System
 	st  *execution.Strategy
 
+	// memo is the delta chain's lookup memo (see termMemo); nil on the
+	// scratch path, which prices every lookup afresh.
+	memo *termMemo
+
 	tot layers.Totals
 
 	// Derived shape quantities.
@@ -554,8 +558,8 @@ func (e *eval) tensorComm() {
 
 	var fwd, bwd units.Seconds
 	if e.st.TPRSAG {
-		rs := comm.Time(net, comm.ReduceScatter, t, full)
-		ag := comm.Time(net, comm.AllGather, t, full)
+		rs := e.commTime(siteTPReduceScatter, net, comm.ReduceScatter, t, full)
+		ag := e.commTime(siteTPAllGather, net, comm.AllGather, t, full)
 		fwd = 2 * (rs + ag)
 		bwd = 2 * (rs + ag)
 		if e.st.TPRedoForSP {
@@ -563,7 +567,7 @@ func (e *eval) tensorComm() {
 			bwd += 2 * ag
 		}
 	} else {
-		ar := comm.Time(net, comm.AllReduce, t, full)
+		ar := e.commTime(siteTPAllReduce, net, comm.AllReduce, t, full)
 		fwd = 2 * ar
 		bwd = 2 * ar
 	}
@@ -599,9 +603,9 @@ func (e *eval) pipelineComm() {
 	if e.st.PPRSAG && !e.st.SeqParallel && e.st.TP > 1 {
 		bytes = bytes.DivN(float64(e.st.TP))
 		tpNet := e.sys.NetworkPtrFor(e.st.TP)
-		reassemble = comm.Time(tpNet, comm.AllGather, e.st.TP, e.boundaryBytes)
+		reassemble = e.commTime(sitePPReassemble, tpNet, comm.AllGather, e.st.TP, e.boundaryBytes)
 	}
-	hop := comm.Time(net, comm.P2P, 2, bytes) + reassemble
+	hop := e.commTime(sitePPHop, net, comm.P2P, 2, bytes) + reassemble
 	// Each microbatch crosses v chunk boundaries forward and v backward.
 	perMB := hop.Times(float64(2 * e.st.Interleave))
 	if e.st.Inference {
@@ -627,10 +631,10 @@ func (e *eval) dataComm() {
 		// Reduce-scatter during backward; the all-gather of updated
 		// parameters runs after the (sharded) optimizer step — never during
 		// it (§2.4) — but may prefetch against the next batch's forward.
-		overlappable = comm.Time(net, comm.ReduceScatter, d, grads)
-		gather = comm.Time(net, comm.AllGather, d, grads)
+		overlappable = e.commTime(siteDPReduceScatter, net, comm.ReduceScatter, d, grads)
+		gather = e.commTime(siteDPAllGather, net, comm.AllGather, d, grads)
 	} else {
-		overlappable = comm.Time(net, comm.AllReduce, d, grads)
+		overlappable = e.commTime(siteDPAllReduce, net, comm.AllReduce, d, grads)
 	}
 	e.dpTotal = overlappable + gather
 
@@ -667,16 +671,16 @@ func (e *eval) optimizer() {
 		params /= float64(e.st.DP)
 	}
 	flops := units.FLOPs(10 * params)
-	ct := flops.Div(e.sys.Compute.VectorRate(flops))
+	ct := flops.Div(e.vectorRate(flops))
 	// Read grad (2B) + state (12B), write state (12B) + weights (2B).
 	traffic := units.Bytes(28 * params)
-	mt := e.sys.Mem1.AccessTime(traffic)
+	mt := e.mem1AccessTime(traffic)
 	if e.st.OptimOffload {
 		// State was prefetched during the backward pass (Fig. 8); the
 		// updated state and weights stream back over the second tier,
 		// pacing the step when that link is slower.
 		writeback := units.Bytes(14 * params)
-		mt = maxSec(mt, writeback.Div(e.sys.Mem2.EffectiveBandwidth(writeback)))
+		mt = maxSec(mt, writeback.Div(e.mem2Bandwidth(writeback)))
 	}
 	e.optimTime = maxSec(ct, mt)
 }

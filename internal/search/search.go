@@ -248,6 +248,9 @@ func normalizeOptions(m model.LLM, sys system.System, opts Options) (Options, er
 	if err := sys.Validate(); err != nil {
 		return opts, err
 	}
+	if opts.TopK < 0 {
+		return opts, fmt.Errorf("search: negative top-k %d", opts.TopK)
+	}
 	if opts.Enum.Procs == 0 {
 		opts.Enum.Procs = sys.Procs
 	}

@@ -124,6 +124,9 @@ func TestExecutionRejectsBadInputs(t *testing.T) {
 	if _, err := Execution(context.Background(), model.MustPreset("gpt3-13B"), system.System{}, Options{}); err == nil {
 		t.Error("bad system must error")
 	}
+	if _, err := Execution(context.Background(), model.MustPreset("gpt3-13B").WithBatch(8), sys, Options{TopK: -1}); err == nil {
+		t.Error("negative top-k must error")
+	}
 }
 
 func TestSystemSizeSweep(t *testing.T) {

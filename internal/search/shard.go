@@ -205,6 +205,9 @@ func MergeResults(shards []ShardResult) (Result, error) {
 	if len(shards) == 0 {
 		return Result{}, fmt.Errorf("search: merge: no shards")
 	}
+	if k := shards[0].TopK; k < 0 {
+		return Result{}, fmt.Errorf("search: merge: negative top-k %d", k)
+	}
 	n := shards[0].Shard.Count
 	if len(shards) != n {
 		return Result{}, fmt.Errorf("search: merge: have %d shards, shard set says %d", len(shards), n)

@@ -171,6 +171,13 @@ func TestMergeResultsRejectsBadSets(t *testing.T) {
 	if _, err := MergeResults(bad); err == nil {
 		t.Error("top-k mismatch merged")
 	}
+	bad = []ShardResult{shards[0], shards[1], shards[2]}
+	for i := range bad {
+		bad[i].TopK = -1
+	}
+	if _, err := MergeResults(bad); err == nil {
+		t.Error("negative top-k merged")
+	}
 }
 
 // TestExecutionShardRejections pins the option rules specific to shards.
