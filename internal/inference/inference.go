@@ -117,7 +117,12 @@ func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload)
 	sh := layers.Shard{TP: st.TP, Microbatch: 1, Inference: true, Fused: st.FusedLayers}
 	tot := layers.Sum(layers.Block(m, sh))
 	blocksPerProc := st.BlocksPerProc(&m)
-	ctx := w.PromptLen + w.GenLen
+	// The context length, and the KV bytes below, are formed in floating
+	// point: exact (so bit-identical to integer arithmetic) at every size
+	// that could fit in memory, and free of integer wrap-around beyond, so
+	// an absurd context is reported infeasible instead of as a negative
+	// cache.
+	ctx := float64(w.PromptLen) + float64(w.GenLen)
 	b := float64(w.Batch)
 
 	// Per block per decode step: 2 FLOPs per parameter per sequence in the
@@ -125,7 +130,7 @@ func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload)
 	// 2·ctx·(h/t) MACs each per sequence).
 	blockParams := tot.Params()
 	blockDense := units.FLOPs(2 * blockParams * b)
-	blockAttn := units.FLOPs(4 * b * float64(ctx) * float64(m.Hidden) / float64(st.TP))
+	blockAttn := units.FLOPs(4 * b * ctx * float64(m.Hidden) / float64(st.TP))
 	blockFLOPs := blockDense + blockAttn
 	procFLOPs := blockFLOPs.Times(float64(blocksPerProc))
 	// The per-op size keys the efficiency curve: decode GEMVs are small and
@@ -133,7 +138,7 @@ func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload)
 	rate := sys.Compute.MatrixRate(blockFLOPs)
 	computeT := procFLOPs.Div(rate)
 
-	kvPerBlock := units.Bytes(2*ctx*m.Hidden*2) / units.Bytes(st.TP) * units.Bytes(w.Batch)
+	kvPerBlock := units.Bytes(2*2*m.Hidden).Times(ctx) / units.Bytes(st.TP) * units.Bytes(w.Batch)
 	weights := tot.WeightBytes
 	// Per decode step each block streams its weights once and the KV cache
 	// of every sequence. With KV offload the cache crosses the second

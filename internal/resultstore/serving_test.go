@@ -81,6 +81,66 @@ func TestServingWarmLookup(t *testing.T) {
 	}
 }
 
+// TestServingSweepWarmEqualsCold extends the store contract to the
+// right-sizing sweep, which prices engines once for every budget that
+// missed: each budget still reads and writes its own row, so a sweep over a
+// reopened store — fully warm, or warm for only some budgets — is
+// byte-identical to the cold sweep.
+func TestServingSweepWarmEqualsCold(t *testing.T) {
+	ctx := context.Background()
+	spec := servingSpec()
+	sizes := []int{4, 16, 8}
+	cold, err := serving.Sweep(ctx, spec, sizes, serving.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(cold, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(path string, sizes []int) ([]serving.SizeResult, Stats) {
+		t.Helper()
+		st, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := serving.Sweep(ctx, spec, sizes, serving.Options{Workers: 2, Cache: st.ServingCache()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := st.Stats()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return pts, stats
+	}
+
+	full := filepath.Join(t.TempDir(), "full.jsonl")
+	if _, s := sweep(full, sizes); s.Misses != 3 || s.Appends != 3 {
+		t.Fatalf("cold sweep stats = %+v, want 3 misses and 3 appends", s)
+	}
+	warm, s := sweep(full, sizes)
+	if s.Hits != 3 || s.Appends != 0 {
+		t.Fatalf("warm sweep stats = %+v, want 3 hits and no append", s)
+	}
+
+	part := filepath.Join(t.TempDir(), "part.jsonl")
+	sweep(part, sizes[1:2])
+	partly, s := sweep(part, sizes)
+	if s.Hits != 1 || s.Misses != 2 || s.Appends != 2 {
+		t.Fatalf("partly warm sweep stats = %+v, want 1 hit, 2 misses, 2 appends", s)
+	}
+	for name, pts := range map[string][]serving.SizeResult{"warm": warm, "partly warm": partly} {
+		got, err := json.MarshalIndent(pts, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s sweep diverges from cold:\n%s\nvs\n%s", name, got, want)
+		}
+	}
+}
+
 // TestServingKeySeparatesSearches: result-affecting inputs must move the
 // key; scheduling knobs must not.
 func TestServingKeySeparatesSearches(t *testing.T) {

@@ -217,7 +217,7 @@ func Execution(ctx context.Context, m model.LLM, sys system.System, opts Options
 		}
 	}
 	if opts.OnProgress != nil {
-		stopTicker := startProgressTicker(prog, opts.OnProgress, opts.ProgressInterval)
+		stopTicker := StartProgressTicker(ctx, prog, opts.OnProgress, opts.ProgressInterval)
 		defer func() {
 			stopTicker()
 			opts.OnProgress(prog.Snapshot())
@@ -439,10 +439,13 @@ func resultFrom(merged *workerState, subtreePruned int) Result {
 	return out
 }
 
-// startProgressTicker runs cb about every interval until the returned stop
+// StartProgressTicker runs cb about every interval until the returned stop
 // function is called; stop blocks until the ticker goroutine has exited, so
-// callers never leak it and never race a final synchronous callback.
-func startProgressTicker(p *Progress, cb func(ProgressSnapshot), interval time.Duration) (stop func()) {
+// callers never leak it and never race a final synchronous callback. The
+// ticker also stops when ctx is done: a cancelled search's last word is the
+// caller's final snapshot. Both search engines (execution and serving) drive
+// their tickers through it.
+func StartProgressTicker(ctx context.Context, p *Progress, cb func(ProgressSnapshot), interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = time.Second
 	}
@@ -456,6 +459,8 @@ func startProgressTicker(p *Progress, cb func(ProgressSnapshot), interval time.D
 			select {
 			case <-t.C:
 				cb(p.Snapshot())
+			case <-ctx.Done():
+				return
 			case <-quit:
 				return
 			}
@@ -633,7 +638,7 @@ func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.S
 			opts.Progress = &Progress{}
 		}
 		opts.Progress.markStart()
-		stopTicker := startProgressTicker(opts.Progress, opts.OnProgress, opts.ProgressInterval)
+		stopTicker := StartProgressTicker(ctx, opts.Progress, opts.OnProgress, opts.ProgressInterval)
 		defer func() {
 			stopTicker()
 			opts.OnProgress(opts.Progress.Snapshot())

@@ -150,7 +150,7 @@ func ExecutionShard(ctx context.Context, m model.LLM, sys system.System, opts Op
 		}
 	}
 	if opts.OnProgress != nil {
-		stopTicker := startProgressTicker(prog, opts.OnProgress, opts.ProgressInterval)
+		stopTicker := StartProgressTicker(ctx, prog, opts.OnProgress, opts.ProgressInterval)
 		defer func() {
 			stopTicker()
 			opts.OnProgress(prog.Snapshot())

@@ -42,3 +42,41 @@ func BenchmarkServingSearch(b *testing.B) {
 	}
 	b.ReportMetric(float64(evaluated)/b.Elapsed().Seconds(), "strategies/s")
 }
+
+// BenchmarkServingSweep measures the right-sizing sweep end to end: a small
+// disaggregated mix over eight budgets, which prices every engine once and
+// composes each budget from the shared profiles. The strategies/s metric
+// counts the engine configurations the per-budget results report (summed
+// Evaluated), as BenchmarkServingSearch does, so it reads as the
+// throughput a sweep of standalone searches would need to match.
+func BenchmarkServingSweep(b *testing.B) {
+	spec := Spec{
+		Model:  model.MustPreset("gpt3-13B"),
+		System: system.A100(64),
+		Workload: Workload{
+			Mix: []Bucket{
+				{PromptLen: 512, GenLen: 128, Weight: 3},
+				{PromptLen: 2048, GenLen: 256, Weight: 1},
+				{PromptLen: 4096, GenLen: 64, Weight: 1},
+			},
+			SLO: SLO{TTFT: 30, TPOT: 1},
+		},
+		Space: Space{MaxBatch: 32, Disaggregate: true},
+	}
+	sizes := []int{8, 16, 24, 32, 40, 48, 56, 64}
+	var evaluated int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pts, err := Sweep(context.Background(), spec, sizes, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range pts {
+			evaluated += p.Result.Evaluated
+		}
+		if pts[len(pts)-1].Result.Feasible == 0 {
+			b.Fatal("benchmark sweep found nothing")
+		}
+	}
+	b.ReportMetric(float64(evaluated)/b.Elapsed().Seconds(), "strategies/s")
+}

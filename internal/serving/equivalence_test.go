@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"calculon/internal/model"
+	"calculon/internal/search"
 	"calculon/internal/system"
 	"calculon/internal/units"
 )
@@ -169,5 +173,275 @@ func TestSweepWorkerEquivalence(t *testing.T) {
 	a, b := mustJSON(t, one), mustJSON(t, many)
 	if !bytes.Equal(a, b) {
 		t.Errorf("sweep output diverges across worker budgets:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// memCache is an in-memory Cache keyed on the result-affecting inputs (the
+// normalized spec and the pre-screen switch), the identity a persistent
+// store derives; it counts lookups and hits.
+type memCache struct {
+	mu           sync.Mutex
+	rows         map[string]Result
+	lookups, hit int
+}
+
+func (c *memCache) key(spec Spec, opts Options) string {
+	b, err := json.Marshal(struct {
+		Spec
+		NoScreen bool
+	}{spec, opts.DisablePreScreen})
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
+}
+
+func (c *memCache) Lookup(spec Spec, opts Options) (Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lookups++
+	res, ok := c.rows[c.key(spec, opts)]
+	if ok {
+		c.hit++
+	}
+	return res, ok
+}
+
+func (c *memCache) Store(spec Spec, opts Options, res Result) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.rows == nil {
+		c.rows = map[string]Result{}
+	}
+	c.rows[c.key(spec, opts)] = res
+}
+
+// TestSweepMatchesSearch is the sweep's proof obligation: pricing the
+// engines once at the largest budget and composing every budget from its
+// subsequence must give, at each budget, exactly the standalone Search's
+// bytes. The draws cover KV offload, disaggregation, a separate prefill
+// system and the MaxTP/MaxPP/MaxReplicas caps; the size lists are
+// unsorted, repeat budgets, and include budgets too small for any feasible
+// engine. With a store, a warm sweep and a partly warm one must equal the
+// cold sweep.
+func TestSweepMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	ctx := context.Background()
+	const draws = 12
+	var sawKV, sawDisagg, sawPrefill, sawCaps, sawEmpty bool
+	for d := 0; d < draws; d++ {
+		spec := randomSpec(rng)
+		if rng.Intn(2) == 0 {
+			slow := system.A100(spec.System.Procs)
+			slow.Compute.MatrixPeak /= units.FLOPsPerSec(2 + rng.Intn(3))
+			spec.PrefillSystem = &slow
+			spec.Space.Disaggregate = true
+		}
+		if rng.Intn(2) == 0 {
+			spec.Space.MaxTP = 1 << rng.Intn(4)
+		}
+		if rng.Intn(2) == 0 {
+			spec.Space.MaxPP = 1 << rng.Intn(4)
+		}
+		choices := []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
+		sizes := make([]int, 3+rng.Intn(4))
+		for i := range sizes {
+			sizes[i] = choices[rng.Intn(len(choices))]
+		}
+		sizes = append(sizes, sizes[0]) // a repeated budget
+		rng.Shuffle(len(sizes), func(i, j int) { sizes[i], sizes[j] = sizes[j], sizes[i] })
+
+		want := make([]SizeResult, len(sizes))
+		for i, n := range sizes {
+			sp := spec
+			sp.Space.Procs = n
+			res, err := Search(ctx, sp, Options{Workers: 1})
+			if err != nil {
+				t.Fatalf("draw %d: search at %d procs: %v", d, n, err)
+			}
+			want[i] = SizeResult{Procs: n, Result: res}
+			sawEmpty = sawEmpty || (res.Evaluated > 0 && res.Feasible == 0)
+		}
+		wantJSON := mustJSON(t, want)
+		for _, workers := range []int{1, 6} {
+			got, err := Sweep(ctx, spec, sizes, Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("draw %d: %d-worker sweep: %v", d, workers, err)
+			}
+			if g := mustJSON(t, got); !bytes.Equal(g, wantJSON) {
+				t.Errorf("draw %d: %d-worker sweep over %v differs from per-budget searches:\n%s\nvs\n%s",
+					d, workers, sizes, g, wantJSON)
+			}
+		}
+
+		// Store round trips: cold fills every budget, warm serves every
+		// budget, and a store holding only some budgets serves those and
+		// composes the rest.
+		cache := &memCache{}
+		cold, err := Sweep(ctx, spec, sizes, Options{Workers: 2, Cache: cache})
+		if err != nil {
+			t.Fatalf("draw %d: cold sweep: %v", d, err)
+		}
+		var prog search.Progress
+		warm, err := Sweep(ctx, spec, sizes, Options{Workers: 2, Cache: cache, Progress: &prog})
+		if err != nil {
+			t.Fatalf("draw %d: warm sweep: %v", d, err)
+		}
+		if s := prog.Snapshot(); s.StoreHits != int64(len(sizes)) || s.Evaluated != 0 {
+			t.Errorf("draw %d: warm sweep of %d budgets: %d store hits, %d evaluated", d, len(sizes), s.StoreHits, s.Evaluated)
+		}
+		part := &memCache{}
+		if _, err := Sweep(ctx, spec, sizes[:len(sizes)/2], Options{Workers: 1, Cache: part}); err != nil {
+			t.Fatalf("draw %d: partial sweep: %v", d, err)
+		}
+		partly, err := Sweep(ctx, spec, sizes, Options{Workers: 3, Cache: part})
+		if err != nil {
+			t.Fatalf("draw %d: partly warm sweep: %v", d, err)
+		}
+		for name, got := range map[string][]SizeResult{"cold": cold, "warm": warm, "partly warm": partly} {
+			if g := mustJSON(t, got); !bytes.Equal(g, wantJSON) {
+				t.Errorf("draw %d: %s sweep differs from per-budget searches:\n%s\nvs\n%s", d, name, g, wantJSON)
+			}
+		}
+
+		sawKV = sawKV || spec.Space.KVOffload
+		sawDisagg = sawDisagg || spec.Space.Disaggregate
+		sawPrefill = sawPrefill || spec.PrefillSystem != nil
+		sawCaps = sawCaps || (spec.Space.MaxTP > 0 && spec.Space.MaxPP > 0 && spec.Space.MaxReplicas > 0)
+	}
+	if !sawKV || !sawDisagg || !sawPrefill || !sawCaps || !sawEmpty {
+		t.Errorf("draws missed a case: kv %v disagg %v prefill system %v caps %v infeasible budget %v",
+			sawKV, sawDisagg, sawPrefill, sawCaps, sawEmpty)
+	}
+}
+
+// TestSweepProgressTotals pins the sweep's live accounting to what the
+// per-budget searches would report: each budget's Evaluated, PreScreened
+// and Feasible counts, and their engine totals.
+func TestSweepProgressTotals(t *testing.T) {
+	spec := basicSpec()
+	spec.Space.Disaggregate = true
+	spec.System = spec.System.WithMem1Capacity(spec.System.Mem1.Capacity / 4)
+	sizes := []int{16, 4, 8}
+	var want search.Counts
+	var total int64
+	for _, n := range sizes {
+		sp := spec
+		sp.Space.Procs = n
+		res, err := Search(context.Background(), sp, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Evaluated += int64(res.Evaluated)
+		want.PreScreened += int64(res.PreScreened)
+		want.Feasible += int64(res.Feasible)
+		total += int64(res.Evaluated)
+	}
+	var prog search.Progress
+	if _, err := Sweep(context.Background(), spec, sizes, Options{Progress: &prog, EstimateTotal: true}); err != nil {
+		t.Fatal(err)
+	}
+	s := prog.Snapshot()
+	if s.Evaluated != want.Evaluated || s.PreScreened != want.PreScreened || s.Feasible != want.Feasible || s.Total != total {
+		t.Errorf("sweep progress %+v, want evaluated %d pre-screened %d feasible %d total %d",
+			s, want.Evaluated, want.PreScreened, want.Feasible, total)
+	}
+	if want.PreScreened == 0 {
+		t.Error("the spec should exercise the pre-screen")
+	}
+}
+
+// TestSweepErrorIsLowestIndex pins the sweep's error to the first failing
+// budget in input order, with the text a standalone Search gives, however
+// the work is scheduled.
+func TestSweepErrorIsLowestIndex(t *testing.T) {
+	spec := basicSpec()
+	sp := spec
+	sp.Space.Procs = 0
+	_, want := Search(context.Background(), sp, Options{})
+	if want == nil {
+		t.Fatal("a zero budget must not validate")
+	}
+	for _, workers := range []int{1, 3} {
+		for rep := 0; rep < 5; rep++ {
+			out, err := Sweep(context.Background(), spec, []int{16, 0, -8}, Options{Workers: workers})
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("workers %d: sweep error %v, want %v", workers, err, want)
+			}
+			if out != nil {
+				t.Fatalf("workers %d: a failed sweep returned %d points", workers, len(out))
+			}
+		}
+	}
+}
+
+// TestSweepPreCancelled pins cancellation: a sweep whose context is
+// already done returns the context's error and no points.
+func TestSweepPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sizes := []int{4, 8, 16}
+	out, err := Sweep(ctx, basicSpec(), sizes, Options{Workers: 2, Cache: &memCache{}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled sweep: error %v, want context.Canceled", err)
+	}
+	if out != nil {
+		t.Fatalf("pre-cancelled sweep returned %d points", len(out))
+	}
+	// Even with every budget in the store, nothing is left to evaluate and
+	// the cancellation still wins.
+	warm := &memCache{}
+	if _, err := Sweep(context.Background(), basicSpec(), sizes, Options{Cache: warm}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Sweep(ctx, basicSpec(), sizes, Options{Cache: warm}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled warm sweep: error %v, want context.Canceled", err)
+	}
+}
+
+// TestSharedPrefillMatchesAlone pins the per-pair prefill memo: an engine
+// priced with the estimates its (tp, pp) pair shares must get exactly the
+// profile, error included, it gets when priced alone. The draws squeeze the
+// first memory tier next to a second one, so batch-1 prefills fail with the
+// KV cache in HBM and succeed with it offloaded — the case where sharing
+// across KV placements would leak an error.
+func TestSharedPrefillMatchesAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	const draws = 16
+	sawSplit := false
+	for d := 0; d < draws; d++ {
+		spec := randomSpec(rng)
+		if rng.Intn(2) == 0 {
+			spec.System = spec.System.WithMem2(system.DDR5(512 * units.GiB)).
+				WithMem1Capacity(spec.System.Mem1.Capacity / units.Bytes(1+rng.Intn(6)))
+			spec.Space.KVOffload = true
+			spec.Workload.Mix = append(spec.Workload.Mix, Bucket{PromptLen: 4096, GenLen: 1 << 14, Weight: 1})
+		}
+		if rng.Intn(2) == 0 {
+			slow := system.A100(spec.System.Procs)
+			slow.Compute.MatrixPeak /= 3
+			spec.PrefillSystem = &slow
+			spec.Space.Disaggregate = true
+		}
+		spec = spec.Normalize()
+		cfgs := enumerate(spec.Model, spec.Space)
+		pbar, gbar := spec.Workload.MeanPromptLen(), spec.Workload.MeanGenLen()
+		var shared pairPrefill
+		for i, cfg := range cfgs {
+			if i > 0 && (cfg.tp != cfgs[i-1].tp || cfg.pp != cfgs[i-1].pp) {
+				shared = pairPrefill{}
+			}
+			got := evalEngine(&spec, cfg, pbar, gbar, &shared)
+			want := evalEngine(&spec, cfg, pbar, gbar, &pairPrefill{})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("draw %d: engine %+v priced with its pair's estimates:\n%+v\nalone:\n%+v", d, cfg, got, want)
+			}
+			if cfg.kvOffload && got.ok && shared.colocated[0].err != nil {
+				sawSplit = true
+			}
+		}
+	}
+	if !sawSplit {
+		t.Error("no draw had a KV-offload engine survive a pair whose in-HBM prefill failed")
 	}
 }

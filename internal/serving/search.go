@@ -6,18 +6,13 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"calculon/internal/comm"
 	"calculon/internal/search"
 	"calculon/internal/tco"
 	"calculon/internal/units"
 )
-
-// engineChunk is the number of engine configurations a worker claims at a
-// time: small enough to keep workers busy near the end of the space, large
-// enough that an engine's handful of estimates amortizes the channel hop.
-const engineChunk = 16
 
 // frontierCompactAt bounds the candidate buffer between Pareto compactions.
 const frontierCompactAt = 4096
@@ -74,7 +69,7 @@ func Search(ctx context.Context, spec Spec, opts Options) (Result, error) {
 		}
 	}
 	if opts.OnProgress != nil {
-		stop := startTicker(prog, opts.OnProgress, opts.ProgressInterval)
+		stop := search.StartProgressTicker(ctx, prog, opts.OnProgress, opts.ProgressInterval)
 		defer func() {
 			stop()
 			opts.OnProgress(prog.Snapshot())
@@ -83,25 +78,15 @@ func Search(ctx context.Context, spec Spec, opts Options) (Result, error) {
 
 	pbar := spec.Workload.MeanPromptLen()
 	gbar := spec.Workload.MeanGenLen()
-	profiles, err := evalAll(ctx, &spec, opts, prog, cfgs, pbar, gbar)
-	if err != nil {
-		return Result{}, err
-	}
-	out := Result{Evaluated: len(cfgs)}
-	for i := range profiles {
-		if profiles[i].prescreened {
-			out.PreScreened++
-		}
-	}
-	if ctx.Err() != nil {
+	profiles := evalAll(ctx, &spec, opts, prog, cfgs, pbar, gbar)
+	if err := ctx.Err(); err != nil {
 		// A cancelled stage 1 leaves an unpredictable prefix of the
 		// profiles; composing a frontier from it would silently lie.
-		return out, ctx.Err()
+		return Result{}, err
 	}
-
-	out.Frontier, out.Feasible = compose(&spec, cfgs, profiles, pbar, gbar)
-	if len(out.Frontier) > 0 {
-		out.Best = &out.Frontier[0]
+	out, err := compose(&spec, cfgs, profiles, pbar, gbar)
+	if err != nil {
+		return Result{}, err
 	}
 	if prog != nil {
 		prog.AddCounts(search.Counts{Feasible: int64(out.Feasible)})
@@ -112,17 +97,17 @@ func Search(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	return out, ctx.Err()
 }
 
-// evalAll is stage 1: the parallel engine-profile evaluation. Workers pull
-// contiguous index spans and write into the dense profiles array; after
-// cancellation they keep draining so the producer's sends always complete.
-func evalAll(ctx context.Context, spec *Spec, opts Options, prog *search.Progress, cfgs []engineConfig, pbar, gbar int) ([]engineProfile, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// evalAll is stage 1: the parallel engine-profile evaluation. A worker
+// claims one (tp, pp) pair at a time — the pair's engines are contiguous in
+// the enumeration and share their batch-independent prefill estimates
+// (pairPrefill) — and writes into the dense profiles array. After
+// cancellation workers keep draining so the producer's sends always
+// complete. A non-nil prog receives live Evaluated/PreScreened counts.
+func evalAll(ctx context.Context, spec *Spec, opts Options, prog *search.Progress, cfgs []engineConfig, pbar, gbar int) []engineProfile {
+	workers := opts.workers()
 	var screen *preScreen
 	if !opts.DisablePreScreen {
-		screen = newPreScreen(spec, pbar+gbar)
+		screen = newPreScreen(spec, pbar, gbar)
 	}
 	profiles := make([]engineProfile, len(cfgs))
 	type span struct{ lo, hi int }
@@ -136,6 +121,7 @@ func evalAll(ctx context.Context, spec *Spec, opts Options, prog *search.Progres
 				if ctx.Err() != nil {
 					continue
 				}
+				var shared pairPrefill
 				var delta search.Counts
 				for i := s.lo; i < s.hi; i++ {
 					delta.Evaluated++
@@ -146,7 +132,7 @@ func evalAll(ctx context.Context, spec *Spec, opts Options, prog *search.Progres
 							continue
 						}
 					}
-					profiles[i] = evalEngine(spec, cfgs[i], pbar, gbar)
+					profiles[i] = evalEngine(spec, cfgs[i], pbar, gbar, &shared)
 				}
 				if prog != nil {
 					prog.AddCounts(delta)
@@ -155,55 +141,65 @@ func evalAll(ctx context.Context, spec *Spec, opts Options, prog *search.Progres
 		}()
 	}
 produce:
-	for lo := 0; lo < len(cfgs); lo += engineChunk {
-		hi := lo + engineChunk
-		if hi > len(cfgs) {
-			hi = len(cfgs)
+	for lo := 0; lo < len(cfgs); {
+		hi := lo + 1
+		for hi < len(cfgs) && cfgs[hi].tp == cfgs[lo].tp && cfgs[hi].pp == cfgs[lo].pp {
+			hi++
 		}
 		select {
 		case <-ctx.Done():
 			break produce
 		case spans <- span{lo, hi}:
 		}
+		lo = hi
 	}
 	close(spans)
 	wg.Wait()
-	// Surface the lowest-sequence spec-level failure deterministically.
-	for i := range profiles {
-		if profiles[i].err != nil {
-			return nil, profiles[i].err
-		}
-	}
-	return profiles, nil
+	return profiles
 }
 
 // compose is stage 2: serial closed-form composition of deployments from
-// the engine profiles. For every feasible engine it enumerates colocated
-// replica counts and (when enabled) disaggregated decode/prefill pool
-// splits, keeps the SLO-feasible ones, and streams them through the Pareto
-// compactor. Being serial over the deterministic profile order, its output
-// is independent of stage 1's scheduling by construction.
-func compose(spec *Spec, cfgs []engineConfig, profiles []engineProfile, pbar, gbar int) ([]Deployment, int) {
+// the engine profiles at the budget spec.Space.Procs. It reads the engines
+// that fit the budget (tp·pp ≤ Procs) — all of cfgs when they were
+// enumerated at this budget, the budget's subsequence when they were
+// enumerated at a larger one, which is the same list in the same order. It
+// surfaces the lowest-sequence spec-level failure; otherwise, for every
+// feasible engine it enumerates colocated replica counts and (when enabled)
+// disaggregated decode/prefill pool splits, keeps the SLO-feasible ones,
+// and streams them through the Pareto compactor. Being serial over the
+// deterministic profile order, its output is independent of stage 1's
+// scheduling by construction.
+func compose(spec *Spec, cfgs []engineConfig, profiles []engineProfile, pbar, gbar int) (Result, error) {
 	// The unit price is validated by Spec.Validate, so ProcHour cannot fail.
 	hourly, _ := tco.ProcHour(spec.Assumptions)
 	slo := spec.Workload.SLO
 
 	// One prompt's full-model KV cache crosses the scale-out network from
 	// the prefill pool to a decode replica (disaggregated mode).
-	kvShip := units.Bytes(2 * pbar * spec.Model.Hidden * 2).Times(float64(spec.Model.Blocks))
+	kvShip := units.Bytes(2 * 2 * spec.Model.Hidden).Times(float64(pbar)).Times(float64(spec.Model.Blocks))
 	so := spec.System.ScaleOut()
 	kvT := comm.Time(&so, comm.P2P, 2, kvShip)
 
+	var out Result
 	var fr frontier
-	feasible := 0
 	seq := 0
 	for i := range profiles {
+		cfg := cfgs[i]
+		engineProcs := cfg.tp * cfg.pp
+		if engineProcs > spec.Space.Procs {
+			continue
+		}
+		out.Evaluated++
 		p := &profiles[i]
+		if p.prescreened {
+			out.PreScreened++
+		}
+		if p.err != nil {
+			return Result{}, p.err
+		}
 		if !p.ok {
 			continue
 		}
-		cfg := cfgs[i]
-		engineProcs := cfg.tp * cfg.pp
 		maxR := spec.Space.Procs / engineProcs
 		if spec.Space.MaxReplicas > 0 && maxR > spec.Space.MaxReplicas {
 			maxR = spec.Space.MaxReplicas
@@ -214,7 +210,7 @@ func compose(spec *Spec, cfgs []engineConfig, profiles []engineProfile, pbar, gb
 		// chunked across the window, each decode step (on each stage)
 		// carries 1/(ḡ·PP) of a full-batch prefill.
 		tpot := p.est.StepTime + p.est.PrefillTime.DivN(float64(gbar))
-		ttft := maxSec(p.prefill1) + tpot
+		ttft := p.prefill1 + tpot
 		perStage := units.Seconds(float64(cfg.batch) / p.est.TokensPerSec)
 		interf := p.est.PrefillTime.DivN(float64(gbar * cfg.pp))
 		perReplica := (perStage + interf).Rate(float64(cfg.batch))
@@ -223,7 +219,7 @@ func compose(spec *Spec, cfgs []engineConfig, profiles []engineProfile, pbar, gb
 			if tpot > slo.TPOT || ttft > slo.TTFT {
 				continue
 			}
-			feasible++
+			out.Feasible++
 			procs := r * engineProcs
 			cluster := float64(r) * perReplica
 			fr.push(Deployment{
@@ -246,7 +242,7 @@ func compose(spec *Spec, cfgs []engineConfig, profiles []engineProfile, pbar, gb
 		// on its TTFT path.
 		tpotD := p.est.StepTime
 		tputD := p.est.TokensPerSec
-		ttftD := maxSec(p.prefillP1) + kvT + tpotD
+		ttftD := p.prefillP1 + kvT + tpotD
 		// Each decode replica retires tputD/ḡ requests per second; a
 		// prefill replica completes one mean prompt per prefillPMean.
 		reqRate := tputD / float64(gbar)
@@ -266,7 +262,7 @@ func compose(spec *Spec, cfgs []engineConfig, profiles []engineProfile, pbar, gb
 			if tpotD > slo.TPOT || ttftD > slo.TTFT {
 				continue
 			}
-			feasible++
+			out.Feasible++
 			cluster := float64(rd) * tputD
 			fr.push(Deployment{
 				Seq: seq, TP: cfg.tp, PP: cfg.pp, Batch: cfg.batch, KVOffload: cfg.kvOffload,
@@ -280,23 +276,17 @@ func compose(spec *Spec, cfgs []engineConfig, profiles []engineProfile, pbar, gb
 		}
 	}
 	fr.compact()
-	return fr.pts, feasible
+	out.Frontier = fr.pts
+	if len(out.Frontier) > 0 {
+		out.Best = &out.Frontier[0]
+	}
+	return out, nil
 }
 
 // costPerMToken is tco.CostPerMToken with the hourly unit price hoisted out
 // of the composition loop.
 func costPerMToken(procs int, tokensPerSec, hourly float64) float64 {
 	return float64(procs) * hourly / (tokensPerSec * 3_600) * 1e6
-}
-
-func maxSec(xs []units.Seconds) units.Seconds {
-	var m units.Seconds
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // frontier accumulates candidate deployments and keeps only the Pareto-
@@ -366,107 +356,159 @@ type SizeResult struct {
 	Result Result `json:"result"`
 }
 
-// Sweep is the serving right-sizing sweep: one Search per processor budget,
-// sharing the worker budget the way search.SystemSize does — min(sizes,
-// budget) sweeps in flight, each with its proportional worker share, so the
-// aggregate never exceeds the budget. Each point is itself deterministic,
-// so the sweep is too.
+// Sweep is the serving right-sizing sweep: the Search result at every
+// processor budget in sizes, in order.
+//
+// An engine's profile depends on (tp, pp, batch, KV placement), never on
+// the budget, and the engines that fit a budget N are exactly the
+// order-preserving subsequence of a larger budget's enumeration with
+// tp·pp ≤ N. So the sweep runs stage 1 once: it consults the store for
+// every budget, enumerates and prices the engines of the largest budget
+// that missed under the whole worker budget, and then composes each missed
+// budget from its subsequence — independent closed-form stage 2 runs, in
+// parallel under the same worker budget. Every point is byte-identical to
+// a standalone Search at that budget (TestSweepMatchesSearch), and each
+// consults and fills the store under its own key. A Progress attached
+// through opts ends with the totals the per-budget searches would report:
+// each budget's counts land as it is composed.
+//
+// A cancelled sweep returns ctx.Err() and no points; cancelled during
+// stage 1, it composes nothing. Otherwise the error of the lowest-index
+// failing budget wins — for an invalid budget, the text Search gives.
 func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	prog := opts.Progress
+	if prog == nil && opts.OnProgress != nil {
+		prog = &search.Progress{}
+	}
+	if prog != nil {
+		prog.MarkStart()
+	}
 	if opts.OnProgress != nil {
-		if opts.Progress == nil {
-			opts.Progress = &search.Progress{}
-		}
-		opts.Progress.MarkStart()
-		stop := startTicker(opts.Progress, opts.OnProgress, opts.ProgressInterval)
+		stop := search.StartProgressTicker(ctx, prog, opts.OnProgress, opts.ProgressInterval)
 		defer func() {
 			stop()
-			opts.OnProgress(opts.Progress.Snapshot())
+			opts.OnProgress(prog.Snapshot())
 		}()
 	}
-	budget := opts.Workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	concurrent := len(sizes)
-	if concurrent > budget {
-		concurrent = budget
-	}
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	perSize := budget / concurrent
-	if perSize < 1 {
-		perSize = 1
-	}
-	out := make([]SizeResult, len(sizes))
-	var firstErr error
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, concurrent)
-	for i, n := range sizes {
-		wg.Add(1)
-		go func(i, n int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			defer func() { <-sem }()
-			o := opts
-			o.Workers = perSize
-			// The ticker belongs to the sweep's caller, not each size.
-			o.OnProgress = nil
-			sp := spec
-			sp.Space.Procs = n
-			res, err := Search(ctx, sp, o)
-			if err != nil {
-				if ctx.Err() != nil {
-					return
-				}
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			out[i] = SizeResult{Procs: n, Result: res}
-		}(i, n)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, ctx.Err()
-}
 
-// startTicker runs cb about every interval until the returned stop function
-// is called; stop blocks until the ticker goroutine has exited.
-func startTicker(p *search.Progress, cb func(search.ProgressSnapshot), interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Second
+	spec = spec.Normalize()
+	at := func(n int) Spec {
+		sp := spec
+		sp.Space.Procs = n
+		return sp
 	}
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				cb(p.Snapshot())
-			case <-quit:
-				return
+	useStore := opts.Cache != nil && !opts.DisableStore
+	out := make([]SizeResult, len(sizes))
+	errs := make([]error, len(sizes))
+	var missed []int
+	top := 0
+	for i, n := range sizes {
+		sp := at(n)
+		if err := sp.Validate(); err != nil {
+			errs[i] = err
+			continue
+		}
+		if useStore {
+			if res, ok := opts.Cache.Lookup(sp, opts); ok {
+				out[i] = SizeResult{Procs: n, Result: res}
+				if prog != nil {
+					prog.AddCounts(search.Counts{StoreHits: 1})
+				}
+				continue
 			}
 		}
-	}()
-	return func() {
-		close(quit)
-		<-done
+		missed = append(missed, i)
+		top = max(top, n)
 	}
+
+	if len(missed) > 0 {
+		topSpec := at(top)
+		cfgs := enumerate(topSpec.Model, topSpec.Space)
+		if prog != nil && opts.EstimateTotal {
+			for _, i := range missed {
+				prog.AddTotal(int64(fitting(cfgs, sizes[i])))
+			}
+		}
+		pbar := spec.Workload.MeanPromptLen()
+		gbar := spec.Workload.MeanGenLen()
+		profiles := evalAll(ctx, &topSpec, opts, nil, cfgs, pbar, gbar)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		composeAll(ctx, opts, len(missed), func(k int) {
+			// Largest budgets first: with ascending sizes they are the
+			// longest compositions, so the pool drains evenly.
+			i := missed[len(missed)-1-k]
+			sp := at(sizes[i])
+			res, err := compose(&sp, cfgs, profiles, pbar, gbar)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			out[i] = SizeResult{Procs: sizes[i], Result: res}
+			if prog != nil {
+				prog.AddCounts(search.Counts{
+					Evaluated:   int64(res.Evaluated),
+					PreScreened: int64(res.PreScreened),
+					Feasible:    int64(res.Feasible),
+				})
+			}
+			if useStore {
+				opts.Cache.Store(sp, opts, res)
+			}
+		})
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// composeAll runs compose(k) for k in [0, n) on up to the worker budget's
+// goroutines, and stops claiming new work once ctx is done.
+func composeAll(ctx context.Context, opts Options, n int, compose func(k int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(opts.workers(), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				k := int(next.Add(1) - 1)
+				if k >= n {
+					return
+				}
+				compose(k)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// fitting counts the engines of cfgs that fit a budget of procs processors:
+// the size of that budget's own enumeration.
+func fitting(cfgs []engineConfig, procs int) int {
+	n := 0
+	for _, c := range cfgs {
+		if c.tp*c.pp <= procs {
+			n++
+		}
+	}
+	return n
+}
+
+// workers is the worker budget: Options.Workers, or GOMAXPROCS when unset.
+func (o Options) workers() int {
+	if o.Workers > 0 {
+		return o.Workers
+	}
+	return runtime.GOMAXPROCS(0)
 }

@@ -98,17 +98,17 @@ func strategyFor(tp, pp int) execution.Strategy {
 // scratch-vs-prescreen equivalence test pins this.
 type preScreen struct {
 	m       model.LLM
-	ctx     int // mean prompt + mean generation length
+	ctx     float64 // mean prompt + mean generation length, as Estimate forms it
 	batchKV units.Bytes
 	mem1    units.Bytes
 	mem2    units.Bytes
 	hasMem2 bool
 }
 
-func newPreScreen(spec *Spec, ctx int) *preScreen {
+func newPreScreen(spec *Spec, pbar, gbar int) *preScreen {
 	return &preScreen{
 		m:       spec.Model,
-		ctx:     ctx,
+		ctx:     float64(pbar) + float64(gbar),
 		mem1:    spec.System.Mem1.Capacity,
 		mem2:    spec.System.Mem2.Capacity,
 		hasMem2: spec.System.Mem2.Present(),
@@ -130,7 +130,7 @@ func (p *preScreen) check(cfg engineConfig) error {
 	blockW := layers.BlockWeightBytes(&p.m, cfg.tp)
 	weights := blockW.Times(float64(bp))
 	// Identical expression (and rounding) to inference.Estimate's kvPerBlock.
-	kvPerBlock := units.Bytes(2*p.ctx*p.m.Hidden*2) / units.Bytes(cfg.tp) * units.Bytes(cfg.batch)
+	kvPerBlock := units.Bytes(2*2*p.m.Hidden).Times(p.ctx) / units.Bytes(cfg.tp) * units.Bytes(cfg.batch)
 	if cfg.kvOffload {
 		if !p.hasMem2 {
 			return &screenError{kind: screenNoMem2}
