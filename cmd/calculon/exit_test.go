@@ -52,6 +52,10 @@ func TestExitCodeConvention(t *testing.T) {
 		{"bad flag value", []string{"run", "-tp", "zebra"}, 2, "invalid value"},
 		{"infer non-dividing tp", []string{"infer", "-model", "gpt3-175B", "-tp", "7"}, 2, "infeasible"},
 		{"infer non-dividing pp", []string{"infer", "-model", "gpt3-175B", "-tp", "8", "-pp", "7"}, 2, "infeasible"},
+		// A step that does not advance is an empty sweep, not an endless one.
+		{"scaling zero step", []string{"scaling", "-model", "gpt3-13B", "-step", "0", "-max", "64"}, 1, "empty size range"},
+		{"scaling negative step", []string{"scaling", "-model", "gpt3-13B", "-step", "-8", "-max", "64"}, 1, "empty size range"},
+		{"serve-search negative step", []string{"serve-search", "-model", "gpt3-13B", "-step", "-8", "-max", "64"}, 1, "empty size range"},
 		// The timed-out search must outlast its deadline on any machine: the
 		// 10.3M-strategy headline search takes seconds, not milliseconds.
 		{"timeout", []string{"search", "-model", "gpt3-175B", "-batch", "3072", "-procs", "4096",

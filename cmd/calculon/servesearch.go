@@ -35,7 +35,6 @@ func cmdServeSearch(ctx context.Context, args []string) (retErr error) {
 	kvOffload := fs.Bool("kv-offload", false, "also enumerate engines with the KV cache in the -mem2 tier")
 	disagg := fs.Bool("disaggregate", false, "also enumerate prefill/decode disaggregated pool splits")
 	prefillSystem := fs.String("prefill-system", "", "system preset for the disaggregated prefill pool (empty = same as -system)")
-	noPreScreen := fs.Bool("no-prescreen", false, "disable the closed-form capacity pre-screen (escape hatch; identical results, slower)")
 	step := fs.Int("step", 0, "right-size: sweep processor budgets in steps of this size (0 = single search)")
 	max := fs.Int("max", 0, "right-size: largest processor budget of the sweep")
 	asJSON := fs.Bool("json", false, "emit the result as canonical JSON instead of the report")
@@ -89,7 +88,7 @@ func cmdServeSearch(ctx context.Context, args []string) (retErr error) {
 		return err
 	}
 	defer cleanup()
-	opts := serving.Options{DisablePreScreen: *noPreScreen}
+	var opts serving.Options
 	closeStore, err := rt.openServingStore(&opts)
 	if err != nil {
 		return err
@@ -102,7 +101,7 @@ func cmdServeSearch(ctx context.Context, args []string) (retErr error) {
 	var prog search.Progress
 	rt.attachServingProgress(&opts, &prog)
 
-	if *step > 0 {
+	if *step != 0 {
 		sizes := search.Sizes(*step, *max)
 		if len(sizes) == 0 {
 			return fmt.Errorf("serve-search: empty size range (step %d, max %d)", *step, *max)

@@ -111,7 +111,8 @@ func (p *PreScreen) Check(st *Strategy) ScreenVerdict {
 // CheckFit applies the two bounds of Check that need no memory accounting:
 // the strategy must fit the processor count, and an offloading strategy
 // needs a second memory tier. They are exact rather than lower bounds, so
-// an evaluation with the pre-screen disabled still applies them.
+// an evaluation without the pre-screen (the perf tests' reference
+// evaluator) still applies them.
 func (p *PreScreen) CheckFit(st *Strategy) ScreenVerdict {
 	if st.Procs() > p.lim.Procs {
 		return ScreenVerdict{kind: screenProcs, need: int64(st.Procs()), have: int64(p.lim.Procs)}

@@ -25,9 +25,10 @@ func BenchmarkRun(b *testing.B) {
 }
 
 // benchStrategy is the shared configuration of the cold/memoized pair below;
-// the two benchmarks differ only in whether the block-profile memo is live,
-// so their delta is the phase-2 win and their allocs/op difference is the
-// layer-graph construction the memo avoids.
+// the two benchmarks differ only in whether the Runner and its block-profile
+// memo are warm, so their delta is the phase-2 win and their allocs/op
+// difference is the Runner set-up and layer-graph construction the memo
+// avoids.
 func benchStrategy() (model.LLM, system.System, execution.Strategy) {
 	return model.MustPreset("gpt3-175B").WithBatch(2048),
 		system.A100(4096),
@@ -35,19 +36,18 @@ func benchStrategy() (model.LLM, system.System, execution.Strategy) {
 			OneFOneB: true, Recompute: execution.RecomputeFull, TPRSAG: true}
 }
 
-// BenchmarkRunnerCold evaluates with the memo disabled: every iteration
-// rebuilds the block layer graph and re-times all layers — the phase-2
-// worst case, and the regression guard for the direct path.
+// BenchmarkRunnerCold evaluates on a fresh Runner every iteration, so each
+// one builds the pre-screen and the memos, rebuilds the block layer graph
+// and re-times all layers — the phase-2 worst case, and the regression
+// guard for the cold path.
 func BenchmarkRunnerCold(b *testing.B) {
 	m, sys, st := benchStrategy()
-	r, err := NewRunner(m, sys)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r.DisableMemo()
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		r, err := NewRunner(m, sys)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := r.Run(st); err != nil {
 			b.Fatal(err)
 		}

@@ -14,10 +14,10 @@ import (
 // functions of unchanged inputs — carry over bit-identically from the
 // previous evaluation. Masks compose along the dataflow: a group that reads
 // another group's outputs includes that group's mask (profileMask sits
-// inside every consumer, tensorMask inside offloadMask). The
-// delta-vs-scratch equivalence tests (and the no-delta arm of the search
-// equivalence suite) pin that these masks are sufficient; being too wide
-// only costs speed, never correctness.
+// inside every consumer, tensorMask inside offloadMask). The tests that
+// compare delta chains against the straight-line reference evaluator pin
+// that these masks are sufficient; being too wide only costs speed, never
+// correctness.
 const (
 	// shapeMask covers the derived shape quantities n (microbatches per
 	// pipeline pass: DP and Microbatch), bp (blocks per processor: PP), and
@@ -80,7 +80,7 @@ const (
 // concurrent use — each worker goroutine threads its own chain through the
 // RunInfo it gets back — while the owning Runner stays shared. Everything
 // here is built lazily by the chain itself, so neither the Runner
-// constructors nor the scratch path pay for it.
+// constructors nor a scratch evaluation pay for it.
 type deltaState struct {
 	r *Runner // owning runner; a chain never crosses runners
 
@@ -92,22 +92,7 @@ type deltaState struct {
 
 	screens screenTable
 	memo    termMemo // e.memo points here
-
-	// profCache is a chain-local mirror of the Runner's shared profile memo:
-	// a plain map with a concrete key type, so repeat lookups on this chain
-	// skip the sync.Map's interface boxing and hashing. An entry exists only
-	// for keys this chain already fetched through r.profile — which inserted
-	// them into the shared memo — so a local hit is, bit for bit, the cache
-	// hit the scratch path would have reported. Never consulted under
-	// DisableMemo (profiles must be recomputed, and CacheHits must stay 0).
-	profCache map[blockKey]*blockProfile
 }
-
-// DisableDelta makes RunDelta fall back to the scratch path (RunDetailed)
-// so every evaluation recomputes all terms. It exists as an escape hatch and
-// as the reference arm of the equivalence tests; call it before the Runner
-// is shared across goroutines.
-func (r *Runner) DisableDelta() { r.noDelta = true }
 
 // RunDelta evaluates one strategy incrementally against the previous
 // evaluation of the same chain: it diffs st against the last strategy this
@@ -131,8 +116,8 @@ func (r *Runner) RunDelta(prev RunInfo, st execution.Strategy) (Result, RunInfo,
 // RunDeltaInto is RunDelta writing the result into *out instead of
 // returning it, so tight search loops reuse one Result instead of copying
 // ~400 bytes through every return frame. On success *out holds the result;
-// on error (or on the DisableDelta fallback's error path) *out is zeroed,
-// exactly the Result a scratch call would have returned.
+// on error *out is zeroed, exactly the Result a scratch call would have
+// returned.
 func (r *Runner) RunDeltaInto(prev RunInfo, st execution.Strategy, out *Result) (RunInfo, error) {
 	if v := r.step(&prev, &st, out); v.kind != feasible {
 		*out = Result{}
@@ -153,60 +138,29 @@ func (r *Runner) RunLeaf(chain *RunInfo, st *execution.Strategy, out *Result) bo
 }
 
 // step evaluates *st on the chain, replacing *chain with the new chain
-// state, and counts the evaluation.
+// state, and counts the evaluation. It admits *st against the chain's diff
+// base and evaluates it on the chain's state, recomputing only the term
+// groups the field diff reaches. The chain's shortcuts return what a
+// scratch evaluation computes: an unchanged shape re-checks only the toggle
+// rules, the pre-screen verdict comes from the chain's screenTable, and the
+// priced lookups go through its termMemo. It copies only st into the
+// chain's diff base, and writes *out only for a feasible verdict.
 func (r *Runner) step(chain *RunInfo, st *execution.Strategy, out *Result) verdict {
-	var v verdict
-	if r.noDelta {
-		*chain, v = r.run(st, out)
-	} else {
-		d := chain.delta
-		if d == nil || d.r != r {
-			d = &deltaState{r: r}
-		}
-		*chain, v = r.runDelta(d, st, out)
-		chain.delta = d
+	d := chain.delta
+	if d == nil || d.r != r {
+		d = &deltaState{r: r}
 	}
-	r.count(*chain, v)
-	return v
-}
-
-// runDelta mirrors Runner.run stage by stage; every recomputed group calls
-// the same method on the same inputs, and every skipped group's outputs are
-// pure functions of inputs the field diff proves unchanged, so the two
-// paths are bit-identical by construction (and by the equivalence tests).
-// The chain's shortcuts around the groups return what the scratch path
-// computes, too: an unchanged shape re-checks only the toggle rules, the
-// pre-screen verdict comes from the chain's screenTable, and the priced
-// lookups go through its termMemo.
-// It reads the model and system through the Runner and the strategy through
-// st, copying only st into the chain's diff bases, and writes *out only for
-// a feasible verdict.
-func (r *Runner) runDelta(d *deltaState, st *execution.Strategy, out *Result) (RunInfo, verdict) {
 	st.Normalize()
 	mask := allFields
 	if d.valid {
 		mask = execution.DiffMask(&d.prev, st)
 	}
-	// d.prev passed Validate on this model, so a strategy with the same
-	// shape passes the shape rules too, and Validate's verdict is exactly
-	// the toggle rules'.
-	var err error
-	if mask.Has(execution.ShapeFields) {
-		err = st.Validate(&r.m)
-	} else {
-		err = st.ValidateToggles()
+	v := r.admit(st, mask, &d.screens)
+	if v.kind != feasible {
+		*chain = RunInfo{PreScreened: v.kind == preScreened, delta: d}
+		r.count(*chain, false)
+		return v
 	}
-	if err != nil {
-		return RunInfo{}, verdict{kind: invalidStrategy, cause: err}
-	}
-	if !r.noPreScreen {
-		if sv := d.screens.check(r.screen, st); !sv.OK() {
-			return RunInfo{PreScreened: true}, verdict{kind: preScreened, screen: sv}
-		}
-	} else if sv := r.screen.CheckFit(st); !sv.OK() {
-		return RunInfo{}, verdict{kind: unfit, screen: sv}
-	}
-
 	if !d.valid {
 		d.e.m, d.e.sys, d.e.st, d.e.memo = &r.m, &r.sys, &d.prev, &d.memo
 	}
@@ -214,73 +168,10 @@ func (r *Runner) runDelta(d *deltaState, st *execution.Strategy, out *Result) (R
 	// infeasibility (memory overflow) does not invalidate it as the next
 	// diff base.
 	d.prev, d.valid = *st, true
-	e := &d.e
-
-	var hit bool
-	if r.noMemo || mask.Has(profileMask) { // a fresh chain's mask is allFields
-		var prof *blockProfile
-		if r.noMemo {
-			prof, hit = r.profile(st)
-		} else if p, ok := d.profCache[keyFor(st)]; ok {
-			prof, hit = p, true
-		} else {
-			prof, hit = r.profile(st)
-			if d.profCache == nil {
-				d.profCache = make(map[blockKey]*blockProfile, 64)
-			}
-			d.profCache[keyFor(st)] = prof
-		}
-		e.tot = prof.tot
-		e.boundaryBytes = prof.boundaryBytes
-		e.blockFwd, e.blockBwd, e.blockRecompute = prof.fwd, prof.bwd, prof.recompute
-		e.blockFwdSlack, e.blockBwdSlack, e.recompSlack = prof.fwdSlack, prof.bwdSlack, prof.rcSlack
-	} else {
-		// The memo necessarily holds this blockKey — the previous
-		// evaluation put it there — so the scratch path would have hit.
-		hit = true
-	}
-	info := RunInfo{CacheHit: hit}
-
-	if mask.Has(shapeMask) {
-		e.n = st.Microbatches(&r.m)
-		e.bp = st.BlocksPerProc(&r.m)
-		e.bc = st.BlocksPerChunk(&r.m)
-	}
-	// Each group's outputs are zeroed before the recompute because the
-	// methods accumulate (+=) or early-return leaving zeros (TP≤1, PP≤1,
-	// no offload) — exactly the state a zero-initialized scratch eval has.
-	if mask.Has(tensorMask) {
-		e.tpFwdPerBlock, e.tpBwdPerBlock = 0, 0
-		e.tpFwdExposedPerBlock, e.tpBwdExposedPerBlock = 0, 0
-		e.fwdPenalty, e.bwdPenalty = 0, 0
-		e.tensorComm()
-	}
-	if mask.Has(pipeMask) {
-		e.ppPerMicrobatch, e.ppExposedPerMicrobatch = 0, 0
-		e.pipelineComm()
-	}
-	if mask.Has(dataMask) {
-		e.dpTotal, e.dpExposed, e.dpPenalty = 0, 0, 0
-		e.dataComm()
-	}
-	if mask.Has(optimMask) {
-		e.optimTime = 0
-		e.optimizer()
-	}
-	if mask.Has(offloadMask) {
-		e.offloadTotal, e.offloadExposed = 0, 0
-		e.offloadBWRequired, e.offloadBWUsed = 0, 0
-		e.offload()
-	}
-	if mask.Has(memoryMask) {
-		d.mem1, d.mem2 = e.memory()
-	}
-
-	if v := r.capacity(&d.mem1, &d.mem2); v.kind != feasible {
-		return info, v
-	}
-	r.finish(e, &d.mem1, &d.mem2, out)
-	return info, verdict{}
+	*chain, v = r.evaluate(&d.e, &d.mem1, &d.mem2, mask, out)
+	chain.delta = d
+	r.count(*chain, v.kind == feasible)
+	return v
 }
 
 // screenTable holds a chain's pre-screen verdicts for one base: PreScreen.Check
@@ -299,8 +190,12 @@ type screenTable struct {
 	verdicts   [32]execution.ScreenVerdict
 }
 
-// check returns ps.Check(st) from the table, calling Check on a miss.
+// check returns ps.Check(st) from the table, calling Check on a miss; a nil
+// table (a scratch evaluation) always calls Check.
 func (t *screenTable) check(ps *execution.PreScreen, st *execution.Strategy) execution.ScreenVerdict {
+	if t == nil {
+		return ps.Check(st)
+	}
 	if st.TP != t.tp || st.PP != t.pp || st.DP != t.dp || st.Inference != t.inference {
 		t.tp, t.pp, t.dp, t.inference, t.filled = st.TP, st.PP, st.DP, st.Inference, 0
 	}

@@ -171,13 +171,31 @@ func runDeltaChain(t *testing.T, r *Runner, seq []execution.Strategy) ([]Result,
 	return res, infos, errs
 }
 
-// TestDeltaEqualsScratch is the randomized delta-vs-scratch equivalence
-// property: over real enumeration orders and random jump sequences, for
-// systems with and without a second memory tier, RunDelta must reproduce
-// RunDetailed bit for bit — Result values, feasibility verdicts, error
-// messages, and the PreScreened/CacheHit flags the search counters sum.
+// runLeafChain evaluates the sequence as the search does, through RunLeaf on
+// one chain and one reused Result.
+func runLeafChain(t *testing.T, r *Runner, seq []execution.Strategy) ([]Result, []RunInfo, []error) {
+	t.Helper()
+	res := make([]Result, len(seq))
+	infos := make([]RunInfo, len(seq))
+	errs := make([]error, len(seq))
+	var chain RunInfo
+	var out Result
+	for i, st := range seq {
+		res[i], errs[i] = runLeaf(r, &chain, st, &out)
+		infos[i] = chain
+	}
+	return res, infos, errs
+}
+
+// TestDeltaEqualsScratch is the randomized equivalence property of the
+// evaluation chains: over real enumeration orders, random jump sequences
+// and single-field mutation walks, for systems with and without a second
+// memory tier, RunDelta and RunLeaf chains must reproduce RunDetailed bit
+// for bit — Result values, feasibility verdicts, error messages, and the
+// PreScreened/CacheHit flags the search counters sum — and RunDetailed and
+// the RunLeaf chain must both match the straight-line reference evaluator.
 // Each path gets its own fresh Runner so memo warm-up behaves exactly as it
-// would in a pure scratch or pure delta search.
+// would in a pure scratch or pure chain search.
 func TestDeltaEqualsScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cases := []struct {
@@ -208,56 +226,23 @@ func TestDeltaEqualsScratch(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for si, seq := range deltaSequences(t, rng, tc.m, tc.opts) {
-				scratchR, err := NewRunner(tc.m, tc.sys)
-				if err != nil {
-					t.Fatal(err)
-				}
-				deltaR, err := NewRunner(tc.m, tc.sys)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sRes, sInfo, sErr := runScratch(t, scratchR, seq)
-				dRes, dInfo, dErr := runDeltaChain(t, deltaR, seq)
-				compareRuns(t, si, seq, sRes, sInfo, sErr, dRes, dInfo, dErr)
-			}
-		})
-	}
-}
-
-// TestDeltaEqualsScratchNoMemoNoScreen re-runs the property with the other
-// escape hatches engaged, covering the counter invariants those modes pin
-// (CacheHits must stay 0 with the memo off; PreScreened must stay 0 with
-// the screen off).
-func TestDeltaEqualsScratchNoMemoNoScreen(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	m := model.MustPreset("gpt3-13B").WithBatch(16)
-	sys := system.A100(16).WithMem2(system.DDR5(512 * units.GiB))
-	opts := execution.EnumOptions{Procs: 16, Features: execution.FeatureAll, HasMem2: true, MaxTP: 8, MaxInterleave: 2}
-	for _, mode := range []string{"no-memo", "no-prescreen"} {
-		t.Run(mode, func(t *testing.T) {
-			for si, seq := range deltaSequences(t, rng, m, opts) {
-				if len(seq) > 600 {
-					seq = seq[:600] // the no-memo arm recomputes profiles; keep it quick
-				}
-				scratchR, _ := NewRunner(m, sys)
-				deltaR, _ := NewRunner(m, sys)
-				switch mode {
-				case "no-memo":
-					scratchR.DisableMemo()
-					deltaR.DisableMemo()
-				case "no-prescreen":
-					scratchR.DisablePreScreen()
-					deltaR.DisablePreScreen()
-				}
-				sRes, sInfo, sErr := runScratch(t, scratchR, seq)
-				dRes, dInfo, dErr := runDeltaChain(t, deltaR, seq)
-				compareRuns(t, si, seq, sRes, sInfo, sErr, dRes, dInfo, dErr)
-				for i, info := range dInfo {
-					if mode == "no-memo" && info.CacheHit {
-						t.Fatalf("step %d: cache hit with memo disabled", i)
+				runners := make([]*Runner, 3)
+				for i := range runners {
+					r, err := NewRunner(tc.m, tc.sys)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if mode == "no-prescreen" && info.PreScreened {
-						t.Fatalf("step %d: prescreen verdict with screen disabled", i)
+					runners[i] = r
+				}
+				sRes, sInfo, sErr := runScratch(t, runners[0], seq)
+				dRes, dInfo, dErr := runDeltaChain(t, runners[1], seq)
+				lRes, lInfo, lErr := runLeafChain(t, runners[2], seq)
+				compareRuns(t, si, seq, sRes, sInfo, sErr, dRes, dInfo, dErr)
+				for i, st := range seq {
+					checkReference(t, "RunDetailed", tc.m, tc.sys, st, sRes[i], sInfo[i], sErr[i])
+					checkReference(t, "RunLeaf", tc.m, tc.sys, st, lRes[i], lInfo[i], lErr[i])
+					if lInfo[i].PreScreened != sInfo[i].PreScreened || lInfo[i].CacheHit != sInfo[i].CacheHit {
+						t.Fatalf("seq %d step %d %+v: RunLeaf info %+v, RunDetailed %+v", si, i, st, lInfo[i], sInfo[i])
 					}
 				}
 			}
@@ -316,21 +301,5 @@ func TestRunDeltaForeignChain(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("foreign chain result differs:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestRunDeltaDisabled checks the escape hatch: with DisableDelta the call
-// takes the scratch path and threads no chain.
-func TestRunDeltaDisabled(t *testing.T) {
-	m := model.MustPreset("gpt3-13B").WithBatch(32)
-	r, _ := NewRunner(m, system.A100(32))
-	r.DisableDelta()
-	st := execution.Strategy{TP: 4, PP: 2, DP: 4, Microbatch: 1, Interleave: 1}
-	_, info, err := r.RunDelta(RunInfo{}, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.delta != nil {
-		t.Fatal("DisableDelta still threaded a delta chain")
 	}
 }

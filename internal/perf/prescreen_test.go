@@ -13,12 +13,12 @@ import (
 // filter against the full evaluation, strategy by strategy over a real
 // enumeration:
 //
-//   - soundness: whenever the pre-screen rejects, the full evaluation (run
-//     with the pre-screen disabled) also rejects — the filter never costs a
+//   - soundness: whenever the pre-screen rejects, the reference evaluator
+//     (which has no pre-screen) also rejects — the filter never costs a
 //     feasible configuration;
-//   - verdict identity: the two-phase Runner and a direct Runner agree on
-//     feasibility for every strategy, and feasible results carry identical
-//     numbers.
+//   - verdict identity: the two-phase Runner, through Run and through a
+//     RunLeaf chain, agrees with the reference on feasibility for every
+//     strategy, and feasible results carry identical numbers.
 func TestPreScreenSoundAndExact(t *testing.T) {
 	cases := []struct {
 		m   model.LLM
@@ -40,12 +40,12 @@ func TestPreScreenSoundAndExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := NewRunner(tc.m, tc.sys)
+		leaf, err := NewRunner(tc.m, tc.sys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct.DisablePreScreen()
-		direct.DisableMemo()
+		var chain RunInfo
+		var leafRes Result
 
 		screen := execution.NewPreScreen(tc.m, execution.Limits{
 			Procs: tc.sys.Procs,
@@ -62,22 +62,13 @@ func TestPreScreenSoundAndExact(t *testing.T) {
 		checked, screened := 0, 0
 		enum.Enumerate(tc.m, func(st execution.Strategy) bool {
 			checked++
+			label := tc.m.Name + " on " + tc.sys.Name
 			fastRes, info, fastErr := fast.RunDetailed(st)
-			directRes, _, directErr := direct.RunDetailed(st)
-			if (fastErr == nil) != (directErr == nil) {
-				t.Fatalf("%s on %s, %v: two-phase err=%v, direct err=%v",
-					tc.m.Name, tc.sys.Name, st, fastErr, directErr)
-			}
-			if fastErr == nil && fastRes != directRes {
-				t.Fatalf("%s on %s, %v: feasible results diverge:\n%+v\n%+v",
-					tc.m.Name, tc.sys.Name, st, fastRes, directRes)
-			}
+			checkReference(t, label+" Run", tc.m, tc.sys, st, fastRes, info, fastErr)
+			leafGot, leafErr := runLeaf(leaf, &chain, st, &leafRes)
+			checkReference(t, label+" RunLeaf", tc.m, tc.sys, st, leafGot, chain, leafErr)
 			if info.PreScreened {
 				screened++
-				if directErr == nil {
-					t.Fatalf("%s on %s, %v: pre-screen rejected a feasible strategy",
-						tc.m.Name, tc.sys.Name, st)
-				}
 			}
 			// The standalone screen must agree with the Runner's own use of it.
 			norm := st
@@ -98,8 +89,8 @@ func TestPreScreenSoundAndExact(t *testing.T) {
 // TestRunnerMemoKeyCoversBlockInputs guards the memo key against drift: two
 // strategies that differ in any field the block profile reads must never
 // share a cache entry. It runs every pairwise variant of the key fields
-// through one memoized Runner and a fresh cold Runner and demands identical
-// results.
+// through one memoized Runner and the reference evaluator and demands
+// identical results.
 func TestRunnerMemoKeyCoversBlockInputs(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(16)
 	sys := system.A100(16).WithMem1Capacity(1 * units.TiB)
@@ -144,17 +135,12 @@ func TestRunnerMemoKeyCoversBlockInputs(t *testing.T) {
 		if first != second {
 			t.Errorf("%v: memoized result differs from first evaluation", st)
 		}
-		cold, err := NewRunner(m, sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold.DisableMemo()
-		ref, refErr := cold.Run(st)
+		ref, refErr := referenceRun(m, sys, st)
 		if refErr != nil {
 			t.Fatalf("%v: %v", st, refErr)
 		}
 		if second != ref {
-			t.Errorf("%v: memoized result diverges from cold evaluation", st)
+			t.Errorf("%v: memoized result diverges from the reference", st)
 		}
 	}
 }

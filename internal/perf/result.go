@@ -29,7 +29,6 @@ const (
 	feasible        verdictKind = iota
 	invalidStrategy             // a structural rule fails (Strategy.Validate)
 	preScreened                 // the phase-1 analytic bound rejects it
-	unfit                       // too many procs or no offload tier, with the pre-screen off
 	mem1Overflow
 	mem2Overflow
 )
@@ -42,7 +41,7 @@ const (
 // rendering it triggers) only when someone calls Error().
 type verdict struct {
 	kind       verdictKind
-	screen     execution.ScreenVerdict // preScreened, unfit
+	screen     execution.ScreenVerdict // preScreened
 	need, have units.Bytes             // mem1Overflow, mem2Overflow
 	cause      error                   // invalidStrategy
 }
@@ -64,7 +63,7 @@ func (e *infeasibleError) Error() string {
 	switch v.kind {
 	case invalidStrategy:
 		why = v.cause.Error()
-	case preScreened, unfit:
+	case preScreened:
 		why = v.screen.Err().Error()
 	case mem1Overflow:
 		why = fmt.Sprintf("mem1 needs %v of %v", v.need, v.have)

@@ -39,20 +39,17 @@ func Run(m model.LLM, sys system.System, st execution.Strategy) (Result, error) 
 // totals, boundary bytes — which is invariant across every strategy sharing
 // a blockKey, so the search re-derives only the pipeline/DP-dependent terms
 // per strategy. Both phases are exact: results and feasibility verdicts are
-// bit-identical to the direct path (the equivalence property tests in
-// internal/search pin this), only faster. A Runner is safe for concurrent
-// use by any number of goroutines.
+// bit-identical to a straight-line evaluation with neither (the reference
+// evaluator the perf and search tests compare against), only faster. A
+// Runner is safe for concurrent use by any number of goroutines.
 type Runner struct {
 	m        model.LLM
 	sys      system.System
 	counters *runnerCounters
 
-	screen      *execution.PreScreen
-	noPreScreen bool
-	noMemo      bool
-	noDelta     bool
-	memo        *sync.Map // blockKey -> *blockProfile; shareable via RunnerGroup
-	graphs      *sync.Map // graphKey -> *pricedGraph; shareable via RunnerGroup
+	screen *execution.PreScreen
+	memo   *sync.Map // blockKey -> *blockProfile; shareable via RunnerGroup
+	graphs *sync.Map // graphKey -> *pricedGraph; shareable via RunnerGroup
 
 	// Whole-batch useful FLOPs for MFU, precomputed per pass mode — a pure
 	// function of the model, so hoisting it out of the per-strategy path
@@ -146,18 +143,6 @@ func (g *RunnerGroup) RunnerFor(sys system.System) (*Runner, error) {
 	return r, nil
 }
 
-// DisablePreScreen turns off the phase-1 analytic filter so every strategy
-// takes the full evaluation path. It exists as an escape hatch and as the
-// reference arm of the equivalence tests; call it before the Runner is
-// shared across goroutines.
-func (r *Runner) DisablePreScreen() { r.noPreScreen = true }
-
-// DisableMemo turns off the phase-2 block-profile cache so every evaluation
-// recomputes its layer times from scratch. It exists as an escape hatch and
-// as the reference arm of the equivalence tests; call it before the Runner
-// is shared across goroutines.
-func (r *Runner) DisableMemo() { r.noMemo = true }
-
 // RunInfo reports which fast paths one evaluation took.
 type RunInfo struct {
 	// PreScreened is true when the phase-1 analytic filter rejected the
@@ -169,8 +154,8 @@ type RunInfo struct {
 	CacheHit bool
 
 	// delta carries the evaluation chain RunDelta threads from call to
-	// call; nil on the scratch path. Opaque to callers: pass the RunInfo
-	// back to the next RunDelta unmodified.
+	// call; nil after a scratch evaluation. Opaque to callers: pass the
+	// RunInfo back to the next RunDelta unmodified.
 	delta *deltaState
 }
 
@@ -187,18 +172,18 @@ func (r *Runner) Run(st execution.Strategy) (Result, error) {
 func (r *Runner) RunDetailed(st execution.Strategy) (Result, RunInfo, error) {
 	var res Result // run writes it only when the strategy is feasible
 	info, v := r.run(&st, &res)
-	r.count(info, v)
+	r.count(info, v.kind == feasible)
 	return res, info, v.err()
 }
 
 // count records one evaluation in the optional stats counters.
-func (r *Runner) count(info RunInfo, v verdict) {
+func (r *Runner) count(info RunInfo, ok bool) {
 	c := r.counters
 	if c == nil {
 		return
 	}
 	c.evaluated.Add(1)
-	if v.kind != feasible {
+	if !ok {
 		c.infeasible.Add(1)
 	}
 	if info.PreScreened {
@@ -241,35 +226,98 @@ func (r *Runner) finish(e *eval, mem1, mem2 *MemBreakdown, out *Result) {
 	out.MFU = useful.Ratio(peak.For(batch))
 }
 
-// run is the scratch evaluator: every term group computed afresh. It
-// normalizes *st in place and writes *out only for a feasible verdict.
+// run is a scratch evaluation: a chain of one, every field changed, with its
+// eval and memory state on this frame instead of in a deltaState (whose
+// self-pointers would move it to the heap). It normalizes *st in place and
+// writes *out only for a feasible verdict.
 func (r *Runner) run(st *execution.Strategy, out *Result) (RunInfo, verdict) {
 	st.Normalize()
-	if err := st.Validate(&r.m); err != nil {
-		return RunInfo{}, verdict{kind: invalidStrategy, cause: err}
+	if v := r.admit(st, allFields, nil); v.kind != feasible {
+		return RunInfo{PreScreened: v.kind == preScreened}, v
 	}
-	if !r.noPreScreen {
-		if sv := r.screen.Check(st); !sv.OK() {
-			return RunInfo{PreScreened: true}, verdict{kind: preScreened, screen: sv}
-		}
-	} else if sv := r.screen.CheckFit(st); !sv.OK() {
-		return RunInfo{}, verdict{kind: unfit, screen: sv}
+	e := eval{m: &r.m, sys: &r.sys, st: st}
+	var mem1, mem2 MemBreakdown
+	return r.evaluate(&e, &mem1, &mem2, allFields, out)
+}
+
+// admit applies the checks that precede every term group: the structural
+// rules and the phase-1 pre-screen. mask is the set of fields changed since
+// a strategy that passed Validate on this model (allFields when there is
+// none): an unchanged shape passes the shape rules again, so only the
+// toggle rules are checked. screens, when non-nil, is a chain's verdict
+// table.
+func (r *Runner) admit(st *execution.Strategy, mask execution.FieldMask, screens *screenTable) verdict {
+	var err error
+	if mask.Has(execution.ShapeFields) {
+		err = st.Validate(&r.m)
+	} else {
+		err = st.ValidateToggles()
+	}
+	if err != nil {
+		return verdict{kind: invalidStrategy, cause: err}
+	}
+	if sv := screens.check(r.screen, st); !sv.OK() {
+		return verdict{kind: preScreened, screen: sv}
+	}
+	return verdict{}
+}
+
+// evaluate is the evaluator behind every entry point. *e, *mem1 and *mem2
+// hold the terms of the last strategy evaluated on them (zero for a scratch
+// evaluation), e.st the admitted strategy now to evaluate, and mask the
+// fields that differ between the two (allFields for a scratch evaluation).
+// It recomputes exactly the term groups mask reaches and carries the rest
+// forward: their outputs are pure functions of inputs the diff proves
+// unchanged, so every mask yields what allFields yields, bit for bit (the
+// reference evaluator in the tests pins this). It writes *out only for a
+// feasible verdict.
+func (r *Runner) evaluate(e *eval, mem1, mem2 *MemBreakdown, mask execution.FieldMask, out *Result) (RunInfo, verdict) {
+	// An unchanged blockKey is necessarily in the memo — the previous
+	// evaluation put it there — so a lookup would have hit.
+	hit := true
+	if mask.Has(profileMask) {
+		var prof *blockProfile
+		prof, hit = r.profile(e.st)
+		e.loadProfile(prof)
+	}
+	if mask.Has(shapeMask) {
+		e.loadShape()
+	}
+	// Each group's outputs are zeroed before the recompute because the
+	// methods accumulate (+=) or early-return leaving zeros (TP≤1, PP≤1,
+	// no offload) — exactly the state a zero-initialized eval has.
+	if mask.Has(tensorMask) {
+		e.tpFwdPerBlock, e.tpBwdPerBlock = 0, 0
+		e.tpFwdExposedPerBlock, e.tpBwdExposedPerBlock = 0, 0
+		e.fwdPenalty, e.bwdPenalty = 0, 0
+		e.tensorComm()
+	}
+	if mask.Has(pipeMask) {
+		e.ppPerMicrobatch, e.ppExposedPerMicrobatch = 0, 0
+		e.pipelineComm()
+	}
+	if mask.Has(dataMask) {
+		e.dpTotal, e.dpExposed, e.dpPenalty = 0, 0, 0
+		e.dataComm()
+	}
+	if mask.Has(optimMask) {
+		e.optimTime = 0
+		e.optimizer()
+	}
+	if mask.Has(offloadMask) {
+		e.offloadTotal, e.offloadExposed = 0, 0
+		e.offloadBWRequired, e.offloadBWUsed = 0, 0
+		e.offload()
+	}
+	if mask.Has(memoryMask) {
+		*mem1, *mem2 = e.memory()
 	}
 
-	prof, hit := r.profile(st)
 	info := RunInfo{CacheHit: hit}
-	e := makeEval(&r.m, &r.sys, st, prof)
-	e.tensorComm()
-	e.pipelineComm()
-	e.dataComm()
-	e.optimizer()
-	e.offload()
-
-	mem1, mem2 := e.memory()
-	if v := r.capacity(&mem1, &mem2); v.kind != feasible {
+	if v := r.capacity(mem1, mem2); v.kind != feasible {
 		return info, v
 	}
-	r.finish(&e, &mem1, &mem2, out)
+	r.finish(e, mem1, mem2, out)
 	return info, verdict{}
 }
 
@@ -289,24 +337,28 @@ func usefulFLOPsPerSample(m model.LLM, st execution.Strategy) units.FLOPs {
 // sharding toggles do not reach the block layer graph or its timing, so
 // strategies differing only in those share one profile.
 type blockKey struct {
-	tp          int
-	microbatch  int
-	recompute   execution.RecomputeMode
-	seqParallel bool
-	tpRedo      bool
-	fused       bool
-	inference   bool
+	tp, microbatch int
+	// switches packs the recompute mode (bits 0-1) and the sequence-parallel,
+	// TP-redo, fused-layers and inference switches (bits 2-5). The key has
+	// word-sized fields only, no string and no padding, so the memo's
+	// sync.Map hashes and compares it as plain memory; a chain looks it up
+	// on every leaf whose block key changed.
+	switches uint64
 }
 
 func keyFor(st *execution.Strategy) blockKey {
+	var recompute uint32
+	switch st.Recompute {
+	case execution.RecomputeAttn:
+		recompute = 1
+	case execution.RecomputeFull:
+		recompute = 2
+	}
 	return blockKey{
-		tp:          st.TP,
-		microbatch:  st.Microbatch,
-		recompute:   st.Recompute,
-		seqParallel: st.SeqParallel,
-		tpRedo:      st.TPRedoForSP,
-		fused:       st.FusedLayers,
-		inference:   st.Inference,
+		tp:         st.TP,
+		microbatch: st.Microbatch,
+		switches: uint64(recompute | b2u(st.SeqParallel)<<2 | b2u(st.TPRedoForSP)<<3 |
+			b2u(st.FusedLayers)<<4 | b2u(st.Inference)<<5),
 	}
 }
 
@@ -451,10 +503,6 @@ func (r *Runner) graph(st *execution.Strategy) *pricedGraph {
 // race to first-compute a key, LoadOrStore publishes one profile and the
 // loser reports a hit — the same totals a serial run would count.
 func (r *Runner) profile(st *execution.Strategy) (*blockProfile, bool) {
-	if r.noMemo {
-		p := computeProfile(&r.m, &r.sys, st)
-		return &p, false
-	}
 	k := keyFor(st)
 	if v, ok := r.memo.Load(k); ok {
 		return v.(*blockProfile), true
@@ -472,8 +520,8 @@ type eval struct {
 	sys *system.System
 	st  *execution.Strategy
 
-	// memo is the delta chain's lookup memo (see termMemo); nil on the
-	// scratch path, which prices every lookup afresh.
+	// memo is the delta chain's lookup memo (see termMemo); nil for a
+	// scratch evaluation, which prices every lookup afresh.
 	memo *termMemo
 
 	tot layers.Totals
@@ -497,25 +545,30 @@ type eval struct {
 	boundaryBytes                              units.Bytes
 }
 
-// makeEval builds the evaluation state from a (possibly memoized) block
-// profile and the strategy's pipeline shape. It returns the state by value
-// rather than filling a *eval, so escape analysis keeps the pointed-to
-// model, system, and strategy wherever the caller put them.
+// makeEval builds the evaluation state from a block profile and the
+// strategy's pipeline shape. It returns the state by value rather than
+// filling a *eval, so escape analysis keeps the pointed-to model, system,
+// and strategy wherever the caller put them.
 func makeEval(m *model.LLM, sys *system.System, st *execution.Strategy, prof *blockProfile) eval {
-	return eval{
-		m: m, sys: sys, st: st,
-		tot:            prof.tot,
-		n:              st.Microbatches(m),
-		bp:             st.BlocksPerProc(m),
-		bc:             st.BlocksPerChunk(m),
-		boundaryBytes:  prof.boundaryBytes,
-		blockFwd:       prof.fwd,
-		blockBwd:       prof.bwd,
-		blockRecompute: prof.recompute,
-		blockFwdSlack:  prof.fwdSlack,
-		blockBwdSlack:  prof.bwdSlack,
-		recompSlack:    prof.rcSlack,
-	}
+	e := eval{m: m, sys: sys, st: st}
+	e.loadProfile(prof)
+	e.loadShape()
+	return e
+}
+
+// loadProfile copies a block profile's terms into the evaluation.
+func (e *eval) loadProfile(prof *blockProfile) {
+	e.tot = prof.tot
+	e.boundaryBytes = prof.boundaryBytes
+	e.blockFwd, e.blockBwd, e.blockRecompute = prof.fwd, prof.bwd, prof.recompute
+	e.blockFwdSlack, e.blockBwdSlack, e.recompSlack = prof.fwdSlack, prof.bwdSlack, prof.rcSlack
+}
+
+// loadShape derives the shape quantities from the strategy.
+func (e *eval) loadShape() {
+	e.n = e.st.Microbatches(e.m)
+	e.bp = e.st.BlocksPerProc(e.m)
+	e.bc = e.st.BlocksPerChunk(e.m)
 }
 
 // newEval builds a ready-to-use evaluation for the cold paths (layer

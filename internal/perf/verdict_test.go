@@ -15,20 +15,18 @@ import (
 // one runner evaluates in order, the last invalid of which fail
 // Strategy.Validate.
 type verdictChain struct {
-	name     string
-	m        model.LLM
-	sys      system.System
-	noScreen bool
-	strats   []execution.Strategy
-	invalid  int
+	name    string
+	m       model.LLM
+	sys     system.System
+	strats  []execution.Strategy
+	invalid int
 }
 
 // verdictChains are evaluation chains that between them reach every verdict
-// kind: a screened runner on a tight two-tier system (feasible, pre-screened,
-// and both capacity overflows past a passing screen), and an unscreened
-// runner on a one-tier system, fed strategies that need more processors or
-// an offload tier than it has. Both chains end in structurally invalid
-// strategies.
+// kind and every pre-screen bound: a tight two-tier system (feasible, the
+// memory bound, and both capacity overflows past a passing screen), and a
+// one-tier system fed strategies that need more processors or an offload
+// tier than it has. Both chains end in structurally invalid strategies.
 func verdictChains() []verdictChain {
 	m := model.MustPreset("gpt3-13B").WithBatch(16)
 	o := execution.EnumOptions{Procs: 8, Features: execution.FeatureAll, HasMem2: true,
@@ -56,22 +54,23 @@ func verdictChains() []verdictChain {
 	}
 	tight := system.A100(8).WithMem1Capacity(24 * units.GiB).WithMem2(system.DDR5(20 * units.GiB))
 	return []verdictChain{
-		{"screened", m, tight, false, cat(fits, invalid), len(invalid)},
-		{"unscreened", m, system.A100(8), true, cat(fits, tooMany, invalid), len(invalid)},
+		{"screened", m, tight, cat(fits, invalid), len(invalid)},
+		{"one-tier", m, system.A100(8), cat(fits, tooMany, invalid), len(invalid)},
 	}
 }
 
 // TestVerdictKindsCovered drives chains through every verdict kind and holds
 // each evaluation path to the same answer on every leaf: RunDelta's error
 // text must equal RunDetailed's (TestDeltaEqualsScratch checks this only
-// for the kinds its random sequences happen to reach), and RunLeaf, reusing
+// for the kinds its random sequences happen to reach), RunLeaf, reusing
 // one Result across the whole chain, must report the same feasibility and
-// write exactly RunDetailed's Result.
+// write exactly RunDetailed's Result, and RunDetailed must match the
+// reference evaluator.
 func TestVerdictKindsCovered(t *testing.T) {
-	// The outcomes a chain can reach: the verdict kinds, with unfit split
-	// into its two causes.
+	// The outcomes a chain can reach: the verdict kinds, with pre-screened
+	// split into the bound that rejects.
 	outcomes := map[verdictKind]string{
-		feasible: "feasible", invalidStrategy: "invalid strategy", preScreened: "pre-screened",
+		feasible: "feasible", invalidStrategy: "invalid strategy", preScreened: "memory bound",
 		mem1Overflow: "mem1 overflow", mem2Overflow: "mem2 overflow",
 	}
 	seen := map[string]int{}
@@ -82,9 +81,6 @@ func TestVerdictKindsCovered(t *testing.T) {
 				r, err := NewRunner(tc.m, tc.sys)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if tc.noScreen {
-					r.DisablePreScreen()
 				}
 				runners[i] = r
 			}
@@ -114,21 +110,24 @@ func TestVerdictKindsCovered(t *testing.T) {
 				if ok && !reflect.DeepEqual(leafRes, want) {
 					t.Fatalf("leaf %d %v: RunLeaf result differs from RunDetailed:\n got %+v\nwant %+v", i, st, leafRes, want)
 				}
+				checkReference(t, "RunDetailed", tc.m, tc.sys, st, want, wantInfo, wantErr)
 
 				kst := st
 				v := kinds.step(&kChain, &kst, &kindRes)
 				switch {
-				case v.kind != unfit:
+				case v.kind != preScreened:
 					seen[outcomes[v.kind]]++
 				case strings.Contains(v.err().Error(), "procs"):
 					seen["too many procs"]++
-				default:
+				case strings.Contains(v.err().Error(), "second memory tier"):
 					seen["no second tier"]++
+				default:
+					seen[outcomes[v.kind]]++
 				}
 			}
 		})
 	}
-	for _, o := range []string{"feasible", "invalid strategy", "pre-screened", "too many procs",
+	for _, o := range []string{"feasible", "invalid strategy", "memory bound", "too many procs",
 		"no second tier", "mem1 overflow", "mem2 overflow"} {
 		if seen[o] == 0 {
 			t.Errorf("no leaf was %s (counts %v)", o, seen)
@@ -137,8 +136,8 @@ func TestVerdictKindsCovered(t *testing.T) {
 }
 
 // TestRunLeafAllocatesNothing pins the search's per-leaf cost: on a warm
-// chain — the chain state, the shared profile memo, and the chain-local
-// profile cache all populated — evaluating a leaf allocates nothing,
+// chain — the chain state and the shared profile memo both populated —
+// evaluating a leaf allocates nothing,
 // whichever verdict it reaches. Structurally invalid strategies are left
 // out: the enumeration never produces them, and their verdict carries the
 // error Strategy.Validate built.
@@ -148,9 +147,6 @@ func TestRunLeafAllocatesNothing(t *testing.T) {
 			r, err := NewRunner(tc.m, tc.sys)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if tc.noScreen {
-				r.DisablePreScreen()
 			}
 			r.EnableStats()
 			strats := tc.strats[:len(tc.strats)-tc.invalid]

@@ -16,13 +16,7 @@ import (
 // nothing more. Scheduling knobs (Workers, Progress, callbacks) are proven
 // result-independent by the search equivalence tests and are deliberately
 // absent: a sweep sharded across machines with different worker counts must
-// hit the rows a single machine wrote. The Disable* evaluation switches
-// leave Best/Top/Pareto untouched but change the diagnostic counters, so
-// they are part of the identity — a cached verdict always reproduces the
-// counters the same search would have reported live. DisableDelta is the
-// exception and is deliberately absent: the delta path reproduces results
-// AND counters bit-identically (the no-delta equivalence arm pins this), so
-// both spellings are the same search. Shard coordinates never reach the key
+// hit the rows a single machine wrote. Shard coordinates never reach the key
 // either — sharded runs bypass the store; only whole merged searches have a
 // store identity.
 //
@@ -41,9 +35,12 @@ type keyPayload struct {
 	TopK   int                   `json:"top_k"`
 	Pareto bool                  `json:"pareto"`
 
-	DisablePreScreen    bool `json:"disable_pre_screen"`
-	DisableMemo         bool `json:"disable_memo"`
-	DisableSubtreePrune bool `json:"disable_subtree_prune"`
+	// Retired: the search options that turned off the pre-screen, the
+	// profile memo and the subtree prune are gone. The fields stay, always
+	// false, so the encoding — and every key already written — is unchanged.
+	RetiredScreenSwitch bool `json:"disable_pre_screen"`
+	RetiredMemoSwitch   bool `json:"disable_memo"`
+	RetiredPruneSwitch  bool `json:"disable_subtree_prune"`
 }
 
 // Key computes the canonical content hash identifying one search: a SHA-256
@@ -55,15 +52,12 @@ type keyPayload struct {
 // search.Execution consults its Cache only after that normalization.
 func Key(m model.LLM, sys system.System, opts search.Options) (string, error) {
 	payload := keyPayload{
-		Space:               StrategySpaceVersion,
-		Model:               m,
-		System:              sys,
-		Enum:                opts.Enum,
-		TopK:                opts.TopK,
-		Pareto:              opts.Pareto,
-		DisablePreScreen:    opts.DisablePreScreen,
-		DisableMemo:         opts.DisableMemo,
-		DisableSubtreePrune: opts.DisableSubtreePrune,
+		Space:  StrategySpaceVersion,
+		Model:  m,
+		System: sys,
+		Enum:   opts.Enum,
+		TopK:   opts.TopK,
+		Pareto: opts.Pareto,
 	}
 	data, err := json.Marshal(payload)
 	if err != nil {

@@ -29,9 +29,9 @@ func normalizedOpts(sys system.System) search.Options {
 }
 
 // TestKeyIgnoresDeltaAndScheduling: options proven result-AND-counter
-// neutral must not reach the key — a verdict computed with delta evaluation
-// (the default), without it, or under any worker count is the same search
-// and must hit the same rows.
+// neutral must not reach the key — every search evaluates on delta chains,
+// and a verdict computed under any worker count or progress attachment is
+// the same search and must hit the same rows.
 func TestKeyIgnoresDeltaAndScheduling(t *testing.T) {
 	m := model.MustPreset("gpt3-13B")
 	sys := system.A100(64)
@@ -40,8 +40,8 @@ func TestKeyIgnoresDeltaAndScheduling(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mutate := range []func(*search.Options){
-		func(o *search.Options) { o.DisableDelta = true },
 		func(o *search.Options) { o.Workers = 7 },
+		func(o *search.Options) { o.EstimateTotal, o.Progress = true, &search.Progress{} },
 	} {
 		o := normalizedOpts(sys)
 		mutate(&o)
@@ -253,21 +253,6 @@ func TestKeyNoCollisions(t *testing.T) {
 		o.Pareto = true
 		add("pareto", baseM, baseSys, o)
 	}
-	// The Disable* switches change the diagnostic counters a verdict
-	// carries, so each spelling must have its own identity.
-	for _, d := range []string{"prescreen", "memo", "subtree"} {
-		o := normalizedOpts(baseSys)
-		switch d {
-		case "prescreen":
-			o.DisablePreScreen = true
-		case "memo":
-			o.DisableMemo = true
-		case "subtree":
-			o.DisableSubtreePrune = true
-		}
-		add("disable-"+d, baseM, baseSys, o)
-	}
-
 	// Scheduling and observability knobs must NOT change the identity: a
 	// sweep sharded across machines with different worker counts has to hit
 	// the rows a single machine wrote.

@@ -73,25 +73,26 @@ func (v ServingVerdict) result() serving.Result {
 }
 
 // servingKeyPayload is the exact set of inputs that can reach a serving
-// search's result — the normalized spec plus the one Disable* switch that
-// changes a diagnostic counter. Scheduling knobs (Workers, Progress,
+// search's result: the normalized spec. Scheduling knobs (Workers, Progress,
 // callbacks) are proven result-independent by the serving equivalence tests
 // and are deliberately absent, for the same sharding reason as keyPayload.
 type servingKeyPayload struct {
-	Space            int          `json:"serving_space_version"`
-	Spec             serving.Spec `json:"spec"`
-	DisablePreScreen bool         `json:"disable_pre_screen"`
+	Space int          `json:"serving_space_version"`
+	Spec  serving.Spec `json:"spec"`
+	// Retired: the option that turned off the serving pre-screen is gone.
+	// The field stays, always false, so the encoding — and every key
+	// already written — is unchanged.
+	RetiredScreenSwitch bool `json:"disable_pre_screen"`
 }
 
 // ServingKey computes the canonical content hash identifying one serving
 // search. Callers must pass the spec as the serving engine normalizes it
 // (Spec.Normalize applied) so every spelling of the same search maps to one
 // key; serving.Search consults its Cache only after that normalization.
-func ServingKey(spec serving.Spec, opts serving.Options) (string, error) {
+func ServingKey(spec serving.Spec) (string, error) {
 	payload := servingKeyPayload{
-		Space:            ServingSpaceVersion,
-		Spec:             spec,
-		DisablePreScreen: opts.DisablePreScreen,
+		Space: ServingSpaceVersion,
+		Spec:  spec,
 	}
 	data, err := json.Marshal(payload)
 	if err != nil {
@@ -135,8 +136,8 @@ func (s *Store) ServingCache() ServingCache { return ServingCache{s: s} }
 // Lookup implements serving.Cache: it derives the canonical key and serves
 // the stored verdict, reconstructed into the exact Result a fresh search
 // would return. A key-derivation failure is reported as a miss.
-func (c ServingCache) Lookup(spec serving.Spec, opts serving.Options) (serving.Result, bool) {
-	key, err := ServingKey(spec, opts)
+func (c ServingCache) Lookup(spec serving.Spec, _ serving.Options) (serving.Result, bool) {
+	key, err := ServingKey(spec)
 	if err != nil {
 		return serving.Result{}, false
 	}
@@ -151,8 +152,8 @@ func (c ServingCache) Lookup(spec serving.Spec, opts serving.Options) (serving.R
 // verdict under its canonical key. Errors are swallowed by design, exactly
 // as on the training path — the cache is an accelerator, and a search that
 // computed a correct result must not fail because it could not persist.
-func (c ServingCache) Store(spec serving.Spec, opts serving.Options, res serving.Result) {
-	key, err := ServingKey(spec, opts)
+func (c ServingCache) Store(spec serving.Spec, _ serving.Options, res serving.Result) {
+	key, err := ServingKey(spec)
 	if err != nil {
 		return
 	}

@@ -9,26 +9,17 @@ import (
 	"calculon/internal/system"
 )
 
-// BenchmarkExecutionSearch measures end-to-end search throughput on the
-// scratch path (incremental evaluation disabled) — the paper's headline
-// capability ("millions of combinations in only a few minutes on a standard
-// desktop computer"). The strategies-per-second metric is the number to
-// watch; BenchmarkExecutionSearchDelta runs the identical search on the
-// default delta path, so the ratio of the two keeps the delta win honest
-// the same way the sweep/no-prune pair does for the lattice prune.
+// BenchmarkExecutionSearch measures end-to-end search throughput — the
+// paper's headline capability ("millions of combinations in only a few
+// minutes on a standard desktop computer"). Each worker threads a delta
+// chain through the Gray-code-adjacent toggle order, recomputing only the
+// term groups each flipped toggle can perturb. The strategies-per-second
+// metric is the number to watch.
 func BenchmarkExecutionSearch(b *testing.B) {
-	benchExecutionSearch(b, func(o *Options) { o.DisableDelta = true })
-}
-
-// BenchmarkExecutionSearchDelta is the identical search on the default
-// path: each worker threads a perf.RunDelta chain through the Gray-code-
-// adjacent toggle order, recomputing only the term groups each flipped
-// toggle can perturb.
-func BenchmarkExecutionSearchDelta(b *testing.B) {
 	benchExecutionSearch(b, func(*Options) {})
 }
 
-// BenchmarkExecutionSearchFold is the delta search keeping a top-10 and the
+// BenchmarkExecutionSearchFold is the same search keeping a top-10 and the
 // Pareto front, as the CLI's headline search does, so the gate also sees the
 // cost of folding every feasible result into best/top-K/Pareto.
 func BenchmarkExecutionSearchFold(b *testing.B) {
@@ -57,8 +48,8 @@ func benchExecutionSearch(b *testing.B, configure func(*Options)) {
 	b.ReportMetric(float64(evaluated)/b.Elapsed().Seconds(), "strategies/s")
 }
 
-// sweepBenchOptions is the §5.2-shaped configuration both sweep benchmarks
-// share: the full feature space with the beneficial toggles pinned, as the
+// sweepBenchOptions is the §5.2-shaped configuration of the sweep
+// benchmark: the full feature space with the beneficial toggles pinned, as the
 // scaling studies run it. On a capacity-limited accelerator most low-TP
 // subtrees fail the closed-form memory bound, which is exactly the regime the
 // lattice prune targets.
@@ -89,22 +80,6 @@ func BenchmarkSystemSizeSweep(b *testing.B) {
 		}
 		if !pts[len(pts)-1].Found {
 			b.Fatal("175B should fit at 512 GPUs")
-		}
-	}
-	b.ReportMetric(sweepSpace(m, sizes, opts)*float64(b.N)/b.Elapsed().Seconds(), "strategies/s")
-}
-
-// BenchmarkSystemSizeSweepNoPrune is the reference arm: the identical sweep
-// with the subtree prune disabled, so every leaf is generated and pre-screened
-// individually. The ratio of the two benchmarks' time/op is the prune's
-// speedup; CI compares both against the committed baseline.
-func BenchmarkSystemSizeSweepNoPrune(b *testing.B) {
-	m, sizes, opts := sweepBenchOptions()
-	opts.DisableSubtreePrune = true
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SystemSize(context.Background(), m, func(n int) system.System { return system.A100(n) }, sizes, opts); err != nil {
-			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(sweepSpace(m, sizes, opts)*float64(b.N)/b.Elapsed().Seconds(), "strategies/s")

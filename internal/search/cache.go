@@ -12,10 +12,9 @@ import (
 //
 // Implementations derive the identity of a search from the result-affecting
 // inputs only — the model, the system, and the normalized result-affecting
-// options (enumeration bounds, TopK, Pareto, and the Disable* evaluation
-// switches, which leave results untouched but change the diagnostic
-// counters). Scheduling knobs (Workers, Progress, callbacks) must not reach
-// the identity: results are proven independent of them.
+// options (enumeration bounds, TopK, Pareto). Scheduling knobs (Workers,
+// Progress, callbacks) must not reach the identity: results are proven
+// independent of them.
 //
 // Both methods may be called concurrently from many searches sharing one
 // cache (the service does this); implementations synchronize internally.

@@ -2,24 +2,78 @@ package search
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"calculon/internal/execution"
 	"calculon/internal/model"
+	"calculon/internal/perf"
 	"calculon/internal/system"
 	"calculon/internal/units"
 )
 
-// TestTwoPhaseEquivalence is the proof obligation of the two-phase
-// evaluation: over randomized (model, system, enumeration) draws, the search
-// with the analytic pre-screen and the block-profile memo enabled must
-// return results bit-identical to the direct path — same best strategy and
-// numbers, same top-K set, same evaluated/feasible counts, same Pareto
-// front. Both fast paths are exact rewrites, not approximations; any
-// drift here is a bug in the pre-screen bound or the memo key. The CI race
-// job runs this test with -race, which also exercises the concurrent memo.
+// referenceSearch is the search tests' reference: every leaf of the
+// enumeration, pruned subtrees included, evaluated in enumeration order
+// through RunDetailed on one fresh Runner — no lattice prune, no delta
+// chain, no worker pool — and folded by referenceFold. Its counters are
+// counted leaf by leaf: PreScreened from each leaf's RunInfo, and CacheHits
+// as the leaves that reached phase 2 minus their distinct block-profile
+// keys, since the memo misses exactly once per key.
+func referenceSearch(t *testing.T, m model.LLM, sys system.System, opts Options) Result {
+	t.Helper()
+	opts, err := normalizeOptions(m, sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := perf.NewRunner(m, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The block profile's inputs: the layers.Shard fields and the
+	// recompute mode.
+	type blockKey struct {
+		tp, microbatch                    int
+		recompute                         execution.RecomputeMode
+		seqParallel, tpRedo, fused, infer bool
+	}
+	keys := map[blockKey]bool{}
+	var items []scored
+	seq, prescreened, phase2 := 0, 0, 0
+	opts.Enum.Enumerate(m, func(st execution.Strategy) bool {
+		res, info, err := r.RunDetailed(st)
+		switch {
+		case err == nil:
+			items = append(items, scored{seq, res})
+		case !errors.Is(err, perf.ErrInfeasible):
+			t.Fatalf("leaf %d %v: %v", seq, st, err)
+		}
+		if info.PreScreened {
+			prescreened++
+		} else {
+			phase2++
+			keys[blockKey{st.TP, st.Microbatch, st.Recompute, st.SeqParallel,
+				st.TPRedoForSP, st.FusedLayers, st.Inference}] = true
+		}
+		seq++
+		return true
+	})
+	out := referenceFold(items, opts.TopK, opts.Pareto)
+	out.Evaluated = seq
+	out.PreScreened = prescreened
+	out.CacheHits = phase2 - len(keys)
+	return out
+}
+
+// TestTwoPhaseEquivalence is the proof obligation of every fast path the
+// search takes — the lattice subtree prune, the per-leaf pre-screen, the
+// shared block-profile memo, the delta chains, and the parallel fold: over
+// randomized (model, system, enumeration) draws and worker counts, the
+// search must return exactly what referenceSearch does — same best
+// strategy and numbers, same top-K, same Pareto front, same evaluated,
+// feasible, pre-screened and cache-hit counts. The CI race job runs this
+// test with -race, which also exercises the concurrent memo.
 func TestTwoPhaseEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	models := []string{"gpt3-13B", "megatron-22B", "gpt2-1.5B", "chinchilla-70B"}
@@ -59,85 +113,26 @@ func TestTwoPhaseEquivalence(t *testing.T) {
 
 		fast, err := Execution(context.Background(), m, sys, opts)
 		if err != nil {
-			t.Fatalf("draw %d: fast search: %v", i, err)
+			t.Fatalf("draw %d: search: %v", i, err)
 		}
-		for _, ref := range []struct {
-			name             string
-			noScreen, noMemo bool
-		}{
-			{"no-prescreen", true, false},
-			{"no-memo", false, true},
-			{"direct", true, true},
-			// Pre-screen and memo on, but the lattice-level subtree prune off:
-			// pins the per-leaf and per-subtree accounting to each other,
-			// PreScreened included.
-			{"no-subtree-prune", false, false},
-			// Everything on except incremental evaluation: every worker takes
-			// the scratch path, pinning the delta chains (the default) to it
-			// bit for bit — results and counters both.
-			{"no-delta", false, false},
-		} {
-			o := opts
-			o.DisablePreScreen = ref.noScreen
-			o.DisableMemo = ref.noMemo
-			o.DisableSubtreePrune = ref.name == "no-subtree-prune"
-			o.DisableDelta = ref.name == "no-delta"
-			o.Workers = 1 + rng.Intn(4)
-			slow, err := Execution(context.Background(), m, sys, o)
-			if err != nil {
-				t.Fatalf("draw %d (%s): reference search: %v", i, ref.name, err)
-			}
-			if fast.Evaluated != slow.Evaluated || fast.Feasible != slow.Feasible {
-				t.Errorf("draw %d (%s): counts diverge: fast (%d,%d) vs reference (%d,%d)",
-					i, ref.name, fast.Evaluated, fast.Feasible, slow.Evaluated, slow.Feasible)
-			}
-			if fast.Found() != slow.Found() {
-				t.Fatalf("draw %d (%s): feasibility verdict diverges", i, ref.name)
-			}
-			if !reflect.DeepEqual(fast.Best, slow.Best) {
-				t.Errorf("draw %d (%s): best diverges:\nfast: %+v %v\nreference: %+v %v",
-					i, ref.name, fast.Best.Strategy, fast.Best.BatchTime,
-					slow.Best.Strategy, slow.Best.BatchTime)
-			}
-			if !reflect.DeepEqual(fast.Top, slow.Top) {
-				t.Errorf("draw %d (%s): top-%d diverges", i, ref.name, opts.TopK)
-			}
-			if !reflect.DeepEqual(fast.Pareto, slow.Pareto) {
-				t.Errorf("draw %d (%s): Pareto front diverges (%d vs %d points)",
-					i, ref.name, len(fast.Pareto), len(slow.Pareto))
-			}
-			if ref.noScreen && slow.PreScreened != 0 {
-				t.Errorf("draw %d (%s): %d pre-screened with the filter disabled",
-					i, ref.name, slow.PreScreened)
-			}
-			if ref.noMemo && slow.CacheHits != 0 {
-				t.Errorf("draw %d (%s): %d cache hits with the memo disabled",
-					i, ref.name, slow.CacheHits)
-			}
-			if (ref.noScreen || o.DisableSubtreePrune) && slow.SubtreePruned != 0 {
-				t.Errorf("draw %d (%s): %d subtree-pruned with pruning disabled",
-					i, ref.name, slow.SubtreePruned)
-			}
-			if ref.name == "no-subtree-prune" && fast.PreScreened != slow.PreScreened {
-				t.Errorf("draw %d (%s): pre-screened diverges: %d with subtree pruning vs %d without",
-					i, ref.name, fast.PreScreened, slow.PreScreened)
-			}
-			if ref.name == "no-delta" &&
-				(fast.PreScreened != slow.PreScreened || fast.SubtreePruned != slow.SubtreePruned) {
-				t.Errorf("draw %d (%s): counters diverge between delta and scratch: (%d,%d) vs (%d,%d)",
-					i, ref.name, fast.PreScreened, fast.SubtreePruned, slow.PreScreened, slow.SubtreePruned)
-			}
+		ref := referenceSearch(t, m, sys, opts)
+		if fast.Evaluated != ref.Evaluated || fast.Feasible != ref.Feasible {
+			t.Errorf("draw %d: counts diverge: search (%d,%d) vs reference (%d,%d)",
+				i, fast.Evaluated, fast.Feasible, ref.Evaluated, ref.Feasible)
 		}
-		// The fast path's counters must be internally consistent: pre-screened
-		// strategies are a subset of the infeasible ones, and cache hits never
-		// exceed the evaluations that reached phase 2.
-		if fast.PreScreened > fast.Evaluated-fast.Feasible {
-			t.Errorf("draw %d: %d pre-screened exceeds %d infeasible",
-				i, fast.PreScreened, fast.Evaluated-fast.Feasible)
+		if fast.PreScreened != ref.PreScreened || fast.CacheHits != ref.CacheHits {
+			t.Errorf("draw %d: counters diverge: search (pre-screened %d, cache hits %d) vs reference (%d, %d)",
+				i, fast.PreScreened, fast.CacheHits, ref.PreScreened, ref.CacheHits)
 		}
-		if fast.CacheHits > fast.Evaluated-fast.PreScreened {
-			t.Errorf("draw %d: %d cache hits exceed %d phase-2 evaluations",
-				i, fast.CacheHits, fast.Evaluated-fast.PreScreened)
+		if !reflect.DeepEqual(fast.Best, ref.Best) {
+			t.Errorf("draw %d: best diverges:\nsearch: %+v %v\nreference: %+v %v",
+				i, fast.Best.Strategy, fast.Best.BatchTime, ref.Best.Strategy, ref.Best.BatchTime)
+		}
+		if !reflect.DeepEqual(fast.Top, ref.Top) {
+			t.Errorf("draw %d: top-%d diverges", i, opts.TopK)
+		}
+		if !reflect.DeepEqual(fast.Pareto, ref.Pareto) {
+			t.Errorf("draw %d: Pareto front diverges (%d vs %d points)", i, len(fast.Pareto), len(ref.Pareto))
 		}
 		// Subtree-pruned leaves are pre-screened leaves that were never
 		// generated, so the count is bounded by PreScreened.

@@ -62,34 +62,6 @@ type Options struct {
 	// ProgressInterval is the OnProgress cadence; 0 means one second.
 	ProgressInterval time.Duration
 
-	// DisablePreScreen turns off the phase-1 analytic feasibility filter so
-	// every strategy takes the full evaluation path. Results are identical
-	// either way (locked in by the equivalence property tests); this exists
-	// as an escape hatch and for A/B measurement. Disabling the pre-screen
-	// also disables subtree pruning, which is built on the same bound.
-	DisablePreScreen bool
-	// DisableMemo turns off the phase-2 block-profile cache inside the
-	// shared perf.Runner. Results are identical either way; see
-	// DisablePreScreen.
-	DisableMemo bool
-	// DisableSubtreePrune turns off the lattice-level filter: without it the
-	// producer screens each (tp,pp,dp) triple with the same closed-form
-	// memory bound the per-leaf pre-screen uses, evaluated at every toggle
-	// projection the enumeration would emit, and drops whole subtrees whose
-	// every leaf the pre-screen would reject — counting the dropped leaves
-	// as Evaluated and PreScreened in closed form instead of enumerating
-	// them. Results and counters are identical either way (locked in by the
-	// equivalence property tests), only slower with the pruning off.
-	DisableSubtreePrune bool
-	// DisableDelta turns off incremental evaluation: each worker normally
-	// threads a perf.RunDelta chain through its strategies, reusing the
-	// term groups the Gray-code-adjacent toggle order leaves unchanged from
-	// one leaf to the next, and this falls back to the scratch path
-	// (RunDetailed) instead. Results and counters are identical either way
-	// (locked in by the delta equivalence tests and the no-delta arm of the
-	// search equivalence suite), only slower with delta off.
-	DisableDelta bool
-
 	// Cache, when non-nil, is a persistent store of finished search verdicts
 	// (see internal/resultstore). It is consulted once per search, after
 	// option normalization and before any evaluation: a hit returns the
@@ -101,15 +73,14 @@ type Options struct {
 	// which is not run-to-run deterministic).
 	Cache Cache
 	// DisableStore bypasses Cache without unwiring it: no lookup, no store.
-	// The escape hatch mirrors DisablePreScreen/DisableMemo — results are
-	// identical either way, this exists for A/B tests and measurement.
+	// Results are identical either way; it exists to force re-evaluation
+	// and for A/B measurement.
 	DisableStore bool
 
 	// sharedRunner, when non-nil, evaluates strategies instead of a freshly
 	// built Runner. SystemSize threads per-size Runners drawn from one
 	// perf.RunnerGroup through it so block profiles memoized at one size are
-	// served at every other. The Disable* options must already be applied to
-	// the runner by the caller.
+	// served at every other.
 	sharedRunner *perf.Runner
 }
 
@@ -126,15 +97,13 @@ type Result struct {
 	// PreScreened counts the evaluations rejected by the phase-1 analytic
 	// filter before any layer-level work (a subset of Evaluated−Feasible);
 	// CacheHits counts evaluations that reused a memoized block profile.
-	// Both are 0 when the corresponding Disable option is set.
 	PreScreened int
 	CacheHits   int
 	// SubtreePruned counts the strategies dropped at the lattice level:
 	// leaves of (tp,pp,dp) subtrees whose closed-form bound proved every
 	// toggle combination infeasible, accounted in closed form without being
 	// enumerated. They are a subset of PreScreened (pruned leaves count as
-	// Evaluated and PreScreened, exactly as the leaf-by-leaf path would);
-	// 0 when DisableSubtreePrune or DisablePreScreen is set.
+	// Evaluated and PreScreened, exactly as the leaf-by-leaf path would).
 	SubtreePruned int
 	// Rates holds every feasible sample rate when CollectRates is set.
 	Rates []float64
@@ -284,15 +253,6 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 		if err != nil {
 			return workerState{}, 0, err
 		}
-		if opts.DisablePreScreen {
-			runner.DisablePreScreen()
-		}
-		if opts.DisableMemo {
-			runner.DisableMemo()
-		}
-		if opts.DisableDelta {
-			runner.DisableDelta()
-		}
 	}
 	tog := opts.Enum.Toggles()
 	chunks := make(chan []segment, workers)
@@ -349,14 +309,11 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 	// leaf count — exact, by TripleLeafCount — folded into the counters and
 	// the enumeration sequence so downstream tie-breaks and ETAs are
 	// bit-identical to the leaf-by-leaf path. The rest go out as segments.
-	var screen *execution.PreScreen
-	if !opts.DisableSubtreePrune && !opts.DisablePreScreen {
-		screen = execution.NewPreScreen(m, execution.Limits{
-			Procs: sys.Procs,
-			Mem1:  sys.Mem1.Capacity,
-			Mem2:  sys.Mem2.Capacity,
-		})
-	}
+	screen := execution.NewPreScreen(m, execution.Limits{
+		Procs: sys.Procs,
+		Mem1:  sys.Mem1.Capacity,
+		Mem2:  sys.Mem2.Capacity,
+	})
 	perChunk := segmentsPerChunk(tog.Len())
 	buf := make([]segment, 0, perChunk)
 	seq := seqBase
@@ -365,20 +322,18 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 		if ctx.Err() != nil {
 			break
 		}
-		if screen != nil {
-			if err := screen.CheckTriple(opts.Enum, tpd); err != nil {
-				leaves := opts.Enum.TripleLeafCount(m, tpd)
-				seq += leaves
-				subtreePruned += leaves
-				if prog != nil {
-					prog.add(progressDelta{
-						evaluated:     int64(leaves),
-						prescreened:   int64(leaves),
-						subtreePruned: int64(leaves),
-					})
-				}
-				continue
+		if err := screen.CheckTriple(opts.Enum, tpd); err != nil {
+			leaves := opts.Enum.TripleLeafCount(m, tpd)
+			seq += leaves
+			subtreePruned += leaves
+			if prog != nil {
+				prog.add(progressDelta{
+					evaluated:     int64(leaves),
+					prescreened:   int64(leaves),
+					subtreePruned: int64(leaves),
+				})
 			}
+			continue
 		}
 		more := opts.Enum.Segments(&m, tpd, func(root *execution.Strategy) bool {
 			buf = append(buf, segment{seq, *root})
@@ -655,7 +610,7 @@ func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.S
 	concurrent = maxInt(1, concurrent)
 	perSize := maxInt(1, budget/concurrent)
 	var group *perf.RunnerGroup
-	if len(sizes) > 0 && !opts.DisableMemo {
+	if len(sizes) > 0 {
 		// Sharing is best-effort: a sysAt that varies memo-relevant inputs
 		// with size makes RunnerFor refuse below, and that size falls back
 		// to a private memo.
@@ -687,12 +642,6 @@ func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.S
 			sys := sysAt(n)
 			if group != nil {
 				if r, err := group.RunnerFor(sys); err == nil {
-					if o.DisablePreScreen {
-						r.DisablePreScreen()
-					}
-					if o.DisableDelta {
-						r.DisableDelta()
-					}
 					o.sharedRunner = r
 				}
 			}
@@ -719,8 +668,12 @@ func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.S
 }
 
 // Sizes returns the multiples of step in [step, max], the x-axis of the
-// scaling studies ("considering only multiples of 8 GPUs").
+// scaling studies ("considering only multiples of 8 GPUs"). A step ≤ 0
+// gives no sizes.
 func Sizes(step, max int) []int {
+	if step <= 0 {
+		return nil
+	}
 	var out []int
 	for n := step; n <= max; n += step {
 		out = append(out, n)

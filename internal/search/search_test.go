@@ -158,10 +158,10 @@ func TestSystemSizeSweep(t *testing.T) {
 	}
 }
 
-// TestSystemSizeSweepEquivalence extends the two-phase equivalence guarantee
+// TestSystemSizeSweepEquivalence extends the search equivalence guarantee
 // to the sweep path: the cross-size shared memo, the subtree prune, and the
-// worker-budget split must leave every scaling point bit-identical to the
-// reference arms that disable them.
+// worker-budget split must leave every scaling point bit-identical to a
+// referenceSearch at that size, and to the same sweep on one worker.
 func TestSystemSizeSweepEquivalence(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(32)
 	sizes := Sizes(16, 48)
@@ -171,28 +171,27 @@ func TestSystemSizeSweepEquivalence(t *testing.T) {
 		TopK:   4,
 		Pareto: true,
 	}
-	ref, err := SystemSize(context.Background(), m, sysAt, sizes, base)
+	got, err := SystemSize(context.Background(), m, sysAt, sizes, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, arm := range []struct {
-		name string
-		mod  func(*Options)
-	}{
-		{"no-subtree-prune", func(o *Options) { o.DisableSubtreePrune = true }},
-		{"no-shared-memo", func(o *Options) { o.DisableMemo = true }},
-		{"no-prescreen", func(o *Options) { o.DisablePreScreen = true }},
-		{"one-worker", func(o *Options) { o.Workers = 1 }},
-	} {
+	for i, n := range sizes {
 		o := base
-		arm.mod(&o)
-		got, err := SystemSize(context.Background(), m, sysAt, sizes, o)
-		if err != nil {
-			t.Fatalf("%s: %v", arm.name, err)
+		o.Enum.Procs = n
+		ref := referenceSearch(t, m, sysAt(n), o)
+		want := ScalingPoint{Procs: n, Best: ref.Best, Feasible: ref.Feasible, Found: ref.Found()}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("%d procs: scaling point diverges from the reference search", n)
 		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s: scaling points diverge from the default sweep", arm.name)
-		}
+	}
+	o := base
+	o.Workers = 1
+	one, err := SystemSize(context.Background(), m, sysAt, sizes, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(one, got) {
+		t.Error("one-worker sweep diverges from the default sweep")
 	}
 }
 
@@ -209,6 +208,12 @@ func TestSizesHelper(t *testing.T) {
 	}
 	if Sizes(8, 4) != nil {
 		t.Error("empty range must be nil")
+	}
+	// A step that does not advance gives no sizes rather than looping.
+	for _, step := range []int{0, -8} {
+		if got := Sizes(step, 64); got != nil {
+			t.Errorf("Sizes(%d, 64) = %v, want nil", step, got)
+		}
 	}
 }
 

@@ -61,9 +61,6 @@ type ServingJobSpec struct {
 	PrefillSystem *config.SystemRef `json:"prefill_system,omitempty"`
 	// Assumptions price the deployments; absent means tco.DefaultAssumptions.
 	Assumptions *tco.Assumptions `json:"assumptions,omitempty"`
-	// DisablePreScreen turns off the closed-form capacity pre-screen
-	// (identical results, slower; for A/B measurement).
-	DisablePreScreen bool `json:"disable_pre_screen,omitempty"`
 }
 
 // JobSpec is the body of POST /v1/jobs: the same model/system references the
@@ -163,9 +160,8 @@ func (s JobSpec) prepareServing() (prepared, error) {
 	}
 	p.servingSpec = &spec
 	p.servingOpts = serving.Options{
-		EstimateTotal:    true,
-		DisablePreScreen: s.Serving.DisablePreScreen,
-		DisableStore:     s.Search.DisableStore,
+		EstimateTotal: true,
+		DisableStore:  s.Search.DisableStore,
 	}
 	p.timeout = time.Duration(s.Search.TimeoutSeconds * float64(time.Second))
 	return p, nil

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"calculon/internal/config"
@@ -72,5 +74,34 @@ func TestPrepareRejectsBadSpecs(t *testing.T) {
 		if _, err := tc.spec.prepare(); err == nil {
 			t.Errorf("%s: prepare accepted a bad spec", tc.name)
 		}
+	}
+}
+
+// TestServingSpecIgnoresRetiredPreScreenSwitch: serving job bodies once
+// could carry "disable_pre_screen". The switch is gone, and the lenient
+// decoder must keep accepting such bodies, preparing exactly the job the
+// same body without the field prepares.
+func TestServingSpecIgnoresRetiredPreScreenSwitch(t *testing.T) {
+	var plain, old JobSpec
+	if err := json.NewDecoder(strings.NewReader(servingSeed)).Decode(&plain); err != nil {
+		t.Fatal(err)
+	}
+	body := strings.Replace(servingSeed, `"space":`, `"disable_pre_screen": true, "space":`, 1)
+	if body == servingSeed {
+		t.Fatal("seed has no space section to splice the field before")
+	}
+	if err := json.NewDecoder(strings.NewReader(body)).Decode(&old); err != nil {
+		t.Fatalf("decode with disable_pre_screen: %v", err)
+	}
+	want, err := plain.prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := old.prepare()
+	if err != nil {
+		t.Fatalf("prepare with disable_pre_screen: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("disable_pre_screen changed the prepared job:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -100,39 +100,37 @@ func TestWorkerCountEquivalence(t *testing.T) {
 
 // TestPreScreenSoundness is the pre-screen's proof obligation: the
 // closed-form capacity bound may only reject engines the full evaluation
-// would also reject, so results with the screen on and off (the escape
-// hatch) must be byte-identical — same frontier, same Feasible, same
-// Evaluated. Only the PreScreened diagnostic may differ.
+// would also reject. Every engine of every draw that the screen rejects is
+// priced directly and must come back infeasible, without an error that
+// would have ended the search — so a search that priced it would have
+// given the same frontier, Feasible and Evaluated; only the PreScreened
+// diagnostic tells them apart.
 func TestPreScreenSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const draws = 10
-	sawRejections := false
+	rejected := 0
 	for i := 0; i < draws; i++ {
-		spec := randomSpec(rng)
-		screened, err := Search(context.Background(), spec, Options{Workers: 1 + rng.Intn(4)})
-		if err != nil {
-			t.Fatalf("draw %d: screened search: %v", i, err)
+		spec := randomSpec(rng).Normalize()
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("draw %d: %v", i, err)
 		}
-		scratch, err := Search(context.Background(), spec, Options{
-			Workers:          1 + rng.Intn(4),
-			DisablePreScreen: true,
-		})
-		if err != nil {
-			t.Fatalf("draw %d: scratch search: %v", i, err)
-		}
-		if scratch.PreScreened != 0 {
-			t.Fatalf("draw %d: %d pre-screened with the filter disabled", i, scratch.PreScreened)
-		}
-		sawRejections = sawRejections || screened.PreScreened > 0
-		// Blank the diagnostic and compare everything else byte for byte.
-		sr := screened
-		sr.PreScreened = 0
-		a, b := mustJSON(t, sr), mustJSON(t, scratch)
-		if !bytes.Equal(a, b) {
-			t.Errorf("draw %d: pre-screen changed the result:\n%s\nvs\n%s", i, a, b)
+		pbar, gbar := spec.Workload.MeanPromptLen(), spec.Workload.MeanGenLen()
+		screen := newPreScreen(&spec, pbar, gbar)
+		for _, cfg := range enumerate(spec.Model, spec.Space) {
+			why := screen.check(cfg)
+			if why == nil {
+				continue
+			}
+			rejected++
+			p := evalEngine(&spec, cfg, pbar, gbar, &pairPrefill{})
+			if p.ok || p.err != nil {
+				t.Fatalf("draw %d, engine %+v: pre-screen rejected it (%v), but direct evaluation gives ok=%v err=%v",
+					i, cfg, why, p.ok, p.err)
+			}
 		}
 	}
-	if !sawRejections {
+	t.Logf("%d rejected engines priced directly", rejected)
+	if rejected == 0 {
 		t.Error("no draw exercised the pre-screen reject path; tighten the generator")
 	}
 }
@@ -176,20 +174,17 @@ func TestSweepWorkerEquivalence(t *testing.T) {
 	}
 }
 
-// memCache is an in-memory Cache keyed on the result-affecting inputs (the
-// normalized spec and the pre-screen switch), the identity a persistent
-// store derives; it counts lookups and hits.
+// memCache is an in-memory Cache keyed on the result-affecting input (the
+// normalized spec), the identity a persistent store derives; it counts
+// lookups and hits.
 type memCache struct {
 	mu           sync.Mutex
 	rows         map[string]Result
 	lookups, hit int
 }
 
-func (c *memCache) key(spec Spec, opts Options) string {
-	b, err := json.Marshal(struct {
-		Spec
-		NoScreen bool
-	}{spec, opts.DisablePreScreen})
+func (c *memCache) key(spec Spec) string {
+	b, err := json.Marshal(spec)
 	if err != nil {
 		panic(err)
 	}
@@ -200,7 +195,7 @@ func (c *memCache) Lookup(spec Spec, opts Options) (Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lookups++
-	res, ok := c.rows[c.key(spec, opts)]
+	res, ok := c.rows[c.key(spec)]
 	if ok {
 		c.hit++
 	}
@@ -213,7 +208,7 @@ func (c *memCache) Store(spec Spec, opts Options, res Result) {
 	if c.rows == nil {
 		c.rows = map[string]Result{}
 	}
-	c.rows[c.key(spec, opts)] = res
+	c.rows[c.key(spec)] = res
 }
 
 // TestSweepMatchesSearch is the sweep's proof obligation: pricing the

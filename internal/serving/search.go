@@ -105,10 +105,7 @@ func Search(ctx context.Context, spec Spec, opts Options) (Result, error) {
 // complete. A non-nil prog receives live Evaluated/PreScreened counts.
 func evalAll(ctx context.Context, spec *Spec, opts Options, prog *search.Progress, cfgs []engineConfig, pbar, gbar int) []engineProfile {
 	workers := opts.workers()
-	var screen *preScreen
-	if !opts.DisablePreScreen {
-		screen = newPreScreen(spec, pbar, gbar)
-	}
+	screen := newPreScreen(spec, pbar, gbar)
 	profiles := make([]engineProfile, len(cfgs))
 	type span struct{ lo, hi int }
 	spans := make(chan span, workers)
@@ -125,12 +122,10 @@ func evalAll(ctx context.Context, spec *Spec, opts Options, prog *search.Progres
 				var delta search.Counts
 				for i := s.lo; i < s.hi; i++ {
 					delta.Evaluated++
-					if screen != nil {
-						if err := screen.check(cfgs[i]); err != nil {
-							profiles[i].prescreened = true
-							delta.PreScreened++
-							continue
-						}
+					if err := screen.check(cfgs[i]); err != nil {
+						profiles[i].prescreened = true
+						delta.PreScreened++
+						continue
 					}
 					profiles[i] = evalEngine(spec, cfgs[i], pbar, gbar, &shared)
 				}

@@ -222,10 +222,6 @@ type Options struct {
 	// OnProgress, when non-nil, is called periodically with snapshots.
 	OnProgress       func(search.ProgressSnapshot)
 	ProgressInterval time.Duration
-	// DisablePreScreen turns off the closed-form capacity pre-screen — the
-	// escape hatch for the soundness equivalence tests. Results are
-	// identical either way; only PreScreened and speed change.
-	DisablePreScreen bool
 	// Cache, when non-nil, serves whole searches from a persistent store
 	// and records finished ones (see internal/resultstore).
 	Cache Cache
@@ -235,8 +231,8 @@ type Options struct {
 
 // Cache is a store of finished serving-search verdicts, the serving
 // counterpart of search.Cache. Implementations derive the search identity
-// from the result-affecting inputs only (spec and the Disable* switches —
-// never Workers or callbacks) and must be safe for concurrent use.
+// from the result-affecting input only (the spec — never Workers or
+// callbacks) and must be safe for concurrent use.
 type Cache interface {
 	// Lookup returns the stored result of this exact search, if any.
 	Lookup(spec Spec, opts Options) (Result, bool)

@@ -93,9 +93,9 @@ func strategyFor(tp, pp int) execution.Strategy {
 // any pricing. Every bound is a provable lower bound on what
 // inference.Estimate charges for the steady-state (mean) workload — the
 // working-set term it omits is non-negative — so the screen never rejects an
-// engine the full evaluation would accept, and search results are identical
-// with it on or off (only PreScreened and speed change). The randomized
-// scratch-vs-prescreen equivalence test pins this.
+// engine the full evaluation would accept, and search results are those of
+// a search without it (only PreScreened and speed differ). The randomized
+// soundness test, which prices every rejected engine directly, pins this.
 type preScreen struct {
 	m       model.LLM
 	ctx     float64 // mean prompt + mean generation length, as Estimate forms it

@@ -137,7 +137,8 @@ type Network struct {
 	InNetworkCollectives bool `json:"in_network_collectives,omitempty"`
 	// ProcUse is the fraction of the processor's compute consumed when this
 	// network runs at full bandwidth (§2.2: 15% of cores for NCCL on NVLink,
-	// 2% for the scale-out NIC). It prices communication/compute overlap.
+	// 2% for the scale-out NIC). It prices communication/compute overlap,
+	// and must be below 1.
 	ProcUse float64 `json:"proc_use"`
 }
 
@@ -196,8 +197,10 @@ func (s System) Validate() error {
 		if n.Latency < 0 {
 			return fmt.Errorf("system %s: network %d (%s) latency must be non-negative", s.Name, i, n.Name)
 		}
-		if n.ProcUse < 0 || n.ProcUse > 1 {
-			return fmt.Errorf("system %s: network %d (%s) proc_use must be in [0,1]", s.Name, i, n.Name)
+		// Hiding communication costs hidden·ProcUse/(1−ProcUse) of compute,
+		// which a network that takes every core would make infinite.
+		if !(n.ProcUse >= 0 && n.ProcUse < 1) {
+			return fmt.Errorf("system %s: network %d (%s) proc_use must be in [0,1)", s.Name, i, n.Name)
 		}
 		if err := n.Efficiency.Validate(); err != nil {
 			return fmt.Errorf("system %s: network %d (%s): %w", s.Name, i, n.Name, err)

@@ -146,6 +146,7 @@ func TestValidateRejectsBadSystems(t *testing.T) {
 		func(s *System) { s.Networks = nil },
 		func(s *System) { s.Networks = []Network{{Name: "x", Size: 8, Bandwidth: 1e9}} }, // doesn't span
 		func(s *System) { s.Networks[0].ProcUse = 1.5 },
+		func(s *System) { s.Networks[0].ProcUse = 1 }, // an infinite overlap tax
 		func(s *System) { s.Networks[0].Latency = -1 },
 		func(s *System) {
 			// system-wide network listed before a sized one
