@@ -56,6 +56,9 @@ func TestExitCodeConvention(t *testing.T) {
 		{"scaling zero step", []string{"scaling", "-model", "gpt3-13B", "-step", "0", "-max", "64"}, 1, "empty size range"},
 		{"scaling negative step", []string{"scaling", "-model", "gpt3-13B", "-step", "-8", "-max", "64"}, 1, "empty size range"},
 		{"serve-search negative step", []string{"serve-search", "-model", "gpt3-13B", "-step", "-8", "-max", "64"}, 1, "empty size range"},
+		// A NaN objective fails every comparison, so it must fail validation
+		// instead of admitting every deployment.
+		{"serve-search NaN SLO", []string{"serve-search", "-model", "gpt3-13B", "-procs", "64", "-ttft", "NaN", "-tpot", "NaN"}, 1, "SLO bounds must be positive"},
 		// The timed-out search must outlast its deadline on any machine: the
 		// 10.3M-strategy headline search takes seconds, not milliseconds.
 		{"timeout", []string{"search", "-model", "gpt3-175B", "-batch", "3072", "-procs", "4096",

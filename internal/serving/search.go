@@ -1,9 +1,11 @@
 package serving
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,9 +16,6 @@ import (
 	"calculon/internal/units"
 )
 
-// frontierCompactAt bounds the candidate buffer between Pareto compactions.
-const frontierCompactAt = 4096
-
 // Search runs the SLO-constrained serving co-design search and returns the
 // Pareto frontier of deployments meeting the workload's latency objectives.
 //
@@ -26,7 +25,7 @@ const frontierCompactAt = 4096
 // indexed by the enumeration sequence — worker count and scheduling cannot
 // influence a single byte of what stage 2 sees. Stage 2 is serial closed
 // form: it composes replica counts and disaggregation splits on top of the
-// profiles, filters on the SLOs, prices $/Mtoken, and compacts the
+// profiles, filters on the SLOs, prices $/Mtoken, and folds the
 // three-objective Pareto frontier with sequence-number tie-breaks. The
 // randomized equivalence test pins byte-identical output across -workers 1
 // and -workers N.
@@ -160,10 +159,11 @@ produce:
 // enumerated at a larger one, which is the same list in the same order. It
 // surfaces the lowest-sequence spec-level failure; otherwise, for every
 // feasible engine it enumerates colocated replica counts and (when enabled)
-// disaggregated decode/prefill pool splits, keeps the SLO-feasible ones,
-// and streams them through the Pareto compactor. Being serial over the
-// deterministic profile order, its output is independent of stage 1's
-// scheduling by construction.
+// disaggregated decode/prefill pool splits, keeps the SLO-feasible ones as
+// small candidate keys, and folds them into the Pareto frontier (offer,
+// then paretoFront); only a survivor is built into a Deployment. Being
+// serial over the deterministic profile order, its output is independent
+// of stage 1's scheduling by construction.
 func compose(spec *Spec, cfgs []engineConfig, profiles []engineProfile, pbar, gbar int) (Result, error) {
 	// The unit price is validated by Spec.Validate, so ProcHour cannot fail.
 	hourly, _ := tco.ProcHour(spec.Assumptions)
@@ -176,7 +176,10 @@ func compose(spec *Spec, cfgs []engineConfig, profiles []engineProfile, pbar, gb
 	kvT := comm.Time(&so, comm.P2P, 2, kvShip)
 
 	var out Result
-	var fr frontier
+	// The candidate buffer starts on the stack; a budget whose tail-filtered
+	// candidates outgrow it moves to the heap as append doubles it.
+	var bufArr [256]candidate
+	buf := bufArr[:0]
 	seq := 0
 	for i := range profiles {
 		cfg := cfgs[i]
@@ -200,47 +203,23 @@ func compose(spec *Spec, cfgs []engineConfig, profiles []engineProfile, pbar, gb
 			maxR = spec.Space.MaxReplicas
 		}
 
-		// Colocated continuous batching: the engine retires cfg.batch
-		// sequences every ḡ steps and owes their prefill work in return;
-		// chunked across the window, each decode step (on each stage)
-		// carries 1/(ḡ·PP) of a full-batch prefill.
-		tpot := p.est.StepTime + p.est.PrefillTime.DivN(float64(gbar))
-		ttft := p.prefill1 + tpot
-		perStage := units.Seconds(float64(cfg.batch) / p.est.TokensPerSec)
-		interf := p.est.PrefillTime.DivN(float64(gbar * cfg.pp))
-		perReplica := (perStage + interf).Rate(float64(cfg.batch))
+		m := colocated(p, cfg, gbar)
 		for r := 1; r <= maxR; r++ {
 			seq++
-			if tpot > slo.TPOT || ttft > slo.TTFT {
+			if !m.meets(slo) {
 				continue
 			}
 			out.Feasible++
-			procs := r * engineProcs
-			cluster := float64(r) * perReplica
-			fr.push(Deployment{
-				Seq: seq, TP: cfg.tp, PP: cfg.pp, Batch: cfg.batch, KVOffload: cfg.kvOffload,
-				Replicas: r, Procs: procs,
-				TTFT: ttft, TPOT: tpot,
-				UserTokensPerSec:     tpot.Rate(1),
-				ClusterTokensPerSec:  cluster,
-				CostPerMToken:        costPerMToken(procs, cluster, hourly),
-				DecodeBandwidthBound: p.est.DecodeBandwidthBound,
-			})
+			buf = offer(buf, m.candidate(seq, i, r, 0, r*engineProcs, hourly))
 		}
 
 		if !spec.Space.Disaggregate {
 			continue
 		}
-		// Disaggregated pools: decode replicas run pure decode (no prefill
-		// interference), a separately-sized prefill pool keeps up with the
-		// retirement rate, and each admitted request pays the KV shipment
-		// on its TTFT path.
-		tpotD := p.est.StepTime
-		tputD := p.est.TokensPerSec
-		ttftD := p.prefillP1 + kvT + tpotD
-		// Each decode replica retires tputD/ḡ requests per second; a
+		m = disaggregated(p, kvT)
+		// Each decode replica retires perReplica/ḡ requests per second; a
 		// prefill replica completes one mean prompt per prefillPMean.
-		reqRate := tputD / float64(gbar)
+		reqRate := m.perReplica / float64(gbar)
 		for rd := 1; rd <= maxR; rd++ {
 			rp := int(math.Ceil(p.prefillPMean.AtRate(float64(rd) * reqRate)))
 			if rp < 1 {
@@ -254,25 +233,24 @@ func compose(spec *Spec, cfgs []engineConfig, profiles []engineProfile, pbar, gb
 				break
 			}
 			seq++
-			if tpotD > slo.TPOT || ttftD > slo.TTFT {
+			if !m.meets(slo) {
 				continue
 			}
 			out.Feasible++
-			cluster := float64(rd) * tputD
-			fr.push(Deployment{
-				Seq: seq, TP: cfg.tp, PP: cfg.pp, Batch: cfg.batch, KVOffload: cfg.kvOffload,
-				Disaggregated: true, Replicas: rd, PrefillReplicas: rp, Procs: procs,
-				TTFT: ttftD, TPOT: tpotD, KVTransferTime: kvT,
-				UserTokensPerSec:     tpotD.Rate(1),
-				ClusterTokensPerSec:  cluster,
-				CostPerMToken:        costPerMToken(procs, cluster, hourly),
-				DecodeBandwidthBound: p.est.DecodeBandwidthBound,
-			})
+			buf = offer(buf, m.candidate(seq, i, rd, rp, procs, hourly))
 		}
 	}
-	fr.compact()
-	out.Frontier = fr.pts
-	if len(out.Frontier) > 0 {
+	if front := paretoFront(buf); len(front) > 0 {
+		out.Frontier = make([]Deployment, len(front))
+		for k := range front {
+			c := &front[k]
+			p := &profiles[c.engine]
+			m := colocated(p, cfgs[c.engine], gbar)
+			if c.prefill > 0 {
+				m = disaggregated(p, kvT)
+			}
+			out.Frontier[k] = c.deployment(cfgs[c.engine], p, &m)
+		}
 		out.Best = &out.Frontier[0]
 	}
 	return out, nil
@@ -284,63 +262,159 @@ func costPerMToken(procs int, tokensPerSec, hourly float64) float64 {
 	return float64(procs) * hourly / (tokensPerSec * 3_600) * 1e6
 }
 
-// frontier accumulates candidate deployments and keeps only the Pareto-
-// optimal set over (UserTokensPerSec ↑, ClusterTokensPerSec ↑,
-// CostPerMToken ↓). Compaction is order-independent: the surviving set of a
-// candidate stream is the same however the stream is buffered, and
-// objective-equal duplicates keep only the lowest sequence number — both
-// necessary for the byte-identical-output contract.
-type frontier struct {
-	pts []Deployment
+// mode is how one engine serves in one deployment mode: the latencies every
+// request sees, the per-request KV shipment (split pools only), and the
+// cluster rate each decode replica adds. Candidates and the survivors'
+// Deployments are both derived from it, so their numbers agree bit for bit.
+type mode struct {
+	ttft, tpot, kvT units.Seconds
+	perReplica      float64
 }
 
-func (f *frontier) push(d Deployment) {
-	f.pts = append(f.pts, d)
-	if len(f.pts) >= frontierCompactAt {
-		f.compact()
+// colocated is continuous batching on one pool: the engine retires
+// cfg.batch sequences every ḡ steps and owes their prefill work in return;
+// chunked across the window, each decode step (on each stage) carries
+// 1/(ḡ·PP) of a full-batch prefill.
+func colocated(p *engineProfile, cfg engineConfig, gbar int) mode {
+	tpot := p.est.StepTime + p.est.PrefillTime.DivN(float64(gbar))
+	perStage := units.Seconds(float64(cfg.batch) / p.est.TokensPerSec)
+	interf := p.est.PrefillTime.DivN(float64(gbar * cfg.pp))
+	return mode{
+		ttft:       p.prefill1 + tpot,
+		tpot:       tpot,
+		perReplica: (perStage + interf).Rate(float64(cfg.batch)),
 	}
 }
 
-// compact sorts by (cost asc, user rate desc, cluster rate desc, seq asc)
-// and drops every point weakly dominated by an earlier survivor; a point
-// equal on all three objectives counts as dominated, so each objective
-// triple keeps exactly one canonical (lowest-seq) representative.
-func (f *frontier) compact() {
-	sort.Slice(f.pts, func(i, j int) bool {
-		a, b := &f.pts[i], &f.pts[j]
-		if a.CostPerMToken != b.CostPerMToken {
-			return a.CostPerMToken < b.CostPerMToken
-		}
-		if a.UserTokensPerSec != b.UserTokensPerSec {
-			return a.UserTokensPerSec > b.UserTokensPerSec
-		}
-		if a.ClusterTokensPerSec != b.ClusterTokensPerSec {
-			return a.ClusterTokensPerSec > b.ClusterTokensPerSec
-		}
-		return a.Seq < b.Seq
+// disaggregated is the split-pool mode: decode replicas run pure decode (no
+// prefill interference), a separately-sized prefill pool keeps up with the
+// retirement rate, and each admitted request pays the KV shipment kvT on
+// its TTFT path.
+func disaggregated(p *engineProfile, kvT units.Seconds) mode {
+	tpot := p.est.StepTime
+	return mode{
+		ttft:       p.prefillP1 + kvT + tpot,
+		tpot:       tpot,
+		kvT:        kvT,
+		perReplica: p.est.TokensPerSec,
+	}
+}
+
+// meets reports whether the mode's latencies satisfy both objectives; they
+// do not depend on the replica count.
+func (m *mode) meets(slo SLO) bool {
+	return !(m.tpot > slo.TPOT || m.ttft > slo.TTFT)
+}
+
+// candidate is one SLO-feasible deployment as the frontier fold sees it:
+// its three objectives, its enumeration sequence number, and what rebuilds
+// it — the engine's index and its pool sizes (prefill > 0 marks a
+// disaggregated split).
+type candidate struct {
+	cost, user, cluster float64
+	seq                 int
+	engine              int
+	replicas, prefill   int
+	procs               int
+}
+
+// candidate prices `replicas` decode replicas of engine i in this mode on
+// procs processors in all (prefill replicas included).
+func (m *mode) candidate(seq, engine, replicas, prefill, procs int, hourly float64) candidate {
+	cluster := float64(replicas) * m.perReplica
+	return candidate{
+		cost: costPerMToken(procs, cluster, hourly), user: m.tpot.Rate(1), cluster: cluster,
+		seq: seq, engine: engine, replicas: replicas, prefill: prefill, procs: procs,
+	}
+}
+
+// deployment builds the surviving candidate's Deployment from its engine
+// and the mode that priced it; the objectives are the candidate's own.
+func (c *candidate) deployment(cfg engineConfig, p *engineProfile, m *mode) Deployment {
+	return Deployment{
+		Seq: c.seq, TP: cfg.tp, PP: cfg.pp, Batch: cfg.batch, KVOffload: cfg.kvOffload,
+		Disaggregated: c.prefill > 0, Replicas: c.replicas, PrefillReplicas: c.prefill, Procs: c.procs,
+		TTFT: m.ttft, TPOT: m.tpot, KVTransferTime: m.kvT,
+		UserTokensPerSec:     c.user,
+		ClusterTokensPerSec:  c.cluster,
+		CostPerMToken:        c.cost,
+		DecodeBandwidthBound: p.est.DecodeBandwidthBound,
+	}
+}
+
+// covers reports whether a is at least as good as b on every objective
+// (UserTokensPerSec ↑, ClusterTokensPerSec ↑, CostPerMToken ↓): weak
+// dominance, so an objective-equal pair covers each other.
+func covers(a, b *candidate) bool {
+	return a.cost <= b.cost && a.user >= b.user && a.cluster >= b.cluster
+}
+
+// offer appends c to the candidate buffer through an exact tail filter: c
+// is dropped when the buffer's last key covers it, and otherwise pops every
+// tail key it covers. Both are exact. A dropped or popped key is weakly
+// dominated by another candidate, and when the two are objective-equal the
+// one that goes is the later, higher seq — so it could never be on the
+// frontier, whose members are the candidates no other candidate strictly
+// dominates, each objective triple kept once at its lowest seq. Inside one
+// engine's replica loop the per-user rate is fixed and the cluster rate
+// rises, so most of a loop collapses here before any sort.
+func offer(buf []candidate, c candidate) []candidate {
+	n := len(buf)
+	if n > 0 && covers(&buf[n-1], &c) {
+		return buf
+	}
+	for n > 0 && covers(&c, &buf[n-1]) {
+		n--
+	}
+	return append(buf[:n], c)
+}
+
+// paretoFront returns the Pareto-optimal candidates of buf, reusing its
+// storage, in frontier order: cost ascending, then per-user rate
+// descending, cluster rate descending, seq ascending. It is the maxima
+// sweep of Kung, Luccio and Preparata (J. ACM 22(4), 1975): one sort puts
+// every candidate after all that could cover it, then a 2-D staircase over
+// (user, cluster) of the survivors so far answers "is it covered?" with one
+// binary search, since every survivor costs no more. The staircase runs
+// user strictly down and cluster strictly up, so the survivor with the
+// least user rate still ≥ the candidate's has the most cluster rate of
+// them; a new survivor evicts the contiguous run of steps it covers. An
+// objective-equal later-seq candidate is covered by its earlier twin, which
+// keeps the lowest-seq tie rule. The result is a function of the candidate
+// set alone, however it was offered or filtered.
+func paretoFront(buf []candidate) []candidate {
+	slices.SortFunc(buf, func(a, b candidate) int {
+		return cmp.Or(
+			cmp.Compare(a.cost, b.cost),
+			cmp.Compare(b.user, a.user),
+			cmp.Compare(b.cluster, a.cluster),
+			cmp.Compare(a.seq, b.seq),
+		)
 	})
-	kept := f.pts[:0]
-	for _, d := range f.pts {
-		dominated := false
-		for k := range kept {
-			if dominates(&kept[k], &d) {
-				dominated = true
-				break
-			}
+	// The staircase is never longer than the front, which rarely passes a
+	// few dozen points, so it stays on the stack.
+	type step struct{ user, cluster float64 }
+	var stairArr [64]step
+	stair := stairArr[:0]
+	kept := buf[:0]
+	for _, c := range buf {
+		// Steps [0, i) have a per-user rate of at least c's.
+		i := sort.Search(len(stair), func(j int) bool { return stair[j].user < c.user })
+		if i > 0 && stair[i-1].cluster >= c.cluster {
+			continue
 		}
-		if !dominated {
-			kept = append(kept, d)
+		s := i
+		if i > 0 && stair[i-1].user == c.user {
+			s = i - 1
 		}
+		e := s
+		for e < len(stair) && stair[e].cluster <= c.cluster {
+			e++
+		}
+		stair = slices.Replace(stair, s, e, step{c.user, c.cluster})
+		kept = append(kept, c)
 	}
-	f.pts = kept
-}
-
-// dominates reports whether a is at least as good as b on every objective
-// (equality on all three counts, deduplicating the frontier).
-func dominates(a, b *Deployment) bool {
-	return a.CostPerMToken <= b.CostPerMToken &&
-		a.UserTokensPerSec >= b.UserTokensPerSec &&
-		a.ClusterTokensPerSec >= b.ClusterTokensPerSec
+	return kept
 }
 
 // SizeResult is one point of the right-sizing sweep.

@@ -74,11 +74,15 @@ func (w Workload) Validate() error {
 			return fmt.Errorf("serving: bucket %d: prompt length must be ≥1, got %d", i, b.PromptLen)
 		case b.GenLen < 1:
 			return fmt.Errorf("serving: bucket %d: generation length must be ≥1, got %d", i, b.GenLen)
-		case b.Weight <= 0:
-			return fmt.Errorf("serving: bucket %d: weight must be positive, got %g", i, b.Weight)
+		case !(b.Weight > 0) || math.IsInf(b.Weight, 1):
+			// The weighted means divide by the weight sum; a NaN or
+			// infinite weight would make them NaN.
+			return fmt.Errorf("serving: bucket %d: weight must be positive and finite, got %g", i, b.Weight)
 		}
 	}
-	if w.SLO.TTFT <= 0 || w.SLO.TPOT <= 0 {
+	// Written as !(x > 0) so a NaN bound, which every comparison would
+	// pass, is rejected too; +Inf stays a valid "unbounded".
+	if !(w.SLO.TTFT > 0) || !(w.SLO.TPOT > 0) {
 		return fmt.Errorf("serving: SLO bounds must be positive, got TTFT %v TPOT %v", w.SLO.TTFT, w.SLO.TPOT)
 	}
 	return nil

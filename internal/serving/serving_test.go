@@ -2,6 +2,8 @@ package serving
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 
 	"calculon/internal/inference"
@@ -65,7 +67,7 @@ func TestServingSearchBasic(t *testing.T) {
 			t.Errorf("frontier not sorted by cost at %d", i)
 		}
 	}
-	// No frontier point may weakly dominate another — compaction dedups
+	// No frontier point may weakly dominate another — the fold dedups
 	// objective-equal points, so survivors are pairwise non-dominated.
 	for i := range res.Frontier {
 		for j := range res.Frontier {
@@ -85,6 +87,10 @@ func TestImpossibleSLOFindsNothing(t *testing.T) {
 	}
 	if res.Feasible != 0 || len(res.Frontier) != 0 || res.Best != nil {
 		t.Fatalf("nothing can meet a nanosecond SLO, got %d feasible", res.Feasible)
+	}
+	// An empty frontier is nil, so the JSON output reads null.
+	if res.Frontier != nil {
+		t.Fatal("an empty frontier must be nil")
 	}
 	if res.Evaluated == 0 {
 		t.Fatal("engines must still be evaluated")
@@ -179,36 +185,111 @@ func TestKVOffloadEntersSpace(t *testing.T) {
 	}
 }
 
-func TestSweepMonotone(t *testing.T) {
-	spec := basicSpec()
-	sizes := []int{4, 8, 16}
-	out, err := Sweep(context.Background(), spec, sizes, Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(sizes) {
-		t.Fatalf("got %d points for %d sizes", len(out), len(sizes))
-	}
-	prevFeasible, prevCluster := 0, 0.0
-	for i, p := range out {
-		if p.Procs != sizes[i] {
-			t.Fatalf("point %d: procs %d, want %d", i, p.Procs, sizes[i])
-		}
-		// A larger budget strictly contains the smaller one's deployment
-		// space, so feasibility and peak throughput cannot shrink.
-		if p.Result.Feasible < prevFeasible {
-			t.Errorf("feasible count shrank at %d procs: %d < %d", p.Procs, p.Result.Feasible, prevFeasible)
-		}
-		best := 0.0
-		for _, d := range p.Result.Frontier {
-			if d.ClusterTokensPerSec > best {
-				best = d.ClusterTokensPerSec
+// uncovered returns the first point of front that no point of wider
+// weakly dominates, or nil when wider covers all of front.
+func uncovered(front, wider []Deployment) *Deployment {
+	for i := range front {
+		covered := false
+		for j := range wider {
+			if dominates(&wider[j], &front[i]) {
+				covered = true
+				break
 			}
 		}
-		if best < prevCluster {
-			t.Errorf("peak cluster throughput shrank at %d procs: %g < %g", p.Procs, best, prevCluster)
+		if !covered {
+			return &front[i]
 		}
-		prevFeasible, prevCluster = p.Result.Feasible, best
+	}
+	return nil
+}
+
+// TestSweepMonotone is metamorphic: a candidate's objectives do not depend
+// on the budget, and a larger budget's candidate set contains a smaller
+// one's, so feasibility cannot shrink and every frontier point at budget N
+// must be weakly dominated by some frontier point at every larger budget.
+func TestSweepMonotone(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	specs := []Spec{basicSpec()}
+	for i := 0; i < 6; i++ {
+		specs = append(specs, randomSpec(rng))
+	}
+	sizes := []int{4, 8, 16, 32}
+	checked := 0
+	for d, spec := range specs {
+		out, err := Sweep(context.Background(), spec, sizes, Options{Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != len(sizes) {
+			t.Fatalf("spec %d: got %d points for %d sizes", d, len(out), len(sizes))
+		}
+		for i, p := range out {
+			if p.Procs != sizes[i] {
+				t.Fatalf("spec %d, point %d: procs %d, want %d", d, i, p.Procs, sizes[i])
+			}
+			for _, q := range out[i+1:] {
+				if q.Result.Feasible < p.Result.Feasible {
+					t.Errorf("spec %d: feasible count shrank from %d procs to %d: %d < %d",
+						d, p.Procs, q.Procs, q.Result.Feasible, p.Result.Feasible)
+				}
+				if u := uncovered(p.Result.Frontier, q.Result.Frontier); u != nil {
+					t.Errorf("spec %d: frontier point seq %d at %d procs is dominated by nothing at %d procs: %+v",
+						d, u.Seq, p.Procs, q.Procs, *u)
+				}
+				checked += len(p.Result.Frontier)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("no frontier point was checked against a larger budget")
+	}
+	t.Logf("%d frontier points checked against larger budgets", checked)
+}
+
+// TestLooserSLOMonotone is the SLO counterpart of TestSweepMonotone: the
+// objectives only filter candidates, so loosening TTFT or TPOT can only add
+// feasible deployments, and every frontier point under the tighter
+// objectives must be weakly dominated by some point under the looser ones.
+func TestLooserSLOMonotone(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	sawGrowth := false
+	for d := 0; d < 10; d++ {
+		spec := randomSpec(rng)
+		spec.Space.Procs = min(spec.Space.Procs, 16)
+		tight, err := Search(context.Background(), spec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slo := spec.Workload.SLO
+		for _, l := range []struct {
+			name string
+			slo  SLO
+		}{
+			{"ttft", SLO{TTFT: 4 * slo.TTFT, TPOT: slo.TPOT}},
+			{"tpot", SLO{TTFT: slo.TTFT, TPOT: 4 * slo.TPOT}},
+			{"both", SLO{TTFT: units.Seconds(math.Inf(1)), TPOT: units.Seconds(math.Inf(1))}},
+		} {
+			name := l.name
+			sp := spec
+			sp.Workload.SLO = l.slo
+			loose, err := Search(context.Background(), sp, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loose.Evaluated != tight.Evaluated {
+				t.Errorf("draw %d, looser %s: evaluated %d engines, tighter %d", d, name, loose.Evaluated, tight.Evaluated)
+			}
+			if loose.Feasible < tight.Feasible {
+				t.Errorf("draw %d, looser %s: feasible shrank %d → %d", d, name, tight.Feasible, loose.Feasible)
+			}
+			sawGrowth = sawGrowth || loose.Feasible > tight.Feasible
+			if u := uncovered(tight.Frontier, loose.Frontier); u != nil {
+				t.Errorf("draw %d, looser %s: frontier point seq %d is dominated by nothing: %+v", d, name, u.Seq, *u)
+			}
+		}
+	}
+	if !sawGrowth {
+		t.Error("no draw gained a feasible deployment from a looser SLO")
 	}
 }
 
@@ -222,6 +303,10 @@ func TestSpecValidation(t *testing.T) {
 		{"zero prompt", func(s *Spec) { s.Workload.Mix[0].PromptLen = 0 }},
 		{"zero gen", func(s *Spec) { s.Workload.Mix[0].GenLen = 0 }},
 		{"zero SLO", func(s *Spec) { s.Workload.SLO = SLO{} }},
+		{"NaN TTFT", func(s *Spec) { s.Workload.SLO.TTFT = units.Seconds(math.NaN()) }},
+		{"NaN TPOT", func(s *Spec) { s.Workload.SLO.TPOT = units.Seconds(math.NaN()) }},
+		{"NaN weight", func(s *Spec) { s.Workload.Mix[0].Weight = math.NaN() }},
+		{"infinite weight", func(s *Spec) { s.Workload.Mix[1].Weight = math.Inf(1) }},
 		{"zero budget", func(s *Spec) { s.Space.Procs = 0 }},
 		{"negative bound", func(s *Spec) { s.Space.MaxTP = -1 }},
 		{"bad prefill system", func(s *Spec) { s.PrefillSystem = &system.System{} }},
@@ -233,6 +318,12 @@ func TestSpecValidation(t *testing.T) {
 			t.Errorf("%s: expected a validation error", tc.name)
 		}
 	}
+	// An infinite bound is a valid "unbounded" objective.
+	spec := basicSpec()
+	spec.Workload.SLO = SLO{TTFT: units.Seconds(math.Inf(1)), TPOT: units.Seconds(math.Inf(1))}
+	if res, err := Search(context.Background(), spec, Options{}); err != nil || res.Feasible == 0 {
+		t.Errorf("unbounded SLOs: %d feasible, error %v", res.Feasible, err)
+	}
 }
 
 func TestMeanWorkload(t *testing.T) {
@@ -243,26 +334,6 @@ func TestMeanWorkload(t *testing.T) {
 	}
 	if got := w.MeanGenLen(); got != 160 {
 		t.Errorf("mean gen: got %d, want 160", got)
-	}
-}
-
-func TestFrontierCompaction(t *testing.T) {
-	var f frontier
-	f.push(Deployment{Seq: 1, UserTokensPerSec: 10, ClusterTokensPerSec: 100, CostPerMToken: 5})
-	// Dominated on every axis.
-	f.push(Deployment{Seq: 2, UserTokensPerSec: 9, ClusterTokensPerSec: 90, CostPerMToken: 6})
-	// Objective-equal duplicate of seq 1: deduplicated, lowest seq kept.
-	f.push(Deployment{Seq: 3, UserTokensPerSec: 10, ClusterTokensPerSec: 100, CostPerMToken: 5})
-	// Trades user rate for cluster rate: survives.
-	f.push(Deployment{Seq: 4, UserTokensPerSec: 5, ClusterTokensPerSec: 200, CostPerMToken: 5})
-	// Cheaper but worse everywhere else: survives.
-	f.push(Deployment{Seq: 5, UserTokensPerSec: 1, ClusterTokensPerSec: 10, CostPerMToken: 1})
-	f.compact()
-	if len(f.pts) != 3 {
-		t.Fatalf("got %d survivors, want 3: %+v", len(f.pts), f.pts)
-	}
-	if f.pts[0].Seq != 5 || f.pts[1].Seq != 1 || f.pts[2].Seq != 4 {
-		t.Errorf("wrong survivors/order: %+v", f.pts)
 	}
 }
 
