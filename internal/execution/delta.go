@@ -36,6 +36,10 @@ const (
 	numStrategyFields = iota
 )
 
+// AllFields marks every field changed: the mask of a leaf with no
+// predecessor to diff against.
+const AllFields = ^FieldMask(0)
+
 // Has reports whether any bit of q is set in m.
 func (m FieldMask) Has(q FieldMask) bool { return m&q != 0 }
 

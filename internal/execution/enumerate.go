@@ -139,7 +139,7 @@ func (o EnumOptions) EnumerateTriple(m model.LLM, tpd [3]int, yield func(Strateg
 	count := 0
 	tog := o.Toggles()
 	more := o.Segments(&m, tpd, func(root *Strategy) bool {
-		return tog.Walk(root, func(s *Strategy) bool {
+		return tog.Walk(root, func(s *Strategy, _ FieldMask) bool {
 			count++
 			return yield(*s)
 		})
@@ -354,9 +354,10 @@ func (t *Toggles) Len() int {
 }
 
 // Walk visits every toggle combination of the segment rooted at st,
-// overwriting st's toggle fields in place before each yield — no strategy
-// is copied — and reports whether the walk ran to completion (false when
-// yield stopped it). The other fields of st are left as they are.
+// writing st's toggle fields in place before each yield — no strategy is
+// copied — and reports whether the walk ran to completion (false when
+// yield stopped it). The other fields of st are left as they are, and yield
+// must leave the toggle fields as it found them.
 //
 // The walk is a reflected mixed-radix Gray code over the toggle dimensions
 // (recompute, comm combo, TP overlap, DP overlap, optimizer sharding, fused
@@ -364,34 +365,21 @@ func (t *Toggles) Len() int {
 // an outer one advances, each dimension sweeps alternately up and down, so
 // two successive strategies always differ in exactly one dimension. The
 // offload dimension is itself a 3-bit Gray sequence, so successive offload
-// combos flip a single switch. Delta evaluation (perf.Runner.RunDelta)
-// exploits this adjacency: the fewer toggles change between neighbors, the
-// more per-strategy terms carry over unrecomputed. Every combination is
-// still emitted exactly once; only the order differs from a plain nested
-// loop. The order is part of the deterministic tie-break sequence, so
-// changing it is a strategy-space version bump (resultstore).
-func (t *Toggles) Walk(st *Strategy, yield func(*Strategy) bool) bool {
+// combos flip a single switch. Each yield carries the fields changed since
+// the previous leaf (their DiffMask; AllFields on the first), which delta
+// evaluation (perf.Runner.RunLeaf) takes as is: the fewer toggles change
+// between neighbors, the more terms carry over unrecomputed. Every
+// combination is still emitted exactly once; only the order differs from a
+// plain nested loop. The order is part of the deterministic tie-break
+// sequence, so changing it is a strategy-space version bump (resultstore).
+func (t *Toggles) Walk(st *Strategy, yield func(*Strategy, FieldMask) bool) bool {
 	sizes := t.sizes()
 	var idx [7]int
 	dir := [7]int{1, 1, 1, 1, 1, 1, 1}
-	for {
-		cc := &t.comms[idx[1]]
-		off := &t.offloads[idx[6]]
-		st.Recompute = t.recomputes[idx[0]]
-		st.TPRSAG = cc.rsag
-		st.SeqParallel = cc.sp
-		st.TPRedoForSP = cc.redo
-		st.PPRSAG = cc.pprsag
-		st.TPOverlap = t.tpOverlaps[idx[2]]
-		st.DPOverlap = t.dpOverlaps[idx[3]]
-		st.OptimSharding = t.shards[idx[4]]
-		st.FusedLayers = t.fused[idx[5]]
-		st.WeightOffload = off[0]
-		st.ActOffload = off[1]
-		st.OptimOffload = off[2]
-		if !yield(st) {
-			return false
-		}
+	for d := range idx {
+		t.set(st, d, 0)
+	}
+	for mask := AllFields; yield(st, mask); {
 		// Advance the deepest dimension that can still move in its current
 		// direction, reflecting (reversing) every deeper one that cannot.
 		// When no dimension can move, the space is exhausted.
@@ -408,7 +396,43 @@ func (t *Toggles) Walk(st *Strategy, yield func(*Strategy) bool) bool {
 		if i < 0 {
 			return true
 		}
+		mask = t.set(st, i, idx[i])
 	}
+	return false
+}
+
+// set writes value j of toggle dimension d into st and returns the fields
+// that changed.
+func (t *Toggles) set(st *Strategy, d, j int) FieldMask {
+	switch d {
+	case 0:
+		return flip(&st.Recompute, t.recomputes[j], FieldRecompute)
+	case 1:
+		c := &t.comms[j]
+		return flip(&st.TPRSAG, c.rsag, FieldTPRSAG) | flip(&st.SeqParallel, c.sp, FieldSeqParallel) |
+			flip(&st.TPRedoForSP, c.redo, FieldTPRedoForSP) | flip(&st.PPRSAG, c.pprsag, FieldPPRSAG)
+	case 2:
+		return flip(&st.TPOverlap, t.tpOverlaps[j], FieldTPOverlap)
+	case 3:
+		return flip(&st.DPOverlap, t.dpOverlaps[j], FieldDPOverlap)
+	case 4:
+		return flip(&st.OptimSharding, t.shards[j], FieldOptimSharding)
+	case 5:
+		return flip(&st.FusedLayers, t.fused[j], FieldFusedLayers)
+	default:
+		o := &t.offloads[j]
+		return flip(&st.WeightOffload, o[0], FieldWeightOffload) | flip(&st.ActOffload, o[1], FieldActOffload) |
+			flip(&st.OptimOffload, o[2], FieldOptimOffload)
+	}
+}
+
+// flip sets *f to v and returns bit if that changed it.
+func flip[T comparable](f *T, v T, bit FieldMask) (m FieldMask) {
+	if *f != v {
+		m = bit
+	}
+	*f = v
+	return m
 }
 
 // SpaceSize counts the strategies Enumerate would generate without invoking

@@ -62,21 +62,20 @@ const (
 		execution.FieldActOffload | execution.FieldOptimOffload |
 		execution.FieldOptimSharding
 
-	// memoryMask covers eval.memory: per-tier totals over weights,
-	// gradients, optimizer state, and activations, including the in-flight
-	// microbatch count (OneFOneB) and every offload/sharding residency rule.
-	memoryMask = profileMask | shapeMask | execution.FieldOneFOneB |
-		execution.FieldOptimSharding | execution.FieldDPOverlap |
-		execution.FieldWeightOffload | execution.FieldActOffload |
+	// The memory rows (memory.go); activations read OneFOneB for the
+	// in-flight microbatch count. An offload flip reruns one row.
+	memWeightsMask = profileMask | shapeMask | execution.FieldWeightOffload |
+		execution.FieldOptimSharding | execution.FieldDPOverlap
+	memOptimMask = profileMask | shapeMask | execution.FieldOptimSharding |
 		execution.FieldOptimOffload
-
-	allFields = ^execution.FieldMask(0)
+	memActsMask = profileMask | shapeMask | execution.FieldOneFOneB |
+		execution.FieldActOffload
 )
 
-// deltaState carries one evaluation chain's reusable terms between RunDelta
-// calls: the last fully evaluated strategy, its eval state and memory
-// breakdown, the pre-screen verdicts of the current parallelism base, and
-// the one-entry memos of the log10-priced lookups. It is NOT safe for
+// deltaState carries one evaluation chain's reusable terms between leaves:
+// the last admitted strategy and its evaluation state, the fields changed
+// since, the pre-screen verdicts of the current parallelism base, and the
+// one-entry memos of the log10-priced lookups. It is NOT safe for
 // concurrent use — each worker goroutine threads its own chain through the
 // RunInfo it gets back — while the owning Runner stays shared. Everything
 // here is built lazily by the chain itself, so neither the Runner
@@ -86,9 +85,10 @@ type deltaState struct {
 
 	valid bool
 	prev  execution.Strategy // normalized, groups fully evaluated; e.st points here
-	e     eval
-	mem1  MemBreakdown
-	mem2  MemBreakdown
+	evalState
+	v        verdict             // the last leaf's, when it failed
+	mask     execution.FieldMask // changed since prev, through the last leaf
+	admitted bool                // the last leaf was; mask is what evaluate got
 
 	screens screenTable
 	memo    termMemo // e.memo points here
@@ -119,47 +119,63 @@ func (r *Runner) RunDelta(prev RunInfo, st execution.Strategy) (Result, RunInfo,
 // on error *out is zeroed, exactly the Result a scratch call would have
 // returned.
 func (r *Runner) RunDeltaInto(prev RunInfo, st execution.Strategy, out *Result) (RunInfo, error) {
-	if v := r.step(&prev, &st, out); v.kind != feasible {
-		*out = Result{}
-		return prev, v.err()
+	mask := execution.AllFields // step diffs a foreign or empty chain against nothing
+	if prev.delta != nil {
+		mask = execution.DiffMask(&prev.delta.prev, &st)
 	}
+	if !r.step(&prev, &st, mask) {
+		*out = Result{}
+		return prev, prev.delta.v.err()
+	}
+	prev.Result(out)
 	return prev, nil
 }
 
-// RunLeaf is the search's per-leaf entry point: RunDeltaInto with the chain
-// advanced in place and the verdict read as a bool. It allocates nothing on
-// a warm chain and copies no strategy: *st is normalized in place (the
-// enumeration's strategies already are), and *out is written only when
-// RunLeaf reports the strategy feasible — on false it holds whatever it
-// held before. The PreScreened and CacheHit flags are read from *chain
-// afterwards, as from RunDelta's returned RunInfo.
-func (r *Runner) RunLeaf(chain *RunInfo, st *execution.Strategy, out *Result) bool {
-	return r.step(chain, st, out).kind == feasible
+// RunLeaf is the search's per-leaf entry point. mask is the fields in
+// which *st differs from the chain's previous leaf, as execution.Toggles.Walk
+// yields it, so the leaf path never diffs strategies. RunLeaf reports only
+// the fold's keys; chain.Result builds the full Result of a leaf the search
+// keeps. It allocates nothing on a warm chain and normalizes *st in place.
+// The PreScreened and CacheHit flags are read from *chain afterwards, as
+// from RunDelta's returned RunInfo.
+func (r *Runner) RunLeaf(chain *RunInfo, st *execution.Strategy, mask execution.FieldMask) (Keys, bool) {
+	if !r.step(chain, st, mask) {
+		return Keys{}, false
+	}
+	return chain.delta.keys, true
 }
 
+// Result writes the full Result of the chain's last leaf into *out. It is
+// valid only right after RunLeaf reported that leaf feasible.
+func (i *RunInfo) Result(out *Result) { i.delta.r.finish(&i.delta.evalState, out) }
+
 // step evaluates *st on the chain, replacing *chain with the new chain
-// state, and counts the evaluation. It admits *st against the chain's diff
-// base and evaluates it on the chain's state, recomputing only the term
-// groups the field diff reaches. The chain's shortcuts return what a
-// scratch evaluation computes: an unchanged shape re-checks only the toggle
-// rules, the pre-screen verdict comes from the chain's screenTable, and the
-// priced lookups go through its termMemo. It copies only st into the
-// chain's diff base, and writes *out only for a feasible verdict.
-func (r *Runner) step(chain *RunInfo, st *execution.Strategy, out *Result) verdict {
+// state, and counts the evaluation. mask is the fields changed since the
+// chain's previous leaf; ORed with the masks of the leaves admit rejected
+// since the last admitted one, it is every field changed since the
+// strategy the chain's state belongs to. The chain's shortcuts return what
+// a scratch evaluation computes: an unchanged shape re-checks only the
+// toggle rules, the pre-screen verdict comes from the chain's screenTable,
+// and the priced lookups go through its termMemo. A failing verdict is left
+// in the chain's state.
+func (r *Runner) step(chain *RunInfo, st *execution.Strategy, mask execution.FieldMask) bool {
 	d := chain.delta
 	if d == nil || d.r != r {
 		d = &deltaState{r: r}
 	}
 	st.Normalize()
-	mask := allFields
-	if d.valid {
-		mask = execution.DiffMask(&d.prev, st)
+	if !d.valid {
+		mask = execution.AllFields
 	}
-	v := r.admit(st, mask, &d.screens)
-	if v.kind != feasible {
-		*chain = RunInfo{PreScreened: v.kind == preScreened, delta: d}
-		r.count(*chain, false)
-		return v
+	if !d.admitted {
+		mask |= d.mask
+	}
+	d.mask = mask
+	*chain = RunInfo{delta: d}
+	if d.admitted = r.admit(st, mask, &d.screens, &d.v); !d.admitted {
+		chain.PreScreened = d.v.kind == preScreened
+		r.count(chain, false)
+		return false
 	}
 	if !d.valid {
 		d.e.m, d.e.sys, d.e.st, d.e.memo = &r.m, &r.sys, &d.prev, &d.memo
@@ -168,10 +184,9 @@ func (r *Runner) step(chain *RunInfo, st *execution.Strategy, out *Result) verdi
 	// infeasibility (memory overflow) does not invalidate it as the next
 	// diff base.
 	d.prev, d.valid = *st, true
-	*chain, v = r.evaluate(&d.e, &d.mem1, &d.mem2, mask, out)
-	chain.delta = d
-	r.count(*chain, v.kind == feasible)
-	return v
+	ok := r.evaluate(&d.evalState, mask, chain, &d.v)
+	r.count(chain, ok)
+	return ok
 }
 
 // screenTable holds a chain's pre-screen verdicts for one base: PreScreen.Check

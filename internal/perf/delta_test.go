@@ -15,8 +15,9 @@ import (
 
 // deltaSequences builds strategy sequences that exercise the delta path:
 // the real enumeration order (Gray-adjacent toggles inside each triple, so
-// most steps reuse most groups), random jumps (every mask bit flips), and
-// random walks of single-field mutations (see mutationSequence).
+// most steps reuse most groups), random jumps (every mask bit flips),
+// random walks of single-field mutations (see mutationSequence), and the
+// enumeration order with runs of rejected leaves (see detourSequence).
 func deltaSequences(t *testing.T, rng *rand.Rand, m model.LLM, opts execution.EnumOptions) [][]execution.Strategy {
 	t.Helper()
 	var enum []execution.Strategy
@@ -35,7 +36,28 @@ func deltaSequences(t *testing.T, rng *rand.Rand, m model.LLM, opts execution.En
 	if len(enum) > 2000 {
 		enum = enum[:2000]
 	}
-	return [][]execution.Strategy{enum, jumps, muts}
+	return [][]execution.Strategy{enum, jumps, muts, detourSequence(enum[:len(enum)/2])}
+}
+
+// detourSequence is the enumeration order with a run of two rejected leaves
+// before every other leaf: that leaf with twice the data parallelism (more
+// processors than the system has, or a degree the batch does not divide),
+// then with sequence parallelism but no TP RS+AG (a toggle rule). A chain
+// fed per-step masks must charge the leaf after the run with every field
+// changed since the last admitted one, not only its step from the last
+// rejected one.
+func detourSequence(enum []execution.Strategy) []execution.Strategy {
+	out := make([]execution.Strategy, 0, 2*len(enum))
+	for i, s := range enum {
+		if i%2 == 1 {
+			wide, bad := s, s
+			wide.DP *= 2
+			bad.SeqParallel, bad.TPRSAG = true, false
+			out = append(out, wide, bad)
+		}
+		out = append(out, s)
+	}
+	return out
 }
 
 // mutationSequence aims at the chain's shortcuts: the toggle-rules-only
@@ -172,17 +194,16 @@ func runDeltaChain(t *testing.T, r *Runner, seq []execution.Strategy) ([]Result,
 }
 
 // runLeafChain evaluates the sequence as the search does, through RunLeaf on
-// one chain and one reused Result.
+// one chain with per-step masks and one reused Result.
 func runLeafChain(t *testing.T, r *Runner, seq []execution.Strategy) ([]Result, []RunInfo, []error) {
 	t.Helper()
 	res := make([]Result, len(seq))
 	infos := make([]RunInfo, len(seq))
 	errs := make([]error, len(seq))
-	var chain RunInfo
-	var out Result
+	lc := leafChain{r: r}
 	for i, st := range seq {
-		res[i], errs[i] = runLeaf(r, &chain, st, &out)
-		infos[i] = chain
+		res[i], errs[i] = lc.run(st)
+		infos[i] = lc.chain
 	}
 	return res, infos, errs
 }
@@ -301,5 +322,68 @@ func TestRunDeltaForeignChain(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("foreign chain result differs:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestTermGroupRecomputeCounts pins, for one fixed search walked on a
+// single chain as one search worker walks it, the number of admitted leaves
+// on which each term group and memory row recomputes. The counts come from
+// the mask each admitted leaf's evaluation received, which the chain keeps,
+// so production code counts nothing. A widened mask shows up here as an
+// exact count change rather than as noise in wall time; a narrowed one
+// must also pass the equivalence suites above.
+func TestTermGroupRecomputeCounts(t *testing.T) {
+	m := model.MustPreset("gpt3-13B").WithBatch(64)
+	sys := system.A100(64).WithMem2(system.DDR5(512 * units.GiB))
+	r, err := NewRunner(m, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := execution.EnumOptions{Procs: 64, Features: execution.FeatureAll, HasMem2: true}
+	groups := []struct {
+		name string
+		mask execution.FieldMask
+	}{
+		{"profile", profileMask}, {"shape", shapeMask}, {"tensor", tensorMask},
+		{"pipe", pipeMask}, {"data", dataMask}, {"optimizer", optimMask},
+		{"offload", offloadMask}, {"mem weights", memWeightsMask},
+		{"mem optimizer", memOptimMask}, {"mem activations", memActsMask},
+	}
+	got := map[string]int{}
+	screen := execution.NewPreScreen(m, execution.Limits{Procs: sys.Procs, Mem1: sys.Mem1.Capacity, Mem2: sys.Mem2.Capacity})
+	tog := opts.Toggles()
+	var chain RunInfo
+	for _, tpd := range opts.Triples(m) {
+		if screen.CheckTriple(opts, tpd) != nil {
+			continue // the search prunes the subtree before any leaf
+		}
+		opts.Segments(&m, tpd, func(root *execution.Strategy) bool {
+			tog.Walk(root, func(st *execution.Strategy, mask execution.FieldMask) bool {
+				got["leaves"]++
+				r.RunLeaf(&chain, st, mask)
+				if d := chain.delta; d.admitted {
+					got["admitted"]++
+					for _, g := range groups {
+						if d.mask.Has(g.mask) {
+							got[g.name]++
+						}
+					}
+				}
+				return true
+			})
+			return true
+		})
+	}
+	// 2,076,480 leaves, 2,065,392 admitted. The three memory rows together
+	// rerun 2,386,572 times; the single memory group they replaced reran on
+	// 2,041,632 leaves, all three rows each time.
+	want := map[string]int{
+		"leaves": 2076480, "admitted": 2065392,
+		"profile": 137505, "shape": 515, "tensor": 160680, "pipe": 139050,
+		"data": 234840, "optimizer": 1235547, "offload": 2031462,
+		"mem weights": 494400, "mem optimizer": 1235547, "mem activations": 656625,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("recompute counts changed:\n got %v\nwant %v", got, want)
 	}
 }

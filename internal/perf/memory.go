@@ -47,81 +47,79 @@ func (e *eval) inflightMicrobatches() float64 {
 	return base
 }
 
-// memory produces the per-processor consumption of both tiers (§2.4's
-// memory reporting: weights, optimizer state, activations, gradients).
-// Offloaded categories keep a Fig. 8 working set — compute, prefetch, and
-// writeback buffers for one block — resident in the first tier and stash
-// the remainder in the second.
+// The three memory rows produce the per-processor consumption of both
+// tiers (§2.4's memory reporting), each writing its own categories of *mem1
+// and *mem2 in place. Offloaded categories keep a Fig. 8 working set —
+// compute, prefetch, and writeback buffers for one block — resident in the
+// first tier and stash the remainder in the second. The rows must agree bit
+// for bit with the pre-screen's analytic lower bound on every architecture,
+// so the arithmetic is kept FMA-free (see docs/LINT.md).
 //
-// These rows must agree bit for bit with the pre-screen's analytic lower
-// bound on every architecture, so the arithmetic is kept FMA-free (see
-// docs/LINT.md).
+// weightRows writes the weights and their fp16 gradients, the same size.
+// With a sharded optimizer and overlapped DP communication the gradients
+// are reduce-scattered per block as the backward drains, so only the local
+// shard plus a per-block working set persists (ZeRO).
 //
 //calculonvet:ordered
-func (e *eval) memory() (mem1, mem2 MemBreakdown) {
+func (e *eval) weightRows(mem1, mem2 *MemBreakdown) {
 	blockW := e.tot.WeightBytes
 	weights := blockW.Times(float64(e.bp))
-	mem1.Weights = weights
-	if e.st.WeightOffload {
-		resident := minBytes(weights, 3*blockW)
-		mem1.Weights = resident
-		mem2.Weights = weights - resident
+	mem1.Weights, mem2.Weights = residency(weights, 3*blockW, e.st.WeightOffload)
+	mem1.WeightGrads, mem2.WeightGrads = 0, 0
+	if e.st.Inference {
+		return
 	}
-
-	if !e.st.Inference {
-		// fp16 gradients are the same size as the fp16 weights. With a
-		// sharded optimizer and overlapped DP communication they are
-		// reduce-scattered per block as the backward drains, so only the
-		// local shard plus a per-block working set persists (ZeRO). When
-		// weights are offloaded the remainder streams to the second tier
-		// right behind the backward pass.
-		grads := weights
-		if e.st.OptimSharding && e.st.DPOverlap {
-			grads = minBytes(weights, units.Bytes(3*blockW)+weights.DivN(float64(e.st.DP)))
-		}
-		mem1.WeightGrads = grads
-		if e.st.WeightOffload {
-			resident := minBytes(grads, 3*blockW)
-			mem1.WeightGrads = resident
-			mem2.WeightGrads = grads - resident
-		}
+	grads := weights
+	if e.st.OptimSharding && e.st.DPOverlap {
+		grads = minBytes(weights, units.Bytes(3*blockW)+weights.DivN(float64(e.st.DP)))
 	}
+	mem1.WeightGrads, mem2.WeightGrads = residency(grads, 3*blockW, e.st.WeightOffload)
+}
 
-	if !e.st.Inference {
-		// Adam state: fp32 master weights + two fp32 moments = 12 bytes per
-		// parameter = 6× the fp16 weight bytes, sharded across DP when
-		// optimizer sharding is on.
-		optim := 6 * weights
-		if e.st.OptimSharding {
-			optim = optim.DivN(float64(e.st.DP))
-		}
-		mem1.Optimizer = optim
-		if e.st.OptimOffload {
-			resident := minBytes(optim, 3*optim.DivN(float64(e.bp)))
-			mem1.Optimizer = resident
-			mem2.Optimizer = optim - resident
-		}
+// optimizerRows writes the Adam state: fp32 master weights + two fp32
+// moments = 12 bytes per parameter = 6× the fp16 weight bytes, sharded
+// across DP when optimizer sharding is on.
+//
+//calculonvet:ordered
+func (e *eval) optimizerRows(mem1, mem2 *MemBreakdown) {
+	mem1.Optimizer, mem2.Optimizer = 0, 0
+	if e.st.Inference {
+		return
 	}
+	optim := 6 * e.tot.WeightBytes.Times(float64(e.bp))
+	if e.st.OptimSharding {
+		optim = optim.DivN(float64(e.st.DP))
+	}
+	mem1.Optimizer, mem2.Optimizer = residency(optim, 3*optim.DivN(float64(e.bp)), e.st.OptimOffload)
+}
 
+// activationRows writes the stored activations and the working space for
+// the gradient through the current layer (double-buffered largest tensor),
+// which inference needs for the live activations instead.
+//
+//calculonvet:ordered
+func (e *eval) activationRows(mem1, mem2 *MemBreakdown) {
 	actBlock := e.actPerMBPerBlock()
 	acts := actBlock.Times(float64(e.bp) * e.inflightMicrobatches())
-	mem1.Activations = acts
-	if e.st.ActOffload {
-		resident := minBytes(acts, 3*actBlock)
-		mem1.Activations = resident
-		mem2.Activations = acts - resident
-	}
-
-	// Working space for the gradient flowing through the current layer
-	// (double-buffered largest tensor). Inference needs the same space for
-	// the live activations themselves.
+	mem1.Activations, mem2.Activations = residency(acts, 3*actBlock, e.st.ActOffload)
 	work := 2 * e.tot.MaxOutputBytes
 	if e.st.Inference {
 		mem1.Activations += work
+		mem1.ActGrads = 0
 	} else {
 		mem1.ActGrads = work
 	}
-	return mem1, mem2
+}
+
+// residency splits a category's bytes between the tiers: all in the first,
+// or when offloaded, at most the working set there and the rest in the
+// second.
+func residency(total, working units.Bytes, offloaded bool) (mem1, mem2 units.Bytes) {
+	if !offloaded {
+		return total, 0
+	}
+	resident := minBytes(total, working)
+	return resident, total - resident
 }
 
 func minBytes(a, b units.Bytes) units.Bytes {

@@ -68,19 +68,20 @@ func (e *eval) offload() {
 	if o && !e.st.Inference {
 		// The updated state and weights stream back during the step itself;
 		// that write-back time is priced inside optimTime (the step is the
-		// max of compute and streaming), counted here in the total.
-		params := e.tot.Params() * float64(e.bp)
-		if e.st.OptimSharding {
-			params /= float64(e.st.DP)
-		}
-		state := units.Bytes(14 * params)
-		e.offloadTotal += state.Div(e.sys.Mem2.EffectiveBandwidth(state))
+		// max of compute and streaming), counted here in the total. The
+		// optimizer group, whose mask offloadMask contains, priced it.
+		e.offloadTotal += e.optimWriteback
 	}
 	e.offloadBWRequired = req
 	if e.sys.Mem2.Bandwidth.IsUnbounded() {
 		e.offloadBWUsed = req
 	} else {
-		e.offloadBWUsed = minBPS(req, e.sys.Mem2.EffectiveBandwidth(maxBytes(fwdBytes, bwdBytes)))
+		// The bandwidth at the larger of the two transfers, already priced.
+		bw := bw2b
+		if fwdBytes > bwdBytes {
+			bw = bw2f
+		}
+		e.offloadBWUsed = minBPS(req, bw)
 	}
 }
 
@@ -93,13 +94,6 @@ func maxBPS(a, b units.BytesPerSec) units.BytesPerSec {
 
 func minBPS(a, b units.BytesPerSec) units.BytesPerSec {
 	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxBytes(a, b units.Bytes) units.Bytes {
-	if a > b {
 		return a
 	}
 	return b

@@ -44,8 +44,7 @@ func TestPreScreenSoundAndExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var chain RunInfo
-		var leafRes Result
+		lc := leafChain{r: leaf}
 
 		screen := execution.NewPreScreen(tc.m, execution.Limits{
 			Procs: tc.sys.Procs,
@@ -65,8 +64,8 @@ func TestPreScreenSoundAndExact(t *testing.T) {
 			label := tc.m.Name + " on " + tc.sys.Name
 			fastRes, info, fastErr := fast.RunDetailed(st)
 			checkReference(t, label+" Run", tc.m, tc.sys, st, fastRes, info, fastErr)
-			leafGot, leafErr := runLeaf(leaf, &chain, st, &leafRes)
-			checkReference(t, label+" RunLeaf", tc.m, tc.sys, st, leafGot, chain, leafErr)
+			leafGot, leafErr := lc.run(st)
+			checkReference(t, label+" RunLeaf", tc.m, tc.sys, st, leafGot, lc.chain, leafErr)
 			if info.PreScreened {
 				screened++
 			}

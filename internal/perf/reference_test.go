@@ -2,6 +2,7 @@ package perf
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -33,30 +34,57 @@ func referenceRun(m model.LLM, sys system.System, st execution.Strategy) (Result
 	if sv := r.screen.CheckFit(&st); !sv.OK() {
 		return Result{}, verdict{kind: preScreened, screen: sv}.err()
 	}
-	prof := computeProfile(&r.m, &r.sys, &st)
-	e := makeEval(&r.m, &r.sys, &st, &prof)
+	s := evalState{e: *newEval(r.m, r.sys, st)}
+	e := &s.e
 	e.tensorComm()
 	e.pipelineComm()
 	e.dataComm()
 	e.optimizer()
 	e.offload()
-	mem1, mem2 := e.memory()
-	if v := r.capacity(&mem1, &mem2); v.kind != feasible {
+	e.weightRows(&s.mem1, &s.mem2)
+	e.optimizerRows(&s.mem1, &s.mem2)
+	e.activationRows(&s.mem1, &s.mem2)
+	var v verdict
+	if !r.capacity(&s, &v) {
 		return Result{}, v.err()
 	}
 	var out Result
-	r.finish(&e, &mem1, &mem2, &out)
+	r.finish(&s, &out)
 	return out, nil
 }
 
-// runLeaf evaluates st through RunLeaf on the chain, into *out, and returns
-// it in checkReference's terms: the Result when feasible; otherwise a zero
-// Result and the bare ErrInfeasible, as RunLeaf reports no message.
-func runLeaf(r *Runner, chain *RunInfo, st execution.Strategy, out *Result) (Result, error) {
-	if r.RunLeaf(chain, &st, out) {
-		return *out, nil
+// leafChain feeds strategies to RunLeaf the way the search's walk does:
+// each with the mask of the fields it changes against the previous
+// strategy fed — AllFields for the first — whether or not the chain
+// admitted that one. Accounting for the leaves admit rejects in between is
+// the chain's job.
+type leafChain struct {
+	r     *Runner
+	chain RunInfo
+	prev  *execution.Strategy
+	out   Result // reused across leaves, as the search reuses one
+}
+
+// run evaluates st on the chain and returns it in checkReference's terms:
+// the Result when feasible, built as the search builds a kept leaf's;
+// otherwise a zero Result and the bare ErrInfeasible, as RunLeaf reports no
+// message.
+func (c *leafChain) run(st execution.Strategy) (Result, error) {
+	st.Normalize()
+	mask := execution.AllFields
+	if c.prev != nil {
+		mask = execution.DiffMask(c.prev, &st)
 	}
-	return Result{}, ErrInfeasible
+	c.prev = &st
+	k, ok := c.r.RunLeaf(&c.chain, &st, mask)
+	if !ok {
+		return Result{}, ErrInfeasible
+	}
+	c.chain.Result(&c.out)
+	if k != (Keys{c.out.BatchTime, c.out.SampleRate, c.out.Mem1.Total()}) {
+		return Result{}, fmt.Errorf("keys %+v disagree with the Result", k)
+	}
+	return c.out, nil
 }
 
 // checkReference holds one fast-path evaluation (got, info, err) of st to

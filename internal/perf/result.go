@@ -149,6 +149,15 @@ type Result struct {
 	ProcsUsed int `json:"procs_used"`
 }
 
+// Keys are the three figures the search folds a feasible leaf by, bit for
+// bit its Result's BatchTime, SampleRate and Mem1.Total(). RunLeaf reports
+// them without building the Result.
+type Keys struct {
+	BatchTime  units.Seconds
+	SampleRate float64
+	Mem1       units.Bytes
+}
+
 func (r Result) String() string {
 	return fmt.Sprintf("%s on %s %v: batch=%v rate=%.1f/s MFU=%.1f%% mem1=%v mem2=%v",
 		r.Model.Name, r.System, r.Strategy, r.BatchTime, r.SampleRate, 100*r.MFU,

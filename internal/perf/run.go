@@ -170,14 +170,26 @@ func (r *Runner) Run(st execution.Strategy) (Result, error) {
 // attribute pre-screen rejections and cache hits without touching shared
 // counters.
 func (r *Runner) RunDetailed(st execution.Strategy) (Result, RunInfo, error) {
-	var res Result // run writes it only when the strategy is feasible
-	info, v := r.run(&st, &res)
-	r.count(info, v.kind == feasible)
-	return res, info, v.err()
+	// A scratch evaluation is a chain of one, every field changed, its
+	// state on this frame instead of in a deltaState (whose self-pointers
+	// would move it to the heap).
+	var res Result
+	var info RunInfo
+	var v verdict // written only on failure; apart from s, which points at st
+	s := evalState{e: eval{m: &r.m, sys: &r.sys, st: &st}}
+	st.Normalize()
+	ok := r.admit(&st, execution.AllFields, nil, &v) && r.evaluate(&s, execution.AllFields, &info, &v)
+	info.PreScreened = v.kind == preScreened
+	r.count(&info, ok)
+	if !ok {
+		return res, info, v.err()
+	}
+	r.finish(&s, &res)
+	return res, info, nil
 }
 
 // count records one evaluation in the optional stats counters.
-func (r *Runner) count(info RunInfo, ok bool) {
+func (r *Runner) count(info *RunInfo, ok bool) {
 	c := r.counters
 	if c == nil {
 		return
@@ -194,59 +206,61 @@ func (r *Runner) count(info RunInfo, ok bool) {
 	}
 }
 
-// capacity checks the per-tier memory totals against the system.
-func (r *Runner) capacity(mem1, mem2 *MemBreakdown) verdict {
-	if t := mem1.Total(); t > r.sys.Mem1.Capacity {
-		return verdict{kind: mem1Overflow, need: t, have: r.sys.Mem1.Capacity}
+// evalState is one evaluation's working state: the term groups, the memory
+// rows, and the breakdown and fold keys of a fit.
+type evalState struct {
+	e          eval
+	mem1, mem2 MemBreakdown
+	time       TimeBreakdown
+	keys       Keys
+}
+
+// capacity checks the per-tier memory totals against the system, writing
+// an overflow into *v. On a fit it assembles the batch breakdown and the
+// fold keys.
+func (r *Runner) capacity(s *evalState, v *verdict) bool {
+	t1 := s.mem1.Total()
+	if t1 > r.sys.Mem1.Capacity {
+		*v = verdict{kind: mem1Overflow, need: t1, have: r.sys.Mem1.Capacity}
+		return false
 	}
-	if t := mem2.Total(); t > r.sys.Mem2.Capacity {
-		return verdict{kind: mem2Overflow, need: t, have: r.sys.Mem2.Capacity}
+	if t := s.mem2.Total(); t > r.sys.Mem2.Capacity {
+		*v = verdict{kind: mem2Overflow, need: t, have: r.sys.Mem2.Capacity}
+		return false
 	}
-	return verdict{}
+	s.e.assemble(&s.time)
+	batch := s.time.Total()
+	s.keys = Keys{BatchTime: batch, SampleRate: batch.Rate(float64(r.m.Batch)), Mem1: t1}
+	return true
 }
 
 // finish assembles the Result of a feasible evaluation into *out. It sets
 // every field in place rather than assigning a composite literal, which
 // would build the ~400-byte Result on the stack and copy it over.
-func (r *Runner) finish(e *eval, mem1, mem2 *MemBreakdown, out *Result) {
-	st := e.st
+func (r *Runner) finish(s *evalState, out *Result) {
+	st := s.e.st
 	out.Model = r.m
 	out.System = r.sys.Name
 	out.Strategy = *st
-	e.assemble(&out.Time)
-	batch := out.Time.Total()
-	out.BatchTime = batch
-	out.SampleRate = batch.Rate(float64(r.m.Batch))
-	out.Mem1, out.Mem2 = *mem1, *mem2
-	out.OffloadBWRequired = e.offloadBWRequired
-	out.OffloadBWUsed = e.offloadBWUsed
+	out.Time = s.time
+	out.BatchTime = s.keys.BatchTime
+	out.SampleRate = s.keys.SampleRate
+	out.Mem1, out.Mem2 = s.mem1, s.mem2
+	out.OffloadBWRequired = s.e.offloadBWRequired
+	out.OffloadBWUsed = s.e.offloadBWUsed
 	out.ProcsUsed = st.Procs()
 	useful := r.usefulFLOPs(st)
 	peak := r.sys.Compute.MatrixPeak.Times(float64(st.Procs()))
-	out.MFU = useful.Ratio(peak.For(batch))
-}
-
-// run is a scratch evaluation: a chain of one, every field changed, with its
-// eval and memory state on this frame instead of in a deltaState (whose
-// self-pointers would move it to the heap). It normalizes *st in place and
-// writes *out only for a feasible verdict.
-func (r *Runner) run(st *execution.Strategy, out *Result) (RunInfo, verdict) {
-	st.Normalize()
-	if v := r.admit(st, allFields, nil); v.kind != feasible {
-		return RunInfo{PreScreened: v.kind == preScreened}, v
-	}
-	e := eval{m: &r.m, sys: &r.sys, st: st}
-	var mem1, mem2 MemBreakdown
-	return r.evaluate(&e, &mem1, &mem2, allFields, out)
+	out.MFU = useful.Ratio(peak.For(s.keys.BatchTime))
 }
 
 // admit applies the checks that precede every term group: the structural
-// rules and the phase-1 pre-screen. mask is the set of fields changed since
-// a strategy that passed Validate on this model (allFields when there is
-// none): an unchanged shape passes the shape rules again, so only the
-// toggle rules are checked. screens, when non-nil, is a chain's verdict
-// table.
-func (r *Runner) admit(st *execution.Strategy, mask execution.FieldMask, screens *screenTable) verdict {
+// rules and the phase-1 pre-screen, writing a rejection into *v. mask is
+// the set of fields changed since a strategy that passed Validate on this
+// model (AllFields when there is none): an unchanged shape passes the
+// shape rules again, so only the toggle rules are checked. screens, when
+// non-nil, is a chain's verdict table.
+func (r *Runner) admit(st *execution.Strategy, mask execution.FieldMask, screens *screenTable, v *verdict) bool {
 	var err error
 	if mask.Has(execution.ShapeFields) {
 		err = st.Validate(&r.m)
@@ -254,24 +268,27 @@ func (r *Runner) admit(st *execution.Strategy, mask execution.FieldMask, screens
 		err = st.ValidateToggles()
 	}
 	if err != nil {
-		return verdict{kind: invalidStrategy, cause: err}
+		*v = verdict{kind: invalidStrategy, cause: err}
+		return false
 	}
 	if sv := screens.check(r.screen, st); !sv.OK() {
-		return verdict{kind: preScreened, screen: sv}
+		*v = verdict{kind: preScreened, screen: sv}
+		return false
 	}
-	return verdict{}
+	return true
 }
 
-// evaluate is the evaluator behind every entry point. *e, *mem1 and *mem2
-// hold the terms of the last strategy evaluated on them (zero for a scratch
-// evaluation), e.st the admitted strategy now to evaluate, and mask the
-// fields that differ between the two (allFields for a scratch evaluation).
-// It recomputes exactly the term groups mask reaches and carries the rest
-// forward: their outputs are pure functions of inputs the diff proves
-// unchanged, so every mask yields what allFields yields, bit for bit (the
-// reference evaluator in the tests pins this). It writes *out only for a
-// feasible verdict.
-func (r *Runner) evaluate(e *eval, mem1, mem2 *MemBreakdown, mask execution.FieldMask, out *Result) (RunInfo, verdict) {
+// evaluate is the evaluator behind every entry point. *s holds the terms of
+// the last strategy evaluated on it (zero for a scratch evaluation), s.e.st
+// the admitted strategy now to evaluate, and mask the fields that differ
+// between the two (AllFields for a scratch evaluation). It recomputes
+// exactly the term groups and memory rows mask reaches and carries the
+// rest forward: their outputs are pure functions of inputs the diff proves
+// unchanged, so every mask yields what AllFields yields, bit for bit (the
+// reference evaluator in the tests pins this). It sets info.CacheHit and
+// reports whether the strategy fits, writing an overflow into *v.
+func (r *Runner) evaluate(s *evalState, mask execution.FieldMask, info *RunInfo, v *verdict) bool {
+	e := &s.e
 	// An unchanged blockKey is necessarily in the memo — the previous
 	// evaluation put it there — so a lookup would have hit.
 	hit := true
@@ -309,16 +326,17 @@ func (r *Runner) evaluate(e *eval, mem1, mem2 *MemBreakdown, mask execution.Fiel
 		e.offloadBWRequired, e.offloadBWUsed = 0, 0
 		e.offload()
 	}
-	if mask.Has(memoryMask) {
-		*mem1, *mem2 = e.memory()
+	if mask.Has(memWeightsMask) {
+		e.weightRows(&s.mem1, &s.mem2)
 	}
-
-	info := RunInfo{CacheHit: hit}
-	if v := r.capacity(mem1, mem2); v.kind != feasible {
-		return info, v
+	if mask.Has(memOptimMask) {
+		e.optimizerRows(&s.mem1, &s.mem2)
 	}
-	r.finish(e, mem1, mem2, out)
-	return info, verdict{}
+	if mask.Has(memActsMask) {
+		e.activationRows(&s.mem1, &s.mem2)
+	}
+	info.CacheHit = hit
+	return r.capacity(s, v)
 }
 
 // usefulFLOPsPerSample is the recompute-free model FLOP count per sample
@@ -540,20 +558,10 @@ type eval struct {
 	ppPerMicrobatch, ppExposedPerMicrobatch    units.Seconds
 	dpTotal, dpExposed, dpPenalty              units.Seconds
 	optimTime                                  units.Seconds
+	optimWriteback                             units.Seconds // second-tier part of the step, offloaded
 	offloadTotal, offloadExposed               units.Seconds
 	offloadBWRequired, offloadBWUsed           units.BytesPerSec
 	boundaryBytes                              units.Bytes
-}
-
-// makeEval builds the evaluation state from a block profile and the
-// strategy's pipeline shape. It returns the state by value rather than
-// filling a *eval, so escape analysis keeps the pointed-to model, system,
-// and strategy wherever the caller put them.
-func makeEval(m *model.LLM, sys *system.System, st *execution.Strategy, prof *blockProfile) eval {
-	e := eval{m: m, sys: sys, st: st}
-	e.loadProfile(prof)
-	e.loadShape()
-	return e
 }
 
 // loadProfile copies a block profile's terms into the evaluation.
@@ -576,8 +584,10 @@ func (e *eval) loadShape() {
 // computed.
 func newEval(m model.LLM, sys system.System, st execution.Strategy) *eval {
 	prof := computeProfile(&m, &sys, &st)
-	e := makeEval(&m, &sys, &st, &prof)
-	return &e
+	e := &eval{m: &m, sys: &sys, st: &st}
+	e.loadProfile(&prof)
+	e.loadShape()
+	return e
 }
 
 // opTime applies the processing model of §2.2 to one operation: the time is
@@ -733,7 +743,8 @@ func (e *eval) optimizer() {
 		// updated state and weights stream back over the second tier,
 		// pacing the step when that link is slower.
 		writeback := units.Bytes(14 * params)
-		mt = maxSec(mt, writeback.Div(e.mem2Bandwidth(writeback)))
+		e.optimWriteback = writeback.Div(e.mem2Bandwidth(writeback))
+		mt = maxSec(mt, e.optimWriteback)
 	}
 	e.optimTime = maxSec(ct, mt)
 }

@@ -86,8 +86,12 @@ func TestVerdictKindsCovered(t *testing.T) {
 			}
 			scratch, delta, leaf, kinds := runners[0], runners[1], runners[2], runners[3]
 			var dChain, lChain, kChain RunInfo
-			var leafRes, kindRes Result
+			var leafRes Result
 			for i, st := range tc.strats {
+				mask := execution.AllFields
+				if i > 0 {
+					mask = execution.DiffMask(&tc.strats[i-1], &st)
+				}
 				want, wantInfo, wantErr := scratch.RunDetailed(st)
 				got, info, err := delta.RunDelta(dChain, st)
 				dChain = info
@@ -102,7 +106,10 @@ func TestVerdictKindsCovered(t *testing.T) {
 				}
 
 				lst := st
-				ok := leaf.RunLeaf(&lChain, &lst, &leafRes)
+				_, ok := leaf.RunLeaf(&lChain, &lst, mask)
+				if ok {
+					lChain.Result(&leafRes)
+				}
 				if ok != (wantErr == nil) || lChain.PreScreened != wantInfo.PreScreened || lChain.CacheHit != wantInfo.CacheHit {
 					t.Fatalf("leaf %d %v: RunLeaf = %v with %+v, RunDetailed err %v with %+v",
 						i, st, ok, lChain, wantErr, wantInfo)
@@ -113,7 +120,10 @@ func TestVerdictKindsCovered(t *testing.T) {
 				checkReference(t, "RunDetailed", tc.m, tc.sys, st, want, wantInfo, wantErr)
 
 				kst := st
-				v := kinds.step(&kChain, &kst, &kindRes)
+				v := verdict{}
+				if !kinds.step(&kChain, &kst, mask) {
+					v = kChain.delta.v
+				}
 				switch {
 				case v.kind != preScreened:
 					seen[outcomes[v.kind]]++
@@ -150,13 +160,22 @@ func TestRunLeafAllocatesNothing(t *testing.T) {
 			}
 			r.EnableStats()
 			strats := tc.strats[:len(tc.strats)-tc.invalid]
+			masks := make([]execution.FieldMask, len(strats))
+			for i := range strats {
+				masks[i] = execution.AllFields
+				if i > 0 {
+					masks[i] = execution.DiffMask(&strats[i-1], &strats[i])
+				}
+			}
 			var chain RunInfo
 			var res Result
 			var st execution.Strategy
 			walk := func() {
 				for i := range strats {
 					st = strats[i]
-					r.RunLeaf(&chain, &st, &res)
+					if _, ok := r.RunLeaf(&chain, &st, masks[i]); ok {
+						chain.Result(&res)
+					}
 				}
 			}
 			walk()
@@ -165,4 +184,26 @@ func TestRunLeafAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRunAllocatesNothing: a warm scratch evaluation of a feasible strategy
+// allocates nothing either. Its strategy, evaluation state and verdict stay
+// on the caller's frame, which a verdict stored next to the pointer to the
+// strategy would defeat (escape analysis does not tell struct fields apart).
+func TestRunAllocatesNothing(t *testing.T) {
+	tc := verdictChains()[0]
+	r, err := NewRunner(tc.m, tc.sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range tc.strats {
+		if _, err := r.Run(st); err != nil {
+			continue
+		}
+		if n := testing.AllocsPerRun(10, func() { _, _ = r.Run(st) }); n != 0 {
+			t.Fatalf("a warm Run of %v allocated %v times, want 0", st, n)
+		}
+		return
+	}
+	t.Fatal("no feasible strategy in the chain")
 }

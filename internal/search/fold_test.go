@@ -3,6 +3,7 @@ package search
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -64,22 +65,54 @@ func referenceFold(items []scored, topK int, pareto bool) Result {
 	return out
 }
 
+// add folds one feasible result Result-first, as the merges fold theirs.
+func (ws *workerState) add(seq int, res *perf.Result) {
+	ws.feasible++
+	ws.offer(seq, res)
+}
+
+// addKeysFirst folds one feasible result as a search worker folds a leaf:
+// keeps decides from the keys alone, and only a kept leaf is offered. A
+// leaf keeps turns away must be one offer would not keep, so offering it to
+// a copy of the state must leave the copy unchanged.
+func addKeysFirst(t *testing.T, ws *workerState, seq int, res *perf.Result) {
+	t.Helper()
+	ws.feasible++
+	k := perf.Keys{BatchTime: res.BatchTime, SampleRate: res.SampleRate, Mem1: res.Mem1.Total()}
+	if ws.keeps(seq, &k) {
+		ws.offer(seq, res)
+		return
+	}
+	c := *ws
+	c.top, c.front = slices.Clone(ws.top), slices.Clone(ws.front)
+	c.offer(seq, res)
+	if !reflect.DeepEqual(&c, ws) {
+		t.Fatalf("keeps turned away seq %d (%+v), which offer keeps", seq, k)
+	}
+}
+
 // foldParts deals the stream at random into parts states, each folding its
-// share leaf by leaf as a worker does.
-func foldParts(rng *rand.Rand, items []scored, parts, topK int, pareto bool) []*workerState {
+// share leaf by leaf: Result-first, or keys-first as a search worker does.
+func foldParts(t *testing.T, rng *rand.Rand, items []scored, parts, topK int, pareto, keysFirst bool) []*workerState {
 	states := make([]*workerState, parts)
 	for i := range states {
 		states[i] = &workerState{topK: topK, pareto: pareto}
 	}
 	for i := range items {
-		states[rng.Intn(parts)].add(items[i].seq, &items[i].res, false)
+		ws := states[rng.Intn(parts)]
+		if keysFirst {
+			addKeysFirst(t, ws, items[i].seq, &items[i].res)
+		} else {
+			ws.add(items[i].seq, &items[i].res)
+		}
 	}
 	return states
 }
 
 // TestFoldMatchesReference: folding a tied stream through 1–8 worker states
-// merged in random order, or through shard partials merged by MergeResults
-// in random order, gives exactly the brute-force Best, Top (in order) and
+// merged in random order — Result-first, or keys-first as the search's
+// workers fold leaves — or through shard partials merged by MergeResults in
+// random order, gives exactly the brute-force Best, Top (in order) and
 // Pareto front.
 func TestFoldMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
@@ -89,17 +122,19 @@ func TestFoldMatchesReference(t *testing.T) {
 		pareto := rng.Intn(4) != 0
 		want := referenceFold(items, topK, pareto)
 
-		states := foldParts(rng, items, 1+rng.Intn(8), topK, pareto)
-		merged := &workerState{topK: topK, pareto: pareto}
-		for _, i := range rng.Perm(len(states)) {
-			merged.merge(states[i])
-		}
-		if got := resultFrom(merged, 0); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (n=%d topK=%d pareto=%v): worker merge\n got  %+v\n want %+v",
-				trial, len(items), topK, pareto, summarize(got), summarize(want))
+		for _, keysFirst := range []bool{false, true} {
+			states := foldParts(t, rng, items, 1+rng.Intn(8), topK, pareto, keysFirst)
+			merged := &workerState{topK: topK, pareto: pareto}
+			for _, i := range rng.Perm(len(states)) {
+				merged.merge(states[i])
+			}
+			if got := resultFrom(merged, 0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (n=%d topK=%d pareto=%v keys-first=%v): worker merge\n got  %+v\n want %+v",
+					trial, len(items), topK, pareto, keysFirst, summarize(got), summarize(want))
+			}
 		}
 
-		states = foldParts(rng, items, 1+rng.Intn(8), topK, pareto)
+		states := foldParts(t, rng, items, 1+rng.Intn(8), topK, pareto, false)
 		shards := make([]ShardResult, len(states))
 		for i, ws := range states {
 			shards[i] = ws.shardResult(Shard{Index: i, Count: len(states)}, 0)
@@ -134,14 +169,14 @@ func TestFoldRejectCopiesNothing(t *testing.T) {
 	ws := &workerState{topK: 3, pareto: true}
 	items := tiedStream(rand.New(rand.NewSource(1)), 50)
 	for i := range items {
-		ws.add(items[i].seq, &items[i].res, false)
+		ws.add(items[i].seq, &items[i].res)
 	}
 	var loser perf.Result
 	loser.SampleRate = 0.5
 	loser.BatchTime = 9
 	loser.Mem1.Weights = 99
 	top, front := len(ws.top), len(ws.front)
-	allocs := testing.AllocsPerRun(100, func() { ws.add(1000, &loser, false) })
+	allocs := testing.AllocsPerRun(100, func() { ws.add(1000, &loser) })
 	if allocs != 0 {
 		t.Errorf("rejected add allocates %.1f times, want 0", allocs)
 	}

@@ -262,8 +262,9 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 			ws := workerState{topK: opts.TopK, pareto: opts.Pareto}
 			// Each worker threads one delta chain through its strategies:
 			// inside a segment the Gray-code toggle order makes neighbors
-			// differ in a single toggle, so most term groups carry over.
-			// The chain is goroutine-local; the Runner stays shared.
+			// differ in a single toggle, which the walk names, so most term
+			// groups carry over. The chain is goroutine-local; the Runner
+			// stays shared.
 			var chain perf.RunInfo
 			var res perf.Result
 			for chunk := range chunks {
@@ -276,10 +277,17 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 				preBefore, hitBefore := ws.prescreened, ws.cacheHits
 				for i := range chunk {
 					seq := chunk[i].seq
-					tog.Walk(&chunk[i].root, func(st *execution.Strategy) bool {
+					tog.Walk(&chunk[i].root, func(st *execution.Strategy, mask execution.FieldMask) bool {
 						ws.evaluated++
-						if runner.RunLeaf(&chain, st, &res) {
-							ws.add(seq, &res, opts.CollectRates)
+						if k, ok := runner.RunLeaf(&chain, st, mask); ok {
+							ws.feasible++
+							if opts.CollectRates {
+								ws.rates = append(ws.rates, k.SampleRate)
+							}
+							if ws.keeps(seq, &k) {
+								chain.Result(&res)
+								ws.offer(seq, &res)
+							}
 						}
 						if chain.PreScreened {
 							ws.prescreened++
@@ -430,7 +438,8 @@ func StartProgressTicker(ctx context.Context, p *Progress, cb func(ProgressSnaps
 // workerState accumulates per-goroutine results for a deterministic merge.
 // Every fold — a worker's leaves, the merge of workers, the merge of shards —
 // goes through offerBest/offerTop/offerFront, which compare a candidate in
-// place and copy its Result only when it is kept.
+// place and copy its Result only when it is kept. A worker builds a leaf's
+// Result only when keeps says offer would keep it.
 type workerState struct {
 	evaluated   int
 	feasible    int
@@ -449,16 +458,23 @@ type workerState struct {
 	front []scored
 }
 
-// add records one feasible result. The result is passed by pointer and
-// copied only into the places that keep it.
-func (ws *workerState) add(seq int, res *perf.Result, collectRates bool) {
-	ws.feasible++
+// offer folds one feasible result into best, the top-K and the front.
+func (ws *workerState) offer(seq int, res *perf.Result) {
 	ws.offerBest(seq, res)
 	ws.offerTop(seq, res)
 	ws.offerFront(seq, res)
-	if collectRates {
-		ws.rates = append(ws.rates, res.SampleRate)
+}
+
+// keeps reports whether offer would keep a feasible leaf, by the admission
+// tests of offerBest, offerTop and offerFront on its keys alone.
+func (ws *workerState) keeps(seq int, k *perf.Keys) bool {
+	n := len(ws.top)
+	if !ws.hasBest || ahead(k.SampleRate, seq, &ws.best) ||
+		n < ws.topK || n > 0 && ahead(k.SampleRate, seq, &ws.top[n-1]) {
+		return true
 	}
+	_, ok := ws.frontSlot(k.BatchTime, k.Mem1, seq)
+	return ws.pareto && ok
 }
 
 // ahead reports whether the candidate (rate, seq) is preferred over s:
@@ -519,12 +535,12 @@ func (ws *workerState) offerFront(seq int, res *perf.Result) {
 	if !ws.pareto {
 		return
 	}
-	t, m := res.BatchTime, res.Mem1.Total()
-	f := ws.front
-	i := sort.Search(len(f), func(j int) bool { return precedes(t, m, seq, &f[j]) })
-	if i > 0 && f[i-1].res.Mem1.Total() <= m {
+	m := res.Mem1.Total()
+	i, ok := ws.frontSlot(res.BatchTime, m, seq)
+	if !ok {
 		return
 	}
+	f := ws.front
 	e := i
 	for e < len(f) && f[e].res.Mem1.Total() >= m {
 		e++
@@ -537,6 +553,14 @@ func (ws *workerState) offerFront(seq int, res *perf.Result) {
 	}
 	f[i].seq, f[i].res = seq, *res
 	ws.front = f
+}
+
+// frontSlot returns the candidate's place in the staircase and whether it
+// survives there, which it does unless the point before uses no more memory.
+func (ws *workerState) frontSlot(t units.Seconds, m units.Bytes, seq int) (int, bool) {
+	f := ws.front
+	i := sort.Search(len(f), func(j int) bool { return precedes(t, m, seq, &f[j]) })
+	return i, i == 0 || !(f[i-1].res.Mem1.Total() <= m)
 }
 
 func (ws *workerState) merge(o *workerState) {
