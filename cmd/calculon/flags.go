@@ -46,30 +46,17 @@ func addRuntime(fs *flag.FlagSet) *runtimeFlags {
 	return r
 }
 
-// openStore opens the persistent result store named by -store and wires it
-// into the search options. The returned close function flushes the pending
-// batch; its error must reach the user — a verdict that never hit disk is a
-// cache that silently re-pays the walk next run.
-func (r *runtimeFlags) openStore(opts *search.Options) (func() error, error) {
-	if r.store == "" {
-		return func() error { return nil }, nil
-	}
-	st, err := resultstore.Open(r.store)
-	if err != nil {
-		return nil, err
-	}
-	if s := st.Stats(); s.Stale > 0 || s.RecoveredBytes > 0 {
-		fmt.Fprintf(os.Stderr, "calculon: store %s: %d rows (%d stale, recovered from %d truncated bytes)\n",
-			r.store, s.Rows, s.Stale, s.RecoveredBytes)
-	}
-	opts.Cache = st
-	return st.Close, nil
+// engineOptions are the options of the two search engines.
+type engineOptions interface {
+	*search.Options | *serving.Options
 }
 
-// openServingStore is openStore for the serving engine: the same JSONL file
-// serves both kinds of verdict, and the serving search gets the store's
-// serving.Cache view.
-func (r *runtimeFlags) openServingStore(opts *serving.Options) (func() error, error) {
+// openStore opens the persistent result store named by -store and wires it
+// into a search's options: the same JSONL file serves both kinds of
+// verdict. The returned close function flushes the pending batch; its error
+// must reach the user — a verdict that never hit disk is a cache that
+// silently re-pays the walk next run.
+func openStore[O engineOptions](r *runtimeFlags, opts O) (func() error, error) {
 	if r.store == "" {
 		return func() error { return nil }, nil
 	}
@@ -81,7 +68,12 @@ func (r *runtimeFlags) openServingStore(opts *serving.Options) (func() error, er
 		fmt.Fprintf(os.Stderr, "calculon: store %s: %d rows (%d stale, recovered from %d truncated bytes)\n",
 			r.store, s.Rows, s.Stale, s.RecoveredBytes)
 	}
-	opts.Cache = st.ServingCache()
+	switch o := any(opts).(type) {
+	case *search.Options:
+		o.Cache = st
+	case *serving.Options:
+		o.Cache = st.ServingCache()
+	}
 	return st.Close, nil
 }
 
@@ -127,30 +119,19 @@ func (r *runtimeFlags) apply(ctx context.Context) (context.Context, func(), erro
 	}, nil
 }
 
-// attachProgress wires the runtime flags' observability into search options:
-// a shared Progress for partial-result reporting, a pre-counted total for
-// ETAs, and — when -progress is set — a stderr ticker.
-func (r *runtimeFlags) attachProgress(opts *search.Options, prog *search.Progress) {
-	opts.Progress = prog
-	opts.EstimateTotal = true
-	opts.Workers = r.workers
+// attachProgress wires the runtime flags' observability into a search's
+// options: a shared Progress for partial-result reporting, a pre-counted
+// total for ETAs, the worker budget, and — when -progress is set — a stderr
+// ticker.
+func attachProgress[O engineOptions](r *runtimeFlags, opts O, prog *search.Progress) {
+	var tick func(search.ProgressSnapshot)
 	if r.progress > 0 {
-		opts.ProgressInterval = r.progress
-		opts.OnProgress = func(s search.ProgressSnapshot) {
-			fmt.Fprintf(os.Stderr, "calculon: %s\n", s)
-		}
+		tick = func(s search.ProgressSnapshot) { fmt.Fprintf(os.Stderr, "calculon: %s\n", s) }
 	}
-}
-
-// attachServingProgress mirrors attachProgress for serving.Options.
-func (r *runtimeFlags) attachServingProgress(opts *serving.Options, prog *search.Progress) {
-	opts.Progress = prog
-	opts.EstimateTotal = true
-	opts.Workers = r.workers
-	if r.progress > 0 {
-		opts.ProgressInterval = r.progress
-		opts.OnProgress = func(s search.ProgressSnapshot) {
-			fmt.Fprintf(os.Stderr, "calculon: %s\n", s)
-		}
+	switch o := any(opts).(type) {
+	case *search.Options:
+		o.Progress, o.EstimateTotal, o.Workers, o.OnProgress, o.ProgressInterval = prog, true, r.workers, tick, r.progress
+	case *serving.Options:
+		o.Progress, o.EstimateTotal, o.Workers, o.OnProgress, o.ProgressInterval = prog, true, r.workers, tick, r.progress
 	}
 }

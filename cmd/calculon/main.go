@@ -308,7 +308,7 @@ func cmdSearch(ctx context.Context, args []string) (retErr error) {
 			return err
 		}
 		var prog search.Progress
-		rt.attachProgress(&opts, &prog)
+		attachProgress(rt, &opts, &prog)
 		sres, err := search.ExecutionShard(ctx, m, sys, opts, sh)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -318,7 +318,7 @@ func cmdSearch(ctx context.Context, args []string) (retErr error) {
 		}
 		return writeJSON(*outPath, sres)
 	}
-	closeStore, err := rt.openStore(&opts)
+	closeStore, err := openStore(rt, &opts)
 	if err != nil {
 		return err
 	}
@@ -330,7 +330,7 @@ func cmdSearch(ctx context.Context, args []string) (retErr error) {
 		}
 	}()
 	var prog search.Progress
-	rt.attachProgress(&opts, &prog)
+	attachProgress(rt, &opts, &prog)
 	res, err := search.Execution(ctx, m, sys, opts)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -45,7 +45,7 @@ func cmdScaling(ctx context.Context, args []string) (retErr error) {
 			MaxInterleave: *maxIl,
 		},
 	}
-	closeStore, err := rt.openStore(&opts)
+	closeStore, err := openStore(rt, &opts)
 	if err != nil {
 		return err
 	}
@@ -55,7 +55,7 @@ func cmdScaling(ctx context.Context, args []string) (retErr error) {
 		}
 	}()
 	var prog search.Progress
-	rt.attachProgress(&opts, &prog)
+	attachProgress(rt, &opts, &prog)
 	pts, err := search.SystemSize(ctx, m, func(n int) system.System { return tmpl.WithProcs(n) },
 		sizes, opts)
 	if err != nil {

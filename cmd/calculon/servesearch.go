@@ -89,7 +89,7 @@ func cmdServeSearch(ctx context.Context, args []string) (retErr error) {
 	}
 	defer cleanup()
 	var opts serving.Options
-	closeStore, err := rt.openServingStore(&opts)
+	closeStore, err := openStore(rt, &opts)
 	if err != nil {
 		return err
 	}
@@ -99,7 +99,7 @@ func cmdServeSearch(ctx context.Context, args []string) (retErr error) {
 		}
 	}()
 	var prog search.Progress
-	rt.attachServingProgress(&opts, &prog)
+	attachProgress(rt, &opts, &prog)
 
 	if *step != 0 {
 		sizes := search.Sizes(*step, *max)

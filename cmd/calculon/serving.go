@@ -95,7 +95,7 @@ func cmdTCO(ctx context.Context, args []string) error {
 		},
 	}
 	var prog search.Progress
-	rt.attachProgress(&opts, &prog)
+	attachProgress(rt, &opts, &prog)
 	res, err := search.Execution(ctx, m, sys, opts)
 	if err != nil {
 		return err

@@ -19,8 +19,7 @@ import (
 // store: over randomized (model, system, options) draws, a verdict served
 // from the store — same process or after a reopen from disk — must be
 // bit-identical to a fresh evaluation. Pareto fronts, top-K sets, and every
-// diagnostic counter included; reflect.DeepEqual, no tolerance. The
-// DisableStore arm checks the escape hatch re-evaluates and still agrees.
+// diagnostic counter included; reflect.DeepEqual, no tolerance.
 // The CI race job runs this with -race, exercising concurrent appends.
 func TestStoreCachedEqualsFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -128,26 +127,6 @@ func TestStoreCachedEqualsFresh(t *testing.T) {
 			t.Errorf("draw %d: warm-run stats = %+v, want exactly 1 hit and no append", i, s)
 		}
 
-		// Escape hatch: DisableStore with the cache still wired must
-		// re-evaluate (no lookup, no store) and still agree.
-		off := warm
-		off.DisableStore = true
-		var offProg search.Progress
-		off.Progress = &offProg
-		offRes, err := search.Execution(context.Background(), m, sys, off)
-		if err != nil {
-			t.Fatalf("draw %d: DisableStore search: %v", i, err)
-		}
-		if !reflect.DeepEqual(offRes, fresh) {
-			t.Fatalf("draw %d: DisableStore run diverges from the reference", i)
-		}
-		offSnap := offProg.Snapshot()
-		if offSnap.StoreHits != 0 || offSnap.Evaluated != int64(fresh.Evaluated) {
-			t.Errorf("draw %d: DisableStore progress = %+v, want a full live evaluation", i, offSnap)
-		}
-		if s := st2.Stats(); s.Hits != 1 || s.Misses != 0 || s.Appends != 0 {
-			t.Errorf("draw %d: DisableStore touched the store: %+v", i, s)
-		}
 		if err := st2.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -141,11 +141,11 @@ func (c ServingCache) Lookup(spec serving.Spec, _ serving.Options) (serving.Resu
 	if err != nil {
 		return serving.Result{}, false
 	}
-	v, ok := c.s.lookupServing(key)
+	row, ok := c.s.lookup(KindServing, key)
 	if !ok {
 		return serving.Result{}, false
 	}
-	return v.result(), true
+	return row.Serving.result(), true
 }
 
 // Store implements serving.Cache: it commits a finished serving search's

@@ -203,14 +203,14 @@ func TestServingRowsCoexistWithTraining(t *testing.T) {
 	if s := st.Stats(); s.Rows != 2 || s.Loaded != 4 || s.Stale != 2 {
 		t.Fatalf("stats = %+v, want train+serving live and old-space+unknown-kind stale", s)
 	}
-	if _, ok := st.lookup("train"); !ok {
+	if _, ok := st.lookup("", "train"); !ok {
 		t.Error("training row lost in a mixed-kind file")
 	}
-	if v, ok := st.lookupServing(key); !ok || v.Evaluated != 5 {
+	if v, ok := st.lookup(KindServing, key); !ok || v.Serving.Evaluated != 5 {
 		t.Errorf("serving row = (%+v, %v), want evaluated 5", v, ok)
 	}
 	// The two indices do not bleed into each other even on equal keys.
-	if _, ok := st.lookup(key); ok {
+	if _, ok := st.lookup("", key); ok {
 		t.Error("serving row served from the training index")
 	}
 }

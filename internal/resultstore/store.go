@@ -34,12 +34,14 @@ type counters struct {
 
 // Stats is one observation of a store's activity.
 type Stats struct {
-	// Rows is the number of distinct keys currently indexed, summed across
-	// the training and serving indices.
+	// Rows is the number of distinct (kind, key) pairs currently indexed,
+	// training and serving rows alike.
 	Rows int
 	// Loaded counts the rows read back at Open (before dedup); Stale the
-	// subset skipped for carrying an outdated strategy-space version;
-	// RecoveredBytes the truncated final-line bytes dropped at Open.
+	// subset skipped as stale: an outdated space version of its kind
+	// (StrategySpaceVersion for training rows, ServingSpaceVersion for
+	// serving rows) or a kind this binary does not know; RecoveredBytes the
+	// truncated final-line bytes dropped at Open.
 	Loaded         int
 	Stale          int
 	RecoveredBytes int
@@ -57,11 +59,12 @@ type Stats struct {
 type Store struct {
 	ctr counters
 
-	mu      sync.Mutex
-	f       *os.File
-	path    string
-	index   map[string]Verdict
-	serving map[string]ServingVerdict
+	mu   sync.Mutex
+	f    *os.File
+	path string
+	// index serves the last row appended per (kind, key): equal keys of
+	// different kinds are different searches.
+	index   map[rowKey]Row
 	pending []Row
 	batch   int
 	closed  bool
@@ -95,11 +98,10 @@ func Open(path string) (*Store, error) {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
 	s := &Store{
-		f:       f,
-		path:    path,
-		index:   make(map[string]Verdict),
-		serving: make(map[string]ServingVerdict),
-		batch:   DefaultBatchSize,
+		f:     f,
+		path:  path,
+		index: make(map[rowKey]Row),
+		batch: DefaultBatchSize,
 	}
 	if err := s.load(); err != nil {
 		// Close cannot mask the load error: the file was only read.
@@ -166,15 +168,14 @@ func (s *Store) load() error {
 	return nil
 }
 
-// indexRow files the row's verdict under the index of its kind. Caller
-// holds mu (or is single-threaded load) and has already screened staleness;
-// decodeRow/Append guarantee a serving row carries its payload.
+// rowKey is a row's identity in the index.
+type rowKey struct{ kind, key string }
+
+// indexRow files the row under its kind and key. Caller holds mu (or is
+// single-threaded load) and has already screened staleness; decodeRow and
+// Append guarantee a serving row carries its payload.
 func (s *Store) indexRow(row Row) {
-	if row.Kind == KindServing {
-		s.serving[row.Key] = *row.Serving
-	} else {
-		s.index[row.Key] = row.Verdict
-	}
+	s.index[rowKey{row.Kind, row.Key}] = row
 }
 
 // decodeRow parses one JSONL line into a Row, enforcing the envelope
@@ -209,32 +210,19 @@ func (s *Store) SetBatchSize(n int) {
 	s.batch = n
 }
 
-// lookup returns the training verdict stored under key, if any.
-func (s *Store) lookup(key string) (Verdict, bool) {
-	s.mu.Lock()
-	v, ok := s.index[key]
-	s.mu.Unlock()
-	if ok {
-		s.ctr.hits.Add(1)
-	} else {
-		s.ctr.misses.Add(1)
-	}
-	return v, ok
-}
-
-// lookupServing returns the serving verdict stored under key, if any. Hits
-// and misses land in the same counters as training lookups — the stats
+// lookup returns the row of the given kind stored under key, if any, and
+// counts the hit or miss; both kinds share the counters, since the stats
 // surface observes store traffic, not per-kind traffic.
-func (s *Store) lookupServing(key string) (ServingVerdict, bool) {
+func (s *Store) lookup(kind, key string) (Row, bool) {
 	s.mu.Lock()
-	v, ok := s.serving[key]
+	row, ok := s.index[rowKey{kind, key}]
 	s.mu.Unlock()
 	if ok {
 		s.ctr.hits.Add(1)
 	} else {
 		s.ctr.misses.Add(1)
 	}
-	return v, ok
+	return row, ok
 }
 
 // Append records a row: the index serves it immediately (last write wins)
@@ -318,7 +306,7 @@ func (s *Store) Close() error {
 // Stats snapshots the store's activity counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	rows, loaded, stale, recovered := len(s.index)+len(s.serving), s.loaded, s.stale, s.recoveredBytes
+	rows, loaded, stale, recovered := len(s.index), s.loaded, s.stale, s.recoveredBytes
 	s.mu.Unlock()
 	return Stats{
 		Rows:           rows,

@@ -45,7 +45,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		}
 	}
 	// The index serves appended rows before any flush.
-	if v, ok := st.lookup("k2"); !ok || v.Evaluated != 200 {
+	if v, ok := st.lookup("", "k2"); !ok || v.Verdict.Evaluated != 200 {
 		t.Fatalf("pre-flush lookup k2 = (%+v, %v), want evaluated 200", v, ok)
 	}
 	if err := st.Close(); err != nil {
@@ -62,12 +62,12 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("reopen stats = %+v, want 3 clean rows", stats)
 	}
 	for _, r := range rows {
-		v, ok := st2.lookup(r.Key)
+		v, ok := st2.lookup("", r.Key)
 		if !ok {
 			t.Fatalf("row %s lost across reopen", r.Key)
 		}
-		if !reflect.DeepEqual(v, r.Verdict) {
-			t.Fatalf("row %s verdict changed across reopen:\ngot  %+v\nwant %+v", r.Key, v, r.Verdict)
+		if !reflect.DeepEqual(v.Verdict, r.Verdict) {
+			t.Fatalf("row %s verdict changed across reopen:\ngot  %+v\nwant %+v", r.Key, v.Verdict, r.Verdict)
 		}
 	}
 	if s := st2.Stats(); s.Hits != 3 || s.Misses != 0 {
@@ -90,7 +90,7 @@ func TestStoreDuplicateKeysLastWriteWins(t *testing.T) {
 	if err := st.Append(testRow("dup", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := st.lookup("dup"); !ok || v.Evaluated != 2 {
+	if v, ok := st.lookup("", "dup"); !ok || v.Verdict.Evaluated != 2 {
 		t.Fatalf("live lookup = (%+v, %v), want the second write", v, ok)
 	}
 	if err := st.Close(); err != nil {
@@ -105,7 +105,7 @@ func TestStoreDuplicateKeysLastWriteWins(t *testing.T) {
 	if s := st2.Stats(); s.Rows != 1 || s.Loaded != 2 {
 		t.Fatalf("reopen stats = %+v, want 2 loaded deduped to 1 row", s)
 	}
-	if v, ok := st2.lookup("dup"); !ok || v.Evaluated != 2 {
+	if v, ok := st2.lookup("", "dup"); !ok || v.Verdict.Evaluated != 2 {
 		t.Fatalf("replayed lookup = (%+v, %v), want the second write", v, ok)
 	}
 }
@@ -191,7 +191,7 @@ func TestStoreCrashTruncation(t *testing.T) {
 	if stats.Rows != 2 || stats.RecoveredBytes == 0 {
 		t.Fatalf("post-crash stats = %+v, want 2 surviving rows and recovered bytes", stats)
 	}
-	if _, ok := st.lookup("k3"); ok {
+	if _, ok := st.lookup("", "k3"); ok {
 		t.Fatal("truncated row k3 served after recovery")
 	}
 	// The store stays writable after recovery and the re-appended row lands
@@ -210,7 +210,7 @@ func TestStoreCrashTruncation(t *testing.T) {
 	if s := st2.Stats(); s.Rows != 3 || s.RecoveredBytes != 0 {
 		t.Fatalf("stats after recovery + append + reopen = %+v, want 3 clean rows", s)
 	}
-	if v, ok := st2.lookup("k3"); !ok || v.Evaluated != 33 {
+	if v, ok := st2.lookup("", "k3"); !ok || v.Verdict.Evaluated != 33 {
 		t.Fatalf("re-appended k3 = (%+v, %v)", v, ok)
 	}
 }
@@ -236,7 +236,7 @@ func TestStoreCrashSalvage(t *testing.T) {
 	if s := st.Stats(); s.Rows != 2 || s.RecoveredBytes != 0 {
 		t.Fatalf("salvage stats = %+v, want both rows and no dropped bytes", s)
 	}
-	if _, ok := st.lookup("k2"); !ok {
+	if _, ok := st.lookup("", "k2"); !ok {
 		t.Fatal("salvageable row k2 was dropped")
 	}
 	if err := st.Close(); err != nil {
@@ -303,10 +303,10 @@ func TestStoreStaleSpaceVersionSkipped(t *testing.T) {
 	if stats.Rows != 1 || stats.Loaded != 2 || stats.Stale != 1 {
 		t.Fatalf("stats = %+v, want 1 current row and 1 stale", stats)
 	}
-	if _, ok := st.lookup("old"); ok {
+	if _, ok := st.lookup("", "old"); ok {
 		t.Fatal("stale-space row served")
 	}
-	if _, ok := st.lookup("current"); !ok {
+	if _, ok := st.lookup("", "current"); !ok {
 		t.Fatal("current-space row lost")
 	}
 }

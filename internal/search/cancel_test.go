@@ -215,9 +215,9 @@ func TestDeterministicWithCancellationMachinery(t *testing.T) {
 
 func TestProgressSnapshotDerivedFields(t *testing.T) {
 	var p Progress
-	p.markStart()
+	p.MarkStart()
 	p.AddTotal(1000)
-	p.add(progressDelta{evaluated: 250, feasible: 40})
+	p.AddCounts(Counts{Evaluated: 250, Feasible: 40})
 	time.Sleep(10 * time.Millisecond)
 	s := p.Snapshot()
 	if s.Evaluated != 250 || s.Feasible != 40 || s.Total != 1000 {
@@ -233,7 +233,7 @@ func TestProgressSnapshotDerivedFields(t *testing.T) {
 		t.Fatal("empty String()")
 	}
 	// Finished searches must not report an ETA.
-	p.add(progressDelta{evaluated: 750})
+	p.AddCounts(Counts{Evaluated: 750})
 	if s := p.Snapshot(); s.ETA != 0 {
 		t.Fatalf("ETA %v after completion", s.ETA)
 	}

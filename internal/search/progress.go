@@ -52,78 +52,54 @@ type Progress struct {
 // cycle. Passing nil unsubscribes.
 func (p *Progress) MirrorTo(agg *Progress) {
 	if agg != nil {
-		agg.markStart()
+		agg.MarkStart()
 	}
 	p.mirror.Store(agg)
 }
 
-// markStart records the wall-clock start on first attachment.
-func (p *Progress) markStart() {
+// MarkStart records the wall-clock start on first attachment; later calls
+// keep the first start.
+func (p *Progress) MarkStart() {
 	p.startNano.CompareAndSwap(0, time.Now().UnixNano())
 }
 
-// progressDelta is one chunk's worth of counter increments.
-type progressDelta struct {
-	evaluated     int64
-	feasible      int64
-	prescreened   int64
-	cacheHits     int64
-	subtreePruned int64
-	storeHits     int64
+// Counts is one batch of counter increments: a work chunk's tallies, a
+// subtree dropped whole, or a store hit. Every engine flushes through
+// AddCounts, so mirror propagation and the atomic discipline stay in one
+// place.
+type Counts struct {
+	Evaluated     int64
+	Feasible      int64
+	PreScreened   int64
+	CacheHits     int64
+	SubtreePruned int64
+	StoreHits     int64
 }
 
-// add flushes one chunk's worth of counts.
-func (p *Progress) add(d progressDelta) {
-	if d.evaluated != 0 {
-		p.evaluated.Add(d.evaluated)
+// AddCounts flushes one batch of counts, and propagates it to any mirror.
+func (p *Progress) AddCounts(c Counts) {
+	if c.Evaluated != 0 {
+		p.evaluated.Add(c.Evaluated)
 	}
-	if d.feasible != 0 {
-		p.feasible.Add(d.feasible)
+	if c.Feasible != 0 {
+		p.feasible.Add(c.Feasible)
 	}
-	if d.prescreened != 0 {
-		p.prescreened.Add(d.prescreened)
+	if c.PreScreened != 0 {
+		p.prescreened.Add(c.PreScreened)
 	}
-	if d.cacheHits != 0 {
-		p.cacheHits.Add(d.cacheHits)
+	if c.CacheHits != 0 {
+		p.cacheHits.Add(c.CacheHits)
 	}
-	if d.subtreePruned != 0 {
-		p.subtreePruned.Add(d.subtreePruned)
+	if c.SubtreePruned != 0 {
+		p.subtreePruned.Add(c.SubtreePruned)
 	}
-	if d.storeHits != 0 {
-		p.storeHits.Add(d.storeHits)
+	if c.StoreHits != 0 {
+		p.storeHits.Add(c.StoreHits)
 	}
 	if m := p.mirror.Load(); m != nil {
-		m.add(d)
+		m.AddCounts(c)
 	}
 }
-
-// Counts is one batch of counter increments for AddCounts. Other search
-// verticals (the serving search) flush their per-chunk tallies through this
-// instead of reaching into the unexported fields, so mirror propagation and
-// the atomic discipline stay in one place.
-type Counts struct {
-	Evaluated   int64
-	Feasible    int64
-	PreScreened int64
-	CacheHits   int64
-	StoreHits   int64
-}
-
-// AddCounts flushes one batch of counts, propagating to any mirror exactly
-// like the internal per-chunk flush does.
-func (p *Progress) AddCounts(c Counts) {
-	p.add(progressDelta{
-		evaluated:   c.Evaluated,
-		feasible:    c.Feasible,
-		prescreened: c.PreScreened,
-		cacheHits:   c.CacheHits,
-		storeHits:   c.StoreHits,
-	})
-}
-
-// MarkStart records the wall-clock start on first attachment, for searches
-// outside this package that drive a Progress directly.
-func (p *Progress) MarkStart() { p.markStart() }
 
 // AddTotal grows the expected-strategy total (used for ETA). Searches add
 // their own space size when Options.EstimateTotal is set; callers that know

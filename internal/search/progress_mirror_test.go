@@ -10,8 +10,8 @@ func TestProgressMirrorToAggregates(t *testing.T) {
 	var a, b Progress
 	a.MirrorTo(&agg)
 	b.MirrorTo(&agg)
-	a.add(progressDelta{evaluated: 10, feasible: 3, prescreened: 2})
-	b.add(progressDelta{evaluated: 5, cacheHits: 4, subtreePruned: 1})
+	a.AddCounts(Counts{Evaluated: 10, Feasible: 3, PreScreened: 2})
+	b.AddCounts(Counts{Evaluated: 5, CacheHits: 4, SubtreePruned: 1})
 	a.AddTotal(100)
 	b.AddTotal(50)
 
@@ -29,7 +29,7 @@ func TestProgressMirrorToAggregates(t *testing.T) {
 
 	// Unsubscribing stops the flow without touching accumulated counts.
 	a.MirrorTo(nil)
-	a.add(progressDelta{evaluated: 7})
+	a.AddCounts(Counts{Evaluated: 7})
 	if got := agg.Snapshot().Evaluated; got != 15 {
 		t.Fatalf("aggregate moved to %d after unsubscribe", got)
 	}

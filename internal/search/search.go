@@ -14,11 +14,8 @@ package search
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"calculon/internal/execution"
@@ -70,12 +67,9 @@ type Options struct {
 	// the search and stores the finished Result. Cancelled or failed
 	// searches are never stored, and searches with CollectRates set bypass
 	// the cache entirely (the Rates slice is ordered by worker completion,
-	// which is not run-to-run deterministic).
+	// which is not run-to-run deterministic). A nil Cache bypasses the
+	// store.
 	Cache Cache
-	// DisableStore bypasses Cache without unwiring it: no lookup, no store.
-	// Results are identical either way; it exists to force re-evaluation
-	// and for A/B measurement.
-	DisableStore bool
 
 	// sharedRunner, when non-nil, evaluates strategies instead of a freshly
 	// built Runner. SystemSize threads per-size Runners drawn from one
@@ -133,7 +127,7 @@ const chunkSize = 256
 // carries: about chunkSize leaves, at least one segment. A worker checks for
 // cancellation once per chunk: at most max(chunkSize, segLen) leaves apart.
 func segmentsPerChunk(segLen int) int {
-	return maxInt(1, chunkSize/segLen)
+	return max(1, chunkSize/segLen)
 }
 
 // Execution exhaustively evaluates every strategy the options allow for the
@@ -152,58 +146,26 @@ func Execution(ctx context.Context, m model.LLM, sys system.System, opts Options
 	if err != nil {
 		return Result{}, err
 	}
-
-	prog := opts.Progress
-	if prog == nil && opts.OnProgress != nil {
-		prog = &Progress{}
+	var st Stored[Result]
+	if opts.Cache != nil && !opts.CollectRates {
+		st.Lookup = func() (Result, bool) { return opts.Cache.Lookup(m, sys, opts) }
+		st.Store = func(res Result) { opts.Cache.Store(m, sys, opts, res) }
 	}
-
-	// The store is consulted here — options normalized, nothing evaluated
-	// yet — so every spelling of the same search maps to one cache identity.
-	// A hit returns the stored verdict whole; the only trace it leaves on
-	// the live counters is StoreHits (inflating Evaluated with work this
-	// process never did would corrupt throughput and ETA accounting).
-	useStore := opts.Cache != nil && !opts.DisableStore && !opts.CollectRates
-	if useStore {
-		if res, ok := opts.Cache.Lookup(m, sys, opts); ok {
-			if prog != nil {
-				prog.markStart()
-				prog.add(progressDelta{storeHits: 1})
-			}
-			if opts.OnProgress != nil {
-				opts.OnProgress(prog.Snapshot())
-			}
-			return res, nil
+	// The space size is closed-form over the (tp,pp,dp) lattice — divisor
+	// arithmetic, no enumeration pass — and buys the ETA in snapshots.
+	size := func() int { return opts.Enum.SpaceSize(m) }
+	return Run(ctx, opts.watch(), st, size, func(prog *Progress) (Result, error) {
+		merged, subtreePruned, err := executionScored(ctx, m, sys, opts, prog, opts.Enum.Triples(m), 0)
+		if err != nil {
+			return Result{}, err
 		}
-	}
-	if prog != nil {
-		prog.markStart()
-		if opts.EstimateTotal {
-			// The space size is closed-form over the (tp,pp,dp) lattice —
-			// divisor arithmetic, no enumeration pass — and buys the ETA in
-			// snapshots.
-			prog.AddTotal(int64(opts.Enum.SpaceSize(m)))
-		}
-	}
-	if opts.OnProgress != nil {
-		stopTicker := StartProgressTicker(ctx, prog, opts.OnProgress, opts.ProgressInterval)
-		defer func() {
-			stopTicker()
-			opts.OnProgress(prog.Snapshot())
-		}()
-	}
+		return resultFrom(&merged, subtreePruned), ctx.Err()
+	})
+}
 
-	merged, subtreePruned, err := executionScored(ctx, m, sys, opts, prog, opts.Enum.Triples(m), 0)
-	if err != nil {
-		return Result{}, err
-	}
-	out := resultFrom(&merged, subtreePruned)
-	if useStore && ctx.Err() == nil {
-		// Only complete verdicts are stored: a cancelled walk's counters and
-		// fronts cover an unpredictable prefix of the space.
-		opts.Cache.Store(m, sys, opts, out)
-	}
-	return out, ctx.Err()
+// watch is the options' observability half.
+func (o *Options) watch() Watch {
+	return Watch{o.Progress, o.EstimateTotal, o.OnProgress, o.ProgressInterval}
 }
 
 // normalizeOptions validates the inputs and fills the option defaults. Both
@@ -242,10 +204,7 @@ func normalizeOptions(m model.LLM, sys system.System, opts Options) (Options, er
 // leaf of triples — the leaf count of everything before the range — so a
 // shard scores its strategies exactly as the single-process walk would.
 func executionScored(ctx context.Context, m model.LLM, sys system.System, opts Options, prog *Progress, triples [][3]int, seqBase int) (workerState, int, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := poolSize(opts.Workers)
 	runner := opts.sharedRunner
 	if runner == nil {
 		var err error
@@ -300,11 +259,11 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 					})
 				}
 				if prog != nil {
-					prog.add(progressDelta{
-						evaluated:   int64(ws.evaluated - evalBefore),
-						feasible:    int64(ws.feasible - feasBefore),
-						prescreened: int64(ws.prescreened - preBefore),
-						cacheHits:   int64(ws.cacheHits - hitBefore),
+					prog.AddCounts(Counts{
+						Evaluated:   int64(ws.evaluated - evalBefore),
+						Feasible:    int64(ws.feasible - feasBefore),
+						PreScreened: int64(ws.prescreened - preBefore),
+						CacheHits:   int64(ws.cacheHits - hitBefore),
 					})
 				}
 			}
@@ -335,10 +294,10 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 			seq += leaves
 			subtreePruned += leaves
 			if prog != nil {
-				prog.add(progressDelta{
-					evaluated:     int64(leaves),
-					prescreened:   int64(leaves),
-					subtreePruned: int64(leaves),
+				prog.AddCounts(Counts{
+					Evaluated:     int64(leaves),
+					PreScreened:   int64(leaves),
+					SubtreePruned: int64(leaves),
 				})
 			}
 			continue
@@ -400,39 +359,6 @@ func resultFrom(merged *workerState, subtreePruned int) Result {
 		}
 	}
 	return out
-}
-
-// StartProgressTicker runs cb about every interval until the returned stop
-// function is called; stop blocks until the ticker goroutine has exited, so
-// callers never leak it and never race a final synchronous callback. The
-// ticker also stops when ctx is done: a cancelled search's last word is the
-// caller's final snapshot. Both search engines (execution and serving) drive
-// their tickers through it.
-func StartProgressTicker(ctx context.Context, p *Progress, cb func(ProgressSnapshot), interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				cb(p.Snapshot())
-			case <-ctx.Done():
-				return
-			case <-quit:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(quit)
-		<-done
-	}
 }
 
 // workerState accumulates per-goroutine results for a deterministic merge.
@@ -603,36 +529,22 @@ type ScalingPoint struct {
 // others, bit-identically.
 //
 // Cancellation propagates to every per-size search; on cancellation the
-// points computed so far are returned together with ctx.Err(). A Progress
-// attached through opts aggregates counters across all sizes.
+// points computed so far are returned together with ctx.Err(). Otherwise a
+// failed sweep reports the lowest-index failing size, however the sizes
+// were scheduled. A Progress attached through opts aggregates counters
+// across all sizes.
 func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.System, sizes []int, opts Options) ([]ScalingPoint, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opts.OnProgress != nil {
-		// The sweep owns one ticker over the aggregate Progress; per-size
-		// searches only flush counters into it (their OnProgress is unset
-		// below).
-		if opts.Progress == nil {
-			opts.Progress = &Progress{}
-		}
-		opts.Progress.markStart()
-		stopTicker := StartProgressTicker(ctx, opts.Progress, opts.OnProgress, opts.ProgressInterval)
-		defer func() {
-			stopTicker()
-			opts.OnProgress(opts.Progress.Snapshot())
-		}()
-	}
-	budget := opts.Workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	concurrent := len(sizes)
-	if concurrent > budget {
-		concurrent = budget
-	}
-	concurrent = maxInt(1, concurrent)
-	perSize := maxInt(1, budget/concurrent)
+	// The sweep owns the ticker over the aggregate Progress; per-size
+	// searches only flush counters into it.
+	prog, finish := opts.watch().Start(ctx)
+	defer finish()
+	opts.Progress, opts.OnProgress = prog, nil
+	budget := poolSize(opts.Workers)
+	concurrent := max(1, min(len(sizes), budget))
+	perSize := max(1, budget/concurrent)
 	var group *perf.RunnerGroup
 	if len(sizes) > 0 {
 		// Sharing is best-effort: a sysAt that varies memo-relevant inputs
@@ -641,52 +553,27 @@ func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.S
 		group, _ = perf.NewRunnerGroup(m, sysAt(sizes[0]))
 	}
 	points := make([]ScalingPoint, len(sizes))
-	var firstErr error
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, concurrent)
-	for i, n := range sizes {
-		wg.Add(1)
-		go func(i, n int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return
+	err := Pool(ctx, concurrent, len(sizes), func(i int) error {
+		n := sizes[i]
+		o := opts
+		o.Enum.Procs, o.Workers = n, perSize
+		sys := sysAt(n)
+		if group != nil {
+			if r, err := group.RunnerFor(sys); err == nil {
+				o.sharedRunner = r
 			}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return // select picks at random when both cases are ready
-			}
-			o := opts
-			o.Enum.Procs = n
-			o.Workers = perSize
-			// The ticker belongs to the sweep's caller, not each size.
-			o.OnProgress = nil
-			sys := sysAt(n)
-			if group != nil {
-				if r, err := group.RunnerFor(sys); err == nil {
-					o.sharedRunner = r
-				}
-			}
-			res, err := Execution(ctx, m, sys, o)
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return
-				}
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("size %d: %w", n, err)
-				}
-				mu.Unlock()
-				return
-			}
+		}
+		res, err := Execution(ctx, m, sys, o)
+		switch {
+		case err == nil:
 			points[i] = ScalingPoint{Procs: n, Best: res.Best, Feasible: res.Feasible, Found: res.Found()}
-		}(i, n)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		case ctx.Err() == nil:
+			return fmt.Errorf("size %d: %w", n, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return points, ctx.Err()
 }
@@ -703,11 +590,4 @@ func Sizes(step, max int) []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -158,6 +158,31 @@ func TestSystemSizeSweep(t *testing.T) {
 	}
 }
 
+// TestSystemSizeErrorIsLowestIndex pins the sweep's error to the first
+// failing size in input order, however the sizes are scheduled.
+func TestSystemSizeErrorIsLowestIndex(t *testing.T) {
+	m := model.MustPreset("gpt3-13B").WithBatch(8)
+	sysAt := func(n int) system.System { return system.A100(n) }
+	opts := Options{Enum: execution.EnumOptions{Features: execution.FeatureBaseline}}
+	_, err := Execution(context.Background(), m, sysAt(0), opts)
+	if err == nil {
+		t.Fatal("a zero-processor system must not validate")
+	}
+	want := "size 0: " + err.Error()
+	for _, workers := range []int{1, 3} {
+		opts.Workers = workers
+		for rep := 0; rep < 5; rep++ {
+			pts, err := SystemSize(context.Background(), m, sysAt, []int{8, 0, -8, -16}, opts)
+			if err == nil || err.Error() != want {
+				t.Fatalf("workers %d: sweep error %v, want %s", workers, err, want)
+			}
+			if pts != nil {
+				t.Fatalf("workers %d: a failed sweep returned %d points", workers, len(pts))
+			}
+		}
+	}
+}
+
 // TestSystemSizeSweepEquivalence extends the search equivalence guarantee
 // to the sweep path: the cross-size shared memo, the subtree prune, and the
 // worker-budget split must leave every scaling point bit-identical to a

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"calculon/internal/execution"
 	"calculon/internal/model"
 	"calculon/internal/perf"
 	"calculon/internal/system"
@@ -124,44 +125,28 @@ func ExecutionShard(ctx context.Context, m model.LLM, sys system.System, opts Op
 	if err != nil {
 		return ShardResult{}, err
 	}
-	opts.Cache = nil
-
 	triples := opts.Enum.Triples(m)
 	lo, hi := shardRange(sh, len(triples))
 	// The shard's sequence numbers start after every leaf of the triples
 	// before its range — closed-form, no enumeration.
-	seqBase := 0
-	for _, tpd := range triples[:lo] {
-		seqBase += opts.Enum.TripleLeafCount(m, tpd)
-	}
-
-	prog := opts.Progress
-	if prog == nil && opts.OnProgress != nil {
-		prog = &Progress{}
-	}
-	if prog != nil {
-		prog.markStart()
-		if opts.EstimateTotal {
-			total := 0
-			for _, tpd := range triples[lo:hi] {
-				total += opts.Enum.TripleLeafCount(m, tpd)
-			}
-			prog.AddTotal(int64(total))
+	seqBase := leafCount(opts.Enum, m, triples[:lo])
+	size := func() int { return leafCount(opts.Enum, m, triples[lo:hi]) }
+	return Run(ctx, opts.watch(), Stored[ShardResult]{}, size, func(prog *Progress) (ShardResult, error) {
+		merged, subtreePruned, err := executionScored(ctx, m, sys, opts, prog, triples[lo:hi], seqBase)
+		if err != nil {
+			return ShardResult{}, err
 		}
-	}
-	if opts.OnProgress != nil {
-		stopTicker := StartProgressTicker(ctx, prog, opts.OnProgress, opts.ProgressInterval)
-		defer func() {
-			stopTicker()
-			opts.OnProgress(prog.Snapshot())
-		}()
-	}
+		return merged.shardResult(sh, subtreePruned), ctx.Err()
+	})
+}
 
-	merged, subtreePruned, err := executionScored(ctx, m, sys, opts, prog, triples[lo:hi], seqBase)
-	if err != nil {
-		return ShardResult{}, err
+// leafCount is the number of leaves of the triples, in closed form.
+func leafCount(enum execution.EnumOptions, m model.LLM, triples [][3]int) int {
+	n := 0
+	for _, tpd := range triples {
+		n += enum.TripleLeafCount(m, tpd)
 	}
-	return merged.shardResult(sh, subtreePruned), ctx.Err()
+	return n
 }
 
 // shardResult exports a folded state as the mergeable partial of shard sh.

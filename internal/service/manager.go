@@ -222,11 +222,14 @@ func (m *Manager) runJob(job *Job, workers int, release func()) {
 		sres *serving.Result
 		err  error
 	)
+	// A typed-nil *Store behind a Cache interface would defeat the engines'
+	// nil checks, hence the explicit guard.
+	useStore := m.store != nil && !job.prep.disableStore
 	if job.prep.servingSpec != nil {
 		sopts := job.prep.servingOpts
 		sopts.Workers = workers
 		sopts.Progress = job.prog
-		if m.store != nil {
+		if useStore {
 			sopts.Cache = m.store.ServingCache()
 		}
 		var r serving.Result
@@ -236,9 +239,7 @@ func (m *Manager) runJob(job *Job, workers int, release func()) {
 		opts := job.prep.opts
 		opts.Workers = workers
 		opts.Progress = job.prog
-		if m.store != nil {
-			// A typed-nil *Store behind the interface would defeat the nil check
-			// inside Execution, hence the explicit guard.
+		if useStore {
 			opts.Cache = m.store
 		}
 		var r search.Result

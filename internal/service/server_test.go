@@ -429,3 +429,38 @@ func TestStoreEndpoint(t *testing.T) {
 		t.Fatalf("store status = %+v, want 1 row / 1 hit / 1 miss / 1 append", st)
 	}
 }
+
+// TestDisableStoreEvaluatesFully: a job with "disable_store" set neither
+// consults nor fills the daemon's store. With the store already holding
+// the job's verdict, a training and a serving job each evaluate in full
+// and leave the store's counters unchanged.
+func TestDisableStoreEvaluatesFully(t *testing.T) {
+	store, err := resultstore.Open(filepath.Join(t.TempDir(), "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	s := newTestServer(t, Config{Workers: 2, MaxRunning: 1, QueueDepth: 4, Store: store})
+	for name, spec := range map[string]string{"training": smallSpec(), "serving": servingSeed} {
+		warm := submit(t, s, spec)
+		waitState(t, s, warm.ID, StateDone)
+		before := store.Stats()
+		var off JobSpec
+		if err := json.Unmarshal([]byte(spec), &off); err != nil {
+			t.Fatal(err)
+		}
+		off.Search.DisableStore = true
+		body, err := json.Marshal(off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := waitState(t, s, submit(t, s, string(body)).ID, StateDone)
+		if p := job.Progress; p.StoreHits != 0 || p.Evaluated == 0 {
+			t.Errorf("%s: job with the store disabled reports %d store hits, %d evaluated; want 0 and a full evaluation",
+				name, p.StoreHits, p.Evaluated)
+		}
+		if after := store.Stats(); after.Hits != before.Hits || after.Misses != before.Misses || after.Appends != before.Appends {
+			t.Errorf("%s: job with the store disabled touched the store: %+v, then %+v", name, before, after)
+		}
+	}
+}

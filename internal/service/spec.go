@@ -81,6 +81,8 @@ type prepared struct {
 	sys     system.System
 	opts    search.Options
 	timeout time.Duration
+	// disableStore keeps the daemon's result store away from the job.
+	disableStore bool
 
 	servingSpec *serving.Spec
 	servingOpts serving.Options
@@ -129,8 +131,8 @@ func (s JobSpec) prepare() (prepared, error) {
 		TopK:          topK,
 		Pareto:        s.Search.Pareto,
 		EstimateTotal: true,
-		DisableStore:  s.Search.DisableStore,
 	}
+	p.disableStore = s.Search.DisableStore
 	p.timeout = time.Duration(s.Search.TimeoutSeconds * float64(time.Second))
 	return p, nil
 }
@@ -159,10 +161,8 @@ func (s JobSpec) prepareServing() (prepared, error) {
 		return p, err
 	}
 	p.servingSpec = &spec
-	p.servingOpts = serving.Options{
-		EstimateTotal: true,
-		DisableStore:  s.Search.DisableStore,
-	}
+	p.servingOpts = serving.Options{EstimateTotal: true}
+	p.disableStore = s.Search.DisableStore
 	p.timeout = time.Duration(s.Search.TimeoutSeconds * float64(time.Second))
 	return p, nil
 }

@@ -4,11 +4,8 @@ import (
 	"cmp"
 	"context"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"calculon/internal/comm"
 	"calculon/internal/search"
@@ -37,118 +34,86 @@ func Search(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
-
-	prog := opts.Progress
-	if prog == nil && opts.OnProgress != nil {
-		prog = &search.Progress{}
-	}
-
-	// The store is consulted before anything is evaluated, mirroring
-	// search.Execution: a hit returns the stored verdict whole and leaves
-	// only StoreHits on the live counters.
-	useStore := opts.Cache != nil && !opts.DisableStore
-	if useStore {
-		if res, ok := opts.Cache.Lookup(spec, opts); ok {
-			if prog != nil {
-				prog.MarkStart()
-				prog.AddCounts(search.Counts{StoreHits: 1})
-			}
-			if opts.OnProgress != nil {
-				opts.OnProgress(prog.Snapshot())
-			}
-			return res, nil
-		}
-	}
-
 	cfgs := enumerate(spec.Model, spec.Space)
-	if prog != nil {
-		prog.MarkStart()
-		if opts.EstimateTotal {
-			prog.AddTotal(int64(len(cfgs)))
+	size := func() int { return len(cfgs) }
+	return search.Run(ctx, opts.watch(), opts.stored(spec), size, func(prog *search.Progress) (Result, error) {
+		pbar := spec.Workload.MeanPromptLen()
+		gbar := spec.Workload.MeanGenLen()
+		profiles := evalAll(ctx, &spec, opts.Workers, prog, cfgs, pbar, gbar)
+		if err := ctx.Err(); err != nil {
+			// A cancelled stage 1 leaves an unpredictable prefix of the
+			// profiles; composing a frontier from it would silently lie.
+			return Result{}, err
 		}
-	}
-	if opts.OnProgress != nil {
-		stop := search.StartProgressTicker(ctx, prog, opts.OnProgress, opts.ProgressInterval)
-		defer func() {
-			stop()
-			opts.OnProgress(prog.Snapshot())
-		}()
-	}
+		out, err := compose(&spec, cfgs, profiles, pbar, gbar)
+		if err != nil {
+			return Result{}, err
+		}
+		if prog != nil {
+			prog.AddCounts(search.Counts{Feasible: int64(out.Feasible)})
+		}
+		return out, ctx.Err()
+	})
+}
 
-	pbar := spec.Workload.MeanPromptLen()
-	gbar := spec.Workload.MeanGenLen()
-	profiles := evalAll(ctx, &spec, opts, prog, cfgs, pbar, gbar)
-	if err := ctx.Err(); err != nil {
-		// A cancelled stage 1 leaves an unpredictable prefix of the
-		// profiles; composing a frontier from it would silently lie.
-		return Result{}, err
+// watch is the options' observability half.
+func (o *Options) watch() search.Watch {
+	return search.Watch{
+		Progress:         o.Progress,
+		EstimateTotal:    o.EstimateTotal,
+		OnProgress:       o.OnProgress,
+		ProgressInterval: o.ProgressInterval,
 	}
-	out, err := compose(&spec, cfgs, profiles, pbar, gbar)
-	if err != nil {
-		return Result{}, err
+}
+
+// stored is the store policy of the search of spec, which the caller has
+// normalized: its Cache under spec's identity, or none without a Cache.
+func (o *Options) stored(spec Spec) search.Stored[Result] {
+	if o.Cache == nil {
+		return search.Stored[Result]{}
 	}
-	if prog != nil {
-		prog.AddCounts(search.Counts{Feasible: int64(out.Feasible)})
+	return search.Stored[Result]{
+		Lookup: func() (Result, bool) { return o.Cache.Lookup(spec, *o) },
+		Store:  func(res Result) { o.Cache.Store(spec, *o, res) },
 	}
-	if useStore && ctx.Err() == nil {
-		opts.Cache.Store(spec, opts, out)
-	}
-	return out, ctx.Err()
 }
 
 // evalAll is stage 1: the parallel engine-profile evaluation. A worker
 // claims one (tp, pp) pair at a time — the pair's engines are contiguous in
 // the enumeration and share their batch-independent prefill estimates
-// (pairPrefill) — and writes into the dense profiles array. After
-// cancellation workers keep draining so the producer's sends always
-// complete. A non-nil prog receives live Evaluated/PreScreened counts.
-func evalAll(ctx context.Context, spec *Spec, opts Options, prog *search.Progress, cfgs []engineConfig, pbar, gbar int) []engineProfile {
-	workers := opts.workers()
+// (pairPrefill) — and writes into the dense profiles array. A non-nil prog
+// receives live Evaluated/PreScreened counts.
+func evalAll(ctx context.Context, spec *Spec, workers int, prog *search.Progress, cfgs []engineConfig, pbar, gbar int) []engineProfile {
 	screen := newPreScreen(spec, pbar, gbar)
 	profiles := make([]engineProfile, len(cfgs))
-	type span struct{ lo, hi int }
-	spans := make(chan span, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range spans {
-				if ctx.Err() != nil {
-					continue
-				}
-				var shared pairPrefill
-				var delta search.Counts
-				for i := s.lo; i < s.hi; i++ {
-					delta.Evaluated++
-					if err := screen.check(cfgs[i]); err != nil {
-						profiles[i].prescreened = true
-						delta.PreScreened++
-						continue
-					}
-					profiles[i] = evalEngine(spec, cfgs[i], pbar, gbar, &shared)
-				}
-				if prog != nil {
-					prog.AddCounts(delta)
-				}
+	// pairs[k] is the first engine of the k-th pair; the last entry closes
+	// the last pair.
+	pairs := make([]int, 0, len(cfgs)+1)
+	for i := range cfgs {
+		if i == 0 || cfgs[i].tp != cfgs[i-1].tp || cfgs[i].pp != cfgs[i-1].pp {
+			pairs = append(pairs, i)
+		}
+	}
+	pairs = append(pairs, len(cfgs))
+	// Every job succeeds (profiles carry their own errors), so Pool has no
+	// error to report.
+	_ = search.Pool(ctx, workers, len(pairs)-1, func(k int) error {
+		var shared pairPrefill
+		var delta search.Counts
+		for i := pairs[k]; i < pairs[k+1]; i++ {
+			delta.Evaluated++
+			if err := screen.check(cfgs[i]); err != nil {
+				profiles[i].prescreened = true
+				delta.PreScreened++
+				continue
 			}
-		}()
-	}
-produce:
-	for lo := 0; lo < len(cfgs); {
-		hi := lo + 1
-		for hi < len(cfgs) && cfgs[hi].tp == cfgs[lo].tp && cfgs[hi].pp == cfgs[lo].pp {
-			hi++
+			profiles[i] = evalEngine(spec, cfgs[i], pbar, gbar, &shared)
 		}
-		select {
-		case <-ctx.Done():
-			break produce
-		case spans <- span{lo, hi}:
+		if prog != nil {
+			prog.AddCounts(delta)
 		}
-		lo = hi
-	}
-	close(spans)
-	wg.Wait()
+		return nil
+	})
 	return profiles
 }
 
@@ -437,9 +402,10 @@ type SizeResult struct {
 // budget from its subsequence — independent closed-form stage 2 runs, in
 // parallel under the same worker budget. Every point is byte-identical to
 // a standalone Search at that budget (TestSweepMatchesSearch), and each
-// consults and fills the store under its own key. A Progress attached
-// through opts ends with the totals the per-budget searches would report:
-// each budget's counts land as it is composed.
+// consults the store under its own key; a sweep that finishes stores its
+// composed budgets, in input order. A Progress attached through opts ends
+// with the totals the per-budget searches would report: each budget's
+// counts land as it is composed.
 //
 // A cancelled sweep returns ctx.Err() and no points; cancelled during
 // stage 1, it composes nothing. Otherwise the error of the lowest-index
@@ -448,20 +414,8 @@ func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeRes
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	prog := opts.Progress
-	if prog == nil && opts.OnProgress != nil {
-		prog = &search.Progress{}
-	}
-	if prog != nil {
-		prog.MarkStart()
-	}
-	if opts.OnProgress != nil {
-		stop := search.StartProgressTicker(ctx, prog, opts.OnProgress, opts.ProgressInterval)
-		defer func() {
-			stop()
-			opts.OnProgress(prog.Snapshot())
-		}()
-	}
+	prog, finish := opts.watch().Start(ctx)
+	defer finish()
 
 	spec = spec.Normalize()
 	at := func(n int) Spec {
@@ -469,97 +423,72 @@ func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeRes
 		sp.Space.Procs = n
 		return sp
 	}
-	useStore := opts.Cache != nil && !opts.DisableStore
 	out := make([]SizeResult, len(sizes))
+	// errs holds each budget's validation error; missed marks the valid
+	// budgets the store did not serve.
 	errs := make([]error, len(sizes))
-	var missed []int
+	missed := make([]bool, len(sizes))
 	top := 0
 	for i, n := range sizes {
 		sp := at(n)
-		if err := sp.Validate(); err != nil {
-			errs[i] = err
+		if errs[i] = sp.Validate(); errs[i] != nil {
 			continue
 		}
-		if useStore {
-			if res, ok := opts.Cache.Lookup(sp, opts); ok {
-				out[i] = SizeResult{Procs: n, Result: res}
-				if prog != nil {
-					prog.AddCounts(search.Counts{StoreHits: 1})
-				}
-				continue
-			}
+		if res, ok := opts.stored(sp).Consult(prog); ok {
+			out[i] = SizeResult{Procs: n, Result: res}
+			continue
 		}
-		missed = append(missed, i)
+		missed[i] = true
 		top = max(top, n)
 	}
 
-	if len(missed) > 0 {
+	var cfgs []engineConfig
+	var profiles []engineProfile
+	pbar := spec.Workload.MeanPromptLen()
+	gbar := spec.Workload.MeanGenLen()
+	if top > 0 {
 		topSpec := at(top)
-		cfgs := enumerate(topSpec.Model, topSpec.Space)
+		cfgs = enumerate(topSpec.Model, topSpec.Space)
 		if prog != nil && opts.EstimateTotal {
-			for _, i := range missed {
-				prog.AddTotal(int64(fitting(cfgs, sizes[i])))
+			for i, n := range sizes {
+				if missed[i] {
+					prog.AddTotal(int64(fitting(cfgs, n)))
+				}
 			}
 		}
-		pbar := spec.Workload.MeanPromptLen()
-		gbar := spec.Workload.MeanGenLen()
-		profiles := evalAll(ctx, &topSpec, opts, nil, cfgs, pbar, gbar)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		composeAll(ctx, opts, len(missed), func(k int) {
-			// Largest budgets first: with ascending sizes they are the
-			// longest compositions, so the pool drains evenly.
-			i := missed[len(missed)-1-k]
-			sp := at(sizes[i])
-			res, err := compose(&sp, cfgs, profiles, pbar, gbar)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			out[i] = SizeResult{Procs: sizes[i], Result: res}
-			if prog != nil {
-				prog.AddCounts(search.Counts{
-					Evaluated:   int64(res.Evaluated),
-					PreScreened: int64(res.PreScreened),
-					Feasible:    int64(res.Feasible),
-				})
-			}
-			if useStore {
-				opts.Cache.Store(sp, opts, res)
-			}
-		})
+		profiles = evalAll(ctx, &topSpec, opts.Workers, nil, cfgs, pbar, gbar)
 	}
-	if err := ctx.Err(); err != nil {
+	err := search.Pool(ctx, opts.Workers, len(sizes), func(i int) error {
+		if !missed[i] {
+			return errs[i]
+		}
+		sp := at(sizes[i])
+		res, err := compose(&sp, cfgs, profiles, pbar, gbar)
+		if err != nil {
+			return err
+		}
+		out[i] = SizeResult{Procs: sizes[i], Result: res}
+		if prog != nil {
+			prog.AddCounts(search.Counts{
+				Evaluated:   int64(res.Evaluated),
+				PreScreened: int64(res.PreScreened),
+				Feasible:    int64(res.Feasible),
+			})
+		}
+		return nil
+	})
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return nil, ctxErr
+	}
+	if err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for i, n := range sizes {
+		if missed[i] {
+			opts.stored(at(n)).Keep(ctx, out[i].Result, nil)
 		}
 	}
 	return out, nil
-}
-
-// composeAll runs compose(k) for k in [0, n) on up to the worker budget's
-// goroutines, and stops claiming new work once ctx is done.
-func composeAll(ctx context.Context, opts Options, n int, compose func(k int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(opts.workers(), n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				k := int(next.Add(1) - 1)
-				if k >= n {
-					return
-				}
-				compose(k)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // fitting counts the engines of cfgs that fit a budget of procs processors:
@@ -572,12 +501,4 @@ func fitting(cfgs []engineConfig, procs int) int {
 		}
 	}
 	return n
-}
-
-// workers is the worker budget: Options.Workers, or GOMAXPROCS when unset.
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }

@@ -227,10 +227,9 @@ type Options struct {
 	OnProgress       func(search.ProgressSnapshot)
 	ProgressInterval time.Duration
 	// Cache, when non-nil, serves whole searches from a persistent store
-	// and records finished ones (see internal/resultstore).
+	// and records finished ones (see internal/resultstore). A nil Cache
+	// bypasses the store.
 	Cache Cache
-	// DisableStore bypasses Cache without unwiring it.
-	DisableStore bool
 }
 
 // Cache is a store of finished serving-search verdicts, the serving
