@@ -9,15 +9,16 @@ import (
 
 // Term-group invalidation masks: for each group of evaluation terms, the set
 // of Strategy fields whose change can perturb the group's outputs. A group
-// is recomputed by RunDelta exactly when the field diff between the previous
-// and current strategy intersects its mask; otherwise its outputs — pure
-// functions of unchanged inputs — carry over bit-identically from the
-// previous evaluation. Masks compose along the dataflow: a group that reads
-// another group's outputs includes that group's mask (profileMask sits
-// inside every consumer, tensorMask inside offloadMask). The tests that
-// compare delta chains against the straight-line reference evaluator pin
-// that these masks are sufficient; being too wide only costs speed, never
-// correctness.
+// is recomputed exactly when the field diff since its last run intersects
+// its mask; otherwise its outputs — pure functions of unchanged inputs —
+// carry over bit-identically from that run. On a chain the memory rows run
+// on every admitted leaf, the time groups only when a caller asks for the
+// leaf's exact keys (RunInfo.Keys). Masks compose along the dataflow: a
+// group that reads another group's outputs includes that group's mask
+// (profileMask sits inside every consumer, tensorMask inside offloadMask).
+// The tests that compare delta chains against the straight-line reference
+// evaluator pin that these masks are sufficient; being too wide only costs
+// speed, never correctness.
 const (
 	// shapeMask covers the derived shape quantities n (microbatches per
 	// pipeline pass: DP and Microbatch), bp (blocks per processor: PP), and
@@ -89,6 +90,9 @@ type deltaState struct {
 	v        verdict             // the last leaf's, when it failed
 	mask     execution.FieldMask // changed since prev, through the last leaf
 	admitted bool                // the last leaf was; mask is what evaluate got
+	// pending is the fields changed since the time half last ran: the time
+	// groups owed before the last leaf's exact keys can be read.
+	pending execution.FieldMask
 
 	screens screenTable
 	memo    termMemo // e.memo points here
@@ -133,21 +137,45 @@ func (r *Runner) RunDeltaInto(prev RunInfo, st execution.Strategy, out *Result) 
 
 // RunLeaf is the search's per-leaf entry point. mask is the fields in
 // which *st differs from the chain's previous leaf, as execution.Toggles.Walk
-// yields it, so the leaf path never diffs strategies. RunLeaf reports only
-// the fold's keys; chain.Result builds the full Result of a leaf the search
-// keeps. It allocates nothing on a warm chain and normalizes *st in place.
-// The PreScreened and CacheHit flags are read from *chain afterwards, as
-// from RunDelta's returned RunInfo.
+// yields it, so the leaf path never diffs strategies. RunLeaf runs only the
+// memory half of the evaluation and reports bound keys: Mem1 exact, and a
+// BatchTime from the profile and shape terms alone that is never above the
+// exact one (so SampleRate is never below it). A fold whose admission test
+// is monotone in batch time can turn a leaf away on these; chain.Keys
+// prices the time terms and returns the exact keys, and chain.Result builds
+// the full Result. RunLeaf allocates nothing on a warm chain and normalizes
+// *st in place. The PreScreened and CacheHit flags are read from *chain
+// afterwards, as from RunDelta's returned RunInfo.
 func (r *Runner) RunLeaf(chain *RunInfo, st *execution.Strategy, mask execution.FieldMask) (Keys, bool) {
 	if !r.step(chain, st, mask) {
 		return Keys{}, false
 	}
-	return chain.delta.keys, true
+	d := chain.delta
+	bound := d.e.batchTimeBound()
+	return Keys{BatchTime: bound, SampleRate: bound.Rate(float64(r.m.Batch)), Mem1: d.keys.Mem1}, true
 }
 
-// Result writes the full Result of the chain's last leaf into *out. It is
-// valid only right after RunLeaf reported that leaf feasible.
-func (i *RunInfo) Result(out *Result) { i.delta.r.finish(&i.delta.evalState, out) }
+// Keys runs the time half of the evaluation of the chain's last leaf — the
+// term groups owed since it last ran — and returns the leaf's exact keys,
+// bit for bit its Result's BatchTime, SampleRate and Mem1.Total(). It is
+// valid only right after RunLeaf reported that leaf feasible; calling it
+// again is free.
+func (i *RunInfo) Keys() Keys {
+	d := i.delta
+	if d.pending != 0 {
+		d.r.timeTerms(&d.evalState, d.pending)
+		d.pending = 0
+	}
+	return d.keys
+}
+
+// Result writes the full Result of the chain's last leaf into *out, running
+// the time half first if Keys has not. It is valid only right after RunLeaf
+// reported that leaf feasible.
+func (i *RunInfo) Result(out *Result) {
+	i.Keys()
+	i.delta.r.finish(&i.delta.evalState, out)
+}
 
 // step evaluates *st on the chain, replacing *chain with the new chain
 // state, and counts the evaluation. mask is the fields changed since the
@@ -157,7 +185,8 @@ func (i *RunInfo) Result(out *Result) { i.delta.r.finish(&i.delta.evalState, out
 // a scratch evaluation computes: an unchanged shape re-checks only the
 // toggle rules, the pre-screen verdict comes from the chain's screenTable,
 // and the priced lookups go through its termMemo. A failing verdict is left
-// in the chain's state.
+// in the chain's state. step runs only the memory half; the time groups
+// mask reaches are added to the chain's pending set for Keys.
 func (r *Runner) step(chain *RunInfo, st *execution.Strategy, mask execution.FieldMask) bool {
 	d := chain.delta
 	if d == nil || d.r != r {
@@ -184,6 +213,7 @@ func (r *Runner) step(chain *RunInfo, st *execution.Strategy, mask execution.Fie
 	// infeasibility (memory overflow) does not invalidate it as the next
 	// diff base.
 	d.prev, d.valid = *st, true
+	d.pending |= mask
 	ok := r.evaluate(&d.evalState, mask, chain, &d.v)
 	r.count(chain, ok)
 	return ok

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"calculon/internal/execution"
@@ -219,32 +220,7 @@ func runLeafChain(t *testing.T, r *Runner, seq []execution.Strategy) ([]Result, 
 // would in a pure scratch or pure chain search.
 func TestDeltaEqualsScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	cases := []struct {
-		name string
-		m    model.LLM
-		sys  system.System
-		opts execution.EnumOptions
-	}{
-		{
-			name: "seqpar",
-			m:    model.MustPreset("gpt3-13B").WithBatch(32),
-			sys:  system.A100(32),
-			opts: execution.EnumOptions{Procs: 32, Features: execution.FeatureSeqPar, MaxInterleave: 2},
-		},
-		{
-			name: "all-mem2",
-			m:    model.MustPreset("gpt3-13B").WithBatch(16),
-			sys:  system.A100(16).WithMem2(system.DDR5(512 * units.GiB)),
-			opts: execution.EnumOptions{Procs: 16, Features: execution.FeatureAll, HasMem2: true, MaxTP: 8, MaxInterleave: 2},
-		},
-		{
-			name: "tight-mem1",
-			m:    model.MustPreset("gpt3-175B").WithBatch(8),
-			sys:  system.A100(8),
-			opts: execution.EnumOptions{Procs: 8, Features: execution.FeatureAll, MaxInterleave: 2},
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range deltaCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			for si, seq := range deltaSequences(t, rng, tc.m, tc.opts) {
 				runners := make([]*Runner, 3)
@@ -268,6 +244,72 @@ func TestDeltaEqualsScratch(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBoundKeysSound walks every leaf of the TestDeltaEqualsScratch
+// configurations in enumeration order on one leaf chain, as a search worker
+// does. leafChain.run holds RunLeaf's bound keys to each feasible leaf's
+// exact keys (Mem1 equal, BatchTime no higher, SampleRate no lower), and
+// the leaf's Result must be the scratch evaluation's. No leaf of the
+// tight-mem1 enumeration fits; there the two paths must agree on that.
+func TestBoundKeysSound(t *testing.T) {
+	feasible := 0
+	for _, tc := range deltaCases() {
+		r, err := NewRunner(tc.m, tc.sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc := leafChain{r: r}
+		tc.opts.Enumerate(tc.m, func(st execution.Strategy) bool {
+			got, err := lc.run(st)
+			want, wantErr := r.Run(st)
+			switch {
+			case err != nil && err != ErrInfeasible:
+				t.Fatalf("%s %v: %v", tc.name, st, err)
+			case (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want):
+				t.Fatalf("%s %v: leaf chain (err %v) differs from Run (err %v)", tc.name, st, err, wantErr)
+			case err == nil:
+				feasible++
+			}
+			return true
+		})
+	}
+	if feasible == 0 {
+		t.Fatal("no feasible leaf: the bound went unchecked")
+	}
+}
+
+type deltaCase struct {
+	name string
+	m    model.LLM
+	sys  system.System
+	opts execution.EnumOptions
+}
+
+// deltaCases are the configurations the chain equivalence tests walk: a
+// sequence-parallel space, every feature with a second memory tier, and a
+// first tier so tight that most leaves overflow it.
+func deltaCases() []deltaCase {
+	return []deltaCase{
+		{
+			name: "seqpar",
+			m:    model.MustPreset("gpt3-13B").WithBatch(32),
+			sys:  system.A100(32),
+			opts: execution.EnumOptions{Procs: 32, Features: execution.FeatureSeqPar, MaxInterleave: 2},
+		},
+		{
+			name: "all-mem2",
+			m:    model.MustPreset("gpt3-13B").WithBatch(16),
+			sys:  system.A100(16).WithMem2(system.DDR5(512 * units.GiB)),
+			opts: execution.EnumOptions{Procs: 16, Features: execution.FeatureAll, HasMem2: true, MaxTP: 8, MaxInterleave: 2},
+		},
+		{
+			name: "tight-mem1",
+			m:    model.MustPreset("gpt3-175B").WithBatch(8),
+			sys:  system.A100(8),
+			opts: execution.EnumOptions{Procs: 8, Features: execution.FeatureAll, MaxInterleave: 2},
+		},
 	}
 }
 
@@ -326,12 +368,14 @@ func TestRunDeltaForeignChain(t *testing.T) {
 }
 
 // TestTermGroupRecomputeCounts pins, for one fixed search walked on a
-// single chain as one search worker walks it, the number of admitted leaves
-// on which each term group and memory row recomputes. The counts come from
-// the mask each admitted leaf's evaluation received, which the chain keeps,
-// so production code counts nothing. A widened mask shows up here as an
-// exact count change rather than as noise in wall time; a narrowed one
-// must also pass the equivalence suites above.
+// single chain as one search worker walks it under a top-10 + Pareto fold,
+// the number of leaves on which each term group and memory row recomputes.
+// The profile, shape and memory rows run on every admitted leaf their mask
+// reaches; the time groups run only when the fold asks for a leaf's exact
+// keys, with the chain's pending mask. The counts come from those masks,
+// which the chain keeps, so production code counts nothing. A widened mask
+// shows up here as an exact count change rather than as noise in wall
+// time; a narrowed one must also pass the equivalence suites above.
 func TestTermGroupRecomputeCounts(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(64)
 	sys := system.A100(64).WithMem2(system.DDR5(512 * units.GiB))
@@ -340,50 +384,136 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := execution.EnumOptions{Procs: 64, Features: execution.FeatureAll, HasMem2: true}
-	groups := []struct {
+	type group struct {
 		name string
 		mask execution.FieldMask
-	}{
-		{"profile", profileMask}, {"shape", shapeMask}, {"tensor", tensorMask},
-		{"pipe", pipeMask}, {"data", dataMask}, {"optimizer", optimMask},
-		{"offload", offloadMask}, {"mem weights", memWeightsMask},
+	}
+	memGroups := []group{
+		{"profile", profileMask}, {"shape", shapeMask}, {"mem weights", memWeightsMask},
 		{"mem optimizer", memOptimMask}, {"mem activations", memActsMask},
+	}
+	timeGroups := []group{
+		{"tensor", tensorMask}, {"pipe", pipeMask}, {"data", dataMask},
+		{"optimizer", optimMask}, {"offload", offloadMask},
 	}
 	got := map[string]int{}
 	screen := execution.NewPreScreen(m, execution.Limits{Procs: sys.Procs, Mem1: sys.Mem1.Capacity, Mem2: sys.Mem2.Capacity})
 	tog := opts.Toggles()
+	fold := keysFold{topK: 10}
 	var chain RunInfo
+	seq := 0
 	for _, tpd := range opts.Triples(m) {
 		if screen.CheckTriple(opts, tpd) != nil {
+			seq += opts.TripleLeafCount(m, tpd)
 			continue // the search prunes the subtree before any leaf
 		}
 		opts.Segments(&m, tpd, func(root *execution.Strategy) bool {
 			tog.Walk(root, func(st *execution.Strategy, mask execution.FieldMask) bool {
 				got["leaves"]++
-				r.RunLeaf(&chain, st, mask)
-				if d := chain.delta; d.admitted {
+				k, ok := r.RunLeaf(&chain, st, mask)
+				d := chain.delta
+				if d.admitted {
 					got["admitted"]++
-					for _, g := range groups {
+					for _, g := range memGroups {
 						if d.mask.Has(g.mask) {
 							got[g.name]++
 						}
 					}
 				}
+				if ok {
+					got["feasible"]++
+				}
+				if ok && fold.keeps(seq, k) {
+					got["timed"]++
+					for _, g := range timeGroups {
+						if d.pending.Has(g.mask) {
+							got[g.name]++
+						}
+					}
+					if k = chain.Keys(); fold.keeps(seq, k) {
+						fold.offer(seq, k)
+					}
+				}
+				seq++
 				return true
 			})
 			return true
 		})
 	}
-	// 2,076,480 leaves, 2,065,392 admitted. The three memory rows together
-	// rerun 2,386,572 times; the single memory group they replaced reran on
-	// 2,041,632 leaves, all three rows each time.
+	// 2,076,480 leaves, 2,065,392 admitted, 2,010,498 feasible, 148,377
+	// priced for time (7.2% of the admitted). Before the time half ran on
+	// demand, every admitted leaf priced the groups its mask reached:
+	// tensor 160,680, pipe 139,050, data 234,840, optimizer 1,235,547,
+	// offload 2,031,462.
 	want := map[string]int{
-		"leaves": 2076480, "admitted": 2065392,
-		"profile": 137505, "shape": 515, "tensor": 160680, "pipe": 139050,
-		"data": 234840, "optimizer": 1235547, "offload": 2031462,
+		"leaves": 2076480, "admitted": 2065392, "feasible": 2010498, "timed": 148377,
+		"profile": 137505, "shape": 515,
+		"tensor": 23165, "pipe": 21717, "data": 34123, "optimizer": 96423, "offload": 146962,
 		"mem weights": 494400, "mem optimizer": 1235547, "mem activations": 656625,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recompute counts changed:\n got %v\nwant %v", got, want)
+	}
+}
+
+// keysFold is a top-K + Pareto fold over keys alone with the search's
+// admission rules: rank by sample rate, then sequence number; the Pareto
+// staircase by batch time, first-tier memory, then sequence number, with
+// strictly decreasing memory. topK must be at least 1.
+type keysFold struct {
+	topK       int
+	top, front []keyed
+}
+
+type keyed struct {
+	seq int
+	k   Keys
+}
+
+// ahead reports whether the candidate ranks before s in the top-K.
+func ahead(seq int, k Keys, s keyed) bool {
+	if k.SampleRate != s.k.SampleRate {
+		return k.SampleRate > s.k.SampleRate
+	}
+	return seq < s.seq
+}
+
+// slot returns the candidate's place on the staircase and whether it
+// survives there.
+func (f *keysFold) slot(seq int, k Keys) (int, bool) {
+	i := sort.Search(len(f.front), func(j int) bool {
+		s := f.front[j]
+		if k.BatchTime != s.k.BatchTime {
+			return k.BatchTime < s.k.BatchTime
+		}
+		if k.Mem1 != s.k.Mem1 {
+			return k.Mem1 < s.k.Mem1
+		}
+		return seq < s.seq
+	})
+	return i, i == 0 || f.front[i-1].k.Mem1 > k.Mem1
+}
+
+func (f *keysFold) keeps(seq int, k Keys) bool {
+	n := len(f.top)
+	if n < f.topK || ahead(seq, k, f.top[n-1]) {
+		return true
+	}
+	_, ok := f.slot(seq, k)
+	return ok
+}
+
+func (f *keysFold) offer(seq int, k Keys) {
+	i := sort.Search(len(f.top), func(j int) bool { return ahead(seq, k, f.top[j]) })
+	f.top = slices.Insert(f.top, i, keyed{seq, k})
+	if len(f.top) > f.topK {
+		f.top = f.top[:f.topK]
+	}
+	if i, ok := f.slot(seq, k); ok {
+		e := i
+		for e < len(f.front) && f.front[e].k.Mem1 >= k.Mem1 {
+			e++
+		}
+		f.front = slices.Replace(f.front, i, e, keyed{seq, k})
 	}
 }

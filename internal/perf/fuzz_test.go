@@ -20,7 +20,8 @@ import (
 // Run must never panic, must equal referenceRun bit for bit (or fail with
 // the same message, unless the pre-screen rejected the strategy first),
 // and a success must carry finite, non-negative breakdown terms, an MFU of
-// at most 1, and a breakdown whose Total is the batch time.
+// at most 1, and a breakdown whose Total is the batch time; RunLeaf's bound
+// keys must bound its keys (checkBound).
 func FuzzRun(f *testing.F) {
 	// Feasible: gpt3-13B t8 p4 d2 with full recompute on A100s; gpt3-175B
 	// t8 p8 offloading weights and optimizer to a 512 GiB tier; gpt3-6.7B
@@ -98,6 +99,21 @@ func FuzzRun(f *testing.F) {
 		checkReference(t, "Run", m, sys, st, got, info, err)
 		if err != nil {
 			return
+		}
+		// A fresh chain's first leaf: RunLeaf's bound keys must bound the
+		// Result's, and Keys must return them exactly.
+		var chain RunInfo
+		leaf := st
+		bound, ok := r.RunLeaf(&chain, &leaf, execution.AllFields)
+		if !ok {
+			t.Fatalf("%s %v on %s: Run feasible, RunLeaf not", m.Name, st, sys.Name)
+		}
+		exact := Keys{got.BatchTime, got.SampleRate, got.Mem1.Total()}
+		if k := chain.Keys(); k != exact {
+			t.Fatalf("%s %v on %s: chain keys %+v, Result keys %+v", m.Name, st, sys.Name, k, exact)
+		}
+		if err := checkBound(bound, exact); err != nil {
+			t.Fatalf("%s %v on %s: %v", m.Name, st, sys.Name, err)
 		}
 
 		tb := got.Time

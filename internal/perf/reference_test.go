@@ -48,6 +48,9 @@ func referenceRun(m model.LLM, sys system.System, st execution.Strategy) (Result
 	if !r.capacity(&s, &v) {
 		return Result{}, v.err()
 	}
+	e.assemble(&s.time)
+	s.keys.BatchTime = s.time.Total()
+	s.keys.SampleRate = s.keys.BatchTime.Rate(float64(r.m.Batch))
 	var out Result
 	r.finish(&s, &out)
 	return out, nil
@@ -68,7 +71,8 @@ type leafChain struct {
 // run evaluates st on the chain and returns it in checkReference's terms:
 // the Result when feasible, built as the search builds a kept leaf's;
 // otherwise a zero Result and the bare ErrInfeasible, as RunLeaf reports no
-// message.
+// message. A feasible leaf's exact keys (chain.Keys) must be the Result's,
+// and RunLeaf's bound keys must bound them (checkBound).
 func (c *leafChain) run(st execution.Strategy) (Result, error) {
 	st.Normalize()
 	mask := execution.AllFields
@@ -76,15 +80,28 @@ func (c *leafChain) run(st execution.Strategy) (Result, error) {
 		mask = execution.DiffMask(c.prev, &st)
 	}
 	c.prev = &st
-	k, ok := c.r.RunLeaf(&c.chain, &st, mask)
+	bound, ok := c.r.RunLeaf(&c.chain, &st, mask)
 	if !ok {
 		return Result{}, ErrInfeasible
 	}
+	exact := c.chain.Keys()
 	c.chain.Result(&c.out)
-	if k != (Keys{c.out.BatchTime, c.out.SampleRate, c.out.Mem1.Total()}) {
-		return Result{}, fmt.Errorf("keys %+v disagree with the Result", k)
+	if exact != (Keys{c.out.BatchTime, c.out.SampleRate, c.out.Mem1.Total()}) {
+		return Result{}, fmt.Errorf("keys %+v disagree with the Result", exact)
+	}
+	if err := checkBound(bound, exact); err != nil {
+		return Result{}, err
 	}
 	return c.out, nil
+}
+
+// checkBound holds RunLeaf's bound keys to a leaf's exact keys: the same
+// first-tier total, a batch time no higher, a sample rate no lower.
+func checkBound(bound, exact Keys) error {
+	if bound.Mem1 != exact.Mem1 || !(bound.BatchTime <= exact.BatchTime) || !(bound.SampleRate >= exact.SampleRate) {
+		return fmt.Errorf("bound keys %+v do not bound the exact keys %+v", bound, exact)
+	}
+	return nil
 }
 
 // checkReference holds one fast-path evaluation (got, info, err) of st to

@@ -149,9 +149,10 @@ type Result struct {
 	ProcsUsed int `json:"procs_used"`
 }
 
-// Keys are the three figures the search folds a feasible leaf by, bit for
-// bit its Result's BatchTime, SampleRate and Mem1.Total(). RunLeaf reports
-// them without building the Result.
+// Keys are the three figures the search folds a feasible leaf by. The
+// exact keys (RunInfo.Keys) are bit for bit its Result's BatchTime,
+// SampleRate and Mem1.Total(); RunLeaf reports bound keys, with the exact
+// Mem1 and a BatchTime no higher (a SampleRate no lower) than the exact.
 type Keys struct {
 	BatchTime  units.Seconds
 	SampleRate float64

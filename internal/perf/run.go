@@ -184,6 +184,7 @@ func (r *Runner) RunDetailed(st execution.Strategy) (Result, RunInfo, error) {
 	if !ok {
 		return res, info, v.err()
 	}
+	r.timeTerms(&s, execution.AllFields)
 	r.finish(&s, &res)
 	return res, info, nil
 }
@@ -207,7 +208,9 @@ func (r *Runner) count(info *RunInfo, ok bool) {
 }
 
 // evalState is one evaluation's working state: the term groups, the memory
-// rows, and the breakdown and fold keys of a fit.
+// rows, and the breakdown and fold keys of a fit. keys.Mem1 is set by the
+// memory half (evaluate), the batch time and sample rate by the time half
+// (timeTerms).
 type evalState struct {
 	e          eval
 	mem1, mem2 MemBreakdown
@@ -216,8 +219,7 @@ type evalState struct {
 }
 
 // capacity checks the per-tier memory totals against the system, writing
-// an overflow into *v. On a fit it assembles the batch breakdown and the
-// fold keys.
+// an overflow into *v. On a fit it sets the first-tier fold key.
 func (r *Runner) capacity(s *evalState, v *verdict) bool {
 	t1 := s.mem1.Total()
 	if t1 > r.sys.Mem1.Capacity {
@@ -228,9 +230,7 @@ func (r *Runner) capacity(s *evalState, v *verdict) bool {
 		*v = verdict{kind: mem2Overflow, need: t, have: r.sys.Mem2.Capacity}
 		return false
 	}
-	s.e.assemble(&s.time)
-	batch := s.time.Total()
-	s.keys = Keys{BatchTime: batch, SampleRate: batch.Rate(float64(r.m.Batch)), Mem1: t1}
+	s.keys.Mem1 = t1
 	return true
 }
 
@@ -278,15 +278,18 @@ func (r *Runner) admit(st *execution.Strategy, mask execution.FieldMask, screens
 	return true
 }
 
-// evaluate is the evaluator behind every entry point. *s holds the terms of
-// the last strategy evaluated on it (zero for a scratch evaluation), s.e.st
-// the admitted strategy now to evaluate, and mask the fields that differ
-// between the two (AllFields for a scratch evaluation). It recomputes
-// exactly the term groups and memory rows mask reaches and carries the
-// rest forward: their outputs are pure functions of inputs the diff proves
+// evaluate is the memory half of the evaluator behind every entry point;
+// timeTerms is the time half. *s holds the terms of the last strategy
+// evaluated on it (zero for a scratch evaluation), s.e.st the admitted
+// strategy now to evaluate, and mask the fields that differ between the two
+// (AllFields for a scratch evaluation). evaluate loads the block profile
+// and shape quantities, reruns the memory rows mask reaches, and checks
+// capacity; none of that reads a time group, so a leaf that overflows
+// memory never prices one. Whatever a half does not recompute it carries
+// forward: its outputs are pure functions of inputs the diff proves
 // unchanged, so every mask yields what AllFields yields, bit for bit (the
-// reference evaluator in the tests pins this). It sets info.CacheHit and
-// reports whether the strategy fits, writing an overflow into *v.
+// reference evaluator in the tests pins this). evaluate sets info.CacheHit
+// and reports whether the strategy fits, writing an overflow into *v.
 func (r *Runner) evaluate(s *evalState, mask execution.FieldMask, info *RunInfo, v *verdict) bool {
 	e := &s.e
 	// An unchanged blockKey is necessarily in the memo — the previous
@@ -300,6 +303,25 @@ func (r *Runner) evaluate(s *evalState, mask execution.FieldMask, info *RunInfo,
 	if mask.Has(shapeMask) {
 		e.loadShape()
 	}
+	if mask.Has(memWeightsMask) {
+		e.weightRows(&s.mem1, &s.mem2)
+	}
+	if mask.Has(memOptimMask) {
+		e.optimizerRows(&s.mem1, &s.mem2)
+	}
+	if mask.Has(memActsMask) {
+		e.activationRows(&s.mem1, &s.mem2)
+	}
+	info.CacheHit = hit
+	return r.capacity(s, v)
+}
+
+// timeTerms is the time half: on a strategy evaluate found to fit, it
+// reruns the term groups mask reaches — mask being the fields changed since
+// the time half last ran on *s — then assembles the batch breakdown and
+// sets the exact batch time and sample rate keys.
+func (r *Runner) timeTerms(s *evalState, mask execution.FieldMask) {
+	e := &s.e
 	// Each group's outputs are zeroed before the recompute because the
 	// methods accumulate (+=) or early-return leaving zeros (TP≤1, PP≤1,
 	// no offload) — exactly the state a zero-initialized eval has.
@@ -326,17 +348,9 @@ func (r *Runner) evaluate(s *evalState, mask execution.FieldMask, info *RunInfo,
 		e.offloadBWRequired, e.offloadBWUsed = 0, 0
 		e.offload()
 	}
-	if mask.Has(memWeightsMask) {
-		e.weightRows(&s.mem1, &s.mem2)
-	}
-	if mask.Has(memOptimMask) {
-		e.optimizerRows(&s.mem1, &s.mem2)
-	}
-	if mask.Has(memActsMask) {
-		e.activationRows(&s.mem1, &s.mem2)
-	}
-	info.CacheHit = hit
-	return r.capacity(s, v)
+	e.assemble(&s.time)
+	batch := s.time.Total()
+	s.keys.BatchTime, s.keys.SampleRate = batch, batch.Rate(float64(r.m.Batch))
 }
 
 // usefulFLOPsPerSample is the recompute-free model FLOP count per sample
@@ -780,6 +794,34 @@ func (e *eval) assemble(t *TimeBreakdown) {
 		}
 		t.PPBubble = (chunkFwd + chunkBwd).Times(float64(p - 1))
 	}
+}
+
+// batchTimeBound is a lower bound on the batch time from the profile and
+// shape terms alone: TimeBreakdown.Total with every term a time group
+// prices dropped to 0 — the overlap and DP penalties, the exposed TP, PP,
+// DP and offload times, the optimizer step, and the bubble's communication
+// — and the rest (the forward, backward and recompute compute, and the
+// bubble's compute part) formed and summed in assemble's and Total's order.
+// Every dropped term is ≥ 0 and rounding to nearest is monotone in each
+// operand, so the bound is ≤ the exact total bit for bit.
+//
+//calculonvet:ordered
+func (e *eval) batchTimeBound() units.Seconds {
+	nb := float64(e.n) * float64(e.bp)
+	fwd := e.blockFwd.Times(nb)
+	recompute := e.blockRecompute.Times(nb)
+	var bwd, bubble units.Seconds
+	if !e.st.Inference {
+		bwd = e.blockBwd.Times(nb)
+	}
+	if p := e.st.PP; p > 1 {
+		chunk := e.blockFwd.Times(float64(e.bc))
+		if !e.st.Inference {
+			chunk += (e.blockBwd + e.blockRecompute).Times(float64(e.bc))
+		}
+		bubble = chunk.Times(float64(p - 1))
+	}
+	return fwd + bwd + recompute + bubble
 }
 
 func minSec(a, b units.Seconds) units.Seconds {

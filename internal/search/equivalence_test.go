@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"calculon/internal/execution"
@@ -45,7 +46,7 @@ func referenceSearch(t *testing.T, m model.LLM, sys system.System, opts Options)
 		res, info, err := r.RunDetailed(st)
 		switch {
 		case err == nil:
-			items = append(items, scored{seq, res})
+			items = append(items, scored{seq: seq, res: res})
 		case !errors.Is(err, perf.ErrInfeasible):
 			t.Fatalf("leaf %d %v: %v", seq, st, err)
 		}
@@ -60,6 +61,11 @@ func referenceSearch(t *testing.T, m model.LLM, sys system.System, opts Options)
 		return true
 	})
 	out := referenceFold(items, opts.TopK, opts.Pareto)
+	if opts.CollectRates {
+		for i := range items {
+			out.Rates = append(out.Rates, items[i].res.SampleRate)
+		}
+	}
 	out.Evaluated = seq
 	out.PreScreened = prescreened
 	out.CacheHits = phase2 - len(keys)
@@ -84,6 +90,7 @@ func TestTwoPhaseEquivalence(t *testing.T) {
 	batchChoices := []int{8, 16, 32}
 
 	const draws = 12
+	ratesChecked := 0
 	for i := 0; i < draws; i++ {
 		m := model.MustPreset(models[rng.Intn(len(models))]).
 			WithBatch(batchChoices[rng.Intn(len(batchChoices))])
@@ -109,6 +116,9 @@ func TestTwoPhaseEquivalence(t *testing.T) {
 			Workers: 1 + rng.Intn(4),
 			TopK:    1 + rng.Intn(8),
 			Pareto:  true,
+			// Every third draw collects the rates, which prices every
+			// feasible leaf's time terms instead of only the kept ones.
+			CollectRates: i%3 == 0,
 		}
 
 		fast, err := Execution(context.Background(), m, sys, opts)
@@ -134,12 +144,27 @@ func TestTwoPhaseEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(fast.Pareto, ref.Pareto) {
 			t.Errorf("draw %d: Pareto front diverges (%d vs %d points)", i, len(fast.Pareto), len(ref.Pareto))
 		}
+		// The workers append rates in completion order; as a multiset they
+		// must be the reference's, bit for bit.
+		slices.Sort(fast.Rates)
+		slices.Sort(ref.Rates)
+		wantRates := 0
+		if opts.CollectRates {
+			wantRates = fast.Feasible
+			ratesChecked += wantRates
+		}
+		if !slices.Equal(fast.Rates, ref.Rates) || len(fast.Rates) != wantRates {
+			t.Errorf("draw %d: %d rates collected, reference %d, want %d", i, len(fast.Rates), len(ref.Rates), wantRates)
+		}
 		// Subtree-pruned leaves are pre-screened leaves that were never
 		// generated, so the count is bounded by PreScreened.
 		if fast.SubtreePruned > fast.PreScreened {
 			t.Errorf("draw %d: %d subtree-pruned exceeds %d pre-screened",
 				i, fast.SubtreePruned, fast.PreScreened)
 		}
+	}
+	if ratesChecked == 0 {
+		t.Error("no CollectRates draw found a feasible leaf: the rates went unchecked")
 	}
 }
 

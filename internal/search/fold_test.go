@@ -28,7 +28,7 @@ func tiedStream(rng *rand.Rand, n int) []scored {
 		r.Mem1.Weights = units.Bytes(split)
 		r.Mem1.Activations = units.Bytes(total - split)
 		r.ProcsUsed = seq
-		out[i] = scored{seq, r}
+		out[i] = scored{seq: seq, res: r}
 	}
 	return out
 }
@@ -72,14 +72,16 @@ func (ws *workerState) add(seq int, res *perf.Result) {
 }
 
 // addKeysFirst folds one feasible result as a search worker folds a leaf:
-// keeps decides from the keys alone, and only a kept leaf is offered. A
-// leaf keeps turns away must be one offer would not keep, so offering it to
-// a copy of the state must leave the copy unchanged.
-func addKeysFirst(t *testing.T, ws *workerState, seq int, res *perf.Result) {
+// keeps decides on the keys k first — the exact keys, or bound keys no
+// worse in rank and no later on the staircase — then on the exact keys,
+// and only a leaf both keep is offered. A leaf turned away must be one
+// offer would not keep, so offering it to a copy of the state must leave
+// the copy unchanged.
+func addKeysFirst(t *testing.T, ws *workerState, seq int, res *perf.Result, k perf.Keys) {
 	t.Helper()
 	ws.feasible++
-	k := perf.Keys{BatchTime: res.BatchTime, SampleRate: res.SampleRate, Mem1: res.Mem1.Total()}
-	if ws.keeps(seq, &k) {
+	exact := perf.Keys{BatchTime: res.BatchTime, SampleRate: res.SampleRate, Mem1: res.Mem1.Total()}
+	if ws.keeps(seq, &k) && ws.keeps(seq, &exact) {
 		ws.offer(seq, res)
 		return
 	}
@@ -87,33 +89,49 @@ func addKeysFirst(t *testing.T, ws *workerState, seq int, res *perf.Result) {
 	c.top, c.front = slices.Clone(ws.top), slices.Clone(ws.front)
 	c.offer(seq, res)
 	if !reflect.DeepEqual(&c, ws) {
-		t.Fatalf("keeps turned away seq %d (%+v), which offer keeps", seq, k)
+		t.Fatalf("keys %+v turned away seq %d (%+v), which offer keeps", k, seq, exact)
 	}
 }
 
+// How a fold test state takes its leaves.
+const (
+	resultFirst = iota // offer every Result, as the merges do
+	keysFirst          // keeps on the exact keys, then offer
+	boundFirst         // keeps on bound keys, then on the exact keys, then offer
+)
+
 // foldParts deals the stream at random into parts states, each folding its
-// share leaf by leaf: Result-first, or keys-first as a search worker does.
-func foldParts(t *testing.T, rng *rand.Rand, items []scored, parts, topK int, pareto, keysFirst bool) []*workerState {
+// share leaf by leaf in the given mode. Bound keys are the exact keys with
+// the batch time lowered and the sample rate raised by 0 or 1, so they tie
+// the exact keys, or other leaves, as often as not.
+func foldParts(t *testing.T, rng *rand.Rand, items []scored, parts, topK int, pareto bool, mode int) []*workerState {
 	states := make([]*workerState, parts)
 	for i := range states {
 		states[i] = &workerState{topK: topK, pareto: pareto}
 	}
 	for i := range items {
 		ws := states[rng.Intn(parts)]
-		if keysFirst {
-			addKeysFirst(t, ws, items[i].seq, &items[i].res)
-		} else {
-			ws.add(items[i].seq, &items[i].res)
+		res := &items[i].res
+		k := perf.Keys{BatchTime: res.BatchTime, SampleRate: res.SampleRate, Mem1: res.Mem1.Total()}
+		switch mode {
+		case resultFirst:
+			ws.add(items[i].seq, res)
+		case boundFirst:
+			k.BatchTime -= units.Seconds(rng.Intn(2))
+			k.SampleRate += float64(rng.Intn(2))
+			fallthrough
+		default:
+			addKeysFirst(t, ws, items[i].seq, res, k)
 		}
 	}
 	return states
 }
 
 // TestFoldMatchesReference: folding a tied stream through 1–8 worker states
-// merged in random order — Result-first, or keys-first as the search's
-// workers fold leaves — or through shard partials merged by MergeResults in
-// random order, gives exactly the brute-force Best, Top (in order) and
-// Pareto front.
+// merged in random order — Result-first, keys-first, or bound-first as the
+// search's workers fold leaves — or through shard partials merged by
+// MergeResults in random order, gives exactly the brute-force Best, Top (in
+// order) and Pareto front.
 func TestFoldMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 400; trial++ {
@@ -122,19 +140,19 @@ func TestFoldMatchesReference(t *testing.T) {
 		pareto := rng.Intn(4) != 0
 		want := referenceFold(items, topK, pareto)
 
-		for _, keysFirst := range []bool{false, true} {
-			states := foldParts(t, rng, items, 1+rng.Intn(8), topK, pareto, keysFirst)
+		for _, mode := range []int{resultFirst, keysFirst, boundFirst} {
+			states := foldParts(t, rng, items, 1+rng.Intn(8), topK, pareto, mode)
 			merged := &workerState{topK: topK, pareto: pareto}
 			for _, i := range rng.Perm(len(states)) {
 				merged.merge(states[i])
 			}
 			if got := resultFrom(merged, 0); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d (n=%d topK=%d pareto=%v keys-first=%v): worker merge\n got  %+v\n want %+v",
-					trial, len(items), topK, pareto, keysFirst, summarize(got), summarize(want))
+				t.Fatalf("trial %d (n=%d topK=%d pareto=%v mode=%d): worker merge\n got  %+v\n want %+v",
+					trial, len(items), topK, pareto, mode, summarize(got), summarize(want))
 			}
 		}
 
-		states := foldParts(t, rng, items, 1+rng.Intn(8), topK, pareto, false)
+		states := foldParts(t, rng, items, 1+rng.Intn(8), topK, pareto, resultFirst)
 		shards := make([]ShardResult, len(states))
 		for i, ws := range states {
 			shards[i] = ws.shardResult(Shard{Index: i, Count: len(states)}, 0)

@@ -116,9 +116,13 @@ type segment struct {
 	root execution.Strategy
 }
 
+// scored is one kept result with its sequence number. On the Pareto
+// staircase mem1 is res.Mem1.Total(), summed once when the point is kept
+// rather than on every probe; elsewhere it is unset.
 type scored struct {
-	seq int
-	res perf.Result
+	seq  int
+	mem1 units.Bytes
+	res  perf.Result
 }
 
 const chunkSize = 256
@@ -238,14 +242,21 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 					seq := chunk[i].seq
 					tog.Walk(&chunk[i].root, func(st *execution.Strategy, mask execution.FieldMask) bool {
 						ws.evaluated++
+						// RunLeaf's keys bound the batch time from below,
+						// and keeps is monotone in batch time, so a leaf
+						// turned away on them is one the exact keys would
+						// turn away too: only the rest pay for the time terms.
 						if k, ok := runner.RunLeaf(&chain, st, mask); ok {
 							ws.feasible++
-							if opts.CollectRates {
-								ws.rates = append(ws.rates, k.SampleRate)
-							}
-							if ws.keeps(seq, &k) {
-								chain.Result(&res)
-								ws.offer(seq, &res)
+							if opts.CollectRates || ws.keeps(seq, &k) {
+								k = chain.Keys()
+								if opts.CollectRates {
+									ws.rates = append(ws.rates, k.SampleRate)
+								}
+								if ws.keeps(seq, &k) {
+									chain.Result(&res)
+									ws.offer(seq, &res)
+								}
 							}
 						}
 						if chain.PreScreened {
@@ -392,7 +403,10 @@ func (ws *workerState) offer(seq int, res *perf.Result) {
 }
 
 // keeps reports whether offer would keep a feasible leaf, by the admission
-// tests of offerBest, offerTop and offerFront on its keys alone.
+// tests of offerBest, offerTop and offerFront on its keys alone. It is
+// monotone in batch time: a lower BatchTime, with the higher SampleRate it
+// gives, ranks no worse and slots no later on the staircase, so keys that
+// bound the batch time from below keep every leaf the exact keys keep.
 func (ws *workerState) keeps(seq int, k *perf.Keys) bool {
 	n := len(ws.top)
 	if !ws.hasBest || ahead(k.SampleRate, seq, &ws.best) ||
@@ -421,8 +435,8 @@ func precedes(t units.Seconds, m units.Bytes, seq int, s *scored) bool {
 	if t != s.res.BatchTime {
 		return t < s.res.BatchTime
 	}
-	if sm := s.res.Mem1.Total(); m != sm {
-		return m < sm
+	if m != s.mem1 {
+		return m < s.mem1
 	}
 	return seq < s.seq
 }
@@ -468,7 +482,7 @@ func (ws *workerState) offerFront(seq int, res *perf.Result) {
 	}
 	f := ws.front
 	e := i
-	for e < len(f) && f[e].res.Mem1.Total() >= m {
+	for e < len(f) && f[e].mem1 >= m {
 		e++
 	}
 	if e == i {
@@ -477,7 +491,7 @@ func (ws *workerState) offerFront(seq int, res *perf.Result) {
 	} else {
 		f = append(f[:i+1], f[e:]...)
 	}
-	f[i].seq, f[i].res = seq, *res
+	f[i].seq, f[i].mem1, f[i].res = seq, m, *res
 	ws.front = f
 }
 
@@ -486,7 +500,7 @@ func (ws *workerState) offerFront(seq int, res *perf.Result) {
 func (ws *workerState) frontSlot(t units.Seconds, m units.Bytes, seq int) (int, bool) {
 	f := ws.front
 	i := sort.Search(len(f), func(j int) bool { return precedes(t, m, seq, &f[j]) })
-	return i, i == 0 || !(f[i-1].res.Mem1.Total() <= m)
+	return i, i == 0 || !(f[i-1].mem1 <= m)
 }
 
 func (ws *workerState) merge(o *workerState) {
