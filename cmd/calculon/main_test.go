@@ -123,9 +123,11 @@ func TestDispatchSearchCancelled(t *testing.T) {
 	}
 }
 
+// TestDispatchSearchTimeout gives the search a deadline that has passed
+// before it starts, so no search is fast enough to finish first.
 func TestDispatchSearchTimeout(t *testing.T) {
 	err := dispatch(context.Background(), "search", []string{"-model", "gpt3-175B", "-batch", "512",
-		"-procs", "512", "-timeout", "50ms"})
+		"-procs", "512", "-timeout", "1ns"})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}

@@ -6,12 +6,11 @@ import (
 	"go/types"
 )
 
-// AtomicCounter proves the counter invariant behind RunnerStats and
-// ProgressSnapshot: the live evaluated/feasible/prescreened/cache-hit
-// counters are written by every worker goroutine and read concurrently by
-// progress tickers and signal handlers, so a single plain load or store on
-// one of them is a data race that -race only catches when the schedule
-// cooperates. Fields carrying a //calculonvet:counter annotation (on the
+// AtomicCounter proves the counter invariant behind ProgressSnapshot: the
+// live evaluated/feasible/prescreened/cache-hit counters are written by
+// every worker goroutine and read concurrently by progress tickers and
+// signal handlers, so a single plain load or store on one of them is a data
+// race that -race only catches when the schedule cooperates. Fields carrying a //calculonvet:counter annotation (on the
 // field or on the owning struct's doc) must therefore be touched
 // exclusively through sync/atomic:
 //

@@ -369,13 +369,16 @@ func TestRunDeltaForeignChain(t *testing.T) {
 
 // TestTermGroupRecomputeCounts pins, for one fixed search walked on a
 // single chain as one search worker walks it under a top-10 + Pareto fold,
-// the number of leaves on which each term group and memory row recomputes.
-// The profile, shape and memory rows run on every admitted leaf their mask
-// reaches; the time groups run only when the fold asks for a leaf's exact
-// keys, with the chain's pending mask. The counts come from those masks,
-// which the chain keeps, so production code counts nothing. A widened mask
-// shows up here as an exact count change rather than as noise in wall
-// time; a narrowed one must also pass the equivalence suites above.
+// how often the chain runs its memory half and on how many of those runs
+// each memory row and time group recomputes. The memory half runs on a
+// leaf the chain's leaf table cannot answer, and again when the fold asks
+// for the exact keys of a leaf the table answered; the time groups run only
+// when the fold asks for a leaf's exact keys, with the masks owed since
+// they last ran. The counts come from the masks step hands the memory half
+// (onMemoryHalf), so production code counts nothing. A widened mask or a
+// lost table hit shows up here as an exact count change rather than as
+// noise in wall time; a narrowed mask must also pass the equivalence
+// suites above.
 func TestTermGroupRecomputeCounts(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(64)
 	sys := system.A100(64).WithMem2(system.DDR5(512 * units.GiB))
@@ -397,6 +400,19 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 		{"optimizer", optimMask}, {"offload", offloadMask},
 	}
 	got := map[string]int{}
+	// pending mirrors the chain's: the masks of the memory-half runs since
+	// the time half last ran.
+	var pending execution.FieldMask
+	onMemoryHalf = func(mask execution.FieldMask) {
+		got["memory-half runs"]++
+		for _, g := range memGroups {
+			if mask.Has(g.mask) {
+				got[g.name]++
+			}
+		}
+		pending |= mask
+	}
+	defer func() { onMemoryHalf = nil }()
 	screen := execution.NewPreScreen(m, execution.Limits{Procs: sys.Procs, Mem1: sys.Mem1.Capacity, Mem2: sys.Mem2.Capacity})
 	tog := opts.Toggles()
 	fold := keysFold{topK: 10}
@@ -411,26 +427,25 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 			tog.Walk(root, func(st *execution.Strategy, mask execution.FieldMask) bool {
 				got["leaves"]++
 				k, ok := r.RunLeaf(&chain, st, mask)
-				d := chain.delta
-				if d.admitted {
-					got["admitted"]++
-					for _, g := range memGroups {
-						if d.mask.Has(g.mask) {
-							got[g.name]++
-						}
-					}
+				if chain.PreScreened {
+					got["pre-screened"]++
 				}
 				if ok {
 					got["feasible"]++
 				}
 				if ok && fold.keeps(seq, k) {
 					got["timed"]++
+					// Keys first catches the chain up to a leaf the table
+					// answered (a memory-half run), then runs the time
+					// groups pending names.
+					k = chain.Keys()
 					for _, g := range timeGroups {
-						if d.pending.Has(g.mask) {
+						if pending.Has(g.mask) {
 							got[g.name]++
 						}
 					}
-					if k = chain.Keys(); fold.keeps(seq, k) {
+					pending = 0
+					if fold.keeps(seq, k) {
 						fold.offer(seq, k)
 					}
 				}
@@ -440,19 +455,24 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 			return true
 		})
 	}
-	// 2,076,480 leaves, 2,065,392 admitted, 2,010,498 feasible, 148,377
-	// priced for time (7.2% of the admitted). Before the time half ran on
-	// demand, every admitted leaf priced the groups its mask reached:
-	// tensor 160,680, pipe 139,050, data 234,840, optimizer 1,235,547,
-	// offload 2,031,462.
+	// 2,076,480 leaves in 515 segments of 4,032, 11,088 pre-screened (so
+	// 2,065,392 admitted), 2,010,498 feasible, 148,377 priced for time.
+	// The memory half runs 421,642 times, 20.4% of the admitted leaves.
+	// Before the leaf table it ran on every admitted leaf, with the profile
+	// reloaded 137,505 times and the rows rerunning 494,400, 1,235,547 and
+	// 656,625 times; the time groups are unchanged.
 	want := map[string]int{
-		"leaves": 2076480, "admitted": 2065392, "feasible": 2010498, "timed": 148377,
-		"profile": 137505, "shape": 515,
+		"leaves": 2076480, "pre-screened": 11088, "feasible": 2010498, "timed": 148377,
+		"memory-half runs": 421642, "profile": 41334, "shape": 515,
 		"tensor": 23165, "pipe": 21717, "data": 34123, "optimizer": 96423, "offload": 146962,
-		"mem weights": 494400, "mem optimizer": 1235547, "mem activations": 656625,
+		"mem weights": 119152, "mem optimizer": 262108, "mem activations": 152519,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recompute counts changed:\n got %v\nwant %v", got, want)
+	}
+	if admitted := got["leaves"] - got["pre-screened"]; 4*got["memory-half runs"] > admitted {
+		t.Errorf("%d memory-half runs for %d admitted leaves: the leaf table answers under 3 in 4",
+			got["memory-half runs"], admitted)
 	}
 }
 

@@ -104,12 +104,12 @@ func TestRunnerGroupSharesMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe.EnableStats()
-	if _, err := probe.Run(*feasible); err != nil {
+	_, info, err := probe.RunDetailed(*feasible)
+	if err != nil {
 		t.Fatalf("strategy feasible at 16 procs infeasible at 64: %v", err)
 	}
-	if s := probe.Stats(); s.CacheHits != 1 {
-		t.Errorf("first evaluation at a new size missed the shared memo: %+v", s)
+	if !info.CacheHit {
+		t.Errorf("first evaluation at a new size missed the shared memo: %+v", info)
 	}
 }
 

@@ -29,8 +29,7 @@ func Run(m model.LLM, sys system.System, st execution.Strategy) (Result, error) 
 }
 
 // Runner evaluates many strategies against one fixed, pre-validated
-// (LLM, system) pair — the hot path of the exhaustive searches. EnableStats
-// adds optional evaluated/infeasible counters (see RunnerStats).
+// (LLM, system) pair — the hot path of the exhaustive searches.
 //
 // Evaluation is two-phase. Phase 1 is an analytic pre-screen
 // (execution.PreScreen): processor-count and closed-form memory lower
@@ -43,9 +42,8 @@ func Run(m model.LLM, sys system.System, st execution.Strategy) (Result, error) 
 // evaluator the perf and search tests compare against), only faster. A
 // Runner is safe for concurrent use by any number of goroutines.
 type Runner struct {
-	m        model.LLM
-	sys      system.System
-	counters *runnerCounters
+	m   model.LLM
+	sys system.System
 
 	screen *execution.PreScreen
 	memo   *sync.Map // blockKey -> *blockProfile; shareable via RunnerGroup
@@ -180,31 +178,12 @@ func (r *Runner) RunDetailed(st execution.Strategy) (Result, RunInfo, error) {
 	st.Normalize()
 	ok := r.admit(&st, execution.AllFields, nil, &v) && r.evaluate(&s, execution.AllFields, &info, &v)
 	info.PreScreened = v.kind == preScreened
-	r.count(&info, ok)
 	if !ok {
 		return res, info, v.err()
 	}
 	r.timeTerms(&s, execution.AllFields)
 	r.finish(&s, &res)
 	return res, info, nil
-}
-
-// count records one evaluation in the optional stats counters.
-func (r *Runner) count(info *RunInfo, ok bool) {
-	c := r.counters
-	if c == nil {
-		return
-	}
-	c.evaluated.Add(1)
-	if !ok {
-		c.infeasible.Add(1)
-	}
-	if info.PreScreened {
-		c.prescreened.Add(1)
-	}
-	if info.CacheHit {
-		c.cacheHits.Add(1)
-	}
 }
 
 // evalState is one evaluation's working state: the term groups, the memory

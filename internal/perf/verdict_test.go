@@ -158,7 +158,6 @@ func TestRunLeafAllocatesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.EnableStats()
 			strats := tc.strats[:len(tc.strats)-tc.invalid]
 			masks := make([]execution.FieldMask, len(strats))
 			for i := range strats {

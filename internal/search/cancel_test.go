@@ -116,10 +116,14 @@ func TestExecutionPreCancelled(t *testing.T) {
 	waitForGoroutines(t, baseline)
 }
 
+// TestExecutionDeadline checks that a deadline surfaces as
+// context.DeadlineExceeded. The deadline has passed before the search
+// starts, so no search is fast enough to finish first;
+// TestExecutionCancelledMidSearch covers cancellation while workers run.
 func TestExecutionDeadline(t *testing.T) {
 	m, sys := bigSpace()
 	baseline := runtime.NumGoroutine()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	_, err := Execution(ctx, m, sys, bigOptions())
 	if !errors.Is(err, context.DeadlineExceeded) {

@@ -196,3 +196,35 @@ func TestTwoPhaseCountersReported(t *testing.T) {
 			res.PreScreened, res.Evaluated-res.Feasible)
 	}
 }
+
+// TestCountersAcrossWorkers is the search's evaluation accounting under
+// concurrency: four workers share one Runner and count on their own, and
+// the merged Result and the final Progress snapshot must both carry the
+// leaf-by-leaf reference's evaluated, feasible, pre-screened and cache-hit
+// counts, on a space with feasible and infeasible leaves alike.
+func TestCountersAcrossWorkers(t *testing.T) {
+	m := model.MustPreset("gpt3-13B").WithBatch(16)
+	sys := system.A100(8)
+	var prog Progress
+	opts := Options{
+		Enum:     execution.EnumOptions{Features: execution.FeatureAll, MaxInterleave: 2},
+		Workers:  4,
+		Progress: &prog,
+	}
+	res, err := Execution(context.Background(), m, sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceSearch(t, m, sys, opts)
+	got := []int{res.Evaluated, res.Feasible, res.PreScreened, res.CacheHits}
+	if want := []int{ref.Evaluated, ref.Feasible, ref.PreScreened, ref.CacheHits}; !slices.Equal(got, want) {
+		t.Fatalf("search counts (evaluated, feasible, pre-screened, cache hits) %v, reference %v", got, want)
+	}
+	snap := prog.Snapshot()
+	if mirror := []int{int(snap.Evaluated), int(snap.Feasible), int(snap.PreScreened), int(snap.CacheHits)}; !slices.Equal(mirror, got) {
+		t.Fatalf("progress counts %v, result %v", mirror, got)
+	}
+	if res.Feasible == 0 || res.Feasible == res.Evaluated {
+		t.Fatalf("%d of %d leaves feasible: want both kinds", res.Feasible, res.Evaluated)
+	}
+}
