@@ -54,6 +54,7 @@ e2e:
 # — run it on the reference machine after a deliberate performance change.
 BENCH_CMDS = \
 	$(GO) test -run '^$$' -bench BenchmarkExecutionSearch -benchtime 100x -count 3 ./internal/search; \
+	$(GO) test -run '^$$' -bench BenchmarkSegmentSearch -benchtime 20x -count 3 ./internal/search; \
 	$(GO) test -run '^$$' -bench BenchmarkSystemSizeSweep -benchtime 1x ./internal/search; \
 	$(GO) test -run '^$$' -bench BenchmarkRunner -benchtime 100x ./internal/perf; \
 	$(GO) test -run '^$$' -bench BenchmarkSearchWarmStore -benchtime 100x ./internal/resultstore; \

@@ -2,9 +2,14 @@ package main
 
 import (
 	"bufio"
+	"context"
+	"fmt"
 	"os"
 	"os/exec"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -18,6 +23,9 @@ func TestRunAsMain(t *testing.T) {
 		t.Skip("helper for the exit-code tests; not a test on its own")
 	}
 	os.Args = []string{"calculon"}
+	if os.Getenv("CALCULON_PAUSE_SEARCH") == "1" {
+		searchContext = func(ctx context.Context) context.Context { return &pausingContext{Context: ctx} }
+	}
 	if env := os.Getenv("CALCULON_ARGS"); env != "" {
 		os.Args = append(os.Args, strings.Split(env, "\n")...)
 	}
@@ -91,12 +99,43 @@ func TestExitCodeConvention(t *testing.T) {
 	}
 }
 
+// pausingContext pauses a search mid-flight: from the pauseAt-th call of
+// Err on — the search's workers call it before each work chunk and its
+// producer before each (t,p,d) subtree — every call waits for the context
+// to be cancelled, and the first one announces the pause on stderr. The
+// search below has 46 subtrees and thousands of chunks: with two
+// workers, one of them has made a second call, so finished a chunk, before
+// the pause, and most chunks are still to come.
+type pausingContext struct {
+	context.Context
+	calls atomic.Int64
+}
+
+const pauseAt = 200
+
+// pauseLine is what the child prints on stderr when it pauses.
+const pauseLine = "calculon-test: search paused"
+
+func (c *pausingContext) Err() error {
+	if n := c.calls.Add(1); n >= pauseAt {
+		if n == pauseAt {
+			fmt.Fprintln(os.Stderr, pauseLine)
+		}
+		<-c.Done()
+	}
+	return c.Context.Err()
+}
+
+var stoppedEarlyRE = regexp.MustCompile(`search stopped early — evaluated (\d+)/(\d+)`)
+
 // TestExitCodeSIGINT interrupts a long search mid-flight and expects the
 // 130 convention with a partial-progress report, the process-level half of
-// the cancellation contract.
+// the cancellation contract. The child pauses its search once work is
+// under way (pausingContext) and the interrupt is sent then, so it lands
+// mid-search however fast the machine runs the search.
 func TestExitCodeSIGINT(t *testing.T) {
-	cmd := beMain("search", "-model", "gpt3-175B", "-batch", "3072", "-procs", "4096",
-		"-progress", "25ms")
+	cmd := beMain("search", "-model", "gpt3-175B", "-batch", "3072", "-procs", "4096", "-workers", "2")
+	cmd.Env = append(cmd.Env, "CALCULON_PAUSE_SEARCH=1")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -107,14 +146,14 @@ func TestExitCodeSIGINT(t *testing.T) {
 	killer := time.AfterFunc(60*time.Second, func() { cmd.Process.Kill() })
 	defer killer.Stop()
 
-	// Wait for the first progress line so the interrupt lands mid-search,
-	// then keep draining the pipe so the child never blocks on a full one.
+	// Interrupt once the search has paused, then keep draining the pipe so
+	// the child never blocks on a full one.
 	scanner := bufio.NewScanner(stderr)
 	var lines []string
 	interrupted := false
 	for scanner.Scan() {
 		lines = append(lines, scanner.Text())
-		if !interrupted && strings.Contains(scanner.Text(), "evaluated") {
+		if !interrupted && scanner.Text() == pauseLine {
 			interrupted = true
 			if err := cmd.Process.Signal(os.Interrupt); err != nil {
 				t.Fatal(err)
@@ -122,18 +161,24 @@ func TestExitCodeSIGINT(t *testing.T) {
 		}
 	}
 	err = cmd.Wait()
+	joined := strings.Join(lines, "\n")
 	if !interrupted {
-		t.Fatalf("no progress line before the search ended:\n%s", strings.Join(lines, "\n"))
+		t.Fatalf("the search never paused:\n%s", joined)
 	}
 	ee, ok := err.(*exec.ExitError)
 	if !ok {
-		t.Fatalf("interrupted search exited cleanly (err %v):\n%s", err, strings.Join(lines, "\n"))
+		t.Fatalf("interrupted search exited cleanly (err %v):\n%s", err, joined)
 	}
 	if code := ee.ExitCode(); code != 130 {
-		t.Fatalf("interrupted search exited %d, want 130:\n%s", code, strings.Join(lines, "\n"))
+		t.Fatalf("interrupted search exited %d, want 130:\n%s", code, joined)
 	}
-	joined := strings.Join(lines, "\n")
-	if !strings.Contains(joined, "interrupted") || !strings.Contains(joined, "stopped early") {
+	g := stoppedEarlyRE.FindStringSubmatch(joined)
+	if g == nil || !strings.Contains(joined, "calculon: interrupted") {
 		t.Fatalf("stderr missing the partial-progress report:\n%s", joined)
+	}
+	done, _ := strconv.Atoi(g[1])
+	total, _ := strconv.Atoi(g[2])
+	if done <= 0 || done >= total {
+		t.Fatalf("the interrupt did not land mid-search: evaluated %d of %d", done, total)
 	}
 }

@@ -68,6 +68,10 @@ func main() {
 	}
 }
 
+// searchContext, when set, wraps the search command's search context. Only
+// the exit-code tests set it, to pause a search in their child process.
+var searchContext func(context.Context) context.Context
+
 // errUnknownCommand marks an unrecognized subcommand for main's exit code.
 var errUnknownCommand = fmt.Errorf("unknown command")
 
@@ -331,6 +335,9 @@ func cmdSearch(ctx context.Context, args []string) (retErr error) {
 	}()
 	var prog search.Progress
 	attachProgress(rt, &opts, &prog)
+	if searchContext != nil {
+		ctx = searchContext(ctx)
+	}
 	res, err := search.Execution(ctx, m, sys, opts)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -279,6 +279,13 @@ var (
 		{rsag: true, sp: true}, {rsag: true, sp: true, redo: true},
 		{rsag: true, sp: true, pprsag: true}, {rsag: true, sp: true, redo: true, pprsag: true},
 	}
+	// The comm combos of each set grouped by their (SeqParallel,
+	// TPRedoForSP) pair, as indices into its table: the RS+AG completions a
+	// memory class allows, neighbours one switch apart. The groups' first
+	// entries differ at most in TPRSAG and their last ones not at all.
+	projsBaseline = [][]int{{0, 1}}
+	projsSeqPar   = [][]int{{0, 1}, {2}, {3}}
+	projsAll      = [][]int{{0, 1, 2}, {3, 5}, {4, 6}}
 	tpOverlapsAll = []TPOverlapMode{TPOverlapNone, TPOverlapPipe, TPOverlapRing}
 	bools         = []bool{false, true}
 	// offloadsGray is the 3-bit reflected Gray sequence over (weights,
@@ -298,6 +305,7 @@ var (
 type Toggles struct {
 	recomputes []RecomputeMode
 	comms      []commCombo
+	projs      [][]int // comms indices per (SeqParallel, TPRedoForSP) pair
 	tpOverlaps []TPOverlapMode
 	dpOverlaps []bool
 	shards     []bool
@@ -310,6 +318,7 @@ func (o EnumOptions) Toggles() Toggles {
 	t := Toggles{
 		recomputes: recomputesBaseline,
 		comms:      commsBaseline,
+		projs:      projsBaseline,
 		tpOverlaps: tpOverlapsAll[:1],
 		dpOverlaps: bools[:1],
 		shards:     bools[:1],
@@ -319,9 +328,9 @@ func (o EnumOptions) Toggles() Toggles {
 	switch o.Features {
 	case FeatureBaseline:
 	case FeatureSeqPar:
-		t.recomputes, t.comms = recomputesAll, commsSeqPar
+		t.recomputes, t.comms, t.projs = recomputesAll, commsSeqPar, projsSeqPar
 	default: // FeatureAll
-		t.recomputes, t.comms = recomputesAll, commsAll
+		t.recomputes, t.comms, t.projs = recomputesAll, commsAll, projsAll
 		t.tpOverlaps, t.dpOverlaps, t.shards, t.fused = tpOverlapsAll, bools, bools, bools
 		if o.HasMem2 {
 			t.offloads = offloadsGray
@@ -366,39 +375,46 @@ func (t *Toggles) Len() int {
 // two successive strategies always differ in exactly one dimension. The
 // offload dimension is itself a 3-bit Gray sequence, so successive offload
 // combos flip a single switch. Each yield carries the fields changed since
-// the previous leaf (their DiffMask; AllFields on the first), which delta
-// evaluation (perf.Runner.RunLeaf) takes as is: the fewer toggles change
-// between neighbors, the more terms carry over unrecomputed. Every
-// combination is still emitted exactly once; only the order differs from a
-// plain nested loop. The order is part of the deterministic tie-break
-// sequence, so changing it is a strategy-space version bump (resultstore).
+// the previous leaf (their DiffMask; AllFields on the first). Each
+// combination is emitted once. The order defines sequence numbers: a leaf's
+// seq is its segment's base plus its Gray rank, its position here, which
+// breaks ties and names the leaf in shard splits and store keys, so
+// changing the order is a strategy-space version bump (resultstore). A
+// search may visit leaves in any order: the parallel search walks class by
+// class (Classes) and computes each leaf's rank.
 func (t *Toggles) Walk(st *Strategy, yield func(*Strategy, FieldMask) bool) bool {
 	sizes := t.sizes()
-	var idx [7]int
-	dir := [7]int{1, 1, 1, 1, 1, 1, 1}
-	for d := range idx {
+	g := gray{dir: [8]int{1, 1, 1, 1, 1, 1, 1, 1}}
+	for d, k := range sizes {
+		g.n[d] = k
 		t.set(st, d, 0)
 	}
 	for mask := AllFields; yield(st, mask); {
-		// Advance the deepest dimension that can still move in its current
-		// direction, reflecting (reversing) every deeper one that cannot.
-		// When no dimension can move, the space is exhausted.
-		i := len(idx) - 1
-		for i >= 0 {
-			next := idx[i] + dir[i]
-			if next >= 0 && next < sizes[i] {
-				idx[i] = next
-				break
-			}
-			dir[i] = -dir[i]
-			i--
-		}
-		if i < 0 {
+		d := g.advance(0, len(sizes)-1)
+		if d < 0 {
 			return true
 		}
-		mask = t.set(st, i, idx[i])
+		mask = t.set(st, d, g.idx[d])
 	}
 	return false
+}
+
+// gray is a reflected mixed-radix Gray counter: each dimension's value,
+// sweep direction (±1) and number of values.
+type gray struct{ idx, dir, n [8]int }
+
+// advance takes one step over dimensions lo..hi and returns the one that
+// moved: the deepest that can still move in its direction, every deeper one
+// reversing. It returns -1, having reversed them all, when none can move.
+func (g *gray) advance(lo, hi int) int {
+	for d := hi; d >= lo; d-- {
+		if next := g.idx[d] + g.dir[d]; next >= 0 && next < g.n[d] {
+			g.idx[d] = next
+			return d
+		}
+		g.dir[d] = -g.dir[d]
+	}
+	return -1
 }
 
 // set writes value j of toggle dimension d into st and returns the fields
@@ -424,6 +440,124 @@ func (t *Toggles) set(st *Strategy, d, j int) FieldMask {
 		return flip(&st.WeightOffload, o[0], FieldWeightOffload) | flip(&st.ActOffload, o[1], FieldActOffload) |
 			flip(&st.OptimOffload, o[2], FieldOptimOffload)
 	}
+}
+
+// rank returns the position in Walk's order of the leaf whose dimension
+// values are g: the Gray code read back. Dimension d sweeps upward exactly
+// when the dimensions before it have taken an even number of steps, which
+// is their own rank.
+func (t *Toggles) rank(g [7]int) int {
+	r := 0
+	for d, k := range t.sizes() {
+		if r%2 == 1 {
+			g[d] = k - 1 - g[d]
+		}
+		r = r*k + g[d]
+	}
+	return r
+}
+
+// VariantFields are the toggles that vary inside one memory class of the
+// class walk (Classes): the TP and PP RS+AG switches and the TP overlap
+// mode. Every other toggle is part of the class.
+const VariantFields = FieldTPRSAG | FieldPPRSAG | FieldTPOverlap
+
+// ClassWalk walks one segment class by class. A class is the leaves that
+// agree on every toggle outside VariantFields, and holds the TP overlap
+// modes times the RS+AG completions its (SeqParallel, TPRedoForSP) pair
+// allows. The walk starts on a leaf of the first class; NextClass moves to
+// a leaf of the next and NextLeaf through the rest of the current one, so a
+// caller that needs one leaf per class pays for no other. The classes
+// follow a reflected Gray code over the class dimensions (recompute, the
+// pair, DP overlap, sharding, fused layers, offloads) and a class's leaves
+// one over the variant dimensions (TP overlap, completion) from the leaf
+// the walk entered it on, so each step changes as few fields as the
+// lattice allows. Like Walk, it writes its root's toggle fields in place
+// and allocates nothing.
+type ClassWalk struct {
+	t  *Toggles
+	st *Strategy
+	// Between classes, each variant dimension rests at the end it next
+	// sweeps away from.
+	gray
+	mask FieldMask
+}
+
+// The class walk's named dimensions: the (SeqParallel, TPRedoForSP) pair,
+// the first variant dimension, and the completion within the pair.
+const (
+	dimPair       = 1
+	dimVariants   = 6
+	dimCompletion = 7
+)
+
+// walkDim maps a class-walk dimension to Walk's; the pair and the
+// completion together pick Walk's comm combo.
+var walkDim = [8]int{0, 1, 3, 4, 5, 6, 2, 1}
+
+// Classes returns a class walk of the segment rooted at st, standing on the
+// first leaf of its first class. Like Walk, it overwrites st's toggle
+// fields and leaves the rest alone.
+func (t *Toggles) Classes(st *Strategy) ClassWalk {
+	w := ClassWalk{t: t, st: st}
+	sizes := t.sizes()
+	for d := range walkDim {
+		w.n[d], w.dir[d] = sizes[walkDim[d]], 1
+	}
+	w.n[dimPair] = len(t.projs) // set(dimPair) sizes the completion
+	for d := range walkDim {
+		w.set(d)
+	}
+	w.mask = AllFields
+	return w
+}
+
+// Mask returns the fields the current leaf changed since the walk's
+// previous leaf: AllFields on the first leaf.
+func (w *ClassWalk) Mask() FieldMask { return w.mask }
+
+// Rank returns the leaf's position in Walk's order (walkDim, inverted).
+func (w *ClassWalk) Rank() int {
+	i := &w.idx
+	return w.t.rank([7]int{i[0], w.t.projs[i[dimPair]][i[dimCompletion]], i[6], i[2], i[3], i[4], i[5]})
+}
+
+// Len returns the number of leaves in the current class.
+func (w *ClassWalk) Len() int { return w.n[dimVariants] * w.n[dimCompletion] }
+
+// NextClass moves to a leaf of the next class and reports whether there is
+// one. Call it after NextLeaf has reported false, or without having called
+// NextLeaf in the current class at all.
+func (w *ClassWalk) NextClass() bool { return w.move(w.advance(0, dimVariants-1)) }
+
+// NextLeaf moves to the current class's next leaf and reports whether there
+// is one; the first leaf of a class is the one NextClass moved to.
+func (w *ClassWalk) NextLeaf() bool { return w.move(w.advance(dimVariants, dimCompletion)) }
+
+// move writes dimension d's new value, when one moved.
+func (w *ClassWalk) move(d int) bool {
+	w.mask = 0
+	if d >= 0 {
+		w.set(d)
+	}
+	return d >= 0
+}
+
+// set writes dimension d's value into the strategy. A new pair has its own
+// completions: the completion moves to the end it next sweeps from.
+func (w *ClassWalk) set(d int) {
+	v := w.idx[d]
+	if d == dimPair || d == dimCompletion {
+		compl := w.t.projs[w.idx[dimPair]]
+		if d == dimPair {
+			w.n[dimCompletion], w.idx[dimCompletion] = len(compl), 0
+			if w.dir[dimCompletion] < 0 {
+				w.idx[dimCompletion] = len(compl) - 1
+			}
+		}
+		v = compl[w.idx[dimCompletion]]
+	}
+	w.mask |= w.t.set(w.st, walkDim[d], v)
 }
 
 // flip sets *f to v and returns bit if that changed it.

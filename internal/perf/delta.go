@@ -1,8 +1,6 @@
 package perf
 
 import (
-	"math/bits"
-
 	"calculon/internal/comm"
 	"calculon/internal/execution"
 	"calculon/internal/system"
@@ -77,13 +75,12 @@ const (
 
 // deltaState carries one evaluation chain's reusable terms between leaves:
 // the last admitted strategy and its evaluation state, the fields changed
-// since, the pre-screen verdicts of the current parallelism base, the
-// RunLeaf verdicts of the current segment base, and the one-entry memos of
-// the log10-priced lookups. It is NOT safe for concurrent use — each
-// worker goroutine threads its own chain through the RunInfo it gets back
-// — while the owning Runner stays shared. Everything here is built lazily
-// by the chain itself, so neither the Runner constructors nor a scratch
-// evaluation pay for it.
+// since, the pre-screen verdicts of the current parallelism base, and the
+// one-entry memos of the log10-priced lookups. It is NOT safe for
+// concurrent use — each worker goroutine threads its own chain through the
+// RunInfo it gets back — while the owning Runner stays shared. Everything
+// here is built lazily by the chain itself, so neither the Runner
+// constructors nor a scratch evaluation pay for it.
 type deltaState struct {
 	r *Runner // owning runner; a chain never crosses runners
 
@@ -97,14 +94,7 @@ type deltaState struct {
 	// groups owed before the last leaf's exact keys can be read.
 	pending execution.FieldMask
 
-	// skipped is the fields changed since the last stepped leaf through
-	// the leaves the leafTable answered after it, and lag the last of
-	// those: the leaf Keys and Result step the chain to first.
-	skipped execution.FieldMask
-	lag     *execution.Strategy
-
 	screens screenTable
-	leaves  leafTable
 	memo    termMemo // e.memo points here
 }
 
@@ -113,7 +103,7 @@ type deltaState struct {
 func (r *Runner) chainOf(chain *RunInfo) *deltaState {
 	d := chain.delta
 	if d == nil || d.r != r {
-		d = &deltaState{r: r, leaves: leafTable{gen: 1, modesStale: true}}
+		d = &deltaState{r: r}
 		*chain = RunInfo{delta: d}
 	}
 	return d
@@ -148,9 +138,6 @@ func (r *Runner) RunDeltaInto(prev RunInfo, st execution.Strategy, out *Result) 
 	if prev.delta != nil {
 		mask = execution.DiffMask(&prev.delta.prev, &st)
 	}
-	// The mask is against the chain's state, not its previous leaf, so it
-	// cannot tell whether the leaf table's base still holds.
-	r.chainOf(&prev).leaves.reset()
 	if !r.step(&prev, &st, mask) {
 		*out = Result{}
 		return prev, prev.delta.v.err()
@@ -160,49 +147,26 @@ func (r *Runner) RunDeltaInto(prev RunInfo, st execution.Strategy, out *Result) 
 }
 
 // RunLeaf is the search's per-leaf entry point. mask is the fields in
-// which *st differs from the chain's previous leaf, as execution.Toggles.Walk
-// yields it, so the leaf path never diffs strategies. RunLeaf decides only
-// the memory half of the evaluation and reports bound keys: Mem1 exact, and
-// a BatchTime from the profile and shape terms alone that is never above
-// the exact one (so SampleRate is never below it). A fold whose admission
-// test is monotone in batch time can turn a leaf away on these; chain.Keys
-// prices the time terms and returns the exact keys, and chain.Result builds
-// the full Result. RunLeaf allocates nothing on a warm chain and normalizes
-// *st in place. The PreScreened and CacheHit flags are read from *chain
-// afterwards, as from RunDelta's returned RunInfo.
-//
-// A leaf whose memory class the chain's leafTable has seen on the current
-// base gets that class's verdict without a step: the chain only notes the
-// leaf, and Keys or Result step it there first.
+// which *st differs from the chain's previous leaf, as execution's walks
+// (Toggles.Walk, ClassWalk) report it, so the leaf path never diffs
+// strategies. RunLeaf decides only the memory half of the evaluation and
+// reports bound keys: Mem1 exact, and a BatchTime from the profile and
+// shape terms alone that is never above the exact one (so SampleRate is
+// never below it). A fold whose admission test is monotone in batch time
+// can turn a leaf away on these; chain.Keys prices the time terms and
+// returns the exact keys, and chain.Result builds the full Result. RunLeaf
+// allocates nothing on a warm chain and normalizes *st in place. The
+// PreScreened and CacheHit flags are read from *chain afterwards, as from
+// RunDelta's returned RunInfo. Only three toggle rules read
+// execution.VariantFields, so on one segment base the valid leaves of a
+// memory class get one verdict, one PreScreened flag and one bound.
 func (r *Runner) RunLeaf(chain *RunInfo, st *execution.Strategy, mask execution.FieldMask) (Keys, bool) {
-	st.Normalize()
-	d := r.chainOf(chain)
-	t := &d.leaves
-	if mask.Has(baseFields) {
-		t.reset()
+	if !r.step(chain, st, mask) {
+		return Keys{}, false
 	}
-	c := t.class(st, mask)
-	if c >= 0 && c < len(t.slots) {
-		if s := &t.slots[c]; s.gen == t.gen {
-			d.skipped |= mask
-			d.lag = st
-			*chain = RunInfo{PreScreened: s.screened, CacheHit: s.admitted, delta: d}
-			return s.keys, s.ok
-		}
-	}
-	ok := r.step(chain, st, mask)
-	var k Keys
-	if ok {
-		bound := d.e.batchTimeBound()
-		k = Keys{BatchTime: bound, SampleRate: bound.Rate(float64(r.m.Batch)), Mem1: d.keys.Mem1}
-	}
-	if c >= 0 && (d.admitted || chain.PreScreened) {
-		if c >= len(t.slots) {
-			t.grow(c)
-		}
-		t.slots[c] = leafSlot{keys: k, gen: t.gen, ok: ok, admitted: d.admitted, screened: chain.PreScreened}
-	}
-	return k, ok
+	d := chain.delta
+	bound := d.e.batchTimeBound()
+	return Keys{BatchTime: bound, SampleRate: bound.Rate(float64(r.m.Batch)), Mem1: d.keys.Mem1}, true
 }
 
 // Keys runs the time half of the evaluation of the chain's last leaf — the
@@ -213,12 +177,6 @@ func (r *Runner) RunLeaf(chain *RunInfo, st *execution.Strategy, mask execution.
 // leaf's.
 func (i *RunInfo) Keys() Keys {
 	d := i.delta
-	if d.lag != nil {
-		// The leaf's verdict came from the leaf table: step the memory half
-		// to it first, under the fields skipped since the last step.
-		catchUp := RunInfo{delta: d}
-		d.r.step(&catchUp, d.lag, 0)
-	}
 	if d.pending != 0 {
 		d.r.timeTerms(&d.evalState, d.pending)
 		d.pending = 0
@@ -235,22 +193,18 @@ func (i *RunInfo) Result(out *Result) {
 }
 
 // step evaluates *st on the chain, replacing *chain with the new chain
-// state. mask is the fields changed since the chain's previous leaf; ORed
-// with the fields of the leaves since the chain's last step (the leaf
-// table's answers) and, when that step's leaf was rejected by admit, with
-// the masks of the leaves rejected since the last admitted one, it is every
-// field changed since the strategy the chain's state belongs to. The
-// chain's shortcuts return what a scratch evaluation computes: an unchanged
-// shape re-checks only the toggle rules, the pre-screen verdict comes from
-// the chain's screenTable, and the priced lookups go through its termMemo.
-// A failing verdict is left in the chain's state. step runs only the memory
-// half; the time groups mask reaches are added to the chain's pending set
-// for Keys.
+// state. mask is the fields changed since the chain's previous leaf; ORed,
+// when that leaf was rejected by admit, with the masks of the leaves
+// rejected since the last admitted one, it is every field changed since
+// the strategy the chain's state belongs to. The chain's shortcuts return
+// what a scratch evaluation computes: an unchanged shape re-checks only the
+// toggle rules, the pre-screen verdict comes from the chain's screenTable,
+// and the priced lookups go through its termMemo. A failing verdict is left
+// in the chain's state. step runs only the memory half; the time groups
+// mask reaches are added to the chain's pending set for Keys.
 func (r *Runner) step(chain *RunInfo, st *execution.Strategy, mask execution.FieldMask) bool {
 	d := r.chainOf(chain)
 	st.Normalize()
-	mask |= d.skipped
-	d.skipped, d.lag = 0, nil
 	if !d.valid {
 		mask = execution.AllFields
 	}
@@ -280,100 +234,6 @@ func (r *Runner) step(chain *RunInfo, st *execution.Strategy, mask execution.Fie
 // onMemoryHalf, when set, is called with the mask of every memory half a
 // chain runs. Tests count runs with it; production code leaves it nil.
 var onMemoryHalf func(execution.FieldMask)
-
-// baseFields are the fields a search segment's root fixes (its shape and
-// pass mode): the leaves of a segment differ only outside them.
-const baseFields = execution.ShapeFields | execution.FieldInference
-
-// classFields are the toggles outside baseFields that the memory half
-// (profileMask, shapeMask and the memory-row masks), the pre-screen (its
-// five switches; see screenTable) and batchTimeBound read. A leaf's memory
-// class is their values: on one base, every leaf of a class is admitted or
-// rejected alike and has the same memory rows, capacity verdict and bound
-// keys. The other toggles — TPRSAG, PPRSAG and TPOverlap — reach only the
-// time groups and the toggle rules.
-const classFields = execution.FieldRecompute | execution.FieldSeqParallel |
-	execution.FieldTPRedoForSP | execution.FieldFusedLayers |
-	execution.FieldDPOverlap | execution.FieldOptimSharding |
-	execution.FieldWeightOffload | execution.FieldActOffload |
-	execution.FieldOptimOffload
-
-// leafTable holds a chain's RunLeaf verdicts for one base, one slot per
-// memory class: the bound keys, feasibility and flags of the first leaf of
-// the class the chain stepped. It is cleared when a leaf's mask touches
-// baseFields. A slot answers a later leaf of its class only if that leaf
-// passes the toggle rules that read a time-only field (class); the rest of
-// Validate reads the base and the class, which the recorded leaf passed.
-// Invalid leaves are never recorded. So a hit is the verdict a
-// step would reach, and CacheHit is whether the class was admitted: its
-// profile went into the memo then. A segment of the full feature set with
-// an offload tier has 4,032 leaves in 576 classes; a pinned one 21 in 9.
-// The slots grow to the highest class recorded, and class puts the toggles
-// small feature sets leave off in the high bits, so a chain of a small
-// search allocates a few slots instead of all of them.
-type leafTable struct {
-	gen   uint32 // slots of another generation are empty; 0 is never current
-	slots []leafSlot
-
-	// The last leaf's recompute mode as 0, 1 or 2, or -1 when it or the TP
-	// overlap mode is unknown; stale after a reset.
-	modes      int
-	modesStale bool
-}
-
-type leafSlot struct {
-	keys                   Keys
-	gen                    uint32
-	ok, admitted, screened bool
-}
-
-// reset empties the table. RunDeltaInto calls it too, since its leaves
-// bypass the table, so reset also forgets the cached modes.
-func (t *leafTable) reset() {
-	t.modesStale = true
-	if t.gen++; t.gen == 0 {
-		clear(t.slots)
-		t.gen = 1
-	}
-}
-
-// grow extends the slots to hold class c and every class whose switch bits
-// stay below c's highest one.
-func (t *leafTable) grow(c int) {
-	n := 3 << bits.Len(uint(c/3))
-	t.slots = append(t.slots, make([]leafSlot, n-len(t.slots))...)
-}
-
-// class returns the slot of st's memory class — the recompute mode plus
-// three times the other eight classFields bits — or -1 when the table must
-// not answer st: an unknown recompute mode, or a failing rule over a
-// time-only field (a bad TP overlap mode, sequence parallelism or PP RS+AG
-// without TP RS+AG).
-// mask is the fields changed since the previous leaf the table saw. The
-// two string-typed modes are compared only when the mask names one of
-// them, or after a reset.
-func (t *leafTable) class(st *execution.Strategy, mask execution.FieldMask) int {
-	if t.modesStale || mask.Has(execution.FieldRecompute|execution.FieldTPOverlap) {
-		t.modes = -1
-		if st.TPOverlap.Valid() {
-			switch st.Recompute {
-			case execution.RecomputeNone:
-				t.modes = 0
-			case execution.RecomputeAttn:
-				t.modes = 1
-			case execution.RecomputeFull:
-				t.modes = 2
-			}
-		}
-		t.modesStale = false
-	}
-	if t.modes < 0 || !st.TPRSAG && (st.SeqParallel || st.PPRSAG) {
-		return -1
-	}
-	return t.modes + 3*int(b2u(st.SeqParallel)|b2u(st.TPRedoForSP)<<1|b2u(st.FusedLayers)<<2|
-		b2u(st.DPOverlap)<<3|b2u(st.OptimSharding)<<4|b2u(st.WeightOffload)<<5|
-		b2u(st.ActOffload)<<6|b2u(st.OptimOffload)<<7)
-}
 
 // screenTable holds a chain's pre-screen verdicts for one base: PreScreen.Check
 // reads the parallelism degrees, the pass mode, and the five screen switches

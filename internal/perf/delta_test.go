@@ -370,15 +370,17 @@ func TestRunDeltaForeignChain(t *testing.T) {
 // TestTermGroupRecomputeCounts pins, for one fixed search walked on a
 // single chain as one search worker walks it under a top-10 + Pareto fold,
 // how often the chain runs its memory half and on how many of those runs
-// each memory row and time group recomputes. The memory half runs on a
-// leaf the chain's leaf table cannot answer, and again when the fold asks
-// for the exact keys of a leaf the table answered; the time groups run only
-// when the fold asks for a leaf's exact keys, with the masks owed since
-// they last ran. The counts come from the masks step hands the memory half
-// (onMemoryHalf), so production code counts nothing. A widened mask or a
-// lost table hit shows up here as an exact count change rather than as
-// noise in wall time; a narrowed mask must also pass the equivalence
-// suites above.
+// each memory row and time group recomputes. The walk goes class by class:
+// RunLeaf runs once on one leaf of each memory class, and again on each
+// other leaf of a class the worker descends into (keeps passes on the
+// class's bound keys and the segment's first sequence number), where it
+// steps the chain with a variant-only mask that reruns no memory row. The
+// time groups run only when the fold asks for a leaf's exact keys, with the
+// masks owed since they last ran. The counts come from the masks step
+// hands the memory half (onMemoryHalf), so production code counts nothing.
+// A widened mask or a lost class answer shows up here as an exact count
+// change rather than as noise in wall time; a narrowed mask must also pass
+// the equivalence suites above.
 func TestTermGroupRecomputeCounts(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(64)
 	sys := system.A100(64).WithMem2(system.DDR5(512 * units.GiB))
@@ -417,62 +419,76 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 	tog := opts.Toggles()
 	fold := keysFold{topK: 10}
 	var chain RunInfo
-	seq := 0
+	base := 0
 	for _, tpd := range opts.Triples(m) {
 		if screen.CheckTriple(opts, tpd) != nil {
-			seq += opts.TripleLeafCount(m, tpd)
+			base += opts.TripleLeafCount(m, tpd)
 			continue // the search prunes the subtree before any leaf
 		}
 		opts.Segments(&m, tpd, func(root *execution.Strategy) bool {
-			tog.Walk(root, func(st *execution.Strategy, mask execution.FieldMask) bool {
-				got["leaves"]++
-				k, ok := r.RunLeaf(&chain, st, mask)
+			w := tog.Classes(root)
+			for more := true; more; more = w.NextClass() {
+				got["classes"]++
+				got["RunLeaf calls"]++
+				k, ok := r.RunLeaf(&chain, root, w.Mask())
+				n := w.Len()
+				got["leaves"] += n
 				if chain.PreScreened {
-					got["pre-screened"]++
+					got["pre-screened"] += n
 				}
-				if ok {
-					got["feasible"]++
+				if !ok {
+					continue
 				}
-				if ok && fold.keeps(seq, k) {
-					got["timed"]++
-					// Keys first catches the chain up to a leaf the table
-					// answered (a memory-half run), then runs the time
-					// groups pending names.
-					k = chain.Keys()
-					for _, g := range timeGroups {
-						if pending.Has(g.mask) {
-							got[g.name]++
+				got["feasible"] += n
+				if !fold.keeps(base, k) {
+					continue
+				}
+				for {
+					if seq := base + w.Rank(); fold.keeps(seq, k) {
+						got["timed"]++
+						exact := chain.Keys()
+						for _, g := range timeGroups {
+							if pending.Has(g.mask) {
+								got[g.name]++
+							}
+						}
+						pending = 0
+						if fold.keeps(seq, exact) {
+							fold.offer(seq, exact)
 						}
 					}
-					pending = 0
-					if fold.keeps(seq, k) {
-						fold.offer(seq, k)
+					if !w.NextLeaf() {
+						break
 					}
+					got["RunLeaf calls"]++
+					r.RunLeaf(&chain, root, w.Mask())
 				}
-				seq++
-				return true
-			})
+			}
+			base += tog.Len()
 			return true
 		})
 	}
-	// 2,076,480 leaves in 515 segments of 4,032, 11,088 pre-screened (so
-	// 2,065,392 admitted), 2,010,498 feasible, 148,377 priced for time.
-	// The memory half runs 421,642 times, 20.4% of the admitted leaves.
-	// Before the leaf table it ran on every admitted leaf, with the profile
-	// reloaded 137,505 times and the rows rerunning 494,400, 1,235,547 and
-	// 656,625 times; the time groups are unchanged.
+	// 2,076,480 leaves in 515 segments of 4,032, so 296,640 classes of 7
+	// on average; 11,088 leaves pre-screened (so 2,065,392 admitted),
+	// 2,010,498 feasible. RunLeaf runs 423,443 times: once per class and on
+	// 126,803 more leaves of the classes the worker descends into, and the
+	// memory half on the 421,859 of those runs that pass admit, about a
+	// fifth of the admitted leaves. 148,590 leaves are priced for time.
+	// Walking leaf by leaf with a per-chain table of class answers (the
+	// previous design) priced 148,377 leaves, ran the memory half 421,642
+	// times on 2,076,480 RunLeaf calls, and reloaded the profile 41,334
+	// times; the variant fields, which the class walk moves fastest, now
+	// rerun the tensor and pipe groups more often (23,165 and 21,717 runs
+	// then) and the others less.
 	want := map[string]int{
-		"leaves": 2076480, "pre-screened": 11088, "feasible": 2010498, "timed": 148377,
-		"memory-half runs": 421642, "profile": 41334, "shape": 515,
-		"tensor": 23165, "pipe": 21717, "data": 34123, "optimizer": 96423, "offload": 146962,
-		"mem weights": 119152, "mem optimizer": 262108, "mem activations": 152519,
+		"leaves": 2076480, "classes": 296640, "pre-screened": 11088, "feasible": 2010498,
+		"RunLeaf calls": 423443, "memory-half runs": 421859, "timed": 148590,
+		"profile": 23175, "shape": 515,
+		"mem weights": 74160, "mem optimizer": 179901, "mem activations": 97335,
+		"tensor": 64916, "pipe": 68835, "data": 5349, "optimizer": 14215, "offload": 83026,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recompute counts changed:\n got %v\nwant %v", got, want)
-	}
-	if admitted := got["leaves"] - got["pre-screened"]; 4*got["memory-half runs"] > admitted {
-		t.Errorf("%d memory-half runs for %d admitted leaves: the leaf table answers under 3 in 4",
-			got["memory-half runs"], admitted)
 	}
 }
 

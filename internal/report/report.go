@@ -9,7 +9,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"calculon/internal/perf"
@@ -206,14 +205,6 @@ func HistogramChart(w io.Writer, title string, min, max float64, counts []int, w
 		n := int(float64(c) / float64(peak) * float64(width))
 		fmt.Fprintf(w, "  [%8.1f,%8.1f) %-*s %d\n", lo, lo+span, width, strings.Repeat("█", n), c)
 	}
-}
-
-// SortedSegments returns the segments in descending value order, for
-// reporting the dominant costs first.
-func SortedSegments(segs []Segment) []Segment {
-	out := append([]Segment(nil), segs...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Value > out[j].Value })
-	return out
 }
 
 func trim(v float64) string {

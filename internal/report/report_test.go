@@ -138,17 +138,6 @@ func TestHistogramChart(t *testing.T) {
 	}
 }
 
-func TestSortedSegments(t *testing.T) {
-	in := []Segment{{"a", 1}, {"b", 3}, {"c", 2}}
-	out := SortedSegments(in)
-	if out[0].Label != "b" || out[2].Label != "a" {
-		t.Errorf("not sorted: %+v", out)
-	}
-	if in[0].Label != "a" {
-		t.Error("input mutated")
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	var b strings.Builder
 	err := WriteCSV(&b, [][]string{

@@ -7,6 +7,7 @@ import (
 	"calculon/internal/execution"
 	"calculon/internal/model"
 	"calculon/internal/system"
+	"calculon/internal/units"
 )
 
 // BenchmarkExecutionSearch measures end-to-end search throughput — the
@@ -43,6 +44,31 @@ func benchExecutionSearch(b *testing.B, configure func(*Options)) {
 		// Accumulate across iterations: extrapolating from the last
 		// iteration (evaluated/elapsed·N) over-reports whenever per-
 		// iteration times vary; the summed count is exact.
+		evaluated += res.Evaluated
+	}
+	b.ReportMetric(float64(evaluated)/b.Elapsed().Seconds(), "strategies/s")
+}
+
+// BenchmarkSegmentSearch is a search whose toggle segments are full ones:
+// every feature with a second memory tier, 4,032 leaves in 576 memory
+// classes per segment, as in the paper's headline search, where the
+// BenchmarkExecutionSearch pair has 12-leaf SeqPar segments. It keeps a
+// top-10 and the Pareto front, as the CLI does, so it times the class
+// walk, one RunLeaf per class and the descents the fold asks for.
+func BenchmarkSegmentSearch(b *testing.B) {
+	m := model.MustPreset("gpt3-13B").WithBatch(16)
+	sys := system.A100(16).WithMem2(system.DDR5(512 * units.GiB))
+	opts := Options{
+		Enum: execution.EnumOptions{Procs: 16, Features: execution.FeatureAll, MaxTP: 8, MaxInterleave: 1},
+		TopK: 10, Pareto: true,
+	}
+	var evaluated int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := Execution(context.Background(), m, sys, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
 		evaluated += res.Evaluated
 	}
 	b.ReportMetric(float64(evaluated)/b.Elapsed().Seconds(), "strategies/s")

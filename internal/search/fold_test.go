@@ -72,16 +72,18 @@ func (ws *workerState) add(seq int, res *perf.Result) {
 }
 
 // addKeysFirst folds one feasible result as a search worker folds a leaf:
-// keeps decides on the keys k first — the exact keys, or bound keys no
-// worse in rank and no later on the staircase — then on the exact keys,
-// and only a leaf both keep is offered. A leaf turned away must be one
-// offer would not keep, so offering it to a copy of the state must leave
-// the copy unchanged.
-func addKeysFirst(t *testing.T, ws *workerState, seq int, res *perf.Result, k perf.Keys) {
+// keeps decides on the keys k at sequence number gate first — the class
+// gate, at the segment's first seq, no later than the leaf's — then on k at
+// the leaf's seq, where k is the exact keys or bound keys no worse in rank
+// and no later on the staircase, then on the exact keys, and only a leaf
+// all three keep is offered. A leaf turned away must be one offer would
+// not keep, so offering it to a copy of the state must leave the copy
+// unchanged.
+func addKeysFirst(t *testing.T, ws *workerState, gate, seq int, res *perf.Result, k perf.Keys) {
 	t.Helper()
 	ws.feasible++
 	exact := perf.Keys{BatchTime: res.BatchTime, SampleRate: res.SampleRate, Mem1: res.Mem1.Total()}
-	if ws.keeps(seq, &k) && ws.keeps(seq, &exact) {
+	if ws.keeps(gate, &k) && ws.keeps(seq, &k) && ws.keeps(seq, &exact) {
 		ws.offer(seq, res)
 		return
 	}
@@ -97,13 +99,14 @@ func addKeysFirst(t *testing.T, ws *workerState, seq int, res *perf.Result, k pe
 const (
 	resultFirst = iota // offer every Result, as the merges do
 	keysFirst          // keeps on the exact keys, then offer
-	boundFirst         // keeps on bound keys, then on the exact keys, then offer
+	boundFirst         // keeps on bound keys at a gate seq, then at the leaf's, then on the exact keys, then offer
 )
 
 // foldParts deals the stream at random into parts states, each folding its
 // share leaf by leaf in the given mode. Bound keys are the exact keys with
 // the batch time lowered and the sample rate raised by 0 or 1, so they tie
-// the exact keys, or other leaves, as often as not.
+// the exact keys, or other leaves, as often as not, and the gate seq is
+// the leaf's lowered by 0 to 2, so it ties other leaves' seqs too.
 func foldParts(t *testing.T, rng *rand.Rand, items []scored, parts, topK int, pareto bool, mode int) []*workerState {
 	states := make([]*workerState, parts)
 	for i := range states {
@@ -111,17 +114,17 @@ func foldParts(t *testing.T, rng *rand.Rand, items []scored, parts, topK int, pa
 	}
 	for i := range items {
 		ws := states[rng.Intn(parts)]
-		res := &items[i].res
+		res, seq := &items[i].res, items[i].seq
 		k := perf.Keys{BatchTime: res.BatchTime, SampleRate: res.SampleRate, Mem1: res.Mem1.Total()}
 		switch mode {
 		case resultFirst:
-			ws.add(items[i].seq, res)
+			ws.add(seq, res)
 		case boundFirst:
 			k.BatchTime -= units.Seconds(rng.Intn(2))
 			k.SampleRate += float64(rng.Intn(2))
-			fallthrough
+			addKeysFirst(t, ws, seq-rng.Intn(3), seq, res, k)
 		default:
-			addKeysFirst(t, ws, items[i].seq, res, k)
+			addKeysFirst(t, ws, seq, seq, res, k)
 		}
 	}
 	return states

@@ -23,23 +23,6 @@ func BestEfficiency(points []ScalingPoint) (ScalingPoint, bool) {
 	return best, found
 }
 
-// SmallestReaching returns the smallest system size whose best
-// configuration achieves at least the target sample rate.
-func SmallestReaching(points []ScalingPoint, targetRate float64) (ScalingPoint, bool) {
-	var best ScalingPoint
-	found := false
-	for _, p := range points {
-		if !p.Found || p.Best.SampleRate < targetRate {
-			continue
-		}
-		if !found || p.Procs < best.Procs {
-			best = p
-			found = true
-		}
-	}
-	return best, found
-}
-
 // RightSize returns the smallest size whose per-processor efficiency is
 // within frac of the sweep's best — the "don't buy into a cliff" answer.
 // A frac of 0.1 accepts sizes within 10% of the best efficiency.

@@ -37,19 +37,6 @@ func TestBestEfficiencyPrefersSmallerOnTie(t *testing.T) {
 	}
 }
 
-func TestSmallestReaching(t *testing.T) {
-	pts := []ScalingPoint{
-		pt(8, 8, true), pt(16, 20, true), pt(24, 18, true), pt(32, 38, true),
-	}
-	got, ok := SmallestReaching(pts, 18)
-	if !ok || got.Procs != 16 {
-		t.Fatalf("SmallestReaching(18) = %d (%v), want 16", got.Procs, ok)
-	}
-	if _, ok := SmallestReaching(pts, 100); ok {
-		t.Fatal("unreachable target must report not found")
-	}
-}
-
 func TestRightSizeAvoidsCliffs(t *testing.T) {
 	pts := []ScalingPoint{
 		pt(8, 8, true),   // 1.0/proc — within 20% of best

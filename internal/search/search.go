@@ -224,10 +224,9 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 		go func() {
 			ws := workerState{topK: opts.TopK, pareto: opts.Pareto}
 			// Each worker threads one delta chain through its strategies:
-			// inside a segment the Gray-code toggle order makes neighbors
-			// differ in a single toggle, which the walk names, so most term
-			// groups carry over. The chain is goroutine-local; the Runner
-			// stays shared.
+			// the class walk moves as few toggles between leaves as the
+			// lattice allows and names them, so most term groups carry
+			// over. The chain is goroutine-local; the Runner stays shared.
 			var chain perf.RunInfo
 			var res perf.Result
 			for chunk := range chunks {
@@ -239,35 +238,7 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 				evalBefore, feasBefore := ws.evaluated, ws.feasible
 				preBefore, hitBefore := ws.prescreened, ws.cacheHits
 				for i := range chunk {
-					seq := chunk[i].seq
-					tog.Walk(&chunk[i].root, func(st *execution.Strategy, mask execution.FieldMask) bool {
-						ws.evaluated++
-						// RunLeaf's keys bound the batch time from below,
-						// and keeps is monotone in batch time, so a leaf
-						// turned away on them is one the exact keys would
-						// turn away too: only the rest pay for the time terms.
-						if k, ok := runner.RunLeaf(&chain, st, mask); ok {
-							ws.feasible++
-							if opts.CollectRates || ws.keeps(seq, &k) {
-								k = chain.Keys()
-								if opts.CollectRates {
-									ws.rates = append(ws.rates, k.SampleRate)
-								}
-								if ws.keeps(seq, &k) {
-									chain.Result(&res)
-									ws.offer(seq, &res)
-								}
-							}
-						}
-						if chain.PreScreened {
-							ws.prescreened++
-						}
-						if chain.CacheHit {
-							ws.cacheHits++
-						}
-						seq++
-						return true
-					})
+					ws.segment(runner, &chain, &res, &tog, &chunk[i], opts.CollectRates)
 				}
 				if prog != nil {
 					prog.AddCounts(Counts{
@@ -393,6 +364,58 @@ type workerState struct {
 	// seq) with strictly decreasing memory, so it is always the exact front
 	// of every candidate offered so far.
 	front []scored
+}
+
+// segment walks one segment class by class on the chain. RunLeaf's answer
+// for one leaf of a memory class is the whole class's, so the counters take
+// the class at once; its leaves share one block profile, so all but the
+// first hit the memo if that one reached it (a segment's leaves all pass
+// Validate, so a leaf not pre-screened did). The worker steps through the
+// other leaves of a feasible class only when keeps passes on the class's
+// bound keys and the segment's first seq. keeps is monotone in seq as in
+// batch time, so this admits every leaf of the class a per-leaf test would
+// (docs/MODEL.md, "The leaf path").
+func (ws *workerState) segment(runner *perf.Runner, chain *perf.RunInfo, res *perf.Result, tog *execution.Toggles, seg *segment, collectRates bool) {
+	w := tog.Classes(&seg.root)
+	for more := true; more; more = w.NextClass() {
+		k, ok := runner.RunLeaf(chain, &seg.root, w.Mask())
+		n := w.Len()
+		ws.evaluated += n
+		switch {
+		case chain.PreScreened:
+			ws.prescreened += n
+		case chain.CacheHit:
+			ws.cacheHits += n
+		default:
+			ws.cacheHits += n - 1
+		}
+		if !ok {
+			continue
+		}
+		ws.feasible += n
+		if !collectRates && !ws.keeps(seg.seq, &k) {
+			continue
+		}
+		for {
+			// keeps turns a leaf away on its bound keys only if it would
+			// on its exact ones, which are never faster.
+			seq := seg.seq + w.Rank()
+			if collectRates || ws.keeps(seq, &k) {
+				exact := chain.Keys()
+				if collectRates {
+					ws.rates = append(ws.rates, exact.SampleRate)
+				}
+				if ws.keeps(seq, &exact) {
+					chain.Result(res)
+					ws.offer(seq, res)
+				}
+			}
+			if !w.NextLeaf() {
+				break
+			}
+			k, _ = runner.RunLeaf(chain, &seg.root, w.Mask())
+		}
+	}
 }
 
 // offer folds one feasible result into best, the top-K and the front.

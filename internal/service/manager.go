@@ -200,6 +200,10 @@ func (m *Manager) schedule() {
 	}
 }
 
+// jobContext, when set, wraps the context each job's search runs under.
+// Only the package's tests set it, to hold jobs mid-search.
+var jobContext func(context.Context) context.Context
+
 // runJob executes one job under the drain-cancellable context, with the
 // job's own cancel (DELETE) and optional timeout layered on top.
 func (m *Manager) runJob(job *Job, workers int, release func()) {
@@ -216,6 +220,9 @@ func (m *Manager) runJob(job *Job, workers int, release func()) {
 		var cancelTimeout context.CancelFunc
 		ctx, cancelTimeout = context.WithTimeout(ctx, job.prep.timeout)
 		defer cancelTimeout()
+	}
+	if jobContext != nil {
+		ctx = jobContext(ctx)
 	}
 	var (
 		res  *search.Result

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"calculon/internal/resultstore"
 	"testing"
@@ -16,14 +18,56 @@ import (
 )
 
 // smallSpec is a job over a tiny strategy space (finishes in well under a
-// second); bigSpec spans ~160k strategies (the cancel_test space), so a test
-// can reliably catch it mid-flight.
+// second); bigSpec spans ~160k strategies in 317 work chunks (the
+// cancel_test space), so a held job (holdJobs) pauses mid-flight.
 func smallSpec() string {
 	return `{"model":{"preset":"gpt3-13B","batch":8},"system":{"preset":"a100-80g","procs":8},"search":{"top_k":3}}`
 }
 
 func bigSpec() string {
 	return `{"model":{"preset":"gpt3-13B","batch":64},"system":{"preset":"a100-80g","procs":64},"search":{"max_interleave":2}}`
+}
+
+// holdAt is the call of a job context's Err from which a held job pauses.
+// The search calls Err before each of its (at most 28) subtrees and each
+// work chunk, so with at most four workers one of them has finished a chunk
+// by then, and most of bigSpec's chunks are still to come.
+const holdAt = 40
+
+// heldContext is a held job's context: from the holdAt-th call of Err on,
+// each call waits until the job is cancelled or the hold released.
+type heldContext struct {
+	context.Context
+	released <-chan struct{}
+	calls    atomic.Int64
+}
+
+func (c *heldContext) Err() error {
+	if c.calls.Add(1) >= holdAt {
+		select {
+		case <-c.Done():
+		case <-c.released:
+		}
+	}
+	return c.Context.Err()
+}
+
+// holdJobs makes every job the test starts pause mid-search until it is
+// cancelled or release is called, so the test can watch a job run without
+// racing the search to its end. Call it before building the server: its
+// cleanup runs after the server's drain.
+func holdJobs(t *testing.T) (release func()) {
+	released := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(released) }) }
+	jobContext = func(ctx context.Context) context.Context {
+		return &heldContext{Context: ctx, released: released}
+	}
+	t.Cleanup(func() {
+		release()
+		jobContext = nil
+	})
+	return release
 }
 
 // newTestServer builds a server and guarantees it is drained at cleanup so
@@ -136,6 +180,7 @@ func TestResultLongPoll(t *testing.T) {
 }
 
 func TestResultBeforeDoneIs202(t *testing.T) {
+	holdJobs(t)
 	s := newTestServer(t, Config{Workers: 2, MaxRunning: 1, QueueDepth: 4})
 	st := submit(t, s, bigSpec())
 	var got JobStatus
@@ -147,6 +192,7 @@ func TestResultBeforeDoneIs202(t *testing.T) {
 }
 
 func TestCancelRunningJob(t *testing.T) {
+	holdJobs(t)
 	s := newTestServer(t, Config{Workers: 2, MaxRunning: 1, QueueDepth: 4})
 	st := submit(t, s, bigSpec())
 	// Catch it mid-search: running with progress flowing.
@@ -185,6 +231,7 @@ func TestCancelRunningJob(t *testing.T) {
 }
 
 func TestCancelQueuedJob(t *testing.T) {
+	holdJobs(t)
 	s := newTestServer(t, Config{Workers: 2, MaxRunning: 1, QueueDepth: 4})
 	running := submit(t, s, bigSpec())
 	waitState(t, s, running.ID, StateRunning)
@@ -201,6 +248,7 @@ func TestCancelQueuedJob(t *testing.T) {
 }
 
 func TestQueueFullRejectsWith503(t *testing.T) {
+	holdJobs(t)
 	s := newTestServer(t, Config{Workers: 2, MaxRunning: 1, QueueDepth: 1})
 	running := submit(t, s, bigSpec())
 	waitState(t, s, running.ID, StateRunning)
@@ -236,6 +284,7 @@ func TestBadSpecRejectedWith400(t *testing.T) {
 // TestWorkerBudgetAcrossConcurrentJobs drives the budget end to end: two
 // jobs running at once on a workers=3 daemon report shares summing to 3.
 func TestWorkerBudgetAcrossConcurrentJobs(t *testing.T) {
+	holdJobs(t)
 	s := newTestServer(t, Config{Workers: 3, MaxRunning: 2, QueueDepth: 4})
 	a := submit(t, s, bigSpec())
 	b := submit(t, s, bigSpec())
@@ -350,6 +399,7 @@ func waitForGoroutines(t *testing.T, baseline int) {
 // cancels both, unwinds every goroutine the service started, and leaves all
 // jobs terminal.
 func TestDrainCancelsAndLeaksNothing(t *testing.T) {
+	holdJobs(t)
 	baseline := runtime.NumGoroutine()
 	s := New(Config{Workers: 2, MaxRunning: 1, QueueDepth: 4})
 	running := submit(t, s, bigSpec())
@@ -377,12 +427,16 @@ func TestDrainCancelsAndLeaksNothing(t *testing.T) {
 // deadline, a job that is already running completes as done, not cancelled
 // (only queued jobs are cancelled by a drain).
 func TestDrainLetsRunningJobsFinish(t *testing.T) {
+	release := holdJobs(t)
 	baseline := runtime.NumGoroutine()
 	s := New(Config{Workers: 4, MaxRunning: 1, QueueDepth: 4})
 	st := submit(t, s, bigSpec())
 	waitState(t, s, st.ID, StateRunning)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	// The job is running, so the drain lets it finish, whenever the hold
+	// ends.
+	release()
 	s.Drain(ctx)
 	var got JobStatus
 	do(t, s, "GET", "/v1/jobs/"+st.ID, "", &got)

@@ -217,16 +217,11 @@ func (s System) Validate() error {
 	return nil
 }
 
-// NetworkFor selects the network that carries a communication group of the
-// given size: the fastest (earliest-listed) network whose domain covers the
-// group. This is how tensor parallelism lands on NVLink when t fits the
-// domain and spills to the scale-out fabric otherwise.
-func (s System) NetworkFor(group int) Network {
-	return *s.NetworkPtrFor(group)
-}
-
-// NetworkPtrFor is NetworkFor without the struct copy: it returns a pointer
-// into s.Networks, valid as long as the System itself. The evaluation hot
+// NetworkPtrFor selects the network that carries a communication group of
+// the given size: the fastest (earliest-listed) network whose domain covers
+// the group. This is how tensor parallelism lands on NVLink when t fits the
+// domain and spills to the scale-out fabric otherwise. It returns a pointer
+// into s.Networks, valid as long as the System itself: the evaluation hot
 // path selects a network per communication group per strategy, so the copy
 // elision is worth the aliasing caveat.
 func (s *System) NetworkPtrFor(group int) *Network {

@@ -111,10 +111,10 @@ func TestNetworkCovers(t *testing.T) {
 
 func TestNetworkFor(t *testing.T) {
 	s := A100(4096)
-	if got := s.NetworkFor(8).Name; got != "nvlink" {
+	if got := s.NetworkPtrFor(8).Name; got != "nvlink" {
 		t.Errorf("group of 8 → %s, want nvlink", got)
 	}
-	if got := s.NetworkFor(16).Name; got != "ib-hdr" {
+	if got := s.NetworkPtrFor(16).Name; got != "ib-hdr" {
 		t.Errorf("group of 16 → %s, want ib-hdr", got)
 	}
 	if got := s.ScaleOut().Name; got != "ib-hdr" {
@@ -218,13 +218,13 @@ func TestSuperPodNetworkSelection(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.NetworkFor(8).Name; got != "nvlink" {
+	if got := s.NetworkPtrFor(8).Name; got != "nvlink" {
 		t.Errorf("group 8 → %s", got)
 	}
-	if got := s.NetworkFor(64).Name; got != "ib-leaf" {
+	if got := s.NetworkPtrFor(64).Name; got != "ib-leaf" {
 		t.Errorf("group 64 → %s", got)
 	}
-	if got := s.NetworkFor(512).Name; got != "ib-spine" {
+	if got := s.NetworkPtrFor(512).Name; got != "ib-spine" {
 		t.Errorf("group 512 → %s", got)
 	}
 	// Tier bandwidths must descend.
