@@ -112,12 +112,3 @@ func Load[T any](path string) (T, error) {
 	}
 	return v, nil
 }
-
-// Save writes any of the spec types as indented JSON.
-func Save[T any](path string, v T) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("config: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}

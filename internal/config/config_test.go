@@ -1,6 +1,8 @@
 package config
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -83,6 +85,18 @@ func TestSystemRefInlineProcsOverride(t *testing.T) {
 	}
 }
 
+// save writes v as indented JSON, as the shipped config files are written.
+func save(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestScenarioRoundTrip(t *testing.T) {
 	sc := Scenario{
 		Model:  ModelRef{Preset: "gpt3-175B", Batch: 64},
@@ -93,9 +107,7 @@ func TestScenarioRoundTrip(t *testing.T) {
 		},
 	}
 	path := filepath.Join(t.TempDir(), "scenario.json")
-	if err := Save(path, sc); err != nil {
-		t.Fatal(err)
-	}
+	save(t, path, sc)
 	back, err := Load[Scenario](path)
 	if err != nil {
 		t.Fatal(err)
@@ -123,9 +135,7 @@ func TestScenarioResolveValidatesStrategy(t *testing.T) {
 func TestInlineSystemJSONRoundTrip(t *testing.T) {
 	s := system.A100(128)
 	path := filepath.Join(t.TempDir(), "system.json")
-	if err := Save(path, s); err != nil {
-		t.Fatal(err)
-	}
+	save(t, path, s)
 	back, err := Load[system.System](path)
 	if err != nil {
 		t.Fatal(err)
@@ -144,9 +154,7 @@ func TestLoadErrors(t *testing.T) {
 		t.Error("missing file must error")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := Save(bad, "just a string"); err != nil {
-		t.Fatal(err)
-	}
+	save(t, bad, "just a string")
 	if _, err := Load[Scenario](bad); err == nil || !strings.Contains(err.Error(), "bad.json") {
 		t.Errorf("bad JSON must error with path, got %v", err)
 	}

@@ -26,10 +26,10 @@ const (
 	shapeMask = execution.FieldPP | execution.FieldDP |
 		execution.FieldMicrobatch | execution.FieldInterleave
 
-	// profileMask covers the memoized per-block profile: exactly the
-	// blockKey fields (tp, microbatch, recompute, seqParallel, tpRedo,
-	// fused, inference). Every downstream group reads profile outputs, so
-	// profileMask is included in all of them.
+	// profileMask covers the memoized per-block profile: exactly its
+	// inputs (tp, microbatch, recompute, seqParallel, tpRedo, fused,
+	// inference; see profileRow). Every downstream group reads profile
+	// outputs, so profileMask is included in all of them.
 	profileMask = execution.FieldTP | execution.FieldMicrobatch |
 		execution.FieldRecompute | execution.FieldSeqParallel |
 		execution.FieldTPRedoForSP | execution.FieldFusedLayers |
@@ -295,12 +295,18 @@ const (
 // first-tier access time and second-tier bandwidth. Their arguments change
 // only with the parallelism degrees, microbatch and sharding, while the
 // delta masks re-run the groups on every toggle that reaches the block
-// profile. Each memo is keyed on its lookup's exact arguments — the network
-// or memory is the Runner's own, fixed for the chain — so a hit returns
-// what the lookup returned for equal arguments, bit for bit, with no mask
-// reasoning. (±0 price alike everywhere here; a NaN key never hits.)
+// profile. Next to them it holds the profile row of the chain's (TP,
+// Microbatch), so a step that moves only the block switches — every class
+// step of a segment — reads its profile without hashing a key. Each memo is
+// keyed on its lookup's exact arguments — the network or memory is the
+// Runner's own, fixed for the chain — so a hit returns what the lookup
+// returned for equal arguments, bit for bit, with no mask reasoning. (±0
+// price alike everywhere here; a NaN key never hits.)
 type termMemo struct {
 	comm [numCommSites]commMemo
+
+	row    *profileRow // nil: empty
+	rowKey rowKey
 
 	vecOK    bool
 	vecFLOPs units.FLOPs
@@ -335,6 +341,18 @@ func (e *eval) commTime(site int, net *system.Network, op comm.Op, g int, b unit
 		*c = commMemo{net: net, op: op, g: g, bytes: b, t: comm.Time(net, op, g, b)}
 	}
 	return c.t
+}
+
+// row is Runner.row through the chain's memo.
+func (e *eval) row(r *Runner) *profileRow {
+	m := e.memo
+	if m == nil {
+		return r.row(e.st)
+	}
+	if k := (rowKey{e.st.TP, e.st.Microbatch}); m.row == nil || m.rowKey != k {
+		m.row, m.rowKey = r.row(e.st), k
+	}
+	return m.row
 }
 
 // vectorRate is Compute.VectorRate through the chain's memo.

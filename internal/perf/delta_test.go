@@ -17,8 +17,9 @@ import (
 // deltaSequences builds strategy sequences that exercise the delta path:
 // the real enumeration order (Gray-adjacent toggles inside each triple, so
 // most steps reuse most groups), random jumps (every mask bit flips),
-// random walks of single-field mutations (see mutationSequence), and the
-// enumeration order with runs of rejected leaves (see detourSequence).
+// random walks of single-field mutations (see mutationSequence), the
+// enumeration order with runs of rejected leaves (see detourSequence), and
+// runs of it that leave a profile row and come back (see rowRevisitSequence).
 func deltaSequences(t *testing.T, rng *rand.Rand, m model.LLM, opts execution.EnumOptions) [][]execution.Strategy {
 	t.Helper()
 	var enum []execution.Strategy
@@ -34,10 +35,46 @@ func deltaSequences(t *testing.T, rng *rand.Rand, m model.LLM, opts execution.En
 		jumps = append(jumps, enum[rng.Intn(len(enum))])
 	}
 	muts := mutationSequence(rng, enum)
+	revisits := rowRevisitSequence(enum)
 	if len(enum) > 2000 {
 		enum = enum[:2000]
 	}
-	return [][]execution.Strategy{enum, jumps, muts, detourSequence(enum[:len(enum)/2])}
+	return [][]execution.Strategy{enum, jumps, muts, detourSequence(enum[:len(enum)/2]), revisits}
+}
+
+// rowRevisitSequence takes the three (TP, Microbatch) profile rows with the
+// most enumerated strategies and walks runs of each row's strategies in
+// enumeration order, the rows in turn (A B C A B C ...), as a chain walks
+// segment roots that leave a row and come back to it. The chain's row memo
+// must then serve each run from the row its first leaf fetches, never from
+// the one it left.
+func rowRevisitSequence(enum []execution.Strategy) []execution.Strategy {
+	type row struct{ tp, microbatch int }
+	byRow := map[row][]execution.Strategy{}
+	var rows []row
+	for _, s := range enum {
+		k := row{s.TP, s.Microbatch}
+		if _, ok := byRow[k]; !ok {
+			rows = append(rows, k)
+		}
+		byRow[k] = append(byRow[k], s)
+	}
+	slices.SortStableFunc(rows, func(a, b row) int { return len(byRow[b]) - len(byRow[a]) })
+	rows = rows[:min(3, len(rows))]
+	const run = 24
+	var out []execution.Strategy
+	for lo := 0; len(out) < 1500; lo += run {
+		n := len(out)
+		for _, k := range rows {
+			if ss := byRow[k]; lo < len(ss) {
+				out = append(out, ss[lo:min(lo+run, len(ss))]...)
+			}
+		}
+		if len(out) == n {
+			break
+		}
+	}
+	return out
 }
 
 // detourSequence is the enumeration order with a run of two rejected leaves
@@ -369,8 +406,9 @@ func TestRunDeltaForeignChain(t *testing.T) {
 
 // TestTermGroupRecomputeCounts pins, for one fixed search walked on a
 // single chain as one search worker walks it under a top-10 + Pareto fold,
-// how often the chain runs its memory half and on how many of those runs
-// each memory row and time group recomputes. The walk goes class by class:
+// how often the chain runs its memory half, on how many of those runs it
+// reads the block profile and fetches a profile row, and on how many each
+// memory row and time group recomputes. The walk goes class by class:
 // RunLeaf runs once on one leaf of each memory class, and again on each
 // other leaf of a class the worker descends into (keeps passes on the
 // class's bound keys and the segment's first sequence number), where it
@@ -394,7 +432,8 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 		mask execution.FieldMask
 	}
 	memGroups := []group{
-		{"profile", profileMask}, {"shape", shapeMask}, {"mem weights", memWeightsMask},
+		{"row steps", execution.FieldTP | execution.FieldMicrobatch}, {"profile reads", profileMask},
+		{"shape", shapeMask}, {"mem weights", memWeightsMask},
 		{"mem optimizer", memOptimMask}, {"mem activations", memActsMask},
 	}
 	timeGroups := []group{
@@ -419,6 +458,17 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 	tog := opts.Toggles()
 	fold := keysFold{topK: 10}
 	var chain RunInfo
+	// leaf is RunLeaf counting the row fetches: the steps after which the
+	// chain's row memo holds another row.
+	var row *profileRow
+	leaf := func(st *execution.Strategy, mask execution.FieldMask) (Keys, bool) {
+		k, ok := r.RunLeaf(&chain, st, mask)
+		if m := &chain.delta.memo; m.row != row {
+			row = m.row
+			got["row fetches"]++
+		}
+		return k, ok
+	}
 	base := 0
 	for _, tpd := range opts.Triples(m) {
 		if screen.CheckTriple(opts, tpd) != nil {
@@ -430,7 +480,7 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 			for more := true; more; more = w.NextClass() {
 				got["classes"]++
 				got["RunLeaf calls"]++
-				k, ok := r.RunLeaf(&chain, root, w.Mask())
+				k, ok := leaf(root, w.Mask())
 				n := w.Len()
 				got["leaves"] += n
 				if chain.PreScreened {
@@ -461,7 +511,7 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 						break
 					}
 					got["RunLeaf calls"]++
-					r.RunLeaf(&chain, root, w.Mask())
+					leaf(root, w.Mask())
 				}
 			}
 			base += tog.Len()
@@ -479,11 +529,16 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 	// times on 2,076,480 RunLeaf calls, and reloaded the profile 41,334
 	// times; the variant fields, which the class walk moves fastest, now
 	// rerun the tensor and pipe groups more often (23,165 and 21,717 runs
-	// then) and the others less.
+	// then) and the others less. The profile is read on 23,175 memory
+	// halves, the segment roots and the class steps that move a block
+	// switch. Only the 515 segment roots have a mask that reaches TP or
+	// Microbatch, and the chain's row memo fetches a row from the shared
+	// memo on the 125 of them where (TP, Microbatch) changed; every other
+	// profile read is one atomic load in the row the chain holds.
 	want := map[string]int{
 		"leaves": 2076480, "classes": 296640, "pre-screened": 11088, "feasible": 2010498,
 		"RunLeaf calls": 423443, "memory-half runs": 421859, "timed": 148590,
-		"profile": 23175, "shape": 515,
+		"row steps": 515, "row fetches": 125, "profile reads": 23175, "shape": 515,
 		"mem weights": 74160, "mem optimizer": 179901, "mem activations": 97335,
 		"tensor": 64916, "pipe": 68835, "data": 5349, "optimizer": 14215, "offload": 83026,
 	}

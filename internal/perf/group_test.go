@@ -2,6 +2,7 @@ package perf
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"calculon/internal/execution"
@@ -146,5 +147,116 @@ func TestRunnerGroupRefusesForeignHardware(t *testing.T) {
 		if _, err := group.RunnerFor(ok); err != nil {
 			t.Errorf("RunnerFor refused a memo-compatible system: %v", err)
 		}
+	}
+}
+
+// TestRowsOneMissPerProfile pins the profile rows' contract under
+// concurrency: goroutines that first-evaluate the same strategies at the
+// same time — half on scratch evaluations, half on delta chains — on one
+// Runner, and through a RunnerGroup at two sizes, report exactly one
+// CacheHit == false per distinct block profile across all of them, however
+// they are scheduled, and every result is the reference evaluator's. The
+// search counters sum these flags, so this is what keeps CacheHits
+// independent of the worker count.
+func TestRowsOneMissPerProfile(t *testing.T) {
+	m := model.MustPreset("gpt3-13B").WithBatch(32)
+	base := system.A100(16)
+	o := execution.EnumOptions{Procs: 16, Features: execution.FeatureSeqPar, MaxInterleave: 2}
+	var all []execution.Strategy
+	o.Enumerate(m, func(s execution.Strategy) bool {
+		all = append(all, s)
+		return true
+	})
+	stride := len(all)/300 + 1
+	var sts []execution.Strategy
+	for i := 0; i < len(all); i += stride {
+		sts = append(sts, all[i])
+	}
+
+	group, err := NewRunnerGroup(m, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grouped []*Runner
+	for _, procs := range []int{16, 32} {
+		r, err := group.RunnerFor(base.WithProcs(procs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		grouped = append(grouped, r)
+	}
+	single, err := NewRunner(m, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type profile struct {
+		tp, microbatch int
+		slot           uint32
+	}
+	type outcome struct {
+		res  Result
+		info RunInfo
+		err  error
+	}
+	for _, tc := range []struct {
+		name    string
+		runners []*Runner
+	}{{"runner", []*Runner{single}}, {"group", grouped}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const goroutines = 8
+			outs := make([][]outcome, goroutines)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := range outs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					r := tc.runners[g/2%len(tc.runners)]
+					out := make([]outcome, len(sts))
+					var chain RunInfo
+					<-start
+					for i, st := range sts {
+						o := &out[i]
+						if g%2 == 0 {
+							o.res, o.info, o.err = r.RunDetailed(st)
+						} else {
+							o.res, chain, o.err = r.RunDelta(chain, st)
+							o.info = chain
+						}
+					}
+					outs[g] = out
+				}()
+			}
+			close(start)
+			wg.Wait()
+
+			misses := map[profile]int{}
+			for g, out := range outs {
+				r := tc.runners[g/2%len(tc.runners)]
+				for i, o := range out {
+					st := sts[i]
+					checkReference(t, tc.name, m, r.sys, st, o.res, o.info, o.err)
+					if o.info.PreScreened {
+						continue // no profile read
+					}
+					st.Normalize()
+					k := profile{st.TP, st.Microbatch, slotFor(&st)}
+					if !o.info.CacheHit {
+						misses[k]++
+					} else if _, ok := misses[k]; !ok {
+						misses[k] = 0
+					}
+				}
+			}
+			if len(misses) == 0 {
+				t.Fatal("no strategy reached the profile memo")
+			}
+			for k, n := range misses {
+				if n != 1 {
+					t.Errorf("profile %+v: %d misses across %d goroutines, want exactly 1", k, n, goroutines)
+				}
+			}
+		})
 	}
 }

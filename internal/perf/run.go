@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"calculon/internal/comm"
 	"calculon/internal/execution"
@@ -36,18 +37,18 @@ func Run(m model.LLM, sys system.System, st execution.Strategy) (Result, error) 
 // bounds reject infeasible strategies before any layer-level state is
 // built. Phase 2 memoizes the per-block profile — layer times, traffic
 // totals, boundary bytes — which is invariant across every strategy sharing
-// a blockKey, so the search re-derives only the pipeline/DP-dependent terms
-// per strategy. Both phases are exact: results and feasibility verdicts are
-// bit-identical to a straight-line evaluation with neither (the reference
-// evaluator the perf and search tests compare against), only faster. A
-// Runner is safe for concurrent use by any number of goroutines.
+// its block inputs (see profileRow), so the search re-derives only the
+// pipeline/DP-dependent terms per strategy. Both phases are exact: results
+// and feasibility verdicts are bit-identical to a straight-line evaluation
+// with neither (the reference evaluator the perf and search tests compare
+// against), only faster. A Runner is safe for concurrent use by any number
+// of goroutines.
 type Runner struct {
 	m   model.LLM
 	sys system.System
 
 	screen *execution.PreScreen
-	memo   *sync.Map // blockKey -> *blockProfile; shareable via RunnerGroup
-	graphs *sync.Map // graphKey -> *pricedGraph; shareable via RunnerGroup
+	rows   *sync.Map // rowKey -> *profileRow; shareable via RunnerGroup
 
 	// Whole-batch useful FLOPs for MFU, precomputed per pass mode — a pure
 	// function of the model, so hoisting it out of the per-strategy path
@@ -68,10 +69,9 @@ func NewRunner(m model.LLM, sys system.System) (*Runner, error) {
 
 func newRunner(m model.LLM, sys system.System) *Runner {
 	return &Runner{
-		m:      m,
-		sys:    sys,
-		memo:   &sync.Map{},
-		graphs: &sync.Map{},
+		m:    m,
+		sys:  sys,
+		rows: &sync.Map{},
 		screen: execution.NewPreScreen(m, execution.Limits{
 			Procs: sys.Procs,
 			Mem1:  sys.Mem1.Capacity,
@@ -92,7 +92,7 @@ func (r *Runner) usefulFLOPs(st *execution.Strategy) units.FLOPs {
 }
 
 // RunnerGroup builds Runners for system-size variants of one base system
-// that share a single block-profile memo. The memo key
+// that share a single block-profile memo. The memo's inputs
 // (tp, microbatch, recompute, seqParallel, tpRedo, fused, inference) and the
 // profile computation read nothing size-dependent — only the model, the
 // compute engines, and the first memory tier — so a profile memoized while
@@ -100,10 +100,9 @@ func (r *Runner) usefulFLOPs(st *execution.Strategy) units.FLOPs {
 // sweep warms the cache once instead of once per size.
 // TestBlockProfileProcsIndependent guards the key-relevance invariant.
 type RunnerGroup struct {
-	m      model.LLM
-	base   system.System
-	memo   *sync.Map
-	graphs *sync.Map
+	m    model.LLM
+	base system.System
+	rows *sync.Map
 }
 
 // NewRunnerGroup validates the model and base system once and returns a
@@ -115,7 +114,7 @@ func NewRunnerGroup(m model.LLM, base system.System) (*RunnerGroup, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
 	}
-	return &RunnerGroup{m: m, base: base, memo: &sync.Map{}, graphs: &sync.Map{}}, nil
+	return &RunnerGroup{m: m, base: base, rows: &sync.Map{}}, nil
 }
 
 // RunnerFor returns a Runner for the group's model on sys, serving block
@@ -136,8 +135,7 @@ func (g *RunnerGroup) RunnerFor(sys system.System) (*Runner, error) {
 		return nil, fmt.Errorf("perf: runner group: first-tier timing differs from the base system")
 	}
 	r := newRunner(g.m, sys)
-	r.memo = g.memo
-	r.graphs = g.graphs
+	r.rows = g.rows
 	return r, nil
 }
 
@@ -271,12 +269,12 @@ func (r *Runner) admit(st *execution.Strategy, mask execution.FieldMask, screens
 // and reports whether the strategy fits, writing an overflow into *v.
 func (r *Runner) evaluate(s *evalState, mask execution.FieldMask, info *RunInfo, v *verdict) bool {
 	e := &s.e
-	// An unchanged blockKey is necessarily in the memo — the previous
+	// An unchanged profile is necessarily in the memo — the previous
 	// evaluation put it there — so a lookup would have hit.
 	hit := true
 	if mask.Has(profileMask) {
 		var prof *blockProfile
-		prof, hit = r.profile(e.st)
+		prof, hit = r.profile(e.row(r), e.st)
 		e.loadProfile(prof)
 	}
 	if mask.Has(shapeMask) {
@@ -342,22 +340,35 @@ func usefulFLOPsPerSample(m model.LLM, st execution.Strategy) units.FLOPs {
 	return 3 * fwd
 }
 
-// blockKey is the complete set of strategy inputs the per-block profile
-// depends on: exactly the layers.Shard fields plus the recompute mode.
-// Pipeline shape (PP, DP, Interleave, schedule) and the overlap/offload/
-// sharding toggles do not reach the block layer graph or its timing, so
-// strategies differing only in those share one profile.
-type blockKey struct {
-	tp, microbatch int
-	// switches packs the recompute mode (bits 0-1) and the sequence-parallel,
-	// TP-redo, fused-layers and inference switches (bits 2-5). The key has
-	// word-sized fields only, no string and no padding, so the memo's
-	// sync.Map hashes and compares it as plain memory; a chain looks it up
-	// on every leaf whose block key changed.
-	switches uint64
+// rowKey names a profileRow: the two block-profile inputs that take any
+// integer value. The key has word-sized fields only, no string and no
+// padding, so the rows' sync.Map hashes and compares it as plain memory.
+type rowKey struct{ tp, microbatch int }
+
+// The slots of a profileRow: one priced graph per combination of the four
+// block switches, and one block profile per graph and recompute mode.
+const (
+	graphSlots   = 16
+	profileSlots = 3 * graphSlots
+)
+
+// profileRow is the phase-2 memo for one (TP, Microbatch): the block
+// profiles and priced graphs of every switch combination, each slot filled
+// once. The block profile depends on exactly the layers.Shard fields plus
+// the recompute mode. Pipeline shape (PP, DP, Interleave, schedule) and the
+// overlap/offload/sharding toggles do not reach the block layer graph or
+// its timing, so strategies differing only in those share one profile. A
+// chain holds the row of its current (TP, Microbatch) in its termMemo, so a
+// step that moves only the switches reads its profile with one atomic load.
+type profileRow struct {
+	profs  [profileSlots]atomic.Pointer[blockProfile]
+	graphs [graphSlots]atomic.Pointer[pricedGraph]
 }
 
-func keyFor(st *execution.Strategy) blockKey {
+// slotFor packs the strategy's block switches into its profile slot: the
+// sequence-parallel, TP-redo, fused-layers and inference switches in bits
+// 0-3, which are also its graph slot, and the recompute mode above them.
+func slotFor(st *execution.Strategy) uint32 {
 	var recompute uint32
 	switch st.Recompute {
 	case execution.RecomputeAttn:
@@ -365,16 +376,12 @@ func keyFor(st *execution.Strategy) blockKey {
 	case execution.RecomputeFull:
 		recompute = 2
 	}
-	return blockKey{
-		tp:         st.TP,
-		microbatch: st.Microbatch,
-		switches: uint64(recompute | b2u(st.SeqParallel)<<2 | b2u(st.TPRedoForSP)<<3 |
-			b2u(st.FusedLayers)<<4 | b2u(st.Inference)<<5),
-	}
+	return b2u(st.SeqParallel) | b2u(st.TPRedoForSP)<<1 | b2u(st.FusedLayers)<<2 |
+		b2u(st.Inference)<<3 | recompute<<4
 }
 
 // blockProfile is the memoized phase-2 sub-result: everything derived from
-// the transformer-block layer graph for one blockKey — aggregate totals,
+// the transformer-block layer graph for one profile slot — aggregate totals,
 // boundary bytes, and the per-microbatch forward/backward/recompute times
 // with their HBM-idle slack. It is a pure function of (model, system, key),
 // so concurrent duplicate computation is benign: every copy is bit-equal.
@@ -397,26 +404,15 @@ func shardFor(st *execution.Strategy) layers.Shard {
 	}
 }
 
-// graphKey is blockKey minus the recompute mode: exactly the layers.Shard
-// fields. The layer graph and its per-layer op pricing never read the
-// recompute mode — it only selects which already-priced forward terms are
-// replayed — so the three recompute variants of one shard share a single
-// priced graph.
-type graphKey struct {
-	tp          int
-	microbatch  int
-	seqParallel bool
-	tpRedo      bool
-	fused       bool
-	inference   bool
-}
-
 // pricedGraph is the expensive, recompute-independent part of a block
 // profile: the layer graph built and every op priced through the §2.2
 // processing model (the log-shaped efficiency curves live here), with the
 // forward sums pre-accumulated both over all layers and over the attention
-// group. Deriving a blockProfile from it is a constant-time copy, so pricing
-// happens once per shard instead of once per (shard, recompute) pair.
+// group. The layer graph and its op pricing never read the recompute mode,
+// which only selects the forward terms replayed, so the three recompute
+// variants of one shard share it: deriving a blockProfile from it is a
+// constant-time copy, and pricing happens once per shard instead of once
+// per (shard, recompute) pair.
 type pricedGraph struct {
 	tot           layers.Totals
 	boundaryBytes units.Bytes
@@ -482,45 +478,45 @@ func computeProfile(m *model.LLM, sys *system.System, st *execution.Strategy) bl
 	return profileFrom(&g, st.Recompute)
 }
 
-// graph returns the priced layer graph for the strategy's shard, from the
-// graph memo when possible.
-func (r *Runner) graph(st *execution.Strategy) *pricedGraph {
-	k := graphKey{
-		tp:          st.TP,
-		microbatch:  st.Microbatch,
-		seqParallel: st.SeqParallel,
-		tpRedo:      st.TPRedoForSP,
-		fused:       st.FusedLayers,
-		inference:   st.Inference,
+// row returns the profile row of the strategy's (TP, Microbatch), adding an
+// empty one on first use.
+func (r *Runner) row(st *execution.Strategy) *profileRow {
+	k := rowKey{st.TP, st.Microbatch}
+	if v, ok := r.rows.Load(k); ok {
+		return v.(*profileRow)
 	}
-	if v, ok := r.graphs.Load(k); ok {
-		return v.(*pricedGraph)
-	}
-	g := priceGraph(&r.m, &r.sys, st)
-	v, _ := r.graphs.LoadOrStore(k, &g)
-	return v.(*pricedGraph)
+	v, _ := r.rows.LoadOrStore(k, new(profileRow))
+	return v.(*profileRow)
 }
 
-// profile returns the block profile for the strategy, from the memo when
-// possible, and reports whether it was a cache hit. A blockKey miss that
-// hits the graph memo still reports a miss — the hit flag tracks the
-// profile memo, whose semantics the stats and search counters pin — but
-// skips the graph build and op pricing, which is where nearly all of the
-// profile cost lives.
+// profile returns the block profile for the strategy from its row, filling
+// the slot on first use, and reports whether it was a cache hit. A profile
+// miss whose graph slot is filled still reports a miss — the hit flag
+// tracks the profile memo, whose semantics the stats and search counters
+// pin — but skips the graph build and op pricing, which is where nearly all
+// of the profile cost lives.
 //
 // The hit flag must be deterministic across worker counts and scheduling
 // (the search counters it feeds are pinned bit-identical by equivalence
-// tests), so each distinct key reports exactly one miss: when two workers
-// race to first-compute a key, LoadOrStore publishes one profile and the
-// loser reports a hit — the same totals a serial run would count.
-func (r *Runner) profile(st *execution.Strategy) (*blockProfile, bool) {
-	k := keyFor(st)
-	if v, ok := r.memo.Load(k); ok {
-		return v.(*blockProfile), true
+// tests), so each distinct profile reports exactly one miss: when two
+// workers race to first-compute one, CompareAndSwap publishes one profile
+// and the loser reports a hit — the same totals a serial run would count.
+func (r *Runner) profile(row *profileRow, st *execution.Strategy) (*blockProfile, bool) {
+	i := slotFor(st)
+	slot := &row.profs[i]
+	if p := slot.Load(); p != nil {
+		return p, true
 	}
-	p := profileFrom(r.graph(st), st.Recompute)
-	v, loaded := r.memo.LoadOrStore(k, &p)
-	return v.(*blockProfile), loaded
+	gslot := &row.graphs[i%graphSlots]
+	if gslot.Load() == nil {
+		g := priceGraph(&r.m, &r.sys, st)
+		gslot.CompareAndSwap(nil, &g)
+	}
+	p := profileFrom(gslot.Load(), st.Recompute)
+	if slot.CompareAndSwap(nil, &p) {
+		return &p, false
+	}
+	return slot.Load(), true
 }
 
 // eval carries the intermediate quantities of one evaluation, initialized

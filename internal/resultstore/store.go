@@ -201,15 +201,6 @@ func decodeRow(line []byte) (Row, error) {
 // Path returns the backing file's path.
 func (s *Store) Path() string { return s.path }
 
-// SetBatchSize adjusts how many appended rows buffer before an automatic
-// flush; n < 1 flushes every append. Intended for configuration right after
-// Open, but safe at any point.
-func (s *Store) SetBatchSize(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.batch = n
-}
-
 // lookup returns the row of the given kind stored under key, if any, and
 // counts the hit or miss; both kinds share the counters, since the stats
 // surface observes store traffic, not per-kind traffic.

@@ -119,7 +119,7 @@ func TestStoreBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetBatchSize(3)
+	st.batch = 3
 	for i, key := range []string{"a", "b"} {
 		if err := st.Append(testRow(key, i+1)); err != nil {
 			t.Fatal(err)

@@ -26,6 +26,30 @@ func bigSpace() (model.LLM, system.System) {
 	return model.MustPreset("gpt3-13B").WithBatch(64), system.A100(64)
 }
 
+// cancellingContext cancels itself at the at-th call of Err, so a test
+// cancels a search at a fixed point of its walk instead of racing it from
+// another goroutine. Execution calls Err once before each (t,p,d) subtree in
+// its producer and once before each work chunk in its workers; a sweep also
+// calls it before each size it claims.
+type cancellingContext struct {
+	context.Context
+	cancel context.CancelFunc
+	at     int64
+	calls  atomic.Int64
+}
+
+func cancelAt(at int64) *cancellingContext {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &cancellingContext{Context: ctx, cancel: cancel, at: at}
+}
+
+func (c *cancellingContext) Err() error {
+	if c.calls.Add(1) == c.at {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
 // waitForGoroutines fails the test if the goroutine count does not settle
 // back to the baseline — the leak check behind the cancellation contract.
 func waitForGoroutines(t *testing.T, baseline int) {
@@ -51,15 +75,11 @@ func TestExecutionCancelledMidSearch(t *testing.T) {
 	opts.EstimateTotal = true
 
 	baseline := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Cancel as soon as the first chunk lands.
-	go func() {
-		for prog.Snapshot().Evaluated == 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		cancel()
-	}()
+	// The search has 26 subtrees and 317 work chunks of one segment each, so
+	// the 100th call of Err comes after at least 73 chunk claims, each of
+	// which the worker evaluates whole, and before the last 218.
+	ctx := cancelAt(100)
+	defer ctx.cancel()
 
 	start := time.Now()
 	res, err := Execution(ctx, m, sys, opts)
@@ -75,7 +95,7 @@ func TestExecutionCancelledMidSearch(t *testing.T) {
 		t.Fatalf("search ran to completion (%d of %d) despite cancellation", res.Evaluated, snap.Total)
 	}
 	if res.Evaluated == 0 {
-		t.Fatal("cancel fired after first progress, yet nothing was evaluated")
+		t.Fatal("cancel fired after the first chunks were claimed, yet nothing was evaluated")
 	}
 	// Partial counters must be consistent between the Result and the
 	// Progress attachment.
@@ -140,14 +160,10 @@ func TestSystemSizeCancelled(t *testing.T) {
 		Enum:     execution.EnumOptions{Features: execution.FeatureAll, MaxInterleave: 2},
 		Progress: &prog,
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		for prog.Snapshot().Evaluated == 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		cancel()
-	}()
+	// The whole sweep calls Err about 3,000 times; the 50th lands in its
+	// first sizes.
+	ctx := cancelAt(50)
+	defer ctx.cancel()
 	_, err := SystemSize(ctx, m, func(n int) system.System { return system.A100(n) },
 		Sizes(16, 128), opts)
 	if !errors.Is(err, context.Canceled) {

@@ -62,6 +62,3 @@ func (q *queue) TryPop() (*Job, bool) {
 // Len is the number of queued jobs (including any cancelled-but-unpopped
 // ones awaiting discard).
 func (q *queue) Len() int { return len(q.ch) }
-
-// Cap is the configured bound.
-func (q *queue) Cap() int { return cap(q.ch) }

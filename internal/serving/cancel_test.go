@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,14 +42,28 @@ func goroutineID() uint64 {
 	return id
 }
 
+// heldContext holds a search at the second call of its Err — with one
+// worker, stage 1 claiming its second (tp, pp) pair — until the context is
+// cancelled, so the first progress tick lands while stage 1 prices engines
+// however fast the machine prices them.
+type heldContext struct {
+	context.Context
+	calls atomic.Int64
+}
+
+func (c *heldContext) Err() error {
+	if c.calls.Add(1) == 2 {
+		<-c.Done()
+	}
+	return c.Context.Err()
+}
+
 // TestCancelDuringStageOne: cancelled by its first progress tick, while it
 // prices engines, a search or a sweep returns context.Canceled and no
 // points, composes nothing, leaves no goroutine behind, and ends with
 // exactly one final OnProgress, delivered on the caller's goroutine after
 // the ticker stopped.
 func TestCancelDuringStageOne(t *testing.T) {
-	// With one worker, stage 1 over this space takes tens of milliseconds,
-	// far longer than the first tick.
 	spec := basicSpec()
 	spec.System = spec.System.WithProcs(512)
 	spec.Space = Space{Procs: 512, MaxBatch: 256, Disaggregate: true}
@@ -80,8 +95,9 @@ func TestCancelDuringStageOne(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
-			ctx, cancel := context.WithCancel(context.Background())
+			base, cancel := context.WithCancel(context.Background())
 			defer cancel()
+			ctx := &heldContext{Context: base}
 			caller := goroutineID()
 			var mu sync.Mutex
 			var calls int
