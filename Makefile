@@ -40,8 +40,11 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
+# race runs CI's two race steps: every concurrent package once, then the
+# timing-sensitive ones three times over.
 race:
 	$(GO) test -race -short ./internal/search/... ./internal/perf/... ./internal/execution/... ./internal/experiments/... ./internal/service/... ./internal/resultstore/... ./internal/inference/... ./internal/serving/...
+	$(GO) test -race -short -count=3 ./internal/service/... ./internal/search/... ./internal/serving/... ./internal/perf/... ./cmd/calculon/...
 
 # e2e boots a real calculond and drives the full job lifecycle over HTTP
 # (CI's service-e2e job).

@@ -99,6 +99,25 @@ func TestExitCodeConvention(t *testing.T) {
 	}
 }
 
+// TestStudyRejectsSearchFlags: study honours only the timeout and
+// profiling flags, so the search commands' -workers, -store and -progress
+// are usage errors there instead of being accepted and ignored.
+func TestStudyRejectsSearchFlags(t *testing.T) {
+	for _, flag := range []string{"-workers", "-store", "-progress"} {
+		cmd := beMain("study", "table2", flag, "1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Fatalf("study table2 %s 1: err %v, want exit 2\nstderr: %s", flag, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "flag provided but not defined: "+flag) {
+			t.Fatalf("stderr missing the undefined-flag message:\n%s", stderr.String())
+		}
+	}
+}
+
 // pausingContext pauses a search mid-flight: from the pauseAt-th call of
 // Err on — the search's workers call it before each work chunk and its
 // producer before each (t,p,d) subtree — every call waits for the context

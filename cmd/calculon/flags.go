@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -13,18 +14,12 @@ import (
 	"calculon/internal/resultstore"
 	"calculon/internal/search"
 	"calculon/internal/serving"
-	"calculon/internal/units"
 )
 
-// parseBytes adapts units.ParseBytes for flag values.
-func parseBytes(s string) (units.Bytes, error) { return units.ParseBytes(s) }
-
-// bps converts a raw float flag to a bandwidth.
-func bps(v float64) units.BytesPerSec { return units.BytesPerSec(v) }
-
-// runtimeFlags are the observability and lifecycle flags shared by every
-// long-running subcommand: a wall-clock timeout, a live progress ticker on
-// stderr, and profiling hooks.
+// runtimeFlags are the lifecycle and observability flags of the
+// long-running subcommands: a wall-clock timeout and profiling hooks on all
+// of them, and on the search commands a live progress ticker on stderr, the
+// worker budget and the result store.
 type runtimeFlags struct {
 	timeout    time.Duration
 	progress   time.Duration
@@ -34,47 +29,24 @@ type runtimeFlags struct {
 	store      string
 }
 
-// addRuntime registers the runtime flags on a subcommand's FlagSet.
-func addRuntime(fs *flag.FlagSet) *runtimeFlags {
+// addHooks registers the timeout and profiling flags on a subcommand's
+// FlagSet.
+func addHooks(fs *flag.FlagSet) *runtimeFlags {
 	r := &runtimeFlags{}
 	fs.DurationVar(&r.timeout, "timeout", 0, "abort after this long, reporting partial progress (0 = no limit)")
-	fs.DurationVar(&r.progress, "progress", 0, "print a live progress line to stderr at this interval (0 = off)")
 	fs.StringVar(&r.pprofAddr, "pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060")
 	fs.StringVar(&r.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
-	fs.IntVar(&r.workers, "workers", 0, "total worker budget for searches and sweeps (0 = GOMAXPROCS)")
-	fs.StringVar(&r.store, "store", "", "persistent result store (JSONL): searches consult it before evaluating and append fresh verdicts (empty disables)")
 	return r
 }
 
-// engineOptions are the options of the two search engines.
-type engineOptions interface {
-	*search.Options | *serving.Options
-}
-
-// openStore opens the persistent result store named by -store and wires it
-// into a search's options: the same JSONL file serves both kinds of
-// verdict. The returned close function flushes the pending batch; its error
-// must reach the user — a verdict that never hit disk is a cache that
-// silently re-pays the walk next run.
-func openStore[O engineOptions](r *runtimeFlags, opts O) (func() error, error) {
-	if r.store == "" {
-		return func() error { return nil }, nil
-	}
-	st, err := resultstore.Open(r.store)
-	if err != nil {
-		return nil, err
-	}
-	if s := st.Stats(); s.Stale > 0 || s.RecoveredBytes > 0 {
-		fmt.Fprintf(os.Stderr, "calculon: store %s: %d rows (%d stale, recovered from %d truncated bytes)\n",
-			r.store, s.Rows, s.Stale, s.RecoveredBytes)
-	}
-	switch o := any(opts).(type) {
-	case *search.Options:
-		o.Cache = st
-	case *serving.Options:
-		o.Cache = st.ServingCache()
-	}
-	return st.Close, nil
+// addRuntime registers the hooks and the search flags on a search
+// command's FlagSet.
+func addRuntime(fs *flag.FlagSet) *runtimeFlags {
+	r := addHooks(fs)
+	fs.DurationVar(&r.progress, "progress", 0, "print a live progress line to stderr at this interval (0 = off)")
+	fs.IntVar(&r.workers, "workers", 0, "total worker budget for searches and sweeps (0 = GOMAXPROCS)")
+	fs.StringVar(&r.store, "store", "", "persistent result store (JSONL): searches consult it before evaluating and append fresh verdicts (empty disables)")
+	return r
 }
 
 // apply derives the command's context from the timeout and starts the
@@ -119,19 +91,89 @@ func (r *runtimeFlags) apply(ctx context.Context) (context.Context, func(), erro
 	}, nil
 }
 
-// attachProgress wires the runtime flags' observability into a search's
-// options: a shared Progress for partial-result reporting, a pre-counted
-// total for ETAs, the worker budget, and — when -progress is set — a stderr
-// ticker.
-func attachProgress[O engineOptions](r *runtimeFlags, opts O, prog *search.Progress) {
-	var tick func(search.ProgressSnapshot)
-	if r.progress > 0 {
-		tick = func(s search.ProgressSnapshot) { fmt.Fprintf(os.Stderr, "calculon: %s\n", s) }
+// session is one run of a search command: its context, the result store
+// -store names, and the Progress its searches report into. The same JSONL
+// store serves both kinds of verdict.
+type session struct {
+	rt      *runtimeFlags
+	ctx     context.Context
+	cleanup func()
+	store   *resultstore.Store
+	prog    search.Progress
+	watch   search.Watch
+}
+
+// start applies the runtime flags: timeout and profiling hooks, the store,
+// and a Watch over the session's Progress with a pre-counted total for
+// ETAs and, under -progress, a stderr ticker. The caller must defer close.
+func (r *runtimeFlags) start(ctx context.Context) (*session, error) {
+	ctx, cleanup, err := r.apply(ctx)
+	if err != nil {
+		return nil, err
 	}
-	switch o := any(opts).(type) {
-	case *search.Options:
-		o.Progress, o.EstimateTotal, o.Workers, o.OnProgress, o.ProgressInterval = prog, true, r.workers, tick, r.progress
-	case *serving.Options:
-		o.Progress, o.EstimateTotal, o.Workers, o.OnProgress, o.ProgressInterval = prog, true, r.workers, tick, r.progress
+	if searchContext != nil {
+		ctx = searchContext(ctx)
+	}
+	s := &session{rt: r, ctx: ctx, cleanup: cleanup}
+	s.watch = search.Watch{Progress: &s.prog, EstimateTotal: true, ProgressInterval: r.progress}
+	if r.progress > 0 {
+		s.watch.OnProgress = func(p search.ProgressSnapshot) { fmt.Fprintf(os.Stderr, "calculon: %s\n", p) }
+	}
+	if r.store != "" {
+		if s.store, err = resultstore.Open(r.store); err != nil {
+			cleanup()
+			return nil, err
+		}
+		if st := s.store.Stats(); st.Stale > 0 || st.RecoveredBytes > 0 {
+			fmt.Fprintf(os.Stderr, "calculon: store %s: %d rows (%d stale, recovered from %d truncated bytes)\n",
+				r.store, st.Rows, st.Stale, st.RecoveredBytes)
+		}
+	}
+	return s, nil
+}
+
+// close flushes the store and stops the hooks. A flush failure means fresh
+// verdicts never became durable; the command's output is still valid, but
+// the exit code must say so, so it becomes *err unless that holds one.
+func (s *session) close(err *error) {
+	if s.store != nil {
+		if cerr := s.store.Close(); cerr != nil && *err == nil {
+			*err = cerr
+		}
+	}
+	s.cleanup()
+}
+
+// train wires the session into an execution search's options.
+func (s *session) train(o *search.Options) {
+	o.Watch, o.Workers = s.watch, s.rt.workers
+	if s.store != nil {
+		o.Cache = s.store
+	}
+}
+
+// serve wires the session into a serving search's options.
+func (s *session) serve(o *serving.Options) {
+	o.Watch, o.Workers = s.watch, s.rt.workers
+	if s.store != nil {
+		o.Cache = s.store.ServingCache()
+	}
+}
+
+// stopped passes a search's error through. For a cancelled or timed-out
+// search it first prints the partial progress on stderr as "calculon: <what>
+// stopped early — <snapshot>", what being "search", "sweep" or "shard 2/3".
+func (s *session) stopped(what string, err error) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		fmt.Fprintf(os.Stderr, "calculon: %s stopped early — %s\n", what, s.prog.Snapshot())
+	}
+	return err
+}
+
+// servedNote tells the user that a single search's verdict came from the
+// store.
+func (s *session) servedNote() {
+	if s.prog.Snapshot().StoreHits > 0 {
+		fmt.Printf("verdict served from result store %s — nothing re-evaluated\n", s.rt.store)
 	}
 }

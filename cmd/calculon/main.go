@@ -18,8 +18,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"calculon/internal/config"
@@ -30,6 +32,7 @@ import (
 	"calculon/internal/report"
 	"calculon/internal/search"
 	"calculon/internal/system"
+	"calculon/internal/units"
 )
 
 func main() {
@@ -68,8 +71,9 @@ func main() {
 	}
 }
 
-// searchContext, when set, wraps the search command's search context. Only
-// the exit-code tests set it, to pause a search in their child process.
+// searchContext, when set, wraps a search command's context (see
+// runtimeFlags.start). Only the exit-code tests set it, to pause a search
+// in their child process.
 var searchContext func(context.Context) context.Context
 
 // errUnknownCommand marks an unrecognized subcommand for main's exit code.
@@ -131,12 +135,17 @@ func usage() {
   calculon calibrate [-lo 0.7 -hi 1.3 -steps 25]                        refit efficiency curves vs Table 2
   calculon presets                                                      list model/system presets
 
-experiments: fig2 fig3 fig4 fig5 fig6 fig7 fig9 fig10 fig11 table1 table2 table3 table4 seqscale
+experiments: `+experimentNames+`
 
-runtime flags (search, serve-search, scaling, tco, study): -timeout 5m abort with partial
-progress; -progress 2s live stderr ticker; -pprof localhost:6060 and
--cpuprofile cpu.out profiling hooks. Ctrl-C interrupts any sweep cleanly.`)
+runtime flags: search, serve-search, scaling, tco and study take -timeout 5m
+(abort with partial progress) and the profiling hooks -pprof localhost:6060
+and -cpuprofile cpu.out; all but study also take -progress 2s (live stderr
+ticker), -workers N (worker budget) and -store results.jsonl (result store).
+Ctrl-C interrupts any sweep cleanly.`)
 }
+
+// experimentNames lists what `calculon study` reproduces.
+const experimentNames = "fig2 fig3 fig4 fig5 fig6 fig7 fig9 fig10 fig11 table1 table2 table3 table4 seqscale"
 
 type commonFlags struct {
 	model  string
@@ -173,18 +182,18 @@ func (c *commonFlags) resolve() (model.LLM, system.System, error) {
 		return m, sys, err
 	}
 	if c.hbm != "" {
-		cap, err := parseBytes(c.hbm)
+		cap, err := units.ParseBytes(c.hbm)
 		if err != nil {
 			return m, sys, err
 		}
 		sys = sys.WithMem1Capacity(cap)
 	}
 	if c.mem2 != "" {
-		cap, err := parseBytes(c.mem2)
+		cap, err := units.ParseBytes(c.mem2)
 		if err != nil {
 			return m, sys, err
 		}
-		sys = sys.WithMem2(system.Memory{Capacity: cap, Bandwidth: bps(c.mem2BW)})
+		sys = sys.WithMem2(system.Memory{Capacity: cap, Bandwidth: units.BytesPerSec(c.mem2BW)})
 	}
 	return m, sys, nil
 }
@@ -289,11 +298,20 @@ func cmdSearch(ctx context.Context, args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
-	ctx, cleanup, err := rt.apply(ctx)
+	var sh search.Shard
+	if *shardFlag != "" {
+		if sh, err = search.ParseShard(*shardFlag); err != nil {
+			return err
+		}
+		// Sharded runs bypass the store, which holds whole searches, and
+		// emit a mergeable ShardResult instead of the human report.
+		rt.store = ""
+	}
+	s, err := rt.start(ctx)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	defer s.close(&retErr)
 	opts := search.Options{
 		Enum: execution.EnumOptions{
 			Features:      execution.FeatureSet(*features),
@@ -304,55 +322,24 @@ func cmdSearch(ctx context.Context, args []string) (retErr error) {
 		CollectRates: *hist,
 		Pareto:       *pareto,
 	}
+	s.train(&opts)
 	if *shardFlag != "" {
-		// Sharded runs bypass the store (it operates on whole searches) and
-		// emit a mergeable ShardResult instead of the human report.
-		sh, err := search.ParseShard(*shardFlag)
+		sres, err := search.ExecutionShard(s.ctx, m, sys, opts, sh)
 		if err != nil {
-			return err
-		}
-		var prog search.Progress
-		attachProgress(rt, &opts, &prog)
-		sres, err := search.ExecutionShard(ctx, m, sys, opts, sh)
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				fmt.Fprintf(os.Stderr, "calculon: shard %s stopped early — %s\n", sh, prog.Snapshot())
-			}
-			return err
+			return s.stopped("shard "+sh.String(), err)
 		}
 		return writeJSON(*outPath, sres)
 	}
-	closeStore, err := openStore(rt, &opts)
+	res, err := search.Execution(s.ctx, m, sys, opts)
 	if err != nil {
-		return err
-	}
-	defer func() {
-		// A flush failure means fresh verdicts never became durable; the
-		// search output above is still valid, but the exit code must say so.
-		if cerr := closeStore(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
-	var prog search.Progress
-	attachProgress(rt, &opts, &prog)
-	if searchContext != nil {
-		ctx = searchContext(ctx)
-	}
-	res, err := search.Execution(ctx, m, sys, opts)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			fmt.Fprintf(os.Stderr, "calculon: search stopped early — %s\n", prog.Snapshot())
-		}
-		return err
+		return s.stopped("search", err)
 	}
 	if *asJSON {
 		return writeJSON(*outPath, newSearchOutput(res))
 	}
 	fmt.Printf("evaluated %d strategies, %d feasible (%d pre-screened, %d subtree-pruned, %d cache hits)\n",
 		res.Evaluated, res.Feasible, res.PreScreened, res.SubtreePruned, res.CacheHits)
-	if prog.Snapshot().StoreHits > 0 {
-		fmt.Printf("verdict served from result store %s — nothing re-evaluated\n", rt.store)
-	}
+	s.servedNote()
 	if !res.Found() {
 		fmt.Println("no feasible configuration")
 		return nil
@@ -380,11 +367,11 @@ func cmdSearch(ctx context.Context, args []string) (retErr error) {
 
 func cmdStudy(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("study", flag.ExitOnError)
-	rt := addRuntime(fs)
+	rt := addHooks(fs)
 	full := fs.Bool("full", false, "paper-sized sweeps (minutes) instead of reduced ones")
 	asJSON := fs.Bool("json", false, "emit the experiment's data as JSON instead of rendering it")
-	if len(args) == 0 {
-		return fmt.Errorf("study: missing experiment name")
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		return fmt.Errorf("study: the experiment name comes first (calculon study <experiment> [flags]); experiments: %s", experimentNames)
 	}
 	name := args[0]
 	if err := fs.Parse(args[1:]); err != nil {
@@ -400,56 +387,29 @@ func cmdStudy(ctx context.Context, args []string) error {
 		scale = experiments.ScaleFull
 	}
 	w := os.Stdout
-	emit := func(render func(), v any) error {
-		if *asJSON {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(v)
-		}
-		render()
-		return nil
-	}
 	switch name {
 	case "table1":
 		rows, err := experiments.Table1Ablation()
-		if err != nil {
-			return err
-		}
-		return emit(func() { experiments.RenderTable1(w, rows) }, rows)
+		return show(*asJSON, rows, err, experiments.RenderTable1)
 	case "table2":
 		rows, err := experiments.Table2Validation()
-		if err != nil {
-			return err
-		}
-		return emit(func() { experiments.RenderTable2(w, rows) }, rows)
+		return show(*asJSON, rows, err, experiments.RenderTable2)
 	case "table3":
 		evals, err := experiments.Table3Budget(ctx, scale)
-		if err != nil {
-			return err
-		}
-		return emit(func() { experiments.RenderTable3(w, evals) }, evals)
+		return show(*asJSON, evals, err, experiments.RenderTable3)
 	case "table4", "fig12":
 		rows, err := experiments.Table4Strategies(ctx, scale)
-		if err != nil {
-			return err
-		}
-		return emit(func() { experiments.RenderTable4(w, rows) }, rows)
+		return show(*asJSON, rows, err, experiments.RenderTable4)
 	case "fig2":
 		if err := experiments.Fig2Schedule(w); err != nil {
 			return err
 		}
 	case "fig3":
 		res, err := experiments.Fig3Breakdown()
-		if err != nil {
-			return err
-		}
-		return emit(func() { report.Breakdown(w, res) }, res)
+		return show(*asJSON, res, err, report.Breakdown)
 	case "fig4":
 		sweeps, err := experiments.Fig4Parallelism()
-		if err != nil {
-			return err
-		}
-		return emit(func() { experiments.RenderFig4(w, sweeps) }, sweeps)
+		return show(*asJSON, sweeps, err, experiments.RenderFig4)
 	case "fig5":
 		for _, v := range experiments.Fig5Variants() {
 			g, err := experiments.Fig5Optimizations(ctx, v, scale)
@@ -461,10 +421,7 @@ func cmdStudy(ctx context.Context, args []string) error {
 		}
 	case "fig6":
 		stats, err := experiments.Fig6SearchSpace(ctx, scale)
-		if err != nil {
-			return err
-		}
-		return emit(func() { experiments.RenderFig6(w, stats) }, stats)
+		return show(*asJSON, stats, err, experiments.RenderFig6)
 	case "fig7", "fig10":
 		curves, err := experiments.ScalingStudy(ctx, name == "fig10", scale)
 		if err != nil {
@@ -500,13 +457,25 @@ func cmdStudy(ctx context.Context, args []string) error {
 		experiments.RenderSpeedup(w, sp)
 	case "seqscale":
 		pts, err := experiments.SeqScale(ctx, scale)
-		if err != nil {
-			return err
-		}
-		return emit(func() { experiments.RenderSeqScale(w, pts) }, pts)
+		return show(*asJSON, pts, err, experiments.RenderSeqScale)
 	default:
 		return fmt.Errorf("study: unknown experiment %q", name)
 	}
+	return nil
+}
+
+// show renders a study's data on stdout, or encodes it as JSON when
+// asJSON is set; a failed study shows nothing.
+func show[T any](asJSON bool, v T, err error, render func(io.Writer, T)) error {
+	switch {
+	case err != nil:
+		return err
+	case asJSON:
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	}
+	render(os.Stdout, v)
 	return nil
 }
 

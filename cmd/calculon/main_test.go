@@ -133,6 +133,51 @@ func TestDispatchSearchTimeout(t *testing.T) {
 	}
 }
 
+// TestDispatchStudyNameFirst: a flag where the experiment name belongs is
+// answered with the grammar and the valid names, not with an unknown
+// experiment called "-h".
+func TestDispatchStudyNameFirst(t *testing.T) {
+	for _, args := range [][]string{nil, {"-h"}, {"-full", "fig5"}} {
+		err := dispatch(context.Background(), "study", args)
+		if err == nil || !strings.Contains(err.Error(), "experiment name comes first") ||
+			!strings.Contains(err.Error(), "fig5") {
+			t.Errorf("study %q: got %v, want the name-first error listing the experiments", args, err)
+		}
+	}
+}
+
+// TestDispatchStoreServesRerun: every search command writes its verdict to
+// a fresh -store on the first run and serves the second run from it.
+func TestDispatchStoreServesRerun(t *testing.T) {
+	small := []string{"-model", "gpt3-13B", "-batch", "32", "-procs", "16"}
+	for _, tc := range []struct {
+		cmd  string
+		args []string
+	}{
+		{"search", []string{"-features", "seqpar", "-topk", "3"}},
+		{"scaling", []string{"-step", "8", "-max", "16", "-csv"}},
+		{"serve-search", nil},
+		{"tco", nil},
+	} {
+		t.Run(tc.cmd, func(t *testing.T) {
+			store := filepath.Join(t.TempDir(), "store.jsonl")
+			args := append(append(append([]string{}, small...), tc.args...), "-store", store)
+			run := func() string {
+				return capture(t, func() error { return dispatch(context.Background(), tc.cmd, args) })
+			}
+			if out := run(); strings.Contains(out, "served from result store") {
+				t.Fatalf("cold run claims a store hit:\n%s", out)
+			}
+			if data, err := os.ReadFile(store); err != nil || len(data) == 0 {
+				t.Fatalf("cold run wrote no store row (err %v)", err)
+			}
+			if out := run(); !strings.Contains(out, "served from result store") {
+				t.Fatalf("warm run was not served from the store:\n%s", out)
+			}
+		})
+	}
+}
+
 func TestDispatchUnknown(t *testing.T) {
 	if err := dispatch(context.Background(), "bogus", nil); err != errUnknownCommand {
 		t.Fatalf("want errUnknownCommand, got %v", err)

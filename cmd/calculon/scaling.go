@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -33,11 +32,11 @@ func cmdScaling(ctx context.Context, args []string) (retErr error) {
 	if len(sizes) == 0 {
 		return fmt.Errorf("scaling: empty size range (step %d, max %d)", *step, *max)
 	}
-	ctx, cleanup, err := rt.apply(ctx)
+	s, err := rt.start(ctx)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	defer s.close(&retErr)
 	opts := search.Options{
 		Enum: execution.EnumOptions{
 			Features:      execution.FeatureAll,
@@ -45,26 +44,13 @@ func cmdScaling(ctx context.Context, args []string) (retErr error) {
 			MaxInterleave: *maxIl,
 		},
 	}
-	closeStore, err := openStore(rt, &opts)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := closeStore(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
-	var prog search.Progress
-	attachProgress(rt, &opts, &prog)
-	pts, err := search.SystemSize(ctx, m, func(n int) system.System { return tmpl.WithProcs(n) },
+	s.train(&opts)
+	pts, err := search.SystemSize(s.ctx, m, func(n int) system.System { return tmpl.WithProcs(n) },
 		sizes, opts)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			fmt.Fprintf(os.Stderr, "calculon: sweep stopped early — %s\n", prog.Snapshot())
-		}
-		return err
+		return s.stopped("sweep", err)
 	}
-	snap := prog.Snapshot()
+	snap := s.prog.Snapshot()
 	fmt.Printf("swept %d sizes: evaluated %d strategies (%d pre-screened, %d subtree-pruned, %d cache hits)\n",
 		len(pts), snap.Evaluated, snap.PreScreened, snap.SubtreePruned, snap.CacheHits)
 	if snap.StoreHits > 0 {
@@ -86,21 +72,10 @@ func cmdScaling(ctx context.Context, args []string) (retErr error) {
 		}
 		return report.WriteCSV(os.Stdout, rows)
 	}
-	bestPerGPU := 0.0
-	for _, p := range pts {
-		if p.Found {
-			if r := p.Best.SampleRate / float64(p.Procs); r > bestPerGPU {
-				bestPerGPU = r
-			}
-		}
-	}
+	rel := search.Relative(pts)
 	views := make([]report.ScalingPointView, len(pts))
 	for i, p := range pts {
-		v := report.ScalingPointView{X: p.Procs, Y: -1}
-		if p.Found && bestPerGPU > 0 {
-			v.Y = p.Best.SampleRate / (bestPerGPU * float64(p.Procs))
-		}
-		views[i] = v
+		views[i] = report.ScalingPointView{X: p.Procs, Y: rel[i]}
 	}
 	report.Scaling(os.Stdout, fmt.Sprintf("%s on %s — best sample rate per size (relative scaling)", m.Name, tmpl.Name), views, 40)
 

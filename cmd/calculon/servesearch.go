@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"os"
 
 	"calculon/internal/config"
 	"calculon/internal/search"
@@ -83,35 +81,22 @@ func cmdServeSearch(ctx context.Context, args []string) (retErr error) {
 		}
 	}
 
-	ctx, cleanup, err := rt.apply(ctx)
+	sizes := search.Sizes(*step, *max)
+	if *step != 0 && len(sizes) == 0 {
+		return fmt.Errorf("serve-search: empty size range (step %d, max %d)", *step, *max)
+	}
+	s, err := rt.start(ctx)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	defer s.close(&retErr)
 	var opts serving.Options
-	closeStore, err := openStore(rt, &opts)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := closeStore(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
-	var prog search.Progress
-	attachProgress(rt, &opts, &prog)
+	s.serve(&opts)
 
 	if *step != 0 {
-		sizes := search.Sizes(*step, *max)
-		if len(sizes) == 0 {
-			return fmt.Errorf("serve-search: empty size range (step %d, max %d)", *step, *max)
-		}
-		pts, err := serving.Sweep(ctx, spec, sizes, opts)
+		pts, err := serving.Sweep(s.ctx, spec, sizes, opts)
 		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				fmt.Fprintf(os.Stderr, "calculon: sweep stopped early — %s\n", prog.Snapshot())
-			}
-			return err
+			return s.stopped("sweep", err)
 		}
 		if *asJSON {
 			return writeJSON(*outPath, pts)
@@ -129,21 +114,16 @@ func cmdServeSearch(ctx context.Context, args []string) (retErr error) {
 		return nil
 	}
 
-	res, err := serving.Search(ctx, spec, opts)
+	res, err := serving.Search(s.ctx, spec, opts)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			fmt.Fprintf(os.Stderr, "calculon: search stopped early — %s\n", prog.Snapshot())
-		}
-		return err
+		return s.stopped("search", err)
 	}
 	if *asJSON {
 		return writeJSON(*outPath, res)
 	}
 	fmt.Printf("evaluated %d engine configurations, %d SLO-feasible deployments (%d pre-screened)\n",
 		res.Evaluated, res.Feasible, res.PreScreened)
-	if prog.Snapshot().StoreHits > 0 {
-		fmt.Printf("verdict served from result store %s — nothing re-evaluated\n", rt.store)
-	}
+	s.servedNote()
 	if res.Best == nil {
 		fmt.Printf("no deployment of %s on ≤%d × %s meets TTFT %v / TPOT %v\n",
 			spec.Model.Name, spec.Space.Procs, spec.System.Name, spec.Workload.SLO.TTFT, spec.Workload.SLO.TPOT)

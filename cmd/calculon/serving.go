@@ -66,7 +66,7 @@ func cmdInfer(args []string) error {
 	return nil
 }
 
-func cmdTCO(ctx context.Context, args []string) error {
+func cmdTCO(ctx context.Context, args []string) (retErr error) {
 	fs := flag.NewFlagSet("tco", flag.ExitOnError)
 	c := addCommon(fs)
 	rt := addRuntime(fs)
@@ -82,11 +82,11 @@ func cmdTCO(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	ctx, cleanup, err := rt.apply(ctx)
+	s, err := rt.start(ctx)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	defer s.close(&retErr)
 	opts := search.Options{
 		Enum: execution.EnumOptions{
 			Features:      execution.FeatureAll,
@@ -94,11 +94,10 @@ func cmdTCO(ctx context.Context, args []string) error {
 			MaxInterleave: 4,
 		},
 	}
-	var prog search.Progress
-	attachProgress(rt, &opts, &prog)
-	res, err := search.Execution(ctx, m, sys, opts)
+	s.train(&opts)
+	res, err := search.Execution(s.ctx, m, sys, opts)
 	if err != nil {
-		return err
+		return s.stopped("search", err)
 	}
 	if !res.Found() {
 		return fmt.Errorf("no feasible execution for %s on %d × %s", m.Name, sys.Procs, sys.Name)
@@ -115,5 +114,6 @@ func cmdTCO(ctx context.Context, args []string) error {
 		m.Name, *tokens, res.Feasible, sys.Procs, sys.Name)
 	fmt.Printf("  strategy: %v (MFU %.1f%%)\n", res.Best.Strategy, 100*res.Best.MFU)
 	fmt.Printf("  %v\n", cost)
+	s.servedNote()
 	return nil
 }

@@ -61,7 +61,7 @@ func TestDispatchShardMergeBytes(t *testing.T) {
 
 // TestDispatchShardBadSpec pins the 1-based CLI shard grammar errors.
 func TestDispatchShardBadSpec(t *testing.T) {
-	for _, bad := range []string{"0/3", "4/3", "3", "a/b", "1/0"} {
+	for _, bad := range []string{"0/3", "4/3", "3", "a/b", "1/0", "2x/3", "1/3junk", "1/3/5"} {
 		err := dispatch(context.Background(), "search", []string{"-model", "gpt3-13B", "-batch", "32",
 			"-procs", "16", "-shard", bad})
 		if err == nil {

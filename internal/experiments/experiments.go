@@ -12,7 +12,6 @@ import (
 	"calculon/internal/execution"
 	"calculon/internal/model"
 	"calculon/internal/search"
-	"calculon/internal/system"
 )
 
 // Scale selects the experiment fidelity: ScaleFull reproduces the paper's
@@ -53,13 +52,3 @@ func sweepOptions(features execution.FeatureSet, maxInterleave int) search.Optio
 		},
 	}
 }
-
-// a100At is the Fig. 7 system constructor: Selene-like A100 machines.
-func a100At(n int) system.System { return system.A100(n) }
-
-// a100OffloadAt adds the §6 offload tier: 512 GiB DDR at 100 GB/s.
-func a100OffloadAt(n int) system.System {
-	return system.A100(n).WithMem2(system.DDR5(512 * gib))
-}
-
-const gib = 1 << 30

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"calculon/internal/execution"
-	"calculon/internal/model"
 	"calculon/internal/report"
 	"calculon/internal/search"
 	"calculon/internal/system"
@@ -37,7 +36,6 @@ type Fig9Grid struct {
 // best configurations would consume (panels a/b); otherwise the tier is the
 // practical 512 GiB at 100 GB/s (panels c/d).
 func Fig9Offload(ctx context.Context, infinite bool, scale Scale) (Fig9Grid, error) {
-	m := model.MustPreset("megatron-1T").WithBatch(4096)
 	tier := system.DDR5(512 * units.GiB)
 	title := "Fig. 9(c,d) — 512 GiB @ 100 GB/s offload memory"
 	if infinite {
@@ -48,33 +46,24 @@ func Fig9Offload(ctx context.Context, infinite bool, scale Scale) (Fig9Grid, err
 		Title: title,
 		Ts:    []int{1, 2, 4, 8, 16, 32},
 		Ps:    []int{1, 2, 4, 8, 16, 32},
-		Cells: map[[2]int]Fig9Cell{},
 	}
 	if scale == ScaleSmall {
 		grid.Ts = []int{1, 8, 32}
 		grid.Ps = []int{1, 8, 32}
 	}
-	for _, t := range grid.Ts {
-		for _, p := range grid.Ps {
-			d := 4096 / (t * p)
-			sys := system.H100(4096, 80*units.GiB, 0).WithMem2(tier).WithFastDomain(maxOf(t, 8))
-			opts := sweepOptions(execution.FeatureAll, 8)
-			opts.Enum.Procs = 4096
-			opts.Enum.FixedTP, opts.Enum.FixedPP, opts.Enum.FixedDP = t, p, d
-			res, err := search.Execution(ctx, m, sys, opts)
-			if err != nil {
-				return grid, fmt.Errorf("fig9 t=%d p=%d: %w", t, p, err)
-			}
-			cell := Fig9Cell{T: t, P: p}
-			if res.Found() {
-				cell.Found = true
-				cell.Rate = res.Best.SampleRate
-				cell.HBM = res.Best.Mem1.Total()
-				cell.OffloadBW = res.Best.OffloadBWUsed
-				cell.OffloadGB = res.Best.Mem2.Total()
-			}
-			grid.Cells[[2]int{t, p}] = cell
+	cells, err := tpGrid(ctx, grid.Ts, grid.Ps, execution.FeatureAll, func(t int) system.System {
+		return system.H100(4096, 80*units.GiB, 0).WithMem2(tier).WithFastDomain(max(t, 8))
+	}, func(t, p int, res search.Result) Fig9Cell {
+		c := Fig9Cell{T: t, P: p, Found: res.Found()}
+		if c.Found {
+			c.Rate, c.HBM = res.Best.SampleRate, res.Best.Mem1.Total()
+			c.OffloadBW, c.OffloadGB = res.Best.OffloadBWUsed, res.Best.Mem2.Total()
 		}
+		return c
+	})
+	grid.Cells = cells
+	if err != nil {
+		return grid, fmt.Errorf("fig9 %w", err)
 	}
 	return grid, nil
 }
@@ -84,24 +73,10 @@ func Fig9Offload(ctx context.Context, infinite bool, scale Scale) (Fig9Grid, err
 func RenderFig9(w io.Writer, g Fig9Grid) {
 	report.Grid(w, g.Title+": sample rate over HBM use", g.Ts, g.Ps, func(t, p int) report.GridCell {
 		c := g.Cells[[2]int{t, p}]
-		if !c.Found {
-			return report.GridCell{}
-		}
-		return report.GridCell{
-			Top:    fmt.Sprintf("%.0f", c.Rate),
-			Bottom: c.HBM.String(),
-			OK:     true,
-		}
+		return report.GridCell{Top: fmt.Sprintf("%.0f", c.Rate), Bottom: c.HBM.String(), OK: c.Found}
 	})
 	report.Grid(w, g.Title+": offload bandwidth over capacity", g.Ts, g.Ps, func(t, p int) report.GridCell {
 		c := g.Cells[[2]int{t, p}]
-		if !c.Found {
-			return report.GridCell{}
-		}
-		return report.GridCell{
-			Top:    c.OffloadBW.String(),
-			Bottom: c.OffloadGB.SI(),
-			OK:     true,
-		}
+		return report.GridCell{Top: c.OffloadBW.String(), Bottom: c.OffloadGB.SI(), OK: c.Found}
 	})
 }

@@ -38,7 +38,7 @@ func Fig4Parallelism() ([]Fig4Sweep, error) {
 	run := func(t, p, d int) (perf.Result, error) {
 		sys := system.A100(4096).
 			WithMem1Capacity(units.UnboundedBytes).
-			WithFastDomain(maxOf(t, 8))
+			WithFastDomain(max(t, 8))
 		st := execution.Strategy{
 			TP: t, PP: p, DP: d, Microbatch: 1, Interleave: 1, OneFOneB: true,
 			Recompute: execution.RecomputeFull, TPRSAG: true, OptimSharding: true,
@@ -147,7 +147,6 @@ type Fig5Grid struct {
 // t·p·d = 4,096 it searches the panel's optimization family for the best
 // feasible configuration under the panel's memory capacity.
 func Fig5Optimizations(ctx context.Context, variant Fig5Variant, scale Scale) (Fig5Grid, error) {
-	m := model.MustPreset("megatron-1T").WithBatch(4096)
 	features := execution.FeatureBaseline
 	capacity := 80 * units.GiB
 	switch variant {
@@ -163,31 +162,23 @@ func Fig5Optimizations(ctx context.Context, variant Fig5Variant, scale Scale) (F
 		Variant: variant,
 		Ts:      []int{1, 2, 4, 8, 16, 32},
 		Ps:      []int{1, 2, 4, 8, 16, 32, 64},
-		Cells:   map[[2]int]Fig5Cell{},
 	}
 	if scale == ScaleSmall {
 		grid.Ts = []int{1, 4, 16, 32}
 		grid.Ps = []int{1, 4, 16, 64}
 	}
-	for _, t := range grid.Ts {
-		for _, p := range grid.Ps {
-			d := 4096 / (t * p)
-			sys := system.A100(4096).WithMem1Capacity(capacity).WithFastDomain(maxOf(t, 8))
-			opts := sweepOptions(features, 8)
-			opts.Enum.Procs = 4096
-			opts.Enum.FixedTP, opts.Enum.FixedPP, opts.Enum.FixedDP = t, p, d
-			res, err := search.Execution(ctx, m, sys, opts)
-			if err != nil {
-				return grid, fmt.Errorf("fig5 %s t=%d p=%d: %w", variant, t, p, err)
-			}
-			cell := Fig5Cell{T: t, P: p}
-			if res.Found() {
-				cell.Found = true
-				cell.BatchSec = float64(res.Best.BatchTime)
-				cell.Mem = res.Best.Mem1.Total()
-			}
-			grid.Cells[[2]int{t, p}] = cell
+	cells, err := tpGrid(ctx, grid.Ts, grid.Ps, features, func(t int) system.System {
+		return system.A100(4096).WithMem1Capacity(capacity).WithFastDomain(max(t, 8))
+	}, func(t, p int, res search.Result) Fig5Cell {
+		c := Fig5Cell{T: t, P: p, Found: res.Found()}
+		if c.Found {
+			c.BatchSec, c.Mem = float64(res.Best.BatchTime), res.Best.Mem1.Total()
 		}
+		return c
+	})
+	grid.Cells = cells
+	if err != nil {
+		return grid, fmt.Errorf("fig5 %s %w", variant, err)
 	}
 	return grid, nil
 }
@@ -198,20 +189,29 @@ func RenderFig5(w io.Writer, g Fig5Grid) {
 	report.Grid(w, fmt.Sprintf("Fig. 5 (%s): best batch time (s) over required memory", g.Variant),
 		g.Ts, g.Ps, func(t, p int) report.GridCell {
 			c := g.Cells[[2]int{t, p}]
-			if !c.Found {
-				return report.GridCell{}
-			}
-			return report.GridCell{
-				Top:    fmt.Sprintf("%.1f", c.BatchSec),
-				Bottom: c.Mem.String(),
-				OK:     true,
-			}
+			return report.GridCell{Top: fmt.Sprintf("%.1f", c.BatchSec), Bottom: c.Mem.String(), OK: c.Found}
 		})
 }
 
-func maxOf(a, b int) int {
-	if a > b {
-		return a
+// tpGrid is the grid search of Figs. 5 and 9: for every (t,p) of ts×ps it
+// searches Megatron-1T (batch 4,096) on the 4,096 processors of sysAt(t),
+// with t, p and d = 4096/(t·p) fixed and the interleave capped at 8, and
+// projects the search into the figure's cell.
+func tpGrid[C any](ctx context.Context, ts, ps []int, features execution.FeatureSet,
+	sysAt func(t int) system.System, cell func(t, p int, res search.Result) C) (map[[2]int]C, error) {
+	m := model.MustPreset("megatron-1T").WithBatch(4096)
+	cells := map[[2]int]C{}
+	for _, t := range ts {
+		for _, p := range ps {
+			opts := sweepOptions(features, 8)
+			opts.Enum.Procs = 4096
+			opts.Enum.FixedTP, opts.Enum.FixedPP, opts.Enum.FixedDP = t, p, 4096/(t*p)
+			res, err := search.Execution(ctx, m, sysAt(t), opts)
+			if err != nil {
+				return cells, fmt.Errorf("t=%d p=%d: %w", t, p, err)
+			}
+			cells[[2]int{t, p}] = cell(t, p, res)
+		}
 	}
-	return b
+	return cells, nil
 }

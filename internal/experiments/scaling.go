@@ -7,10 +7,10 @@ import (
 	"math"
 
 	"calculon/internal/execution"
-	"calculon/internal/model"
 	"calculon/internal/report"
 	"calculon/internal/search"
 	"calculon/internal/system"
+	"calculon/internal/units"
 )
 
 // ScalingCurve is one model's line of Fig. 7 or Fig. 10: the best
@@ -43,42 +43,20 @@ func ScalingStudy(ctx context.Context, offload bool, scale Scale) ([]ScalingCurv
 		sizes = search.Sizes(8, 8192)
 		maxInterleave = 8
 	}
-	sysAt := a100At
+	sysAt := system.A100 // the Fig. 7 systems: Selene-like A100 machines
 	if offload {
-		sysAt = a100OffloadAt
+		// The §6 offload tier: 512 GiB DDR at 100 GB/s.
+		sysAt = func(n int) system.System { return system.A100(n).WithMem2(system.DDR5(512 * units.GiB)) }
 	}
 	var curves []ScalingCurve
 	for _, m := range studyModels() {
-		pts, err := search.SystemSize(ctx, m, func(n int) system.System { return sysAt(n) },
-			sizes, sweepOptions(execution.FeatureAll, maxInterleave))
+		pts, err := search.SystemSize(ctx, m, sysAt, sizes, sweepOptions(execution.FeatureAll, maxInterleave))
 		if err != nil {
 			return nil, fmt.Errorf("scaling %s: %w", m.Name, err)
 		}
-		curves = append(curves, newCurve(m, pts))
+		curves = append(curves, ScalingCurve{Model: m.Name, Points: pts, Relative: search.Relative(pts)})
 	}
 	return curves, nil
-}
-
-func newCurve(m model.LLM, pts []search.ScalingPoint) ScalingCurve {
-	c := ScalingCurve{Model: m.Name, Points: pts, Relative: make([]float64, len(pts))}
-	// Perfect scaling is anchored at the best per-GPU rate observed across
-	// the sweep, matching the figure's normalization.
-	bestPerGPU := 0.0
-	for _, p := range pts {
-		if p.Found {
-			if r := p.Best.SampleRate / float64(p.Procs); r > bestPerGPU {
-				bestPerGPU = r
-			}
-		}
-	}
-	for i, p := range pts {
-		if !p.Found || bestPerGPU == 0 {
-			c.Relative[i] = -1
-			continue
-		}
-		c.Relative[i] = p.Best.SampleRate / (bestPerGPU * float64(p.Procs))
-	}
-	return c
 }
 
 // CliffDepth returns the largest ratio between a point's efficiency and the

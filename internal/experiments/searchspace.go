@@ -76,12 +76,12 @@ func Fig6SearchSpace(ctx context.Context, scale Scale) (Fig6Stats, error) {
 // RenderFig6 writes the histogram, CDF summary and haystack metrics.
 func RenderFig6(w io.Writer, s Fig6Stats) {
 	fmt.Fprintf(w, "GPT-3 175B on %d GPUs: %d strategies evaluated, %d feasible (%.1f%%)\n",
-		s.Procs, s.Evaluated, s.Feasible, 100*float64(s.Feasible)/float64(maxOf(s.Evaluated, 1)))
+		s.Procs, s.Evaluated, s.Feasible, 100*float64(s.Feasible)/float64(max(s.Evaluated, 1)))
 	report.HistogramChart(w, "Fig. 6a — sample-rate distribution of feasible strategies",
 		s.Histogram.Min, s.Histogram.Max, s.Histogram.Counts, 40)
 	fmt.Fprintf(w, "best strategy: %v at %.1f samples/s\n", s.Best.Strategy, s.Best.SampleRate)
 	fmt.Fprintf(w, "within 10%% of best: %d of %d (%.4f%%)\n",
-		s.Within10Pct, s.Feasible, 100*float64(s.Within10Pct)/float64(maxOf(s.Feasible, 1)))
+		s.Within10Pct, s.Feasible, 100*float64(s.Within10Pct)/float64(max(s.Feasible, 1)))
 	fmt.Fprintf(w, "top-100 within 5%% of best: %d\n", s.Within5PctOfTop)
 	if n := len(s.TopCDF); n > 0 {
 		fmt.Fprintf(w, "Fig. 6b — top-100 CDF: min %.1f, median %.1f, max %.1f samples/s\n",

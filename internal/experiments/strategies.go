@@ -47,7 +47,6 @@ type StrategyRow struct {
 func Table4Strategies(ctx context.Context, scale Scale) ([]StrategyRow, error) {
 	m := model.MustPreset("megatron-1T").WithBatch(3072)
 	sys := system.A100(4096)
-	sysOff := sys.WithMem2(system.DDR5(512 * units.GiB))
 	var rows []StrategyRow
 
 	// Row 1 — SOTA full recompute [29]: (8,64,8), m=1, interleave 2.
@@ -71,31 +70,26 @@ func Table4Strategies(ctx context.Context, scale Scale) ([]StrategyRow, error) {
 	}
 	rows = append(rows, StrategyRow{Name: "SOTA seq parallelism", Result: r})
 
-	// Row 3 — Calculon SW optimizations: the best software-only strategy
-	// found by exhaustive search over the full Table 1 space.
+	// Rows 3 and 4 — Calculon SW optimizations: the best strategy found by
+	// exhaustive search over the full Table 1 space, without and then with
+	// offload memory.
 	maxIl := 4
 	if scale == ScaleFull {
 		maxIl = 0
 	}
-	swOpts := sweepOptions(execution.FeatureAll, maxIl)
-	sw, err := search.Execution(ctx, m, sys, swOpts)
-	if err != nil {
-		return nil, fmt.Errorf("table4 sw search: %w", err)
+	for _, row := range []struct {
+		name, what string
+		sys        system.System
+	}{{"Calculon SW optim", "sw", sys}, {"Calculon SW + offload", "offload", sys.WithMem2(system.DDR5(512 * units.GiB))}} {
+		res, err := search.Execution(ctx, m, row.sys, sweepOptions(execution.FeatureAll, maxIl))
+		if err != nil {
+			return nil, fmt.Errorf("table4 %s search: %w", row.what, err)
+		}
+		if !res.Found() {
+			return nil, fmt.Errorf("table4 %s search found nothing", row.what)
+		}
+		rows = append(rows, StrategyRow{Name: row.name, Result: res.Best, FromSearch: true})
 	}
-	if !sw.Found() {
-		return nil, fmt.Errorf("table4 sw search found nothing")
-	}
-	rows = append(rows, StrategyRow{Name: "Calculon SW optim", Result: sw.Best, FromSearch: true})
-
-	// Row 4 — Calculon SW optimizations + offload memory.
-	off, err := search.Execution(ctx, m, sysOff, swOpts)
-	if err != nil {
-		return nil, fmt.Errorf("table4 offload search: %w", err)
-	}
-	if !off.Found() {
-		return nil, fmt.Errorf("table4 offload search found nothing")
-	}
-	rows = append(rows, StrategyRow{Name: "Calculon SW + offload", Result: off.Best, FromSearch: true})
 	return rows, nil
 }
 

@@ -175,9 +175,9 @@ func TestLeafTableResetsOnBase(t *testing.T) {
 	}
 }
 
-// TestLeafTableAfterRunDelta steps a chain through a RunDelta leaf between
-// two RunLeaf leaves. RunDelta's leaves are diffed against the chain's
-// state, so a RunLeaf after one, with the mask against it, must be
+// TestLeafTableAfterRunDelta steps a chain through a RunDeltaInto leaf
+// between two RunLeaf leaves. RunDeltaInto's leaves are diffed against the
+// chain's state, so a RunLeaf after one, with the mask against it, must be
 // evaluated on its base and not answered from the leaf before.
 func TestLeafTableAfterRunDelta(t *testing.T) {
 	m, sys, st := leafCase()
@@ -193,7 +193,7 @@ func TestLeafTableAfterRunDelta(t *testing.T) {
 	if _, ok := r.RunLeaf(&chain, &a, execution.AllFields); !ok {
 		t.Fatalf("%v does not fit", st)
 	}
-	_, chain, err = r.RunDelta(chain, other)
+	_, chain, err = runDelta(r, chain, other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestLeafTableAfterRunDelta(t *testing.T) {
 		t.Fatalf("RunLeaf ok %v, Run err %v", ok, wantErr)
 	}
 	if err := checkBound(got, Keys{want.BatchTime, want.SampleRate, want.Mem1.Total()}); err != nil {
-		t.Fatalf("RunLeaf after RunDelta: %v", err)
+		t.Fatalf("RunLeaf after RunDeltaInto: %v", err)
 	}
 }
 

@@ -109,30 +109,21 @@ func (r *Runner) chainOf(chain *RunInfo) *deltaState {
 	return d
 }
 
-// RunDelta evaluates one strategy incrementally against the previous
-// evaluation of the same chain: it diffs st against the last strategy this
-// chain fully evaluated and recomputes only the term groups the changed
-// fields can perturb, carrying everything else forward unrecomputed. The
-// chain is threaded through RunInfo — pass the RunInfo returned by the
-// previous RunDelta call (or a zero RunInfo to start a chain). Results,
-// feasibility verdicts, and RunInfo flags are bit-identical to RunDetailed;
-// only the work differs. The fewer fields change between successive calls —
-// e.g. along execution's Gray-code toggle order, where neighbors differ in
-// one toggle — the more is reused.
+// RunDeltaInto evaluates one strategy incrementally against the previous
+// evaluation of the same chain and writes the result into *out: it diffs
+// st against the last strategy this chain fully evaluated and recomputes
+// only the term groups the changed fields can perturb, carrying everything
+// else forward unrecomputed. The chain is threaded through RunInfo — pass
+// the RunInfo returned by the previous RunDeltaInto call (or a zero RunInfo
+// to start a chain). Results, feasibility verdicts, and RunInfo flags are
+// bit-identical to RunDetailed; only the work differs. The fewer fields
+// change between successive calls — e.g. along execution's Gray-code toggle
+// order, where neighbors differ in one toggle — the more is reused. On
+// success *out holds the result; on error *out is zeroed, exactly the
+// Result a scratch call would have returned.
 //
 // A chain must stay within one goroutine; the Runner itself remains safe
 // for concurrent use by many chains.
-func (r *Runner) RunDelta(prev RunInfo, st execution.Strategy) (Result, RunInfo, error) {
-	var res Result
-	info, err := r.RunDeltaInto(prev, st, &res)
-	return res, info, err
-}
-
-// RunDeltaInto is RunDelta writing the result into *out instead of
-// returning it, so tight search loops reuse one Result instead of copying
-// ~400 bytes through every return frame. On success *out holds the result;
-// on error *out is zeroed, exactly the Result a scratch call would have
-// returned.
 func (r *Runner) RunDeltaInto(prev RunInfo, st execution.Strategy, out *Result) (RunInfo, error) {
 	mask := execution.AllFields // step diffs a foreign or empty chain against nothing
 	if prev.delta != nil {
@@ -157,7 +148,7 @@ func (r *Runner) RunDeltaInto(prev RunInfo, st execution.Strategy, out *Result) 
 // returns the exact keys, and chain.Result builds the full Result. RunLeaf
 // allocates nothing on a warm chain and normalizes *st in place. The
 // PreScreened and CacheHit flags are read from *chain afterwards, as from
-// RunDelta's returned RunInfo. Only three toggle rules read
+// RunDeltaInto's returned RunInfo. Only three toggle rules read
 // execution.VariantFields, so on one segment base the valid leaves of a
 // memory class get one verdict, one PreScreened flag and one bound.
 func (r *Runner) RunLeaf(chain *RunInfo, st *execution.Strategy, mask execution.FieldMask) (Keys, bool) {

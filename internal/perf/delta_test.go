@@ -225,7 +225,7 @@ func runDeltaChain(t *testing.T, r *Runner, seq []execution.Strategy) ([]Result,
 	errs := make([]error, len(seq))
 	var prev RunInfo
 	for i, st := range seq {
-		res[i], prev, errs[i] = r.RunDelta(prev, st)
+		res[i], prev, errs[i] = runDelta(r, prev, st)
 		infos[i] = prev
 	}
 	return res, infos, errs
@@ -249,7 +249,7 @@ func runLeafChain(t *testing.T, r *Runner, seq []execution.Strategy) ([]Result, 
 // TestDeltaEqualsScratch is the randomized equivalence property of the
 // evaluation chains: over real enumeration orders, random jump sequences
 // and single-field mutation walks, for systems with and without a second
-// memory tier, RunDelta and RunLeaf chains must reproduce RunDetailed bit
+// memory tier, RunDeltaInto and RunLeaf chains must reproduce RunDetailed bit
 // for bit — Result values, feasibility verdicts, error messages, and the
 // PreScreened/CacheHit flags the search counters sum — and RunDetailed and
 // the RunLeaf chain must both match the straight-line reference evaluator.
@@ -385,13 +385,13 @@ func TestRunDeltaForeignChain(t *testing.T) {
 	a, _ := NewRunner(m, system.A100(32))
 	b, _ := NewRunner(m, system.A100(32).WithMem1Capacity(10*units.TiB))
 	st := execution.Strategy{TP: 4, PP: 2, DP: 4, Microbatch: 1, Interleave: 1}
-	_, info, err := a.RunDelta(RunInfo{}, st)
+	_, info, err := runDelta(a, RunInfo{}, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st2 := st
 	st2.Recompute = execution.RecomputeFull
-	got, _, err := b.RunDelta(info, st2)
+	got, _, err := runDelta(b, info, st2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,4 +607,12 @@ func (f *keysFold) offer(seq int, k Keys) {
 		}
 		f.front = slices.Replace(f.front, i, e, keyed{seq, k})
 	}
+}
+
+// runDelta is RunDeltaInto returning the result, for tests that compare
+// whole Results.
+func runDelta(r *Runner, prev RunInfo, st execution.Strategy) (Result, RunInfo, error) {
+	var res Result
+	info, err := r.RunDeltaInto(prev, st, &res)
+	return res, info, err
 }

@@ -221,7 +221,7 @@ func TestRowsOneMissPerProfile(t *testing.T) {
 						if g%2 == 0 {
 							o.res, o.info, o.err = r.RunDetailed(st)
 						} else {
-							o.res, chain, o.err = r.RunDelta(chain, st)
+							o.res, chain, o.err = runDelta(r, chain, st)
 							o.info = chain
 						}
 					}

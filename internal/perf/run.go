@@ -149,9 +149,9 @@ type RunInfo struct {
 	// rather than recomputed.
 	CacheHit bool
 
-	// delta carries the evaluation chain RunDelta threads from call to
+	// delta carries the evaluation chain RunDeltaInto threads from call to
 	// call; nil after a scratch evaluation. Opaque to callers: pass the
-	// RunInfo back to the next RunDelta unmodified.
+	// RunInfo back to the next RunDeltaInto unmodified.
 	delta *deltaState
 }
 

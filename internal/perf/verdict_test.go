@@ -60,7 +60,7 @@ func verdictChains() []verdictChain {
 }
 
 // TestVerdictKindsCovered drives chains through every verdict kind and holds
-// each evaluation path to the same answer on every leaf: RunDelta's error
+// each evaluation path to the same answer on every leaf: RunDeltaInto's error
 // text must equal RunDetailed's (TestDeltaEqualsScratch checks this only
 // for the kinds its random sequences happen to reach), RunLeaf, reusing
 // one Result across the whole chain, must report the same feasibility and
@@ -93,16 +93,16 @@ func TestVerdictKindsCovered(t *testing.T) {
 					mask = execution.DiffMask(&tc.strats[i-1], &st)
 				}
 				want, wantInfo, wantErr := scratch.RunDetailed(st)
-				got, info, err := delta.RunDelta(dChain, st)
+				got, info, err := runDelta(delta, dChain, st)
 				dChain = info
 				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-					t.Fatalf("leaf %d %v: RunDelta err %v, RunDetailed err %v", i, st, err, wantErr)
+					t.Fatalf("leaf %d %v: RunDeltaInto err %v, RunDetailed err %v", i, st, err, wantErr)
 				}
 				if info.PreScreened != wantInfo.PreScreened || info.CacheHit != wantInfo.CacheHit {
-					t.Fatalf("leaf %d %v: RunDelta info %+v, RunDetailed %+v", i, st, info, wantInfo)
+					t.Fatalf("leaf %d %v: RunDeltaInto info %+v, RunDetailed %+v", i, st, info, wantInfo)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("leaf %d %v: RunDelta result differs from RunDetailed", i, st)
+					t.Fatalf("leaf %d %v: RunDeltaInto result differs from RunDetailed", i, st)
 				}
 
 				lst := st

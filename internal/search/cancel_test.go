@@ -157,8 +157,8 @@ func TestSystemSizeCancelled(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	var prog Progress
 	opts := Options{
-		Enum:     execution.EnumOptions{Features: execution.FeatureAll, MaxInterleave: 2},
-		Progress: &prog,
+		Enum:  execution.EnumOptions{Features: execution.FeatureAll, MaxInterleave: 2},
+		Watch: Watch{Progress: &prog},
 	}
 	// The whole sweep calls Err about 3,000 times; the 50th lands in its
 	// first sizes.
@@ -210,11 +210,9 @@ func TestDeterministicWithCancellationMachinery(t *testing.T) {
 	}
 	var prog Progress
 	observed, err := Execution(context.Background(), m, sys, Options{
-		Enum:          execution.EnumOptions{Procs: 64, Features: execution.FeatureSeqPar, MaxInterleave: 2},
-		Workers:       8,
-		Progress:      &prog,
-		EstimateTotal: true,
-		OnProgress:    func(ProgressSnapshot) {},
+		Enum:    execution.EnumOptions{Procs: 64, Features: execution.FeatureSeqPar, MaxInterleave: 2},
+		Workers: 8,
+		Watch:   Watch{Progress: &prog, EstimateTotal: true, OnProgress: func(ProgressSnapshot) {}},
 	})
 	if err != nil {
 		t.Fatal(err)

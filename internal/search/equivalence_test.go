@@ -207,9 +207,9 @@ func TestCountersAcrossWorkers(t *testing.T) {
 	sys := system.A100(8)
 	var prog Progress
 	opts := Options{
-		Enum:     execution.EnumOptions{Features: execution.FeatureAll, MaxInterleave: 2},
-		Workers:  4,
-		Progress: &prog,
+		Enum:    execution.EnumOptions{Features: execution.FeatureAll, MaxInterleave: 2},
+		Workers: 4,
+		Watch:   Watch{Progress: &prog},
 	}
 	res, err := Execution(context.Background(), m, sys, opts)
 	if err != nil {

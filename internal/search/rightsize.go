@@ -23,6 +23,24 @@ func BestEfficiency(points []ScalingPoint) (ScalingPoint, bool) {
 	return best, found
 }
 
+// Relative returns each point's efficiency against perfect scaling from the
+// sweep's best per-processor rate (BestEfficiency's), the normalization of
+// the paper's Fig. 7; -1 marks the sizes that cannot run the model.
+func Relative(points []ScalingPoint) []float64 {
+	best := 0.0
+	if eff, ok := BestEfficiency(points); ok {
+		best = perProc(eff)
+	}
+	rel := make([]float64, len(points))
+	for i, p := range points {
+		rel[i] = -1
+		if p.Found && best > 0 {
+			rel[i] = p.Best.SampleRate / (best * float64(p.Procs))
+		}
+	}
+	return rel
+}
+
 // RightSize returns the smallest size whose per-processor efficiency is
 // within frac of the sweep's best — the "don't buy into a cliff" answer.
 // A frac of 0.1 accepts sizes within 10% of the best efficiency.

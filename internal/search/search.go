@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"calculon/internal/execution"
 	"calculon/internal/model"
@@ -41,23 +40,8 @@ type Options struct {
 	// choice). The front is kept incrementally, so memory stays bounded.
 	Pareto bool
 
-	// Progress, when non-nil, receives live counter updates the caller can
-	// Snapshot from any goroutine while the search runs. The same Progress
-	// may be shared across searches to aggregate a sweep.
-	Progress *Progress
-	// EstimateTotal pre-counts the strategy space (a fast enumeration pass
-	// with no evaluation) and adds it to Progress so snapshots carry an ETA.
-	// Ignored when Progress is nil and OnProgress is unset.
-	EstimateTotal bool
-	// OnProgress, when non-nil, is invoked about every ProgressInterval from
-	// a dedicated goroutine while the search runs, and once more,
-	// synchronously, just before Execution returns — so the final callback
-	// always carries the exact end-of-search counters (or the partial
-	// counters of a cancelled run). The callback must be safe to call from
-	// another goroutine.
-	OnProgress func(ProgressSnapshot)
-	// ProgressInterval is the OnProgress cadence; 0 means one second.
-	ProgressInterval time.Duration
+	// Watch observes the search: Progress, ETA and the OnProgress ticker.
+	Watch
 
 	// Cache, when non-nil, is a persistent store of finished search verdicts
 	// (see internal/resultstore). It is consulted once per search, after
@@ -158,18 +142,13 @@ func Execution(ctx context.Context, m model.LLM, sys system.System, opts Options
 	// The space size is closed-form over the (tp,pp,dp) lattice — divisor
 	// arithmetic, no enumeration pass — and buys the ETA in snapshots.
 	size := func() int { return opts.Enum.SpaceSize(m) }
-	return Run(ctx, opts.watch(), st, size, func(prog *Progress) (Result, error) {
+	return Run(ctx, opts.Watch, st, size, func(prog *Progress) (Result, error) {
 		merged, subtreePruned, err := executionScored(ctx, m, sys, opts, prog, opts.Enum.Triples(m), 0)
 		if err != nil {
 			return Result{}, err
 		}
 		return resultFrom(&merged, subtreePruned), ctx.Err()
 	})
-}
-
-// watch is the options' observability half.
-func (o *Options) watch() Watch {
-	return Watch{o.Progress, o.EstimateTotal, o.OnProgress, o.ProgressInterval}
 }
 
 // normalizeOptions validates the inputs and fills the option defaults. Both
@@ -576,7 +555,7 @@ func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.S
 	}
 	// The sweep owns the ticker over the aggregate Progress; per-size
 	// searches only flush counters into it.
-	prog, finish := opts.watch().Start(ctx)
+	prog, finish := opts.Watch.Start(ctx)
 	defer finish()
 	opts.Progress, opts.OnProgress = prog, nil
 	budget := poolSize(opts.Workers)

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"calculon/internal/execution"
@@ -43,11 +44,12 @@ func ParseShard(v string) (Shard, error) {
 	if i < 0 {
 		return Shard{}, fmt.Errorf("search: shard %q: want i/n, e.g. 2/3", v)
 	}
-	var idx, cnt int
-	if _, err := fmt.Sscanf(v[:i], "%d", &idx); err != nil {
+	idx, err := strconv.Atoi(v[:i])
+	if err != nil {
 		return Shard{}, fmt.Errorf("search: shard %q: bad index: %v", v, err)
 	}
-	if _, err := fmt.Sscanf(v[i+1:], "%d", &cnt); err != nil {
+	cnt, err := strconv.Atoi(v[i+1:])
+	if err != nil {
 		return Shard{}, fmt.Errorf("search: shard %q: bad count: %v", v, err)
 	}
 	sh := Shard{Index: idx - 1, Count: cnt}
@@ -131,7 +133,7 @@ func ExecutionShard(ctx context.Context, m model.LLM, sys system.System, opts Op
 	// before its range — closed-form, no enumeration.
 	seqBase := leafCount(opts.Enum, m, triples[:lo])
 	size := func() int { return leafCount(opts.Enum, m, triples[lo:hi]) }
-	return Run(ctx, opts.watch(), Stored[ShardResult]{}, size, func(prog *Progress) (ShardResult, error) {
+	return Run(ctx, opts.Watch, Stored[ShardResult]{}, size, func(prog *Progress) (ShardResult, error) {
 		merged, subtreePruned, err := executionScored(ctx, m, sys, opts, prog, triples[lo:hi], seqBase)
 		if err != nil {
 			return ShardResult{}, err

@@ -128,7 +128,7 @@ func TestParseShard(t *testing.T) {
 			t.Errorf("Shard%+v.String() = %q, want %q", got, got.String(), in)
 		}
 	}
-	for _, in := range []string{"", "3", "0/3", "4/3", "-1/3", "1/0", "a/b", "1/"} {
+	for _, in := range []string{"", "3", "0/3", "4/3", "-1/3", "1/0", "a/b", "1/", "2x/3", "1/3junk", "1/3/5"} {
 		if _, err := ParseShard(in); err == nil {
 			t.Errorf("ParseShard(%q) succeeded, want error", in)
 		}

@@ -8,13 +8,25 @@ import (
 	"time"
 )
 
-// Watch is how a caller observes a search: the four observability fields
-// search.Options and serving.Options share, with the meaning Options
-// documents for them.
+// Watch is how a caller observes a search. search.Options and
+// serving.Options embed it.
 type Watch struct {
-	Progress         *Progress
-	EstimateTotal    bool
-	OnProgress       func(ProgressSnapshot)
+	// Progress, when non-nil, receives live counter updates the caller can
+	// Snapshot from any goroutine while the search runs. The same Progress
+	// may be shared across searches to aggregate a sweep.
+	Progress *Progress
+	// EstimateTotal pre-counts the search space (closed-form, no
+	// evaluation) and adds it to Progress so snapshots carry an ETA.
+	// Ignored when Progress is nil and OnProgress is unset.
+	EstimateTotal bool
+	// OnProgress, when non-nil, is invoked about every ProgressInterval from
+	// a dedicated goroutine while the search runs, and once more,
+	// synchronously, just before the search returns — so the final callback
+	// always carries the exact end-of-search counters (or the partial
+	// counters of a cancelled run). The callback must be safe to call from
+	// another goroutine.
+	OnProgress func(ProgressSnapshot)
+	// ProgressInterval is the OnProgress cadence; 0 means one second.
 	ProgressInterval time.Duration
 }
 

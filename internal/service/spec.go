@@ -128,9 +128,9 @@ func (s JobSpec) prepare() (prepared, error) {
 			Features:      features,
 			MaxInterleave: s.Search.MaxInterleave,
 		},
-		TopK:          topK,
-		Pareto:        s.Search.Pareto,
-		EstimateTotal: true,
+		TopK:   topK,
+		Pareto: s.Search.Pareto,
+		Watch:  search.Watch{EstimateTotal: true},
 	}
 	p.disableStore = s.Search.DisableStore
 	p.timeout = time.Duration(s.Search.TimeoutSeconds * float64(time.Second))
@@ -161,7 +161,7 @@ func (s JobSpec) prepareServing() (prepared, error) {
 		return p, err
 	}
 	p.servingSpec = &spec
-	p.servingOpts = serving.Options{EstimateTotal: true}
+	p.servingOpts = serving.Options{Watch: search.Watch{EstimateTotal: true}}
 	p.disableStore = s.Search.DisableStore
 	p.timeout = time.Duration(s.Search.TimeoutSeconds * float64(time.Second))
 	return p, nil

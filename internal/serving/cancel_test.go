@@ -105,20 +105,18 @@ func TestCancelDuringStageOne(t *testing.T) {
 			var last search.ProgressSnapshot
 			var prog search.Progress
 			opts := Options{
-				Workers:          1,
-				Progress:         &prog,
-				EstimateTotal:    true,
-				ProgressInterval: time.Millisecond,
-				OnProgress: func(s search.ProgressSnapshot) {
-					mu.Lock()
-					defer mu.Unlock()
-					calls++
-					last = s
-					if goroutineID() == caller {
-						onCaller = append(onCaller, calls)
-					}
-					cancel()
-				},
+				Workers: 1,
+				Watch: search.Watch{Progress: &prog, EstimateTotal: true, ProgressInterval: time.Millisecond,
+					OnProgress: func(s search.ProgressSnapshot) {
+						mu.Lock()
+						defer mu.Unlock()
+						calls++
+						last = s
+						if goroutineID() == caller {
+							onCaller = append(onCaller, calls)
+						}
+						cancel()
+					}},
 			}
 			empty, err := tc.run(ctx, opts)
 			if !errors.Is(err, context.Canceled) {

@@ -278,7 +278,7 @@ func TestSweepMatchesSearch(t *testing.T) {
 			t.Fatalf("draw %d: cold sweep: %v", d, err)
 		}
 		var prog search.Progress
-		warm, err := Sweep(ctx, spec, sizes, Options{Workers: 2, Cache: cache, Progress: &prog})
+		warm, err := Sweep(ctx, spec, sizes, Options{Workers: 2, Cache: cache, Watch: search.Watch{Progress: &prog}})
 		if err != nil {
 			t.Fatalf("draw %d: warm sweep: %v", d, err)
 		}
@@ -333,7 +333,7 @@ func TestSweepProgressTotals(t *testing.T) {
 		total += int64(res.Evaluated)
 	}
 	var prog search.Progress
-	if _, err := Sweep(context.Background(), spec, sizes, Options{Progress: &prog, EstimateTotal: true}); err != nil {
+	if _, err := Sweep(context.Background(), spec, sizes, Options{Watch: search.Watch{Progress: &prog, EstimateTotal: true}}); err != nil {
 		t.Fatal(err)
 	}
 	s := prog.Snapshot()

@@ -36,7 +36,7 @@ func Search(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	}
 	cfgs := enumerate(spec.Model, spec.Space)
 	size := func() int { return len(cfgs) }
-	return search.Run(ctx, opts.watch(), opts.stored(spec), size, func(prog *search.Progress) (Result, error) {
+	return search.Run(ctx, opts.Watch, opts.stored(spec), size, func(prog *search.Progress) (Result, error) {
 		pbar := spec.Workload.MeanPromptLen()
 		gbar := spec.Workload.MeanGenLen()
 		profiles := evalAll(ctx, &spec, opts.Workers, prog, cfgs, pbar, gbar)
@@ -54,16 +54,6 @@ func Search(ctx context.Context, spec Spec, opts Options) (Result, error) {
 		}
 		return out, ctx.Err()
 	})
-}
-
-// watch is the options' observability half.
-func (o *Options) watch() search.Watch {
-	return search.Watch{
-		Progress:         o.Progress,
-		EstimateTotal:    o.EstimateTotal,
-		OnProgress:       o.OnProgress,
-		ProgressInterval: o.ProgressInterval,
-	}
 }
 
 // stored is the store policy of the search of spec, which the caller has
@@ -414,7 +404,7 @@ func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeRes
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	prog, finish := opts.watch().Start(ctx)
+	prog, finish := opts.Watch.Start(ctx)
 	defer finish()
 
 	spec = spec.Normalize()

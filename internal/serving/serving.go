@@ -27,7 +27,6 @@ package serving
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"calculon/internal/model"
 	"calculon/internal/search"
@@ -219,13 +218,8 @@ func (s Spec) Validate() error {
 type Options struct {
 	// Workers bounds evaluation concurrency; <=0 means GOMAXPROCS.
 	Workers int
-	// Progress, when non-nil, receives live counter updates.
-	Progress *search.Progress
-	// EstimateTotal adds the engine-space size to Progress up front (ETA).
-	EstimateTotal bool
-	// OnProgress, when non-nil, is called periodically with snapshots.
-	OnProgress       func(search.ProgressSnapshot)
-	ProgressInterval time.Duration
+	// Watch observes the search: Progress, ETA and the OnProgress ticker.
+	search.Watch
 	// Cache, when non-nil, serves whole searches from a persistent store
 	// and records finished ones (see internal/resultstore). A nil Cache
 	// bypasses the store.
