@@ -386,7 +386,6 @@ func cmdStudy(ctx context.Context, args []string) error {
 	if *full {
 		scale = experiments.ScaleFull
 	}
-	w := os.Stdout
 	switch name {
 	case "table1":
 		rows, err := experiments.Table1Ablation()
@@ -401,9 +400,10 @@ func cmdStudy(ctx context.Context, args []string) error {
 		rows, err := experiments.Table4Strategies(ctx, scale)
 		return show(*asJSON, rows, err, experiments.RenderTable4)
 	case "fig2":
-		if err := experiments.Fig2Schedule(w); err != nil {
-			return err
+		if *asJSON {
+			return fmt.Errorf("study fig2: the schedule is a rendering only; it has no -json data")
 		}
+		return experiments.Fig2Schedule(os.Stdout)
 	case "fig3":
 		res, err := experiments.Fig3Breakdown()
 		return show(*asJSON, res, err, report.Breakdown)
@@ -411,36 +411,37 @@ func cmdStudy(ctx context.Context, args []string) error {
 		sweeps, err := experiments.Fig4Parallelism()
 		return show(*asJSON, sweeps, err, experiments.RenderFig4)
 	case "fig5":
+		var grids []experiments.Fig5Grid
 		for _, v := range experiments.Fig5Variants() {
 			g, err := experiments.Fig5Optimizations(ctx, v, scale)
 			if err != nil {
 				return err
 			}
-			experiments.RenderFig5(w, g)
-			fmt.Fprintln(w)
+			grids = append(grids, g)
 		}
+		return show(*asJSON, grids, nil, each(experiments.RenderFig5))
 	case "fig6":
 		stats, err := experiments.Fig6SearchSpace(ctx, scale)
 		return show(*asJSON, stats, err, experiments.RenderFig6)
 	case "fig7", "fig10":
 		curves, err := experiments.ScalingStudy(ctx, name == "fig10", scale)
-		if err != nil {
-			return err
-		}
 		title := "Fig. 7 — LLM training scalability (no offloading)"
 		if name == "fig10" {
 			title = "Fig. 10 — LLM training scalability (100 GB/s offloading)"
 		}
-		experiments.RenderScaling(w, title, curves)
+		return show(*asJSON, curves, err, func(w io.Writer, curves []experiments.ScalingCurve) {
+			experiments.RenderScaling(w, title, curves)
+		})
 	case "fig9":
+		var grids []experiments.Fig9Grid
 		for _, infinite := range []bool{true, false} {
 			g, err := experiments.Fig9Offload(ctx, infinite, scale)
 			if err != nil {
 				return err
 			}
-			experiments.RenderFig9(w, g)
-			fmt.Fprintln(w)
+			grids = append(grids, g)
 		}
+		return show(*asJSON, grids, nil, each(experiments.RenderFig9))
 	case "fig11":
 		base, err := experiments.ScalingStudy(ctx, false, scale)
 		if err != nil {
@@ -451,17 +452,13 @@ func cmdStudy(ctx context.Context, args []string) error {
 			return err
 		}
 		sp, err := experiments.OffloadSpeedup(base, off)
-		if err != nil {
-			return err
-		}
-		experiments.RenderSpeedup(w, sp)
+		return show(*asJSON, sp, err, experiments.RenderSpeedup)
 	case "seqscale":
 		pts, err := experiments.SeqScale(ctx, scale)
 		return show(*asJSON, pts, err, experiments.RenderSeqScale)
 	default:
 		return fmt.Errorf("study: unknown experiment %q", name)
 	}
-	return nil
 }
 
 // show renders a study's data on stdout, or encodes it as JSON when
@@ -477,6 +474,16 @@ func show[T any](asJSON bool, v T, err error, render func(io.Writer, T)) error {
 	}
 	render(os.Stdout, v)
 	return nil
+}
+
+// each renders a list of panels with render, a blank line after each.
+func each[T any](render func(io.Writer, T)) func(io.Writer, []T) {
+	return func(w io.Writer, vs []T) {
+		for _, v := range vs {
+			render(w, v)
+			fmt.Fprintln(w)
+		}
+	}
 }
 
 func cmdPresets() error {

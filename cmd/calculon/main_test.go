@@ -14,6 +14,17 @@ import (
 // capture redirects stdout around fn and returns what it printed.
 func capture(t *testing.T, fn func() error) string {
 	t.Helper()
+	out, err := captureErr(t, fn)
+	if err != nil {
+		t.Fatalf("command failed: %v\noutput: %s", err, out)
+	}
+	return out
+}
+
+// captureErr is capture for a command that may fail: it returns what fn
+// printed and its error.
+func captureErr(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -28,11 +39,7 @@ func capture(t *testing.T, fn func() error) string {
 	ferr := fn()
 	w.Close()
 	os.Stdout = old
-	out := <-done
-	if ferr != nil {
-		t.Fatalf("command failed: %v\noutput: %s", ferr, out)
-	}
-	return out
+	return <-done, ferr
 }
 
 func TestDispatchPresets(t *testing.T) {
@@ -75,6 +82,25 @@ func TestDispatchStudyJSON(t *testing.T) {
 	}
 	if len(rows) != 8 {
 		t.Fatalf("want 8 validation rows, got %d", len(rows))
+	}
+}
+
+// TestDispatchStudyEveryJSON runs every experiment with -json: each must
+// print one JSON document, or fail and print nothing. Only fig2, a
+// rendering with no data behind it, fails.
+func TestDispatchStudyEveryJSON(t *testing.T) {
+	for _, name := range strings.Fields(experimentNames) {
+		out, err := captureErr(t, func() error {
+			return dispatch(context.Background(), "study", []string{name, "-json"})
+		})
+		switch {
+		case err != nil && out != "":
+			t.Errorf("study %s -json failed (%v) after printing %q", name, err, out)
+		case (err != nil) != (name == "fig2"):
+			t.Errorf("study %s -json: error %v", name, err)
+		case err == nil && !json.Valid([]byte(out)):
+			t.Errorf("study %s -json printed no JSON document:\n%.300s", name, out)
+		}
 	}
 }
 

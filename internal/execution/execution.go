@@ -60,6 +60,9 @@ func (m TPOverlapMode) Valid() bool {
 	return false
 }
 
+// MaxHiddenFraction is the largest HiddenFraction of any overlap mode.
+const MaxHiddenFraction = 0.9
+
 // HiddenFraction returns the fraction of TP communication time hidden behind
 // compute for this mode.
 func (m TPOverlapMode) HiddenFraction() float64 {
@@ -67,7 +70,7 @@ func (m TPOverlapMode) HiddenFraction() float64 {
 	case TPOverlapPipe:
 		return 0.5
 	case TPOverlapRing:
-		return 0.9
+		return MaxHiddenFraction
 	default:
 		return 0
 	}

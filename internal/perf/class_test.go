@@ -366,3 +366,19 @@ func TestLeafClassCoversMemoryFields(t *testing.T) {
 		t.Errorf("strategy fields cover %b", seen)
 	}
 }
+
+// TestClassFloorReadsNoVariantField: the terms the class floor takes from
+// the time half exactly — the data-parallel group, the optimizer step and
+// the offload transfer times — read no field of execution.VariantFields,
+// so the values one leaf of a memory class leaves are every leaf's.
+// (checkClassFloors checks the floor itself across every class's leaves.)
+func TestClassFloorReadsNoVariantField(t *testing.T) {
+	for _, g := range []struct {
+		name string
+		mask execution.FieldMask
+	}{{"data", dataMask}, {"optimizer", optimMask}, {"offload transfer", offloadXferMask}} {
+		if v := g.mask & execution.VariantFields; v != 0 {
+			t.Errorf("the %s terms read variant fields %b", g.name, v)
+		}
+	}
+}

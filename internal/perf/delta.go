@@ -57,11 +57,17 @@ const (
 	optimMask = profileMask | shapeMask | execution.FieldOptimSharding |
 		execution.FieldOptimOffload
 
-	// offloadMask covers eval.offload, which reads tensorComm's exposed
-	// times as overlap windows in addition to the offload switches.
-	offloadMask = tensorMask | shapeMask | execution.FieldWeightOffload |
+	// offloadXferMask covers the offload transfer times per block visit
+	// (eval.xferFwd, xferBwd): the bytes the offload switches move, sized
+	// by the profile, the microbatch count and the optimizer sharding, over
+	// the second tier's bandwidth.
+	offloadXferMask = profileMask | shapeMask | execution.FieldWeightOffload |
 		execution.FieldActOffload | execution.FieldOptimOffload |
 		execution.FieldOptimSharding
+
+	// offloadMask covers eval.offload, which reads tensorComm's exposed
+	// times as overlap windows next to the transfer times.
+	offloadMask = tensorMask | offloadXferMask
 
 	// The memory rows (memory.go); activations read OneFOneB for the
 	// in-flight microbatch count. An offload flip reruns one row.
@@ -173,6 +179,20 @@ func (i *RunInfo) Keys() Keys {
 		d.pending = 0
 	}
 	return d.keys
+}
+
+// Floor returns the class floor of the chain's last leaf: keys whose
+// BatchTime is no higher than the exact batch time of any leaf of the
+// leaf's memory class — the leaves that differ from it only in
+// execution.VariantFields, whatever their overlap mode and RS+AG switches —
+// so whose SampleRate is no lower, with the class's exact Mem1. The floor
+// reads no variant field, so every leaf of a class gives the same one. Like
+// Result, it runs the time half first if Keys has not, and it is valid only
+// right after RunLeaf reported the leaf feasible.
+func (i *RunInfo) Floor() Keys {
+	k := i.Keys()
+	t := i.delta.e.classFloor()
+	return Keys{BatchTime: t, SampleRate: t.Rate(float64(i.delta.r.m.Batch)), Mem1: k.Mem1}
 }
 
 // Result writes the full Result of the chain's last leaf into *out, running

@@ -290,8 +290,10 @@ func TestDeltaEqualsScratch(t *testing.T) {
 // exact keys (Mem1 equal, BatchTime no higher, SampleRate no lower), and
 // the leaf's Result must be the scratch evaluation's. No leaf of the
 // tight-mem1 enumeration fits; there the two paths must agree on that.
+// Then it walks the same spaces class by class (checkClassFloors), and the
+// all-mem2 one again with the beneficial toggles pinned.
 func TestBoundKeysSound(t *testing.T) {
-	feasible := 0
+	feasible, classes := 0, 0
 	for _, tc := range deltaCases() {
 		r, err := NewRunner(tc.m, tc.sys)
 		if err != nil {
@@ -311,10 +313,68 @@ func TestBoundKeysSound(t *testing.T) {
 			}
 			return true
 		})
+		classes += checkClassFloors(t, tc)
+		if tc.opts.HasMem2 {
+			tc.opts.PinBeneficial = true
+			classes += checkClassFloors(t, tc)
+		}
 	}
-	if feasible == 0 {
+	if feasible == 0 || classes == 0 {
 		t.Fatal("no feasible leaf: the bound went unchecked")
 	}
+}
+
+// checkClassFloors walks the case's space class by class on one chain, as
+// a search worker does, and every leaf of each feasible class with
+// NextLeaf. Each leaf must be feasible, give the floor (RunInfo.Floor) the
+// class's first leaf gave, bit for bit, and be bounded by it (checkBound)
+// at its scratch evaluation's keys. It returns the number of feasible
+// classes.
+func checkClassFloors(t *testing.T, tc deltaCase) int {
+	t.Helper()
+	r, err := NewRunner(tc.m, tc.sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := NewRunner(tc.m, tc.sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tog := tc.opts.Toggles()
+	var chain RunInfo
+	classes := 0
+	for _, tpd := range tc.opts.Triples(tc.m) {
+		tc.opts.Segments(&tc.m, tpd, func(root *execution.Strategy) bool {
+			w := tog.Classes(root)
+			for more := true; more; more = w.NextClass() {
+				if _, ok := r.RunLeaf(&chain, root, w.Mask()); !ok {
+					continue
+				}
+				classes++
+				floor := chain.Floor()
+				for {
+					want, err := scratch.Run(*root)
+					if err != nil {
+						t.Fatalf("%s %v: a leaf of a feasible class: %v", tc.name, *root, err)
+					}
+					if f := chain.Floor(); f != floor {
+						t.Fatalf("%s %v: class floor %+v, the class's first leaf gave %+v", tc.name, *root, f, floor)
+					}
+					if err := checkBound(floor, Keys{want.BatchTime, want.SampleRate, want.Mem1.Total()}); err != nil {
+						t.Fatalf("%s %v: class floor: %v", tc.name, *root, err)
+					}
+					if !w.NextLeaf() {
+						break
+					}
+					if _, ok := r.RunLeaf(&chain, root, w.Mask()); !ok {
+						t.Fatalf("%s %v: infeasible leaf in a feasible class", tc.name, *root)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return classes
 }
 
 type deltaCase struct {
@@ -410,11 +470,12 @@ func TestRunDeltaForeignChain(t *testing.T) {
 // reads the block profile and fetches a profile row, and on how many each
 // memory row and time group recomputes. The walk goes class by class:
 // RunLeaf runs once on one leaf of each memory class, and again on each
-// other leaf of a class the worker descends into (keeps passes on the
-// class's bound keys and the segment's first sequence number), where it
-// steps the chain with a variant-only mask that reruns no memory row. The
-// time groups run only when the fold asks for a leaf's exact keys, with the
-// masks owed since they last ran. The counts come from the masks step
+// other leaf of a class the worker descends into, where it steps the chain
+// with a variant-only mask that reruns no memory row. The worker descends
+// when keeps passes, at the segment's first sequence number, on the class's
+// bound keys and then on its floor, which prices the class's first leaf.
+// The time groups run only when the fold asks for a leaf's exact keys or a
+// class floor, with the masks owed since they last ran. The counts come from the masks step
 // hands the memory half (onMemoryHalf), so production code counts nothing.
 // A widened mask or a lost class answer shows up here as an exact count
 // change rather than as noise in wall time; a narrowed mask must also pass
@@ -469,6 +530,20 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 		}
 		return k, ok
 	}
+	// price is chain.Keys counting the time groups it runs: the ones the
+	// masks owed since the time half last ran reach, if any are owed.
+	price := func() Keys {
+		if pending != 0 {
+			got["timed"]++
+			for _, g := range timeGroups {
+				if pending.Has(g.mask) {
+					got[g.name]++
+				}
+			}
+			pending = 0
+		}
+		return chain.Keys()
+	}
 	base := 0
 	for _, tpd := range opts.Triples(m) {
 		if screen.CheckTriple(opts, tpd) != nil {
@@ -493,16 +568,15 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 				if !fold.keeps(base, k) {
 					continue
 				}
+				got["floors"]++
+				price()
+				if !fold.keeps(base, chain.Floor()) {
+					continue
+				}
+				got["descents"]++
 				for {
 					if seq := base + w.Rank(); fold.keeps(seq, k) {
-						got["timed"]++
-						exact := chain.Keys()
-						for _, g := range timeGroups {
-							if pending.Has(g.mask) {
-								got[g.name]++
-							}
-						}
-						pending = 0
+						exact := price()
 						if fold.keeps(seq, exact) {
 							fold.offer(seq, exact)
 						}
@@ -520,27 +594,29 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 	}
 	// 2,076,480 leaves in 515 segments of 4,032, so 296,640 classes of 7
 	// on average; 11,088 leaves pre-screened (so 2,065,392 admitted),
-	// 2,010,498 feasible. RunLeaf runs 423,443 times: once per class and on
-	// 126,803 more leaves of the classes the worker descends into, and the
-	// memory half on the 421,859 of those runs that pass admit, about a
-	// fifth of the admitted leaves. 148,590 leaves are priced for time.
-	// Walking leaf by leaf with a per-chain table of class answers (the
-	// previous design) priced 148,377 leaves, ran the memory half 421,642
-	// times on 2,076,480 RunLeaf calls, and reloaded the profile 41,334
-	// times; the variant fields, which the class walk moves fastest, now
-	// rerun the tensor and pipe groups more often (23,165 and 21,717 runs
-	// then) and the others less. The profile is read on 23,175 memory
-	// halves, the segment roots and the class steps that move a block
-	// switch. Only the 515 segment roots have a mask that reaches TP or
-	// Microbatch, and the chain's row memo fetches a row from the shared
-	// memo on the 125 of them where (TP, Microbatch) changed; every other
-	// profile read is one atomic load in the row the chain holds.
+	// 2,010,498 feasible. The bound keys let 21,787 classes through; the
+	// worker prices each one's first leaf for its floor, and the floor lets
+	// 1,424 of them through. RunLeaf runs 304,942 times: once per class and
+	// on 8,302 more leaves of the classes the worker descends into, and the
+	// memory half on the 303,358 of those runs that pass admit. 30,089
+	// leaves are priced for time. Before the floor the worker descended
+	// into all 21,787 classes the bound let through: 423,443 RunLeaf calls,
+	// 421,859 memory halves and 148,590 leaves priced, the tensor, pipe and
+	// offload groups rerunning 64,916, 68,835 and 83,026 times (the data
+	// and optimizer groups, which only class steps reach, ran as often as
+	// now). The profile is read on 23,175 memory halves, the segment roots
+	// and the class steps that move a block switch. Only the 515 segment
+	// roots have a mask that reaches TP or Microbatch, and the chain's row
+	// memo fetches a row from the shared memo on the 125 of them where
+	// (TP, Microbatch) changed; every other profile read is one atomic load
+	// in the row the chain holds.
 	want := map[string]int{
 		"leaves": 2076480, "classes": 296640, "pre-screened": 11088, "feasible": 2010498,
-		"RunLeaf calls": 423443, "memory-half runs": 421859, "timed": 148590,
+		"floors": 21787, "descents": 1424,
+		"RunLeaf calls": 304942, "memory-half runs": 303358, "timed": 30089,
 		"row steps": 515, "row fetches": 125, "profile reads": 23175, "shape": 515,
 		"mem weights": 74160, "mem optimizer": 179901, "mem activations": 97335,
-		"tensor": 64916, "pipe": 68835, "data": 5349, "optimizer": 14215, "offload": 83026,
+		"tensor": 7504, "pipe": 7746, "data": 5349, "optimizer": 14215, "offload": 25614,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recompute counts changed:\n got %v\nwant %v", got, want)

@@ -21,7 +21,8 @@ import (
 // the same message, unless the pre-screen rejected the strategy first),
 // and a success must carry finite, non-negative breakdown terms, an MFU of
 // at most 1, and a breakdown whose Total is the batch time; RunLeaf's bound
-// keys must bound its keys (checkBound).
+// keys must bound its keys (checkBound), and its class floor the keys of
+// every leaf of its memory class (checkFuzzClass).
 func FuzzRun(f *testing.F) {
 	// Feasible: gpt3-13B t8 p4 d2 with full recompute on A100s; gpt3-175B
 	// t8 p8 offloading weights and optimizer to a 512 GiB tier; gpt3-6.7B
@@ -115,6 +116,7 @@ func FuzzRun(f *testing.F) {
 		if err := checkBound(bound, exact); err != nil {
 			t.Fatalf("%s %v on %s: %v", m.Name, st, sys.Name, err)
 		}
+		checkFuzzClass(t, r, st, chain.Floor())
 
 		tb := got.Time
 		for name, v := range map[string]units.Seconds{
@@ -135,6 +137,31 @@ func FuzzRun(f *testing.F) {
 			t.Fatalf("%s %v on %s: breakdown total %v, batch time %v", m.Name, st, sys.Name, tb.Total(), got.BatchTime)
 		}
 	})
+}
+
+// checkFuzzClass walks every leaf of st's memory class with NextLeaf: the
+// class walk over every toggle, moved by NextClass to the class that agrees
+// with st outside execution.VariantFields. Each leaf must be feasible, as
+// st is, and floor must bound its exact keys (checkBound).
+func checkFuzzClass(t *testing.T, r *Runner, st execution.Strategy, floor Keys) {
+	t.Helper()
+	tog := execution.EnumOptions{Features: execution.FeatureAll, HasMem2: true}.Toggles()
+	leaf := st
+	w := tog.Classes(&leaf)
+	for execution.DiffMask(&leaf, &st)&^execution.VariantFields != 0 {
+		if !w.NextClass() {
+			t.Fatalf("%v: no class of the toggle walk holds it", st)
+		}
+	}
+	for more := true; more; more = w.NextLeaf() {
+		res, err := r.Run(leaf)
+		if err != nil {
+			t.Fatalf("%v, a leaf of the class of %v: %v", leaf, st, err)
+		}
+		if err := checkBound(floor, Keys{res.BatchTime, res.SampleRate, res.Mem1.Total()}); err != nil {
+			t.Fatalf("%v, a leaf of the class of %v: class floor: %v", leaf, st, err)
+		}
+	}
 }
 
 var (

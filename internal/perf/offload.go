@@ -59,6 +59,7 @@ func (e *eval) offload() {
 	bw2b := e.sys.Mem2.EffectiveBandwidth(bwdBytes)
 	xferF := fwdBytes.Div(bw2f)
 	xferB := bwdBytes.Div(bw2b)
+	e.xferFwd, e.xferBwd = xferF, xferB
 
 	visits := float64(e.n) * float64(e.bp)
 	e.offloadTotal = (xferF + xferB).Times(visits)

@@ -321,6 +321,7 @@ func (r *Runner) timeTerms(s *evalState, mask execution.FieldMask) {
 		e.optimizer()
 	}
 	if mask.Has(offloadMask) {
+		e.xferFwd, e.xferBwd = 0, 0
 		e.offloadTotal, e.offloadExposed = 0, 0
 		e.offloadBWRequired, e.offloadBWUsed = 0, 0
 		e.offload()
@@ -548,6 +549,7 @@ type eval struct {
 	dpTotal, dpExposed, dpPenalty              units.Seconds
 	optimTime                                  units.Seconds
 	optimWriteback                             units.Seconds // second-tier part of the step, offloaded
+	xferFwd, xferBwd                           units.Seconds // offload transfer per block visit
 	offloadTotal, offloadExposed               units.Seconds
 	offloadBWRequired, offloadBWUsed           units.BytesPerSec
 	boundaryBytes                              units.Bytes
@@ -606,10 +608,25 @@ func (e *eval) tensorComm() {
 		return
 	}
 	net := e.sys.NetworkPtrFor(t)
-	full := units.Bytes(float64(e.st.Microbatch)*float64(e.m.Seq)*float64(e.m.Hidden)) * 2
+	fwd, bwd := e.tpCollectives(net, e.st.TPRSAG)
+	e.tpFwdPerBlock, e.tpBwdPerBlock = fwd, bwd
 
-	var fwd, bwd units.Seconds
-	if e.st.TPRSAG {
+	hide := e.st.TPOverlap.HiddenFraction()
+	var hiddenFwd, hiddenBwd units.Seconds
+	e.tpFwdExposedPerBlock, hiddenFwd = overlapTP(fwd, hide, e.blockFwd)
+	e.tpBwdExposedPerBlock, hiddenBwd = overlapTP(bwd, hide, e.blockBwd+e.blockRecompute)
+	tax := net.ProcUse / (1 - net.ProcUse)
+	e.fwdPenalty += hiddenFwd.Times(tax)
+	e.bwdPenalty += hiddenBwd.Times(tax)
+}
+
+// tpCollectives returns the TP communication time per block, forward and
+// backward, with reduce-scatter + all-gather pairs (rsag) or with
+// all-reduces.
+func (e *eval) tpCollectives(net *system.Network, rsag bool) (fwd, bwd units.Seconds) {
+	t := e.st.TP
+	full := units.Bytes(float64(e.st.Microbatch)*float64(e.m.Seq)*float64(e.m.Hidden)) * 2
+	if rsag {
 		rs := e.commTime(siteTPReduceScatter, net, comm.ReduceScatter, t, full)
 		ag := e.commTime(siteTPAllGather, net, comm.AllGather, t, full)
 		fwd = 2 * (rs + ag)
@@ -627,17 +644,15 @@ func (e *eval) tensorComm() {
 		// Re-running the whole block forward re-runs its collectives too.
 		bwd += fwd
 	}
-	e.tpFwdPerBlock, e.tpBwdPerBlock = fwd, bwd
+	return fwd, bwd
+}
 
-	hide := e.st.TPOverlap.HiddenFraction()
-	// Overlap can only hide communication behind the block's compute time.
-	hiddenFwd := minSec(fwd.Times(hide), e.blockFwd)
-	hiddenBwd := minSec(bwd.Times(hide), e.blockBwd+e.blockRecompute)
-	e.tpFwdExposedPerBlock = fwd - hiddenFwd
-	e.tpBwdExposedPerBlock = bwd - hiddenBwd
-	tax := net.ProcUse / (1 - net.ProcUse)
-	e.fwdPenalty += hiddenFwd.Times(tax)
-	e.bwdPenalty += hiddenBwd.Times(tax)
+// overlapTP hides the fraction hide of the TP time x behind compute. Overlap
+// can only hide communication behind the block's compute time, window. It
+// returns the exposed and the hidden parts.
+func overlapTP(x units.Seconds, hide float64, window units.Seconds) (exposed, hidden units.Seconds) {
+	hidden = minSec(x.Times(hide), window)
+	return x - hidden, hidden
 }
 
 // pipelineComm prices the point-to-point boundary traffic of pipeline
@@ -797,6 +812,73 @@ func (e *eval) batchTimeBound() units.Seconds {
 		bubble = chunk.Times(float64(p - 1))
 	}
 	return fwd + bwd + recompute + bubble
+}
+
+// tpFloor is a lower bound on the exposed TP time per block, forward and
+// backward, of every leaf of the class: tensorComm's formula on the cheaper
+// of the two collective schemes, hidden by the largest fraction any overlap
+// mode hides, capped by the block's compute. The exposed time rises with the
+// collective time and falls with the hidden fraction.
+func (e *eval) tpFloor() (fwd, bwd units.Seconds) {
+	t := e.st.TP
+	if t <= 1 {
+		return 0, 0
+	}
+	net := e.sys.NetworkPtrFor(t)
+	arFwd, arBwd := e.tpCollectives(net, false)
+	rsFwd, rsBwd := e.tpCollectives(net, true)
+	fwd, _ = overlapTP(minSec(arFwd, rsFwd), execution.MaxHiddenFraction, e.blockFwd)
+	bwd, _ = overlapTP(minSec(arBwd, rsBwd), execution.MaxHiddenFraction, e.blockBwd+e.blockRecompute)
+	return fwd, bwd
+}
+
+// floorMargin scales the class floor down to cover its reassociation: the
+// floor adds the TP and offload exposures per block visit, where assemble
+// and Total multiply and add them apart, and rounds its TP floor apart from
+// each leaf's exposure. Every term is non-negative; the two subtractions
+// (TP time − hidden, transfer − slack) err by at most an ulp of operands no
+// larger than twice the batch time, and each side takes under 40 roundings,
+// so both stay within about a hundred ulps (2⁻⁴⁶) of the real-valued sums.
+// A margin of 2⁻³² covers that many times over; it only admits the rare
+// class whose floor falls that close under the fold's threshold.
+const floorMargin = 1 - 0x1p-32
+
+// classFloor is a lower bound on the batch time of every leaf of the
+// current leaf's memory class — the leaves that differ from it only in
+// execution.VariantFields — read off the terms the time half left on *e.
+// It is batchTimeBound plus every term no variant field reaches: the exact
+// data-parallel exposure and penalty and the optimizer step (dataMask and
+// optimMask hold no variant field), and the TP floor (tpFloor) wherever
+// assemble uses the TP exposure, the bubble included. The offload transfer
+// joins through its coupling with the TP exposure: per block visit a leaf
+// exposes tpExposed of TP time and max(0, xfer − slack − tpExposed) of
+// transfer, together max(tpExposed, xfer − slack), which is no less than
+// max(tpFloor, xfer − slack); the transfer times (offloadXferMask) read no
+// variant field either. Dropped are the overlap penalties, the pipeline
+// communication, and the bubble's hops, all ≥ 0. The sum is real-valued
+// sound; floorMargin covers its rounding.
+//
+//calculonvet:ordered
+func (e *eval) classFloor() units.Seconds {
+	nb := float64(e.n) * float64(e.bp)
+	tpFwd, tpBwd := e.tpFloor()
+	fwd := e.blockFwd.Times(nb)
+	recompute := e.blockRecompute.Times(nb)
+	var bwd, bubble units.Seconds
+	if !e.st.Inference {
+		bwd = e.blockBwd.Times(nb) + e.dpPenalty
+	}
+	if p := e.st.PP; p > 1 {
+		chunk := (e.blockFwd + tpFwd).Times(float64(e.bc))
+		if !e.st.Inference {
+			chunk += (e.blockBwd + e.blockRecompute + tpBwd).Times(float64(e.bc))
+		}
+		bubble = chunk.Times(float64(p - 1))
+	}
+	visit := maxSec(tpFwd, e.xferFwd-e.blockFwdSlack) +
+		maxSec(tpBwd, e.xferBwd-(e.blockBwdSlack+e.recompSlack))
+	total := fwd + bwd + recompute + e.optimTime + bubble + visit.Times(nb) + e.dpExposed
+	return total.Times(floorMargin)
 }
 
 func minSec(a, b units.Seconds) units.Seconds {

@@ -173,6 +173,7 @@ func TestRunLeafAllocatesNothing(t *testing.T) {
 				for i := range strats {
 					st = strats[i]
 					if _, ok := r.RunLeaf(&chain, &st, masks[i]); ok {
+						chain.Floor()
 						chain.Result(&res)
 					}
 				}

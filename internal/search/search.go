@@ -350,10 +350,12 @@ type workerState struct {
 // the class at once; its leaves share one block profile, so all but the
 // first hit the memo if that one reached it (a segment's leaves all pass
 // Validate, so a leaf not pre-screened did). The worker steps through the
-// other leaves of a feasible class only when keeps passes on the class's
-// bound keys and the segment's first seq. keeps is monotone in seq as in
-// batch time, so this admits every leaf of the class a per-leaf test would
-// (docs/MODEL.md, "The leaf path").
+// other leaves of a feasible class only when keeps passes, at the segment's
+// first seq, on the class's bound keys and then on its floor (RunInfo.Floor,
+// which prices the class's first leaf). keeps is monotone in seq as in
+// batch time, and both keys bound every leaf of the class from below, so
+// this admits every leaf of the class a per-leaf test would (docs/MODEL.md,
+// "The leaf path").
 func (ws *workerState) segment(runner *perf.Runner, chain *perf.RunInfo, res *perf.Result, tog *execution.Toggles, seg *segment, collectRates bool) {
 	w := tog.Classes(&seg.root)
 	for more := true; more; more = w.NextClass() {
@@ -372,8 +374,13 @@ func (ws *workerState) segment(runner *perf.Runner, chain *perf.RunInfo, res *pe
 			continue
 		}
 		ws.feasible += n
-		if !collectRates && !ws.keeps(seg.seq, &k) {
-			continue
+		if !collectRates {
+			if !ws.keeps(seg.seq, &k) {
+				continue
+			}
+			if f := chain.Floor(); !ws.keeps(seg.seq, &f) {
+				continue
+			}
 		}
 		for {
 			// keeps turns a leaf away on its bound keys only if it would
