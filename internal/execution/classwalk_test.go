@@ -144,3 +144,85 @@ func TestClassWalkAllocatesNothing(t *testing.T) {
 		t.Fatal("the walk yielded no leaf")
 	}
 }
+
+// TestLatticeBulkInvariants pins what a search relies on when it counts a
+// class or a whole segment at once, for every toggle lattice: every feature
+// set, with and without the pinned toggles and a second memory tier.
+//   - Every leaf passes ValidateToggles, so a leaf the pre-screen passes is
+//     admitted and reads its class's block profile.
+//   - The class lengths of a ClassWalk sum to Len.
+//   - ScreenSwitches yields each combination of the screen switches that
+//     Walk's leaves take, once, and each holds exactly the number of leaves
+//     it returns, Len over the number of combinations.
+//   - BlockSwitches yields each combination of the block switches that
+//     Walk's leaves take, once, and no other.
+func TestLatticeBulkInvariants(t *testing.T) {
+	type screen struct{ w, a, o, sh, dov bool }
+	type block struct {
+		r        RecomputeMode
+		sp, redo bool
+		fused    bool
+	}
+	screenOf := func(s *Strategy) screen {
+		return screen{s.WeightOffload, s.ActOffload, s.OptimOffload, s.OptimSharding, s.DPOverlap}
+	}
+	blockOf := func(s *Strategy) block { return block{s.Recompute, s.SeqParallel, s.TPRedoForSP, s.FusedLayers} }
+	for _, f := range []FeatureSet{FeatureBaseline, FeatureSeqPar, FeatureAll} {
+		for _, pin := range []bool{false, true} {
+			for _, mem2 := range []bool{false, true} {
+				o := EnumOptions{Features: f, PinBeneficial: pin, HasMem2: mem2}
+				name := fmt.Sprintf("%s/pin=%v/mem2=%v", f, pin, mem2)
+				tog := o.Toggles()
+				root := Strategy{TP: 2, PP: 4, DP: 8, Microbatch: 2, Interleave: 2, OneFOneB: true}
+				screens, blocks := map[screen]int{}, map[block]bool{}
+				tog.Walk(&root, func(s *Strategy, _ FieldMask) bool {
+					if err := s.ValidateToggles(); err != nil {
+						t.Fatalf("%s: leaf %v fails the toggle rules: %v", name, s, err)
+					}
+					screens[screenOf(s)]++
+					blocks[blockOf(s)] = true
+					return true
+				})
+
+				sum := 0
+				w := tog.Classes(&root)
+				for more := true; more; more = w.NextClass() {
+					sum += w.Len()
+				}
+				if sum != tog.Len() {
+					t.Fatalf("%s: class lengths sum to %d, Len is %d", name, sum, tog.Len())
+				}
+
+				yielded := map[screen]bool{}
+				per := tog.ScreenSwitches(&root, func(s *Strategy) {
+					k := screenOf(s)
+					if yielded[k] {
+						t.Fatalf("%s: screen switches %+v yielded twice", name, k)
+					}
+					yielded[k] = true
+				})
+				if len(yielded) != len(screens) || per*len(screens) != tog.Len() {
+					t.Fatalf("%s: %d screen combinations of %d leaves each yielded; Walk has %d in %d leaves",
+						name, len(yielded), per, len(screens), tog.Len())
+				}
+				for k, n := range screens {
+					if !yielded[k] || n != per {
+						t.Fatalf("%s: screen switches %+v hold %d leaves (yielded %v), want %d", name, k, n, yielded[k], per)
+					}
+				}
+
+				n := 0
+				tog.BlockSwitches(&root, func(s *Strategy) {
+					if !blocks[blockOf(s)] {
+						t.Fatalf("%s: block switches %+v are no leaf's", name, blockOf(s))
+					}
+					delete(blocks, blockOf(s))
+					n++
+				})
+				if len(blocks) != 0 {
+					t.Fatalf("%s: %d of Walk's block switch combinations not yielded (%d were)", name, len(blocks), n)
+				}
+			}
+		}
+	}
+}

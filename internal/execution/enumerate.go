@@ -63,21 +63,40 @@ type EnumOptions struct {
 	PinBeneficial bool
 }
 
-// divisors returns the sorted divisors of n.
-func divisors(n int) []int {
-	var small, large []int
-	for i := 1; i*i <= n; i++ {
-		if n%i == 0 {
-			small = append(small, i)
-			if j := n / i; j != i {
-				large = append(large, j)
-			}
+// eachDivisor calls yield with the divisors of n in ascending order until
+// yield returns false, and reports whether it ran to completion. It pairs
+// each divisor i ≤ √n with n/i, walking i up for the small ones and back
+// down for the large ones, so it allocates nothing.
+func eachDivisor(n int, yield func(int) bool) bool {
+	i := 1
+	for ; i*i < n; i++ {
+		if n%i == 0 && !yield(i) {
+			return false
 		}
 	}
-	for i := len(large) - 1; i >= 0; i-- {
-		small = append(small, large[i])
+	if i*i > n {
+		i--
 	}
-	return small
+	for ; i >= 1; i-- {
+		if n%i == 0 && !yield(n/i) {
+			return false
+		}
+	}
+	return true
+}
+
+// countDivisors returns how many divisors of n are at most limit (all of
+// them when limit ≤ 0).
+func countDivisors(n, limit int) int {
+	c := 0
+	eachDivisor(n, func(d int) bool {
+		if limit > 0 && d > limit {
+			return false
+		}
+		c++
+		return true
+	})
+	return c
 }
 
 // Triples enumerates every (t,p,d) with t·p·d = procs that satisfies the
@@ -89,25 +108,27 @@ func (o EnumOptions) Triples(m model.LLM) [][3]int {
 	if o.MaxTP > 0 && o.MaxTP < maxTP {
 		maxTP = o.MaxTP
 	}
-	for _, t := range divisors(o.Procs) {
-		if t > maxTP || (o.FixedTP != 0 && t != o.FixedTP) {
-			continue
+	eachDivisor(o.Procs, func(t int) bool {
+		if t > maxTP {
+			return false // the divisors ascend
+		}
+		if o.FixedTP != 0 && t != o.FixedTP {
+			return true
 		}
 		rest := o.Procs / t
-		for _, p := range divisors(rest) {
-			if p > m.Blocks || (o.FixedPP != 0 && p != o.FixedPP) {
-				continue
+		eachDivisor(rest, func(p int) bool {
+			if p > m.Blocks {
+				return false
 			}
 			d := rest / p
-			if d > m.Batch || m.Batch%d != 0 {
-				continue
+			if (o.FixedPP == 0 || p == o.FixedPP) && d <= m.Batch && m.Batch%d == 0 &&
+				(o.FixedDP == 0 || d == o.FixedDP) {
+				out = append(out, [3]int{t, p, d})
 			}
-			if o.FixedDP != 0 && d != o.FixedDP {
-				continue
-			}
-			out = append(out, [3]int{t, p, d})
-		}
-	}
+			return true
+		})
+		return true
+	})
 	return out
 }
 
@@ -156,14 +177,11 @@ func (o EnumOptions) EnumerateTriple(m model.LLM, tpd [3]int, yield func(Strateg
 // until yield returns.
 func (o EnumOptions) Segments(m *model.LLM, tpd [3]int, yield func(*Strategy) bool) bool {
 	s := Strategy{TP: tpd[0], PP: tpd[1], DP: tpd[2]}
-	interleaves := divisors(s.BlocksPerProc(m))
-	for _, mb := range divisors(m.Batch / tpd[2]) {
+	bp := s.BlocksPerProc(m)
+	return eachDivisor(m.Batch/tpd[2], func(mb int) bool {
 		s.Microbatch = mb
-		if !o.forEachSchedule(&s, interleaves, yield) {
-			return false
-		}
-	}
-	return true
+		return o.forEachSchedule(&s, bp, yield)
+	})
 }
 
 // TripleLeafCount returns, in closed form, the number of strategies
@@ -181,7 +199,6 @@ func (o EnumOptions) TripleLeafCount(m model.LLM, tpd [3]int) int {
 // yields for the (t,p,d) subtree: the microbatch divisor count times the
 // schedule variants.
 func (o EnumOptions) tripleSegments(m *model.LLM, tpd [3]int) int {
-	mbs := len(divisors(m.Batch / tpd[2]))
 	sched := 0
 	if !o.PinBeneficial {
 		sched++ // the plain GPipe-like schedule
@@ -189,15 +206,9 @@ func (o EnumOptions) tripleSegments(m *model.LLM, tpd [3]int) int {
 	if tpd[1] == 1 {
 		sched++ // interleaving is meaningless without pipeline parallelism
 	} else {
-		bp := (m.Blocks + tpd[1] - 1) / tpd[1]
-		for _, v := range divisors(bp) {
-			if o.MaxInterleave > 0 && v > o.MaxInterleave {
-				break
-			}
-			sched++
-		}
+		sched += countDivisors((m.Blocks+tpd[1]-1)/tpd[1], o.MaxInterleave)
 	}
-	return mbs * sched
+	return countDivisors(m.Batch/tpd[2], 0) * sched
 }
 
 // boundLeaves returns one representative strategy per distinct pre-screen
@@ -232,9 +243,9 @@ func (o EnumOptions) boundLeaves(tpd [3]int) []Strategy {
 }
 
 // forEachSchedule enumerates pipeline schedule variants (1F1B on/off,
-// interleave factors among the divisors of the per-proc block count) of s,
-// yielding s itself with the schedule fields set.
-func (o EnumOptions) forEachSchedule(s *Strategy, interleaves []int, yield func(*Strategy) bool) bool {
+// interleave factors among the divisors of bp, the per-proc block count) of
+// s, yielding s itself with the schedule fields set.
+func (o EnumOptions) forEachSchedule(s *Strategy, bp int, yield func(*Strategy) bool) bool {
 	if !o.PinBeneficial {
 		// Plain GPipe-like schedule (only sensible without interleaving).
 		s.OneFOneB = false
@@ -244,20 +255,17 @@ func (o EnumOptions) forEachSchedule(s *Strategy, interleaves []int, yield func(
 		}
 	}
 	// 1F1B with every divisor interleaving of the per-proc block count.
-	for _, v := range interleaves {
-		if o.MaxInterleave > 0 && v > o.MaxInterleave {
-			break
-		}
-		if v > 1 && s.PP == 1 {
-			break
+	more := true
+	eachDivisor(bp, func(v int) bool {
+		if o.MaxInterleave > 0 && v > o.MaxInterleave || v > 1 && s.PP == 1 {
+			return false
 		}
 		s.OneFOneB = true
 		s.Interleave = v
-		if !yield(s) {
-			return false
-		}
-	}
-	return true
+		more = yield(s)
+		return more
+	})
+	return more
 }
 
 type commCombo struct {
@@ -360,6 +368,41 @@ func (t *Toggles) Len() int {
 		n *= k
 	}
 	return n
+}
+
+// BlockSwitches calls yield with st's block switches — the recompute mode,
+// the (SeqParallel, TPRedoForSP) pair and fused layers, the toggles that
+// pick a block profile — set to each combination the lattice holds. The
+// other fields of st are left as they are.
+func (t *Toggles) BlockSwitches(st *Strategy, yield func(*Strategy)) {
+	for _, r := range t.recomputes {
+		for _, p := range t.projs {
+			c := &t.comms[p[0]]
+			for _, f := range t.fused {
+				st.Recompute, st.SeqParallel, st.TPRedoForSP, st.FusedLayers = r, c.sp, c.redo, f
+				yield(st)
+			}
+		}
+	}
+}
+
+// ScreenSwitches calls yield with st's screen switches — the three
+// offloads, optimizer sharding and DP overlap, the toggles PreScreen.Check
+// reads — set to each combination the lattice holds, and returns how many
+// of a segment's leaves share each combination: the lattice is a product,
+// so every combination holds the same number. The other fields of st are
+// left as they are.
+func (t *Toggles) ScreenSwitches(st *Strategy, yield func(*Strategy)) int {
+	for _, o := range t.offloads {
+		for _, sh := range t.shards {
+			for _, dov := range t.dpOverlaps {
+				st.WeightOffload, st.ActOffload, st.OptimOffload = o[0], o[1], o[2]
+				st.OptimSharding, st.DPOverlap = sh, dov
+				yield(st)
+			}
+		}
+	}
+	return t.Len() / (len(t.offloads) * len(t.shards) * len(t.dpOverlaps))
 }
 
 // Walk visits every toggle combination of the segment rooted at st,

@@ -108,6 +108,16 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
+// divisors collects eachDivisor's divisors of n.
+func divisors(n int) []int {
+	var ds []int
+	eachDivisor(n, func(d int) bool {
+		ds = append(ds, d)
+		return true
+	})
+	return ds
+}
+
 func TestDivisors(t *testing.T) {
 	got := divisors(12)
 	want := []int{1, 2, 3, 4, 6, 12}
@@ -121,19 +131,32 @@ func TestDivisors(t *testing.T) {
 	}
 }
 
+// TestDivisorsProperty: eachDivisor yields every divisor of n exactly once,
+// in ascending order, and countDivisors counts the ones up to a limit.
 func TestDivisorsProperty(t *testing.T) {
-	f := func(raw uint16) bool {
-		n := int(raw%4096) + 1
+	f := func(raw, rawLimit uint16) bool {
+		n, limit := int(raw%4096)+1, int(rawLimit%64)
 		ds := divisors(n)
-		prev := 0
+		prev, below := 0, 0
 		for _, d := range ds {
 			if n%d != 0 || d <= prev {
 				return false
 			}
 			prev = d
+			if d <= limit {
+				below++
+			}
 		}
-		// first divisor is 1 and last is n
-		return ds[0] == 1 && ds[len(ds)-1] == n
+		want := 0
+		for d := 1; d <= n; d++ {
+			if n%d == 0 {
+				want++
+			}
+		}
+		if limit == 0 {
+			below = want
+		}
+		return len(ds) == want && countDivisors(n, limit) == below
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

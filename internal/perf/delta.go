@@ -271,13 +271,24 @@ func (t *screenTable) check(ps *execution.PreScreen, st *execution.Strategy) exe
 	if st.TP != t.tp || st.PP != t.pp || st.DP != t.dp || st.Inference != t.inference {
 		t.tp, t.pp, t.dp, t.inference, t.filled = st.TP, st.PP, st.DP, st.Inference, 0
 	}
-	i := b2u(st.WeightOffload) | b2u(st.ActOffload)<<1 | b2u(st.OptimOffload)<<2 |
-		b2u(st.OptimSharding)<<3 | b2u(st.DPOverlap)<<4
+	i := screenBits(st)
 	if t.filled&(1<<i) == 0 {
 		t.verdicts[i] = ps.Check(st)
 		t.filled |= 1 << i
 	}
 	return t.verdicts[i]
+}
+
+// screenBits packs the five screen switches into a screenTable index.
+func screenBits(st *execution.Strategy) uint32 {
+	return b2u(st.WeightOffload) | b2u(st.ActOffload)<<1 | b2u(st.OptimOffload)<<2 |
+		b2u(st.OptimSharding)<<3 | b2u(st.DPOverlap)<<4
+}
+
+// setScreenBits sets the five screen switches from a screenTable index.
+func setScreenBits(st *execution.Strategy, i uint32) {
+	st.WeightOffload, st.ActOffload, st.OptimOffload = i&1 != 0, i&2 != 0, i&4 != 0
+	st.OptimSharding, st.DPOverlap = i&8 != 0, i&16 != 0
 }
 
 func b2u(b bool) uint32 {
@@ -356,12 +367,17 @@ func (e *eval) commTime(site int, net *system.Network, op comm.Op, g int, b unit
 
 // row is Runner.row through the chain's memo.
 func (e *eval) row(r *Runner) *profileRow {
-	m := e.memo
-	if m == nil {
+	if e.memo == nil {
 		return r.row(e.st)
 	}
-	if k := (rowKey{e.st.TP, e.st.Microbatch}); m.row == nil || m.rowKey != k {
-		m.row, m.rowKey = r.row(e.st), k
+	return e.memo.rowOf(r, e.st)
+}
+
+// rowOf returns the profile row of st's (TP, Microbatch), fetching it from
+// the Runner only when it is not the row the memo holds.
+func (m *termMemo) rowOf(r *Runner, st *execution.Strategy) *profileRow {
+	if k := (rowKey{st.TP, st.Microbatch}); m.row == nil || m.rowKey != k {
+		m.row, m.rowKey = r.row(st), k
 	}
 	return m.row
 }

@@ -465,21 +465,21 @@ func TestRunDeltaForeignChain(t *testing.T) {
 }
 
 // TestTermGroupRecomputeCounts pins, for one fixed search walked on a
-// single chain as one search worker walks it under a top-10 + Pareto fold,
-// how often the chain runs its memory half, on how many of those runs it
-// reads the block profile and fetches a profile row, and on how many each
-// memory row and time group recomputes. The walk goes class by class:
-// RunLeaf runs once on one leaf of each memory class, and again on each
-// other leaf of a class the worker descends into, where it steps the chain
-// with a variant-only mask that reruns no memory row. The worker descends
-// when keeps passes, at the segment's first sequence number, on the class's
-// bound keys and then on its floor, which prices the class's first leaf.
-// The time groups run only when the fold asks for a leaf's exact keys or a
-// class floor, with the masks owed since they last ran. The counts come from the masks step
-// hands the memory half (onMemoryHalf), so production code counts nothing.
-// A widened mask or a lost class answer shows up here as an exact count
-// change rather than as noise in wall time; a narrowed mask must also pass
-// the equivalence suites above.
+// single chain as one search worker walks it under a top-10 + Pareto fold
+// (mirrorSearch), how often the chain runs its memory half, on how many of
+// those runs it reads the block profile and fetches a profile row, and on
+// how many each memory row and time group recomputes. The walk goes class
+// by class: RunLeaf runs once on one leaf of each memory class, and again
+// on each other leaf of a class the worker descends into, where it steps
+// the chain with a variant-only mask that reruns no memory row. The worker
+// descends when keeps passes, at the segment's first sequence number, on
+// the class's bound keys and then on its floor, which prices the class's
+// first leaf. The time groups run only when the fold asks for a leaf's
+// exact keys or a class floor, with the masks owed since they last ran.
+// The counts come from the masks step hands the memory half (onMemoryHalf),
+// so production code counts nothing. A widened mask or a lost class answer
+// shows up here as an exact count change rather than as noise in wall time;
+// a narrowed mask must also pass the equivalence suites above.
 func TestTermGroupRecomputeCounts(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(64)
 	sys := system.A100(64).WithMem2(system.DDR5(512 * units.GiB))
@@ -488,113 +488,11 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := execution.EnumOptions{Procs: 64, Features: execution.FeatureAll, HasMem2: true}
-	type group struct {
-		name string
-		mask execution.FieldMask
-	}
-	memGroups := []group{
-		{"row steps", execution.FieldTP | execution.FieldMicrobatch}, {"profile reads", profileMask},
-		{"shape", shapeMask}, {"mem weights", memWeightsMask},
-		{"mem optimizer", memOptimMask}, {"mem activations", memActsMask},
-	}
-	timeGroups := []group{
-		{"tensor", tensorMask}, {"pipe", pipeMask}, {"data", dataMask},
-		{"optimizer", optimMask}, {"offload", offloadMask},
-	}
-	got := map[string]int{}
-	// pending mirrors the chain's: the masks of the memory-half runs since
-	// the time half last ran.
-	var pending execution.FieldMask
-	onMemoryHalf = func(mask execution.FieldMask) {
-		got["memory-half runs"]++
-		for _, g := range memGroups {
-			if mask.Has(g.mask) {
-				got[g.name]++
-			}
-		}
-		pending |= mask
-	}
-	defer func() { onMemoryHalf = nil }()
-	screen := execution.NewPreScreen(m, execution.Limits{Procs: sys.Procs, Mem1: sys.Mem1.Capacity, Mem2: sys.Mem2.Capacity})
-	tog := opts.Toggles()
-	fold := keysFold{topK: 10}
-	var chain RunInfo
-	// leaf is RunLeaf counting the row fetches: the steps after which the
-	// chain's row memo holds another row.
-	var row *profileRow
-	leaf := func(st *execution.Strategy, mask execution.FieldMask) (Keys, bool) {
-		k, ok := r.RunLeaf(&chain, st, mask)
-		if m := &chain.delta.memo; m.row != row {
-			row = m.row
-			got["row fetches"]++
-		}
-		return k, ok
-	}
-	// price is chain.Keys counting the time groups it runs: the ones the
-	// masks owed since the time half last ran reach, if any are owed.
-	price := func() Keys {
-		if pending != 0 {
-			got["timed"]++
-			for _, g := range timeGroups {
-				if pending.Has(g.mask) {
-					got[g.name]++
-				}
-			}
-			pending = 0
-		}
-		return chain.Keys()
-	}
-	base := 0
-	for _, tpd := range opts.Triples(m) {
-		if screen.CheckTriple(opts, tpd) != nil {
-			base += opts.TripleLeafCount(m, tpd)
-			continue // the search prunes the subtree before any leaf
-		}
-		opts.Segments(&m, tpd, func(root *execution.Strategy) bool {
-			w := tog.Classes(root)
-			for more := true; more; more = w.NextClass() {
-				got["classes"]++
-				got["RunLeaf calls"]++
-				k, ok := leaf(root, w.Mask())
-				n := w.Len()
-				got["leaves"] += n
-				if chain.PreScreened {
-					got["pre-screened"] += n
-				}
-				if !ok {
-					continue
-				}
-				got["feasible"] += n
-				if !fold.keeps(base, k) {
-					continue
-				}
-				got["floors"]++
-				price()
-				if !fold.keeps(base, chain.Floor()) {
-					continue
-				}
-				got["descents"]++
-				for {
-					if seq := base + w.Rank(); fold.keeps(seq, k) {
-						exact := price()
-						if fold.keeps(seq, exact) {
-							fold.offer(seq, exact)
-						}
-					}
-					if !w.NextLeaf() {
-						break
-					}
-					got["RunLeaf calls"]++
-					leaf(root, w.Mask())
-				}
-			}
-			base += tog.Len()
-			return true
-		})
-	}
+	got := mirrorSearches(t, m, []*Runner{r}, opts)
 	// 2,076,480 leaves in 515 segments of 4,032, so 296,640 classes of 7
 	// on average; 11,088 leaves pre-screened (so 2,065,392 admitted),
-	// 2,010,498 feasible. The bound keys let 21,787 classes through; the
+	// 2,010,498 feasible, 2,064,654 profile cache hits. No segment is
+	// floored: every one holds a leaf that fits. The bound keys let 21,787 classes through; the
 	// worker prices each one's first leaf for its floor, and the floor lets
 	// 1,424 of them through. RunLeaf runs 304,942 times: once per class and
 	// on 8,302 more leaves of the classes the worker descends into, and the
@@ -612,6 +510,7 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 	// in the row the chain holds.
 	want := map[string]int{
 		"leaves": 2076480, "classes": 296640, "pre-screened": 11088, "feasible": 2010498,
+		"cache hits": 2064654, "segments floored": 0, "segments walked": 515,
 		"floors": 21787, "descents": 1424,
 		"RunLeaf calls": 304942, "memory-half runs": 303358, "timed": 30089,
 		"row steps": 515, "row fetches": 125, "profile reads": 23175, "shape": 515,
@@ -621,6 +520,150 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recompute counts changed:\n got %v\nwant %v", got, want)
 	}
+}
+
+// mirrorSearches walks one search per Runner, in order, each on a fresh
+// chain as a single search worker walks it under a top-10 + Pareto fold,
+// and returns its counts: the lattice prune drops a triple the pre-screen
+// rejects whole; a segment the memory floor shows holds no fitting leaf
+// (FloorSegment) is counted at once and not walked; any other is walked
+// class by class. Runners from one RunnerGroup share their profile rows,
+// as the sizes of a sweep do. The counts of each memory half and of the
+// term groups it and the time half rerun come through onMemoryHalf.
+func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution.EnumOptions) map[string]int {
+	t.Helper()
+	memGroups := []struct {
+		name string
+		mask execution.FieldMask
+	}{
+		{"row steps", execution.FieldTP | execution.FieldMicrobatch}, {"profile reads", profileMask},
+		{"shape", shapeMask}, {"mem weights", memWeightsMask},
+		{"mem optimizer", memOptimMask}, {"mem activations", memActsMask},
+	}
+	timeGroups := []struct {
+		name string
+		mask execution.FieldMask
+	}{
+		{"tensor", tensorMask}, {"pipe", pipeMask}, {"data", dataMask},
+		{"optimizer", optimMask}, {"offload", offloadMask},
+	}
+	got := map[string]int{"segments floored": 0, "segments walked": 0}
+	// pending mirrors the chain's: the masks of the memory-half runs since
+	// the time half last ran.
+	var pending execution.FieldMask
+	onMemoryHalf = func(mask execution.FieldMask) {
+		got["memory-half runs"]++
+		for _, g := range memGroups {
+			if mask.Has(g.mask) {
+				got[g.name]++
+			}
+		}
+		pending |= mask
+	}
+	defer func() { onMemoryHalf = nil }()
+	tog := opts.Toggles()
+	floor := NewSegmentFloor(&tog)
+	for _, r := range runners {
+		opts.Procs = r.sys.Procs
+		screen := execution.NewPreScreen(m, execution.Limits{Procs: r.sys.Procs, Mem1: r.sys.Mem1.Capacity, Mem2: r.sys.Mem2.Capacity})
+		fold := keysFold{topK: 10}
+		var chain RunInfo
+		// noteRow counts the row fetches: the calls after which the chain's
+		// row memo holds another row.
+		var row *profileRow
+		noteRow := func() {
+			if m := &chain.delta.memo; m.row != row {
+				row = m.row
+				got["row fetches"]++
+			}
+		}
+		leaf := func(st *execution.Strategy, mask execution.FieldMask) (Keys, bool) {
+			k, ok := r.RunLeaf(&chain, st, mask)
+			noteRow()
+			return k, ok
+		}
+		// price is chain.Keys counting the time groups it runs: the ones the
+		// masks owed since the time half last ran reach, if any are owed.
+		price := func() Keys {
+			if pending != 0 {
+				got["timed"]++
+				for _, g := range timeGroups {
+					if pending.Has(g.mask) {
+						got[g.name]++
+					}
+				}
+				pending = 0
+			}
+			return chain.Keys()
+		}
+		base := 0
+		for _, tpd := range opts.Triples(m) {
+			if screen.CheckTriple(opts, tpd) != nil {
+				n := opts.TripleLeafCount(m, tpd)
+				base += n
+				got["leaves"] += n
+				got["pre-screened"] += n
+				continue // the search prunes the subtree before any leaf
+			}
+			opts.Segments(&m, tpd, func(root *execution.Strategy) bool {
+				defer func() { base += tog.Len() }()
+				pre, floored := r.FloorSegment(&chain, &floor, root)
+				noteRow()
+				if floored {
+					got["segments floored"]++
+					got["leaves"] += tog.Len()
+					got["pre-screened"] += pre
+					got["cache hits"] += tog.Len() - pre
+					return true
+				}
+				got["segments walked"]++
+				w := tog.Classes(root)
+				for more := true; more; more = w.NextClass() {
+					got["classes"]++
+					got["RunLeaf calls"]++
+					k, ok := leaf(root, w.Mask())
+					n := w.Len()
+					got["leaves"] += n
+					switch {
+					case chain.PreScreened:
+						got["pre-screened"] += n
+					case chain.CacheHit:
+						got["cache hits"] += n
+					default:
+						got["cache hits"] += n - 1
+					}
+					if !ok {
+						continue
+					}
+					got["feasible"] += n
+					if !fold.keeps(base, k) {
+						continue
+					}
+					got["floors"]++
+					price()
+					if !fold.keeps(base, chain.Floor()) {
+						continue
+					}
+					got["descents"]++
+					for {
+						if seq := base + w.Rank(); fold.keeps(seq, k) {
+							exact := price()
+							if fold.keeps(seq, exact) {
+								fold.offer(seq, exact)
+							}
+						}
+						if !w.NextLeaf() {
+							break
+						}
+						got["RunLeaf calls"]++
+						leaf(root, w.Mask())
+					}
+				}
+				return true
+			})
+		}
+	}
+	return got
 }
 
 // keysFold is a top-K + Pareto fold over keys alone with the search's

@@ -1,0 +1,138 @@
+package perf
+
+import (
+	"math"
+	"math/bits"
+
+	"calculon/internal/execution"
+	"calculon/internal/layers"
+	"calculon/internal/units"
+)
+
+// SegmentFloor is what a segment's first-tier memory floor reads off one
+// toggle lattice: the profile slots its block switches reach, the screen
+// switches that save first-tier memory wherever the lattice holds them, and
+// its screen switch combinations. Build one per lattice with
+// NewSegmentFloor and pass it to Runner.FloorSegment.
+type SegmentFloor struct {
+	slots     uint64   // bit i: the lattice reaches profile slot i
+	saving    uint32   // the screen switches any combination turns on
+	screens   []uint32 // each combination's screen switches (screenBits)
+	perScreen int      // the leaves of a segment each combination holds
+}
+
+// NewSegmentFloor reads the floor's inputs off a toggle lattice.
+func NewSegmentFloor(tog *execution.Toggles) SegmentFloor {
+	var f SegmentFloor
+	var st execution.Strategy
+	tog.BlockSwitches(&st, func(s *execution.Strategy) { f.slots |= 1 << slotFor(s) })
+	f.perScreen = tog.ScreenSwitches(&st, func(s *execution.Strategy) {
+		b := screenBits(s)
+		f.saving |= b
+		f.screens = append(f.screens, b)
+	})
+	return f
+}
+
+// FloorSegment reports whether no leaf of the segment rooted at root — the
+// leaves f's lattice holds from it — fits the first memory tier, and if so
+// how many of them the pre-screen rejects. It needs no leaf: it holds the
+// tier's capacity against a floor that is at most every leaf's
+// Mem1.Total() (mem1Floor). It floors a segment only when every profile
+// slot the floor reads is already in the memo, and otherwise reports false
+// and leaves the walk to fill them. So a floored segment counts exactly
+// what walking it would: every leaf evaluated, none feasible, the leaves of
+// the screen combinations the pre-screen rejects pre-screened, and every
+// other leaf a profile cache hit (the leaves all pass the toggle rules).
+// The search's roots are training strategies; an inference root is never
+// floored. FloorSegment reads the screen verdicts and the profile row
+// through the chain's screenTable and termMemo, and allocates nothing once
+// the row holds the lattice's slot minima.
+func (r *Runner) FloorSegment(chain *RunInfo, f *SegmentFloor, root *execution.Strategy) (prescreened int, floored bool) {
+	d := r.chainOf(chain)
+	floor, ok := r.mem1Floor(d, f, root)
+	if !ok || floor <= r.sys.Mem1.Capacity {
+		return 0, false
+	}
+	probe := *root
+	for _, b := range f.screens {
+		setScreenBits(&probe, b)
+		if !d.screens.check(r.screen, &probe).OK() {
+			prescreened += f.perScreen
+		}
+	}
+	return prescreened, true
+}
+
+// mem1Floor returns a first-tier total no larger than any leaf's of the
+// segment rooted at root, or false when a profile slot it reads is not yet
+// in the memo (or the root is an inference strategy). It runs the three
+// memory rows once on the root's shape, with the slot minima of the root's
+// row in place of the block profile — the smallest weight bytes, stored
+// activations and largest output over every slot the lattice reaches — and
+// each screen switch the lattice ever turns on turned on: offloading keeps
+// at most a working set of a category resident, sharding divides the
+// optimizer state and, with DP overlap, the gradients. Every row is a
+// composition of Times, DivN, + and min, with no fused multiply-add, each
+// monotone under round-to-nearest in every operand; so with each input no
+// larger than a leaf's, and each switch saving no less, each row — and the
+// total, summed in the same order — is at most that leaf's, bit for bit.
+// The second tier is left out: its rows subtract the resident part, which
+// is not monotone.
+func (r *Runner) mem1Floor(d *deltaState, f *SegmentFloor, root *execution.Strategy) (units.Bytes, bool) {
+	if root.Inference {
+		return 0, false
+	}
+	mn := d.memo.rowOf(r, root).slotMinima(f.slots)
+	if mn == nil {
+		return 0, false
+	}
+	st := *root
+	// The minimum stored activations are the totals' ActBytes below, which
+	// actPerMBPerBlock returns as they are under no recompute.
+	st.Recompute = execution.RecomputeNone
+	setScreenBits(&st, f.saving)
+	e := eval{m: &r.m, sys: &r.sys, st: &st}
+	e.tot = layers.Totals{WeightBytes: mn.weight, ActBytes: mn.acts, MaxOutputBytes: mn.maxOutput}
+	e.loadShape()
+	var mem1, mem2 MemBreakdown
+	e.weightRows(&mem1, &mem2)
+	e.optimizerRows(&mem1, &mem2)
+	e.activationRows(&mem1, &mem2)
+	return mem1.Total(), true
+}
+
+// slotMinima are the minima over a set of a row's profile slots of the
+// block-profile terms the first-tier memory rows read: the weight bytes,
+// the stored activations per microbatch under each slot's recompute mode
+// (storedActs), and the largest output.
+type slotMinima struct {
+	slots                   uint64
+	weight, acts, maxOutput units.Bytes
+}
+
+// slotMinima returns the row's minima over slots, or nil while any of those
+// slots is empty. The row keeps the minima it last computed, keyed by the
+// slot set, so a search, whose lattice reaches one set, computes them once
+// per row; filled slots never change, so kept minima stay exact.
+func (row *profileRow) slotMinima(slots uint64) *slotMinima {
+	if mn := row.minima.Load(); mn != nil && mn.slots == slots {
+		return mn
+	}
+	inf := units.Bytes(math.Inf(1))
+	mn := slotMinima{slots: slots, weight: inf, acts: inf, maxOutput: inf}
+	for s := slots; s != 0; s &= s - 1 {
+		i := bits.TrailingZeros64(s)
+		p := row.profs[i].Load()
+		if p == nil {
+			return nil
+		}
+		mn.weight = minBytes(mn.weight, p.tot.WeightBytes)
+		mn.acts = minBytes(mn.acts, storedActs(&p.tot, p.boundaryBytes, slotRecompute[i>>4]))
+		mn.maxOutput = minBytes(mn.maxOutput, p.tot.MaxOutputBytes)
+	}
+	kept := new(slotMinima) // only a complete set of minima reaches the heap
+	*kept = mn
+	row.minima.Store(kept)
+	return kept
+}

@@ -1,0 +1,274 @@
+package perf
+
+import (
+	"math"
+	"testing"
+
+	"calculon/internal/execution"
+	"calculon/internal/model"
+	"calculon/internal/system"
+	"calculon/internal/units"
+)
+
+// TestSegmentFloorCounts pins the segment floor on a capacity-tight sweep,
+// the kind the floor is for: a megatron-1T cut to 32 blocks at batch 512,
+// on 40 GiB A100s with no second tier, at 64, 128, 192 and 256 GPUs, over
+// every feature with the beneficial toggles pinned and interleaving up to 4,
+// as the sizes of a §5.2 sweep walk it: one after another on Runners that
+// share their profile rows. The counts are machine-independent, and the
+// search's counters among them — leaves (Evaluated), feasible,
+// pre-screened and cache hits — are what search.SystemSize reports for the
+// same sweep without the floor.
+func TestSegmentFloorCounts(t *testing.T) {
+	m := model.MustPreset("megatron-1T")
+	m.Blocks = 32
+	m = m.WithBatch(512)
+	base := system.A100(256).WithMem1Capacity(40 * units.GiB)
+	group, err := NewRunnerGroup(m, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runners []*Runner
+	for _, n := range []int{64, 128, 192, 256} {
+		r, err := group.RunnerFor(base.WithProcs(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runners = append(runners, r)
+	}
+	opts := execution.EnumOptions{Features: execution.FeatureAll, PinBeneficial: true, MaxInterleave: 4}
+	got := mirrorSearches(t, m, runners, opts)
+	// 50,925 leaves: 25,767 in pruned subtrees (every leaf at 64 GPUs) and
+	// 1,198 segments of 21. The floor shows 444 segments hold no leaf that
+	// fits, counting their 9,324 leaves as profile cache hits, and the
+	// worker walks the other 754; it ran the memory half 11,039 times
+	// without the floor and 7,043 times with it.
+	want := map[string]int{
+		"leaves": 50925, "pre-screened": 25767, "feasible": 5229, "cache hits": 24006,
+		"segments floored": 444, "segments walked": 754, "memory-half runs": 7043,
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Errorf("%s: got %d, want %d", k, got[k], want[k])
+		}
+	}
+}
+
+// TestFloorSegmentAllocatesNothing: once the segment's row holds the
+// lattice's slot minima, FloorSegment allocates nothing, whether it floors
+// the segment or not.
+func TestFloorSegmentAllocatesNothing(t *testing.T) {
+	m := model.MustPreset("gpt3-13B").WithBatch(16)
+	opts := execution.EnumOptions{Procs: 8, Features: execution.FeatureAll, HasMem2: true, MaxInterleave: 2}
+	tog := opts.Toggles()
+	floor := NewSegmentFloor(&tog)
+	for _, c := range []struct {
+		name string
+		cap  units.Bytes
+	}{{"fits", 80 * units.GiB}, {"floored", 12 * units.GiB}} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := system.A100(8).WithMem1Capacity(c.cap).WithMem2(system.DDR5(512 * units.GiB))
+			r, err := NewRunner(m, sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var roots []execution.Strategy
+			for _, tpd := range opts.Triples(m) {
+				opts.Segments(&m, tpd, func(root *execution.Strategy) bool {
+					roots = append(roots, *root)
+					return true
+				})
+			}
+			var chain RunInfo
+			floored := 0
+			for i := range roots {
+				leaf := roots[i]
+				tog.Walk(&leaf, func(st *execution.Strategy, mask execution.FieldMask) bool {
+					r.RunLeaf(&chain, st, mask)
+					return true
+				})
+				if _, ok := r.FloorSegment(&chain, &floor, &roots[i]); ok {
+					floored++
+				}
+			}
+			if (floored > 0) != (c.name == "floored") {
+				t.Fatalf("%d of %d segments floored", floored, len(roots))
+			}
+			n := testing.AllocsPerRun(3, func() {
+				for i := range roots {
+					r.FloorSegment(&chain, &floor, &roots[i])
+				}
+			})
+			if n != 0 {
+				t.Fatalf("%d floors on a warm chain allocated %v times per pass, want 0", len(roots), n)
+			}
+		})
+	}
+}
+
+// FuzzSegmentFloor draws a scaled-down model (a preset with its heads,
+// hidden size, feed-forward width and blocks divided alike, and a drawn
+// batch), an A100 or H100 system of a drawn size with or without a DDR
+// tier, a feature set, PinBeneficial and MaxInterleave, and one segment of
+// that search, and holds the segment floor to the reference evaluator:
+//   - once a walk of the segment has filled its profile slots, the floor
+//     is defined and at most the first-tier total (referenceMem1) of every
+//     leaf, admitted or not;
+//   - FloorSegment floors the segment exactly when the floor exceeds the
+//     first tier's capacity, at a drawn capacity at, just under or far
+//     under the floor, or the system's own;
+//   - a floored segment has no feasible leaf (referenceRun), and its
+//     counts are the walk's: the pre-screened leaves those a leaf-by-leaf
+//     walk finds, and every other leaf a profile cache hit, as a class walk
+//     counts them.
+func FuzzSegmentFloor(f *testing.F) {
+	// Scaled gpt3-175B on 16 A100s with DDR, every feature, just under the
+	// floor; megatron-1T on 8 A100s, SeqPar, at half the floor; turing-530B
+	// on 32 A100s, every feature pinned, no DDR (a size sweep's lattice);
+	// gpt3-13B on 4 A100s, baseline, at the floor; palm-540B (its own
+	// feed-forward width) on 24 H100s with DDR, every feature; megatron-22B
+	// on 8 H100s with DDR, every feature pinned, at the H100's 80 GiB.
+	f.Add(uint8(3), uint8(3), uint8(15), uint8(63), uint8(2), uint8(5), uint8(0), uint8(0b010), uint8(1), uint8(2))
+	f.Add(uint8(6), uint8(4), uint8(7), uint8(31), uint8(1), uint8(2), uint8(1), uint8(0b000), uint8(2), uint8(0))
+	f.Add(uint8(9), uint8(2), uint8(31), uint8(127), uint8(2), uint8(4), uint8(2), uint8(0b100), uint8(1), uint8(4))
+	f.Add(uint8(2), uint8(0), uint8(3), uint8(15), uint8(0), uint8(1), uint8(0), uint8(0b000), uint8(0), uint8(1))
+	f.Add(uint8(8), uint8(3), uint8(23), uint8(47), uint8(2), uint8(3), uint8(3), uint8(0b011), uint8(1), uint8(3))
+	f.Add(uint8(7), uint8(1), uint8(7), uint8(3), uint8(2), uint8(0), uint8(0), uint8(0b111), uint8(3), uint8(0))
+
+	models := model.PresetNames()
+	features := []execution.FeatureSet{execution.FeatureBaseline, execution.FeatureSeqPar, execution.FeatureAll}
+	f.Fuzz(func(t *testing.T, mSel, scale, procsSel, batchSel, featSel, tripleSel, segSel, flags, capSel, maxIl uint8) {
+		m := model.MustPreset(models[int(mSel)%len(models)])
+		div := 1 << (scale % 5)
+		heads := max(1, m.AttnHeads/div)
+		m.Hidden = m.HeadSize() * heads
+		m.AttnHeads = heads
+		if m.FeedForward > 0 {
+			m.FeedForward = max(1, m.FeedForward/div)
+		}
+		m.Blocks = max(1, m.Blocks/div)
+		m.Batch = 1 + int(batchSel)%128
+		procs := 1 + int(procsSel)%64
+
+		var sys system.System
+		ddr := flags&0b010 != 0
+		if flags&0b001 != 0 {
+			var ddrCap units.Bytes
+			if ddr {
+				ddrCap = 256 * units.GiB
+			}
+			sys = system.H100(procs, 80*units.GiB, ddrCap)
+		} else {
+			sys = system.A100(procs)
+			if ddr {
+				sys = sys.WithMem2(system.DDR5(512 * units.GiB))
+			}
+		}
+		opts := execution.EnumOptions{
+			Procs:         procs,
+			Features:      features[int(featSel)%len(features)],
+			HasMem2:       sys.Mem2.Present(),
+			PinBeneficial: flags&0b100 != 0,
+			MaxInterleave: int(maxIl) % 5,
+		}
+		triples := opts.Triples(m)
+		if len(triples) == 0 {
+			return
+		}
+		var roots []execution.Strategy
+		opts.Segments(&m, triples[int(tripleSel)%len(triples)], func(root *execution.Strategy) bool {
+			roots = append(roots, *root)
+			return true
+		})
+		root := roots[int(segSel)%len(roots)]
+		tog := opts.Toggles()
+		floor := NewSegmentFloor(&tog)
+
+		// Walk the segment under a first tier too large to turn a leaf
+		// away, so every slot the floor reads gets filled.
+		group, err := NewRunnerGroup(m, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roomy, err := group.RunnerFor(sys.WithMem1Capacity(units.Bytes(math.MaxFloat64)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var chain RunInfo
+		leaf := root
+		if _, ok := roomy.mem1Floor(roomy.chainOf(&chain), &floor, &leaf); ok {
+			t.Fatalf("%v: a floor before any leaf filled a slot", root)
+		}
+		var leaves []execution.Strategy
+		tog.Walk(&leaf, func(st *execution.Strategy, mask execution.FieldMask) bool {
+			roomy.RunLeaf(&chain, st, mask)
+			leaves = append(leaves, *st)
+			return true
+		})
+		fl, ok := roomy.mem1Floor(roomy.chainOf(&chain), &floor, &root)
+		if !ok {
+			t.Fatalf("%v: no floor after the walk filled the slots", root)
+		}
+		for _, st := range leaves {
+			if got := referenceMem1(m, sys, st); !(fl <= got) {
+				t.Fatalf("%s %v: floor %v above the leaf's first-tier total %v", m.Name, st, float64(fl), float64(got))
+			}
+		}
+
+		capacity := [4]units.Bytes{fl, units.Bytes(math.Nextafter(float64(fl), 0)), fl / 2, sys.Mem1.Capacity}[capSel%4]
+		tight := sys.WithMem1Capacity(capacity)
+		r, err := group.RunnerFor(tight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh RunInfo
+		pre, floored := r.FloorSegment(&fresh, &floor, &root)
+		if floored != (fl > capacity) {
+			t.Fatalf("%v: floor %v, capacity %v, floored %v", root, float64(fl), float64(capacity), floored)
+		}
+		if !floored {
+			return
+		}
+		walkPre, feasible := 0, 0
+		chain = RunInfo{}
+		leaf = root
+		tog.Walk(&leaf, func(st *execution.Strategy, mask execution.FieldMask) bool {
+			if _, ok := r.RunLeaf(&chain, st, mask); ok {
+				feasible++
+			}
+			if chain.PreScreened {
+				walkPre++
+			}
+			if res, err := referenceRun(m, tight, *st); err == nil {
+				t.Fatalf("%v: leaf %v of a floored segment fits: %v of %v", root, st, float64(res.Mem1.Total()), float64(capacity))
+			}
+			return true
+		})
+		classHits := 0
+		chain = RunInfo{}
+		leaf = root
+		w := tog.Classes(&leaf)
+		for more := true; more; more = w.NextClass() {
+			r.RunLeaf(&chain, &leaf, w.Mask())
+			if !chain.PreScreened && chain.CacheHit {
+				classHits += w.Len()
+			}
+		}
+		if feasible != 0 || walkPre != pre || classHits != tog.Len()-pre {
+			t.Fatalf("%v floored with %d pre-screened; the walks find %d feasible, %d pre-screened and %d cache hits of %d leaves",
+				root, pre, feasible, walkPre, classHits, tog.Len())
+		}
+	})
+}
+
+// referenceMem1 is the first-tier total referenceRun computes for st,
+// whether or not it fits: the memory rows on a block profile built from
+// the layer graph, with no memo, chain or mask.
+func referenceMem1(m model.LLM, sys system.System, st execution.Strategy) units.Bytes {
+	st.Normalize()
+	s := evalState{e: *newEval(m, sys, st)}
+	s.e.weightRows(&s.mem1, &s.mem2)
+	s.e.optimizerRows(&s.mem1, &s.mem2)
+	s.e.activationRows(&s.mem1, &s.mem2)
+	return s.mem1.Total()
+}

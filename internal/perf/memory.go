@@ -2,23 +2,30 @@ package perf
 
 import (
 	"calculon/internal/execution"
+	"calculon/internal/layers"
 	"calculon/internal/units"
 )
 
 // actPerMBPerBlock returns the stored-activation bytes one microbatch leaves
-// behind in one block, under the strategy's recompute mode: everything, the
-// non-attention-matrix tensors, or just the block's input.
+// behind in one block, under the strategy's recompute mode (storedActs).
 func (e *eval) actPerMBPerBlock() units.Bytes {
 	if e.st.Inference {
 		return 0
 	}
-	switch e.st.Recompute {
+	return storedActs(&e.tot, e.boundaryBytes, e.st.Recompute)
+}
+
+// storedActs returns a training block's stored activations per microbatch
+// under a recompute mode, from its profile's totals and boundary bytes:
+// everything, the non-attention-matrix tensors, or just the block's input.
+func storedActs(tot *layers.Totals, boundary units.Bytes, mode execution.RecomputeMode) units.Bytes {
+	switch mode {
 	case execution.RecomputeFull:
-		return e.boundaryBytes
+		return boundary
 	case execution.RecomputeAttn:
-		return e.tot.ActBytes - e.tot.SqActBytes
+		return tot.ActBytes - tot.SqActBytes
 	default:
-		return e.tot.ActBytes
+		return tot.ActBytes
 	}
 }
 

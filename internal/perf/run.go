@@ -364,6 +364,8 @@ const (
 type profileRow struct {
 	profs  [profileSlots]atomic.Pointer[blockProfile]
 	graphs [graphSlots]atomic.Pointer[pricedGraph]
+	// minima holds the slot minima the segment floor last asked of the row.
+	minima atomic.Pointer[slotMinima]
 }
 
 // slotFor packs the strategy's block switches into its profile slot: the
@@ -380,6 +382,10 @@ func slotFor(st *execution.Strategy) uint32 {
 	return b2u(st.SeqParallel) | b2u(st.TPRedoForSP)<<1 | b2u(st.FusedLayers)<<2 |
 		b2u(st.Inference)<<3 | recompute<<4
 }
+
+// slotRecompute is the recompute mode of each value of a profile slot's
+// bits 4-5, as slotFor packs it.
+var slotRecompute = [3]execution.RecomputeMode{execution.RecomputeNone, execution.RecomputeAttn, execution.RecomputeFull}
 
 // blockProfile is the memoized phase-2 sub-result: everything derived from
 // the transformer-block layer graph for one profile slot — aggregate totals,

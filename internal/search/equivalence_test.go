@@ -228,3 +228,49 @@ func TestCountersAcrossWorkers(t *testing.T) {
 		t.Fatalf("%d of %d leaves feasible: want both kinds", res.Feasible, res.Evaluated)
 	}
 }
+
+// TestCapacityTightSearchMatchesReference holds the search to the leaf-by-
+// leaf reference where the segment memory floor skips most of the work: a
+// megatron-1T cut to 32 blocks on 40 GiB A100s, on a size sweep's pinned
+// lattice with no second tier at two sizes, on the unpinned SeqPar and
+// full lattices, and on the pinned full lattice with a small DDR tier. The
+// floor skips tens to hundreds of segments in each (perf's
+// TestSegmentFloorCounts pins 444 of 1,198 on the pinned sweep over
+// 64–256 GPUs); the skipped segments must leave every result and counter
+// as the reference's.
+func TestCapacityTightSearchMatchesReference(t *testing.T) {
+	m := model.MustPreset("megatron-1T")
+	m.Blocks = 32
+	m = m.WithBatch(512)
+	for _, c := range []struct {
+		procs int
+		mem2  units.Bytes
+		enum  execution.EnumOptions
+	}{
+		{128, 0, execution.EnumOptions{Features: execution.FeatureAll, PinBeneficial: true, MaxInterleave: 4}},
+		{192, 0, execution.EnumOptions{Features: execution.FeatureAll, PinBeneficial: true, MaxInterleave: 4}},
+		{128, 0, execution.EnumOptions{Features: execution.FeatureSeqPar, MaxInterleave: 2}},
+		{128, 0, execution.EnumOptions{Features: execution.FeatureAll, MaxInterleave: 1, MaxTP: 8}},
+		{96, 8 * units.GiB, execution.EnumOptions{Features: execution.FeatureAll, PinBeneficial: true, MaxInterleave: 2}},
+	} {
+		sys := system.A100(c.procs).WithMem1Capacity(40 * units.GiB)
+		if c.mem2 > 0 {
+			sys = sys.WithMem2(system.DDR5(c.mem2))
+		}
+		opts := Options{Enum: c.enum, Workers: 2, TopK: 5, Pareto: true}
+		got, err := Execution(context.Background(), m, sys, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := referenceSearch(t, m, sys, opts)
+		got.SubtreePruned = 0 // the reference prunes no subtree
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("%d procs, mem2 %v: search (evaluated %d, feasible %d, pre-screened %d, cache hits %d) diverges from the reference (%d, %d, %d, %d)",
+				c.procs, c.mem2, got.Evaluated, got.Feasible, got.PreScreened, got.CacheHits,
+				ref.Evaluated, ref.Feasible, ref.PreScreened, ref.CacheHits)
+		}
+		if got.Feasible == 0 {
+			t.Errorf("%d procs, mem2 %v: no feasible leaf to compare", c.procs, c.mem2)
+		}
+	}
+}

@@ -197,6 +197,7 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 		}
 	}
 	tog := opts.Enum.Toggles()
+	floor := perf.NewSegmentFloor(&tog)
 	chunks := make(chan []segment, workers)
 	results := make(chan workerState, workers)
 	for w := 0; w < workers; w++ {
@@ -217,7 +218,7 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 				evalBefore, feasBefore := ws.evaluated, ws.feasible
 				preBefore, hitBefore := ws.prescreened, ws.cacheHits
 				for i := range chunk {
-					ws.segment(runner, &chain, &res, &tog, &chunk[i], opts.CollectRates)
+					ws.segment(runner, &chain, &res, &tog, &floor, &chunk[i], opts.CollectRates)
 				}
 				if prog != nil {
 					prog.AddCounts(Counts{
@@ -345,10 +346,13 @@ type workerState struct {
 	front []scored
 }
 
-// segment walks one segment class by class on the chain. RunLeaf's answer
-// for one leaf of a memory class is the whole class's, so the counters take
-// the class at once; its leaves share one block profile, so all but the
-// first hit the memo if that one reached it (a segment's leaves all pass
+// segment walks one segment class by class on the chain, unless its memory
+// floor (Runner.FloorSegment) shows that no leaf fits the first memory
+// tier: the counters then take the whole segment at once, exactly as the
+// walk would count it, and the walk is skipped. RunLeaf's answer for one
+// leaf of a memory class is the whole class's, so the counters take the
+// class at once; its leaves share one block profile, so all but the first
+// hit the memo if that one reached it (a segment's leaves all pass
 // Validate, so a leaf not pre-screened did). The worker steps through the
 // other leaves of a feasible class only when keeps passes, at the segment's
 // first seq, on the class's bound keys and then on its floor (RunInfo.Floor,
@@ -356,7 +360,14 @@ type workerState struct {
 // batch time, and both keys bound every leaf of the class from below, so
 // this admits every leaf of the class a per-leaf test would (docs/MODEL.md,
 // "The leaf path").
-func (ws *workerState) segment(runner *perf.Runner, chain *perf.RunInfo, res *perf.Result, tog *execution.Toggles, seg *segment, collectRates bool) {
+func (ws *workerState) segment(runner *perf.Runner, chain *perf.RunInfo, res *perf.Result, tog *execution.Toggles, floor *perf.SegmentFloor, seg *segment, collectRates bool) {
+	if pre, ok := runner.FloorSegment(chain, floor, &seg.root); ok {
+		n := tog.Len()
+		ws.evaluated += n
+		ws.prescreened += pre
+		ws.cacheHits += n - pre
+		return
+	}
 	w := tog.Classes(&seg.root)
 	for more := true; more; more = w.NextClass() {
 		k, ok := runner.RunLeaf(chain, &seg.root, w.Mask())
