@@ -62,7 +62,8 @@ BENCH_CMDS = \
 	$(GO) test -run '^$$' -bench BenchmarkRunner -benchtime 100x ./internal/perf; \
 	$(GO) test -run '^$$' -bench BenchmarkSearchWarmStore -benchtime 100x ./internal/resultstore; \
 	$(GO) test -run '^$$' -bench BenchmarkServingSearch -benchtime 20x -count 3 ./internal/serving; \
-	$(GO) test -run '^$$' -bench BenchmarkServingSweep -benchtime 20x -count 3 ./internal/serving
+	$(GO) test -run '^$$' -bench 'BenchmarkServingSweep$$' -benchtime 20x -count 3 ./internal/serving; \
+	$(GO) test -run '^$$' -bench BenchmarkServingSweepWide -benchtime 10x -count 3 ./internal/serving
 
 bench:
 	@{ $(BENCH_CMDS); } | tee /dev/stderr | $(GO) run ./cmd/benchdiff -baseline BENCH_BASELINE.json -tolerance 0.30

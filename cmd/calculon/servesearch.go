@@ -99,7 +99,7 @@ func cmdServeSearch(ctx context.Context, args []string) (retErr error) {
 			return s.stopped("sweep", err)
 		}
 		if *asJSON {
-			return writeJSON(*outPath, pts)
+			return writeJSONList(s.ctx, *outPath, s.rt.workers, pts)
 		}
 		fmt.Printf("%s serving %s, right-sizing over %d budgets:\n", spec.Model.Name, spec.System.Name, len(pts))
 		for _, p := range pts {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -54,7 +55,46 @@ func writeJSON(path string, v any) error {
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
+	return writeOut(path, append(data, '\n'))
+}
+
+// writeJSONList writes items exactly as writeJSON would, encoding the
+// elements on up to workers goroutines (GOMAXPROCS when workers ≤ 0) and
+// joining them. Each element is indented one level in, as inside the
+// array, so the bytes equal json.MarshalIndent(items, "", "  ") plus a
+// newline. The encoding runs to the end whatever becomes of ctx: the
+// result it writes is already final.
+func writeJSONList[T any](ctx context.Context, path string, workers int, items []T) error {
+	if len(items) == 0 {
+		return writeJSON(path, items)
+	}
+	parts := make([][]byte, len(items))
+	err := search.Pool(context.WithoutCancel(ctx), workers, len(items), func(i int) error {
+		var err error
+		parts[i], err = json.MarshalIndent(items[i], "  ", "  ")
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	// "[\n", "  " before each element, ",\n" between them, "\n]\n".
+	size := 5 + 4*len(parts)
+	for _, p := range parts {
+		size += len(p)
+	}
+	data := make([]byte, 0, size)
+	data = append(data, "[\n"...)
+	for i, p := range parts {
+		if i > 0 {
+			data = append(data, ",\n"...)
+		}
+		data = append(append(data, "  "...), p...)
+	}
+	return writeOut(path, append(data, "\n]\n"...))
+}
+
+// writeOut writes data to path, or to stdout when path is empty.
+func writeOut(path string, data []byte) error {
 	if path == "" {
 		_, err := os.Stdout.Write(data)
 		return err

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"calculon/internal/model"
+	"calculon/internal/search"
 	"calculon/internal/system"
 )
 
@@ -45,7 +46,7 @@ func BenchmarkServingSearch(b *testing.B) {
 
 // BenchmarkServingSweep measures the right-sizing sweep end to end: a small
 // disaggregated mix over eight budgets, which prices every engine once and
-// composes each budget from the shared profiles. The strategies/s metric
+// folds every budget from the shared profiles. The strategies/s metric
 // counts the engine configurations the per-budget results report (summed
 // Evaluated), as BenchmarkServingSearch does, so it reads as the
 // throughput a sweep of standalone searches would need to match.
@@ -64,6 +65,48 @@ func BenchmarkServingSweep(b *testing.B) {
 		Space: Space{MaxBatch: 32, Disaggregate: true},
 	}
 	sizes := []int{8, 16, 24, 32, 40, 48, 56, 64}
+	var evaluated int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pts, err := Sweep(context.Background(), spec, sizes, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range pts {
+			evaluated += p.Result.Evaluated
+		}
+		if pts[len(pts)-1].Result.Feasible == 0 {
+			b.Fatal("benchmark sweep found nothing")
+		}
+	}
+	b.ReportMetric(float64(evaluated)/b.Elapsed().Seconds(), "strategies/s")
+}
+
+// BenchmarkServingSweepWide is BenchmarkServingSweep at the shape of the
+// end-to-end serve-sweep workload: GPT-3 175B on A100-80GB, a 3-bucket
+// disaggregated mix, and 64 budgets from 8 to 512 processors. It has
+// 7,311 SLO-feasible candidates at the top budget and 227,008 over the 64
+// budgets summed, so the fold's share of the time shows here where the
+// eight small budgets above hide it.
+func BenchmarkServingSweepWide(b *testing.B) {
+	sys, err := system.Preset("a100-80g", 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := Spec{
+		Model:  model.MustPreset("gpt3-175B"),
+		System: sys,
+		Workload: Workload{
+			Mix: []Bucket{
+				{PromptLen: 446, GenLen: 234, Weight: 4},
+				{PromptLen: 391, GenLen: 119, Weight: 2},
+				{PromptLen: 1961, GenLen: 286, Weight: 3},
+			},
+			SLO: SLO{TTFT: 2.3, TPOT: 0.07},
+		},
+		Space: Space{MaxBatch: 32, Disaggregate: true},
+	}
+	sizes := search.Sizes(8, 512)
 	var evaluated int
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

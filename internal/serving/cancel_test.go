@@ -89,7 +89,7 @@ func TestCancelDuringStageOne(t *testing.T) {
 				out, err := Sweep(ctx, spec, []int{64, 128, 256, 512}, o)
 				return out == nil, err
 			},
-			// Sweep counts a budget's engines as stage 2 composes it.
+			// Sweep counts every budget's engines once its fold is done.
 			composed: func(s search.ProgressSnapshot) bool { return s.Evaluated > 0 },
 		},
 	} {

@@ -5,14 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"calculon/internal/comm"
 	"calculon/internal/model"
 	"calculon/internal/search"
 	"calculon/internal/system"
+	"calculon/internal/tco"
 	"calculon/internal/units"
 )
 
@@ -211,19 +215,141 @@ func (c *memCache) Store(spec Spec, opts Options, res Result) {
 	c.rows[c.key(spec)] = res
 }
 
-// TestSweepMatchesSearch is the sweep's proof obligation: pricing the
-// engines once at the largest budget and composing every budget from its
-// subsequence must give, at each budget, exactly the standalone Search's
-// bytes. The draws cover KV offload, disaggregation, a separate prefill
-// system and the MaxTP/MaxPP/MaxReplicas caps; the size lists are
-// unsorted, repeat budgets, and include budgets too small for any feasible
-// engine. With a store, a warm sweep and a partly warm one must equal the
+// referenceSearch is the serving search as it ran before the sweep's
+// bucketed fold: stage 1 at spec's own budget, then referenceCompose. It
+// also reports what TestSweepMatchesSearch needs to know it covered: the
+// feasible engines that fit, and the processor counts at which a split
+// loop ran past the budget.
+func referenceSearch(spec Spec) (Result, referenceStats, error) {
+	spec = spec.Normalize()
+	if err := spec.Validate(); err != nil {
+		return Result{}, referenceStats{}, err
+	}
+	cfgs := enumerate(spec.Model, spec.Space)
+	pbar, gbar := spec.Workload.MeanPromptLen(), spec.Workload.MeanGenLen()
+	profiles := evalAll(context.Background(), &spec, 1, nil, cfgs, pbar, gbar)
+	var st referenceStats
+	res, err := referenceCompose(&spec, cfgs, profiles, pbar, gbar, &st)
+	return res, st, err
+}
+
+// referenceStats is what a reference composition ran into.
+type referenceStats struct {
+	// feasibleEngines counts the engines priced feasible.
+	feasibleEngines int
+	// cuts lists, for each split loop the budget stopped, the processor
+	// count it would have needed.
+	cuts []int
+}
+
+// referenceCompose is the per-budget stage 2 the search ran before the
+// sweep's bucketed fold, kept as the fold's test-only oracle: for every
+// engine that fits the budget spec.Space.Procs, in order, it enumerates
+// the colocated replica counts and disaggregated splits at that budget,
+// numbering every one, and folds the SLO-feasible ones through offer and
+// paretoFront (themselves held to referenceCompact). It surfaces the
+// lowest-sequence spec-level failure.
+func referenceCompose(spec *Spec, cfgs []engineConfig, profiles []engineProfile, pbar, gbar int, st *referenceStats) (Result, error) {
+	hourly, _ := tco.ProcHour(spec.Assumptions)
+	slo := spec.Workload.SLO
+	kvShip := units.Bytes(2 * 2 * spec.Model.Hidden).Times(float64(pbar)).Times(float64(spec.Model.Blocks))
+	so := spec.System.ScaleOut()
+	kvT := comm.Time(&so, comm.P2P, 2, kvShip)
+
+	var out Result
+	var buf []candidate
+	seq := 0
+	for i := range profiles {
+		cfg := cfgs[i]
+		engineProcs := cfg.tp * cfg.pp
+		if engineProcs > spec.Space.Procs {
+			continue
+		}
+		out.Evaluated++
+		p := &profiles[i]
+		if p.prescreened {
+			out.PreScreened++
+		}
+		if p.err != nil {
+			return Result{}, p.err
+		}
+		if !p.ok {
+			continue
+		}
+		st.feasibleEngines++
+		maxR := spec.Space.Procs / engineProcs
+		if spec.Space.MaxReplicas > 0 && maxR > spec.Space.MaxReplicas {
+			maxR = spec.Space.MaxReplicas
+		}
+
+		m := colocated(p, cfg, gbar)
+		for r := 1; r <= maxR; r++ {
+			seq++
+			if !m.meets(slo) {
+				continue
+			}
+			out.Feasible++
+			buf = offer(buf, m.candidate(seq, i, r, 0, r*engineProcs, hourly))
+		}
+
+		if !spec.Space.Disaggregate {
+			continue
+		}
+		m = disaggregated(p, kvT)
+		reqRate := m.perReplica / float64(gbar)
+		for rd := 1; rd <= maxR; rd++ {
+			rp := int(math.Ceil(p.prefillPMean.AtRate(float64(rd) * reqRate)))
+			if rp < 1 {
+				rp = 1
+			}
+			if spec.Space.MaxReplicas > 0 && rp > spec.Space.MaxReplicas {
+				break
+			}
+			procs := rd*engineProcs + rp*engineProcs
+			if procs > spec.Space.Procs {
+				st.cuts = append(st.cuts, procs)
+				break
+			}
+			seq++
+			if !m.meets(slo) {
+				continue
+			}
+			out.Feasible++
+			buf = offer(buf, m.candidate(seq, i, rd, rp, procs, hourly))
+		}
+	}
+	if front := paretoFront(buf); len(front) > 0 {
+		out.Frontier = make([]Deployment, len(front))
+		for k := range front {
+			c := &front[k]
+			p := &profiles[c.engine]
+			m := colocated(p, cfgs[c.engine], gbar)
+			if c.prefill > 0 {
+				m = disaggregated(p, kvT)
+			}
+			out.Frontier[k] = c.deployment(c.seq, cfgs[c.engine], p, &m)
+		}
+		out.Best = &out.Frontier[0]
+	}
+	return out, nil
+}
+
+// TestSweepMatchesSearch is the proof obligation of the bucketed fold:
+// composed once at the largest budget, every budget's result — frontier,
+// seqs, Best and every counter — must be byte for byte what the per-budget
+// reference composition gives, both for the sweep and for a standalone
+// Search at that budget. The draws cover KV offload, disaggregation, a
+// separate prefill system and the MaxTP/MaxPP/MaxReplicas caps; the size
+// lists are unsorted and repeat budgets, and include budgets below every
+// feasible engine and budgets that stop a split loop short of where the
+// largest budget takes it. With a store, a warm sweep and a partly warm
+// one, whose stored budgets are served and the rest folded, must equal the
 // cold sweep.
 func TestSweepMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	ctx := context.Background()
-	const draws = 12
-	var sawKV, sawDisagg, sawPrefill, sawCaps, sawEmpty bool
+	const draws = 16
+	var sawKV, sawDisagg, sawPrefill, sawCaps, sawReplicaCap, sawEmpty, sawNoEngine, sawCut, sawServed bool
 	for d := 0; d < draws; d++ {
 		spec := randomSpec(rng)
 		if rng.Intn(2) == 0 {
@@ -238,6 +364,12 @@ func TestSweepMatchesSearch(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			spec.Space.MaxPP = 1 << rng.Intn(4)
 		}
+		if rng.Intn(4) == 0 {
+			// 13B's weights alone overflow 16 GiB: the smallest budgets
+			// hold no feasible engine.
+			spec.Model = model.MustPreset("gpt3-13B")
+			spec.System = spec.System.WithMem1Capacity(16 * units.GiB)
+		}
 		choices := []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
 		sizes := make([]int, 3+rng.Intn(4))
 		for i := range sizes {
@@ -250,12 +382,23 @@ func TestSweepMatchesSearch(t *testing.T) {
 		for i, n := range sizes {
 			sp := spec
 			sp.Space.Procs = n
-			res, err := Search(ctx, sp, Options{Workers: 1})
+			res, st, err := referenceSearch(sp)
+			if err != nil {
+				t.Fatalf("draw %d: reference at %d procs: %v", d, n, err)
+			}
+			want[i] = SizeResult{Procs: n, Result: res}
+			got, err := Search(ctx, sp, Options{Workers: 1 + rng.Intn(3)})
 			if err != nil {
 				t.Fatalf("draw %d: search at %d procs: %v", d, n, err)
 			}
-			want[i] = SizeResult{Procs: n, Result: res}
+			if g, w := mustJSON(t, got), mustJSON(t, res); !bytes.Equal(g, w) {
+				t.Errorf("draw %d: search at %d procs differs from the reference:\n%s\nvs\n%s", d, n, g, w)
+			}
 			sawEmpty = sawEmpty || (res.Evaluated > 0 && res.Feasible == 0)
+			sawNoEngine = sawNoEngine || st.feasibleEngines == 0
+			for _, c := range st.cuts {
+				sawCut = sawCut || c <= slices.Max(sizes)
+			}
 		}
 		wantJSON := mustJSON(t, want)
 		for _, workers := range []int{1, 6} {
@@ -264,14 +407,14 @@ func TestSweepMatchesSearch(t *testing.T) {
 				t.Fatalf("draw %d: %d-worker sweep: %v", d, workers, err)
 			}
 			if g := mustJSON(t, got); !bytes.Equal(g, wantJSON) {
-				t.Errorf("draw %d: %d-worker sweep over %v differs from per-budget searches:\n%s\nvs\n%s",
+				t.Errorf("draw %d: %d-worker sweep over %v differs from the reference:\n%s\nvs\n%s",
 					d, workers, sizes, g, wantJSON)
 			}
 		}
 
 		// Store round trips: cold fills every budget, warm serves every
 		// budget, and a store holding only some budgets serves those and
-		// composes the rest.
+		// folds the rest.
 		cache := &memCache{}
 		cold, err := Sweep(ctx, spec, sizes, Options{Workers: 2, Cache: cache})
 		if err != nil {
@@ -293,9 +436,10 @@ func TestSweepMatchesSearch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("draw %d: partly warm sweep: %v", d, err)
 		}
+		sawServed = sawServed || part.hit > 0 && part.hit < len(sizes)
 		for name, got := range map[string][]SizeResult{"cold": cold, "warm": warm, "partly warm": partly} {
 			if g := mustJSON(t, got); !bytes.Equal(g, wantJSON) {
-				t.Errorf("draw %d: %s sweep differs from per-budget searches:\n%s\nvs\n%s", d, name, g, wantJSON)
+				t.Errorf("draw %d: %s sweep differs from the reference:\n%s\nvs\n%s", d, name, g, wantJSON)
 			}
 		}
 
@@ -303,10 +447,12 @@ func TestSweepMatchesSearch(t *testing.T) {
 		sawDisagg = sawDisagg || spec.Space.Disaggregate
 		sawPrefill = sawPrefill || spec.PrefillSystem != nil
 		sawCaps = sawCaps || (spec.Space.MaxTP > 0 && spec.Space.MaxPP > 0 && spec.Space.MaxReplicas > 0)
+		sawReplicaCap = sawReplicaCap || (spec.Space.Disaggregate && spec.Space.MaxReplicas > 0)
 	}
-	if !sawKV || !sawDisagg || !sawPrefill || !sawCaps || !sawEmpty {
-		t.Errorf("draws missed a case: kv %v disagg %v prefill system %v caps %v infeasible budget %v",
-			sawKV, sawDisagg, sawPrefill, sawCaps, sawEmpty)
+	if !sawKV || !sawDisagg || !sawPrefill || !sawCaps || !sawReplicaCap || !sawEmpty || !sawNoEngine || !sawCut || !sawServed {
+		t.Errorf("draws missed a case: kv %v disagg %v prefill system %v caps %v split replica cap %v "+
+			"infeasible budget %v budget below every feasible engine %v split loop cut short %v store-served %v",
+			sawKV, sawDisagg, sawPrefill, sawCaps, sawReplicaCap, sawEmpty, sawNoEngine, sawCut, sawServed)
 	}
 }
 

@@ -20,12 +20,12 @@ import (
 // prices every engine configuration (tp, pp, batch, KV placement) in
 // parallel under the worker budget, writing profiles into a dense array
 // indexed by the enumeration sequence — worker count and scheduling cannot
-// influence a single byte of what stage 2 sees. Stage 2 is serial closed
-// form: it composes replica counts and disaggregation splits on top of the
-// profiles, filters on the SLOs, prices $/Mtoken, and folds the
-// three-objective Pareto frontier with sequence-number tie-breaks. The
-// randomized equivalence test pins byte-identical output across -workers 1
-// and -workers N.
+// influence a single byte of what stage 2 sees. Stage 2 is the sweep's fold
+// at one budget (foldBudgets): it composes replica counts and
+// disaggregation splits on top of the profiles in closed form, filters on
+// the SLOs, prices $/Mtoken, and folds the three-objective Pareto frontier
+// with sequence-number tie-breaks. The randomized equivalence test pins
+// byte-identical output across -workers 1 and -workers N.
 func Search(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -45,14 +45,17 @@ func Search(ctx context.Context, spec Spec, opts Options) (Result, error) {
 			// profiles; composing a frontier from it would silently lie.
 			return Result{}, err
 		}
-		out, err := compose(&spec, cfgs, profiles, pbar, gbar)
+		if err := engineErr(cfgs, profiles, spec.Space.Procs); err != nil {
+			return Result{}, err
+		}
+		out, err := foldBudgets(ctx, &spec, opts.Workers, cfgs, profiles, pbar, gbar, []int{spec.Space.Procs})
 		if err != nil {
 			return Result{}, err
 		}
 		if prog != nil {
-			prog.AddCounts(search.Counts{Feasible: int64(out.Feasible)})
+			prog.AddCounts(search.Counts{Feasible: int64(out[0].Feasible)})
 		}
-		return out, ctx.Err()
+		return out[0], nil
 	})
 }
 
@@ -107,22 +110,68 @@ func evalAll(ctx context.Context, spec *Spec, workers int, prog *search.Progress
 	return profiles
 }
 
-// compose is stage 2: serial closed-form composition of deployments from
-// the engine profiles at the budget spec.Space.Procs. It reads the engines
-// that fit the budget (tp·pp ≤ Procs) — all of cfgs when they were
-// enumerated at this budget, the budget's subsequence when they were
-// enumerated at a larger one, which is the same list in the same order. It
-// surfaces the lowest-sequence spec-level failure; otherwise, for every
-// feasible engine it enumerates colocated replica counts and (when enabled)
-// disaggregated decode/prefill pool splits, keeps the SLO-feasible ones as
-// small candidate keys, and folds them into the Pareto frontier (offer,
-// then paretoFront); only a survivor is built into a Deployment. Being
-// serial over the deterministic profile order, its output is independent
-// of stage 1's scheduling by construction.
-func compose(spec *Spec, cfgs []engineConfig, profiles []engineProfile, pbar, gbar int) (Result, error) {
+// engineErr is the failure of a search at a budget of procs processors:
+// the spec-level error of the lowest-sequence engine that fits it, or nil.
+func engineErr(cfgs []engineConfig, profiles []engineProfile, procs int) error {
+	for i := range profiles {
+		if err := profiles[i].err; err != nil && cfgs[i].tp*cfgs[i].pp <= procs {
+			return err
+		}
+	}
+	return nil
+}
+
+// engineRun is what the per-budget counts read of one engine's replica
+// loops at the top budget: whether each mode meets the SLOs, and the end
+// of the engine's split slots in foldBudgets' entry list. At each budget
+// in turn, splits counts the split slots that budget holds and base the
+// slots of the engines before it.
+type engineRun struct {
+	colocated, split bool
+	splitEnd         int
+	splits, base     int
+}
+
+// replicaCap is the largest replica count of an engine of engineProcs
+// processors at a budget of procs: the budget bound, under a positive
+// MaxReplicas.
+func replicaCap(procs, engineProcs, maxReplicas int) int {
+	r := procs / engineProcs
+	if maxReplicas > 0 && r > maxReplicas {
+		r = maxReplicas
+	}
+	return r
+}
+
+// foldBudgets is stage 2 for every budget of budgets (ascending and
+// distinct, the last being spec.Space.Procs, the budget cfgs was
+// enumerated at): it composes deployments from the engine profiles, keeps
+// the SLO-feasible ones as small candidate keys and folds each budget's
+// Pareto frontier. The caller has checked that no engine failed
+// (engineErr).
+//
+// A candidate's objectives never depend on the budget, and a budget of N
+// processors holds exactly the candidates whose replica loop reaches them
+// at N: colocated replica counts r with r·tp·pp ≤ N, and the leading run
+// of disaggregated splits whose processor counts stay within N, since each
+// loop stops the first time it passes the budget. So the replica loops run
+// once, at the top budget, and route each feasible candidate (through
+// offer's tail filter) to the bucket of the first budget that holds it.
+// Each bucket is reduced to its own front on the worker pool, and the
+// budgets' fronts chain: front(k) is the front of front(k−1) merged with
+// bucket k's (mergeFronts). The top-budget seq orders the candidates as
+// every budget's own seq does (engine, then colocated before split, then
+// replica count), so it breaks the fold's ties; a survivor's seq at each
+// budget, Evaluated, PreScreened and Feasible come from closed-form
+// per-engine slot counts. The routing and the chain are serial over the
+// deterministic profile order, and a bucket's front is a function of its
+// candidates alone, so no scheduling can change a byte of the output.
+func foldBudgets(ctx context.Context, spec *Spec, workers int, cfgs []engineConfig, profiles []engineProfile, pbar, gbar int, budgets []int) ([]Result, error) {
 	// The unit price is validated by Spec.Validate, so ProcHour cannot fail.
 	hourly, _ := tco.ProcHour(spec.Assumptions)
 	slo := spec.Workload.SLO
+	maxRep := spec.Space.MaxReplicas
+	top := budgets[len(budgets)-1]
 
 	// One prompt's full-model KV cache crosses the scale-out network from
 	// the prefill pool to a decode replica (disaggregated mode).
@@ -130,83 +179,124 @@ func compose(spec *Spec, cfgs []engineConfig, profiles []engineProfile, pbar, gb
 	so := spec.System.ScaleOut()
 	kvT := comm.Time(&so, comm.P2P, 2, kvShip)
 
-	var out Result
-	// The candidate buffer starts on the stack; a budget whose tail-filtered
-	// candidates outgrow it moves to the heap as append doubles it.
-	var bufArr [256]candidate
-	buf := bufArr[:0]
+	buckets := make([][]candidate, len(budgets))
+	runs := make([]engineRun, len(profiles))
+	// entries holds, per split slot of each engine in order, the bucket of
+	// the first budget its loop reaches it at.
+	var entries []int
 	seq := 0
 	for i := range profiles {
+		p := &profiles[i]
+		if !p.ok {
+			runs[i].splitEnd = len(entries)
+			continue
+		}
 		cfg := cfgs[i]
 		engineProcs := cfg.tp * cfg.pp
-		if engineProcs > spec.Space.Procs {
-			continue
-		}
-		out.Evaluated++
-		p := &profiles[i]
-		if p.prescreened {
-			out.PreScreened++
-		}
-		if p.err != nil {
-			return Result{}, p.err
-		}
-		if !p.ok {
-			continue
-		}
-		maxR := spec.Space.Procs / engineProcs
-		if spec.Space.MaxReplicas > 0 && maxR > spec.Space.MaxReplicas {
-			maxR = spec.Space.MaxReplicas
-		}
+		maxR := replicaCap(top, engineProcs, maxRep)
 
 		m := colocated(p, cfg, gbar)
-		for r := 1; r <= maxR; r++ {
-			seq++
-			if !m.meets(slo) {
+		runs[i].colocated = m.meets(slo)
+		if runs[i].colocated {
+			k := 0
+			for r := 1; r <= maxR; r++ {
+				procs := r * engineProcs
+				for budgets[k] < procs {
+					k++
+				}
+				buckets[k] = offer(buckets[k], m.candidate(seq+r, i, r, 0, procs, hourly))
+			}
+		}
+		seq += maxR
+
+		if spec.Space.Disaggregate {
+			m = disaggregated(p, kvT)
+			runs[i].split = m.meets(slo)
+			// Each decode replica retires perReplica/ḡ requests per second;
+			// a prefill replica completes one mean prompt per prefillPMean.
+			reqRate := m.perReplica / float64(gbar)
+			// k only grows: a budget stops the loop at the first split it
+			// cannot hold, so a split enters no earlier than those before.
+			k := 0
+			for rd := 1; rd <= maxR; rd++ {
+				rp := int(math.Ceil(p.prefillPMean.AtRate(float64(rd) * reqRate)))
+				if rp < 1 {
+					rp = 1
+				}
+				if maxRep > 0 && rp > maxRep {
+					break
+				}
+				procs := rd*engineProcs + rp*engineProcs
+				if procs > top {
+					break
+				}
+				seq++
+				for budgets[k] < procs {
+					k++
+				}
+				entries = append(entries, k)
+				if runs[i].split {
+					buckets[k] = offer(buckets[k], m.candidate(seq, i, rd, rp, procs, hourly))
+				}
+			}
+		}
+		runs[i].splitEnd = len(entries)
+	}
+
+	if err := chainFronts(ctx, workers, buckets); err != nil {
+		return nil, err
+	}
+
+	out := make([]Result, len(budgets))
+	for k, n := range budgets {
+		front := buckets[k]
+		res := &out[k]
+		slots, lo := 0, 0
+		for i := range profiles {
+			r := &runs[i]
+			for lo+r.splits < r.splitEnd && entries[lo+r.splits] <= k {
+				r.splits++
+			}
+			lo = r.splitEnd
+			engineProcs := cfgs[i].tp * cfgs[i].pp
+			if engineProcs > n {
 				continue
 			}
-			out.Feasible++
-			buf = offer(buf, m.candidate(seq, i, r, 0, r*engineProcs, hourly))
+			p := &profiles[i]
+			res.Evaluated++
+			if p.prescreened {
+				res.PreScreened++
+			}
+			if !p.ok {
+				continue
+			}
+			r.base = slots
+			c := replicaCap(n, engineProcs, maxRep)
+			slots += c + r.splits
+			if r.colocated {
+				res.Feasible += c
+			}
+			if r.split {
+				res.Feasible += r.splits
+			}
 		}
-
-		if !spec.Space.Disaggregate {
+		if len(front) == 0 {
 			continue
 		}
-		m = disaggregated(p, kvT)
-		// Each decode replica retires perReplica/ḡ requests per second; a
-		// prefill replica completes one mean prompt per prefillPMean.
-		reqRate := m.perReplica / float64(gbar)
-		for rd := 1; rd <= maxR; rd++ {
-			rp := int(math.Ceil(p.prefillPMean.AtRate(float64(rd) * reqRate)))
-			if rp < 1 {
-				rp = 1
-			}
-			if spec.Space.MaxReplicas > 0 && rp > spec.Space.MaxReplicas {
-				break
-			}
-			procs := rd*engineProcs + rp*engineProcs
-			if procs > spec.Space.Procs {
-				break
-			}
-			seq++
-			if !m.meets(slo) {
-				continue
-			}
-			out.Feasible++
-			buf = offer(buf, m.candidate(seq, i, rd, rp, procs, hourly))
-		}
-	}
-	if front := paretoFront(buf); len(front) > 0 {
-		out.Frontier = make([]Deployment, len(front))
-		for k := range front {
-			c := &front[k]
+		res.Frontier = make([]Deployment, len(front))
+		for j := range front {
+			c := &front[j]
+			cfg := cfgs[c.engine]
 			p := &profiles[c.engine]
-			m := colocated(p, cfgs[c.engine], gbar)
+			m := colocated(p, cfg, gbar)
+			seq := runs[c.engine].base + c.replicas
 			if c.prefill > 0 {
 				m = disaggregated(p, kvT)
+				seq += replicaCap(n, cfg.tp*cfg.pp, maxRep)
 			}
-			out.Frontier[k] = c.deployment(cfgs[c.engine], p, &m)
+			res.Frontier[j] = c.deployment(seq, cfg, p, &m)
 		}
-		out.Best = &out.Frontier[0]
+		res.Best = &res.Frontier[0]
 	}
 	return out, nil
 }
@@ -262,7 +352,8 @@ func (m *mode) meets(slo SLO) bool {
 }
 
 // candidate is one SLO-feasible deployment as the frontier fold sees it:
-// its three objectives, its enumeration sequence number, and what rebuilds
+// its three objectives, its sequence number at the fold's largest budget
+// (which orders candidates as every budget's own does), and what rebuilds
 // it — the engine's index and its pool sizes (prefill > 0 marks a
 // disaggregated split).
 type candidate struct {
@@ -283,11 +374,12 @@ func (m *mode) candidate(seq, engine, replicas, prefill, procs int, hourly float
 	}
 }
 
-// deployment builds the surviving candidate's Deployment from its engine
-// and the mode that priced it; the objectives are the candidate's own.
-func (c *candidate) deployment(cfg engineConfig, p *engineProfile, m *mode) Deployment {
+// deployment builds the surviving candidate's Deployment, numbered seq at
+// its budget, from its engine and the mode that priced it; the objectives
+// are the candidate's own.
+func (c *candidate) deployment(seq int, cfg engineConfig, p *engineProfile, m *mode) Deployment {
 	return Deployment{
-		Seq: c.seq, TP: cfg.tp, PP: cfg.pp, Batch: cfg.batch, KVOffload: cfg.kvOffload,
+		Seq: seq, TP: cfg.tp, PP: cfg.pp, Batch: cfg.batch, KVOffload: cfg.kvOffload,
 		Disaggregated: c.prefill > 0, Replicas: c.replicas, PrefillReplicas: c.prefill, Procs: c.procs,
 		TTFT: m.ttft, TPOT: m.tpot, KVTransferTime: m.kvT,
 		UserTokensPerSec:     c.user,
@@ -324,35 +416,82 @@ func offer(buf []candidate, c candidate) []candidate {
 	return append(buf[:n], c)
 }
 
+// chainFronts turns the budgets' buckets of candidates into their fronts,
+// in place: bucket k becomes the front of buckets 0 through k. Each bucket
+// is first reduced to its own front, on up to workers goroutines since the
+// buckets are independent; then each front merges into the next budget's
+// (mergeFronts). A budget's front is thus the front of every candidate that
+// entered at or below it, whatever bucket each came through. A cancelled
+// ctx stops the reduction and returns ctx.Err().
+func chainFronts(ctx context.Context, workers int, buckets [][]candidate) error {
+	// Every job succeeds, so Pool has no error to report.
+	_ = search.Pool(ctx, workers, len(buckets), func(k int) error {
+		buckets[k] = paretoFront(buckets[k])
+		return nil
+	})
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for k := 1; k < len(buckets); k++ {
+		buckets[k] = mergeFronts(buckets[k-1], buckets[k])
+	}
+	return nil
+}
+
 // paretoFront returns the Pareto-optimal candidates of buf, reusing its
 // storage, in frontier order: cost ascending, then per-user rate
 // descending, cluster rate descending, seq ascending. It is the maxima
 // sweep of Kung, Luccio and Preparata (J. ACM 22(4), 1975): one sort puts
-// every candidate after all that could cover it, then a 2-D staircase over
-// (user, cluster) of the survivors so far answers "is it covered?" with one
-// binary search, since every survivor costs no more. The staircase runs
-// user strictly down and cluster strictly up, so the survivor with the
-// least user rate still ≥ the candidate's has the most cluster rate of
-// them; a new survivor evicts the contiguous run of steps it covers. An
-// objective-equal later-seq candidate is covered by its earlier twin, which
-// keeps the lowest-seq tie rule. The result is a function of the candidate
-// set alone, however it was offered or filtered.
+// every candidate after all that could cover it, then the staircase keeps
+// the uncovered ones. The result is a function of the candidate set alone,
+// however it was offered or filtered.
 func paretoFront(buf []candidate) []candidate {
-	slices.SortFunc(buf, func(a, b candidate) int {
-		return cmp.Or(
-			cmp.Compare(a.cost, b.cost),
-			cmp.Compare(b.user, a.user),
-			cmp.Compare(b.cluster, a.cluster),
-			cmp.Compare(a.seq, b.seq),
-		)
-	})
+	slices.SortFunc(buf, frontOrder)
+	return staircase(buf)
+}
+
+// frontOrder is the frontier order: cost ascending, then per-user rate
+// descending, cluster rate descending, seq ascending. Seqs are distinct, so
+// it is total.
+func frontOrder(a, b candidate) int {
+	return cmp.Or(
+		cmp.Compare(a.cost, b.cost),
+		cmp.Compare(b.user, a.user),
+		cmp.Compare(b.cluster, a.cluster),
+		cmp.Compare(a.seq, b.seq),
+	)
+}
+
+// mergeFronts returns the front of the union of two fronts, which it does
+// not modify: their union sorted in frontier order, through the staircase
+// again, since a point of one may cover points of the other.
+func mergeFronts(a, b []candidate) []candidate {
+	if len(b) == 0 {
+		return a
+	}
+	m := append(slices.Clip(a), b...)
+	slices.SortFunc(m, frontOrder)
+	return staircase(m)
+}
+
+// staircase keeps the candidates of sorted (in frontier order) that no
+// earlier one covers, reusing its storage. Every candidate kept so far
+// costs no more than the next, so the next is covered exactly when some
+// kept one has at least its user and cluster rates. The kept (user,
+// cluster) points form a 2-D staircase, user strictly down and cluster
+// strictly up, so the step with the least user rate still ≥ the
+// candidate's has the most cluster rate of them and alone decides, found
+// by one binary search; a new survivor evicts the contiguous run of steps
+// it covers. An objective-equal later-seq candidate is covered by its
+// earlier twin, which keeps the lowest-seq tie rule.
+func staircase(sorted []candidate) []candidate {
 	// The staircase is never longer than the front, which rarely passes a
 	// few dozen points, so it stays on the stack.
 	type step struct{ user, cluster float64 }
 	var stairArr [64]step
 	stair := stairArr[:0]
-	kept := buf[:0]
-	for _, c := range buf {
+	kept := sorted[:0]
+	for _, c := range sorted {
 		// Steps [0, i) have a per-user rate of at least c's.
 		i := sort.Search(len(stair), func(j int) bool { return stair[j].user < c.user })
 		if i > 0 && stair[i-1].cluster >= c.cluster {
@@ -386,19 +525,19 @@ type SizeResult struct {
 // An engine's profile depends on (tp, pp, batch, KV placement), never on
 // the budget, and the engines that fit a budget N are exactly the
 // order-preserving subsequence of a larger budget's enumeration with
-// tp·pp ≤ N. So the sweep runs stage 1 once: it consults the store for
+// tp·pp ≤ N. So the sweep runs both stages once: it consults the store for
 // every budget, enumerates and prices the engines of the largest budget
-// that missed under the whole worker budget, and then composes each missed
-// budget from its subsequence — independent closed-form stage 2 runs, in
-// parallel under the same worker budget. Every point is byte-identical to
-// a standalone Search at that budget (TestSweepMatchesSearch), and each
+// that missed under the whole worker budget, and folds every missed budget
+// in one pass over their replica loops (foldBudgets), the one stage 2
+// Search runs at its single budget. Every point is byte-identical to a
+// standalone Search at that budget (TestSweepMatchesSearch), and each
 // consults the store under its own key; a sweep that finishes stores its
-// composed budgets, in input order. A Progress attached through opts ends
+// folded budgets, in input order. A Progress attached through opts ends
 // with the totals the per-budget searches would report: each budget's
-// counts land as it is composed.
+// counts land once the fold is done.
 //
 // A cancelled sweep returns ctx.Err() and no points; cancelled during
-// stage 1, it composes nothing. Otherwise the error of the lowest-index
+// stage 1, it folds nothing. Otherwise the error of the lowest-index
 // failing budget wins — for an invalid budget, the text Search gives.
 func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeResult, error) {
 	if ctx == nil {
@@ -415,10 +554,11 @@ func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeRes
 	}
 	out := make([]SizeResult, len(sizes))
 	// errs holds each budget's validation error; missed marks the valid
-	// budgets the store did not serve.
+	// budgets the store did not serve, and budgets lists them ascending,
+	// each once.
 	errs := make([]error, len(sizes))
 	missed := make([]bool, len(sizes))
-	top := 0
+	var budgets []int
 	for i, n := range sizes {
 		sp := at(n)
 		if errs[i] = sp.Validate(); errs[i] != nil {
@@ -429,15 +569,18 @@ func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeRes
 			continue
 		}
 		missed[i] = true
-		top = max(top, n)
+		budgets = append(budgets, n)
 	}
+	slices.Sort(budgets)
+	budgets = slices.Compact(budgets)
 
 	var cfgs []engineConfig
 	var profiles []engineProfile
 	pbar := spec.Workload.MeanPromptLen()
 	gbar := spec.Workload.MeanGenLen()
-	if top > 0 {
-		topSpec := at(top)
+	var topSpec Spec
+	if len(budgets) > 0 {
+		topSpec = at(budgets[len(budgets)-1])
 		cfgs = enumerate(topSpec.Model, topSpec.Space)
 		if prog != nil && opts.EstimateTotal {
 			for i, n := range sizes {
@@ -448,29 +591,48 @@ func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeRes
 		}
 		profiles = evalAll(ctx, &topSpec, opts.Workers, nil, cfgs, pbar, gbar)
 	}
-	err := search.Pool(ctx, opts.Workers, len(sizes), func(i int) error {
-		if !missed[i] {
-			return errs[i]
-		}
-		sp := at(sizes[i])
-		res, err := compose(&sp, cfgs, profiles, pbar, gbar)
-		if err != nil {
-			return err
-		}
-		out[i] = SizeResult{Procs: sizes[i], Result: res}
-		if prog != nil {
-			prog.AddCounts(search.Counts{
-				Evaluated:   int64(res.Evaluated),
-				PreScreened: int64(res.PreScreened),
-				Feasible:    int64(res.Feasible),
-			})
-		}
-		return nil
-	})
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return nil, ctxErr
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	if err != nil {
+	for i, n := range sizes {
+		err := errs[i]
+		if missed[i] {
+			err = engineErr(cfgs, profiles, n)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if len(budgets) > 0 {
+		folded, err := foldBudgets(ctx, &topSpec, opts.Workers, cfgs, profiles, pbar, gbar, budgets)
+		if err != nil {
+			return nil, err
+		}
+		taken := make([]bool, len(budgets))
+		for i, n := range sizes {
+			if !missed[i] {
+				continue
+			}
+			k, _ := slices.BinarySearch(budgets, n)
+			res := folded[k]
+			if taken[k] && res.Frontier != nil {
+				// A repeated budget gets its own frontier, as its own
+				// search would.
+				res.Frontier = slices.Clone(res.Frontier)
+				res.Best = &res.Frontier[0]
+			}
+			taken[k] = true
+			out[i] = SizeResult{Procs: n, Result: res}
+			if prog != nil {
+				prog.AddCounts(search.Counts{
+					Evaluated:   int64(res.Evaluated),
+					PreScreened: int64(res.PreScreened),
+					Feasible:    int64(res.Feasible),
+				})
+			}
+		}
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	for i, n := range sizes {
