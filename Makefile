@@ -3,13 +3,21 @@
 
 GO ?= go
 
-.PHONY: build test lint fmt vet calculonvet staticcheck race bench bench-update e2e
+.PHONY: build test lint fmt vet calculonvet staticcheck race bench bench-update e2e lines
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# lines prints the Go line counts ROADMAP.md tracks: test is every
+# *_test.go file, production every other .go file (lint testdata included);
+# bench/ and hidden directories are left out.
+GO_FILES = find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go'
+lines:
+	@printf 'production %s\n' $$($(GO_FILES) ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)
+	@printf 'test       %s\n' $$($(GO_FILES) -name '*_test.go' -print0 | xargs -0 cat | wc -l)
 
 # lint is the consolidated gate: formatting, go vet, the repo's own
 # invariant analyzers (see docs/LINT.md), and staticcheck when installed.

@@ -67,6 +67,12 @@ func TestExitCodeConvention(t *testing.T) {
 		// A NaN objective fails every comparison, so it must fail validation
 		// instead of admitting every deployment.
 		{"serve-search NaN SLO", []string{"serve-search", "-model", "gpt3-13B", "-procs", "64", "-ttft", "NaN", "-tpot", "NaN"}, 1, "SLO bounds must be positive"},
+		// A scenario file replaces the spec flags, so one given next to it
+		// is an error that names it instead of being silently ignored.
+		{"serve-search scenario with spec flags", []string{"serve-search", "-scenario", "../../configs/scenarios/serving-chat.json",
+			"-kv-offload", "-mem2", "512GiB", "-step", "8", "-max", "64", "-json", "-workers", "1"}, 1, "-scenario replaces -kv-offload, -mem2;"},
+		{"run scenario with strategy flags", []string{"run", "-scenario", "../../configs/scenarios/validation-1t-full.json",
+			"-tp", "4", "-layers"}, 1, "-scenario replaces -tp;"},
 		// The deadline has passed before the search starts, so no machine
 		// is fast enough to finish it first.
 		{"timeout", []string{"search", "-model", "gpt3-175B", "-batch", "3072", "-procs", "4096",

@@ -9,6 +9,8 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the default mux for -pprof
 	"os"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"calculon/internal/resultstore"
@@ -47,6 +49,24 @@ func addRuntime(fs *flag.FlagSet) *runtimeFlags {
 	fs.IntVar(&r.workers, "workers", 0, "total worker budget for searches and sweeps (0 = GOMAXPROCS)")
 	fs.StringVar(&r.store, "store", "", "persistent result store (JSONL): searches consult it before evaluating and append fresh verdicts (empty disables)")
 	return r
+}
+
+// checkScenario rejects the flags given next to -scenario that the
+// scenario file replaces, which would otherwise be silently ignored. Only
+// the flags named in keep and the runtime flags may accompany a scenario.
+func checkScenario(fs *flag.FlagSet, keep ...string) error {
+	rt := flag.NewFlagSet("", flag.ContinueOnError)
+	addRuntime(rt)
+	var replaced []string
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name != "scenario" && rt.Lookup(f.Name) == nil && !slices.Contains(keep, f.Name) {
+			replaced = append(replaced, "-"+f.Name)
+		}
+	})
+	if len(replaced) > 0 {
+		return fmt.Errorf("%s: -scenario replaces %s; put the setting in the scenario file instead", fs.Name(), strings.Join(replaced, ", "))
+	}
+	return nil
 }
 
 // apply derives the command's context from the timeout and starts the

@@ -119,7 +119,7 @@ func dispatch(ctx context.Context, cmd string, args []string) error {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   calculon run     -model <preset> -procs N -tp T -pp P -dp D [flags]   single estimate
-  calculon run     -scenario file.json                                  estimate from a spec file
+  calculon run     -scenario file.json [-layers]                        estimate from a spec file
   calculon search  -model <preset> -procs N [flags]                     optimal execution search (§5.1)
   calculon search  ... -shard 2/3 -o part2.json                         evaluate one shard of a search
   calculon merge   part1.json part2.json part3.json                     merge shard results bit-identically
@@ -129,7 +129,7 @@ func usage() {
   calculon sensitivity -model <preset> -procs N -tp T -pp P [flags]     batch-time elasticity per resource
   calculon infer   -model <preset> -tp T -pp P [flags]                  serving (prefill+decode) estimate
   calculon serve-search -model <preset> -procs N -ttft 10 -tpot 0.1     SLO-constrained serving co-design search
-  calculon serve-search -scenario serving-chat.json -disaggregate       ... from a serving scenario file
+  calculon serve-search -scenario serving-chat.json                     ... from a serving scenario file
   calculon serve-search ... -step 16 -max 128                           right-size the serving cluster
   calculon tco     -model <preset> -procs N -tokens 450e9 [flags]       training-run cost of the best strategy
   calculon calibrate [-lo 0.7 -hi 1.3 -steps 25]                        refit efficiency curves vs Table 2
@@ -201,7 +201,7 @@ func (c *commonFlags) resolve() (model.LLM, system.System, error) {
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	c := addCommon(fs)
-	scenario := fs.String("scenario", "", "JSON scenario file (overrides other flags)")
+	scenario := fs.String("scenario", "", "JSON scenario file; it replaces the model, system and strategy flags, which may not be given with it")
 	tp := fs.Int("tp", 8, "tensor parallelism degree")
 	pp := fs.Int("pp", 8, "pipeline parallelism degree")
 	dp := fs.Int("dp", 1, "data parallelism degree")
@@ -227,6 +227,9 @@ func cmdRun(args []string) error {
 		err error
 	)
 	if *scenario != "" {
+		if err := checkScenario(fs, "layers"); err != nil {
+			return err
+		}
 		sc, err := config.Load[config.Scenario](*scenario)
 		if err != nil {
 			return err

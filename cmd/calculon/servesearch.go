@@ -21,7 +21,7 @@ func cmdServeSearch(ctx context.Context, args []string) (retErr error) {
 	fs := flag.NewFlagSet("serve-search", flag.ExitOnError)
 	c := addCommon(fs)
 	rt := addRuntime(fs)
-	scenario := fs.String("scenario", "", "serving scenario JSON (overrides the model/system/workload flags)")
+	scenario := fs.String("scenario", "", "serving scenario JSON; it replaces the model, system, workload and space flags, which may not be given with it")
 	prompt := fs.Int("prompt", 512, "prompt length in tokens (single-bucket mix)")
 	gen := fs.Int("gen", 256, "generated tokens per request (single-bucket mix)")
 	ttft := fs.Float64("ttft", 10, "time-to-first-token SLO in seconds (worst bucket)")
@@ -43,6 +43,9 @@ func cmdServeSearch(ctx context.Context, args []string) (retErr error) {
 
 	var spec serving.Spec
 	if *scenario != "" {
+		if err := checkScenario(fs, "step", "max", "json", "o"); err != nil {
+			return err
+		}
 		sc, err := config.Load[config.ServingScenario](*scenario)
 		if err != nil {
 			return err

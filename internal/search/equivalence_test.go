@@ -40,13 +40,13 @@ func referenceSearch(t *testing.T, m model.LLM, sys system.System, opts Options)
 		seqParallel, tpRedo, fused, infer bool
 	}
 	keys := map[blockKey]bool{}
-	var items []scored
+	var items []SeqResult
 	seq, prescreened, phase2 := 0, 0, 0
 	opts.Enum.Enumerate(m, func(st execution.Strategy) bool {
 		res, info, err := r.RunDetailed(st)
 		switch {
 		case err == nil:
-			items = append(items, scored{seq: seq, res: res})
+			items = append(items, SeqResult{Seq: seq, Result: res})
 		case !errors.Is(err, perf.ErrInfeasible):
 			t.Fatalf("leaf %d %v: %v", seq, st, err)
 		}
@@ -63,7 +63,7 @@ func referenceSearch(t *testing.T, m model.LLM, sys system.System, opts Options)
 	out := referenceFold(items, opts.TopK, opts.Pareto)
 	if opts.CollectRates {
 		for i := range items {
-			out.Rates = append(out.Rates, items[i].res.SampleRate)
+			out.Rates = append(out.Rates, items[i].Result.SampleRate)
 		}
 	}
 	out.Evaluated = seq

@@ -16,9 +16,9 @@ import (
 // split between two components in several ways, so equal Mem1.Total() hides
 // different Results. Sequence numbers are a shuffled permutation of [0,n);
 // ProcsUsed records the seq so every Result is distinguishable.
-func tiedStream(rng *rand.Rand, n int) []scored {
+func tiedStream(rng *rand.Rand, n int) []SeqResult {
 	seqs := rng.Perm(n)
-	out := make([]scored, n)
+	out := make([]SeqResult, n)
 	for i, seq := range seqs {
 		var r perf.Result
 		r.SampleRate = float64(1 + rng.Intn(3))
@@ -28,7 +28,7 @@ func tiedStream(rng *rand.Rand, n int) []scored {
 		r.Mem1.Weights = units.Bytes(split)
 		r.Mem1.Activations = units.Bytes(total - split)
 		r.ProcsUsed = seq
-		out[i] = scored{seq: seq, res: r}
+		out[i] = SeqResult{Seq: seq, Result: r}
 	}
 	return out
 }
@@ -36,29 +36,29 @@ func tiedStream(rng *rand.Rand, n int) []scored {
 // referenceFold is the brute-force answer: the whole stream sorted by rank
 // and cut at K, and ParetoFront over the stream in seq order, so its stable
 // sort orders exact ties by seq.
-func referenceFold(items []scored, topK int, pareto bool) Result {
+func referenceFold(items []SeqResult, topK int, pareto bool) Result {
 	out := Result{Feasible: len(items)}
 	if len(items) == 0 {
 		return out
 	}
-	byRank := append([]scored(nil), items...)
+	byRank := append([]SeqResult(nil), items...)
 	sort.Slice(byRank, func(i, j int) bool {
 		a, b := &byRank[i], &byRank[j]
-		if a.res.SampleRate != b.res.SampleRate {
-			return a.res.SampleRate > b.res.SampleRate
+		if a.Result.SampleRate != b.Result.SampleRate {
+			return a.Result.SampleRate > b.Result.SampleRate
 		}
-		return a.seq < b.seq
+		return a.Seq < b.Seq
 	})
-	out.Best = byRank[0].res
+	out.Best = byRank[0].Result
 	for i := 0; i < topK && i < len(byRank); i++ {
-		out.Top = append(out.Top, byRank[i].res)
+		out.Top = append(out.Top, byRank[i].Result)
 	}
 	if pareto {
-		bySeq := append([]scored(nil), items...)
-		sort.Slice(bySeq, func(i, j int) bool { return bySeq[i].seq < bySeq[j].seq })
+		bySeq := append([]SeqResult(nil), items...)
+		sort.Slice(bySeq, func(i, j int) bool { return bySeq[i].Seq < bySeq[j].Seq })
 		results := make([]perf.Result, len(bySeq))
 		for i := range bySeq {
-			results[i] = bySeq[i].res
+			results[i] = bySeq[i].Result
 		}
 		out.Pareto = ParetoFront(results)
 	}
@@ -76,22 +76,24 @@ func (ws *workerState) add(seq int, res *perf.Result) {
 // gate, at the segment's first seq, no later than the leaf's — then on k at
 // the leaf's seq, where k is the exact keys or bound keys no worse in rank
 // and no later on the staircase, then on the exact keys, and only a leaf
-// all three keep is offered. A leaf turned away must be one offer would
-// not keep, so offering it to a copy of the state must leave the copy
-// unchanged.
+// all three keep is offered. keeps must be sound and exact: offering a
+// leaf turned away to a copy of the state must leave the copy unchanged,
+// and offering one admitted (so kept on its exact keys) must change it.
 func addKeysFirst(t *testing.T, ws *workerState, gate, seq int, res *perf.Result, k perf.Keys) {
 	t.Helper()
 	ws.feasible++
 	exact := perf.Keys{BatchTime: res.BatchTime, SampleRate: res.SampleRate, Mem1: res.Mem1.Total()}
-	if ws.keeps(gate, &k) && ws.keeps(seq, &k) && ws.keeps(seq, &exact) {
-		ws.offer(seq, res)
-		return
-	}
+	admitted := ws.keeps(gate, &k) && ws.keeps(seq, &k) && ws.keeps(seq, &exact)
 	c := *ws
-	c.top, c.front = slices.Clone(ws.top), slices.Clone(ws.front)
+	c.best, c.top, c.front = slices.Clone(ws.best), slices.Clone(ws.top), slices.Clone(ws.front)
 	c.offer(seq, res)
-	if !reflect.DeepEqual(&c, ws) {
+	switch changed := !reflect.DeepEqual(&c, ws); {
+	case admitted && !changed:
+		t.Fatalf("keys %+v admitted seq %d (%+v), which offer does not keep", k, seq, exact)
+	case !admitted && changed:
 		t.Fatalf("keys %+v turned away seq %d (%+v), which offer keeps", k, seq, exact)
+	case admitted:
+		ws.offer(seq, res)
 	}
 }
 
@@ -107,14 +109,14 @@ const (
 // the batch time lowered and the sample rate raised by 0 or 1, so they tie
 // the exact keys, or other leaves, as often as not, and the gate seq is
 // the leaf's lowered by 0 to 2, so it ties other leaves' seqs too.
-func foldParts(t *testing.T, rng *rand.Rand, items []scored, parts, topK int, pareto bool, mode int) []*workerState {
+func foldParts(t *testing.T, rng *rand.Rand, items []SeqResult, parts, topK int, pareto bool, mode int) []*workerState {
 	states := make([]*workerState, parts)
 	for i := range states {
-		states[i] = &workerState{topK: topK, pareto: pareto}
+		states[i] = &workerState{fold: fold{topK: topK, pareto: pareto}}
 	}
 	for i := range items {
 		ws := states[rng.Intn(parts)]
-		res, seq := &items[i].res, items[i].seq
+		res, seq := &items[i].Result, items[i].Seq
 		k := perf.Keys{BatchTime: res.BatchTime, SampleRate: res.SampleRate, Mem1: res.Mem1.Total()}
 		switch mode {
 		case resultFirst:
@@ -145,9 +147,10 @@ func TestFoldMatchesReference(t *testing.T) {
 
 		for _, mode := range []int{resultFirst, keysFirst, boundFirst} {
 			states := foldParts(t, rng, items, 1+rng.Intn(8), topK, pareto, mode)
-			merged := &workerState{topK: topK, pareto: pareto}
+			merged := &workerState{fold: fold{topK: topK, pareto: pareto}}
 			for _, i := range rng.Perm(len(states)) {
-				merged.merge(states[i])
+				merged.feasible += states[i].feasible
+				merged.merge(&states[i].fold)
 			}
 			if got := resultFrom(merged, 0); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d (n=%d topK=%d pareto=%v mode=%d): worker merge\n got  %+v\n want %+v",
@@ -187,10 +190,10 @@ func summarize(r Result) map[string][]int {
 // TestFoldRejectCopiesNothing: a feasible leaf that survives neither the
 // top-K cutoff nor the staircase is dropped without allocating.
 func TestFoldRejectCopiesNothing(t *testing.T) {
-	ws := &workerState{topK: 3, pareto: true}
+	ws := &workerState{fold: fold{topK: 3, pareto: true}}
 	items := tiedStream(rand.New(rand.NewSource(1)), 50)
 	for i := range items {
-		ws.add(items[i].seq, &items[i].res)
+		ws.add(items[i].Seq, &items[i].Result)
 	}
 	var loser perf.Result
 	loser.SampleRate = 0.5
@@ -201,7 +204,7 @@ func TestFoldRejectCopiesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("rejected add allocates %.1f times, want 0", allocs)
 	}
-	if len(ws.top) != top || len(ws.front) != front || ws.best.seq == 1000 {
+	if len(ws.top) != top || len(ws.front) != front || ws.best[0].Seq == 1000 {
 		t.Error("a dominated, out-ranked leaf was admitted")
 	}
 }

@@ -15,13 +15,11 @@ package search
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"calculon/internal/execution"
 	"calculon/internal/model"
 	"calculon/internal/perf"
 	"calculon/internal/system"
-	"calculon/internal/units"
 )
 
 // Options configures an execution search.
@@ -98,15 +96,6 @@ func (r Result) Found() bool { return r.Feasible > 0 }
 type segment struct {
 	seq  int
 	root execution.Strategy
-}
-
-// scored is one kept result with its sequence number. On the Pareto
-// staircase mem1 is res.Mem1.Total(), summed once when the point is kept
-// rather than on every probe; elsewhere it is unset.
-type scored struct {
-	seq  int
-	mem1 units.Bytes
-	res  perf.Result
 }
 
 const chunkSize = 256
@@ -202,7 +191,7 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 	results := make(chan workerState, workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			ws := workerState{topK: opts.TopK, pareto: opts.Pareto}
+			ws := workerState{fold: fold{topK: opts.TopK, pareto: opts.Pareto}}
 			// Each worker threads one delta chain through its strategies:
 			// the class walk moves as few toggles between leaves as the
 			// lattice allows and names them, so most term groups carry
@@ -289,10 +278,14 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 	}
 	close(chunks)
 
-	merged := workerState{topK: opts.TopK, pareto: opts.Pareto}
+	merged := workerState{fold: fold{topK: opts.TopK, pareto: opts.Pareto}}
 	for w := 0; w < workers; w++ {
 		o := <-results
-		merged.merge(&o)
+		merged.evaluated += o.evaluated
+		merged.feasible += o.feasible
+		merged.prescreened += o.prescreened
+		merged.cacheHits += o.cacheHits
+		merged.merge(&o.fold)
 	}
 	merged.evaluated += subtreePruned
 	merged.prescreened += subtreePruned
@@ -311,39 +304,21 @@ func resultFrom(merged *workerState, subtreePruned int) Result {
 		SubtreePruned: subtreePruned,
 		Rates:         merged.rates,
 	}
-	if merged.feasible > 0 {
-		out.Best = merged.best.res
-		for i := range merged.top {
-			out.Top = append(out.Top, merged.top[i].res)
-		}
-		for i := range merged.front {
-			out.Pareto = append(out.Pareto, merged.front[i].res)
-		}
+	if merged.feasible > 0 && len(merged.best) > 0 {
+		out.Best = merged.best[0].Result
+		out.Top, out.Pareto = results(merged.top), results(merged.front)
 	}
 	return out
 }
 
-// workerState accumulates per-goroutine results for a deterministic merge.
-// Every fold — a worker's leaves, the merge of workers, the merge of shards —
-// goes through offerBest/offerTop/offerFront, which compare a candidate in
-// place and copy its Result only when it is kept. A worker builds a leaf's
-// Result only when keeps says offer would keep it.
+// workerState is one worker's leaf counters and its fold; the merged state
+// of a search or a shard has the same shape.
 type workerState struct {
 	evaluated   int
 	feasible    int
 	prescreened int
 	cacheHits   int
-	best        scored
-	hasBest     bool
-	topK        int
-	// top holds at most topK results, best first under ahead.
-	top    []scored
-	rates  []float64
-	pareto bool
-	// front is the Pareto staircase: sorted by (BatchTime, Mem1.Total(),
-	// seq) with strictly decreasing memory, so it is always the exact front
-	// of every candidate offered so far.
-	front []scored
+	fold
 }
 
 // segment walks one segment class by class on the chain, unless its memory
@@ -413,131 +388,6 @@ func (ws *workerState) segment(runner *perf.Runner, chain *perf.RunInfo, res *pe
 			k, _ = runner.RunLeaf(chain, &seg.root, w.Mask())
 		}
 	}
-}
-
-// offer folds one feasible result into best, the top-K and the front.
-func (ws *workerState) offer(seq int, res *perf.Result) {
-	ws.offerBest(seq, res)
-	ws.offerTop(seq, res)
-	ws.offerFront(seq, res)
-}
-
-// keeps reports whether offer would keep a feasible leaf, by the admission
-// tests of offerBest, offerTop and offerFront on its keys alone. It is
-// monotone in batch time: a lower BatchTime, with the higher SampleRate it
-// gives, ranks no worse and slots no later on the staircase, so keys that
-// bound the batch time from below keep every leaf the exact keys keep.
-func (ws *workerState) keeps(seq int, k *perf.Keys) bool {
-	n := len(ws.top)
-	if !ws.hasBest || ahead(k.SampleRate, seq, &ws.best) ||
-		n < ws.topK || n > 0 && ahead(k.SampleRate, seq, &ws.top[n-1]) {
-		return true
-	}
-	_, ok := ws.frontSlot(k.BatchTime, k.Mem1, seq)
-	return ws.pareto && ok
-}
-
-// ahead reports whether the candidate (rate, seq) is preferred over s:
-// higher sample rate, with enumeration order as the deterministic tie-break.
-// It takes the candidate's keys and a pointer, so ranking never copies a
-// Result.
-func ahead(rate float64, seq int, s *scored) bool {
-	if rate != s.res.SampleRate {
-		return rate > s.res.SampleRate
-	}
-	return seq < s.seq
-}
-
-// precedes reports whether the candidate (t, m, seq) sorts before s in the
-// staircase order: batch time, then first-tier memory, then enumeration
-// order.
-func precedes(t units.Seconds, m units.Bytes, seq int, s *scored) bool {
-	if t != s.res.BatchTime {
-		return t < s.res.BatchTime
-	}
-	if m != s.mem1 {
-		return m < s.mem1
-	}
-	return seq < s.seq
-}
-
-func (ws *workerState) offerBest(seq int, res *perf.Result) {
-	if !ws.hasBest || ahead(res.SampleRate, seq, &ws.best) {
-		ws.best.seq, ws.best.res = seq, *res
-		ws.hasBest = true
-	}
-}
-
-// offerTop admits the candidate only while fewer than topK results are held
-// or when it ranks ahead of the current K-th, which then drops out; a
-// candidate that would not survive costs one comparison.
-func (ws *workerState) offerTop(seq int, res *perf.Result) {
-	n := len(ws.top)
-	if n == ws.topK && (n == 0 || !ahead(res.SampleRate, seq, &ws.top[n-1])) {
-		return
-	}
-	i := sort.Search(n, func(j int) bool { return ahead(res.SampleRate, seq, &ws.top[j]) })
-	if n < ws.topK {
-		ws.top = append(ws.top, scored{})
-	}
-	copy(ws.top[i+1:], ws.top[i:])
-	ws.top[i].seq, ws.top[i].res = seq, *res
-}
-
-// offerFront folds the candidate into the Pareto staircase. Everything
-// before its place i precedes it, and memory strictly decreases along the
-// staircase, so the candidate is dominated exactly when the point at i-1
-// uses no more memory; otherwise the points it dominates are the contiguous
-// run from i whose memory is no smaller, and the candidate replaces them.
-// Which points survive depends only on the set offered, never on the order,
-// so any split or merge order yields the same front.
-func (ws *workerState) offerFront(seq int, res *perf.Result) {
-	if !ws.pareto {
-		return
-	}
-	m := res.Mem1.Total()
-	i, ok := ws.frontSlot(res.BatchTime, m, seq)
-	if !ok {
-		return
-	}
-	f := ws.front
-	e := i
-	for e < len(f) && f[e].mem1 >= m {
-		e++
-	}
-	if e == i {
-		f = append(f, scored{})
-		copy(f[i+1:], f[i:])
-	} else {
-		f = append(f[:i+1], f[e:]...)
-	}
-	f[i].seq, f[i].mem1, f[i].res = seq, m, *res
-	ws.front = f
-}
-
-// frontSlot returns the candidate's place in the staircase and whether it
-// survives there, which it does unless the point before uses no more memory.
-func (ws *workerState) frontSlot(t units.Seconds, m units.Bytes, seq int) (int, bool) {
-	f := ws.front
-	i := sort.Search(len(f), func(j int) bool { return precedes(t, m, seq, &f[j]) })
-	return i, i == 0 || !(f[i-1].mem1 <= m)
-}
-
-func (ws *workerState) merge(o *workerState) {
-	ws.evaluated += o.evaluated
-	ws.feasible += o.feasible
-	ws.prescreened += o.prescreened
-	ws.cacheHits += o.cacheHits
-	if o.hasBest {
-		ws.offerBest(o.best.seq, &o.best.res)
-	}
-	for i := range o.top {
-		ws.offerTop(o.top[i].seq, &o.top[i].res)
-	}
-	for i := range o.front {
-		ws.offerFront(o.front[i].seq, &o.front[i].res)
-	}
-	ws.rates = append(ws.rates, o.rates...)
 }
 
 // ScalingPoint is one system size of a §5.2 sweep.

@@ -8,7 +8,6 @@ import (
 
 	"calculon/internal/execution"
 	"calculon/internal/model"
-	"calculon/internal/perf"
 	"calculon/internal/system"
 )
 
@@ -57,14 +56,6 @@ func ParseShard(v string) (Shard, error) {
 		return Shard{}, err
 	}
 	return sh, nil
-}
-
-// SeqResult is one scored configuration together with its global
-// enumeration sequence number — the deterministic tie-break key that makes
-// partial results mergeable into exactly the single-process answer.
-type SeqResult struct {
-	Seq    int         `json:"seq"`
-	Result perf.Result `json:"result"`
 }
 
 // ShardResult is the mergeable partial outcome of one shard of an
@@ -151,9 +142,8 @@ func leafCount(enum execution.EnumOptions, m model.LLM, triples [][3]int) int {
 	return n
 }
 
-// shardResult exports a folded state as the mergeable partial of shard sh.
-// The top and front are already in their final order, and MergeResults
-// re-offers them through the same fold.
+// shardResult exports a merged state as the mergeable partial of shard sh.
+// Its parts are already in their final order and in the wire's shape.
 func (ws *workerState) shardResult(sh Shard, subtreePruned int) ShardResult {
 	out := ShardResult{
 		Shard:         sh,
@@ -164,25 +154,21 @@ func (ws *workerState) shardResult(sh Shard, subtreePruned int) ShardResult {
 		PreScreened:   ws.prescreened,
 		CacheHits:     ws.cacheHits,
 		SubtreePruned: subtreePruned,
+		Top:           ws.top,
+		Front:         ws.front,
 	}
-	if ws.hasBest {
-		out.Best = &SeqResult{Seq: ws.best.seq, Result: ws.best.res}
-	}
-	for _, s := range ws.top {
-		out.Top = append(out.Top, SeqResult{Seq: s.seq, Result: s.res})
-	}
-	for _, s := range ws.front {
-		out.Front = append(out.Front, SeqResult{Seq: s.seq, Result: s.res})
+	if len(ws.best) > 0 {
+		out.Best = &ws.best[0]
 	}
 	return out
 }
 
 // MergeResults combines the partial results of a complete shard set into
 // exactly the Result the single-process search would return: counters sum
-// (they are per-leaf deterministic), the best is the highest-ranked shard
-// best, the top-K and Pareto front re-rank the shard candidates through the
-// same fold the single process uses, with the global sequence numbers
-// breaking ties. The shards may be given in any order but
+// (they are per-leaf deterministic), and each shard's best, top-K and
+// Pareto front fold in through the merge that joins a search's workers,
+// with the global sequence numbers breaking ties. The shards may be given
+// in any order but
 // must form a complete partition: same Count, every Index exactly once,
 // and agreeing TopK/Pareto settings. The one non-mergeable counter is
 // CacheHits (per-process memo warm-up); it is summed, and callers that
@@ -216,7 +202,7 @@ func MergeResults(shards []ShardResult) (Result, error) {
 		}
 	}
 
-	merged := &workerState{topK: shards[0].TopK, pareto: shards[0].Pareto}
+	merged := &workerState{fold: fold{topK: shards[0].TopK, pareto: shards[0].Pareto}}
 	subtreePruned := 0
 	for i := range shards {
 		s := &shards[i]
@@ -225,15 +211,11 @@ func MergeResults(shards []ShardResult) (Result, error) {
 		merged.prescreened += s.PreScreened
 		merged.cacheHits += s.CacheHits
 		subtreePruned += s.SubtreePruned
+		part := fold{top: s.Top, front: s.Front}
 		if s.Best != nil {
-			merged.offerBest(s.Best.Seq, &s.Best.Result)
+			part.best = []SeqResult{*s.Best}
 		}
-		for j := range s.Top {
-			merged.offerTop(s.Top[j].Seq, &s.Top[j].Result)
-		}
-		for j := range s.Front {
-			merged.offerFront(s.Front[j].Seq, &s.Front[j].Result)
-		}
+		merged.merge(&part)
 	}
 	return resultFrom(merged, subtreePruned), nil
 }
