@@ -64,6 +64,11 @@ func TestExitCodeConvention(t *testing.T) {
 		{"scaling zero step", []string{"scaling", "-model", "gpt3-13B", "-step", "0", "-max", "64"}, 1, "empty size range"},
 		{"scaling negative step", []string{"scaling", "-model", "gpt3-13B", "-step", "-8", "-max", "64"}, 1, "empty size range"},
 		{"serve-search negative step", []string{"serve-search", "-model", "gpt3-13B", "-step", "-8", "-max", "64"}, 1, "empty size range"},
+		// A negative cap would run as no cap under its own store key.
+		{"search negative max-interleave", []string{"search", "-model", "gpt3-13B", "-batch", "64", "-procs", "64",
+			"-max-interleave", "-3"}, 1, "negative max interleave -3"},
+		{"scaling negative max-interleave", []string{"scaling", "-model", "gpt3-13B", "-step", "8", "-max", "64",
+			"-max-interleave", "-3"}, 1, "negative max interleave -3"},
 		// A NaN objective fails every comparison, so it must fail validation
 		// instead of admitting every deployment.
 		{"serve-search NaN SLO", []string{"serve-search", "-model", "gpt3-13B", "-procs", "64", "-ttft", "NaN", "-tpot", "NaN"}, 1, "SLO bounds must be positive"},

@@ -96,26 +96,3 @@ func latencySteps(g int) int {
 	}
 	return logSteps
 }
-
-// Volume returns the bytes this processor injects into the network for the
-// op, used for bandwidth-utilization reporting.
-func Volume(op Op, g int, tensor units.Bytes) units.Bytes {
-	if tensor <= 0 {
-		return 0
-	}
-	if op == P2P {
-		return tensor
-	}
-	if g <= 1 {
-		return 0
-	}
-	frac := float64(g-1) / float64(g)
-	switch op {
-	case ReduceScatter, AllGather:
-		return tensor.Times(frac)
-	case Broadcast:
-		return tensor
-	default:
-		return (2 * tensor).Times(frac)
-	}
-}

@@ -114,27 +114,6 @@ func TestTimeMonotoneInBytes(t *testing.T) {
 	}
 }
 
-func TestVolume(t *testing.T) {
-	if got := Volume(AllReduce, 4, 400); got != 600 {
-		t.Errorf("all-reduce volume = %v, want 600", got)
-	}
-	if got := Volume(AllGather, 4, 400); got != 300 {
-		t.Errorf("all-gather volume = %v, want 300", got)
-	}
-	if got := Volume(P2P, 4, 400); got != 400 {
-		t.Errorf("p2p volume = %v, want 400", got)
-	}
-	if got := Volume(Broadcast, 4, 400); got != 400 {
-		t.Errorf("broadcast volume = %v, want 400", got)
-	}
-	if got := Volume(AllReduce, 1, 400); got != 0 {
-		t.Errorf("group-of-one volume = %v, want 0", got)
-	}
-	if got := Volume(AllReduce, 8, 0); got != 0 {
-		t.Errorf("zero-byte volume = %v, want 0", got)
-	}
-}
-
 func TestOpString(t *testing.T) {
 	names := map[Op]string{
 		AllReduce: "all-reduce", ReduceScatter: "reduce-scatter",

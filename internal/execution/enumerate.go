@@ -135,6 +135,12 @@ func (o EnumOptions) Triples(m model.LLM) [][3]int {
 // Enumerate streams every strategy permitted by the options for the given
 // model through yield; returning false from yield stops the enumeration.
 // The count of generated strategies is returned.
+//
+// No search calls it: the search walks segments class by class on its
+// workers. It is kept as the tests' oracle, the plain leaf-by-leaf listing
+// of the space that the closed-form counts (SpaceSize, TripleLeafCount),
+// the segment and class walks and the reference searches are checked
+// against.
 func (o EnumOptions) Enumerate(m model.LLM, yield func(Strategy) bool) int {
 	count := 0
 	for _, tpd := range o.Triples(m) {
@@ -209,37 +215,6 @@ func (o EnumOptions) tripleSegments(m *model.LLM, tpd [3]int) int {
 		sched += countDivisors((m.Blocks+tpd[1]-1)/tpd[1], o.MaxInterleave)
 	}
 	return countDivisors(m.Batch/tpd[2], 0) * sched
-}
-
-// boundLeaves returns one representative strategy per distinct pre-screen
-// verdict in the (t,p,d) subtree. PreScreen.Check reads only the parallelism
-// degrees and the WeightOffload/OptimOffload/OptimSharding/DPOverlap
-// switches (ActOffload reaches only the tier-presence check, which the
-// offload projections cover), so projecting the toggle lattice onto those
-// switches covers every leaf's verdict.
-func (o EnumOptions) boundLeaves(tpd [3]int) []Strategy {
-	tog := o.Toggles()
-	offs := bools[:1]
-	if len(tog.offloads) > 1 {
-		offs = bools
-	}
-	out := make([]Strategy, 0, len(offs)*len(offs)*len(tog.shards)*len(tog.dpOverlaps))
-	for _, w := range offs {
-		for _, oo := range offs {
-			for _, sh := range tog.shards {
-				for _, dov := range tog.dpOverlaps {
-					out = append(out, Strategy{
-						TP: tpd[0], PP: tpd[1], DP: tpd[2],
-						Microbatch: 1, Interleave: 1,
-						Recompute: RecomputeNone, TPOverlap: TPOverlapNone,
-						WeightOffload: w, OptimOffload: oo,
-						OptimSharding: sh, DPOverlap: dov,
-					})
-				}
-			}
-		}
-	}
-	return out
 }
 
 // forEachSchedule enumerates pipeline schedule variants (1F1B on/off,
@@ -633,6 +608,19 @@ func (o EnumOptions) Validate() error {
 	}
 	if o.Features != "" && !o.Features.Valid() {
 		return fmt.Errorf("execution: bad feature set %q", o.Features)
+	}
+	// A negative cap or pin would enumerate like zero (no cap, no pin) under
+	// a different store key, so it is rejected instead.
+	for _, c := range [...]struct {
+		name string
+		v    int
+	}{
+		{"max TP", o.MaxTP}, {"max interleave", o.MaxInterleave},
+		{"fixed TP", o.FixedTP}, {"fixed PP", o.FixedPP}, {"fixed DP", o.FixedDP},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("execution: negative %s %d", c.name, c.v)
+		}
 	}
 	return nil
 }

@@ -263,6 +263,14 @@ func TestEnumOptionsValidate(t *testing.T) {
 	if err := (EnumOptions{Procs: 8, Features: FeatureAll}).Validate(); err != nil {
 		t.Errorf("valid options rejected: %v", err)
 	}
+	for _, o := range []EnumOptions{
+		{Procs: 8, MaxTP: -1}, {Procs: 8, MaxInterleave: -3},
+		{Procs: 8, FixedTP: -2}, {Procs: 8, FixedPP: -2}, {Procs: 8, FixedDP: -2},
+	} {
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%+v: Validate = %v, want a negative-value error", o, err)
+		}
+	}
 }
 
 func TestModeHelpers(t *testing.T) {

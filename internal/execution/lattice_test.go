@@ -131,9 +131,13 @@ func TestSegmentWalkMatchesEnumerateTriple(t *testing.T) {
 
 // TestCheckTripleDecidesSubtree is the soundness obligation of the subtree
 // pre-screen: CheckTriple rejects a (t,p,d) subtree exactly when Check would
-// reject every one of its leaves, and accepts exactly when some leaf passes.
-// Randomized over options and over limit regimes that make the memory bound
-// bite at different parallelism degrees.
+// reject every one of its leaves, and accepts exactly when some leaf passes;
+// a rejection reports the subtree's first leaf's verdict. Randomized over
+// options (PinBeneficial and offload lattices included) and over limit
+// regimes that make the memory bound bite at different parallelism
+// degrees. Every offload lattice is screened twice: with a second tier, and
+// with none (Limits.Mem2 = 0), where every offload combination fails the
+// tier rule, ActOffload's included.
 func TestCheckTripleDecidesSubtree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	models := []string{"gpt3-13B", "megatron-22B", "chinchilla-70B"}
@@ -141,7 +145,7 @@ func TestCheckTripleDecidesSubtree(t *testing.T) {
 	procChoices := []int{8, 16, 32}
 
 	const draws = 30
-	prunedTotal, keptTotal := 0, 0
+	prunedTotal, keptTotal, noTier := 0, 0, 0
 	for i := 0; i < draws; i++ {
 		m := model.MustPreset(models[rng.Intn(len(models))]).WithBatch(16)
 		o := EnumOptions{
@@ -158,40 +162,51 @@ func TestCheckTripleDecidesSubtree(t *testing.T) {
 			// fail the weight/optimizer lower bound, large enough that some pass.
 			Mem1: units.Bytes(5+rng.Intn(76)) * units.GiB,
 		}
+		screens := []Limits{lim}
 		if o.HasMem2 {
-			lim.Mem2 = units.Bytes(64+rng.Intn(448)) * units.GiB
+			screens[0].Mem2 = units.Bytes(64+rng.Intn(448)) * units.GiB
+			screens = append(screens, lim)
+			if o.Features == FeatureAll {
+				noTier++
+			}
 		}
-		p := NewPreScreen(m, lim)
-
-		for _, tpd := range o.Triples(m) {
-			verdict := p.CheckTriple(o, tpd)
-			anyPass := false
-			o.EnumerateTriple(m, tpd, func(s Strategy) bool {
-				if p.Check(&s).OK() {
-					anyPass = true
-					return false
+		for _, lim := range screens {
+			p := NewPreScreen(m, lim)
+			for _, tpd := range o.Triples(m) {
+				verdict := p.CheckTriple(o, tpd)
+				anyPass := false
+				var firstErr error
+				o.EnumerateTriple(m, tpd, func(s Strategy) bool {
+					v := p.Check(&s)
+					if firstErr == nil {
+						firstErr = v.Err()
+					}
+					anyPass = v.OK()
+					return !anyPass
+				})
+				switch {
+				case verdict != nil && anyPass:
+					t.Errorf("draw %d %+v triple %v: CheckTriple rejected (%v) but a leaf passes Check",
+						i, lim, tpd, verdict)
+				case verdict == nil && !anyPass:
+					t.Errorf("draw %d %+v triple %v: CheckTriple accepted but every leaf fails Check",
+						i, lim, tpd)
+				case verdict != nil && verdict.Error() != firstErr.Error():
+					t.Errorf("draw %d %+v triple %v: CheckTriple reported %q, the first leaf %q",
+						i, lim, tpd, verdict, firstErr)
 				}
-				return true
-			})
-			if verdict != nil && anyPass {
-				t.Errorf("draw %d triple %v: CheckTriple rejected (%v) but a leaf passes Check",
-					i, tpd, verdict)
-			}
-			if verdict == nil && !anyPass {
-				t.Errorf("draw %d triple %v: CheckTriple accepted but every leaf fails Check",
-					i, tpd)
-			}
-			if verdict != nil {
-				prunedTotal++
-			} else {
-				keptTotal++
+				if verdict != nil {
+					prunedTotal++
+				} else {
+					keptTotal++
+				}
 			}
 		}
 	}
-	// The limit regimes above must actually exercise both branches, or the
-	// equivalence assertions are vacuous.
-	if prunedTotal == 0 || keptTotal == 0 {
-		t.Errorf("degenerate draw set: pruned=%d kept=%d triples — want both branches exercised",
-			prunedTotal, keptTotal)
+	// The limit regimes above must actually exercise both branches and the
+	// offload lattice without a second tier, or the assertions are vacuous.
+	if prunedTotal == 0 || keptTotal == 0 || noTier == 0 {
+		t.Errorf("degenerate draw set: pruned=%d kept=%d triples, %d offload lattices — want each exercised",
+			prunedTotal, keptTotal, noTier)
 	}
 }

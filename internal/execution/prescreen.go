@@ -46,66 +46,87 @@ func NewPreScreen(m model.LLM, lim Limits) *PreScreen {
 // already be normalized and structurally valid (Validate). Check is pure,
 // allocation-free, and safe for concurrent use.
 //
-// The memory bound replicates the weight, weight-gradient, and optimizer
-// rows of the full model's per-tier accounting exactly — those rows need no
-// layer timing, only the closed-form block weight bytes — and the remaining
-// rows (activations, gradient working space) are non-negative, so the sum
-// here is a true lower bound on each tier's total.
-//
-// The bound must also round identically to the full model's rows on every
-// architecture — a pre-screen that fuses a multiply-add the evaluation does
-// not could reject at the boundary — so the arithmetic below is kept
-// FMA-free (see docs/LINT.md).
+// The memory bound is the weight, weight-gradient and optimizer rows of the
+// full model's per-tier accounting (WeightRows, OptimizerRows, the same
+// functions the full model calls), which need no layer timing, only the
+// closed-form block weight bytes. The remaining rows (activations, gradient
+// working space) are non-negative, so the sum here is a true lower bound on
+// each tier's total. The sums are kept FMA-free (see docs/LINT.md).
 //
 //calculonvet:ordered
 func (p *PreScreen) Check(st *Strategy) ScreenVerdict {
 	if v := p.CheckFit(st); !v.OK() {
 		return v
 	}
-
 	bp := st.BlocksPerProc(&p.m)
 	blockW := layers.BlockWeightBytes(&p.m, st.TP)
-	weights := blockW.Times(float64(bp))
-
-	var mem1, mem2 units.Bytes
-	w1 := weights
-	if st.WeightOffload {
-		w1 = minB(weights, 3*blockW)
-		mem2 += weights - w1
-	}
-	mem1 += w1
-
-	if !st.Inference {
-		grads := weights
-		if st.OptimSharding && st.DPOverlap {
-			grads = minB(weights, units.Bytes(3*blockW)+weights.DivN(float64(st.DP)))
-		}
-		g1 := grads
-		if st.WeightOffload {
-			g1 = minB(grads, 3*blockW)
-			mem2 += grads - g1
-		}
-		mem1 += g1
-
-		optim := 6 * weights
-		if st.OptimSharding {
-			optim = optim.DivN(float64(st.DP))
-		}
-		o1 := optim
-		if st.OptimOffload {
-			o1 = minB(optim, 3*optim.DivN(float64(bp)))
-			mem2 += optim - o1
-		}
-		mem1 += o1
-	}
-
-	if mem1 > p.lim.Mem1 {
+	w1, w2, g1, g2 := st.WeightRows(blockW, bp)
+	o1, o2 := st.OptimizerRows(blockW, bp)
+	if mem1 := w1 + g1 + o1; mem1 > p.lim.Mem1 {
 		return ScreenVerdict{kind: screenMem1, need: int64(mem1), have: int64(p.lim.Mem1)}
 	}
-	if mem2 > p.lim.Mem2 {
+	if mem2 := w2 + g2 + o2; mem2 > p.lim.Mem2 {
 		return ScreenVerdict{kind: screenMem2, need: int64(mem2), have: int64(p.lim.Mem2)}
 	}
 	return ScreenVerdict{}
+}
+
+// The memory rows below give the per-processor bytes of a category in each
+// tier, for blockW weight bytes per block and bp blocks per processor. They
+// are the one implementation of those rows: the full model's accounting
+// (perf) and the pre-screen's bound both call them. Offloaded categories
+// keep a Fig. 8 working set — compute, prefetch, and writeback buffers for
+// one block — resident in the first tier and stash the remainder in the
+// second. Their rounding is part of the pre-screen's and the segment
+// floor's soundness proofs on every architecture, so the arithmetic is kept
+// FMA-free (see docs/LINT.md).
+
+// WeightRows returns the weights and their fp16 gradients, the same size,
+// per tier; an inference strategy keeps no gradients. With a sharded
+// optimizer and overlapped DP communication the gradients are
+// reduce-scattered per block as the backward drains, so only the local
+// shard plus a per-block working set persists (ZeRO).
+//
+//calculonvet:ordered
+func (s *Strategy) WeightRows(blockW units.Bytes, bp int) (w1, w2, g1, g2 units.Bytes) {
+	weights := blockW.Times(float64(bp))
+	w1, w2 = Residency(weights, 3*blockW, s.WeightOffload)
+	if s.Inference {
+		return w1, w2, 0, 0
+	}
+	grads := weights
+	if s.OptimSharding && s.DPOverlap {
+		grads = minBytes(weights, units.Bytes(3*blockW)+weights.DivN(float64(s.DP)))
+	}
+	g1, g2 = Residency(grads, 3*blockW, s.WeightOffload)
+	return w1, w2, g1, g2
+}
+
+// OptimizerRows returns the Adam state per tier: fp32 master weights + two
+// fp32 moments = 12 bytes per parameter = 6× the fp16 weight bytes, sharded
+// across DP when optimizer sharding is on. An inference strategy keeps none.
+//
+//calculonvet:ordered
+func (s *Strategy) OptimizerRows(blockW units.Bytes, bp int) (o1, o2 units.Bytes) {
+	if s.Inference {
+		return 0, 0
+	}
+	optim := 6 * blockW.Times(float64(bp))
+	if s.OptimSharding {
+		optim = optim.DivN(float64(s.DP))
+	}
+	return Residency(optim, 3*optim.DivN(float64(bp)), s.OptimOffload)
+}
+
+// Residency splits a category's bytes between the tiers: all in the first,
+// or when offloaded, at most the working set there and the rest in the
+// second.
+func Residency(total, working units.Bytes, offloaded bool) (mem1, mem2 units.Bytes) {
+	if !offloaded {
+		return total, 0
+	}
+	resident := minBytes(total, working)
+	return resident, total - resident
 }
 
 // CheckFit applies the two bounds of Check that need no memory accounting:
@@ -174,29 +195,35 @@ func (e screenError) Error() string {
 
 // CheckTriple reports why every leaf of the (t,p,d) subtree certainly fails
 // the pre-screen, or nil when at least one toggle combination passes the
-// bound and the subtree must be enumerated. Check's verdict depends only on
-// the parallelism degrees and four switches (see EnumOptions.boundLeaves),
-// so trying one representative per projection class decides the whole
+// bound and the subtree must be enumerated. Check reads only the
+// parallelism degrees and the screen switches, so trying each combination
+// of them the lattice holds (Toggles.ScreenSwitches) decides the whole
 // subtree exactly: a non-nil return means Check would reject every leaf —
 // the lattice search may drop the subtree and count its leaves as
 // pre-screened without enumerating them, bit-identically to the leaf-by-leaf
-// path. The returned error is the first projection's rejection.
+// path. The returned error is the first combination's rejection.
 func (p *PreScreen) CheckTriple(o EnumOptions, tpd [3]int) error {
 	var first ScreenVerdict
-	leaves := o.boundLeaves(tpd)
-	for i := range leaves {
-		v := p.Check(&leaves[i])
-		if v.OK() {
-			return nil
+	pass := false
+	root := Strategy{TP: tpd[0], PP: tpd[1], DP: tpd[2], Microbatch: 1, Interleave: 1}
+	tog := o.Toggles()
+	tog.ScreenSwitches(&root, func(st *Strategy) {
+		if pass {
+			return
 		}
+		v := p.Check(st)
+		pass = v.OK()
 		if first.OK() {
 			first = v
 		}
+	})
+	if pass {
+		return nil
 	}
 	return first.Err()
 }
 
-func minB(a, b units.Bytes) units.Bytes {
+func minBytes(a, b units.Bytes) units.Bytes {
 	if a < b {
 		return a
 	}

@@ -138,7 +138,7 @@ func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload)
 	rate := sys.Compute.MatrixRate(blockFLOPs)
 	computeT := procFLOPs.Div(rate)
 
-	kvPerBlock := units.Bytes(2*2*m.Hidden).Times(ctx) / units.Bytes(st.TP) * units.Bytes(w.Batch)
+	kvPerBlock := KVBytes(&m, ctx, st.TP, w.Batch)
 	weights := tot.WeightBytes
 	// Per decode step each block streams its weights once and the KV cache
 	// of every sequence. With KV offload the cache crosses the second
@@ -206,6 +206,18 @@ func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload)
 			perf.ErrInfeasible, res.Mem1Used, sys.Mem1.Capacity, res.KVCacheBytes)
 	}
 	return res, nil
+}
+
+// KVBytes returns the key/value cache one block holds on one processor for
+// batch sequences of ctx tokens each, sharded over tp: a key and a value
+// vector of h fp16 numbers per token, 2·2·h bytes. Estimate, the serving
+// pre-screen's bound and the disaggregated KV shipment all size the cache
+// here. ctx is a float so that the product is formed in floating point
+// (see Estimate).
+//
+//calculonvet:ordered
+func KVBytes(m *model.LLM, ctx float64, tp, batch int) units.Bytes {
+	return units.Bytes(2*2*m.Hidden).Times(ctx) / units.Bytes(tp) * units.Bytes(batch)
 }
 
 // p2pLat prices the pipeline-boundary hops of one token's latency path:

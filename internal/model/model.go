@@ -99,12 +99,6 @@ func (m LLM) FwdFLOPsPerToken() units.FLOPs {
 	return units.FLOPs(float64(m.Blocks) * (dense + attnMat))
 }
 
-// TrainFLOPsPerSample estimates forward+backward FLOPs for one sample
-// (sequence) without recompute: backward costs 2× forward.
-func (m LLM) TrainFLOPsPerSample() units.FLOPs {
-	return 3 * units.FLOPs(float64(m.Seq)) * m.FwdFLOPsPerToken()
-}
-
 func (m LLM) String() string {
 	return fmt.Sprintf("%s{h=%d a=%d s=%d L=%d batch=%d params=%s}",
 		m.Name, m.Hidden, m.AttnHeads, m.Seq, m.Blocks, m.Batch, HumanParams(m.Params()))

@@ -98,9 +98,3 @@ func (m LLM) WithBatch(batch int) LLM {
 	m.Batch = batch
 	return m
 }
-
-// WithName returns a copy of m renamed, for derived configurations.
-func (m LLM) WithName(name string) LLM {
-	m.Name = name
-	return m
-}

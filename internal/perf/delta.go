@@ -249,7 +249,7 @@ var onMemoryHalf func(execution.FieldMask)
 // screenTable holds a chain's pre-screen verdicts for one base: PreScreen.Check
 // reads the parallelism degrees, the pass mode, and the five screen switches
 // (WeightOffload, ActOffload, OptimOffload, OptimSharding, DPOverlap) and
-// nothing else — see execution.EnumOptions.boundLeaves — so per (TP, PP, DP,
+// nothing else — see execution.Toggles.ScreenSwitches — so per (TP, PP, DP,
 // Inference) base it has at most 32 distinct verdicts, one per switch
 // combination. The table is filled lazily from Check and cleared when the
 // base changes, so a hit returns, by construction, the verdict Check would

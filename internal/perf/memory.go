@@ -56,48 +56,19 @@ func (e *eval) inflightMicrobatches() float64 {
 
 // The three memory rows produce the per-processor consumption of both
 // tiers (§2.4's memory reporting), each writing its own categories of *mem1
-// and *mem2 in place. Offloaded categories keep a Fig. 8 working set —
-// compute, prefetch, and writeback buffers for one block — resident in the
-// first tier and stash the remainder in the second. The rows must agree bit
-// for bit with the pre-screen's analytic lower bound on every architecture,
-// so the arithmetic is kept FMA-free (see docs/LINT.md).
-//
-// weightRows writes the weights and their fp16 gradients, the same size.
-// With a sharded optimizer and overlapped DP communication the gradients
-// are reduce-scattered per block as the backward drains, so only the local
-// shard plus a per-block working set persists (ZeRO).
-//
-//calculonvet:ordered
+// and *mem2 in place. The weight and optimizer rows are execution's
+// (Strategy.WeightRows, OptimizerRows), which the pre-screen's bound calls
+// too; all three rows split an offloaded category with
+// execution.Residency.
+
+// weightRows writes the weights and their gradients.
 func (e *eval) weightRows(mem1, mem2 *MemBreakdown) {
-	blockW := e.tot.WeightBytes
-	weights := blockW.Times(float64(e.bp))
-	mem1.Weights, mem2.Weights = residency(weights, 3*blockW, e.st.WeightOffload)
-	mem1.WeightGrads, mem2.WeightGrads = 0, 0
-	if e.st.Inference {
-		return
-	}
-	grads := weights
-	if e.st.OptimSharding && e.st.DPOverlap {
-		grads = minBytes(weights, units.Bytes(3*blockW)+weights.DivN(float64(e.st.DP)))
-	}
-	mem1.WeightGrads, mem2.WeightGrads = residency(grads, 3*blockW, e.st.WeightOffload)
+	mem1.Weights, mem2.Weights, mem1.WeightGrads, mem2.WeightGrads = e.st.WeightRows(e.tot.WeightBytes, e.bp)
 }
 
-// optimizerRows writes the Adam state: fp32 master weights + two fp32
-// moments = 12 bytes per parameter = 6× the fp16 weight bytes, sharded
-// across DP when optimizer sharding is on.
-//
-//calculonvet:ordered
+// optimizerRows writes the optimizer state.
 func (e *eval) optimizerRows(mem1, mem2 *MemBreakdown) {
-	mem1.Optimizer, mem2.Optimizer = 0, 0
-	if e.st.Inference {
-		return
-	}
-	optim := 6 * e.tot.WeightBytes.Times(float64(e.bp))
-	if e.st.OptimSharding {
-		optim = optim.DivN(float64(e.st.DP))
-	}
-	mem1.Optimizer, mem2.Optimizer = residency(optim, 3*optim.DivN(float64(e.bp)), e.st.OptimOffload)
+	mem1.Optimizer, mem2.Optimizer = e.st.OptimizerRows(e.tot.WeightBytes, e.bp)
 }
 
 // activationRows writes the stored activations and the working space for
@@ -108,7 +79,7 @@ func (e *eval) optimizerRows(mem1, mem2 *MemBreakdown) {
 func (e *eval) activationRows(mem1, mem2 *MemBreakdown) {
 	actBlock := e.actPerMBPerBlock()
 	acts := actBlock.Times(float64(e.bp) * e.inflightMicrobatches())
-	mem1.Activations, mem2.Activations = residency(acts, 3*actBlock, e.st.ActOffload)
+	mem1.Activations, mem2.Activations = execution.Residency(acts, 3*actBlock, e.st.ActOffload)
 	work := 2 * e.tot.MaxOutputBytes
 	if e.st.Inference {
 		mem1.Activations += work
@@ -116,17 +87,6 @@ func (e *eval) activationRows(mem1, mem2 *MemBreakdown) {
 	} else {
 		mem1.ActGrads = work
 	}
-}
-
-// residency splits a category's bytes between the tiers: all in the first,
-// or when offloaded, at most the working set there and the rest in the
-// second.
-func residency(total, working units.Bytes, offloaded bool) (mem1, mem2 units.Bytes) {
-	if !offloaded {
-		return total, 0
-	}
-	resident := minBytes(total, working)
-	return resident, total - resident
 }
 
 func minBytes(a, b units.Bytes) units.Bytes {

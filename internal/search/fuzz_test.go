@@ -25,14 +25,17 @@ const maxFuzzShards = 8
 // machines, so every input must come back as a merged result or an error —
 // never a panic or a hang — and a merged result must honor the top-K bound.
 // The corpus is seeded with the three partials of a small 3-way sharded
-// search, alone and as the complete set (also with a negative top-K).
+// search, alone and as the complete set (also with a negative top-K). The
+// search keeps only its best result, so each partial is about 1.3 KB of
+// compact JSON: the fuzzer minimizes every new input it finds, at a cost
+// quadratic in its length, and seeds of tens of KB keep it minimizing for
+// the whole run. Top-K and the front are a mutated "top_k" or "pareto"
+// away.
 func FuzzMergeShards(f *testing.F) {
 	m := model.MustPreset("gpt2-1.5B").WithBatch(8)
-	sys := system.A100(8)
+	sys := system.A100(4)
 	opts := Options{
-		Enum:   execution.EnumOptions{Features: execution.FeatureBaseline},
-		TopK:   2,
-		Pareto: true,
+		Enum: execution.EnumOptions{Features: execution.FeatureBaseline, PinBeneficial: true},
 	}
 	var all []byte
 	for i := 0; i < 3; i++ {
@@ -40,7 +43,7 @@ func FuzzMergeShards(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		data, err := json.MarshalIndent(sr, "", "  ")
+		data, err := json.Marshal(sr)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -50,7 +53,11 @@ func FuzzMergeShards(f *testing.F) {
 	}
 	f.Add(all)
 	// A negative top-K once panicked the fold.
-	f.Add(bytes.ReplaceAll(all, []byte(`"top_k": 2`), []byte(`"top_k": -1`)))
+	neg := bytes.ReplaceAll(all, []byte(`"top_k":0`), []byte(`"top_k":-1`))
+	if bytes.Equal(neg, all) {
+		f.Fatal("the seed partials carry no top_k to negate")
+	}
+	f.Add(neg)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var shards []ShardResult

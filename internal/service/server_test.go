@@ -267,6 +267,7 @@ func TestBadSpecRejectedWith400(t *testing.T) {
 		`{"model":{"preset":"no-such-model"},"system":{"preset":"a100-80g","procs":8}}`,
 		`{"model":{"preset":"gpt3-13B"},"system":{"preset":"a100-80g","procs":8},"search":{"features":"warp-speed"}}`,
 		`{"model":{"preset":"gpt3-13B"},"system":{"preset":"a100-80g","procs":8},"search":{"top_k":-1}}`,
+		`{"model":{"preset":"gpt3-13B"},"system":{"preset":"a100-80g","procs":8},"search":{"max_interleave":-3}}`,
 	} {
 		rec := do(t, s, "POST", "/v1/jobs", body, nil)
 		if rec.Code != http.StatusBadRequest {

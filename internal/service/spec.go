@@ -110,9 +110,6 @@ func (s JobSpec) prepare() (prepared, error) {
 	if !features.Valid() {
 		return p, fmt.Errorf("service: unknown feature set %q (want baseline|seqpar|all)", s.Search.Features)
 	}
-	if s.Search.MaxInterleave < 0 {
-		return p, fmt.Errorf("service: negative max_interleave %d", s.Search.MaxInterleave)
-	}
 	if s.Search.TimeoutSeconds < 0 {
 		return p, fmt.Errorf("service: negative timeout_seconds %g", s.Search.TimeoutSeconds)
 	}
@@ -125,12 +122,16 @@ func (s JobSpec) prepare() (prepared, error) {
 	}
 	p.opts = search.Options{
 		Enum: execution.EnumOptions{
+			Procs:         p.sys.Procs,
 			Features:      features,
 			MaxInterleave: s.Search.MaxInterleave,
 		},
 		TopK:   topK,
 		Pareto: s.Search.Pareto,
 		Watch:  search.Watch{EstimateTotal: true},
+	}
+	if err := p.opts.Enum.Validate(); err != nil {
+		return p, err
 	}
 	p.disableStore = s.Search.DisableStore
 	p.timeout = time.Duration(s.Search.TimeoutSeconds * float64(time.Second))

@@ -69,6 +69,11 @@ func TestPrepareRejectsBadSpecs(t *testing.T) {
 			s.Search.TopK = -1
 			return s
 		}()},
+		{"negative max_interleave", func() JobSpec {
+			s := validSpec()
+			s.Search.MaxInterleave = -3
+			return s
+		}()},
 	}
 	for _, tc := range cases {
 		if _, err := tc.spec.prepare(); err == nil {

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"calculon/internal/comm"
+	"calculon/internal/inference"
 	"calculon/internal/search"
 	"calculon/internal/tco"
 	"calculon/internal/units"
@@ -175,7 +176,7 @@ func foldBudgets(ctx context.Context, spec *Spec, workers int, cfgs []engineConf
 
 	// One prompt's full-model KV cache crosses the scale-out network from
 	// the prefill pool to a decode replica (disaggregated mode).
-	kvShip := units.Bytes(2 * 2 * spec.Model.Hidden).Times(float64(pbar)).Times(float64(spec.Model.Blocks))
+	kvShip := inference.KVBytes(&spec.Model, float64(pbar), 1, 1).Times(float64(spec.Model.Blocks))
 	so := spec.System.ScaleOut()
 	kvT := comm.Time(&so, comm.P2P, 2, kvShip)
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"calculon/internal/execution"
+	"calculon/internal/inference"
 	"calculon/internal/layers"
 	"calculon/internal/model"
 	"calculon/internal/units"
@@ -129,8 +130,7 @@ func (p *preScreen) check(cfg engineConfig) error {
 	bp := (p.m.Blocks + cfg.pp - 1) / cfg.pp
 	blockW := layers.BlockWeightBytes(&p.m, cfg.tp)
 	weights := blockW.Times(float64(bp))
-	// Identical expression (and rounding) to inference.Estimate's kvPerBlock.
-	kvPerBlock := units.Bytes(2*2*p.m.Hidden).Times(p.ctx) / units.Bytes(cfg.tp) * units.Bytes(cfg.batch)
+	kvPerBlock := inference.KVBytes(&p.m, p.ctx, cfg.tp, cfg.batch)
 	if cfg.kvOffload {
 		if !p.hasMem2 {
 			return &screenError{kind: screenNoMem2}
