@@ -52,36 +52,39 @@ func TestExitCodeConvention(t *testing.T) {
 		args       []string
 		want       int
 		wantStderr string
+		// avoidStderr, when set, must not appear on stderr.
+		avoidStderr string
 	}{
-		{"success", []string{"presets"}, 0, ""},
-		{"no arguments", nil, 2, "usage:"},
-		{"unknown subcommand", []string{"bogus"}, 2, "unknown command"},
-		{"unknown flag", []string{"search", "-definitely-not-a-flag"}, 2, "flag provided but not defined"},
-		{"bad flag value", []string{"run", "-tp", "zebra"}, 2, "invalid value"},
-		{"infer non-dividing tp", []string{"infer", "-model", "gpt3-175B", "-tp", "7"}, 2, "infeasible"},
-		{"infer non-dividing pp", []string{"infer", "-model", "gpt3-175B", "-tp", "8", "-pp", "7"}, 2, "infeasible"},
+		{"success", []string{"presets"}, 0, "", ""},
+		{"no arguments", nil, 2, "usage:", ""},
+		{"unknown subcommand", []string{"bogus"}, 2, "unknown command", ""},
+		{"unknown flag", []string{"search", "-definitely-not-a-flag"}, 2, "flag provided but not defined", ""},
+		{"bad flag value", []string{"run", "-tp", "zebra"}, 2, "invalid value", ""},
+		{"infer non-dividing tp", []string{"infer", "-model", "gpt3-175B", "-tp", "7"}, 2, "infeasible", ""},
+		{"infer non-dividing pp", []string{"infer", "-model", "gpt3-175B", "-tp", "8", "-pp", "7"}, 2, "infeasible", ""},
 		// A step that does not advance is an empty sweep, not an endless one.
-		{"scaling zero step", []string{"scaling", "-model", "gpt3-13B", "-step", "0", "-max", "64"}, 1, "empty size range"},
-		{"scaling negative step", []string{"scaling", "-model", "gpt3-13B", "-step", "-8", "-max", "64"}, 1, "empty size range"},
-		{"serve-search negative step", []string{"serve-search", "-model", "gpt3-13B", "-step", "-8", "-max", "64"}, 1, "empty size range"},
-		// A negative cap would run as no cap under its own store key.
+		{"scaling zero step", []string{"scaling", "-model", "gpt3-13B", "-step", "0", "-max", "64"}, 1, "empty size range", ""},
+		{"scaling negative step", []string{"scaling", "-model", "gpt3-13B", "-step", "-8", "-max", "64"}, 1, "empty size range", ""},
+		{"serve-search negative step", []string{"serve-search", "-model", "gpt3-13B", "-step", "-8", "-max", "64"}, 1, "empty size range", ""},
+		// A negative cap would run as no cap under its own store key. It is
+		// wrong for every size of a sweep, so the error names none.
 		{"search negative max-interleave", []string{"search", "-model", "gpt3-13B", "-batch", "64", "-procs", "64",
-			"-max-interleave", "-3"}, 1, "negative max interleave -3"},
+			"-max-interleave", "-3"}, 1, "negative max interleave -3", ""},
 		{"scaling negative max-interleave", []string{"scaling", "-model", "gpt3-13B", "-step", "8", "-max", "64",
-			"-max-interleave", "-3"}, 1, "negative max interleave -3"},
+			"-max-interleave", "-3"}, 1, "negative max interleave -3", "size "},
 		// A NaN objective fails every comparison, so it must fail validation
 		// instead of admitting every deployment.
-		{"serve-search NaN SLO", []string{"serve-search", "-model", "gpt3-13B", "-procs", "64", "-ttft", "NaN", "-tpot", "NaN"}, 1, "SLO bounds must be positive"},
+		{"serve-search NaN SLO", []string{"serve-search", "-model", "gpt3-13B", "-procs", "64", "-ttft", "NaN", "-tpot", "NaN"}, 1, "SLO bounds must be positive", ""},
 		// A scenario file replaces the spec flags, so one given next to it
 		// is an error that names it instead of being silently ignored.
 		{"serve-search scenario with spec flags", []string{"serve-search", "-scenario", "../../configs/scenarios/serving-chat.json",
-			"-kv-offload", "-mem2", "512GiB", "-step", "8", "-max", "64", "-json", "-workers", "1"}, 1, "-scenario replaces -kv-offload, -mem2;"},
+			"-kv-offload", "-mem2", "512GiB", "-step", "8", "-max", "64", "-json", "-workers", "1"}, 1, "-scenario replaces -kv-offload, -mem2;", ""},
 		{"run scenario with strategy flags", []string{"run", "-scenario", "../../configs/scenarios/validation-1t-full.json",
-			"-tp", "4", "-layers"}, 1, "-scenario replaces -tp;"},
+			"-tp", "4", "-layers"}, 1, "-scenario replaces -tp;", ""},
 		// The deadline has passed before the search starts, so no machine
 		// is fast enough to finish it first.
 		{"timeout", []string{"search", "-model", "gpt3-175B", "-batch", "3072", "-procs", "4096",
-			"-timeout", "1ns"}, 124, "timed out"},
+			"-timeout", "1ns"}, 124, "timed out", ""},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -105,6 +108,9 @@ func TestExitCodeConvention(t *testing.T) {
 			}
 			if tc.wantStderr != "" && !strings.Contains(stderr.String(), tc.wantStderr) {
 				t.Fatalf("stderr missing %q:\n%s", tc.wantStderr, stderr.String())
+			}
+			if tc.avoidStderr != "" && strings.Contains(stderr.String(), tc.avoidStderr) {
+				t.Fatalf("stderr holds %q:\n%s", tc.avoidStderr, stderr.String())
 			}
 		})
 	}
@@ -130,12 +136,12 @@ func TestStudyRejectsSearchFlags(t *testing.T) {
 }
 
 // pausingContext pauses a search mid-flight: from the pauseAt-th call of
-// Err on — the search's workers call it before each work chunk and its
-// producer before each (t,p,d) subtree — every call waits for the context
-// to be cancelled, and the first one announces the pause on stderr. The
-// search below has 46 subtrees and thousands of chunks: with two
-// workers, one of them has made a second call, so finished a chunk, before
-// the pause, and most chunks are still to come.
+// Err on — the search's workers call it before each work chunk they
+// claim — every call waits for the context to be cancelled, and the first
+// one announces the pause on stderr. The search below has 46 subtrees and
+// 489 work chunks: with two workers, one of them has made a second call,
+// so finished a chunk, before the pause, and most chunks are still to
+// come.
 type pausingContext struct {
 	context.Context
 	calls atomic.Int64

@@ -69,7 +69,7 @@ func writeJSONList[T any](ctx context.Context, path string, workers int, items [
 		return writeJSON(path, items)
 	}
 	parts := make([][]byte, len(items))
-	err := search.Pool(context.WithoutCancel(ctx), workers, len(items), func(i int) error {
+	err := search.Pool(context.WithoutCancel(ctx), workers, len(items), func(_, i int) error {
 		var err error
 		parts[i], err = json.MarshalIndent(items[i], "  ", "  ")
 		return err

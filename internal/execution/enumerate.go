@@ -160,8 +160,8 @@ func (o EnumOptions) Enumerate(m model.LLM, yield func(Strategy) bool) int {
 // constraints are not re-checked here.
 //
 // The subtree is its segments (Segments) in order, each walked through the
-// toggle lattice (Toggles.Walk); the parallel search hands whole segments to
-// its workers and walks them there, in this same order.
+// toggle lattice (Toggles.Walk); the parallel search's workers walk the same
+// segments, a microbatch row at a time, in this same order.
 func (o EnumOptions) EnumerateTriple(m model.LLM, tpd [3]int, yield func(Strategy) bool) (int, bool) {
 	count := 0
 	tog := o.Toggles()
@@ -178,16 +178,45 @@ func (o EnumOptions) EnumerateTriple(m model.LLM, tpd [3]int, yield func(Strateg
 // yield, in enumeration order, and reports whether it ran to completion. A
 // segment fixes everything but the toggles — the triple, the microbatch,
 // and the pipeline schedule — and holds the Toggles().Len() strategies
-// Toggles.Walk visits from its root. The root's toggle fields are
-// unspecified (the walk overwrites them all), and the root is only valid
-// until yield returns.
+// Toggles.Walk visits from its root. The subtree is its microbatch rows
+// (MicrobatchSegments) in order.
 func (o EnumOptions) Segments(m *model.LLM, tpd [3]int, yield func(*Strategy) bool) bool {
-	s := Strategy{TP: tpd[0], PP: tpd[1], DP: tpd[2]}
-	bp := s.BlocksPerProc(m)
-	return eachDivisor(m.Batch/tpd[2], func(mb int) bool {
-		s.Microbatch = mb
-		return o.forEachSchedule(&s, bp, yield)
+	var s Strategy
+	mbs, _ := o.TripleShape(m, tpd)
+	for k := 0; k < mbs; k++ {
+		if !o.MicrobatchSegments(m, tpd, k, &s, yield) {
+			return false
+		}
+	}
+	return true
+}
+
+// MicrobatchSegments streams the roots of the segments of the (t,p,d)
+// subtree's k-th microbatch row (from 0; TripleShape) through yield, in
+// enumeration order, writing each into *st with every toggle field zero,
+// and reports whether it ran to completion. It allocates nothing.
+func (o EnumOptions) MicrobatchSegments(m *model.LLM, tpd [3]int, k int, st *Strategy, yield func(*Strategy) bool) bool {
+	mb := 0
+	eachDivisor(m.Batch/tpd[2], func(d int) bool { mb, k = d, k-1; return k >= 0 })
+	bp := (m.Blocks + tpd[1] - 1) / tpd[1] // BlocksPerProc
+	schedule := func(oneFOneB bool, v int) bool {
+		*st = Strategy{TP: tpd[0], PP: tpd[1], DP: tpd[2], Microbatch: mb, OneFOneB: oneFOneB, Interleave: v}
+		return yield(st)
+	}
+	// The plain GPipe-like schedule, only sensible without interleaving.
+	if !o.PinBeneficial && !schedule(false, 1) {
+		return false
+	}
+	// 1F1B with every divisor interleaving of the per-proc block count.
+	more := true
+	eachDivisor(bp, func(v int) bool {
+		if o.MaxInterleave > 0 && v > o.MaxInterleave || v > 1 && tpd[1] == 1 {
+			return false // the divisors ascend
+		}
+		more = schedule(true, v)
+		return more
 	})
+	return more
 }
 
 // TripleLeafCount returns, in closed form, the number of strategies
@@ -198,49 +227,24 @@ func (o EnumOptions) Segments(m *model.LLM, tpd [3]int, yield func(*Strategy) bo
 // the equality against the enumerator.
 func (o EnumOptions) TripleLeafCount(m model.LLM, tpd [3]int) int {
 	tog := o.Toggles()
-	return o.tripleSegments(&m, tpd) * tog.Len()
+	mbs, scheds := o.TripleShape(&m, tpd)
+	return mbs * scheds * tog.Len()
 }
 
-// tripleSegments returns, in closed form, the number of segments Segments
-// yields for the (t,p,d) subtree: the microbatch divisor count times the
-// schedule variants.
-func (o EnumOptions) tripleSegments(m *model.LLM, tpd [3]int) int {
-	sched := 0
+// TripleShape returns, in closed form, the shape of the (t,p,d) subtree's
+// segments: the number of microbatch rows — the divisors of the
+// per-pipeline batch — and the segments of each row, its pipeline schedule
+// variants. Segments yields their product.
+func (o EnumOptions) TripleShape(m *model.LLM, tpd [3]int) (microbatches, schedules int) {
 	if !o.PinBeneficial {
-		sched++ // the plain GPipe-like schedule
+		schedules++ // the plain GPipe-like schedule
 	}
 	if tpd[1] == 1 {
-		sched++ // interleaving is meaningless without pipeline parallelism
+		schedules++ // interleaving is meaningless without pipeline parallelism
 	} else {
-		sched += countDivisors((m.Blocks+tpd[1]-1)/tpd[1], o.MaxInterleave)
+		schedules += countDivisors((m.Blocks+tpd[1]-1)/tpd[1], o.MaxInterleave)
 	}
-	return countDivisors(m.Batch/tpd[2], 0) * sched
-}
-
-// forEachSchedule enumerates pipeline schedule variants (1F1B on/off,
-// interleave factors among the divisors of bp, the per-proc block count) of
-// s, yielding s itself with the schedule fields set.
-func (o EnumOptions) forEachSchedule(s *Strategy, bp int, yield func(*Strategy) bool) bool {
-	if !o.PinBeneficial {
-		// Plain GPipe-like schedule (only sensible without interleaving).
-		s.OneFOneB = false
-		s.Interleave = 1
-		if !yield(s) {
-			return false
-		}
-	}
-	// 1F1B with every divisor interleaving of the per-proc block count.
-	more := true
-	eachDivisor(bp, func(v int) bool {
-		if o.MaxInterleave > 0 && v > o.MaxInterleave || v > 1 && s.PP == 1 {
-			return false
-		}
-		s.OneFOneB = true
-		s.Interleave = v
-		more = yield(s)
-		return more
-	})
-	return more
+	return countDivisors(m.Batch/tpd[2], 0), schedules
 }
 
 type commCombo struct {
@@ -593,12 +597,17 @@ func flip[T comparable](f *T, v T, bit FieldMask) (m FieldMask) {
 // lattice — so it costs divisor arithmetic, not an enumeration pass;
 // TestLatticeCountsConsistent pins it against the enumerator.
 func (o EnumOptions) SpaceSize(m model.LLM) int {
-	segs := 0
-	for _, tpd := range o.Triples(m) {
-		segs += o.tripleSegments(&m, tpd)
+	return o.LeafCount(m, o.Triples(m))
+}
+
+// LeafCount returns, in closed form, the number of strategies the (t,p,d)
+// subtrees hold: their TripleLeafCount summed.
+func (o EnumOptions) LeafCount(m model.LLM, triples [][3]int) int {
+	n := 0
+	for _, tpd := range triples {
+		n += o.TripleLeafCount(m, tpd)
 	}
-	tog := o.Toggles()
-	return segs * tog.Len()
+	return n
 }
 
 // Validate checks the options themselves.

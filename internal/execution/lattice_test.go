@@ -72,9 +72,9 @@ func TestLatticeCountsConsistent(t *testing.T) {
 }
 
 // TestSegmentWalkMatchesEnumerateTriple is the ordering obligation of the
-// segment hand-off: the parallel search copies each segment root out of
-// Segments, ships it to a worker, and walks its toggles there. Walking the
-// copied roots, in order and concatenated, must reproduce EnumerateTriple
+// segment walk: the parallel search's workers write segment roots into a
+// Strategy they own and walk their toggles there. Walking copies of the
+// roots, in order and concatenated, must reproduce EnumerateTriple
 // element for element — same strategies, same order, so the same sequence
 // numbers — for every feature set, offload tier, pinning, and interleave
 // cap.

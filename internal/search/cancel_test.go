@@ -28,9 +28,8 @@ func bigSpace() (model.LLM, system.System) {
 
 // cancellingContext cancels itself at the at-th call of Err, so a test
 // cancels a search at a fixed point of its walk instead of racing it from
-// another goroutine. Execution calls Err once before each (t,p,d) subtree in
-// its producer and once before each work chunk in its workers; a sweep also
-// calls it before each size it claims.
+// another goroutine. A Pool worker calls Err once before each claim: an
+// Execution worker before each work chunk, a sweep before each size.
 type cancellingContext struct {
 	context.Context
 	cancel context.CancelFunc
@@ -75,9 +74,9 @@ func TestExecutionCancelledMidSearch(t *testing.T) {
 	opts.EstimateTotal = true
 
 	baseline := runtime.NumGoroutine()
-	// The search has 26 subtrees and 317 work chunks of one segment each, so
-	// the 100th call of Err comes after at least 73 chunk claims, each of
-	// which the worker evaluates whole, and before the last 218.
+	// The search has 26 subtrees and 126 work chunks (microbatch rows), so
+	// the 100th call of Err comes after 99 chunk claims, each of which the
+	// worker evaluates whole, and the last 27 chunks are never claimed.
 	ctx := cancelAt(100)
 	defer ctx.cancel()
 
@@ -123,14 +122,9 @@ func TestExecutionPreCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// At most the chunks already buffered at cancellation get evaluated. A
-	// chunk is whole toggle segments, as many leaves as the producer packs.
-	opts, err := normalizeOptions(m, sys, bigOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tog := opts.Enum.Toggles()
-	if perChunk := segmentsPerChunk(tog.Len()) * tog.Len(); res.Evaluated > 16*perChunk {
+	// A worker checks the context before each claim, so no work chunk is
+	// claimed: not even a pruned subtree is counted.
+	if res.Evaluated != 0 {
 		t.Fatalf("pre-cancelled search still evaluated %d strategies", res.Evaluated)
 	}
 	waitForGoroutines(t, baseline)

@@ -152,7 +152,7 @@ func TestFoldMatchesReference(t *testing.T) {
 				merged.feasible += states[i].feasible
 				merged.merge(&states[i].fold)
 			}
-			if got := resultFrom(merged, 0); !reflect.DeepEqual(got, want) {
+			if got := resultFrom(merged); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d (n=%d topK=%d pareto=%v mode=%d): worker merge\n got  %+v\n want %+v",
 					trial, len(items), topK, pareto, mode, summarize(got), summarize(want))
 			}
@@ -161,7 +161,7 @@ func TestFoldMatchesReference(t *testing.T) {
 		states := foldParts(t, rng, items, 1+rng.Intn(8), topK, pareto, resultFirst)
 		shards := make([]ShardResult, len(states))
 		for i, ws := range states {
-			shards[i] = ws.shardResult(Shard{Index: i, Count: len(states)}, 0)
+			shards[i] = ws.shardResult(Shard{Index: i, Count: len(states)})
 		}
 		rng.Shuffle(len(shards), func(i, j int) { shards[i], shards[j] = shards[j], shards[i] })
 		got, err := MergeResults(shards)

@@ -9,8 +9,8 @@ import (
 // Progress is a live, lock-free view into a running search. Attach one via
 // Options.Progress and read it from any goroutine — a progress ticker, an
 // HTTP status handler, a signal handler printing partial results — while the
-// search runs. Workers flush counters once per work chunk (about 256 leaves,
-// or one toggle segment when that is larger), so a mid-flight Snapshot may
+// search runs. Workers flush counters once per work chunk (a microbatch row
+// of a (t,p,d) subtree, or a pruned subtree), so a mid-flight Snapshot may
 // lag the true position by at most one chunk per worker; once the search
 // returns, the counters exactly match the returned Result.
 //

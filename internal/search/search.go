@@ -15,6 +15,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"calculon/internal/execution"
 	"calculon/internal/model"
@@ -91,30 +92,14 @@ type Result struct {
 // Found reports whether any feasible configuration exists.
 func (r Result) Found() bool { return r.Feasible > 0 }
 
-// segment is a toggle segment's root (execution.EnumOptions.Segments) and
-// the sequence number of its first leaf; workers walk its toggles.
-type segment struct {
-	seq  int
-	root execution.Strategy
-}
-
-const chunkSize = 256
-
-// segmentsPerChunk is how many whole segments of segLen leaves a work chunk
-// carries: about chunkSize leaves, at least one segment. A worker checks for
-// cancellation once per chunk: at most max(chunkSize, segLen) leaves apart.
-func segmentsPerChunk(segLen int) int {
-	return max(1, chunkSize/segLen)
-}
-
 // Execution exhaustively evaluates every strategy the options allow for the
 // model on the system and returns the best performer with statistics.
 //
-// Cancelling the context stops the search promptly — enumeration halts, each
-// worker finishes at most its current chunk of segments, and no goroutines
-// are leaked. On cancellation the returned error is ctx.Err() and the Result still
-// carries the partial Evaluated/Feasible counters (consistent with any
-// attached Progress), though Best/Top/Pareto cover only the strategies seen.
+// Cancelling the context stops the search promptly — each worker finishes
+// at most its current work chunk, and no goroutines are leaked. On
+// cancellation the returned error is ctx.Err() and the Result still carries
+// the partial Evaluated/Feasible counters (consistent with any attached
+// Progress), though Best/Top/Pareto cover only the strategies seen.
 func Execution(ctx context.Context, m model.LLM, sys system.System, opts Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -132,11 +117,11 @@ func Execution(ctx context.Context, m model.LLM, sys system.System, opts Options
 	// arithmetic, no enumeration pass — and buys the ETA in snapshots.
 	size := func() int { return opts.Enum.SpaceSize(m) }
 	return Run(ctx, opts.Watch, st, size, func(prog *Progress) (Result, error) {
-		merged, subtreePruned, err := executionScored(ctx, m, sys, opts, prog, opts.Enum.Triples(m), 0)
+		merged, err := executionScored(ctx, m, sys, opts, prog, opts.Enum.Triples(m), 0)
 		if err != nil {
 			return Result{}, err
 		}
-		return resultFrom(&merged, subtreePruned), ctx.Err()
+		return resultFrom(&merged), ctx.Err()
 	})
 }
 
@@ -168,140 +153,135 @@ func normalizeOptions(m model.LLM, sys system.System, opts Options) (Options, er
 }
 
 // executionScored is the engine room shared by Execution and
-// ExecutionShard: it runs the worker pool and the lattice producer over a
-// contiguous run of (tp,pp,dp) triples and returns the merged per-worker
-// state (with global sequence numbers, the deterministic tie-break key)
-// plus the closed-form count of subtree-pruned leaves, both already folded
-// into the counters. seqBase is the global sequence number of the first
-// leaf of triples — the leaf count of everything before the range — so a
-// shard scores its strategies exactly as the single-process walk would.
-func executionScored(ctx context.Context, m model.LLM, sys system.System, opts Options, prog *Progress, triples [][3]int, seqBase int) (workerState, int, error) {
-	workers := poolSize(opts.Workers)
+// ExecutionShard: it runs the workers over a contiguous run of (tp,pp,dp)
+// triples and returns their merged state (with global sequence numbers,
+// the deterministic tie-break key), subtree-pruned leaves included. seqBase
+// is the global sequence number of the first leaf of triples — the leaf
+// count of everything before the range — so a shard scores its strategies
+// exactly as the single-process walk would.
+func executionScored(ctx context.Context, m model.LLM, sys system.System, opts Options, prog *Progress, triples [][3]int, seqBase int) (workerState, error) {
 	runner := opts.sharedRunner
 	if runner == nil {
 		var err error
 		runner, err = perf.NewRunner(m, sys)
 		if err != nil {
-			return workerState{}, 0, err
+			return workerState{}, err
 		}
 	}
 	tog := opts.Enum.Toggles()
 	floor := perf.NewSegmentFloor(&tog)
-	chunks := make(chan []segment, workers)
-	results := make(chan workerState, workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			ws := workerState{fold: fold{topK: opts.TopK, pareto: opts.Pareto}}
-			// Each worker threads one delta chain through its strategies:
-			// the class walk moves as few toggles between leaves as the
-			// lattice allows and names them, so most term groups carry
-			// over. The chain is goroutine-local; the Runner stays shared.
-			var chain perf.RunInfo
-			var res perf.Result
-			for chunk := range chunks {
-				// After cancellation, keep draining so the producer's sends
-				// and close always complete, but stop evaluating.
-				if ctx.Err() != nil {
-					continue
-				}
-				evalBefore, feasBefore := ws.evaluated, ws.feasible
-				preBefore, hitBefore := ws.prescreened, ws.cacheHits
-				for i := range chunk {
-					ws.segment(runner, &chain, &res, &tog, &floor, &chunk[i], opts.CollectRates)
-				}
-				if prog != nil {
-					prog.AddCounts(Counts{
-						Evaluated:   int64(ws.evaluated - evalBefore),
-						Feasible:    int64(ws.feasible - feasBefore),
-						PreScreened: int64(ws.prescreened - preBefore),
-						CacheHits:   int64(ws.cacheHits - hitBefore),
-					})
-				}
-			}
-			results <- ws
-		}()
-	}
-
-	// The producer walks the (tp,pp,dp) lattice: subtrees whose every toggle
-	// projection fails the closed-form bound are dropped whole, with their
-	// leaf count — exact, by TripleLeafCount — folded into the counters and
-	// the enumeration sequence so downstream tie-breaks and ETAs are
-	// bit-identical to the leaf-by-leaf path. The rest go out as segments.
 	screen := execution.NewPreScreen(m, execution.Limits{
 		Procs: sys.Procs,
 		Mem1:  sys.Mem1.Capacity,
 		Mem2:  sys.Mem2.Capacity,
 	})
-	perChunk := segmentsPerChunk(tog.Len())
-	buf := make([]segment, 0, perChunk)
-	seq := seqBase
-	subtreePruned := 0
-	for _, tpd := range triples {
-		if ctx.Err() != nil {
-			break
-		}
-		if err := screen.CheckTriple(opts.Enum, tpd); err != nil {
-			leaves := opts.Enum.TripleLeafCount(m, tpd)
-			seq += leaves
-			subtreePruned += leaves
-			if prog != nil {
-				prog.AddCounts(Counts{
-					Evaluated:     int64(leaves),
-					PreScreened:   int64(leaves),
-					SubtreePruned: int64(leaves),
-				})
-			}
-			continue
-		}
-		more := opts.Enum.Segments(&m, tpd, func(root *execution.Strategy) bool {
-			buf = append(buf, segment{seq, *root})
-			seq += tog.Len()
-			if len(buf) == perChunk {
-				select {
-				case chunks <- buf:
-				case <-ctx.Done():
-					return false
-				}
-				buf = make([]segment, 0, perChunk)
-			}
-			return true
-		})
-		if !more {
-			break
-		}
+	chunks := newWorkChunks(&opts.Enum, &m, screen, triples, seqBase)
+	workers := make([]worker, poolSize(opts.Workers))
+	for w := range workers {
+		workers[w].fold = fold{topK: opts.TopK, pareto: opts.Pareto}
 	}
-	if len(buf) > 0 {
-		select {
-		case chunks <- buf:
-		case <-ctx.Done():
+	_ = Pool(ctx, len(workers), chunks.n, func(w, i int) error {
+		ws := &workers[w]
+		before := ws.workerState
+		row, k, seq := chunks.at(i)
+		if row.pruned {
+			// Every toggle projection failed the closed-form bound: the
+			// leaves are counted whole, exactly as walking them would.
+			leaves := row.microbatches * row.schedules * chunks.segLen
+			ws.evaluated += leaves
+			ws.prescreened += leaves
+			ws.subtreePruned += leaves
+		} else {
+			opts.Enum.MicrobatchSegments(&m, row.tpd, k, &ws.root, func(root *execution.Strategy) bool {
+				ws.segment(runner, &tog, &floor, root, seq, opts.CollectRates)
+				seq += chunks.segLen
+				return true
+			})
 		}
-	}
-	close(chunks)
+		if prog != nil {
+			prog.AddCounts(Counts{
+				Evaluated:     int64(ws.evaluated - before.evaluated),
+				Feasible:      int64(ws.feasible - before.feasible),
+				PreScreened:   int64(ws.prescreened - before.prescreened),
+				CacheHits:     int64(ws.cacheHits - before.cacheHits),
+				SubtreePruned: int64(ws.subtreePruned - before.subtreePruned),
+			})
+		}
+		return nil
+	})
 
 	merged := workerState{fold: fold{topK: opts.TopK, pareto: opts.Pareto}}
-	for w := 0; w < workers; w++ {
-		o := <-results
+	for w := range workers {
+		o := &workers[w]
 		merged.evaluated += o.evaluated
 		merged.feasible += o.feasible
 		merged.prescreened += o.prescreened
 		merged.cacheHits += o.cacheHits
+		merged.subtreePruned += o.subtreePruned
 		merged.merge(&o.fold)
 	}
-	merged.evaluated += subtreePruned
-	merged.prescreened += subtreePruned
-	return merged, subtreePruned, nil
+	return merged, nil
+}
+
+// workChunks is a search's work in the units a worker claims from Pool, in
+// enumeration order: a work chunk per microbatch row of a (t,p,d) subtree
+// (its segments, one per pipeline schedule) and one per pruned subtree. Its
+// table, built once per search, gives a chunk's triple, row and first seq.
+type workChunks struct {
+	rows   []tripleChunks
+	n      int // chunks in all
+	segLen int // leaves per segment
+}
+
+// tripleChunks is one (t,p,d) subtree's entry in the table.
+type tripleChunks struct {
+	tpd          [3]int
+	seq          int // the sequence number of the subtree's first leaf
+	first        int // the index of its first chunk
+	microbatches int // TripleShape's microbatch rows
+	schedules    int // and segments per row
+	pruned       bool
+}
+
+// newWorkChunks builds the table of the triples, whose first leaf has seq
+// seqBase, running the lattice prune (CheckTriple) on each.
+func newWorkChunks(enum *execution.EnumOptions, m *model.LLM, screen *execution.PreScreen, triples [][3]int, seqBase int) workChunks {
+	tog := enum.Toggles()
+	c := workChunks{rows: make([]tripleChunks, len(triples)), segLen: tog.Len()}
+	seq := seqBase
+	for i, tpd := range triples {
+		r := &c.rows[i]
+		r.tpd, r.seq, r.first = tpd, seq, c.n
+		r.microbatches, r.schedules = enum.TripleShape(m, tpd)
+		r.pruned = screen.CheckTriple(*enum, tpd) != nil
+		if r.pruned {
+			c.n++
+		} else {
+			c.n += r.microbatches
+		}
+		seq += r.microbatches * r.schedules * c.segLen
+	}
+	return c
+}
+
+// at returns chunk i's triple, its microbatch row within the triple (0 for
+// a pruned triple) and the sequence number of its first leaf.
+func (c *workChunks) at(i int) (row *tripleChunks, k, seq int) {
+	row = &c.rows[sort.Search(len(c.rows), func(j int) bool { return c.rows[j].first > i })-1]
+	k = i - row.first
+	return row, k, row.seq + k*row.schedules*c.segLen
 }
 
 // resultFrom converts the merged worker state into the exported Result,
 // dropping the sequence numbers; top and front are already in their final
 // deterministic order.
-func resultFrom(merged *workerState, subtreePruned int) Result {
+func resultFrom(merged *workerState) Result {
 	out := Result{
 		Evaluated:     merged.evaluated,
 		Feasible:      merged.feasible,
 		PreScreened:   merged.prescreened,
 		CacheHits:     merged.cacheHits,
-		SubtreePruned: subtreePruned,
+		SubtreePruned: merged.subtreePruned,
 		Rates:         merged.rates,
 	}
 	if merged.feasible > 0 && len(merged.best) > 0 {
@@ -314,11 +294,22 @@ func resultFrom(merged *workerState, subtreePruned int) Result {
 // workerState is one worker's leaf counters and its fold; the merged state
 // of a search or a shard has the same shape.
 type workerState struct {
-	evaluated   int
-	feasible    int
-	prescreened int
-	cacheHits   int
+	evaluated     int
+	feasible      int
+	prescreened   int
+	cacheHits     int
+	subtreePruned int // pruned leaves, counted in evaluated and prescreened too
 	fold
+}
+
+// worker is one search worker: its state, its delta chain, the root it writes
+// its chunks' segments into and, last, the Result of a kept leaf, which keeps
+// the next worker's counters off the cache lines this one reads.
+type worker struct {
+	workerState
+	chain perf.RunInfo
+	root  execution.Strategy
+	res   perf.Result
 }
 
 // segment walks one segment class by class on the chain, unless its memory
@@ -335,17 +326,18 @@ type workerState struct {
 // batch time, and both keys bound every leaf of the class from below, so
 // this admits every leaf of the class a per-leaf test would (docs/MODEL.md,
 // "The leaf path").
-func (ws *workerState) segment(runner *perf.Runner, chain *perf.RunInfo, res *perf.Result, tog *execution.Toggles, floor *perf.SegmentFloor, seg *segment, collectRates bool) {
-	if pre, ok := runner.FloorSegment(chain, floor, &seg.root); ok {
+func (ws *worker) segment(runner *perf.Runner, tog *execution.Toggles, floor *perf.SegmentFloor, root *execution.Strategy, seq0 int, collectRates bool) {
+	chain := &ws.chain
+	if pre, ok := runner.FloorSegment(chain, floor, root); ok {
 		n := tog.Len()
 		ws.evaluated += n
 		ws.prescreened += pre
 		ws.cacheHits += n - pre
 		return
 	}
-	w := tog.Classes(&seg.root)
+	w := tog.Classes(root)
 	for more := true; more; more = w.NextClass() {
-		k, ok := runner.RunLeaf(chain, &seg.root, w.Mask())
+		k, ok := runner.RunLeaf(chain, root, w.Mask())
 		n := w.Len()
 		ws.evaluated += n
 		switch {
@@ -361,31 +353,31 @@ func (ws *workerState) segment(runner *perf.Runner, chain *perf.RunInfo, res *pe
 		}
 		ws.feasible += n
 		if !collectRates {
-			if !ws.keeps(seg.seq, &k) {
+			if !ws.keeps(seq0, &k) {
 				continue
 			}
-			if f := chain.Floor(); !ws.keeps(seg.seq, &f) {
+			if f := chain.Floor(); !ws.keeps(seq0, &f) {
 				continue
 			}
 		}
 		for {
 			// keeps turns a leaf away on its bound keys only if it would
 			// on its exact ones, which are never faster.
-			seq := seg.seq + w.Rank()
+			seq := seq0 + w.Rank()
 			if collectRates || ws.keeps(seq, &k) {
 				exact := chain.Keys()
 				if collectRates {
 					ws.rates = append(ws.rates, exact.SampleRate)
 				}
 				if ws.keeps(seq, &exact) {
-					chain.Result(res)
-					ws.offer(seq, res)
+					chain.Result(&ws.res)
+					ws.offer(seq, &ws.res)
 				}
 			}
 			if !w.NextLeaf() {
 				break
 			}
-			k, _ = runner.RunLeaf(chain, &seg.root, w.Mask())
+			k, _ = runner.RunLeaf(chain, root, w.Mask())
 		}
 	}
 }
@@ -421,6 +413,12 @@ func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.S
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// Procs aside, the options hold for every size: check them once, naming none.
+	enum := opts.Enum
+	enum.Procs = 1
+	if err := enum.Validate(); err != nil {
+		return nil, err
+	}
 	// The sweep owns the ticker over the aggregate Progress; per-size
 	// searches only flush counters into it.
 	prog, finish := opts.Watch.Start(ctx)
@@ -437,7 +435,7 @@ func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.S
 		group, _ = perf.NewRunnerGroup(m, sysAt(sizes[0]))
 	}
 	points := make([]ScalingPoint, len(sizes))
-	err := Pool(ctx, concurrent, len(sizes), func(i int) error {
+	err := Pool(ctx, concurrent, len(sizes), func(_, i int) error {
 		n := sizes[i]
 		o := opts
 		o.Enum.Procs, o.Workers = n, perSize

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"calculon/internal/execution"
 	"calculon/internal/model"
 	"calculon/internal/system"
 )
@@ -122,29 +121,20 @@ func ExecutionShard(ctx context.Context, m model.LLM, sys system.System, opts Op
 	lo, hi := shardRange(sh, len(triples))
 	// The shard's sequence numbers start after every leaf of the triples
 	// before its range — closed-form, no enumeration.
-	seqBase := leafCount(opts.Enum, m, triples[:lo])
-	size := func() int { return leafCount(opts.Enum, m, triples[lo:hi]) }
+	seqBase := opts.Enum.LeafCount(m, triples[:lo])
+	size := func() int { return opts.Enum.LeafCount(m, triples[lo:hi]) }
 	return Run(ctx, opts.Watch, Stored[ShardResult]{}, size, func(prog *Progress) (ShardResult, error) {
-		merged, subtreePruned, err := executionScored(ctx, m, sys, opts, prog, triples[lo:hi], seqBase)
+		merged, err := executionScored(ctx, m, sys, opts, prog, triples[lo:hi], seqBase)
 		if err != nil {
 			return ShardResult{}, err
 		}
-		return merged.shardResult(sh, subtreePruned), ctx.Err()
+		return merged.shardResult(sh), ctx.Err()
 	})
-}
-
-// leafCount is the number of leaves of the triples, in closed form.
-func leafCount(enum execution.EnumOptions, m model.LLM, triples [][3]int) int {
-	n := 0
-	for _, tpd := range triples {
-		n += enum.TripleLeafCount(m, tpd)
-	}
-	return n
 }
 
 // shardResult exports a merged state as the mergeable partial of shard sh.
 // Its parts are already in their final order and in the wire's shape.
-func (ws *workerState) shardResult(sh Shard, subtreePruned int) ShardResult {
+func (ws *workerState) shardResult(sh Shard) ShardResult {
 	out := ShardResult{
 		Shard:         sh,
 		TopK:          ws.topK,
@@ -153,7 +143,7 @@ func (ws *workerState) shardResult(sh Shard, subtreePruned int) ShardResult {
 		Feasible:      ws.feasible,
 		PreScreened:   ws.prescreened,
 		CacheHits:     ws.cacheHits,
-		SubtreePruned: subtreePruned,
+		SubtreePruned: ws.subtreePruned,
 		Top:           ws.top,
 		Front:         ws.front,
 	}
@@ -203,19 +193,18 @@ func MergeResults(shards []ShardResult) (Result, error) {
 	}
 
 	merged := &workerState{fold: fold{topK: shards[0].TopK, pareto: shards[0].Pareto}}
-	subtreePruned := 0
 	for i := range shards {
 		s := &shards[i]
 		merged.evaluated += s.Evaluated
 		merged.feasible += s.Feasible
 		merged.prescreened += s.PreScreened
 		merged.cacheHits += s.CacheHits
-		subtreePruned += s.SubtreePruned
+		merged.subtreePruned += s.SubtreePruned
 		part := fold{top: s.Top, front: s.Front}
 		if s.Best != nil {
 			part.best = []SeqResult{*s.Best}
 		}
 		merged.merge(&part)
 	}
-	return resultFrom(merged, subtreePruned), nil
+	return resultFrom(merged), nil
 }

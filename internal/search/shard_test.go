@@ -194,3 +194,114 @@ func TestExecutionShardRejections(t *testing.T) {
 		t.Error("CollectRates accepted on a sharded search")
 	}
 }
+
+// TestWorkChunksTileTheSpace: the work chunks, claimed in order through
+// their closed-form mapping, are the space's segments in enumeration order.
+// Each chunk's roots (MicrobatchSegments) walk into exactly the leaves
+// EnumerateTriple lists from the chunk's first sequence number, a pruned
+// subtree's one chunk stands for its TripleLeafCount leaves, and the
+// chunks' leaves sum to the shard's LeafCount and, over all shards, to
+// SpaceSize. Randomized over models, feature sets, PinBeneficial,
+// MaxInterleave, pinned degrees, the second tier, first-tier capacities
+// that prune some subtrees, and shard splits.
+func TestWorkChunksTileTheSpace(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	models := []string{"gpt3-13B", "megatron-22B", "gpt2-1.5B", "llama-65B"}
+	features := []execution.FeatureSet{
+		execution.FeatureBaseline, execution.FeatureSeqPar, execution.FeatureAll,
+	}
+	pruned := 0
+	for draw := 0; draw < 60; draw++ {
+		m := model.MustPreset(models[rng.Intn(len(models))]).WithBatch([]int{8, 16, 24, 32}[rng.Intn(4)])
+		procs := []int{4, 8, 12, 16, 24}[rng.Intn(5)]
+		enum := execution.EnumOptions{
+			Procs:         procs,
+			Features:      features[rng.Intn(len(features))],
+			HasMem2:       rng.Intn(2) == 0,
+			MaxTP:         []int{0, 4, 8}[rng.Intn(3)],
+			MaxInterleave: []int{0, 1, 2, 3}[rng.Intn(4)],
+			PinBeneficial: rng.Intn(2) == 0,
+		}
+		switch rng.Intn(6) {
+		case 0:
+			enum.FixedTP = []int{1, 2, 4}[rng.Intn(3)]
+		case 1:
+			enum.FixedPP = []int{1, 2, 4}[rng.Intn(3)]
+		case 2:
+			enum.FixedDP = []int{1, 2}[rng.Intn(2)]
+		}
+		sys := system.A100(procs)
+		sys = sys.WithMem1Capacity(sys.Mem1.Capacity / units.Bytes(int(1)<<rng.Intn(5)))
+		if enum.HasMem2 {
+			sys = sys.WithMem2(system.DDR5(512 * units.GiB))
+		}
+		screen := execution.NewPreScreen(m, execution.Limits{Procs: procs, Mem1: sys.Mem1.Capacity, Mem2: sys.Mem2.Capacity})
+		tog := enum.Toggles()
+		segLen := tog.Len()
+
+		// The reference: the first leaf of every segment, by sequence number.
+		triples := enum.Triples(m)
+		firsts := map[int]execution.Strategy{}
+		seq := 0
+		for _, tpd := range triples {
+			enum.EnumerateTriple(m, tpd, func(s execution.Strategy) bool {
+				if seq%segLen == 0 {
+					firsts[seq] = s
+				}
+				seq++
+				return true
+			})
+		}
+		space := seq
+		if space != enum.SpaceSize(m) {
+			t.Fatalf("draw %d: EnumerateTriple lists %d leaves, SpaceSize %d", draw, space, enum.SpaceSize(m))
+		}
+
+		n := 1 + rng.Intn(len(triples)+2)
+		seq = 0
+		for s := 0; s < n; s++ {
+			lo, hi := shardRange(Shard{Index: s, Count: n}, len(triples))
+			seqBase := enum.LeafCount(m, triples[:lo])
+			if seqBase != seq {
+				t.Fatalf("draw %d shard %d/%d: starts at seq %d, the previous shard ended at %d", draw, s, n, seqBase, seq)
+			}
+			c := newWorkChunks(&enum, &m, screen, triples[lo:hi], seqBase)
+			var root execution.Strategy
+			for i := 0; i < c.n; i++ {
+				row, k, first := c.at(i)
+				if first != seq {
+					t.Fatalf("draw %d shard %d/%d chunk %d: first seq %d, want %d", draw, s, n, i, first, seq)
+				}
+				if row.pruned {
+					if k != 0 || screen.CheckTriple(enum, row.tpd) == nil {
+						t.Fatalf("draw %d chunk %d: pruned row %d of triple %v, which CheckTriple passes", draw, i, k, row.tpd)
+					}
+					pruned++
+					seq += enum.TripleLeafCount(m, row.tpd)
+					continue
+				}
+				enum.MicrobatchSegments(&m, row.tpd, k, &root, func(r *execution.Strategy) bool {
+					want, ok := firsts[seq]
+					tog.Walk(r, func(leaf *execution.Strategy, _ execution.FieldMask) bool {
+						if !ok || *leaf != want {
+							t.Fatalf("draw %d chunk %d (triple %v, row %d): segment at seq %d starts %+v, EnumerateTriple has %+v",
+								draw, i, row.tpd, k, seq, *leaf, want)
+						}
+						return false
+					})
+					seq += segLen
+					return true
+				})
+			}
+			if got, want := seq-seqBase, enum.LeafCount(m, triples[lo:hi]); got != want {
+				t.Fatalf("draw %d shard %d/%d: chunks hold %d leaves, LeafCount %d", draw, s, n, got, want)
+			}
+		}
+		if seq != space {
+			t.Fatalf("draw %d: the chunks hold %d leaves, SpaceSize %d", draw, seq, space)
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("no draw pruned a subtree")
+	}
+}

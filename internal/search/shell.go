@@ -135,35 +135,39 @@ func Run[R any](ctx context.Context, w Watch, st Stored[R], size func() int, run
 	return res, err
 }
 
-// Pool calls job(i) for every i in [0, n) on up to workers goroutines
-// (GOMAXPROCS when workers ≤ 0) and returns once all of them are done.
-// Indices are claimed in increasing order, and claiming stops once ctx is
-// done. The error returned is that of the lowest index that failed,
-// whatever the scheduling.
-func Pool(ctx context.Context, workers, n int, job func(i int) error) error {
-	errs := make([]error, n)
+// Pool calls job(w, i) for every i in [0, n) on up to workers workers
+// (GOMAXPROCS when workers ≤ 0), w being the calling worker's index, and
+// returns once all are done. The calling goroutine is worker 0, so a
+// one-worker pool starts no goroutine. Indices are claimed in increasing
+// order from one cursor, and claiming stops once ctx is done. The error
+// returned is that of the lowest index that failed, whatever the scheduling.
+func Pool(ctx context.Context, workers, n int, job func(w, i int) error) error {
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(poolSize(workers), n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				errs[i] = job(i)
+	var mu sync.Mutex
+	failed, firstErr := n, error(nil)
+	work := func(w int) {
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
 			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+			if err := job(w, i); err != nil {
+				mu.Lock()
+				if i < failed {
+					failed, firstErr = i, err
+				}
+				mu.Unlock()
+			}
 		}
 	}
-	return nil
+	var wg sync.WaitGroup
+	for w := 1; w < min(poolSize(workers), n); w++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); work(w) }()
+	}
+	work(0)
+	wg.Wait()
+	return firstErr
 }
 
 // poolSize is a worker budget: workers, or GOMAXPROCS when it is not

@@ -3,6 +3,8 @@ package search
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -56,5 +58,37 @@ func TestRunStorePolicy(t *testing.T) {
 		if s.StoreHits != 0 || s.Evaluated != 100 || s.Total != 100 {
 			t.Errorf("%s: progress %+v, want the run's counts and its size as the total", tc.name, s)
 		}
+	}
+}
+
+// TestPoolWorkers: a job learns its worker's index, in [0, workers), every
+// index is claimed once, and the calling goroutine is worker 0, so a
+// one-worker pool starts no goroutine.
+func TestPoolWorkers(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	_ = Pool(context.Background(), 1, 10, func(w, i int) error {
+		if n := runtime.NumGoroutine(); w != 0 || n != baseline {
+			t.Errorf("one-worker pool: job %d on worker %d with %d goroutines, want worker 0 and %d", i, w, n, baseline)
+		}
+		return nil
+	})
+	var perWorker [3]atomic.Int64
+	var claimed [300]atomic.Int64
+	_ = Pool(context.Background(), len(perWorker), len(claimed), func(w, i int) error {
+		perWorker[w].Add(1)
+		claimed[i].Add(1)
+		return nil
+	})
+	total := int64(0)
+	for w := range perWorker {
+		total += perWorker[w].Load()
+	}
+	for i := range claimed {
+		if c := claimed[i].Load(); c != 1 {
+			t.Fatalf("index %d claimed %d times", i, c)
+		}
+	}
+	if total != int64(len(claimed)) {
+		t.Fatalf("workers ran %d jobs, want %d", total, len(claimed))
 	}
 }

@@ -91,7 +91,7 @@ func evalAll(ctx context.Context, spec *Spec, workers int, prog *search.Progress
 	pairs = append(pairs, len(cfgs))
 	// Every job succeeds (profiles carry their own errors), so Pool has no
 	// error to report.
-	_ = search.Pool(ctx, workers, len(pairs)-1, func(k int) error {
+	_ = search.Pool(ctx, workers, len(pairs)-1, func(_, k int) error {
 		var shared pairPrefill
 		var delta search.Counts
 		for i := pairs[k]; i < pairs[k+1]; i++ {
@@ -426,7 +426,7 @@ func offer(buf []candidate, c candidate) []candidate {
 // ctx stops the reduction and returns ctx.Err().
 func chainFronts(ctx context.Context, workers int, buckets [][]candidate) error {
 	// Every job succeeds, so Pool has no error to report.
-	_ = search.Pool(ctx, workers, len(buckets), func(k int) error {
+	_ = search.Pool(ctx, workers, len(buckets), func(_, k int) error {
 		buckets[k] = paretoFront(buckets[k])
 		return nil
 	})
