@@ -25,7 +25,13 @@ import (
 )
 
 const smallJob = `{"model":{"preset":"gpt3-13B","batch":8},"system":{"preset":"a100-80g","procs":8},"search":{"top_k":3}}`
-const bigJob = `{"model":{"preset":"gpt3-175B","batch":3072},"system":{"preset":"a100-80g","procs":4096},"search":{}}`
+
+// bigJob is the job the test catches running, once to cancel it and once
+// to drain the daemon under it: 195,229,440 strategies (gpt3-175B at batch
+// 184,320 on 7,680 GPUs with a 512 GiB second tier, Pareto front kept),
+// about 1.7 s at two workers on a 2-vCPU machine, so it is still running
+// long after the first 20 ms status poll.
+const bigJob = `{"model":{"preset":"gpt3-175B","batch":184320},"system":{"preset":"h100-80g-ddr512","procs":7680},"search":{"pareto":true}}`
 
 // servingJob exercises the serving-search job kind end to end, with the
 // disaggregated prefill/decode pool mode in the search space.
@@ -313,7 +319,7 @@ func TestCalculondE2E(t *testing.T) {
 		t.Fatalf("cached serving result diverges from the live run: %+v vs %+v", srvCachedRes, srvRes)
 	}
 
-	// Submit a ~10M-strategy job, catch it mid-flight, cancel it.
+	// Submit the big job, catch it mid-flight, cancel it.
 	var big status
 	if code := call("POST", "/v1/jobs", bigJob, &big); code != http.StatusAccepted {
 		t.Fatalf("submit big: %d", code)

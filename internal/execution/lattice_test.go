@@ -210,3 +210,116 @@ func TestCheckTripleDecidesSubtree(t *testing.T) {
 			prunedTotal, keptTotal, noTier)
 	}
 }
+
+// bruteSegments lists the segment roots of the whole space by brute force,
+// straight from Table 1's divisibility rules with plain loops over 1..n:
+// t·p·d = procs with t ≤ heads (and MaxTP), p ≤ blocks and d | batch, every
+// degree pin respected; microbatch m | batch/d; then the GPipe-like
+// schedule (unless PinBeneficial) and 1F1B at every interleave v dividing
+// ⌈blocks/p⌉ (v ≤ MaxInterleave when set, v = 1 without pipelining). It
+// shares no code with the enumerator, so it is the oracle the enumerator's
+// order and closed-form shapes are checked against.
+func bruteSegments(m *model.LLM, o EnumOptions) map[[3]int][][]Strategy {
+	out := make(map[[3]int][][]Strategy)
+	for t := 1; t <= o.Procs; t++ {
+		if o.Procs%t != 0 || t > m.AttnHeads || o.MaxTP > 0 && t > o.MaxTP || o.FixedTP != 0 && t != o.FixedTP {
+			continue
+		}
+		for p := 1; p <= o.Procs/t; p++ {
+			if o.Procs/t%p != 0 || p > m.Blocks || o.FixedPP != 0 && p != o.FixedPP {
+				continue
+			}
+			d := o.Procs / t / p
+			if d > m.Batch || m.Batch%d != 0 || o.FixedDP != 0 && d != o.FixedDP {
+				continue
+			}
+			bp := (m.Blocks + p - 1) / p
+			var rows [][]Strategy
+			for mb := 1; mb <= m.Batch/d; mb++ {
+				if m.Batch/d%mb != 0 {
+					continue
+				}
+				var row []Strategy
+				if !o.PinBeneficial {
+					row = append(row, Strategy{TP: t, PP: p, DP: d, Microbatch: mb, Interleave: 1})
+				}
+				for v := 1; v <= bp; v++ {
+					if bp%v != 0 || o.MaxInterleave > 0 && v > o.MaxInterleave || v > 1 && p == 1 {
+						continue
+					}
+					row = append(row, Strategy{TP: t, PP: p, DP: d, Microbatch: mb, OneFOneB: true, Interleave: v})
+				}
+				rows = append(rows, row)
+			}
+			out[[3]int{t, p, d}] = rows
+		}
+	}
+	return out
+}
+
+// TestSegmentsMatchBruteForce checks the enumerator's segment roots against
+// bruteSegments over random model shapes and options: Triples lists
+// exactly the brute-force triples, in ascending t then p; each triple's
+// TripleShape is its row count and row length; and Segments and every
+// MicrobatchSegments row yield the brute-force roots, in order.
+func TestSegmentsMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const draws = 300
+	segments := 0
+	for i := 0; i < draws; i++ {
+		m := model.MustPreset("gpt3-13B")
+		m.Blocks = 1 + rng.Intn(96)
+		m.AttnHeads = 1 + rng.Intn(64)
+		m = m.WithBatch(1 + rng.Intn(192))
+		o := EnumOptions{
+			Procs:         1 + rng.Intn(96),
+			MaxTP:         []int{0, 0, 2, 8}[rng.Intn(4)],
+			MaxInterleave: []int{0, 0, 1, 2, 3, 6}[rng.Intn(6)],
+			PinBeneficial: rng.Intn(2) == 0,
+		}
+		switch rng.Intn(6) {
+		case 0:
+			o.FixedTP = 1 + rng.Intn(8)
+		case 1:
+			o.FixedPP = 1 + rng.Intn(8)
+		case 2:
+			o.FixedDP = 1 + rng.Intn(8)
+		}
+		want := bruteSegments(&m, o)
+		triples := o.Triples(m)
+		if len(triples) != len(want) {
+			t.Fatalf("draw %d (%+v, blocks %d heads %d batch %d): Triples lists %d triples, brute force %d",
+				i, o, m.Blocks, m.AttnHeads, m.Batch, len(triples), len(want))
+		}
+		for k, tpd := range triples {
+			if k > 0 && (tpd[0] < triples[k-1][0] || tpd[0] == triples[k-1][0] && tpd[1] <= triples[k-1][1]) {
+				t.Fatalf("draw %d: triple %v follows %v", i, tpd, triples[k-1])
+			}
+			rows, ok := want[tpd]
+			if !ok {
+				t.Fatalf("draw %d: Triples lists %v, which brute force rejects", i, tpd)
+			}
+			mbs, scheds := o.TripleShape(&m, tpd)
+			if mbs != len(rows) || scheds != len(rows[0]) {
+				t.Errorf("draw %d triple %v: TripleShape %d×%d, brute force %d×%d", i, tpd, mbs, scheds, len(rows), len(rows[0]))
+			}
+			var all []Strategy
+			o.Segments(&m, tpd, func(st *Strategy) bool { all = append(all, *st); return true })
+			var flat []Strategy
+			for r, row := range rows {
+				flat = append(flat, row...)
+				var got []Strategy
+				var st Strategy
+				o.MicrobatchSegments(&m, tpd, r, &st, func(st *Strategy) bool { got = append(got, *st); return true })
+				if !reflect.DeepEqual(got, row) {
+					t.Fatalf("draw %d triple %v row %d: MicrobatchSegments yields\n%v\nbrute force\n%v", i, tpd, r, got, row)
+				}
+			}
+			if !reflect.DeepEqual(all, flat) {
+				t.Fatalf("draw %d triple %v: Segments yields\n%v\nbrute force\n%v", i, tpd, all, flat)
+			}
+			segments += len(flat)
+		}
+	}
+	t.Logf("%d segment roots checked", segments)
+}

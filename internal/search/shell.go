@@ -115,7 +115,7 @@ func (s Stored[R]) Keep(ctx context.Context, res R, err error) {
 	}
 }
 
-// Run is the lifecycle of one search, shared by every engine: observation
+// Run is the lifecycle of one execution search, whole or sharded: observation
 // starts (Watch.Start), the store is consulted, and on a miss the expected
 // total — size, called only when w.EstimateTotal asks for it — is added to
 // the Progress, run evaluates, and its result is stored when it finished

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"calculon/internal/search"
-	"calculon/internal/serving"
 )
 
 // State is a job's position in its lifecycle.
@@ -40,15 +39,14 @@ type Job struct {
 	prog    *search.Progress
 	created time.Time
 
-	mu            sync.Mutex
-	state         State
-	started       time.Time
-	finished      time.Time
-	workers       int
-	cancel        context.CancelFunc // set while running
-	result        *search.Result     // set in terminal states when the search returned one
-	servingResult *serving.Result    // the serving-job counterpart of result
-	err           error
+	mu       sync.Mutex
+	state    State
+	started  time.Time
+	finished time.Time
+	workers  int
+	cancel   context.CancelFunc // set while running
+	result   *JobResult         // set in terminal states when the search ran
+	err      error
 
 	// done closes on entry to a terminal state; result long-polls and the
 	// drain path wait on it.
@@ -82,10 +80,9 @@ func (j *Job) tryStart(cancel context.CancelFunc, workers int) bool {
 	return true
 }
 
-// finish records the terminal state; at most one of res/sres is non-nil
-// (whichever engine the job ran). Cancel may already have moved a queued job
-// to cancelled; finishing is then a no-op.
-func (j *Job) finish(state State, res *search.Result, sres *serving.Result, err error) bool {
+// finish records the terminal state and the search's result. Cancel may
+// already have moved a queued job to cancelled; finishing is then a no-op.
+func (j *Job) finish(state State, res *JobResult, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
@@ -94,7 +91,6 @@ func (j *Job) finish(state State, res *search.Result, sres *serving.Result, err 
 	j.state = state
 	j.finished = time.Now()
 	j.result = res
-	j.servingResult = sres
 	j.err = err
 	j.cancel = nil
 	close(j.done)
@@ -158,14 +154,14 @@ func (j *Job) Status() JobStatus {
 }
 
 // Snapshot returns the terminal result, if any: ok is false while the job
-// has not finished. At most one of res/sres is non-nil, matching the job's
-// kind. Cancelled and timed-out jobs may still carry a partial result
-// (counters up to the cancellation point).
-func (j *Job) Snapshot() (res *search.Result, sres *serving.Result, state State, err error, ok bool) {
+// has not finished, and res is nil for a job cancelled while queued.
+// Cancelled and timed-out jobs may still carry a partial result (counters
+// up to the cancellation point).
+func (j *Job) Snapshot() (res *JobResult, state State, err error, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.state.Terminal() {
-		return nil, nil, j.state, nil, false
+		return nil, j.state, nil, false
 	}
-	return j.result, j.servingResult, j.state, j.err, true
+	return j.result, j.state, j.err, true
 }

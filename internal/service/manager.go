@@ -9,7 +9,6 @@ import (
 
 	"calculon/internal/resultstore"
 	"calculon/internal/search"
-	"calculon/internal/serving"
 )
 
 // ErrDraining reports a submit against a daemon that is shutting down.
@@ -224,35 +223,11 @@ func (m *Manager) runJob(job *Job, workers int, release func()) {
 	if jobContext != nil {
 		ctx = jobContext(ctx)
 	}
-	var (
-		res  *search.Result
-		sres *serving.Result
-		err  error
-	)
-	// A typed-nil *Store behind a Cache interface would defeat the engines'
-	// nil checks, hence the explicit guard.
-	useStore := m.store != nil && !job.prep.disableStore
-	if job.prep.servingSpec != nil {
-		sopts := job.prep.servingOpts
-		sopts.Workers = workers
-		sopts.Progress = job.prog
-		if useStore {
-			sopts.Cache = m.store.ServingCache()
-		}
-		var r serving.Result
-		r, err = serving.Search(ctx, *job.prep.servingSpec, sopts)
-		sres = &r
-	} else {
-		opts := job.prep.opts
-		opts.Workers = workers
-		opts.Progress = job.prog
-		if useStore {
-			opts.Cache = m.store
-		}
-		var r search.Result
-		r, err = search.Execution(ctx, job.prep.m, job.prep.sys, opts)
-		res = &r
+	store := m.store
+	if job.prep.disableStore {
+		store = nil
 	}
+	res, err := job.prep.run(ctx, workers, job.prog, store)
 	state := StateDone
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -260,7 +235,7 @@ func (m *Manager) runJob(job *Job, workers int, release func()) {
 	case err != nil:
 		state = StateFailed
 	}
-	if job.finish(state, res, sres, err) {
+	if job.finish(state, &res, err) {
 		m.metrics.running.Add(-1)
 		switch state {
 		case StateDone:

@@ -190,37 +190,20 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	res, sres, state, jobErr, ok := job.Snapshot()
+	res, state, jobErr, ok := job.Snapshot()
 	if !ok {
 		// Not finished: answer with the live status so pollers get the
 		// counters for free.
 		writeJSON(w, http.StatusAccepted, job.Status())
 		return
 	}
-	out := JobResult{ID: job.ID, State: state}
+	var out JobResult
+	if res != nil {
+		out = *res
+	}
+	out.ID, out.State = job.ID, state
 	if jobErr != nil {
 		out.Error = jobErr.Error()
-	}
-	if sres != nil {
-		out.Evaluated = sres.Evaluated
-		out.Feasible = sres.Feasible
-		out.PreScreened = sres.PreScreened
-		out.Found = sres.Best != nil
-		out.Serving = sres
-	}
-	if res != nil {
-		out.Evaluated = res.Evaluated
-		out.Feasible = res.Feasible
-		out.PreScreened = res.PreScreened
-		out.SubtreePruned = res.SubtreePruned
-		out.CacheHits = res.CacheHits
-		out.Found = res.Found()
-		if res.Found() {
-			best := res.Best
-			out.Best = &best
-			out.Top = res.Top
-			out.Pareto = res.Pareto
-		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }

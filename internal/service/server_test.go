@@ -1,20 +1,26 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"calculon/internal/resultstore"
 	"testing"
 	"time"
+
+	"calculon/internal/config"
+	"calculon/internal/execution"
+	"calculon/internal/resultstore"
+	"calculon/internal/search"
+	"calculon/internal/serving"
 )
 
 // smallSpec is a job over a tiny strategy space (finishes in well under a
@@ -516,6 +522,93 @@ func TestDisableStoreEvaluatesFully(t *testing.T) {
 		}
 		if after := store.Stats(); after.Hits != before.Hits || after.Misses != before.Misses || after.Appends != before.Appends {
 			t.Errorf("%s: job with the store disabled touched the store: %+v, then %+v", name, before, after)
+		}
+	}
+}
+
+// TestResultBodiesMatchEngines runs a serving job (serving-chat's shape at
+// 16 processors) and a training job (configs/jobs/search-gpt3-13b.json)
+// through the HTTP handler and requires each /result body to be, byte for
+// byte, the JobResult encoding of the engine's own result on the same
+// inputs. Both sides run one worker, so no counter can depend on how the
+// work was scheduled.
+func TestResultBodiesMatchEngines(t *testing.T) {
+	sc, err := config.Load[config.ServingScenario]("../../configs/scenarios/serving-chat.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.System.Procs, sc.Space.Procs = 16, 16
+	servingBody, err := json.Marshal(JobSpec{Model: sc.Model, System: sc.System, Serving: &ServingJobSpec{
+		Workload: sc.Workload, Space: sc.Space, PrefillSystem: sc.PrefillSystem, Assumptions: sc.Assumptions,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sspec, err := sc.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sres, err := serving.Search(context.Background(), sspec, serving.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	servingWant := JobResult{
+		State: StateDone, Evaluated: sres.Evaluated, Feasible: sres.Feasible, PreScreened: sres.PreScreened,
+		Found: sres.Best != nil, Serving: &sres,
+	}
+
+	trainingBody, err := os.ReadFile("../../configs/jobs/search-gpt3-13b.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job JobSpec
+	if err := json.Unmarshal(trainingBody, &job); err != nil {
+		t.Fatal(err)
+	}
+	m, err := job.Model.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := job.System.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := search.Execution(context.Background(), m, sys, search.Options{
+		Enum:    execution.EnumOptions{Procs: sys.Procs, Features: execution.FeatureAll, MaxInterleave: job.Search.MaxInterleave},
+		TopK:    job.Search.TopK,
+		Pareto:  job.Search.Pareto,
+		Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainingWant := JobResult{
+		State: StateDone, Evaluated: res.Evaluated, Feasible: res.Feasible, PreScreened: res.PreScreened,
+		SubtreePruned: res.SubtreePruned, CacheHits: res.CacheHits, Found: res.Found(),
+		Best: &res.Best, Top: res.Top, Pareto: res.Pareto,
+	}
+	if !res.Found() || sres.Best == nil {
+		t.Fatal("both jobs should find a configuration")
+	}
+
+	s := newTestServer(t, Config{Workers: 1, MaxRunning: 1, QueueDepth: 4})
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want JobResult
+	}{{"serving", servingBody, servingWant}, {"training", trainingBody, trainingWant}} {
+		st := submit(t, s, string(tc.body))
+		rec := do(t, s, "GET", "/v1/jobs/"+st.ID+"/result?wait=60s", "", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: result: %d %s", tc.name, rec.Code, rec.Body.String())
+		}
+		tc.want.ID = st.ID
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(tc.want); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Body.Bytes(); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: result body differs from the engine's result:\n%s\nvs\n%s", tc.name, got, want.Bytes())
 		}
 	}
 }

@@ -12,12 +12,14 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"calculon/internal/config"
 	"calculon/internal/execution"
 	"calculon/internal/model"
+	"calculon/internal/resultstore"
 	"calculon/internal/search"
 	"calculon/internal/serving"
 	"calculon/internal/system"
@@ -74,29 +76,41 @@ type JobSpec struct {
 	Serving *ServingJobSpec  `json:"serving,omitempty"`
 }
 
-// prepared is a resolved, validated job spec ready to run. Exactly one of
-// the two engines is armed: servingSpec nil means a training search.
+// prepared is a resolved, validated job spec ready to run: a serving search
+// when servingSpec is set, a training search otherwise.
 type prepared struct {
-	m       model.LLM
-	sys     system.System
-	opts    search.Options
-	timeout time.Duration
+	m           model.LLM
+	sys         system.System
+	opts        search.Options
+	servingSpec *serving.Spec
+	timeout     time.Duration
 	// disableStore keeps the daemon's result store away from the job.
 	disableStore bool
-
-	servingSpec *serving.Spec
-	servingOpts serving.Options
 }
 
 // prepare resolves the references and validates everything client-supplied,
 // so a bad spec is rejected at submit time (400) rather than failing the job
 // after it queued.
 func (s JobSpec) prepare() (prepared, error) {
+	if s.Search.TimeoutSeconds < 0 {
+		return prepared{}, fmt.Errorf("service: negative timeout_seconds %g", s.Search.TimeoutSeconds)
+	}
 	var p prepared
 	var err error
 	if s.Serving != nil {
-		return s.prepareServing()
+		p, err = s.prepareServing()
+	} else {
+		p, err = s.prepareTraining()
 	}
+	p.disableStore = s.Search.DisableStore
+	p.timeout = time.Duration(s.Search.TimeoutSeconds * float64(time.Second))
+	return p, err
+}
+
+// prepareTraining resolves a training-strategy search job.
+func (s JobSpec) prepareTraining() (prepared, error) {
+	var p prepared
+	var err error
 	if p.m, err = s.Model.Resolve(); err != nil {
 		return p, err
 	}
@@ -109,9 +123,6 @@ func (s JobSpec) prepare() (prepared, error) {
 	}
 	if !features.Valid() {
 		return p, fmt.Errorf("service: unknown feature set %q (want baseline|seqpar|all)", s.Search.Features)
-	}
-	if s.Search.TimeoutSeconds < 0 {
-		return p, fmt.Errorf("service: negative timeout_seconds %g", s.Search.TimeoutSeconds)
 	}
 	topK := s.Search.TopK
 	switch {
@@ -128,26 +139,16 @@ func (s JobSpec) prepare() (prepared, error) {
 		},
 		TopK:   topK,
 		Pareto: s.Search.Pareto,
-		Watch:  search.Watch{EstimateTotal: true},
 	}
-	if err := p.opts.Enum.Validate(); err != nil {
-		return p, err
-	}
-	p.disableStore = s.Search.DisableStore
-	p.timeout = time.Duration(s.Search.TimeoutSeconds * float64(time.Second))
-	return p, nil
+	return p, p.opts.Enum.Validate()
 }
 
 // prepareServing resolves a serving job, reusing the scenario-file resolver
 // so the HTTP spec and configs/scenarios/serving-*.json accept the same
 // shapes and reject the same mistakes.
 func (s JobSpec) prepareServing() (prepared, error) {
-	var p prepared
 	if s.Search.Features != "" || s.Search.MaxInterleave != 0 || s.Search.TopK != 0 || s.Search.Pareto {
-		return p, fmt.Errorf("service: a serving job takes no training search options (features/max_interleave/top_k/pareto)")
-	}
-	if s.Search.TimeoutSeconds < 0 {
-		return p, fmt.Errorf("service: negative timeout_seconds %g", s.Search.TimeoutSeconds)
+		return prepared{}, fmt.Errorf("service: a serving job takes no training search options (features/max_interleave/top_k/pareto)")
 	}
 	sc := config.ServingScenario{
 		Model:         s.Model,
@@ -159,11 +160,44 @@ func (s JobSpec) prepareServing() (prepared, error) {
 	}
 	spec, err := sc.Resolve()
 	if err != nil {
-		return p, err
+		return prepared{}, err
 	}
-	p.servingSpec = &spec
-	p.servingOpts = serving.Options{Watch: search.Watch{EstimateTotal: true}}
-	p.disableStore = s.Search.DisableStore
-	p.timeout = time.Duration(s.Search.TimeoutSeconds * float64(time.Second))
-	return p, nil
+	return prepared{servingSpec: &spec}, nil
+}
+
+// run executes the job's search on workers workers, flushing its counters
+// into prog and consulting store unless it is nil, and returns the wire
+// form of its result; the caller fills the ID, state and error. A failed or
+// cancelled search still returns its result: counters up to the stopping
+// point.
+func (p *prepared) run(ctx context.Context, workers int, prog *search.Progress, store *resultstore.Store) (JobResult, error) {
+	watch := search.Watch{Progress: prog, EstimateTotal: true}
+	// A typed-nil *Store behind a Cache interface would defeat the engines'
+	// nil checks, hence the guards.
+	if p.servingSpec != nil {
+		opts := serving.Options{Workers: workers, Watch: watch}
+		if store != nil {
+			opts.Cache = store.ServingCache()
+		}
+		res, err := serving.Search(ctx, *p.servingSpec, opts)
+		return JobResult{
+			Evaluated: res.Evaluated, Feasible: res.Feasible, PreScreened: res.PreScreened,
+			Found: res.Best != nil, Serving: &res,
+		}, err
+	}
+	opts := p.opts
+	opts.Workers = workers
+	opts.Watch = watch
+	if store != nil {
+		opts.Cache = store
+	}
+	res, err := search.Execution(ctx, p.m, p.sys, opts)
+	out := JobResult{
+		Evaluated: res.Evaluated, Feasible: res.Feasible, PreScreened: res.PreScreened,
+		SubtreePruned: res.SubtreePruned, CacheHits: res.CacheHits, Found: res.Found(),
+	}
+	if res.Found() {
+		out.Best, out.Top, out.Pareto = &res.Best, res.Top, res.Pareto
+	}
+	return out, err
 }

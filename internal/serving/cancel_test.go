@@ -89,8 +89,9 @@ func TestCancelDuringStageOne(t *testing.T) {
 				out, err := Sweep(ctx, spec, []int{64, 128, 256, 512}, o)
 				return out == nil, err
 			},
-			// Sweep counts every budget's engines once its fold is done.
-			composed: func(s search.ProgressSnapshot) bool { return s.Evaluated > 0 },
+			// Sweep counts the largest budget's engines as stage 1 prices
+			// them, and the other budgets' once its fold is done.
+			composed: func(s search.ProgressSnapshot) bool { return s.Evaluated >= s.Total },
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -16,48 +16,15 @@ import (
 
 // Search runs the SLO-constrained serving co-design search and returns the
 // Pareto frontier of deployments meeting the workload's latency objectives.
-//
-// The search is deterministic by construction, in two stages. Stage 1
-// prices every engine configuration (tp, pp, batch, KV placement) in
-// parallel under the worker budget, writing profiles into a dense array
-// indexed by the enumeration sequence — worker count and scheduling cannot
-// influence a single byte of what stage 2 sees. Stage 2 is the sweep's fold
-// at one budget (foldBudgets): it composes replica counts and
-// disaggregation splits on top of the profiles in closed form, filters on
-// the SLOs, prices $/Mtoken, and folds the three-objective Pareto frontier
-// with sequence-number tie-breaks. The randomized equivalence test pins
-// byte-identical output across -workers 1 and -workers N.
+// It is the right-sizing sweep (Sweep) at the one budget spec.Space.Procs:
+// its lifecycle, stages, store policy and progress accounting are the
+// sweep's.
 func Search(ctx context.Context, spec Spec, opts Options) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	spec = spec.Normalize()
-	if err := spec.Validate(); err != nil {
+	out, err := Sweep(ctx, spec, []int{spec.Normalize().Space.Procs}, opts)
+	if err != nil {
 		return Result{}, err
 	}
-	cfgs := enumerate(spec.Model, spec.Space)
-	size := func() int { return len(cfgs) }
-	return search.Run(ctx, opts.Watch, opts.stored(spec), size, func(prog *search.Progress) (Result, error) {
-		pbar := spec.Workload.MeanPromptLen()
-		gbar := spec.Workload.MeanGenLen()
-		profiles := evalAll(ctx, &spec, opts.Workers, prog, cfgs, pbar, gbar)
-		if err := ctx.Err(); err != nil {
-			// A cancelled stage 1 leaves an unpredictable prefix of the
-			// profiles; composing a frontier from it would silently lie.
-			return Result{}, err
-		}
-		if err := engineErr(cfgs, profiles, spec.Space.Procs); err != nil {
-			return Result{}, err
-		}
-		out, err := foldBudgets(ctx, &spec, opts.Workers, cfgs, profiles, pbar, gbar, []int{spec.Space.Procs})
-		if err != nil {
-			return Result{}, err
-		}
-		if prog != nil {
-			prog.AddCounts(search.Counts{Feasible: int64(out[0].Feasible)})
-		}
-		return out[0], nil
-	})
+	return out[0].Result, nil
 }
 
 // stored is the store policy of the search of spec, which the caller has
@@ -96,7 +63,7 @@ func evalAll(ctx context.Context, spec *Spec, workers int, prog *search.Progress
 		var delta search.Counts
 		for i := pairs[k]; i < pairs[k+1]; i++ {
 			delta.Evaluated++
-			if err := screen.check(cfgs[i]); err != nil {
+			if !screen.fits(cfgs[i]) {
 				profiles[i].prescreened = true
 				delta.PreScreened++
 				continue
@@ -523,49 +490,59 @@ type SizeResult struct {
 // Sweep is the serving right-sizing sweep: the Search result at every
 // processor budget in sizes, in order.
 //
-// An engine's profile depends on (tp, pp, batch, KV placement), never on
-// the budget, and the engines that fit a budget N are exactly the
-// order-preserving subsequence of a larger budget's enumeration with
-// tp·pp ≤ N. So the sweep runs both stages once: it consults the store for
-// every budget, enumerates and prices the engines of the largest budget
-// that missed under the whole worker budget, and folds every missed budget
-// in one pass over their replica loops (foldBudgets), the one stage 2
-// Search runs at its single budget. Every point is byte-identical to a
-// standalone Search at that budget (TestSweepMatchesSearch), and each
-// consults the store under its own key; a sweep that finishes stores its
-// folded budgets, in input order. A Progress attached through opts ends
-// with the totals the per-budget searches would report: each budget's
-// counts land once the fold is done.
+// It is deterministic by construction, in two stages. Stage 1 prices every
+// engine configuration (tp, pp, batch, KV placement) in parallel under the
+// worker budget, writing profiles into a dense array indexed by the
+// enumeration sequence — worker count and scheduling cannot influence a
+// single byte of what stage 2 sees. An engine's profile depends on its
+// configuration, never on the budget, and the engines that fit a budget N
+// are exactly the order-preserving subsequence of a larger budget's
+// enumeration with tp·pp ≤ N. So stage 1 runs once: the sweep consults the
+// store for every budget, then enumerates and prices the engines of the
+// largest budget that missed. Stage 2 (foldBudgets) composes replica counts
+// and disaggregation splits on top of the profiles in closed form, filters
+// on the SLOs, prices $/Mtoken, and folds every missed budget's
+// three-objective Pareto frontier with sequence-number tie-breaks, in one
+// pass over the replica loops. Every point is byte-identical to the
+// reference composition at that budget (TestSweepMatchesSearch) and across
+// worker counts; each consults the store under its own key, and a sweep
+// that finishes stores its folded budgets, in input order.
 //
-// A cancelled sweep returns ctx.Err() and no points; cancelled during
-// stage 1, it folds nothing. Otherwise the error of the lowest-index
-// failing budget wins — for an invalid budget, the text Search gives.
+// A Progress attached through opts ends with the totals the per-budget
+// searches would report. Stage 1 counts the largest missed budget's
+// engines (Evaluated, PreScreened) live as it prices them; once the fold
+// is done, every other missed budget adds its counts, and every missed
+// budget its Feasible.
+//
+// An invalid budget fails the sweep before it starts, with the validation
+// error of the lowest-index one. A cancelled sweep returns ctx.Err() and no
+// points; cancelled during stage 1, it folds nothing. Otherwise the engine
+// error of the lowest-index failing budget wins.
 func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	prog, finish := opts.Watch.Start(ctx)
-	defer finish()
-
 	spec = spec.Normalize()
 	at := func(n int) Spec {
 		sp := spec
 		sp.Space.Procs = n
 		return sp
 	}
+	for _, n := range sizes {
+		if err := at(n).Validate(); err != nil {
+			return nil, err
+		}
+	}
+	prog, finish := opts.Watch.Start(ctx)
+	defer finish()
+
 	out := make([]SizeResult, len(sizes))
-	// errs holds each budget's validation error; missed marks the valid
-	// budgets the store did not serve, and budgets lists them ascending,
-	// each once.
-	errs := make([]error, len(sizes))
+	// missed marks the budgets the store did not serve, and budgets lists
+	// them ascending, each once.
 	missed := make([]bool, len(sizes))
 	var budgets []int
 	for i, n := range sizes {
-		sp := at(n)
-		if errs[i] = sp.Validate(); errs[i] != nil {
-			continue
-		}
-		if res, ok := opts.stored(sp).Consult(prog); ok {
+		if res, ok := opts.stored(at(n)).Consult(prog); ok {
 			out[i] = SizeResult{Procs: n, Result: res}
 			continue
 		}
@@ -590,18 +567,18 @@ func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeRes
 				}
 			}
 		}
-		profiles = evalAll(ctx, &topSpec, opts.Workers, nil, cfgs, pbar, gbar)
+		profiles = evalAll(ctx, &topSpec, opts.Workers, prog, cfgs, pbar, gbar)
 	}
 	if err := ctx.Err(); err != nil {
+		// A cancelled stage 1 leaves an unpredictable prefix of the
+		// profiles; composing a frontier from it would silently lie.
 		return nil, err
 	}
 	for i, n := range sizes {
-		err := errs[i]
 		if missed[i] {
-			err = engineErr(cfgs, profiles, n)
-		}
-		if err != nil {
-			return nil, err
+			if err := engineErr(cfgs, profiles, n); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if len(budgets) > 0 {
@@ -622,14 +599,15 @@ func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeRes
 				res.Frontier = slices.Clone(res.Frontier)
 				res.Best = &res.Frontier[0]
 			}
+			c := search.Counts{Feasible: int64(res.Feasible)}
+			if taken[k] || k < len(budgets)-1 {
+				// Stage 1 counted the top budget's first point live.
+				c.Evaluated, c.PreScreened = int64(res.Evaluated), int64(res.PreScreened)
+			}
 			taken[k] = true
 			out[i] = SizeResult{Procs: n, Result: res}
 			if prog != nil {
-				prog.AddCounts(search.Counts{
-					Evaluated:   int64(res.Evaluated),
-					PreScreened: int64(res.PreScreened),
-					Feasible:    int64(res.Feasible),
-				})
+				prog.AddCounts(c)
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package serving
 
 import (
-	"fmt"
-
 	"calculon/internal/execution"
 	"calculon/internal/inference"
 	"calculon/internal/layers"
@@ -116,9 +114,8 @@ func newPreScreen(spec *Spec, pbar, gbar int) *preScreen {
 	}
 }
 
-// check reports why the engine certainly cannot hold its weights and
-// steady-state KV cache, or nil when it might be feasible and deserves
-// pricing.
+// fits reports whether the engine might hold its weights and steady-state
+// KV cache and so deserves pricing; false means it certainly cannot.
 //
 // The bound must round identically to the full model's accounting on every
 // architecture — a screen that fuses a multiply-add the evaluation does not
@@ -126,59 +123,21 @@ func newPreScreen(spec *Spec, pbar, gbar int) *preScreen {
 // the evaluation's operation order (see docs/LINT.md).
 //
 //calculonvet:ordered
-func (p *preScreen) check(cfg engineConfig) error {
+func (p *preScreen) fits(cfg engineConfig) bool {
 	bp := (p.m.Blocks + cfg.pp - 1) / cfg.pp
 	blockW := layers.BlockWeightBytes(&p.m, cfg.tp)
 	weights := blockW.Times(float64(bp))
 	kvPerBlock := inference.KVBytes(&p.m, p.ctx, cfg.tp, cfg.batch)
 	if cfg.kvOffload {
 		if !p.hasMem2 {
-			return &screenError{kind: screenNoMem2}
+			return false
 		}
 		kvAll := kvPerBlock.Times(float64(bp))
-		if kvAll > p.mem2 {
-			return &screenError{kind: screenMem2, need: int64(kvAll), have: int64(p.mem2)}
-		}
 		buf := 3 * kvPerBlock
 		need := weights + buf
-		if need > p.mem1 {
-			return &screenError{kind: screenMem1, need: int64(need), have: int64(p.mem1)}
-		}
-		return nil
+		return !(kvAll > p.mem2) && !(need > p.mem1)
 	}
 	kv := kvPerBlock.Times(float64(bp))
 	need := kv + weights
-	if need > p.mem1 {
-		return &screenError{kind: screenMem1, need: int64(need), have: int64(p.mem1)}
-	}
-	return nil
-}
-
-type screenKind uint8
-
-const (
-	screenNoMem2 screenKind = iota
-	screenMem1
-	screenMem2
-)
-
-// screenError defers message formatting to Error(): the screen rejects many
-// engines and discards every message, so check must not pay fmt on the hot
-// path (the same deferred-formatting discipline as execution's screenError).
-type screenError struct {
-	kind       screenKind
-	need, have int64
-}
-
-func (e *screenError) Error() string {
-	switch e.kind {
-	case screenNoMem2:
-		return "KV offload requires a second memory tier"
-	case screenMem1:
-		return fmt.Sprintf("mem1 needs at least %v of %v for weights+KV cache",
-			units.Bytes(e.need), units.Bytes(e.have))
-	default:
-		return fmt.Sprintf("mem2 needs at least %v of %v for the offloaded KV cache",
-			units.Bytes(e.need), units.Bytes(e.have))
-	}
+	return !(need > p.mem1)
 }
