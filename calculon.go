@@ -77,8 +77,9 @@ type (
 	EnumOptions = execution.EnumOptions
 	// SearchOptions configures SearchExecution.
 	SearchOptions = search.Options
-	// SearchWatch observes a search: Progress, ETA and the OnProgress
-	// ticker. SearchOptions embeds it.
+	// SearchWatch observes a search: Progress (with an ETA from the
+	// closed-form space size) and the OnProgress ticker. SearchOptions
+	// embeds it.
 	SearchWatch = search.Watch
 	// SearchProgress exposes live counters of a running search; attach one
 	// via SearchOptions.Progress and Snapshot it from any goroutine.

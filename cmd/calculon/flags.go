@@ -135,7 +135,7 @@ func (r *runtimeFlags) start(ctx context.Context) (*session, error) {
 		ctx = searchContext(ctx)
 	}
 	s := &session{rt: r, ctx: ctx, cleanup: cleanup}
-	s.watch = search.Watch{Progress: &s.prog, EstimateTotal: true, ProgressInterval: r.progress}
+	s.watch = search.Watch{Progress: &s.prog, ProgressInterval: r.progress}
 	if r.progress > 0 {
 		s.watch.OnProgress = func(p search.ProgressSnapshot) { fmt.Fprintf(os.Stderr, "calculon: %s\n", p) }
 	}

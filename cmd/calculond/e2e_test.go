@@ -4,7 +4,8 @@
 // an ephemeral port, and drive the full job lifecycle over actual HTTP —
 // submit → poll → result → cancel → SIGTERM drain — failing on a nonzero
 // exit or a process that outlives its drain window. CI's service-e2e job
-// runs exactly this via `go test -tags e2e`.
+// runs exactly this via `go test -race -tags e2e`, which builds the daemon
+// with -race too.
 package main
 
 import (
@@ -71,11 +72,16 @@ type result struct {
 	} `json:"serving"`
 }
 
+// buildFlags are the go build flags of the daemon under test: -race when
+// the test itself runs under the race detector (race_e2e_test.go).
+var buildFlags []string
+
 // buildDaemon compiles the calculond binary into a temporary directory.
 func buildDaemon(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "calculond")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+	args := append([]string{"build", "-o", bin}, buildFlags...)
+	if out, err := exec.Command("go", append(args, ".")...).CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return bin
@@ -346,6 +352,7 @@ func TestCalculondE2E(t *testing.T) {
 		"calculond_jobs_cancelled_total 1",
 		"calculond_jobs_serving_total 2",
 		"calculond_workers_total 4",
+		"calculond_job_slots_free 2",
 		"calculond_searches_from_store_total 2",
 		"calculond_store_rows 2",
 		"calculond_store_hits_total 2",

@@ -1,6 +1,8 @@
 package resultstore
 
 import (
+	"slices"
+
 	"calculon/internal/model"
 	"calculon/internal/search"
 	"calculon/internal/system"
@@ -12,9 +14,11 @@ import (
 var _ search.Cache = (*Store)(nil)
 
 // Lookup implements search.Cache: it derives the canonical key and serves
-// the stored verdict, reconstructed into the exact Result a fresh
-// evaluation would return. A key-derivation failure is reported as a miss —
-// the search then simply evaluates.
+// the stored verdict as the exact Result a fresh evaluation would return.
+// The slices are copied, so a caller mutating the result cannot poison the
+// index (perf.Result is a flat value type, so an element copy is a deep
+// copy). A key-derivation failure is reported as a miss — the search then
+// simply evaluates.
 func (s *Store) Lookup(m model.LLM, sys system.System, opts search.Options) (search.Result, bool) {
 	key, err := Key(m, sys, opts)
 	if err != nil {
@@ -24,7 +28,9 @@ func (s *Store) Lookup(m model.LLM, sys system.System, opts search.Options) (sea
 	if !ok {
 		return search.Result{}, false
 	}
-	return row.Verdict.result(), true
+	res := *row.Verdict
+	res.Top, res.Pareto = slices.Clone(res.Top), slices.Clone(res.Pareto)
+	return res, true
 }
 
 // Store implements search.Cache: it commits a finished search's verdict

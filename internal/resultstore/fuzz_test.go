@@ -40,6 +40,9 @@ func FuzzResultStoreDecode(f *testing.F) {
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte("not json"))
 	f.Add([]byte(`{"schema":1,"space_version":1,"key":"k","verdict":{"best":{"sample_rate":1e309}}}`))
+	// A serving row as stores written before this schema hold it, with an
+	// empty training verdict beside its serving one.
+	f.Add(mirrorServingRow(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		row, err := decodeRow(data)

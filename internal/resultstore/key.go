@@ -51,14 +51,19 @@ type keyPayload struct {
 // HasMem2 derived) so every spelling of the same search maps to one key;
 // search.Execution consults its Cache only after that normalization.
 func Key(m model.LLM, sys system.System, opts search.Options) (string, error) {
-	payload := keyPayload{
+	return hashKey(keyPayload{
 		Space:  StrategySpaceVersion,
 		Model:  m,
 		System: sys,
 		Enum:   opts.Enum,
 		TopK:   opts.TopK,
 		Pareto: opts.Pareto,
-	}
+	})
+}
+
+// hashKey renders a key payload as lowercase-hex SHA-256 over its JSON
+// encoding.
+func hashKey(payload any) (string, error) {
 	data, err := json.Marshal(payload)
 	if err != nil {
 		return "", fmt.Errorf("resultstore: key encoding: %w", err)

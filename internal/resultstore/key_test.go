@@ -41,7 +41,7 @@ func TestKeyIgnoresDeltaAndScheduling(t *testing.T) {
 	}
 	for _, mutate := range []func(*search.Options){
 		func(o *search.Options) { o.Workers = 7 },
-		func(o *search.Options) { o.EstimateTotal, o.Progress = true, &search.Progress{} },
+		func(o *search.Options) { o.Progress = &search.Progress{} },
 	} {
 		o := normalizedOpts(sys)
 		mutate(&o)
@@ -258,7 +258,6 @@ func TestKeyNoCollisions(t *testing.T) {
 	// the rows a single machine wrote.
 	o := normalizedOpts(baseSys)
 	o.Workers = 7
-	o.EstimateTotal = true
 	o.Progress = &search.Progress{}
 	k, err := Key(baseM, baseSys, o)
 	if err != nil {

@@ -16,11 +16,12 @@
 package resultstore
 
 import (
+	"fmt"
 	"time"
 
 	"calculon/internal/model"
-	"calculon/internal/perf"
 	"calculon/internal/search"
+	"calculon/internal/serving"
 	"calculon/internal/system"
 )
 
@@ -74,11 +75,10 @@ type Row struct {
 	System string `json:"system,omitempty"`
 	Procs  int    `json:"procs,omitempty"`
 
-	// Verdict carries a training row's payload; it stays zero on serving
-	// rows (the discriminator is Kind, not which field happens to be set).
-	Verdict Verdict `json:"verdict"`
-	// Serving carries a serving row's payload and is nil on training rows.
-	Serving *ServingVerdict `json:"serving,omitempty"`
+	// Verdict carries a training row's payload and Serving a serving
+	// row's: the engines' own results, each nil on the other kind's rows.
+	Verdict *search.Result  `json:"verdict,omitempty"`
+	Serving *serving.Result `json:"serving,omitempty"`
 }
 
 // stale reports whether the row's verdict was computed under an outdated
@@ -96,60 +96,19 @@ func (r Row) stale() bool {
 	}
 }
 
-// Verdict is the stored form of a search.Result. It mirrors the result
-// field-for-field with explicit JSON tags so the wire schema is a conscious
-// decision rather than an accident of Go field names; the conversions below
-// are the only place the two meet, so a Result field added without a schema
-// decision fails to round-trip in the equivalence tests.
-//
-// Rates is deliberately absent: histogram searches (CollectRates) order
-// their samples by worker completion, which is not run-to-run
-// deterministic, so the search layer bypasses the store for them.
-type Verdict struct {
-	Evaluated     int           `json:"evaluated"`
-	Feasible      int           `json:"feasible"`
-	PreScreened   int           `json:"pre_screened"`
-	CacheHits     int           `json:"cache_hits"`
-	SubtreePruned int           `json:"subtree_pruned"`
-	Best          perf.Result   `json:"best"`
-	Top           []perf.Result `json:"top,omitempty"`
-	Pareto        []perf.Result `json:"pareto,omitempty"`
-}
-
-// newVerdict captures a finished search result for storage.
-func newVerdict(res search.Result) Verdict {
-	return Verdict{
-		Evaluated:     res.Evaluated,
-		Feasible:      res.Feasible,
-		PreScreened:   res.PreScreened,
-		CacheHits:     res.CacheHits,
-		SubtreePruned: res.SubtreePruned,
-		Best:          res.Best,
-		Top:           res.Top,
-		Pareto:        res.Pareto,
+// check is the row invariant both the loader and Append enforce: a row has
+// a key and carries its own kind's payload. The payload of a kind this
+// binary does not know is not judged; such rows load as stale.
+func (r Row) check() error {
+	switch {
+	case r.Key == "":
+		return fmt.Errorf("row has no key")
+	case r.Kind == "" && r.Verdict == nil:
+		return fmt.Errorf("training row has no verdict")
+	case r.Kind == KindServing && r.Serving == nil:
+		return fmt.Errorf("serving row has no serving verdict")
 	}
-}
-
-// result reconstructs the search.Result a fresh evaluation would have
-// returned. Slices are copied so a caller mutating the returned result
-// cannot poison the index (perf.Result is a flat value type, so an element
-// copy is a deep copy).
-func (v Verdict) result() search.Result {
-	res := search.Result{
-		Evaluated:     v.Evaluated,
-		Feasible:      v.Feasible,
-		PreScreened:   v.PreScreened,
-		CacheHits:     v.CacheHits,
-		SubtreePruned: v.SubtreePruned,
-		Best:          v.Best,
-	}
-	if v.Top != nil {
-		res.Top = append([]perf.Result(nil), v.Top...)
-	}
-	if v.Pareto != nil {
-		res.Pareto = append([]perf.Result(nil), v.Pareto...)
-	}
-	return res
+	return nil
 }
 
 // NewRow stamps a fresh envelope around a finished search's verdict.
@@ -162,6 +121,6 @@ func NewRow(key string, m model.LLM, sys system.System, res search.Result) Row {
 		Model:       m.Name,
 		System:      sys.Name,
 		Procs:       sys.Procs,
-		Verdict:     newVerdict(res),
+		Verdict:     &res,
 	}
 }

@@ -1,10 +1,7 @@
 package resultstore
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
+	"slices"
 	"time"
 
 	"calculon/internal/serving"
@@ -25,53 +22,6 @@ const (
 	ServingSpaceVersion = 1
 )
 
-// ServingVerdict is the stored form of a serving.Result, mirrored
-// field-for-field with explicit JSON tags for the same reason Verdict is: a
-// serving.Result field added without a schema decision fails to round-trip
-// in the warm-lookup equivalence test.
-type ServingVerdict struct {
-	Evaluated   int                  `json:"evaluated"`
-	Feasible    int                  `json:"feasible"`
-	PreScreened int                  `json:"pre_screened"`
-	Frontier    []serving.Deployment `json:"frontier,omitempty"`
-	Best        *serving.Deployment  `json:"best,omitempty"`
-}
-
-// newServingVerdict captures a finished serving search's result for storage.
-func newServingVerdict(res serving.Result) ServingVerdict {
-	return ServingVerdict{
-		Evaluated:   res.Evaluated,
-		Feasible:    res.Feasible,
-		PreScreened: res.PreScreened,
-		Frontier:    res.Frontier,
-		Best:        res.Best,
-	}
-}
-
-// result reconstructs the serving.Result a fresh search would have
-// returned. The frontier is copied so a caller mutating the returned result
-// cannot poison the index, and Best is re-anchored to the copied frontier's
-// first point — the same aliasing a fresh search produces.
-func (v ServingVerdict) result() serving.Result {
-	res := serving.Result{
-		Evaluated:   v.Evaluated,
-		Feasible:    v.Feasible,
-		PreScreened: v.PreScreened,
-	}
-	if v.Frontier != nil {
-		res.Frontier = append([]serving.Deployment(nil), v.Frontier...)
-	}
-	if v.Best != nil {
-		if len(res.Frontier) > 0 && *v.Best == res.Frontier[0] {
-			res.Best = &res.Frontier[0]
-		} else {
-			best := *v.Best
-			res.Best = &best
-		}
-	}
-	return res
-}
-
 // servingKeyPayload is the exact set of inputs that can reach a serving
 // search's result: the normalized spec. Scheduling knobs (Workers, Progress,
 // callbacks) are proven result-independent by the serving equivalence tests
@@ -90,22 +40,12 @@ type servingKeyPayload struct {
 // (Spec.Normalize applied) so every spelling of the same search maps to one
 // key; serving.Search consults its Cache only after that normalization.
 func ServingKey(spec serving.Spec) (string, error) {
-	payload := servingKeyPayload{
-		Space: ServingSpaceVersion,
-		Spec:  spec,
-	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return "", fmt.Errorf("resultstore: serving key encoding: %w", err)
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	return hashKey(servingKeyPayload{Space: ServingSpaceVersion, Spec: spec})
 }
 
 // NewServingRow stamps a fresh envelope around a finished serving search's
 // verdict.
 func NewServingRow(key string, spec serving.Spec, res serving.Result) Row {
-	v := newServingVerdict(res)
 	return Row{
 		Schema:      SchemaVersion,
 		Space:       ServingSpaceVersion,
@@ -115,7 +55,7 @@ func NewServingRow(key string, spec serving.Spec, res serving.Result) Row {
 		Model:       spec.Model.Name,
 		System:      spec.System.Name,
 		Procs:       spec.Space.Procs,
-		Serving:     &v,
+		Serving:     &res,
 	}
 }
 
@@ -134,8 +74,10 @@ var _ serving.Cache = ServingCache{}
 func (s *Store) ServingCache() ServingCache { return ServingCache{s: s} }
 
 // Lookup implements serving.Cache: it derives the canonical key and serves
-// the stored verdict, reconstructed into the exact Result a fresh search
-// would return. A key-derivation failure is reported as a miss.
+// the stored verdict as the exact Result a fresh search would return. The
+// frontier is copied, so a caller mutating the result cannot poison the
+// index, and Best points into the copy, as a fresh search's Best points
+// into its frontier. A key-derivation failure is reported as a miss.
 func (c ServingCache) Lookup(spec serving.Spec, _ serving.Options) (serving.Result, bool) {
 	key, err := ServingKey(spec)
 	if err != nil {
@@ -145,7 +87,17 @@ func (c ServingCache) Lookup(spec serving.Spec, _ serving.Options) (serving.Resu
 	if !ok {
 		return serving.Result{}, false
 	}
-	return row.Serving.result(), true
+	res := *row.Serving
+	res.Frontier = slices.Clone(res.Frontier)
+	if res.Best != nil {
+		if len(res.Frontier) > 0 && *res.Best == res.Frontier[0] {
+			res.Best = &res.Frontier[0]
+		} else {
+			best := *res.Best
+			res.Best = &best
+		}
+	}
+	return res, true
 }
 
 // Store implements serving.Cache: it commits a finished serving search's

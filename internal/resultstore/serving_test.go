@@ -215,21 +215,26 @@ func TestServingRowsCoexistWithTraining(t *testing.T) {
 	}
 }
 
-// TestServingRowWithoutPayloadRejected pins the decode invariant: a
-// committed serving row missing its payload is corruption.
+// TestServingRowWithoutPayloadRejected pins the row invariant decodeRow and
+// Append share: a row missing its own kind's payload is corruption, for
+// serving and training rows alike.
 func TestServingRowWithoutPayloadRejected(t *testing.T) {
-	row := NewServingRow("k", servingSpec().Normalize(), serving.Result{})
-	row.Serving = nil
-	if _, err := decodeRow(mustMarshal(t, row)); err == nil {
-		t.Error("decodeRow accepted a serving row without a serving verdict")
-	}
+	servingRow := NewServingRow("k", servingSpec().Normalize(), serving.Result{})
+	servingRow.Serving = nil
+	trainingRow := testRow("k", 1)
+	trainingRow.Verdict = nil
 	st, err := Open(filepath.Join(t.TempDir(), "store.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Append(row); err == nil {
-		t.Error("Append accepted a serving row without a serving verdict")
+	for _, row := range []Row{servingRow, trainingRow} {
+		if _, err := decodeRow(mustMarshal(t, row)); err == nil {
+			t.Errorf("decodeRow accepted a %q row without its payload", row.Kind)
+		}
+		if err := st.Append(row); err == nil {
+			t.Errorf("Append accepted a %q row without its payload", row.Kind)
+		}
 	}
 }
 

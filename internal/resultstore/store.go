@@ -84,9 +84,10 @@ type Store struct {
 //     otherwise it is dropped and the file truncated back to the last
 //     committed row. Either way every committed row survives.
 //   - A newline-terminated row that fails to decode, carries an unknown
-//     schema version, or has an empty key is corruption, not a crash shape —
-//     committed rows are written and fsynced whole — so Open fails loudly
-//     rather than serving a file it cannot vouch for.
+//     schema version, has an empty key, or lacks its kind's payload is
+//     corruption, not a crash shape — committed rows are written and
+//     fsynced whole — so Open fails loudly rather than serving a file it
+//     cannot vouch for.
 //   - A row with an outdated strategy-space version is stale, not corrupt:
 //     it is counted and skipped, which is how a version bump invalidates
 //     every previously cached verdict.
@@ -173,13 +174,13 @@ type rowKey struct{ kind, key string }
 
 // indexRow files the row under its kind and key. Caller holds mu (or is
 // single-threaded load) and has already screened staleness; decodeRow and
-// Append guarantee a serving row carries its payload.
+// Append guarantee the row carries its kind's payload.
 func (s *Store) indexRow(row Row) {
 	s.index[rowKey{row.Kind, row.Key}] = row
 }
 
 // decodeRow parses one JSONL line into a Row, enforcing the envelope
-// invariants (known schema version, non-empty key). It is the surface
+// invariants (known schema version, Row.check). It is the surface
 // FuzzResultStoreDecode hammers: arbitrary bytes must error, never panic.
 func decodeRow(line []byte) (Row, error) {
 	var row Row
@@ -189,13 +190,7 @@ func decodeRow(line []byte) (Row, error) {
 	if row.Schema != SchemaVersion {
 		return row, fmt.Errorf("unknown schema version %d (want %d)", row.Schema, SchemaVersion)
 	}
-	if row.Key == "" {
-		return row, fmt.Errorf("row has no key")
-	}
-	if row.Kind == KindServing && row.Serving == nil {
-		return row, fmt.Errorf("serving row has no serving verdict")
-	}
-	return row, nil
+	return row, row.check()
 }
 
 // Path returns the backing file's path.
@@ -221,11 +216,8 @@ func (s *Store) lookup(kind, key string) (Row, bool) {
 // Call Flush or Close to force the tail out; rows are only crash-durable
 // after their batch has flushed (each flush ends in fsync).
 func (s *Store) Append(row Row) error {
-	if row.Key == "" {
-		return fmt.Errorf("resultstore: refusing to append row with no key")
-	}
-	if row.Kind == KindServing && row.Serving == nil {
-		return fmt.Errorf("resultstore: refusing to append serving row without a serving verdict")
+	if err := row.check(); err != nil {
+		return fmt.Errorf("resultstore: refusing to append: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"calculon/internal/perf"
+	"calculon/internal/search"
 )
 
 // testRow fabricates a committed row with a distinguishable verdict. The
@@ -22,7 +23,7 @@ func testRow(key string, evaluated int) Row {
 		Model:  "test-model",
 		System: "test-system",
 		Procs:  8,
-		Verdict: Verdict{
+		Verdict: &search.Result{
 			Evaluated: evaluated,
 			Feasible:  evaluated / 2,
 			Best:      perf.Result{SampleRate: float64(evaluated) * 1.5, ProcsUsed: 8},

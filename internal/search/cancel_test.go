@@ -71,7 +71,6 @@ func TestExecutionCancelledMidSearch(t *testing.T) {
 	opts := bigOptions()
 	var prog Progress
 	opts.Progress = &prog
-	opts.EstimateTotal = true
 
 	baseline := runtime.NumGoroutine()
 	// The search has 26 subtrees and 126 work chunks (microbatch rows), so
@@ -88,7 +87,7 @@ func TestExecutionCancelledMidSearch(t *testing.T) {
 	}
 	snap := prog.Snapshot()
 	if snap.Total == 0 {
-		t.Fatal("EstimateTotal did not populate the total")
+		t.Fatal("the search did not add its space size to the total")
 	}
 	if int64(res.Evaluated) >= snap.Total {
 		t.Fatalf("search ran to completion (%d of %d) despite cancellation", res.Evaluated, snap.Total)
@@ -172,7 +171,6 @@ func TestOnProgressTickerAndFinalSnapshot(t *testing.T) {
 	var calls atomic.Int64
 	var last atomic.Int64
 	opts := bigOptions()
-	opts.EstimateTotal = true
 	opts.ProgressInterval = time.Millisecond
 	opts.OnProgress = func(s ProgressSnapshot) {
 		calls.Add(1)
@@ -206,7 +204,7 @@ func TestDeterministicWithCancellationMachinery(t *testing.T) {
 	observed, err := Execution(context.Background(), m, sys, Options{
 		Enum:    execution.EnumOptions{Procs: 64, Features: execution.FeatureSeqPar, MaxInterleave: 2},
 		Workers: 8,
-		Watch:   Watch{Progress: &prog, EstimateTotal: true, OnProgress: func(ProgressSnapshot) {}},
+		Watch:   Watch{Progress: &prog, OnProgress: func(ProgressSnapshot) {}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -102,8 +102,7 @@ func (p *Progress) AddCounts(c Counts) {
 }
 
 // AddTotal grows the expected-strategy total (used for ETA). Searches add
-// their own space size when Options.EstimateTotal is set; callers that know
-// the size in advance may add it themselves instead.
+// their own space size to the Progress they flush into.
 func (p *Progress) AddTotal(n int64) {
 	p.total.Add(n)
 	if m := p.mirror.Load(); m != nil {
@@ -155,7 +154,7 @@ type ProgressSnapshot struct {
 	// counters live in the returned Result, not here.
 	StoreHits int64
 	// Total is the expected number of strategies, when known (see
-	// Options.EstimateTotal and Progress.AddTotal); 0 when unknown.
+	// Progress.AddTotal); 0 when unknown.
 	Total int64
 	// Elapsed is the wall-clock time since the first attached search began.
 	Elapsed time.Duration

@@ -51,7 +51,6 @@ func TestProgressMirrorThroughSearches(t *testing.T) {
 		prog.MirrorTo(&agg)
 		o := opts
 		o.Progress = &prog
-		o.EstimateTotal = true
 		res, err := Execution(context.Background(), m, sys, o)
 		if err != nil {
 			t.Fatal(err)

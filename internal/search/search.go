@@ -61,32 +61,37 @@ type Options struct {
 	sharedRunner *perf.Runner
 }
 
-// Result is the outcome of an execution search.
+// Result is the outcome of an execution search. Its JSON form is the
+// payload of a training row in a result store (internal/resultstore), so a
+// field added here is a schema decision: decide whether stored rows must be
+// invalidated (StrategySpaceVersion) before adding one.
 type Result struct {
-	// Best is the fastest feasible configuration found.
-	Best perf.Result
-	// Top holds the TopK best results, fastest first.
-	Top []perf.Result
 	// Evaluated counts every strategy tried; Feasible those that could run
 	// (the paper's 10,957,376 vs 1,974,902 for GPT-3 175B on 4,096 GPUs).
-	Evaluated int
-	Feasible  int
+	Evaluated int `json:"evaluated"`
+	Feasible  int `json:"feasible"`
 	// PreScreened counts the evaluations rejected by the phase-1 analytic
 	// filter before any layer-level work (a subset of Evaluated−Feasible);
 	// CacheHits counts evaluations that reused a memoized block profile.
-	PreScreened int
-	CacheHits   int
+	PreScreened int `json:"pre_screened"`
+	CacheHits   int `json:"cache_hits"`
 	// SubtreePruned counts the strategies dropped at the lattice level:
 	// leaves of (tp,pp,dp) subtrees whose closed-form bound proved every
 	// toggle combination infeasible, accounted in closed form without being
 	// enumerated. They are a subset of PreScreened (pruned leaves count as
 	// Evaluated and PreScreened, exactly as the leaf-by-leaf path would).
-	SubtreePruned int
-	// Rates holds every feasible sample rate when CollectRates is set.
-	Rates []float64
+	SubtreePruned int `json:"subtree_pruned"`
+	// Best is the fastest feasible configuration found.
+	Best perf.Result `json:"best"`
+	// Top holds the TopK best results, fastest first.
+	Top []perf.Result `json:"top,omitempty"`
 	// Pareto holds the time-vs-memory front when Options.Pareto is set,
 	// fastest (and most memory-hungry) first.
-	Pareto []perf.Result
+	Pareto []perf.Result `json:"pareto,omitempty"`
+	// Rates holds every feasible sample rate when CollectRates is set. It is
+	// never stored: its order follows worker completion, which is not run-to-
+	// run deterministic, so CollectRates searches bypass the store.
+	Rates []float64 `json:"-"`
 }
 
 // Found reports whether any feasible configuration exists.

@@ -13,12 +13,9 @@ import (
 type Watch struct {
 	// Progress, when non-nil, receives live counter updates the caller can
 	// Snapshot from any goroutine while the search runs. The same Progress
-	// may be shared across searches to aggregate a sweep.
+	// may be shared across searches to aggregate a sweep. A search adds its
+	// closed-form space size to it, so snapshots carry an ETA.
 	Progress *Progress
-	// EstimateTotal pre-counts the search space (closed-form, no
-	// evaluation) and adds it to Progress so snapshots carry an ETA.
-	// Ignored when Progress is nil and OnProgress is unset.
-	EstimateTotal bool
 	// OnProgress, when non-nil, is invoked about every ProgressInterval from
 	// a dedicated goroutine while the search runs, and once more,
 	// synchronously, just before the search returns — so the final callback
@@ -117,8 +114,8 @@ func (s Stored[R]) Keep(ctx context.Context, res R, err error) {
 
 // Run is the lifecycle of one execution search, whole or sharded: observation
 // starts (Watch.Start), the store is consulted, and on a miss the expected
-// total — size, called only when w.EstimateTotal asks for it — is added to
-// the Progress, run evaluates, and its result is stored when it finished
+// total — size, called only when someone observes — is added to the
+// Progress, run evaluates, and its result is stored when it finished
 // cleanly. run receives the Progress to flush its counters into (nil when
 // nobody observes).
 func Run[R any](ctx context.Context, w Watch, st Stored[R], size func() int, run func(prog *Progress) (R, error)) (R, error) {
@@ -127,7 +124,7 @@ func Run[R any](ctx context.Context, w Watch, st Stored[R], size func() int, run
 	if res, ok := st.Consult(prog); ok {
 		return res, nil
 	}
-	if prog != nil && w.EstimateTotal {
+	if prog != nil {
 		prog.AddTotal(int64(size()))
 	}
 	res, err := run(prog)

@@ -33,7 +33,7 @@ func TestRunStorePolicy(t *testing.T) {
 			Lookup: func() (int, bool) { return 7, tc.hit },
 			Store:  func(int) { stores++ },
 		}
-		res, err := Run(tc.ctx, Watch{Progress: &prog, EstimateTotal: true}, st, func() int { return 100 },
+		res, err := Run(tc.ctx, Watch{Progress: &prog}, st, func() int { return 100 },
 			func(p *Progress) (int, error) {
 				runs++
 				p.AddCounts(Counts{Evaluated: 100})

@@ -80,21 +80,18 @@ func (j *Job) tryStart(cancel context.CancelFunc, workers int) bool {
 	return true
 }
 
-// finish records the terminal state and the search's result. Cancel may
-// already have moved a queued job to cancelled; finishing is then a no-op.
-func (j *Job) finish(state State, res *JobResult, err error) bool {
+// finish records a running job's terminal state and the search's result.
+// Only the job's runner calls it, once: Cancel leaves a running job
+// running until its search unwinds.
+func (j *Job) finish(state State, res *JobResult, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
-	}
 	j.state = state
 	j.finished = time.Now()
 	j.result = res
 	j.err = err
 	j.cancel = nil
 	close(j.done)
-	return true
 }
 
 // Cancel requests cancellation. A queued job goes terminal immediately; a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -19,13 +20,14 @@ var ErrDraining = errors.New("service: draining, not accepting jobs")
 // weeks holds a window of recent history, not every job ever run.
 const maxRetainedJobs = 1024
 
-// Manager owns the job lifecycle: a bounded FIFO queue in front of a
-// scheduler goroutine that starts jobs as budget slots free up, a registry
-// for status lookups, and the drain choreography. The fleet Progress
-// aggregates every job's counters for /metrics.
+// Manager owns the job lifecycle: a bounded FIFO queue in front of one
+// runner goroutine per job slot, a registry for status lookups, and the
+// drain choreography. The fleet Progress aggregates every job's counters
+// for /metrics.
 type Manager struct {
 	queue   *queue
-	budget  *Budget
+	workers int // the global worker budget, the sum of the runners' shares
+	slots   int // the number of runners: the running-job limit
 	metrics *Metrics
 	fleet   *search.Progress
 	// store, when non-nil, is the shared persistent result store every job
@@ -34,7 +36,7 @@ type Manager struct {
 	// lifecycle, so a drain settles every pending row before exit.
 	store *resultstore.Store
 
-	// intakeCtx gates the scheduler: cancelling it stops new jobs from
+	// intakeCtx gates the runners: cancelling it stops new jobs from
 	// starting. hardCtx parents every job's run context: cancelling it stops
 	// running searches within one work chunk.
 	intakeCtx    context.Context
@@ -43,33 +45,56 @@ type Manager struct {
 	hardCancel   context.CancelFunc
 
 	draining sync.Once
-	wg       sync.WaitGroup // scheduler + running-job goroutines
+	wg       sync.WaitGroup // the runners
 
 	mu   sync.Mutex
 	jobs map[string]*Job
 	seq  int
 }
 
-// NewManager starts a manager with the given worker budget cut into at most
-// maxRunning concurrent jobs, and a queue of queueDepth waiting ones. The
-// scheduler goroutine runs until Drain.
+// NewManager starts a manager with the given worker budget (0 or less
+// means GOMAXPROCS) cut into at most maxRunning concurrent jobs, and a
+// queue of queueDepth waiting ones. Its runners run until Drain.
 func NewManager(workers, maxRunning, queueDepth int) *Manager {
+	shares := workerShares(workers, maxRunning)
 	m := &Manager{
 		queue:   newQueue(queueDepth),
-		budget:  NewBudget(workers, maxRunning),
+		slots:   len(shares),
 		metrics: &Metrics{},
 		fleet:   &search.Progress{},
 		jobs:    make(map[string]*Job),
 	}
 	m.intakeCtx, m.intakeCancel = context.WithCancel(context.Background())
 	m.hardCtx, m.hardCancel = context.WithCancel(context.Background())
-	m.wg.Add(1)
-	go m.schedule()
+	for _, share := range shares {
+		m.workers += share
+		m.wg.Add(1)
+		go m.runner(share)
+	}
 	return m
 }
 
-// Budget exposes the worker partition (for /metrics).
-func (m *Manager) Budget() *Budget { return m.budget }
+// workerShares cuts a budget of total workers (0 or less means GOMAXPROCS)
+// into one share per job slot: total/slots each, the first total%slots
+// slots one more. The slot count is clamped to [1, total], so every share
+// carries at least one worker (a zero-worker share would fall through to
+// GOMAXPROCS inside the search) and the shares sum to exactly total. Each
+// runner keeps its share for life, so however many jobs run at once their
+// workers never sum past the budget.
+func workerShares(total, slots int) []int {
+	if total <= 0 {
+		total = runtime.GOMAXPROCS(0)
+	}
+	slots = min(max(slots, 1), total)
+	shares := make([]int, slots)
+	for i := range shares {
+		shares[i] = total / slots
+		if i < total%slots {
+			shares[i]++
+		}
+	}
+	return shares
+}
 
 // Metrics exposes the lifecycle counters.
 func (m *Manager) Metrics() *Metrics { return m.metrics }
@@ -78,8 +103,8 @@ func (m *Manager) Metrics() *Metrics { return m.metrics }
 func (m *Manager) FleetSnapshot() search.ProgressSnapshot { return m.fleet.Snapshot() }
 
 // Submit validates the spec, registers the job, and queues it. It returns
-// the job's status as snapshotted at registration, before the scheduler can
-// see the job, so the snapshot always says queued however fast the job
+// the job's status as snapshotted at registration, before a runner can see
+// the job, so the snapshot always says queued however fast the job
 // starts. The error distinguishes bad specs (client's fault) from a full
 // queue or a draining daemon (server's state); the HTTP layer maps them to
 // 400/503.
@@ -135,18 +160,23 @@ func (m *Manager) Jobs() []*Job {
 	return out
 }
 
-// Cancel cancels the job with the given ID, settling the metrics for the
-// queued case (running jobs settle when their goroutine unwinds).
+// Cancel cancels the job with the given ID.
 func (m *Manager) Cancel(id string) (*Job, bool) {
 	j, ok := m.Job(id)
 	if !ok {
 		return nil, false
 	}
+	m.cancel(j)
+	return j, true
+}
+
+// cancel cancels the job, settling the queue gauge when it was still
+// queued (a running job settles when its runner unwinds).
+func (m *Manager) cancel(j *Job) {
 	if changed, wasQueued := j.Cancel(); changed && wasQueued {
 		m.metrics.queued.Add(-1)
 		m.metrics.cancelled.Add(1)
 	}
-	return j, true
 }
 
 // evictLocked drops the oldest terminal jobs once the registry exceeds the
@@ -170,32 +200,22 @@ func (m *Manager) evictLocked() {
 	}
 }
 
-// schedule is the scheduler goroutine: hold a budget slot, then hand it the
-// oldest runnable queued job. Acquiring before popping keeps the queue's
-// advertised depth exact — a popped-but-unstartable job would otherwise act
-// as one slot of invisible extra capacity. It exits when intakeCtx is
-// cancelled (drain).
-func (m *Manager) schedule() {
+// runner is one job slot: it pops the oldest queued job and runs it on its
+// share of the worker budget, one job at a time, until Drain. A job
+// cancelled while queued is skipped by runJob; a job popped after Drain
+// began is cancelled, not started.
+func (m *Manager) runner(workers int) {
 	defer m.wg.Done()
 	for {
-		workers, release, err := m.budget.Acquire(m.intakeCtx)
+		job, err := m.queue.Pop(m.intakeCtx)
 		if err != nil {
 			return
 		}
-		var job *Job
-		for {
-			job, err = m.queue.Pop(m.intakeCtx)
-			if err != nil {
-				release()
-				return
-			}
-			if job.State() == StateQueued {
-				break
-			}
-			// Cancelled while queued: discard; gauges settled by Cancel.
+		if m.intakeCtx.Err() != nil {
+			m.cancel(job)
+			return
 		}
-		m.wg.Add(1)
-		go m.runJob(job, workers, release)
+		m.runJob(job, workers)
 	}
 }
 
@@ -205,13 +225,11 @@ var jobContext func(context.Context) context.Context
 
 // runJob executes one job under the drain-cancellable context, with the
 // job's own cancel (DELETE) and optional timeout layered on top.
-func (m *Manager) runJob(job *Job, workers int, release func()) {
-	defer m.wg.Done()
-	defer release()
+func (m *Manager) runJob(job *Job, workers int) {
 	ctx, cancel := context.WithCancel(m.hardCtx)
 	defer cancel()
 	if !job.tryStart(cancel, workers) {
-		return // cancelled between pop and start; gauges settled by Cancel
+		return // cancelled while queued; gauges settled by cancel
 	}
 	m.metrics.queued.Add(-1)
 	m.metrics.running.Add(1)
@@ -235,22 +253,23 @@ func (m *Manager) runJob(job *Job, workers int, release func()) {
 	case err != nil:
 		state = StateFailed
 	}
-	if job.finish(state, &res, err) {
-		m.metrics.running.Add(-1)
-		switch state {
-		case StateDone:
-			m.metrics.done.Add(1)
-		case StateFailed:
-			m.metrics.failed.Add(1)
-		case StateCancelled:
-			m.metrics.cancelled.Add(1)
-		}
+	// The gauges settle before the job turns terminal, so a client that
+	// sees the job finished reads them settled too.
+	m.metrics.running.Add(-1)
+	switch state {
+	case StateDone:
+		m.metrics.done.Add(1)
+	case StateFailed:
+		m.metrics.failed.Add(1)
+	case StateCancelled:
+		m.metrics.cancelled.Add(1)
 	}
+	job.finish(state, &res, err)
 }
 
 // Drain shuts the manager down: no new jobs start, queued jobs are
 // cancelled, and running jobs get until ctx's deadline to finish before
-// their contexts are cancelled. Drain returns once every job goroutine has
+// their contexts are cancelled. Drain returns once every runner has
 // unwound — the no-leak guarantee the daemon's exit code stands on. It is
 // idempotent; later calls wait for the first to finish.
 func (m *Manager) Drain(ctx context.Context) {
@@ -261,10 +280,7 @@ func (m *Manager) Drain(ctx context.Context) {
 			if !ok {
 				break
 			}
-			if changed, wasQueued := job.Cancel(); changed && wasQueued {
-				m.metrics.queued.Add(-1)
-				m.metrics.cancelled.Add(1)
-			}
+			m.cancel(job)
 		}
 	})
 	done := make(chan struct{})

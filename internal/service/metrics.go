@@ -40,10 +40,12 @@ func write(w io.Writer, name, typ string, v int64) {
 }
 
 // Expose writes the Prometheus-style text exposition: job lifecycle
-// counters and gauges, the budget's shape, the fleet-wide strategy counters
-// aggregated across every job the daemon has run, and — when a persistent
-// result store is attached — the store's dedup-cache counters.
-func (m *Metrics) Expose(w io.Writer, fleet search.ProgressSnapshot, budget *Budget, store *resultstore.Store) {
+// counters and gauges, the worker budget and job slots, the fleet-wide
+// strategy counters aggregated across every job the daemon has run, and —
+// when a persistent result store is attached — the store's dedup-cache
+// counters. A slot is free when its runner runs no job.
+func (m *Metrics) Expose(w io.Writer, fleet search.ProgressSnapshot, workers, slots int, store *resultstore.Store) {
+	running := m.running.Load()
 	write(w, "calculond_jobs_submitted_total", "counter", m.submitted.Load())
 	write(w, "calculond_jobs_serving_total", "counter", m.servingJobs.Load())
 	write(w, "calculond_jobs_rejected_total", "counter", m.rejected.Load())
@@ -52,10 +54,10 @@ func (m *Metrics) Expose(w io.Writer, fleet search.ProgressSnapshot, budget *Bud
 	write(w, "calculond_jobs_failed_total", "counter", m.failed.Load())
 	write(w, "calculond_jobs_cancelled_total", "counter", m.cancelled.Load())
 	write(w, "calculond_jobs_queued", "gauge", m.queued.Load())
-	write(w, "calculond_jobs_running", "gauge", m.running.Load())
-	write(w, "calculond_workers_total", "gauge", int64(budget.Total()))
-	write(w, "calculond_job_slots_total", "gauge", int64(budget.Slots()))
-	write(w, "calculond_job_slots_free", "gauge", int64(budget.Free()))
+	write(w, "calculond_jobs_running", "gauge", running)
+	write(w, "calculond_workers_total", "gauge", int64(workers))
+	write(w, "calculond_job_slots_total", "gauge", int64(slots))
+	write(w, "calculond_job_slots_free", "gauge", int64(slots)-running)
 	write(w, "calculond_strategies_evaluated_total", "counter", fleet.Evaluated)
 	write(w, "calculond_strategies_feasible_total", "counter", fleet.Feasible)
 	write(w, "calculond_strategies_prescreened_total", "counter", fleet.PreScreened)

@@ -12,9 +12,9 @@ var ErrQueueFull = errors.New("service: job queue full")
 
 // queue is a bounded FIFO of accepted-but-not-yet-running jobs. A buffered
 // channel is the whole implementation: sends preserve submission order,
-// capacity is the bound, and Pop's receive parks the scheduler until work or
-// cancellation arrives. Cancelled jobs stay in the queue (a channel cannot
-// remove from the middle); the scheduler discards them at Pop time, which
+// capacity is the bound, and Pop's receive parks an idle runner until work
+// or cancellation arrives. Cancelled jobs stay in the queue (a channel
+// cannot remove from the middle); the runners discard them at Pop time, which
 // keeps cancellation O(1) and the queue free of locks.
 type queue struct {
 	ch chan *Job

@@ -57,7 +57,7 @@ type Server struct {
 	draining atomic.Bool
 }
 
-// New builds a server and starts its manager's scheduler.
+// New builds a server and starts its manager's runners.
 func New(cfg Config) *Server {
 	maxWait := cfg.MaxWait
 	if maxWait <= 0 {
@@ -121,7 +121,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.man.Metrics().Expose(w, s.man.FleetSnapshot(), s.man.Budget(), s.man.store)
+	s.man.Metrics().Expose(w, s.man.FleetSnapshot(), s.man.workers, s.man.slots, s.man.store)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

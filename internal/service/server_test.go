@@ -77,7 +77,7 @@ func holdJobs(t *testing.T) (release func()) {
 }
 
 // newTestServer builds a server and guarantees it is drained at cleanup so
-// no scheduler or job goroutines outlive the test.
+// no runner goroutines outlive the test.
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	s := New(cfg)
@@ -336,6 +336,10 @@ func TestRateLimiter429(t *testing.T) {
 
 func TestMetricsExposition(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, MaxRunning: 2, QueueDepth: 4})
+	// An idle daemon has every slot free.
+	if body := do(t, s, "GET", "/metrics", "", nil).Body.String(); !strings.Contains(body, "calculond_job_slots_free 2\n") {
+		t.Errorf("idle daemon does not report both slots free:\n%s", body)
+	}
 	st := submit(t, s, smallSpec())
 	waitState(t, s, st.ID, StateDone)
 	rec := do(t, s, "GET", "/metrics", "", nil)
@@ -350,6 +354,7 @@ func TestMetricsExposition(t *testing.T) {
 		"calculond_jobs_running 0",
 		"calculond_workers_total 4",
 		"calculond_job_slots_total 2",
+		"calculond_job_slots_free 2",
 		"calculond_strategies_evaluated_total",
 	} {
 		if !strings.Contains(body, line) {
@@ -426,8 +431,43 @@ func TestDrainCancelsAndLeaksNothing(t *testing.T) {
 		if st.State != StateCancelled {
 			t.Fatalf("job %s after drain: %s, want cancelled", id, st.State)
 		}
+		if id == queued.ID && st.Started != nil {
+			t.Fatalf("job %s was queued when the drain began, but started", id)
+		}
 	}
 	waitForGoroutines(t, baseline)
+}
+
+// TestRunnerNeverStartsJobsOnceDrainBegins: a runner that pops a job after
+// Drain stopped intake cancels it instead of starting it. The test takes
+// Drain's first step itself while the only runner is busy, then frees the
+// runner, which finds both the queued job and the stopped intake ready and
+// must leave the job unstarted whichever it takes.
+func TestRunnerNeverStartsJobsOnceDrainBegins(t *testing.T) {
+	holdJobs(t)
+	for i := 0; i < 8; i++ {
+		s := newTestServer(t, Config{Workers: 1, MaxRunning: 1, QueueDepth: 4})
+		running := submit(t, s, bigSpec())
+		waitState(t, s, running.ID, StateRunning)
+		queued := submit(t, s, bigSpec())
+		s.man.intakeCancel()
+		do(t, s, "DELETE", "/v1/jobs/"+running.ID, "", nil)
+		exited := make(chan struct{})
+		go func() {
+			s.man.wg.Wait()
+			close(exited)
+		}()
+		select {
+		case <-exited:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("iteration %d: the runner is still running after intake stopped", i)
+		}
+		var st JobStatus
+		do(t, s, "GET", "/v1/jobs/"+queued.ID, "", &st)
+		if st.Started != nil {
+			t.Fatalf("iteration %d: a job popped after intake stopped was started", i)
+		}
+	}
 }
 
 // TestDrainLetsRunningJobsFinish is the graceful half: with a generous

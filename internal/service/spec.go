@@ -4,8 +4,8 @@
 // evaluated/feasible/pre-screened/subtree-pruned counters with an ETA,
 // straight from the search's Progress attachment — until the result is
 // ready. The pieces compose the repo's existing invariants: a bounded FIFO
-// queue feeds a scheduler that partitions one global worker budget across
-// concurrently running jobs (never oversubscribing it), every job runs under
+// queue feeds one runner per job slot, each with a fixed share of one global
+// worker budget (so running jobs never oversubscribe it), every job runs under
 // a cancellable context (DELETE cancels, drain cancels, a job timeout
 // cancels), per-client rate limiting keeps one poller from starving the
 // rest, and all cross-goroutine counters are sync/atomic only.
@@ -171,7 +171,7 @@ func (s JobSpec) prepareServing() (prepared, error) {
 // cancelled search still returns its result: counters up to the stopping
 // point.
 func (p *prepared) run(ctx context.Context, workers int, prog *search.Progress, store *resultstore.Store) (JobResult, error) {
-	watch := search.Watch{Progress: prog, EstimateTotal: true}
+	watch := search.Watch{Progress: prog}
 	// A typed-nil *Store behind a Cache interface would defeat the engines'
 	// nil checks, hence the guards.
 	if p.servingSpec != nil {

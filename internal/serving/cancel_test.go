@@ -107,7 +107,7 @@ func TestCancelDuringStageOne(t *testing.T) {
 			var prog search.Progress
 			opts := Options{
 				Workers: 1,
-				Watch: search.Watch{Progress: &prog, EstimateTotal: true, ProgressInterval: time.Millisecond,
+				Watch: search.Watch{Progress: &prog, ProgressInterval: time.Millisecond,
 					OnProgress: func(s search.ProgressSnapshot) {
 						mu.Lock()
 						defer mu.Unlock()

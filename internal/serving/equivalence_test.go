@@ -478,7 +478,7 @@ func TestSweepProgressTotals(t *testing.T) {
 		total += int64(res.Evaluated)
 	}
 	var prog search.Progress
-	if _, err := Sweep(context.Background(), spec, sizes, Options{Watch: search.Watch{Progress: &prog, EstimateTotal: true}}); err != nil {
+	if _, err := Sweep(context.Background(), spec, sizes, Options{Watch: search.Watch{Progress: &prog}}); err != nil {
 		t.Fatal(err)
 	}
 	s := prog.Snapshot()

@@ -560,7 +560,7 @@ func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeRes
 	if len(budgets) > 0 {
 		topSpec = at(budgets[len(budgets)-1])
 		cfgs = enumerate(topSpec.Model, topSpec.Space)
-		if prog != nil && opts.EstimateTotal {
+		if prog != nil {
 			for i, n := range sizes {
 				if missed[i] {
 					prog.AddTotal(int64(fitting(cfgs, n)))

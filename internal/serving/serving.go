@@ -275,7 +275,10 @@ type Deployment struct {
 	DecodeBandwidthBound bool `json:"decode_bandwidth_bound"`
 }
 
-// Result is a finished serving search.
+// Result is a finished serving search. Its JSON form is the payload of a
+// serving row in a result store (internal/resultstore), so a field added
+// here is a schema decision: decide whether stored rows must be invalidated
+// (ServingSpaceVersion) before adding one.
 type Result struct {
 	// Evaluated counts engine configurations examined (including
 	// pre-screened ones); PreScreened the subset rejected by the
