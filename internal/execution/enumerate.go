@@ -372,16 +372,27 @@ func (t *Toggles) BlockSwitches(st *Strategy, yield func(*Strategy)) {
 // so every combination holds the same number. The other fields of st are
 // left as they are.
 func (t *Toggles) ScreenSwitches(st *Strategy, yield func(*Strategy)) int {
-	for _, o := range t.offloads {
-		for _, sh := range t.shards {
-			for _, dov := range t.dpOverlaps {
-				st.WeightOffload, st.ActOffload, st.OptimOffload = o[0], o[1], o[2]
-				st.OptimSharding, st.DPOverlap = sh, dov
-				yield(st)
-			}
-		}
+	n := t.screenCombos()
+	for i := 0; i < n; i++ {
+		t.setScreen(st, i)
+		yield(st)
 	}
-	return t.Len() / (len(t.offloads) * len(t.shards) * len(t.dpOverlaps))
+	return t.Len() / n
+}
+
+// screenCombos returns the number of screen switch combinations the
+// lattice holds.
+func (t *Toggles) screenCombos() int {
+	return len(t.offloads) * len(t.shards) * len(t.dpOverlaps)
+}
+
+// setScreen sets st's screen switches to the lattice's i-th combination:
+// the offloads vary slowest, then optimizer sharding, then DP overlap.
+func (t *Toggles) setScreen(st *Strategy, i int) {
+	nd, ns := len(t.dpOverlaps), len(t.shards)
+	o := t.offloads[i/(nd*ns)]
+	st.WeightOffload, st.ActOffload, st.OptimOffload = o[0], o[1], o[2]
+	st.OptimSharding, st.DPOverlap = t.shards[i/nd%ns], t.dpOverlaps[i%nd]
 }
 
 // Walk visits every toggle combination of the segment rooted at st,

@@ -129,6 +129,23 @@ func TestSegmentWalkMatchesEnumerateTriple(t *testing.T) {
 	}
 }
 
+// TestCheckTripleAllocatesNothing pins the lattice prune's cost: the
+// search's chunk table only compares CheckTriple's error with nil, so a
+// rejected triple must put neither its root nor its verdict on the heap.
+func TestCheckTripleAllocatesNothing(t *testing.T) {
+	m := model.MustPreset("turing-530B").WithBatch(3072)
+	o := EnumOptions{Procs: 16, Features: FeatureAll, HasMem2: false}
+	p := NewPreScreen(m, Limits{Procs: 16, Mem1: 40 * units.GiB})
+	tpd := [3]int{8, 2, 1}
+	if p.CheckTriple(o, tpd) == nil {
+		t.Fatalf("triple %v passes the screen; the test needs a rejected one", tpd)
+	}
+	rejected := false
+	if n := testing.AllocsPerRun(100, func() { rejected = p.CheckTriple(o, tpd) != nil }); n != 0 || !rejected {
+		t.Errorf("CheckTriple made %v allocations per rejected triple, want 0", n)
+	}
+}
+
 // TestCheckTripleDecidesSubtree is the soundness obligation of the subtree
 // pre-screen: CheckTriple rejects a (t,p,d) subtree exactly when Check would
 // reject every one of its leaves, and accepts exactly when some leaf passes;

@@ -201,26 +201,30 @@ func (e screenError) Error() string {
 // subtree exactly: a non-nil return means Check would reject every leaf —
 // the lattice search may drop the subtree and count its leaves as
 // pre-screened without enumerating them, bit-identically to the leaf-by-leaf
-// path. The returned error is the first combination's rejection.
+// path. The returned error is the first combination's rejection. CheckTriple
+// inlines, so a caller that only compares the error with nil allocates
+// nothing.
 func (p *PreScreen) CheckTriple(o EnumOptions, tpd [3]int) error {
-	var first ScreenVerdict
-	pass := false
+	return p.screenTriple(o, tpd).Err()
+}
+
+// screenTriple is CheckTriple's verdict: the first combination's rejection,
+// or a pass when any combination passes.
+func (p *PreScreen) screenTriple(o EnumOptions, tpd [3]int) ScreenVerdict {
 	root := Strategy{TP: tpd[0], PP: tpd[1], DP: tpd[2], Microbatch: 1, Interleave: 1}
 	tog := o.Toggles()
-	tog.ScreenSwitches(&root, func(st *Strategy) {
-		if pass {
-			return
+	var first ScreenVerdict
+	for i := 0; i < tog.screenCombos(); i++ {
+		tog.setScreen(&root, i)
+		v := p.Check(&root)
+		if v.OK() {
+			return v
 		}
-		v := p.Check(st)
-		pass = v.OK()
-		if first.OK() {
+		if i == 0 {
 			first = v
 		}
-	})
-	if pass {
-		return nil
 	}
-	return first.Err()
+	return first
 }
 
 func minBytes(a, b units.Bytes) units.Bytes {

@@ -85,8 +85,9 @@ const (
 // one-entry memos of the log10-priced lookups. It is NOT safe for
 // concurrent use — each worker goroutine threads its own chain through the
 // RunInfo it gets back — while the owning Runner stays shared. Everything
-// here is built lazily by the chain itself, so neither the Runner
-// constructors nor a scratch evaluation pay for it.
+// here is built lazily by the chain itself, so the Runner constructors do
+// not pay for it; a scratch evaluation holds its own empty memo and verdict
+// table.
 type deltaState struct {
 	r *Runner // owning runner; a chain never crosses runners
 
@@ -262,12 +263,8 @@ type screenTable struct {
 	verdicts   [32]execution.ScreenVerdict
 }
 
-// check returns ps.Check(st) from the table, calling Check on a miss; a nil
-// table (a scratch evaluation) always calls Check.
+// check returns ps.Check(st) from the table, calling Check on a miss.
 func (t *screenTable) check(ps *execution.PreScreen, st *execution.Strategy) execution.ScreenVerdict {
-	if t == nil {
-		return ps.Check(st)
-	}
 	if st.TP != t.tp || st.PP != t.pp || st.DP != t.dp || st.Inference != t.inference {
 		t.tp, t.pp, t.dp, t.inference, t.filled = st.TP, st.PP, st.DP, st.Inference, 0
 	}
@@ -352,25 +349,13 @@ type commMemo struct {
 	t     units.Seconds
 }
 
-// commTime is comm.Time through the chain's memo slot for site; the scratch
-// path (no memo) calls comm.Time directly.
+// commTime is comm.Time through the chain's memo slot for site.
 func (e *eval) commTime(site int, net *system.Network, op comm.Op, g int, b units.Bytes) units.Seconds {
-	if e.memo == nil {
-		return comm.Time(net, op, g, b)
-	}
 	c := &e.memo.comm[site]
 	if c.net != net || c.op != op || c.g != g || c.bytes != b {
 		*c = commMemo{net: net, op: op, g: g, bytes: b, t: comm.Time(net, op, g, b)}
 	}
 	return c.t
-}
-
-// row is Runner.row through the chain's memo.
-func (e *eval) row(r *Runner) *profileRow {
-	if e.memo == nil {
-		return r.row(e.st)
-	}
-	return e.memo.rowOf(r, e.st)
 }
 
 // rowOf returns the profile row of st's (TP, Microbatch), fetching it from
@@ -385,9 +370,6 @@ func (m *termMemo) rowOf(r *Runner, st *execution.Strategy) *profileRow {
 // vectorRate is Compute.VectorRate through the chain's memo.
 func (e *eval) vectorRate(f units.FLOPs) units.FLOPsPerSec {
 	m := e.memo
-	if m == nil {
-		return e.sys.Compute.VectorRate(f)
-	}
 	if !m.vecOK || m.vecFLOPs != f {
 		m.vecOK, m.vecFLOPs, m.vecRate = true, f, e.sys.Compute.VectorRate(f)
 	}
@@ -397,9 +379,6 @@ func (e *eval) vectorRate(f units.FLOPs) units.FLOPsPerSec {
 // mem1AccessTime is Mem1.AccessTime through the chain's memo.
 func (e *eval) mem1AccessTime(b units.Bytes) units.Seconds {
 	m := e.memo
-	if m == nil {
-		return e.sys.Mem1.AccessTime(b)
-	}
 	if !m.mem1OK || m.mem1Bytes != b {
 		m.mem1OK, m.mem1Bytes, m.mem1Time = true, b, e.sys.Mem1.AccessTime(b)
 	}
@@ -409,9 +388,6 @@ func (e *eval) mem1AccessTime(b units.Bytes) units.Seconds {
 // mem2Bandwidth is Mem2.EffectiveBandwidth through the chain's memo.
 func (e *eval) mem2Bandwidth(b units.Bytes) units.BytesPerSec {
 	m := e.memo
-	if m == nil {
-		return e.sys.Mem2.EffectiveBandwidth(b)
-	}
 	if !m.mem2OK || m.mem2Bytes != b {
 		m.mem2OK, m.mem2Bytes, m.mem2BW = true, b, e.sys.Mem2.EffectiveBandwidth(b)
 	}

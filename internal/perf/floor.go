@@ -92,7 +92,7 @@ func (r *Runner) mem1Floor(d *deltaState, f *SegmentFloor, root *execution.Strat
 	// actPerMBPerBlock returns as they are under no recompute.
 	st.Recompute = execution.RecomputeNone
 	setScreenBits(&st, f.saving)
-	e := eval{m: &r.m, sys: &r.sys, st: &st}
+	e := eval{m: &r.m, sys: &r.sys, st: &st, memo: &d.memo}
 	e.tot = layers.Totals{WeightBytes: mn.weight, ActBytes: mn.acts, MaxOutputBytes: mn.maxOutput}
 	e.loadShape()
 	var mem1, mem2 MemBreakdown

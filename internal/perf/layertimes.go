@@ -29,15 +29,8 @@ type LayerTiming struct {
 // LayerTimes profiles one transformer block under the configuration,
 // layer by layer — the observability view behind `calculon run -layers`.
 func LayerTimes(m model.LLM, sys system.System, st execution.Strategy) ([]LayerTiming, error) {
-	st.Normalize()
-	if err := m.Validate(); err != nil {
+	if err := checkInputs(&m, &sys, &st); err != nil {
 		return nil, err
-	}
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	if err := st.Validate(&m); err != nil {
-		return nil, verdict{kind: invalidStrategy, cause: err}.err()
 	}
 	ls := layers.Block(m, shardFor(&st))
 	out := make([]LayerTiming, 0, len(ls))

@@ -5,7 +5,6 @@ import (
 	"calculon/internal/model"
 	"calculon/internal/pipesim"
 	"calculon/internal/system"
-	"calculon/internal/units"
 )
 
 // PipelineParams derives the discrete pipeline-simulation parameters
@@ -15,24 +14,13 @@ import (
 // cross-validated, and it lets users render Fig. 2-style timelines for
 // their own configurations.
 func PipelineParams(m model.LLM, sys system.System, st execution.Strategy) (pipesim.Params, error) {
-	st.Normalize()
-	if err := m.Validate(); err != nil {
+	if err := checkInputs(&m, &sys, &st); err != nil {
 		return pipesim.Params{}, err
-	}
-	if err := sys.Validate(); err != nil {
-		return pipesim.Params{}, err
-	}
-	if err := st.Validate(&m); err != nil {
-		return pipesim.Params{}, verdict{kind: invalidStrategy, cause: err}.err()
 	}
 	e := newEval(m, sys, st)
 	e.tensorComm()
-	e.pipelineComm()
-
-	var hop units.Seconds
-	if st.PP > 1 {
-		hop = e.ppPerMicrobatch.DivN(float64(2 * st.Interleave))
-	}
+	e.pipelineComm() // leaves the hop 0 without pipeline parallelism
+	fwd, bwd, hop := e.chunk()
 	sched := pipesim.GPipe
 	if st.OneFOneB {
 		sched = pipesim.OneFOneB
@@ -41,9 +29,27 @@ func PipelineParams(m model.LLM, sys system.System, st execution.Strategy) (pipe
 		Stages:       st.PP,
 		Chunks:       st.Interleave,
 		Microbatches: e.n,
-		FwdChunk:     (e.blockFwd + e.fwdPenalty + e.tpFwdExposedPerBlock).Times(float64(e.bc)),
-		BwdChunk:     (e.blockBwd + e.blockRecompute + e.bwdPenalty + e.tpBwdExposedPerBlock).Times(float64(e.bc)),
+		FwdChunk:     fwd,
+		BwdChunk:     bwd,
 		Hop:          hop,
 		Schedule:     sched,
 	}, nil
+}
+
+// checkInputs is the input check of the entry points that price one
+// configuration outside a Runner: it normalizes the strategy and validates
+// the model, the system and the strategy, a strategy the model cannot run
+// being ErrInfeasible.
+func checkInputs(m *model.LLM, sys *system.System, st *execution.Strategy) error {
+	st.Normalize()
+	if err := m.Validate(); err != nil {
+		return err
+	}
+	if err := sys.Validate(); err != nil {
+		return err
+	}
+	if err := st.Validate(m); err != nil {
+		return verdict{kind: invalidStrategy, cause: err}.err()
+	}
+	return nil
 }

@@ -167,14 +167,16 @@ func (r *Runner) Run(st execution.Strategy) (Result, error) {
 // counters.
 func (r *Runner) RunDetailed(st execution.Strategy) (Result, RunInfo, error) {
 	// A scratch evaluation is a chain of one, every field changed, its
-	// state on this frame instead of in a deltaState (whose self-pointers
-	// would move it to the heap).
+	// state, memo and verdict table on this frame instead of in a
+	// deltaState (whose self-pointers would move it to the heap).
 	var res Result
 	var info RunInfo
 	var v verdict // written only on failure; apart from s, which points at st
-	s := evalState{e: eval{m: &r.m, sys: &r.sys, st: &st}}
+	var memo termMemo
+	var screens screenTable
+	s := evalState{e: eval{m: &r.m, sys: &r.sys, st: &st, memo: &memo}}
 	st.Normalize()
-	ok := r.admit(&st, execution.AllFields, nil, &v) && r.evaluate(&s, execution.AllFields, &info, &v)
+	ok := r.admit(&st, execution.AllFields, &screens, &v) && r.evaluate(&s, execution.AllFields, &info, &v)
 	info.PreScreened = v.kind == preScreened
 	if !ok {
 		return res, info, v.err()
@@ -235,8 +237,8 @@ func (r *Runner) finish(s *evalState, out *Result) {
 // rules and the phase-1 pre-screen, writing a rejection into *v. mask is
 // the set of fields changed since a strategy that passed Validate on this
 // model (AllFields when there is none): an unchanged shape passes the
-// shape rules again, so only the toggle rules are checked. screens, when
-// non-nil, is a chain's verdict table.
+// shape rules again, so only the toggle rules are checked. screens is the
+// chain's verdict table.
 func (r *Runner) admit(st *execution.Strategy, mask execution.FieldMask, screens *screenTable, v *verdict) bool {
 	var err error
 	if mask.Has(execution.ShapeFields) {
@@ -274,7 +276,7 @@ func (r *Runner) evaluate(s *evalState, mask execution.FieldMask, info *RunInfo,
 	hit := true
 	if mask.Has(profileMask) {
 		var prof *blockProfile
-		prof, hit = r.profile(e.row(r), e.st)
+		prof, hit = r.profile(e.memo.rowOf(r, e.st), e.st)
 		e.loadProfile(prof)
 	}
 	if mask.Has(shapeMask) {
@@ -534,8 +536,8 @@ type eval struct {
 	sys *system.System
 	st  *execution.Strategy
 
-	// memo is the delta chain's lookup memo (see termMemo); nil for a
-	// scratch evaluation, which prices every lookup afresh.
+	// memo is the chain's lookup memo (see termMemo); a scratch
+	// evaluation holds one of its own.
 	memo *termMemo
 
 	tot layers.Totals
@@ -581,7 +583,7 @@ func (e *eval) loadShape() {
 // computed.
 func newEval(m model.LLM, sys system.System, st execution.Strategy) *eval {
 	prof := computeProfile(&m, &sys, &st)
-	e := &eval{m: &m, sys: &sys, st: &st}
+	e := &eval{m: &m, sys: &sys, st: &st, memo: new(termMemo)}
 	e.loadProfile(&prof)
 	e.loadShape()
 	return e
@@ -781,15 +783,24 @@ func (e *eval) assemble(t *TimeBreakdown) {
 
 	if p := e.st.PP; p > 1 {
 		// Interleaved 1F1B bubble: (p−1) chunk slots at the head and tail of
-		// the pipeline (Fig. 2); a chunk is bc blocks plus its boundary hop.
-		hop := e.ppPerMicrobatch.DivN(float64(2 * e.st.Interleave))
-		chunkFwd := (e.blockFwd + e.fwdPenalty + e.tpFwdExposedPerBlock).Times(float64(e.bc)) + hop
-		chunkBwd := (e.blockBwd + e.blockRecompute + e.bwdPenalty + e.tpBwdExposedPerBlock).Times(float64(e.bc)) + hop
+		// the pipeline (Fig. 2); a slot is a chunk visit plus its boundary hop.
+		fwd, bwd, hop := e.chunk()
+		chunkBwd := bwd + hop
 		if e.st.Inference {
 			chunkBwd = 0
 		}
-		t.PPBubble = (chunkFwd + chunkBwd).Times(float64(p - 1))
+		t.PPBubble = (fwd + hop + chunkBwd).Times(float64(p - 1))
 	}
+}
+
+// chunk returns the forward and backward compute of one chunk visit — bc
+// blocks, each with its overlap penalty and exposed TP time — and the
+// boundary hop between chunks. It prices the bubble's slots and the
+// discrete simulation's ops (PipelineParams) alike.
+func (e *eval) chunk() (fwd, bwd, hop units.Seconds) {
+	fwd = (e.blockFwd + e.fwdPenalty + e.tpFwdExposedPerBlock).Times(float64(e.bc))
+	bwd = (e.blockBwd + e.blockRecompute + e.bwdPenalty + e.tpBwdExposedPerBlock).Times(float64(e.bc))
+	return fwd, bwd, e.ppPerMicrobatch.DivN(float64(2 * e.st.Interleave))
 }
 
 // batchTimeBound is a lower bound on the batch time from the profile and

@@ -12,7 +12,9 @@
 package pipesim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"calculon/internal/units"
 )
@@ -86,30 +88,39 @@ type Result struct {
 	PeakInFlight int
 }
 
-// op identifies one chunk visit.
+// op is one chunk visit's timing.
 type op struct {
 	start, finish units.Seconds
 }
 
-// Simulate runs the schedule and returns its timing.
-func Simulate(p Params) (Result, error) {
+// placement is one simulated schedule: the timing of every op and each
+// stage's op order. Simulate and Trace both read it off place.
+type placement struct {
+	fwd, bwd [][]op // [global chunk][microbatch]
+	seqs     [][]ref
+}
+
+// place validates the parameters, builds every stage's op order under the
+// schedule, and places each op at the later of its stage's free time and
+// its pipeline dependency's finish.
+func place(p Params) (placement, error) {
 	if err := p.Validate(); err != nil {
-		return Result{}, err
+		return placement{}, err
 	}
 	P, V, N := p.Stages, p.Chunks, p.Microbatches
 	K := P * V // global chunk count; global chunk k lives on stage k%P, chunk k/P
 
-	fwd := make([][]op, K) // [global chunk][microbatch]
-	bwd := make([][]op, K)
+	pl := placement{fwd: make([][]op, K), bwd: make([][]op, K), seqs: make([][]ref, P)}
+	unset := op{start: -1}
 	for k := 0; k < K; k++ {
-		fwd[k] = make([]op, N)
-		bwd[k] = make([]op, N)
+		pl.fwd[k] = make([]op, N)
+		pl.bwd[k] = make([]op, N)
+		for m := 0; m < N; m++ {
+			pl.fwd[k][m], pl.bwd[k][m] = unset, unset
+		}
 	}
-
-	// Per-device operation sequences in schedule order.
-	seqs := make([][]ref, P)
 	for s := 0; s < P; s++ {
-		seqs[s] = deviceSequence(p, s)
+		pl.seqs[s] = deviceSequence(p, s)
 	}
 
 	// The op DAG is acyclic (device order plus forward-in-model-order and
@@ -117,26 +128,20 @@ func Simulate(p Params) (Result, error) {
 	// device order converges; iterate until a full pass changes nothing.
 	devFree := make([]units.Seconds, P)
 	devPos := make([]int, P)
-	unset := units.Seconds(-1)
-	for k := 0; k < K; k++ {
-		for m := 0; m < N; m++ {
-			fwd[k][m].start, bwd[k][m].start = unset, unset
-		}
-	}
 	remaining := 2 * K * N
 	for remaining > 0 {
 		progressed := false
 		for s := 0; s < P; s++ {
-			for devPos[s] < len(seqs[s]) {
-				r := seqs[s][devPos[s]]
-				ready, ok := p.depReady(r, fwd, bwd)
+			for devPos[s] < len(pl.seqs[s]) {
+				r := pl.seqs[s][devPos[s]]
+				ready, ok := p.depReady(r, pl.fwd, pl.bwd)
 				if !ok {
 					break
 				}
-				o := &fwd[r.chunk][r.mb]
+				o := &pl.fwd[r.chunk][r.mb]
 				dur := p.FwdChunk
 				if !r.isFwd {
-					o = &bwd[r.chunk][r.mb]
+					o = &pl.bwd[r.chunk][r.mb]
 					dur = p.BwdChunk
 				}
 				start := devFree[s]
@@ -152,22 +157,35 @@ func Simulate(p Params) (Result, error) {
 			}
 		}
 		if !progressed {
-			return Result{}, fmt.Errorf("pipesim: schedule deadlocked (stages=%d chunks=%d n=%d)", P, V, N)
+			return placement{}, fmt.Errorf("pipesim: schedule deadlocked (stages=%d chunks=%d n=%d)", P, V, N)
 		}
 	}
+	return pl, nil
+}
 
+// Simulate runs the schedule and returns its timing.
+func Simulate(p Params) (Result, error) {
+	pl, err := place(p)
+	if err != nil {
+		return Result{}, err
+	}
+	return pl.result(p), nil
+}
+
+// result reads the schedule's outcome off the placement.
+func (pl *placement) result(p Params) Result {
 	var res Result
-	for k := 0; k < K; k++ {
-		for m := 0; m < N; m++ {
-			if bwd[k][m].finish > res.Makespan {
-				res.Makespan = bwd[k][m].finish
+	for _, row := range pl.bwd {
+		for _, o := range row {
+			if o.finish > res.Makespan {
+				res.Makespan = o.finish
 			}
 		}
 	}
-	res.ComputePerStage = units.Seconds(N*V) * (p.FwdChunk + p.BwdChunk)
+	res.ComputePerStage = units.Seconds(p.Microbatches*p.Chunks) * (p.FwdChunk + p.BwdChunk)
 	res.Bubble = res.Makespan - res.ComputePerStage
-	res.PeakInFlight = peakInFlight(fwd, bwd, P, V, N)
-	return res, nil
+	res.PeakInFlight = pl.peakInFlight(p.Stages)
+	return res
 }
 
 // ref names one op in a device sequence.
@@ -180,29 +198,23 @@ type ref struct {
 // depReady returns when the op's pipeline dependency is satisfied, or false
 // if a dependency has not been scheduled yet.
 func (p Params) depReady(r ref, fwd, bwd [][]op) (units.Seconds, bool) {
-	K := p.Stages * p.Chunks
-	if r.isFwd {
-		if r.chunk == 0 {
-			return 0, true
-		}
-		dep := fwd[r.chunk-1][r.mb]
-		if dep.start < 0 {
-			return 0, false
-		}
-		return dep.finish + p.Hop, true
+	last := p.Stages*p.Chunks - 1
+	var dep op
+	hop := p.Hop
+	switch {
+	case r.isFwd && r.chunk == 0:
+		return 0, true
+	case r.isFwd:
+		dep = fwd[r.chunk-1][r.mb]
+	case r.chunk == last: // the backward turns around on the same stage
+		dep, hop = fwd[last][r.mb], 0
+	default:
+		dep = bwd[r.chunk+1][r.mb]
 	}
-	if r.chunk == K-1 {
-		dep := fwd[K-1][r.mb]
-		if dep.start < 0 {
-			return 0, false
-		}
-		return dep.finish, true
-	}
-	dep := bwd[r.chunk+1][r.mb]
 	if dep.start < 0 {
 		return 0, false
 	}
-	return dep.finish + p.Hop, true
+	return dep.finish + hop, true
 }
 
 // deviceSequence produces stage s's op order under the schedule.
@@ -228,18 +240,8 @@ func deviceSequence(p Params, s int) []ref {
 			}
 		}
 	}
-	fwdRef := func(i int) ref { return fwdOrder[i] }
-	bwdRef := func(i int) ref { return bwdOrder[i] }
-
-	var seq []ref
 	if p.Schedule == GPipe {
-		for i := 0; i < total; i++ {
-			seq = append(seq, fwdRef(i))
-		}
-		for i := 0; i < total; i++ {
-			seq = append(seq, bwdRef(i))
-		}
-		return seq
+		return append(fwdOrder, bwdOrder...)
 	}
 
 	// 1F1B / interleaved 1F1B: Megatron's warmup count in chunk visits,
@@ -256,36 +258,32 @@ func deviceSequence(p Params, s int) []ref {
 	if warmup > total {
 		warmup = total
 	}
-	fi, bi := 0, 0
-	for ; fi < warmup; fi++ {
-		seq = append(seq, fwdRef(fi))
+	seq := make([]ref, 0, 2*total)
+	seq = append(seq, fwdOrder[:warmup]...)
+	for i := warmup; i < total; i++ {
+		seq = append(seq, fwdOrder[i], bwdOrder[i-warmup])
 	}
-	for fi < total {
-		seq = append(seq, fwdRef(fi))
-		fi++
-		seq = append(seq, bwdRef(bi))
-		bi++
-	}
-	for bi < total {
-		seq = append(seq, bwdRef(bi))
-		bi++
-	}
+	seq = append(seq, bwdOrder[total-warmup:]...)
 	return seq
 }
 
 // peakInFlight scans stage 0's chunk visits for the maximum number whose
-// forward has finished while the backward has not started.
-func peakInFlight(fwd, bwd [][]op, P, V, N int) int {
+// forward has finished while the backward has not started. At equal times
+// the activation is still live while its backward starts, so acquisitions
+// count before releases.
+func (pl *placement) peakInFlight(P int) int {
 	var events []event
-	for c := 0; c < V; c++ {
-		k := c * P // stage 0's chunks
-		for m := 0; m < N; m++ {
-			events = append(events, event{fwd[k][m].finish, +1})
-			events = append(events, event{bwd[k][m].start, -1})
+	for k := 0; k < len(pl.fwd); k += P { // stage 0's chunks
+		for m := range pl.fwd[k] {
+			events = append(events, event{pl.fwd[k][m].finish, +1}, event{pl.bwd[k][m].start, -1})
 		}
 	}
-	// Sort by time with releases (-1) before acquisitions at equal time.
-	sortEvents(events)
+	slices.SortFunc(events, func(a, b event) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
+		}
+		return b.delta - a.delta
+	})
 	peak, cur := 0, 0
 	for _, e := range events {
 		cur += e.delta
@@ -296,25 +294,7 @@ func peakInFlight(fwd, bwd [][]op, P, V, N int) int {
 	return peak
 }
 
-func sortEvents(ev []event) {
-	// Insertion sort is fine for the test-sized traces this runs on.
-	for i := 1; i < len(ev); i++ {
-		for j := i; j > 0 && less(ev[j], ev[j-1]); j-- {
-			ev[j], ev[j-1] = ev[j-1], ev[j]
-		}
-	}
-}
-
 type event struct {
 	t     units.Seconds
 	delta int
-}
-
-func less(a, b event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	// At equal times the activation is still live while its backward runs:
-	// count acquisitions before releases.
-	return a.delta > b.delta
 }

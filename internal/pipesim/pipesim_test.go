@@ -2,6 +2,7 @@ package pipesim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -185,4 +186,106 @@ func TestScheduleString(t *testing.T) {
 	if GPipe.String() != "gpipe" || OneFOneB.String() != "1f1b" {
 		t.Error("Schedule.String mismatch")
 	}
+}
+
+// TestPeakInFlightMatchesDirectCount checks the sorted event sweep against
+// a direct count: at each event time T, a stage-0 chunk visit is live when
+// its forward has finished by T and its backward has not started before T.
+// Whole-number op times make many events coincide, so the tie rule matters.
+func TestPeakInFlightMatchesDirectCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		p := Params{
+			Stages:       1 + rng.Intn(8),
+			Chunks:       1,
+			Microbatches: 1 + rng.Intn(24),
+			FwdChunk:     units.Seconds(1 + rng.Intn(3)),
+			BwdChunk:     units.Seconds(1 + rng.Intn(4)),
+			Hop:          units.Seconds(rng.Intn(2)),
+			Schedule:     Schedule(rng.Intn(2)),
+		}
+		if p.Schedule == OneFOneB {
+			p.Chunks = 1 + rng.Intn(4)
+		}
+		pl, err := place(p)
+		if err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
+		want := 0
+		for k := 0; k < len(pl.fwd); k += p.Stages {
+			for m := range pl.fwd[k] {
+				for _, at := range []units.Seconds{pl.fwd[k][m].finish, pl.bwd[k][m].start} {
+					live := 0
+					for c := 0; c < len(pl.fwd); c += p.Stages {
+						for j := range pl.fwd[c] {
+							if pl.fwd[c][j].finish <= at && pl.bwd[c][j].start >= at {
+								live++
+							}
+						}
+					}
+					want = max(want, live)
+				}
+			}
+		}
+		if got := pl.peakInFlight(p.Stages); got != want {
+			t.Fatalf("%+v: peak in flight %d, direct count %d", p, got, want)
+		}
+	}
+}
+
+// FuzzSimulate places bounded schedules of every kind. Op times are
+// multiples of 1/8 no larger than 32, so every sum the placement forms is
+// exact and the work bound holds without tolerance. A valid shape must
+// never deadlock; its trace must list every op exactly once, with no
+// overlap on a stage, and report Simulate's result.
+func FuzzSimulate(f *testing.F) {
+	f.Add(uint8(4), uint8(2), uint8(8), uint8(8), uint8(16), uint8(1), true)
+	f.Add(uint8(3), uint8(1), uint8(7), uint8(8), uint8(16), uint8(0), false)
+	f.Add(uint8(5), uint8(3), uint8(12), uint8(3), uint8(5), uint8(2), true)
+	f.Fuzz(func(t *testing.T, stages, chunks, mbs, fwd, bwd, hop uint8, oneFOneB bool) {
+		p := Params{
+			Stages:       1 + int(stages%16),
+			Chunks:       1 + int(chunks%4),
+			Microbatches: 1 + int(mbs%64),
+			FwdChunk:     units.Seconds(fwd) / 8,
+			BwdChunk:     units.Seconds(bwd) / 8,
+			Hop:          units.Seconds(hop) / 8,
+			Schedule:     OneFOneB,
+		}
+		if !oneFOneB {
+			p.Chunks, p.Schedule = 1, GPipe
+		}
+		res, err := Simulate(p)
+		if err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
+		if res.Makespan < res.ComputePerStage {
+			t.Fatalf("%+v: makespan %v below the per-stage compute %v", p, res.Makespan, res.ComputePerStage)
+		}
+		ops, traced, err := Trace(p)
+		if err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
+		if traced != res {
+			t.Fatalf("%+v: Trace reports %+v, Simulate %+v", p, traced, res)
+		}
+		if want := 2 * p.Stages * p.Chunks * p.Microbatches; len(ops) != want {
+			t.Fatalf("%+v: trace has %d ops, want %d", p, len(ops), want)
+		}
+		type visit struct {
+			chunk, mb int
+			fwd       bool
+		}
+		seen := make(map[visit]bool, len(ops))
+		for i, o := range ops {
+			v := visit{o.Stage + p.Stages*o.Chunk, o.Microbatch, o.Forward}
+			if seen[v] {
+				t.Fatalf("%+v: op %+v listed twice", p, o)
+			}
+			seen[v] = true
+			if i > 0 && ops[i-1].Stage == o.Stage && o.Start < ops[i-1].Finish {
+				t.Fatalf("%+v: stage %d ops overlap: %+v then %+v", p, o.Stage, ops[i-1], o)
+			}
+		}
+	})
 }

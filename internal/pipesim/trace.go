@@ -22,81 +22,24 @@ type TraceOp struct {
 // Trace simulates the schedule and returns every op with its timing,
 // ordered by stage then start time.
 func Trace(p Params) ([]TraceOp, Result, error) {
-	res, err := Simulate(p)
+	pl, err := place(p)
 	if err != nil {
 		return nil, Result{}, err
 	}
-	// Re-run the placement to collect timings (Simulate is cheap).
-	ops, err := collect(p)
-	if err != nil {
-		return nil, Result{}, err
-	}
-	return ops, res, nil
-}
-
-func collect(p Params) ([]TraceOp, error) {
-	P, V, N := p.Stages, p.Chunks, p.Microbatches
-	K := P * V
-	fwd := make([][]op, K)
-	bwd := make([][]op, K)
-	for k := 0; k < K; k++ {
-		fwd[k] = make([]op, N)
-		bwd[k] = make([]op, N)
-		for m := 0; m < N; m++ {
-			fwd[k][m].start, bwd[k][m].start = -1, -1
-		}
-	}
-	seqs := make([][]ref, P)
-	for s := 0; s < P; s++ {
-		seqs[s] = deviceSequence(p, s)
-	}
-	devFree := make([]units.Seconds, P)
-	devPos := make([]int, P)
-	remaining := 2 * K * N
-	for remaining > 0 {
-		progressed := false
-		for s := 0; s < P; s++ {
-			for devPos[s] < len(seqs[s]) {
-				r := seqs[s][devPos[s]]
-				ready, ok := p.depReady(r, fwd, bwd)
-				if !ok {
-					break
-				}
-				o := &fwd[r.chunk][r.mb]
-				dur := p.FwdChunk
-				if !r.isFwd {
-					o = &bwd[r.chunk][r.mb]
-					dur = p.BwdChunk
-				}
-				start := devFree[s]
-				if ready > start {
-					start = ready
-				}
-				o.start, o.finish = start, start+dur
-				devFree[s] = o.finish
-				devPos[s]++
-				remaining--
-				progressed = true
-			}
-		}
-		if !progressed {
-			return nil, fmt.Errorf("pipesim: schedule deadlocked")
-		}
-	}
-	var out []TraceOp
-	for s := 0; s < P; s++ {
-		for _, r := range seqs[s] {
-			o := fwd[r.chunk][r.mb]
+	out := make([]TraceOp, 0, 2*p.Stages*p.Chunks*p.Microbatches)
+	for s, seq := range pl.seqs {
+		for _, r := range seq {
+			o := pl.fwd[r.chunk][r.mb]
 			if !r.isFwd {
-				o = bwd[r.chunk][r.mb]
+				o = pl.bwd[r.chunk][r.mb]
 			}
 			out = append(out, TraceOp{
-				Stage: s, Chunk: r.chunk / P, Microbatch: r.mb, Forward: r.isFwd,
+				Stage: s, Chunk: r.chunk / p.Stages, Microbatch: r.mb, Forward: r.isFwd,
 				Start: o.start, Finish: o.finish,
 			})
 		}
 	}
-	return out, nil
+	return out, pl.result(p), nil
 }
 
 // RenderTimeline draws the Fig. 2-style schedule: one row per stage, time
