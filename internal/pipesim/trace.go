@@ -27,19 +27,25 @@ func Trace(p Params) ([]TraceOp, Result, error) {
 		return nil, Result{}, err
 	}
 	out := make([]TraceOp, 0, 2*p.Stages*p.Chunks*p.Microbatches)
+	pl.visit(func(o TraceOp) { out = append(out, o) })
+	return out, pl.result(p), nil
+}
+
+// visit calls f with every op of the placement in Trace's order: by stage,
+// each stage's ops in device order, which is start-time order.
+func (pl *placement) visit(f func(TraceOp)) {
 	for s, seq := range pl.seqs {
 		for _, r := range seq {
 			o := pl.fwd[r.chunk][r.mb]
 			if !r.isFwd {
 				o = pl.bwd[r.chunk][r.mb]
 			}
-			out = append(out, TraceOp{
-				Stage: s, Chunk: r.chunk / p.Stages, Microbatch: r.mb, Forward: r.isFwd,
+			f(TraceOp{
+				Stage: s, Chunk: r.chunk / len(pl.seqs), Microbatch: r.mb, Forward: r.isFwd,
 				Start: o.start, Finish: o.finish,
 			})
 		}
 	}
-	return out, pl.result(p), nil
 }
 
 // RenderTimeline draws the Fig. 2-style schedule: one row per stage, time
@@ -47,10 +53,11 @@ func Trace(p Params) ([]TraceOp, Result, error) {
 // letters beyond 9), backward visits bracketed. width is the number of
 // character cells for the whole makespan.
 func RenderTimeline(w io.Writer, p Params, width int) error {
-	ops, res, err := Trace(p)
+	pl, err := place(p)
 	if err != nil {
 		return err
 	}
+	res := pl.result(p)
 	fmt.Fprintf(w, "pipeline schedule %s: p=%d v=%d n=%d — makespan %v, bubble %v\n",
 		p.Schedule, p.Stages, p.Chunks, p.Microbatches, res.Makespan, res.Bubble)
 	scale := float64(width) / float64(res.Makespan)
@@ -58,7 +65,7 @@ func RenderTimeline(w io.Writer, p Params, width int) error {
 	for s := range rows {
 		rows[s] = []byte(strings.Repeat(".", width))
 	}
-	for _, o := range ops {
+	pl.visit(func(o TraceOp) {
 		lo := int(float64(o.Start) * scale)
 		hi := int(float64(o.Finish) * scale)
 		if hi <= lo {
@@ -71,7 +78,7 @@ func RenderTimeline(w io.Writer, p Params, width int) error {
 		for x := lo; x < hi; x++ {
 			rows[o.Stage][x] = ch
 		}
-	}
+	})
 	for s, row := range rows {
 		fmt.Fprintf(w, "stage %2d |%s|\n", s, string(row))
 	}

@@ -169,10 +169,12 @@ func TestStoreRowsGolden(t *testing.T) {
 	}
 }
 
-// TestPayloadFieldNames pins the JSON fields of the two row payloads. A
-// field added to search.Result or serving.Result changes what stored rows
-// hold: decide whether rows already written can still be served (else bump
-// StrategySpaceVersion or ServingSpaceVersion), then extend this list.
+// TestPayloadFieldNames pins the JSON fields of the two row payloads, the
+// fields of embedded structs (search.Counts) in their place, as encoding/json
+// flattens them. A field added to search.Result or serving.Result changes
+// what stored rows hold: decide whether rows already written can still be
+// served (else bump StrategySpaceVersion or ServingSpaceVersion), then
+// extend this list.
 func TestPayloadFieldNames(t *testing.T) {
 	for _, tc := range []struct {
 		typ  reflect.Type
@@ -186,14 +188,26 @@ func TestPayloadFieldNames(t *testing.T) {
 			"evaluated", "feasible", "pre_screened", "frontier", "best,omitempty",
 		}},
 	} {
-		var got []string
-		for i := 0; i < tc.typ.NumField(); i++ {
-			got = append(got, tc.typ.Field(i).Tag.Get("json"))
-		}
-		if !reflect.DeepEqual(got, tc.want) {
+		if got := jsonFieldTags(tc.typ); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%v JSON fields = %q, want %q", tc.typ, got, tc.want)
 		}
 	}
+}
+
+// jsonFieldTags lists the json tags of typ's fields in order, an untagged
+// embedded struct's fields in its place.
+func jsonFieldTags(typ reflect.Type) []string {
+	var out []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		tag := f.Tag.Get("json")
+		if f.Anonymous && tag == "" && f.Type.Kind() == reflect.Struct {
+			out = append(out, jsonFieldTags(f.Type)...)
+			continue
+		}
+		out = append(out, tag)
+	}
+	return out
 }
 
 // mirrorServingRow is the feasible serving row of mirrorRowsFile, a fuzz

@@ -24,9 +24,8 @@ func testRow(key string, evaluated int) Row {
 		System: "test-system",
 		Procs:  8,
 		Verdict: &search.Result{
-			Evaluated: evaluated,
-			Feasible:  evaluated / 2,
-			Best:      perf.Result{SampleRate: float64(evaluated) * 1.5, ProcsUsed: 8},
+			Counts: search.Counts{Evaluated: evaluated, Feasible: evaluated / 2},
+			Best:   perf.Result{SampleRate: float64(evaluated) * 1.5, ProcsUsed: 8},
 		},
 	}
 }

@@ -16,17 +16,17 @@ type SeqResult struct {
 }
 
 // fold is a search's running answer over the feasible results offered to
-// it: the best, the top-K, the time-vs-memory Pareto staircase and, when
-// collected, the sample rates. Each part admits a candidate by one test on
-// its keys (beatsBest, entersTop, frontSlot), which keeps and offer share.
-// What the parts hold depends only on the set offered, never on its order
-// or split, so one merge serves workers and shards alike.
+// it: the ranked top list, whose head is the best, the time-vs-memory Pareto
+// staircase and, when collected, the sample rates. Each part admits a
+// candidate by one test on its keys (entersTop, frontSlot), which keeps and
+// offer share. What the parts hold depends only on the set offered, never
+// on its order or split, so one merge serves workers and shards alike.
 type fold struct {
 	topK   int
 	pareto bool
-	// best holds at most one result; top at most topK, best first under
-	// ahead.
-	best, top []SeqResult
+	// top holds the max(topK, 1) best results, best first under ahead: a
+	// best-only search (topK 0) still ranks one.
+	top []SeqResult
 	// front is the Pareto staircase: sorted by (BatchTime, Mem1.Total(),
 	// seq) with strictly decreasing memory, so it is always the exact front
 	// of every candidate offered so far.
@@ -34,17 +34,11 @@ type fold struct {
 	rates []float64
 }
 
-// beatsBest is the best's admission test: nothing held yet, or the
-// candidate ranks ahead of the held best.
-func (f *fold) beatsBest(rate float64, seq int) bool {
-	return len(f.best) == 0 || ahead(rate, seq, &f.best[0])
-}
-
-// entersTop is the top-K's admission test: fewer than K held, or the
-// candidate ranks ahead of the K-th, which then drops out.
+// entersTop is the top list's admission test: the list is not full, or the
+// candidate ranks ahead of its last, which then drops out.
 func (f *fold) entersTop(rate float64, seq int) bool {
 	n := len(f.top)
-	return n < f.topK || n > 0 && ahead(rate, seq, &f.top[n-1])
+	return n < max(f.topK, 1) || ahead(rate, seq, &f.top[n-1])
 }
 
 // frontSlot is the front's admission test: it returns the candidate's place
@@ -62,7 +56,7 @@ func (f *fold) frontSlot(t units.Seconds, m units.Bytes, seq int) (int, bool) {
 // no later on the staircase, so keys that bound the batch time from below
 // keep every leaf the exact keys keep.
 func (f *fold) keeps(seq int, k *perf.Keys) bool {
-	if f.beatsBest(k.SampleRate, seq) || f.entersTop(k.SampleRate, seq) {
+	if f.entersTop(k.SampleRate, seq) {
 		return true
 	}
 	_, ok := f.frontSlot(k.BatchTime, k.Mem1, seq)
@@ -70,22 +64,16 @@ func (f *fold) keeps(seq int, k *perf.Keys) bool {
 }
 
 // offer copies one feasible result into every part whose admission test it
-// passes. A merge may offer a result the top already holds (a partial's
-// best is in its top too); it sorts right after itself there and is not
-// taken twice. Best and front turn such a copy away by their tests.
+// passes. A merge may offer a result the fold already holds (a shard's
+// best is in its top too); it sorts right after itself in the top and is
+// not taken twice, and the front turns it away by its test.
 func (f *fold) offer(seq int, res *perf.Result) {
 	rate := res.SampleRate
-	if f.beatsBest(rate, seq) {
-		if len(f.best) == 0 {
-			f.best = make([]SeqResult, 1)
-		}
-		f.best[0].Seq, f.best[0].Result = seq, *res
-	}
 	if f.entersTop(rate, seq) {
 		t := f.top
 		i := sort.Search(len(t), func(j int) bool { return ahead(rate, seq, &t[j]) })
 		if i == 0 || t[i-1].Seq != seq {
-			if len(t) < f.topK {
+			if len(t) < max(f.topK, 1) {
 				t = append(t, SeqResult{})
 			}
 			copy(t[i+1:], t[i:])
@@ -115,11 +103,11 @@ func (f *fold) offer(seq int, res *perf.Result) {
 
 // merge folds a partial, a worker's fold or a shard's (MergeResults), into
 // f by offering every result it holds and appends its rates. This is exact:
-// the union of the partials' parts holds the global best, top-K and front,
-// and offer keeps the best, the K best and the exact front of whatever set
-// it is offered, so the extra points change nothing.
+// the union of the partials' parts holds the global top list and front, and
+// offer keeps the max(K, 1) best and the exact front of whatever set it is
+// offered, so the extra points change nothing.
 func (f *fold) merge(o *fold) {
-	for _, part := range [][]SeqResult{o.best, o.top, o.front} {
+	for _, part := range [][]SeqResult{o.top, o.front} {
 		for i := range part {
 			f.offer(part[i].Seq, &part[i].Result)
 		}

@@ -37,7 +37,7 @@ func tiedStream(rng *rand.Rand, n int) []SeqResult {
 // and cut at K, and ParetoFront over the stream in seq order, so its stable
 // sort orders exact ties by seq.
 func referenceFold(items []SeqResult, topK int, pareto bool) Result {
-	out := Result{Feasible: len(items)}
+	out := Result{Counts: Counts{Feasible: len(items)}}
 	if len(items) == 0 {
 		return out
 	}
@@ -67,7 +67,7 @@ func referenceFold(items []SeqResult, topK int, pareto bool) Result {
 
 // add folds one feasible result Result-first, as the merges fold theirs.
 func (ws *workerState) add(seq int, res *perf.Result) {
-	ws.feasible++
+	ws.Feasible++
 	ws.offer(seq, res)
 }
 
@@ -81,11 +81,11 @@ func (ws *workerState) add(seq int, res *perf.Result) {
 // and offering one admitted (so kept on its exact keys) must change it.
 func addKeysFirst(t *testing.T, ws *workerState, gate, seq int, res *perf.Result, k perf.Keys) {
 	t.Helper()
-	ws.feasible++
+	ws.Feasible++
 	exact := perf.Keys{BatchTime: res.BatchTime, SampleRate: res.SampleRate, Mem1: res.Mem1.Total()}
 	admitted := ws.keeps(gate, &k) && ws.keeps(seq, &k) && ws.keeps(seq, &exact)
 	c := *ws
-	c.best, c.top, c.front = slices.Clone(ws.best), slices.Clone(ws.top), slices.Clone(ws.front)
+	c.top, c.front = slices.Clone(ws.top), slices.Clone(ws.front)
 	c.offer(seq, res)
 	switch changed := !reflect.DeepEqual(&c, ws); {
 	case admitted && !changed:
@@ -149,7 +149,7 @@ func TestFoldMatchesReference(t *testing.T) {
 			states := foldParts(t, rng, items, 1+rng.Intn(8), topK, pareto, mode)
 			merged := &workerState{fold: fold{topK: topK, pareto: pareto}}
 			for _, i := range rng.Perm(len(states)) {
-				merged.feasible += states[i].feasible
+				merged.Counts.add(states[i].Counts)
 				merged.merge(&states[i].fold)
 			}
 			if got := resultFrom(merged); !reflect.DeepEqual(got, want) {
@@ -204,7 +204,7 @@ func TestFoldRejectCopiesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("rejected add allocates %.1f times, want 0", allocs)
 	}
-	if len(ws.top) != top || len(ws.front) != front || ws.best[0].Seq == 1000 {
+	if len(ws.top) != top || len(ws.front) != front || ws.top[0].Seq == 1000 {
 		t.Error("a dominated, out-ranked leaf was admitted")
 	}
 }

@@ -66,21 +66,7 @@ type Options struct {
 // field added here is a schema decision: decide whether stored rows must be
 // invalidated (StrategySpaceVersion) before adding one.
 type Result struct {
-	// Evaluated counts every strategy tried; Feasible those that could run
-	// (the paper's 10,957,376 vs 1,974,902 for GPT-3 175B on 4,096 GPUs).
-	Evaluated int `json:"evaluated"`
-	Feasible  int `json:"feasible"`
-	// PreScreened counts the evaluations rejected by the phase-1 analytic
-	// filter before any layer-level work (a subset of Evaluated−Feasible);
-	// CacheHits counts evaluations that reused a memoized block profile.
-	PreScreened int `json:"pre_screened"`
-	CacheHits   int `json:"cache_hits"`
-	// SubtreePruned counts the strategies dropped at the lattice level:
-	// leaves of (tp,pp,dp) subtrees whose closed-form bound proved every
-	// toggle combination infeasible, accounted in closed form without being
-	// enumerated. They are a subset of PreScreened (pruned leaves count as
-	// Evaluated and PreScreened, exactly as the leaf-by-leaf path would).
-	SubtreePruned int `json:"subtree_pruned"`
+	Counts
 	// Best is the fastest feasible configuration found.
 	Best perf.Result `json:"best"`
 	// Top holds the TopK best results, fastest first.
@@ -187,15 +173,12 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 	}
 	_ = Pool(ctx, len(workers), chunks.n, func(w, i int) error {
 		ws := &workers[w]
-		before := ws.workerState
 		row, k, seq := chunks.at(i)
 		if row.pruned {
 			// Every toggle projection failed the closed-form bound: the
 			// leaves are counted whole, exactly as walking them would.
 			leaves := row.microbatches * row.schedules * chunks.segLen
-			ws.evaluated += leaves
-			ws.prescreened += leaves
-			ws.subtreePruned += leaves
+			ws.chunk = Counts{Evaluated: leaves, PreScreened: leaves, SubtreePruned: leaves}
 		} else {
 			opts.Enum.MicrobatchSegments(&m, row.tpd, k, &ws.root, func(root *execution.Strategy) bool {
 				ws.segment(runner, &tog, &floor, root, seq, opts.CollectRates)
@@ -203,27 +186,18 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 				return true
 			})
 		}
+		ws.Counts.add(ws.chunk)
 		if prog != nil {
-			prog.AddCounts(Counts{
-				Evaluated:     int64(ws.evaluated - before.evaluated),
-				Feasible:      int64(ws.feasible - before.feasible),
-				PreScreened:   int64(ws.prescreened - before.prescreened),
-				CacheHits:     int64(ws.cacheHits - before.cacheHits),
-				SubtreePruned: int64(ws.subtreePruned - before.subtreePruned),
-			})
+			prog.AddCounts(ws.chunk)
 		}
+		ws.chunk = Counts{}
 		return nil
 	})
 
 	merged := workerState{fold: fold{topK: opts.TopK, pareto: opts.Pareto}}
 	for w := range workers {
-		o := &workers[w]
-		merged.evaluated += o.evaluated
-		merged.feasible += o.feasible
-		merged.prescreened += o.prescreened
-		merged.cacheHits += o.cacheHits
-		merged.subtreePruned += o.subtreePruned
-		merged.merge(&o.fold)
+		merged.Counts.add(workers[w].Counts)
+		merged.merge(&workers[w].fold)
 	}
 	return merged, nil
 }
@@ -281,17 +255,10 @@ func (c *workChunks) at(i int) (row *tripleChunks, k, seq int) {
 // dropping the sequence numbers; top and front are already in their final
 // deterministic order.
 func resultFrom(merged *workerState) Result {
-	out := Result{
-		Evaluated:     merged.evaluated,
-		Feasible:      merged.feasible,
-		PreScreened:   merged.prescreened,
-		CacheHits:     merged.cacheHits,
-		SubtreePruned: merged.subtreePruned,
-		Rates:         merged.rates,
-	}
-	if merged.feasible > 0 && len(merged.best) > 0 {
-		out.Best = merged.best[0].Result
-		out.Top, out.Pareto = results(merged.top), results(merged.front)
+	out := Result{Counts: merged.Counts, Rates: merged.rates}
+	if merged.Feasible > 0 && len(merged.top) > 0 {
+		out.Best = merged.top[0].Result
+		out.Top, out.Pareto = results(merged.top[:min(len(merged.top), merged.topK)]), results(merged.front)
 	}
 	return out
 }
@@ -299,19 +266,17 @@ func resultFrom(merged *workerState) Result {
 // workerState is one worker's leaf counters and its fold; the merged state
 // of a search or a shard has the same shape.
 type workerState struct {
-	evaluated     int
-	feasible      int
-	prescreened   int
-	cacheHits     int
-	subtreePruned int // pruned leaves, counted in evaluated and prescreened too
+	Counts
 	fold
 }
 
-// worker is one search worker: its state, its delta chain, the root it writes
-// its chunks' segments into and, last, the Result of a kept leaf, which keeps
-// the next worker's counters off the cache lines this one reads.
+// worker is one search worker: its state, the tallies of the work chunk it
+// is on, its delta chain, the root it writes its chunks' segments into and,
+// last, the Result of a kept leaf, which keeps the next worker's counters
+// off the cache lines this one reads.
 type worker struct {
 	workerState
+	chunk Counts
 	chain perf.RunInfo
 	root  execution.Strategy
 	res   perf.Result
@@ -332,31 +297,31 @@ type worker struct {
 // this admits every leaf of the class a per-leaf test would (docs/MODEL.md,
 // "The leaf path").
 func (ws *worker) segment(runner *perf.Runner, tog *execution.Toggles, floor *perf.SegmentFloor, root *execution.Strategy, seq0 int, collectRates bool) {
-	chain := &ws.chain
+	chain, c := &ws.chain, &ws.chunk
 	if pre, ok := runner.FloorSegment(chain, floor, root); ok {
 		n := tog.Len()
-		ws.evaluated += n
-		ws.prescreened += pre
-		ws.cacheHits += n - pre
+		c.Evaluated += n
+		c.PreScreened += pre
+		c.CacheHits += n - pre
 		return
 	}
 	w := tog.Classes(root)
 	for more := true; more; more = w.NextClass() {
 		k, ok := runner.RunLeaf(chain, root, w.Mask())
 		n := w.Len()
-		ws.evaluated += n
+		c.Evaluated += n
 		switch {
 		case chain.PreScreened:
-			ws.prescreened += n
+			c.PreScreened += n
 		case chain.CacheHit:
-			ws.cacheHits += n
+			c.CacheHits += n
 		default:
-			ws.cacheHits += n - 1
+			c.CacheHits += n - 1
 		}
 		if !ok {
 			continue
 		}
-		ws.feasible += n
+		c.Feasible += n
 		if !collectRates {
 			if !ws.keeps(seq0, &k) {
 				continue

@@ -73,11 +73,7 @@ type ShardResult struct {
 	TopK   int   `json:"top_k"`
 	Pareto bool  `json:"pareto"`
 
-	Evaluated     int `json:"evaluated"`
-	Feasible      int `json:"feasible"`
-	PreScreened   int `json:"pre_screened"`
-	CacheHits     int `json:"cache_hits"`
-	SubtreePruned int `json:"subtree_pruned"`
+	Counts
 
 	Best  *SeqResult  `json:"best,omitempty"`
 	Top   []SeqResult `json:"top,omitempty"`
@@ -133,22 +129,19 @@ func ExecutionShard(ctx context.Context, m model.LLM, sys system.System, opts Op
 }
 
 // shardResult exports a merged state as the mergeable partial of shard sh.
-// Its parts are already in their final order and in the wire's shape.
+// Its parts are already in their final order and in the wire's shape: the
+// best is the top list's head, and Top is that list cut at the top-K.
 func (ws *workerState) shardResult(sh Shard) ShardResult {
 	out := ShardResult{
-		Shard:         sh,
-		TopK:          ws.topK,
-		Pareto:        ws.pareto,
-		Evaluated:     ws.evaluated,
-		Feasible:      ws.feasible,
-		PreScreened:   ws.prescreened,
-		CacheHits:     ws.cacheHits,
-		SubtreePruned: ws.subtreePruned,
-		Top:           ws.top,
-		Front:         ws.front,
+		Shard:  sh,
+		TopK:   ws.topK,
+		Pareto: ws.pareto,
+		Counts: ws.Counts,
+		Top:    ws.top[:min(len(ws.top), ws.topK)],
+		Front:  ws.front,
 	}
-	if len(ws.best) > 0 {
-		out.Best = &ws.best[0]
+	if len(ws.top) > 0 {
+		out.Best = &ws.top[0]
 	}
 	return out
 }
@@ -195,16 +188,11 @@ func MergeResults(shards []ShardResult) (Result, error) {
 	merged := &workerState{fold: fold{topK: shards[0].TopK, pareto: shards[0].Pareto}}
 	for i := range shards {
 		s := &shards[i]
-		merged.evaluated += s.Evaluated
-		merged.feasible += s.Feasible
-		merged.prescreened += s.PreScreened
-		merged.cacheHits += s.CacheHits
-		merged.subtreePruned += s.SubtreePruned
-		part := fold{top: s.Top, front: s.Front}
+		merged.Counts.add(s.Counts)
 		if s.Best != nil {
-			part.best = []SeqResult{*s.Best}
+			merged.offer(s.Best.Seq, &s.Best.Result)
 		}
-		merged.merge(&part)
+		merged.merge(&fold{top: s.Top, front: s.Front})
 	}
 	return resultFrom(merged), nil
 }

@@ -46,7 +46,7 @@ func runShards(t *testing.T, m model.LLM, sys system.System, opts Options, n int
 // shard count — 1, a divisor, coprime to the triple count, or more shards
 // than triples (empty ranges) — running every shard separately and merging
 // reproduces the single-process result exactly, counters included (modulo
-// CacheHits, see stripCacheHits).
+// CacheHits, see stripCacheHits). Every third draw is a best-only search.
 func TestShardPartitionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	models := []string{"gpt3-13B", "megatron-22B", "gpt2-1.5B"}
@@ -75,6 +75,10 @@ func TestShardPartitionProperty(t *testing.T) {
 			Workers: 1 + rng.Intn(3),
 			TopK:    1 + rng.Intn(6),
 			Pareto:  true,
+		}
+		if i%3 == 0 {
+			// A best-only search: no top-K list and no front.
+			opts.TopK, opts.Pareto = 0, false
 		}
 		want, err := Execution(context.Background(), m, sys, opts)
 		if err != nil {

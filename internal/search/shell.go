@@ -98,7 +98,7 @@ func (s Stored[R]) Consult(prog *Progress) (R, bool) {
 	}
 	res, ok := s.Lookup()
 	if ok && prog != nil {
-		prog.AddCounts(Counts{StoreHits: 1})
+		prog.storeHit()
 	}
 	return res, ok
 }

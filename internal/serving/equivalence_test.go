@@ -472,9 +472,9 @@ func TestSweepProgressTotals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want.Evaluated += int64(res.Evaluated)
-		want.PreScreened += int64(res.PreScreened)
-		want.Feasible += int64(res.Feasible)
+		want.Evaluated += res.Evaluated
+		want.PreScreened += res.PreScreened
+		want.Feasible += res.Feasible
 		total += int64(res.Evaluated)
 	}
 	var prog search.Progress
@@ -482,7 +482,7 @@ func TestSweepProgressTotals(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := prog.Snapshot()
-	if s.Evaluated != want.Evaluated || s.PreScreened != want.PreScreened || s.Feasible != want.Feasible || s.Total != total {
+	if s.Evaluated != int64(want.Evaluated) || s.PreScreened != int64(want.PreScreened) || s.Feasible != int64(want.Feasible) || s.Total != total {
 		t.Errorf("sweep progress %+v, want evaluated %d pre-screened %d feasible %d total %d",
 			s, want.Evaluated, want.PreScreened, want.Feasible, total)
 	}

@@ -599,10 +599,10 @@ func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeRes
 				res.Frontier = slices.Clone(res.Frontier)
 				res.Best = &res.Frontier[0]
 			}
-			c := search.Counts{Feasible: int64(res.Feasible)}
+			c := search.Counts{Feasible: res.Feasible}
 			if taken[k] || k < len(budgets)-1 {
 				// Stage 1 counted the top budget's first point live.
-				c.Evaluated, c.PreScreened = int64(res.Evaluated), int64(res.PreScreened)
+				c.Evaluated, c.PreScreened = res.Evaluated, res.PreScreened
 			}
 			taken[k] = true
 			out[i] = SizeResult{Procs: n, Result: res}
