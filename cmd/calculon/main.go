@@ -14,7 +14,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -471,9 +470,7 @@ func show[T any](asJSON bool, v T, err error, render func(io.Writer, T)) error {
 	case err != nil:
 		return err
 	case asJSON:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(v)
+		return writeJSON("", v)
 	}
 	render(os.Stdout, v)
 	return nil

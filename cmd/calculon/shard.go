@@ -47,15 +47,15 @@ func newSearchOutput(res search.Result) searchOutput {
 }
 
 // writeJSON writes v as indented JSON with a trailing newline to path, or
-// to stdout when path is empty. The encoding (MarshalIndent, two-space
-// indent, "\n") is the byte-level contract the shard-merge determinism
-// checks diff against.
+// to stdout when path is empty. The encoding (MarshalIndent's bytes,
+// two-space indent, "\n") is the byte-level contract the shard-merge
+// determinism checks diff against.
 func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	return writeOut(path, append(data, '\n'))
+	return writeOut(path, append(appendIndent(make([]byte, 0, 2*len(data)), data, 0), '\n'))
 }
 
 // writeJSONList writes items exactly as writeJSON would, encoding the
@@ -70,9 +70,12 @@ func writeJSONList[T any](ctx context.Context, path string, workers int, items [
 	}
 	parts := make([][]byte, len(items))
 	err := search.Pool(context.WithoutCancel(ctx), workers, len(items), func(_, i int) error {
-		var err error
-		parts[i], err = json.MarshalIndent(items[i], "  ", "  ")
-		return err
+		data, err := json.Marshal(items[i])
+		if err != nil {
+			return err
+		}
+		parts[i] = appendIndent(make([]byte, 0, 2*len(data)), data, 1)
+		return nil
 	})
 	if err != nil {
 		return err
@@ -91,6 +94,55 @@ func writeJSONList[T any](ctx context.Context, path string, workers int, items [
 		data = append(append(data, "  "...), p...)
 	}
 	return writeOut(path, append(data, "\n]\n"...))
+}
+
+// appendIndent appends src, compact JSON as json.Marshal writes it, to dst
+// indented as json.Indent indents it with a prefix of depth two-space
+// levels and a two-space indent: a newline and the indentation after the
+// opening bracket of a non-empty object or array, after each comma and
+// before each closing bracket, and a space after each colon; "{}" and "[]"
+// stay as they are. It is one pass: the runs between those bytes are copied
+// whole, and string bodies, escapes included, are skipped.
+func appendIndent(dst, src []byte, depth int) []byte {
+	run := 0 // the first byte not yet copied
+	for i := 0; i < len(src); i++ {
+		switch src[i] {
+		case '"':
+			for i++; src[i] != '"'; i++ {
+				if src[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			if c := src[i+1]; c == '}' || c == ']' {
+				i++
+				continue
+			}
+			depth++
+			dst = newline(append(dst, src[run:i+1]...), depth)
+			run = i + 1
+		case '}', ']':
+			depth--
+			dst = newline(append(dst, src[run:i]...), depth)
+			run = i
+		case ',':
+			dst = newline(append(dst, src[run:i+1]...), depth)
+			run = i + 1
+		case ':':
+			dst = append(append(dst, src[run:i+1]...), ' ')
+			run = i + 1
+		}
+	}
+	return append(dst, src[run:]...)
+}
+
+// newline appends a newline and depth two-space indents.
+func newline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for ; depth > 0; depth-- {
+		dst = append(dst, "  "...)
+	}
+	return dst
 }
 
 // writeOut writes data to path, or to stdout when path is empty.

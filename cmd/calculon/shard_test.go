@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -85,4 +86,43 @@ func TestDispatchMergeRejectsGarbage(t *testing.T) {
 	if err := dispatch(context.Background(), "merge", nil); err == nil {
 		t.Fatal("merge with no files must fail")
 	}
+}
+
+// FuzzAppendIndent holds the CLI's one-pass indent to json.Indent on
+// json.Marshal output: the fuzzed text as a string, as an object key and
+// inside empty and nested containers (quotes, backslashes, "<>&" and
+// non-ASCII text all escape inside strings), and, when the text parses as
+// JSON, the value it holds, at depths 0 to 2.
+func FuzzAppendIndent(f *testing.F) {
+	for _, s := range []string{
+		`{"a":[1,2,{}],"b":[],"c":"x\"y\\z","d":{"e":null,"f":[[],[{}]]}}`,
+		`"<>&\u2028 é 🙂 \\\""`,
+		`[[[]],{},{"":{}},[1.5e300,-0,true,false,null]]`,
+		`{"k:v,w":"[{,:}]"}`,
+		`0`, `""`, `{}`, `[]`,
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		vals := []any{s, []any{s, map[string]any{s: []any{}}, map[string]any{}, []any{[]any{}, s}}}
+		var v any
+		if json.Unmarshal([]byte(s), &v) == nil {
+			vals = append(vals, v)
+		}
+		for _, v := range vals {
+			compact, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for depth := 0; depth <= 2; depth++ {
+				var want bytes.Buffer
+				if err := json.Indent(&want, compact, strings.Repeat("  ", depth), "  "); err != nil {
+					t.Fatal(err)
+				}
+				if got := appendIndent(nil, compact, depth); !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("depth %d, %s:\n%s\nwant\n%s", depth, compact, got, want.Bytes())
+				}
+			}
+		}
+	})
 }

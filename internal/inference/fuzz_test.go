@@ -2,6 +2,7 @@ package inference
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -19,20 +20,23 @@ import (
 // positive times and throughput, a TotalTime that is exactly prefill plus
 // GenLen decode steps, finite non-negative memory rows, and first-tier usage
 // within capacity; a failure must be infeasibility (perf.ErrInfeasible) or
-// the workload's own validation error.
+// the workload's own validation error. A Pricer warmed first by another TP
+// at the same prompt length, by another batch at the same TP, and by
+// another prompt length (warm picks them) must then answer exactly as the
+// one-shot Estimate: the same Result, bit for bit, or the same error.
 func FuzzEstimate(f *testing.F) {
-	f.Add(uint8(0), uint8(3), uint8(0), 512, 128, 4, false)
-	f.Add(uint8(3), uint8(2), uint8(1), 2048, 256, 32, true)
-	f.Add(uint8(5), uint8(0), uint8(0), 1, 0, 1, false)
-	f.Add(uint8(1), uint8(7), uint8(4), 32768, 4096, 256, true)
-	f.Add(uint8(2), uint8(1), uint8(2), 0, -1, 0, false)
+	f.Add(uint8(0), uint8(3), uint8(0), 512, 128, 4, false, uint8(0))
+	f.Add(uint8(3), uint8(2), uint8(1), 2048, 256, 32, true, uint8(5))
+	f.Add(uint8(5), uint8(0), uint8(0), 1, 0, 1, false, uint8(1))
+	f.Add(uint8(1), uint8(7), uint8(4), 32768, 4096, 256, true, uint8(200))
+	f.Add(uint8(2), uint8(1), uint8(2), 0, -1, 0, false, uint8(3))
 	// A generation length whose KV bytes overflowed int arithmetic once
 	// came back as a negative cache that "fit".
-	f.Add(uint8(2), uint8(4), uint8(0), 1, 450359962737056, 1, false)
-	f.Add(uint8(2), uint8(4), uint8(0), 1, math.MaxInt-100, 1, false)
+	f.Add(uint8(2), uint8(4), uint8(0), 1, 450359962737056, 1, false, uint8(0))
+	f.Add(uint8(2), uint8(4), uint8(0), 1, math.MaxInt-100, 1, false, uint8(9))
 
 	names := model.PresetNames()
-	f.Fuzz(func(t *testing.T, preset, tpSel, ppSel uint8, prompt, gen, batch int, kvOffload bool) {
+	f.Fuzz(func(t *testing.T, preset, tpSel, ppSel uint8, prompt, gen, batch int, kvOffload bool, warm uint8) {
 		m := model.MustPreset(names[int(preset)%len(names)])
 		tps, pps := divisors(m.AttnHeads), divisors(m.Blocks)
 		tp, pp := tps[int(tpSel)%len(tps)], pps[int(ppSel)%len(pps)]
@@ -43,6 +47,19 @@ func FuzzEstimate(f *testing.F) {
 		w := Workload{PromptLen: prompt, GenLen: gen, Batch: batch, KVOffload: kvOffload}
 
 		res, err := Estimate(m, sys, serving(tp, pp), w)
+
+		p := NewPricer(m, sys)
+		otherTP := tps[(int(tpSel)+1+int(warm))%len(tps)]
+		otherBatch := 1 + int(warm)%64
+		otherPrompt := 1 + int(warm)*37
+		p.Estimate(otherTP*pp, serving(otherTP, pp), Workload{PromptLen: prompt, GenLen: gen, Batch: otherBatch, KVOffload: kvOffload})
+		p.Estimate(tp*pp, serving(tp, pp), Workload{PromptLen: prompt, GenLen: gen, Batch: otherBatch, KVOffload: kvOffload})
+		p.Estimate(tp*pp, serving(tp, pp), Workload{PromptLen: otherPrompt, GenLen: gen, Batch: batch})
+		warmRes, warmErr := p.Estimate(sys.Procs, serving(tp, pp), w)
+		if warmRes != res || fmt.Sprint(warmErr) != fmt.Sprint(err) {
+			t.Fatalf("%s t%d p%d %+v: warm pricer gives %+v (%v), Estimate %+v (%v)", m.Name, tp, pp, w, warmRes, warmErr, res, err)
+		}
+
 		if err != nil {
 			if errors.Is(err, perf.ErrInfeasible) {
 				return

@@ -16,6 +16,7 @@ package inference
 
 import (
 	"fmt"
+	"sync"
 
 	"calculon/internal/comm"
 	"calculon/internal/execution"
@@ -80,14 +81,57 @@ type Result struct {
 // Estimate prices the workload on the system under the strategy. Only the
 // parallelism degrees, microbatching, and fused-layer switches of the
 // strategy apply; training-only techniques must be off (the strategy is
-// validated with Inference forced on).
+// validated with Inference forced on). It is a fresh Pricer's one estimate.
+func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload) (Result, error) {
+	return NewPricer(m, sys).Estimate(sys.Procs, st, w)
+}
+
+// Pricer prices serving workloads of one model on one system, keeping what
+// its estimates share: one block-profile memo (perf.RunnerGroup) per prompt
+// length, whose rows serve every batch, pipeline depth and processor count
+// of a prefill pass at that length, and the decode block's totals per
+// (TP, fused layers). A serving sweep builds one per system and prices
+// every engine through it. Whatever a Pricer priced before, its estimates
+// are Estimate's, bit for bit and error for error. A Pricer is safe for
+// concurrent use.
+type Pricer struct {
+	m   model.LLM
+	sys system.System
+
+	mu      sync.Mutex
+	prefill map[int]prefillGroup // by prompt length
+	decode  map[decodeKey]layers.Totals
+}
+
+// prefillGroup is the profile memo of one prompt length, or the error the
+// model and system fail validation with at that length.
+type prefillGroup struct {
+	g   *perf.RunnerGroup
+	err error
+}
+
+// decodeKey names the decode block's totals: the shard inputs a decode
+// step varies.
+type decodeKey struct {
+	tp    int
+	fused bool
+}
+
+// NewPricer returns a Pricer of the model on the system. It does no work:
+// the memos fill as estimates need them.
+func NewPricer(m model.LLM, sys system.System) *Pricer {
+	return &Pricer{m: m, sys: sys}
+}
+
+// Estimate prices the workload under the strategy on the Pricer's system
+// resized to procs processors; see the package-level Estimate.
 //
 // The memory rows must round identically to the serving pre-screen's
 // analytic bound on every architecture, so the arithmetic is kept FMA-free
 // (see docs/LINT.md).
 //
 //calculonvet:ordered
-func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload) (Result, error) {
+func (p *Pricer) Estimate(procs int, st execution.Strategy, w Workload) (Result, error) {
 	if err := w.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -96,17 +140,20 @@ func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload)
 	st.Recompute = execution.RecomputeNone
 
 	// Prefill: a forward pass over the prompt, reusing the training model's
-	// forward path with seq = PromptLen.
-	pm := m
-	pm.Seq = w.PromptLen
-	pm.Batch = w.Batch * st.DP // perf treats Batch globally across DP
+	// forward path with seq = PromptLen. perf treats Batch globally across
+	// DP.
 	if st.Microbatch > w.Batch {
 		st.Microbatch = w.Batch
 	}
-	pr, err := perf.Run(pm, sys, st)
+	r, err := p.prefillRunner(w.PromptLen, w.Batch*st.DP, procs)
 	if err != nil {
 		return Result{}, err
 	}
+	pr, err := r.Run(st)
+	if err != nil {
+		return Result{}, err
+	}
+	m, sys := &p.m, &p.sys
 
 	var res Result
 	res.PrefillTime = pr.BatchTime
@@ -114,9 +161,8 @@ func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload)
 	// Decode step: GEMMs become skinny matrix-vector products over the
 	// batch; attention reads the whole KV cache. Everything is sharded by
 	// TP; the pipeline processes the step stage by stage.
-	sh := layers.Shard{TP: st.TP, Microbatch: 1, Inference: true, Fused: st.FusedLayers}
-	tot := layers.Sum(layers.Block(m, sh))
-	blocksPerProc := st.BlocksPerProc(&m)
+	tot := p.decodeTotals(decodeKey{st.TP, st.FusedLayers})
+	blocksPerProc := st.BlocksPerProc(m)
 	// The context length, and the KV bytes below, are formed in floating
 	// point: exact (so bit-identical to integer arithmetic) at every size
 	// that could fit in memory, and free of integer wrap-around beyond, so
@@ -138,7 +184,7 @@ func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload)
 	rate := sys.Compute.MatrixRate(blockFLOPs)
 	computeT := procFLOPs.Div(rate)
 
-	kvPerBlock := KVBytes(&m, ctx, st.TP, w.Batch)
+	kvPerBlock := KVBytes(m, ctx, st.TP, w.Batch)
 	weights := tot.WeightBytes
 	// Per decode step each block streams its weights once and the KV cache
 	// of every sequence. With KV offload the cache crosses the second
@@ -208,6 +254,66 @@ func Estimate(m model.LLM, sys system.System, st execution.Strategy, w Workload)
 	return res, nil
 }
 
+// prefillRunner returns a Runner of the prompt length's profile memo at the
+// global batch and processor count. When the model or system is invalid at
+// that length for another reason than the batch or the processor count, it
+// returns the first rule this call's own inputs break, in perf.Run's order:
+// the model's rules, then the system's.
+func (p *Pricer) prefillRunner(promptLen, batch, procs int) (*perf.Runner, error) {
+	p.mu.Lock()
+	g, ok := p.prefill[promptLen]
+	if !ok {
+		m := p.m
+		m.Seq = promptLen
+		m.Batch = 1 // RunnerAt sets each call's batch and processor count
+		g.g, g.err = perf.NewRunnerGroup(m, p.sys.WithProcs(1))
+		if p.prefill == nil {
+			p.prefill = make(map[int]prefillGroup)
+		}
+		p.prefill[promptLen] = g
+	}
+	p.mu.Unlock()
+	if g.err != nil {
+		m := p.m
+		m.Seq, m.Batch = promptLen, batch
+		if err := m.Validate(); err != nil {
+			return nil, err
+		}
+		return nil, p.sys.WithProcs(procs).Validate()
+	}
+	return g.g.RunnerAt(batch, procs)
+}
+
+// decodeTotals returns the totals of the decode block: one token per
+// sequence, sharded by TP.
+func (p *Pricer) decodeTotals(k decodeKey) layers.Totals {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	tot, ok := p.decode[k]
+	if !ok {
+		tot = layers.Sum(layers.Block(p.m, layers.Shard{TP: k.tp, Microbatch: 1, Inference: true, Fused: k.fused}))
+		if p.decode == nil {
+			p.decode = make(map[decodeKey]layers.Totals)
+		}
+		p.decode[k] = tot
+	}
+	return tot
+}
+
+// Graphs reports how many block graphs the Pricer has built: the prefill
+// graphs its memos priced and the decode blocks it summed.
+func (p *Pricer) Graphs() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.decode)
+	for _, g := range p.prefill {
+		if g.g != nil {
+			n += g.g.PricedGraphs()
+		}
+	}
+	return n
+}
+
 // KVBytes returns the key/value cache one block holds on one processor for
 // batch sequences of ctx tokens each, sharded over tp: a key and a value
 // vector of h fp16 numbers per token, 2·2·h bytes. Estimate, the serving
@@ -222,7 +328,7 @@ func KVBytes(m *model.LLM, ctx float64, tp, batch int) units.Bytes {
 
 // p2pLat prices the pipeline-boundary hops of one token's latency path:
 // PP−1 point-to-point sends of the batch's hidden vectors.
-func p2pLat(sys system.System, st execution.Strategy, m model.LLM, w Workload) units.Seconds {
+func p2pLat(sys *system.System, st execution.Strategy, m *model.LLM, w Workload) units.Seconds {
 	if st.PP <= 1 {
 		return 0
 	}

@@ -2,6 +2,8 @@ package inference
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"calculon/internal/execution"
@@ -219,4 +221,45 @@ func TestKVOffloadCapacityChecked(t *testing.T) {
 	if _, err := Estimate(m, tiny, serving(8, 1), w); !errors.Is(err, perf.ErrInfeasible) {
 		t.Fatalf("want infeasible for 1 GiB tier, got %v", err)
 	}
+}
+
+// TestPricerConcurrent prices one grid of engines and workloads on a shared
+// Pricer from four goroutines at once, as a serving search's workers do:
+// every answer must be the one-shot Estimate's, and every goroutine fills
+// the memos it misses while the others read them (run it under -race).
+func TestPricerConcurrent(t *testing.T) {
+	m := model.MustPreset("gpt3-13B")
+	sys := system.A100(64)
+	type point struct {
+		tp, pp int
+		w      Workload
+	}
+	var grid []point
+	for _, tp := range []int{1, 2, 4, 8} {
+		for _, pp := range []int{1, 2, 4} {
+			for _, prompt := range []int{128, 2048} {
+				for _, batch := range []int{1, 16} {
+					grid = append(grid, point{tp, pp, Workload{PromptLen: prompt, GenLen: 64, Batch: batch}})
+				}
+			}
+		}
+	}
+	p := NewPricer(m, sys)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range grid {
+				pt := grid[(i+g*len(grid)/4)%len(grid)]
+				got, gotErr := p.Estimate(pt.tp*pt.pp, serving(pt.tp, pt.pp), pt.w)
+				want, wantErr := Estimate(m, sys.WithProcs(pt.tp*pt.pp), serving(pt.tp, pt.pp), pt.w)
+				if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Errorf("t%d p%d %+v: shared Pricer gives %+v (%v), Estimate %+v (%v)",
+						pt.tp, pt.pp, pt.w, got, gotErr, want, wantErr)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

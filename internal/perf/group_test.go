@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -37,6 +38,34 @@ func TestBlockProfileProcsIndependent(t *testing.T) {
 			if got != ref {
 				t.Fatalf("profile for %v differs between %d and %d procs:\n%+v\nvs\n%+v",
 					st, sizes[0], n, ref, got)
+			}
+		}
+	}
+}
+
+// TestBlockProfileBatchIndependent is the invariant behind RunnerAt's batch
+// change: the per-block profile reads the microbatch but never the global
+// batch, so profiles computed at one batch are bit-identical at every
+// other, and one memo serves a serving search's every batch.
+func TestBlockProfileBatchIndependent(t *testing.T) {
+	m := model.MustPreset("gpt3-13B").WithBatch(32)
+	o := execution.EnumOptions{Procs: 16, Features: execution.FeatureSeqPar, MaxInterleave: 2}
+	var sts []execution.Strategy
+	o.Enumerate(m, func(s execution.Strategy) bool {
+		sts = append(sts, s)
+		return len(sts) < 64
+	})
+	if len(sts) == 0 {
+		t.Fatal("no strategies enumerated")
+	}
+	sys := system.A100(16)
+	for _, st := range sts {
+		ref := computeProfile(&m, &sys, &st)
+		for _, batch := range []int{1, 64, 4096} {
+			mb := m.WithBatch(batch)
+			if got := computeProfile(&mb, &sys, &st); got != ref {
+				t.Fatalf("profile for %v differs between batch %d and %d:\n%+v\nvs\n%+v",
+					st, m.Batch, batch, ref, got)
 			}
 		}
 	}
@@ -111,6 +140,51 @@ func TestRunnerGroupSharesMemo(t *testing.T) {
 	}
 	if !info.CacheHit {
 		t.Errorf("first evaluation at a new size missed the shared memo: %+v", info)
+	}
+}
+
+// TestRunnerAtMatchesFreshRunner pins RunnerAt to validating and building
+// a Runner from scratch: at every batch and processor count, valid or not,
+// it fails with the error NewRunner gives the resized model and system, and
+// otherwise its Runner's results and errors are the fresh Runner's. The
+// base system's outermost network spans 64 processors, so a count beyond
+// it fails validation as a non-positive one does.
+func TestRunnerAtMatchesFreshRunner(t *testing.T) {
+	m := model.MustPreset("gpt3-13B").WithBatch(32)
+	base := system.A100(16)
+	base.Networks = append([]system.Network(nil), base.Networks...)
+	base.Networks[len(base.Networks)-1].Size = 64
+	group, err := NewRunnerGroup(m, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := execution.EnumOptions{Procs: 16, Features: execution.FeatureSeqPar, MaxInterleave: 2}
+	var sts []execution.Strategy
+	o.Enumerate(m, func(s execution.Strategy) bool {
+		sts = append(sts, s)
+		return true
+	})
+	for _, c := range []struct{ batch, procs int }{
+		{32, 16}, {64, 32}, {8, 64}, {0, 16}, {-4, 0}, {32, 0}, {32, -1}, {32, 128},
+	} {
+		mc := m
+		mc.Batch = c.batch
+		fresh, wantErr := NewRunner(mc, base.WithProcs(c.procs))
+		shared, gotErr := group.RunnerAt(c.batch, c.procs)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("batch %d, procs %d: RunnerAt error %v, want %v", c.batch, c.procs, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		for i := 0; i < len(sts); i += len(sts)/48 + 1 {
+			got, gotErr := shared.Run(sts[i])
+			want, wantErr := fresh.Run(sts[i])
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch %d, procs %d, %v: RunnerAt gives %v (%v), a fresh Runner %v (%v)",
+					c.batch, c.procs, sts[i], got.BatchTime, gotErr, want.BatchTime, wantErr)
+			}
+		}
 	}
 }
 

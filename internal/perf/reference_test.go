@@ -26,7 +26,7 @@ func referenceRun(m model.LLM, sys system.System, st execution.Strategy) (Result
 	if err := sys.Validate(); err != nil {
 		return Result{}, err
 	}
-	r := newRunner(m, sys)
+	r := newRunner(m, sys, nil) // the reference builds its profile without the memo
 	st.Normalize()
 	if err := st.Validate(&r.m); err != nil {
 		return Result{}, verdict{kind: invalidStrategy, cause: err}.err()

@@ -26,7 +26,7 @@ func Run(m model.LLM, sys system.System, st execution.Strategy) (Result, error) 
 	if err := sys.Validate(); err != nil {
 		return Result{}, err
 	}
-	return newRunner(m, sys).Run(st)
+	return newRunner(m, sys, &sync.Map{}).Run(st)
 }
 
 // Runner evaluates many strategies against one fixed, pre-validated
@@ -64,14 +64,16 @@ func NewRunner(m model.LLM, sys system.System) (*Runner, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-	return newRunner(m, sys), nil
+	return newRunner(m, sys, &sync.Map{}), nil
 }
 
-func newRunner(m model.LLM, sys system.System) *Runner {
+// newRunner returns a Runner of the validated model and system that keeps
+// its block profiles in rows.
+func newRunner(m model.LLM, sys system.System, rows *sync.Map) *Runner {
 	return &Runner{
 		m:    m,
 		sys:  sys,
-		rows: &sync.Map{},
+		rows: rows,
 		screen: execution.NewPreScreen(m, execution.Limits{
 			Procs: sys.Procs,
 			Mem1:  sys.Mem1.Capacity,
@@ -134,9 +136,47 @@ func (g *RunnerGroup) RunnerFor(sys system.System) (*Runner, error) {
 		!reflect.DeepEqual(sys.Mem1.Efficiency, g.base.Mem1.Efficiency) {
 		return nil, fmt.Errorf("perf: runner group: first-tier timing differs from the base system")
 	}
-	r := newRunner(g.m, sys)
-	r.rows = g.rows
-	return r, nil
+	return newRunner(g.m, sys, g.rows), nil
+}
+
+// RunnerAt returns a Runner for the group's model at another global batch
+// on the base system resized to procs processors, serving block profiles
+// from the group's shared memo. Neither input reaches the memo: its rows are
+// keyed by (TP, Microbatch), and the batch reaches only the useful-FLOP
+// count and the sample-rate key (TestBlockProfileBatchIndependent,
+// TestBlockProfileProcsIndependent). The base passed validation once, and
+// validation reads the batch only as a positivity rule and the processor
+// count only as a positivity rule and the outermost network's span, so only
+// those rules are checked here; a failure returns what validating the
+// resized model and system returns.
+func (g *RunnerGroup) RunnerAt(batch, procs int) (*Runner, error) {
+	m := g.m
+	m.Batch = batch
+	sys := g.base
+	sys.Procs = procs
+	if batch <= 0 {
+		return nil, m.Validate()
+	}
+	if procs <= 0 || !sys.Networks[len(sys.Networks)-1].Covers(procs) {
+		return nil, sys.Validate()
+	}
+	return newRunner(m, sys, g.rows), nil
+}
+
+// PricedGraphs reports how many block graphs the group's memo holds, each
+// built and priced once.
+func (g *RunnerGroup) PricedGraphs() int {
+	n := 0
+	g.rows.Range(func(_, v any) bool {
+		row := v.(*profileRow)
+		for i := range row.graphs {
+			if row.graphs[i].Load() != nil {
+				n++
+			}
+		}
+		return true
+	})
+	return n
 }
 
 // RunInfo reports which fast paths one evaluation took.

@@ -14,6 +14,7 @@ package pipesim
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"calculon/internal/units"
@@ -67,6 +68,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("pipesim: times must be non-negative")
 	case p.Schedule == GPipe && p.Chunks != 1:
 		return fmt.Errorf("pipesim: GPipe does not interleave chunks")
+	case p.Chunks > math.MaxInt32/p.Stages || p.Microbatches > math.MaxInt32:
+		return fmt.Errorf("pipesim: stages × chunks and microbatches must each be at most %d", math.MaxInt32)
 	}
 	return nil
 }
@@ -188,17 +191,19 @@ func (pl *placement) result(p Params) Result {
 	return res
 }
 
-// ref names one op in a device sequence.
+// ref names one op in a device sequence. Its indices are 32-bit, which
+// Validate's bounds keep from overflowing, so the 2·chunks·microbatches
+// refs of a long schedule take half the memory.
 type ref struct {
-	chunk int // global chunk index
-	mb    int
+	chunk int32 // global chunk index
+	mb    int32
 	isFwd bool
 }
 
 // depReady returns when the op's pipeline dependency is satisfied, or false
 // if a dependency has not been scheduled yet.
 func (p Params) depReady(r ref, fwd, bwd [][]op) (units.Seconds, bool) {
-	last := p.Stages*p.Chunks - 1
+	last := int32(p.Stages*p.Chunks - 1)
 	var dep op
 	hop := p.Hop
 	switch {
@@ -235,8 +240,8 @@ func deviceSequence(p Params, s int) []ref {
 				if m >= N {
 					continue
 				}
-				fwdOrder = append(fwdOrder, ref{chunk: c*P + s, mb: m, isFwd: true})
-				bwdOrder = append(bwdOrder, ref{chunk: (V-1-c)*P + s, mb: m, isFwd: false})
+				fwdOrder = append(fwdOrder, ref{chunk: int32(c*P + s), mb: int32(m), isFwd: true})
+				bwdOrder = append(bwdOrder, ref{chunk: int32((V-1-c)*P + s), mb: int32(m), isFwd: false})
 			}
 		}
 	}

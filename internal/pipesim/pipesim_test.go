@@ -174,6 +174,9 @@ func TestValidate(t *testing.T) {
 		{Stages: 1, Chunks: 1, Microbatches: 0},
 		{Stages: 1, Chunks: 1, Microbatches: 1, FwdChunk: -1},
 		{Stages: 2, Chunks: 2, Microbatches: 4, Schedule: GPipe}, // GPipe can't interleave
+		// Indices past 32 bits are refused before anything is allocated.
+		{Stages: 1 << 16, Chunks: 1 << 16, Microbatches: 1, Schedule: OneFOneB},
+		{Stages: 1, Chunks: 1, Microbatches: 1 << 31},
 	}
 	for i, p := range bad {
 		if _, err := Simulate(p); err == nil {

@@ -41,7 +41,7 @@ func (pl *placement) visit(f func(TraceOp)) {
 				o = pl.bwd[r.chunk][r.mb]
 			}
 			f(TraceOp{
-				Stage: s, Chunk: r.chunk / len(pl.seqs), Microbatch: r.mb, Forward: r.isFwd,
+				Stage: s, Chunk: int(r.chunk) / len(pl.seqs), Microbatch: int(r.mb), Forward: r.isFwd,
 				Start: o.start, Finish: o.finish,
 			})
 		}

@@ -83,29 +83,12 @@ func BenchmarkServingSweep(b *testing.B) {
 }
 
 // BenchmarkServingSweepWide is BenchmarkServingSweep at the shape of the
-// end-to-end serve-sweep workload: GPT-3 175B on A100-80GB, a 3-bucket
-// disaggregated mix, and 64 budgets from 8 to 512 processors. It has
-// 7,311 SLO-feasible candidates at the top budget and 227,008 over the 64
-// budgets summed, so the fold's share of the time shows here where the
-// eight small budgets above hide it.
+// end-to-end serve-sweep workload (wideSpec), over 64 budgets from 8 to 512
+// processors. It has 7,311 SLO-feasible candidates at the top budget and
+// 227,008 over the 64 budgets summed, so the fold's share of the time shows
+// here where the eight small budgets above hide it.
 func BenchmarkServingSweepWide(b *testing.B) {
-	sys, err := system.Preset("a100-80g", 512)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := Spec{
-		Model:  model.MustPreset("gpt3-175B"),
-		System: sys,
-		Workload: Workload{
-			Mix: []Bucket{
-				{PromptLen: 446, GenLen: 234, Weight: 4},
-				{PromptLen: 391, GenLen: 119, Weight: 2},
-				{PromptLen: 1961, GenLen: 286, Weight: 3},
-			},
-			SLO: SLO{TTFT: 2.3, TPOT: 0.07},
-		},
-		Space: Space{MaxBatch: 32, Disaggregate: true},
-	}
+	spec := wideSpec(b)
 	sizes := search.Sizes(8, 512)
 	var evaluated int
 	b.ReportAllocs()
@@ -122,4 +105,53 @@ func BenchmarkServingSweepWide(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(evaluated)/b.Elapsed().Seconds(), "strategies/s")
+}
+
+// wideSpec is the shape of the end-to-end serve-sweep workload: GPT-3 175B
+// on A100-80GB, a 3-bucket disaggregated mix, and budgets up to 512
+// processors.
+func wideSpec(tb testing.TB) Spec {
+	sys, err := system.Preset("a100-80g", 512)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Spec{
+		Model:  model.MustPreset("gpt3-175B"),
+		System: sys,
+		Workload: Workload{
+			Mix: []Bucket{
+				{PromptLen: 446, GenLen: 234, Weight: 4},
+				{PromptLen: 391, GenLen: 119, Weight: 2},
+				{PromptLen: 1961, GenLen: 286, Weight: 3},
+			},
+			SLO: SLO{TTFT: 2.3, TPOT: 0.07},
+		},
+		Space: Space{MaxBatch: 32, Disaggregate: true},
+	}
+}
+
+// TestWideSweepGraphCounts pins how many block graphs stage 1 builds for
+// the serve-sweep shape (wideSpec at its top budget, one worker): 60 for
+// 696 engines. The model has 12 TPs; the prefill memo prices one graph per
+// (prompt length, TP), four prompt lengths (the mean and the three
+// buckets') making 48, and the decode blocks are one per TP. A memo that
+// stopped being shared shows here as an exact count change; pricing each
+// estimate from scratch builds a prefill graph and a decode block per
+// estimate.
+func TestWideSweepGraphCounts(t *testing.T) {
+	spec := wideSpec(t).Normalize()
+	spec.Space.Procs = 512
+	cfgs := enumerate(spec.Model, spec.Space)
+	pbar, gbar := spec.Workload.MeanPromptLen(), spec.Workload.MeanGenLen()
+	pr := newPricers(&spec)
+	evalAll(context.Background(), &spec, pr, 1, nil, cfgs, pbar, gbar)
+	if pr.prefill != pr.decode {
+		t.Fatal("a spec without a prefill system priced its pool on a second memo")
+	}
+	if got, want := len(cfgs), 696; got != want {
+		t.Fatalf("%d engines, want %d", got, want)
+	}
+	if got, want := pr.decode.Graphs(), 60; got != want {
+		t.Errorf("%d engines built %d block graphs, want %d", len(cfgs), got, want)
+	}
 }

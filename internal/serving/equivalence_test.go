@@ -120,12 +120,13 @@ func TestPreScreenSoundness(t *testing.T) {
 		}
 		pbar, gbar := spec.Workload.MeanPromptLen(), spec.Workload.MeanGenLen()
 		screen := newPreScreen(&spec, pbar, gbar)
+		pr := newPricers(&spec)
 		for _, cfg := range enumerate(spec.Model, spec.Space) {
 			if screen.fits(cfg) {
 				continue
 			}
 			rejected++
-			p := evalEngine(&spec, cfg, pbar, gbar, &pairPrefill{})
+			p := evalEngine(&spec, pr, cfg, pbar, gbar, &pairPrefill{})
 			if p.ok || p.err != nil {
 				t.Fatalf("draw %d, engine %+v: pre-screen rejected it, but direct evaluation gives ok=%v err=%v",
 					i, cfg, p.ok, p.err)
@@ -226,7 +227,7 @@ func referenceSearch(spec Spec) (Result, referenceStats, error) {
 	}
 	cfgs := enumerate(spec.Model, spec.Space)
 	pbar, gbar := spec.Workload.MeanPromptLen(), spec.Workload.MeanGenLen()
-	profiles := evalAll(context.Background(), &spec, 1, nil, cfgs, pbar, gbar)
+	profiles := evalAll(context.Background(), &spec, newPricers(&spec), 1, nil, cfgs, pbar, gbar)
 	var st referenceStats
 	res, err := referenceCompose(&spec, cfgs, profiles, pbar, gbar, &st)
 	return res, st, err
@@ -539,9 +540,11 @@ func TestSweepPreCancelled(t *testing.T) {
 	}
 }
 
-// TestSharedPrefillMatchesAlone pins the per-pair prefill memo: an engine
-// priced with the estimates its (tp, pp) pair shares must get exactly the
-// profile, error included, it gets when priced alone. The draws squeeze the
+// TestSharedPrefillMatchesAlone pins the per-pair prefill memo and the
+// search's block-profile memo: an engine priced with the estimates its
+// (tp, pp) pair shares, on pricers warm from every engine before it, must
+// get exactly the profile, error included, it gets when priced alone on
+// fresh ones. The draws squeeze the
 // first memory tier next to a second one, so batch-1 prefills fail with the
 // KV cache in HBM and succeed with it offloaded — the case where sharing
 // across KV placements would leak an error.
@@ -567,12 +570,13 @@ func TestSharedPrefillMatchesAlone(t *testing.T) {
 		cfgs := enumerate(spec.Model, spec.Space)
 		pbar, gbar := spec.Workload.MeanPromptLen(), spec.Workload.MeanGenLen()
 		var shared pairPrefill
+		pr := newPricers(&spec)
 		for i, cfg := range cfgs {
 			if i > 0 && (cfg.tp != cfgs[i-1].tp || cfg.pp != cfgs[i-1].pp) {
 				shared = pairPrefill{}
 			}
-			got := evalEngine(&spec, cfg, pbar, gbar, &shared)
-			want := evalEngine(&spec, cfg, pbar, gbar, &pairPrefill{})
+			got := evalEngine(&spec, pr, cfg, pbar, gbar, &shared)
+			want := evalEngine(&spec, newPricers(&spec), cfg, pbar, gbar, &pairPrefill{})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("draw %d: engine %+v priced with its pair's estimates:\n%+v\nalone:\n%+v", d, cfg, got, want)
 			}

@@ -6,7 +6,6 @@ import (
 	"calculon/internal/execution"
 	"calculon/internal/inference"
 	"calculon/internal/perf"
-	"calculon/internal/system"
 	"calculon/internal/units"
 )
 
@@ -58,21 +57,40 @@ type lazyPrefill struct {
 	err   error
 }
 
-// evalEngine prices one engine configuration, drawing its batch-independent
-// prefill estimates from the pair's shared memo. Infeasible engines
-// (capacity, divisibility) come back with ok=false; any other estimation
-// error is recorded for the search to surface. Errors are reported in the
-// order an engine priced alone would meet them: its own estimate, then the
-// colocated prefill bucket by bucket, then the prefill pool.
-func evalEngine(spec *Spec, cfg engineConfig, pbar, gbar int, shared *pairPrefill) engineProfile {
+// pricers are a search's block-profile memos: one for the decode system
+// and one for the prefill pool's, which is the same one unless the spec
+// names a separate prefill system (a different compute needs its own memo).
+type pricers struct {
+	decode, prefill *inference.Pricer
+}
+
+// newPricers returns the spec's pricers, empty: they fill as stage 1
+// prices engines.
+func newPricers(spec *Spec) pricers {
+	pr := pricers{decode: inference.NewPricer(spec.Model, spec.System)}
+	pr.prefill = pr.decode
+	if spec.PrefillSystem != nil {
+		pr.prefill = inference.NewPricer(spec.Model, *spec.PrefillSystem)
+	}
+	return pr
+}
+
+// evalEngine prices one engine configuration through the search's pricers,
+// drawing its batch-independent prefill estimates from the pair's shared
+// memo. Infeasible engines (capacity, divisibility) come back with
+// ok=false; any other estimation error is recorded for the search to
+// surface. Errors are reported in the order an engine priced alone would
+// meet them: its own estimate, then the colocated prefill bucket by
+// bucket, then the prefill pool.
+func evalEngine(spec *Spec, pr pricers, cfg engineConfig, pbar, gbar int, shared *pairPrefill) engineProfile {
 	var p engineProfile
 	st := strategyFor(cfg.tp, cfg.pp)
 	// The engine occupies exactly tp·pp processors; the budget is a
 	// cluster-level bound, so the per-replica estimate runs on a system of
 	// the engine's own size.
-	sysD := spec.System.WithProcs(cfg.tp * cfg.pp)
+	procs := cfg.tp * cfg.pp
 
-	est, err := inference.Estimate(spec.Model, sysD, st, inference.Workload{
+	est, err := pr.decode.Estimate(procs, st, inference.Workload{
 		PromptLen: pbar, GenLen: gbar, Batch: cfg.batch, KVOffload: cfg.kvOffload,
 	})
 	if err != nil {
@@ -87,7 +105,7 @@ func evalEngine(spec *Spec, cfg engineConfig, pbar, gbar int, shared *pairPrefil
 	c := &shared.colocated[kv]
 	if !c.done {
 		c.done = true
-		c.worst, c.err = worstPrefill(spec, sysD, st, cfg.kvOffload, true)
+		c.worst, c.err = worstPrefill(spec, pr.decode, procs, st, cfg.kvOffload, true)
 	}
 	if c.err != nil {
 		return profileErr(c.err)
@@ -98,15 +116,14 @@ func evalEngine(spec *Spec, cfg engineConfig, pbar, gbar int, shared *pairPrefil
 		pool := &shared.pool
 		if !pool.done {
 			pool.done = true
-			sysP := prefillSystem(spec).WithProcs(cfg.tp * cfg.pp)
 			// Prefill replicas run prompt-only passes (GenLen 0) and never
 			// offload: they hold one prompt's KV, not a batch's steady state.
-			r, err := inference.Estimate(spec.Model, sysP, st, inference.Workload{
+			r, err := pr.prefill.Estimate(procs, st, inference.Workload{
 				PromptLen: pbar, GenLen: 0, Batch: 1,
 			})
 			pool.mean, pool.err = r.PrefillTime, err
 			if err == nil {
-				pool.worst, pool.err = worstPrefill(spec, sysP, st, false, false)
+				pool.worst, pool.err = worstPrefill(spec, pr.prefill, procs, st, false, false)
 			}
 		}
 		if pool.err != nil {
@@ -120,18 +137,19 @@ func evalEngine(spec *Spec, cfg engineConfig, pbar, gbar int, shared *pairPrefil
 	return p
 }
 
-// worstPrefill prices every bucket's batch-1 prefill in mix order and
-// returns the slowest, or the first error. withGen keeps each bucket's
-// generation length (a colocated engine also decodes the request); without
-// it the pass is prompt-only, as on a prefill replica.
-func worstPrefill(spec *Spec, sys system.System, st execution.Strategy, kvOffload, withGen bool) (units.Seconds, error) {
+// worstPrefill prices every bucket's batch-1 prefill in mix order on procs
+// processors of the pricer's system and returns the slowest, or the first
+// error. withGen keeps each bucket's generation length (a colocated engine
+// also decodes the request); without it the pass is prompt-only, as on a
+// prefill replica.
+func worstPrefill(spec *Spec, pricer *inference.Pricer, procs int, st execution.Strategy, kvOffload, withGen bool) (units.Seconds, error) {
 	var worst units.Seconds
 	for _, b := range spec.Workload.Mix {
 		w := inference.Workload{PromptLen: b.PromptLen, Batch: 1, KVOffload: kvOffload}
 		if withGen {
 			w.GenLen = b.GenLen
 		}
-		r, err := inference.Estimate(spec.Model, sys, st, w)
+		r, err := pricer.Estimate(procs, st, w)
 		if err != nil {
 			return 0, err
 		}
@@ -149,12 +167,4 @@ func profileErr(err error) engineProfile {
 		return engineProfile{}
 	}
 	return engineProfile{err: err}
-}
-
-// prefillSystem returns the system the disaggregated prefill pool runs on.
-func prefillSystem(spec *Spec) system.System {
-	if spec.PrefillSystem != nil {
-		return *spec.PrefillSystem
-	}
-	return spec.System
 }

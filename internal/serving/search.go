@@ -42,9 +42,10 @@ func (o *Options) stored(spec Spec) search.Stored[Result] {
 // evalAll is stage 1: the parallel engine-profile evaluation. A worker
 // claims one (tp, pp) pair at a time — the pair's engines are contiguous in
 // the enumeration and share their batch-independent prefill estimates
-// (pairPrefill) — and writes into the dense profiles array. A non-nil prog
-// receives live Evaluated/PreScreened counts.
-func evalAll(ctx context.Context, spec *Spec, workers int, prog *search.Progress, cfgs []engineConfig, pbar, gbar int) []engineProfile {
+// (pairPrefill) — and writes into the dense profiles array. Every engine
+// is priced through pr, so each block graph is priced once per search. A
+// non-nil prog receives live Evaluated/PreScreened counts.
+func evalAll(ctx context.Context, spec *Spec, pr pricers, workers int, prog *search.Progress, cfgs []engineConfig, pbar, gbar int) []engineProfile {
 	screen := newPreScreen(spec, pbar, gbar)
 	profiles := make([]engineProfile, len(cfgs))
 	// pairs[k] is the first engine of the k-th pair; the last entry closes
@@ -68,7 +69,7 @@ func evalAll(ctx context.Context, spec *Spec, workers int, prog *search.Progress
 				delta.PreScreened++
 				continue
 			}
-			profiles[i] = evalEngine(spec, cfgs[i], pbar, gbar, &shared)
+			profiles[i] = evalEngine(spec, pr, cfgs[i], pbar, gbar, &shared)
 		}
 		if prog != nil {
 			prog.AddCounts(delta)
@@ -567,7 +568,7 @@ func Sweep(ctx context.Context, spec Spec, sizes []int, opts Options) ([]SizeRes
 				}
 			}
 		}
-		profiles = evalAll(ctx, &topSpec, opts.Workers, prog, cfgs, pbar, gbar)
+		profiles = evalAll(ctx, &topSpec, newPricers(&topSpec), opts.Workers, prog, cfgs, pbar, gbar)
 	}
 	if err := ctx.Err(); err != nil {
 		// A cancelled stage 1 leaves an unpredictable prefix of the
