@@ -179,25 +179,27 @@ func (o EnumOptions) EnumerateTriple(m model.LLM, tpd [3]int, yield func(Strateg
 // segment fixes everything but the toggles — the triple, the microbatch,
 // and the pipeline schedule — and holds the Toggles().Len() strategies
 // Toggles.Walk visits from its root. The subtree is its microbatch rows
-// (MicrobatchSegments) in order.
+// (MicrobatchSegments) in the order Microbatches lists them.
 func (o EnumOptions) Segments(m *model.LLM, tpd [3]int, yield func(*Strategy) bool) bool {
 	var s Strategy
-	mbs, _ := o.TripleShape(m, tpd)
-	for k := 0; k < mbs; k++ {
-		if !o.MicrobatchSegments(m, tpd, k, &s, yield) {
-			return false
-		}
-	}
-	return true
+	return o.Microbatches(m, tpd, func(mb int) bool {
+		return o.MicrobatchSegments(m, tpd, mb, &s, yield)
+	})
+}
+
+// Microbatches calls yield with the microbatch sizes of the (t,p,d)
+// subtree's rows — the divisors of the per-pipeline batch — in enumeration
+// order (ascending) until yield returns false, and reports whether it ran to
+// completion. It allocates nothing.
+func (o EnumOptions) Microbatches(m *model.LLM, tpd [3]int, yield func(mb int) bool) bool {
+	return eachDivisor(m.Batch/tpd[2], yield)
 }
 
 // MicrobatchSegments streams the roots of the segments of the (t,p,d)
-// subtree's k-th microbatch row (from 0; TripleShape) through yield, in
-// enumeration order, writing each into *st with every toggle field zero,
+// subtree's row of microbatch size mb (one of Microbatches) through yield,
+// in enumeration order, writing each into *st with every toggle field zero,
 // and reports whether it ran to completion. It allocates nothing.
-func (o EnumOptions) MicrobatchSegments(m *model.LLM, tpd [3]int, k int, st *Strategy, yield func(*Strategy) bool) bool {
-	mb := 0
-	eachDivisor(m.Batch/tpd[2], func(d int) bool { mb, k = d, k-1; return k >= 0 })
+func (o EnumOptions) MicrobatchSegments(m *model.LLM, tpd [3]int, mb int, st *Strategy, yield func(*Strategy) bool) bool {
 	bp := (m.Blocks + tpd[1] - 1) / tpd[1] // BlocksPerProc
 	schedule := func(oneFOneB bool, v int) bool {
 		*st = Strategy{TP: tpd[0], PP: tpd[1], DP: tpd[2], Microbatch: mb, OneFOneB: oneFOneB, Interleave: v}

@@ -327,7 +327,7 @@ func TestSegmentsMatchBruteForce(t *testing.T) {
 				flat = append(flat, row...)
 				var got []Strategy
 				var st Strategy
-				o.MicrobatchSegments(&m, tpd, r, &st, func(st *Strategy) bool { got = append(got, *st); return true })
+				o.MicrobatchSegments(&m, tpd, row[0].Microbatch, &st, func(st *Strategy) bool { got = append(got, *st); return true })
 				if !reflect.DeepEqual(got, row) {
 					t.Fatalf("draw %d triple %v row %d: MicrobatchSegments yields\n%v\nbrute force\n%v", i, tpd, r, got, row)
 				}
@@ -339,4 +339,39 @@ func TestSegmentsMatchBruteForce(t *testing.T) {
 		}
 	}
 	t.Logf("%d segment roots checked", segments)
+}
+
+// TestSegmentRootsPassValidateShape pins what the search's memory pass
+// relies on when it validates a segment's shape once, at its root: every
+// root Segments yields, over random small models and options, passes
+// ValidateShape. A leaf of the segment has the root's shape fields, so with
+// TestLatticeBulkInvariants (every leaf passes the toggle rules) every leaf
+// of every segment is a valid strategy.
+func TestSegmentRootsPassValidateShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	roots := 0
+	for i := 0; i < 300; i++ {
+		m := model.MustPreset("gpt3-13B")
+		m.Blocks = 1 + rng.Intn(96)
+		m.AttnHeads = 1 + rng.Intn(64)
+		m = m.WithBatch(1 + rng.Intn(192))
+		o := EnumOptions{
+			Procs:         1 + rng.Intn(96),
+			MaxTP:         []int{0, 0, 2, 8}[rng.Intn(4)],
+			MaxInterleave: []int{0, 0, 1, 2, 3, 6}[rng.Intn(6)],
+			PinBeneficial: rng.Intn(2) == 0,
+		}
+		for _, tpd := range o.Triples(m) {
+			o.Segments(&m, tpd, func(st *Strategy) bool {
+				roots++
+				if err := st.ValidateShape(&m); err != nil {
+					t.Fatalf("draw %d (blocks %d heads %d batch %d): root %v: %v", i, m.Blocks, m.AttnHeads, m.Batch, st, err)
+				}
+				return true
+			})
+		}
+	}
+	if roots == 0 {
+		t.Fatal("no root checked")
+	}
 }

@@ -466,20 +466,19 @@ func TestRunDeltaForeignChain(t *testing.T) {
 
 // TestTermGroupRecomputeCounts pins, for one fixed search walked on a
 // single chain as one search worker walks it under a top-10 + Pareto fold
-// (mirrorSearch), how often the chain runs its memory half, on how many of
-// those runs it reads the block profile and fetches a profile row, and on
-// how many each memory row and time group recomputes. The walk goes class
-// by class: RunLeaf runs once on one leaf of each memory class, and again
-// on each other leaf of a class the worker descends into, where it steps
-// the chain with a variant-only mask that reruns no memory row. The worker
-// descends when keeps passes, at the segment's first sequence number, on
-// the class's bound keys and then on its floor, which prices the class's
-// first leaf. The time groups run only when the fold asks for a leaf's
-// exact keys or a class floor, with the masks owed since they last ran.
-// The counts come from the masks step hands the memory half (onMemoryHalf),
-// so production code counts nothing. A widened mask or a lost class answer
-// shows up here as an exact count change rather than as noise in wall time;
-// a narrowed mask must also pass the equivalence suites above.
+// (mirrorSearches), how often the chain runs its memory half, on how many
+// of those runs it reads the block profile and fetches a profile row, and
+// on how many each memory row and time group recomputes. Each segment's
+// memory pass answers every class at once; the chain steps (RunLeaf) only
+// to a fitting class of a profile slot whose bound keys pass keeps, when
+// the class's own bound keys pass too, and prices its first leaf for the
+// class floor, descending into the class when keeps passes on that. The
+// time groups run only when the fold asks for a leaf's exact keys or a
+// class floor, with the masks owed since they last ran. The counts come
+// from the masks step hands the memory half (onMemoryHalf), so production
+// code counts nothing. A widened mask or a lost class answer shows up here
+// as an exact count change rather than as noise in wall time; a narrowed
+// mask must also pass the equivalence suites above.
 func TestTermGroupRecomputeCounts(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(64)
 	sys := system.A100(64).WithMem2(system.DDR5(512 * units.GiB))
@@ -489,32 +488,31 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 	}
 	opts := execution.EnumOptions{Procs: 64, Features: execution.FeatureAll, HasMem2: true}
 	got := mirrorSearches(t, m, []*Runner{r}, opts)
-	// 2,076,480 leaves in 515 segments of 4,032, so 296,640 classes of 7
-	// on average; 11,088 leaves pre-screened (so 2,065,392 admitted),
-	// 2,010,498 feasible, 2,064,654 profile cache hits. No segment is
-	// floored: every one holds a leaf that fits. The bound keys let 21,787 classes through; the
-	// worker prices each one's first leaf for its floor, and the floor lets
-	// 1,424 of them through. RunLeaf runs 304,942 times: once per class and
-	// on 8,302 more leaves of the classes the worker descends into, and the
-	// memory half on the 303,358 of those runs that pass admit. 30,089
-	// leaves are priced for time. Before the floor the worker descended
-	// into all 21,787 classes the bound let through: 423,443 RunLeaf calls,
-	// 421,859 memory halves and 148,590 leaves priced, the tensor, pipe and
-	// offload groups rerunning 64,916, 68,835 and 83,026 times (the data
-	// and optimizer groups, which only class steps reach, ran as often as
-	// now). The profile is read on 23,175 memory halves, the segment roots
-	// and the class steps that move a block switch. Only the 515 segment
-	// roots have a mask that reaches TP or Microbatch, and the chain's row
-	// memo fetches a row from the shared memo on the 125 of them where
-	// (TP, Microbatch) changed; every other profile read is one atomic load
-	// in the row the chain holds.
+	// 2,076,480 leaves in 515 segments of 4,032 in 576 memory classes;
+	// 11,088 leaves pre-screened (so 2,065,392 admitted), 2,010,498
+	// feasible, 2,064,654 profile cache hits. No segment is floored: every
+	// one holds a leaf that fits. Of the 515 × 18 profile slots, 1,758 pass
+	// the fold on their bound keys, in 187 segments, whose class walks visit
+	// 107,712 classes. The chain steps to the 21,787 classes whose own bound
+	// keys pass and prices each one's first leaf for its floor, which lets
+	// 1,424 of them through: RunLeaf runs 30,089 times, once per stepped
+	// class and on 8,302 more leaves of the descended classes, and every
+	// run reaches the memory half; 30,089 leaves are priced for time. When
+	// the worker ran RunLeaf on every class it made 304,942 calls and
+	// 303,358 memory halves, the rows rerunning 74,160, 179,901 and 97,335
+	// times; the time groups, which only stepped classes reach, ran as often
+	// as now. The profile is read on 3,474 memory halves: the stepped
+	// classes that move a block switch. Only the 187 walked segments' first
+	// steps have a mask that reaches TP or Microbatch; the chain's row memo
+	// fetches a row from the shared memo on 125 calls in all, the memory
+	// passes' included, where (TP, Microbatch) changed.
 	want := map[string]int{
-		"leaves": 2076480, "classes": 296640, "pre-screened": 11088, "feasible": 2010498,
-		"cache hits": 2064654, "segments floored": 0, "segments walked": 515,
+		"leaves": 2076480, "classes": 107712, "pre-screened": 11088, "feasible": 2010498,
+		"cache hits": 2064654, "segments floored": 0, "segments walked": 187, "slots passed": 1758,
 		"floors": 21787, "descents": 1424,
-		"RunLeaf calls": 304942, "memory-half runs": 303358, "timed": 30089,
-		"row steps": 515, "row fetches": 125, "profile reads": 23175, "shape": 515,
-		"mem weights": 74160, "mem optimizer": 179901, "mem activations": 97335,
+		"RunLeaf calls": 30089, "memory-half runs": 30089, "timed": 30089,
+		"row steps": 187, "row fetches": 125, "profile reads": 3474, "shape": 187,
+		"mem weights": 8044, "mem optimizer": 14215, "mem activations": 9791,
 		"tensor": 7504, "pipe": 7746, "data": 5349, "optimizer": 14215, "offload": 25614,
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -525,11 +523,14 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 // mirrorSearches walks one search per Runner, in order, each on a fresh
 // chain as a single search worker walks it under a top-10 + Pareto fold,
 // and returns its counts: the lattice prune drops a triple the pre-screen
-// rejects whole; a segment the memory floor shows holds no fitting leaf
-// (FloorSegment) is counted at once and not walked; any other is walked
-// class by class. Runners from one RunnerGroup share their profile rows,
-// as the sizes of a sweep do. The counts of each memory half and of the
-// term groups it and the time half rerun come through onMemoryHalf.
+// rejects whole; every other segment gets its memory pass (PassSegment),
+// which floors it when the segment floor shows no leaf fits; the class walk
+// runs only when some profile slot's bound keys pass keeps, and steps the
+// chain only on the fitting classes of passing slots whose own bound keys
+// pass, ORing the masks of the classes it walks past. Runners from one
+// RunnerGroup share their profile rows, as the sizes of a sweep do. The
+// counts of each memory half and of the term groups it and the time half
+// rerun come through onMemoryHalf.
 func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution.EnumOptions) map[string]int {
 	t.Helper()
 	memGroups := []struct {
@@ -562,7 +563,8 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 	}
 	defer func() { onMemoryHalf = nil }()
 	tog := opts.Toggles()
-	floor := NewSegmentFloor(&tog)
+	lat := LatticeFor(&opts)
+	var p SegmentPass
 	for _, r := range runners {
 		opts.Procs = r.sys.Procs
 		screen := execution.NewPreScreen(m, execution.Limits{Procs: r.sys.Procs, Mem1: r.sys.Mem1.Capacity, Mem2: r.sys.Mem2.Capacity})
@@ -578,6 +580,7 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 			}
 		}
 		leaf := func(st *execution.Strategy, mask execution.FieldMask) (Keys, bool) {
+			got["RunLeaf calls"]++
 			k, ok := r.RunLeaf(&chain, st, mask)
 			noteRow()
 			return k, ok
@@ -607,37 +610,39 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 			}
 			opts.Segments(&m, tpd, func(root *execution.Strategy) bool {
 				defer func() { base += tog.Len() }()
-				pre, floored := r.FloorSegment(&chain, &floor, root)
-				noteRow()
-				if floored {
+				if fl, ok := r.mem1Floor(r.chainOf(&chain), lat, root); ok && fl > r.sys.Mem1.Capacity {
 					got["segments floored"]++
-					got["leaves"] += tog.Len()
-					got["pre-screened"] += pre
-					got["cache hits"] += tog.Len() - pre
+				}
+				r.PassSegment(&chain, lat, root, &p)
+				noteRow()
+				got["leaves"] += p.Evaluated
+				got["pre-screened"] += p.PreScreened
+				got["cache hits"] += p.CacheHits
+				got["feasible"] += p.Feasible
+				var passing uint32
+				for i := 0; i < lat.Slots(); i++ {
+					if k, ok := p.Bound(i); ok && fold.keeps(base, k) {
+						passing |= 1 << i
+						got["slots passed"]++
+					}
+				}
+				if passing == 0 {
 					return true
 				}
 				got["segments walked"]++
+				var skipped execution.FieldMask
 				w := tog.Classes(root)
 				for more := true; more; more = w.NextClass() {
 					got["classes"]++
-					got["RunLeaf calls"]++
-					k, ok := leaf(root, w.Mask())
-					n := w.Len()
-					got["leaves"] += n
-					switch {
-					case chain.PreScreened:
-						got["pre-screened"] += n
-					case chain.CacheHit:
-						got["cache hits"] += n
-					default:
-						got["cache hits"] += n - 1
-					}
-					if !ok {
+					mask := skipped | w.Mask()
+					skipped = mask
+					i, k, fits := p.Class(root)
+					if !fits || passing&(1<<i) == 0 || !fold.keeps(base, k) {
 						continue
 					}
-					got["feasible"] += n
-					if !fold.keeps(base, k) {
-						continue
+					skipped = 0
+					if _, ok := leaf(root, mask); !ok {
+						t.Fatalf("%v: a class the pass fits does not", root)
 					}
 					got["floors"]++
 					price()
@@ -655,7 +660,6 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 						if !w.NextLeaf() {
 							break
 						}
-						got["RunLeaf calls"]++
 						leaf(root, w.Mask())
 					}
 				}

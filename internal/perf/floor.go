@@ -9,61 +9,6 @@ import (
 	"calculon/internal/units"
 )
 
-// SegmentFloor is what a segment's first-tier memory floor reads off one
-// toggle lattice: the profile slots its block switches reach, the screen
-// switches that save first-tier memory wherever the lattice holds them, and
-// its screen switch combinations. Build one per lattice with
-// NewSegmentFloor and pass it to Runner.FloorSegment.
-type SegmentFloor struct {
-	slots     uint64   // bit i: the lattice reaches profile slot i
-	saving    uint32   // the screen switches any combination turns on
-	screens   []uint32 // each combination's screen switches (screenBits)
-	perScreen int      // the leaves of a segment each combination holds
-}
-
-// NewSegmentFloor reads the floor's inputs off a toggle lattice.
-func NewSegmentFloor(tog *execution.Toggles) SegmentFloor {
-	var f SegmentFloor
-	var st execution.Strategy
-	tog.BlockSwitches(&st, func(s *execution.Strategy) { f.slots |= 1 << slotFor(s) })
-	f.perScreen = tog.ScreenSwitches(&st, func(s *execution.Strategy) {
-		b := screenBits(s)
-		f.saving |= b
-		f.screens = append(f.screens, b)
-	})
-	return f
-}
-
-// FloorSegment reports whether no leaf of the segment rooted at root — the
-// leaves f's lattice holds from it — fits the first memory tier, and if so
-// how many of them the pre-screen rejects. It needs no leaf: it holds the
-// tier's capacity against a floor that is at most every leaf's
-// Mem1.Total() (mem1Floor). It floors a segment only when every profile
-// slot the floor reads is already in the memo, and otherwise reports false
-// and leaves the walk to fill them. So a floored segment counts exactly
-// what walking it would: every leaf evaluated, none feasible, the leaves of
-// the screen combinations the pre-screen rejects pre-screened, and every
-// other leaf a profile cache hit (the leaves all pass the toggle rules).
-// The search's roots are training strategies; an inference root is never
-// floored. FloorSegment reads the screen verdicts and the profile row
-// through the chain's screenTable and termMemo, and allocates nothing once
-// the row holds the lattice's slot minima.
-func (r *Runner) FloorSegment(chain *RunInfo, f *SegmentFloor, root *execution.Strategy) (prescreened int, floored bool) {
-	d := r.chainOf(chain)
-	floor, ok := r.mem1Floor(d, f, root)
-	if !ok || floor <= r.sys.Mem1.Capacity {
-		return 0, false
-	}
-	probe := *root
-	for _, b := range f.screens {
-		setScreenBits(&probe, b)
-		if !d.screens.check(r.screen, &probe).OK() {
-			prescreened += f.perScreen
-		}
-	}
-	return prescreened, true
-}
-
 // mem1Floor returns a first-tier total no larger than any leaf's of the
 // segment rooted at root, or false when a profile slot it reads is not yet
 // in the memo (or the root is an inference strategy). It runs the three
@@ -79,11 +24,11 @@ func (r *Runner) FloorSegment(chain *RunInfo, f *SegmentFloor, root *execution.S
 // total, summed in the same order — is at most that leaf's, bit for bit.
 // The second tier is left out: its rows subtract the resident part, which
 // is not monotone.
-func (r *Runner) mem1Floor(d *deltaState, f *SegmentFloor, root *execution.Strategy) (units.Bytes, bool) {
+func (r *Runner) mem1Floor(d *deltaState, lat *SegmentLattice, root *execution.Strategy) (units.Bytes, bool) {
 	if root.Inference {
 		return 0, false
 	}
-	mn := d.memo.rowOf(r, root).slotMinima(f.slots)
+	mn := d.memo.rowOf(r, root).slotMinima(lat.reach)
 	if mn == nil {
 		return 0, false
 	}
@@ -91,7 +36,7 @@ func (r *Runner) mem1Floor(d *deltaState, f *SegmentFloor, root *execution.Strat
 	// The minimum stored activations are the totals' ActBytes below, which
 	// actPerMBPerBlock returns as they are under no recompute.
 	st.Recompute = execution.RecomputeNone
-	setScreenBits(&st, f.saving)
+	setScreenBits(&st, lat.saving)
 	e := eval{m: &r.m, sys: &r.sys, st: &st, memo: &d.memo}
 	e.tot = layers.Totals{WeightBytes: mn.weight, ActBytes: mn.acts, MaxOutputBytes: mn.maxOutput}
 	e.loadShape()

@@ -40,12 +40,14 @@ func TestSegmentFloorCounts(t *testing.T) {
 	got := mirrorSearches(t, m, runners, opts)
 	// 50,925 leaves: 25,767 in pruned subtrees (every leaf at 64 GPUs) and
 	// 1,198 segments of 21. The floor shows 444 segments hold no leaf that
-	// fits, counting their 9,324 leaves as profile cache hits, and the
-	// worker walks the other 754; it ran the memory half 11,039 times
-	// without the floor and 7,043 times with it.
+	// fits, counting their 9,324 leaves as profile cache hits; the memory
+	// pass prices the other 754, and the class walk runs on the 295 where
+	// some profile slot's bound keys pass the fold. The memory half ran
+	// 11,039 times with every segment walked class by class, 7,043 times
+	// with the floor, and now 1,056 times, once per class the walk steps.
 	want := map[string]int{
 		"leaves": 50925, "pre-screened": 25767, "feasible": 5229, "cache hits": 24006,
-		"segments floored": 444, "segments walked": 754, "memory-half runs": 7043,
+		"segments floored": 444, "segments walked": 295, "memory-half runs": 1056,
 	}
 	for k := range want {
 		if got[k] != want[k] {
@@ -55,13 +57,12 @@ func TestSegmentFloorCounts(t *testing.T) {
 }
 
 // TestFloorSegmentAllocatesNothing: once the segment's row holds the
-// lattice's slot minima, FloorSegment allocates nothing, whether it floors
-// the segment or not.
+// lattice's slot minima, the memory pass allocates nothing, whether the
+// segment floor turns the segment away or the pass prices every class.
 func TestFloorSegmentAllocatesNothing(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(16)
 	opts := execution.EnumOptions{Procs: 8, Features: execution.FeatureAll, HasMem2: true, MaxInterleave: 2}
-	tog := opts.Toggles()
-	floor := NewSegmentFloor(&tog)
+	lat := LatticeFor(&opts)
 	for _, c := range []struct {
 		name string
 		cap  units.Bytes
@@ -80,14 +81,11 @@ func TestFloorSegmentAllocatesNothing(t *testing.T) {
 				})
 			}
 			var chain RunInfo
+			var p SegmentPass
 			floored := 0
 			for i := range roots {
-				leaf := roots[i]
-				tog.Walk(&leaf, func(st *execution.Strategy, mask execution.FieldMask) bool {
-					r.RunLeaf(&chain, st, mask)
-					return true
-				})
-				if _, ok := r.FloorSegment(&chain, &floor, &roots[i]); ok {
+				r.PassSegment(&chain, lat, &roots[i], &p)
+				if fl, ok := r.mem1Floor(r.chainOf(&chain), lat, &roots[i]); ok && fl > c.cap {
 					floored++
 				}
 			}
@@ -96,11 +94,11 @@ func TestFloorSegmentAllocatesNothing(t *testing.T) {
 			}
 			n := testing.AllocsPerRun(3, func() {
 				for i := range roots {
-					r.FloorSegment(&chain, &floor, &roots[i])
+					r.PassSegment(&chain, lat, &roots[i], &p)
 				}
 			})
 			if n != 0 {
-				t.Fatalf("%d floors on a warm chain allocated %v times per pass, want 0", len(roots), n)
+				t.Fatalf("%d passes on a warm chain allocated %v times per round, want 0", len(roots), n)
 			}
 		})
 	}
@@ -114,13 +112,13 @@ func TestFloorSegmentAllocatesNothing(t *testing.T) {
 //   - once a walk of the segment has filled its profile slots, the floor
 //     is defined and at most the first-tier total (referenceMem1) of every
 //     leaf, admitted or not;
-//   - FloorSegment floors the segment exactly when the floor exceeds the
-//     first tier's capacity, at a drawn capacity at, just under or far
-//     under the floor, or the system's own;
-//   - a floored segment has no feasible leaf (referenceRun), and its
-//     counts are the walk's: the pre-screened leaves those a leaf-by-leaf
-//     walk finds, and every other leaf a profile cache hit, as a class walk
-//     counts them.
+//   - at a drawn capacity at, just under or far under the floor, or the
+//     system's own, a segment whose floor exceeds it has no feasible leaf
+//     (referenceRun);
+//   - the memory pass (PassSegment) on a fresh chain, floored or not,
+//     counts what the walks count: every leaf evaluated, the pre-screened
+//     and feasible leaves a leaf-by-leaf walk finds, and the cache hits a
+//     class walk counts.
 func FuzzSegmentFloor(f *testing.F) {
 	// Scaled gpt3-175B on 16 A100s with DDR, every feature, just under the
 	// floor; megatron-1T on 8 A100s, SeqPar, at half the floor; turing-530B
@@ -182,7 +180,7 @@ func FuzzSegmentFloor(f *testing.F) {
 		})
 		root := roots[int(segSel)%len(roots)]
 		tog := opts.Toggles()
-		floor := NewSegmentFloor(&tog)
+		lat := LatticeFor(&opts)
 
 		// Walk the segment under a first tier too large to turn a leaf
 		// away, so every slot the floor reads gets filled.
@@ -196,7 +194,7 @@ func FuzzSegmentFloor(f *testing.F) {
 		}
 		var chain RunInfo
 		leaf := root
-		if _, ok := roomy.mem1Floor(roomy.chainOf(&chain), &floor, &leaf); ok {
+		if _, ok := roomy.mem1Floor(roomy.chainOf(&chain), lat, &leaf); ok {
 			t.Fatalf("%v: a floor before any leaf filled a slot", root)
 		}
 		var leaves []execution.Strategy
@@ -205,7 +203,7 @@ func FuzzSegmentFloor(f *testing.F) {
 			leaves = append(leaves, *st)
 			return true
 		})
-		fl, ok := roomy.mem1Floor(roomy.chainOf(&chain), &floor, &root)
+		fl, ok := roomy.mem1Floor(roomy.chainOf(&chain), lat, &root)
 		if !ok {
 			t.Fatalf("%v: no floor after the walk filled the slots", root)
 		}
@@ -222,13 +220,9 @@ func FuzzSegmentFloor(f *testing.F) {
 			t.Fatal(err)
 		}
 		var fresh RunInfo
-		pre, floored := r.FloorSegment(&fresh, &floor, &root)
-		if floored != (fl > capacity) {
-			t.Fatalf("%v: floor %v, capacity %v, floored %v", root, float64(fl), float64(capacity), floored)
-		}
-		if !floored {
-			return
-		}
+		var p SegmentPass
+		r.PassSegment(&fresh, lat, &root, &p)
+		floored := fl > capacity
 		walkPre, feasible := 0, 0
 		chain = RunInfo{}
 		leaf = root
@@ -238,6 +232,9 @@ func FuzzSegmentFloor(f *testing.F) {
 			}
 			if chain.PreScreened {
 				walkPre++
+			}
+			if !floored {
+				return true
 			}
 			if res, err := referenceRun(m, tight, *st); err == nil {
 				t.Fatalf("%v: leaf %v of a floored segment fits: %v of %v", root, st, float64(res.Mem1.Total()), float64(capacity))
@@ -254,9 +251,9 @@ func FuzzSegmentFloor(f *testing.F) {
 				classHits += w.Len()
 			}
 		}
-		if feasible != 0 || walkPre != pre || classHits != tog.Len()-pre {
-			t.Fatalf("%v floored with %d pre-screened; the walks find %d feasible, %d pre-screened and %d cache hits of %d leaves",
-				root, pre, feasible, walkPre, classHits, tog.Len())
+		if p.Evaluated != tog.Len() || p.Feasible != feasible || p.PreScreened != walkPre || p.CacheHits != classHits || floored && feasible != 0 {
+			t.Fatalf("%v (floor %v, capacity %v): the pass counts %d evaluated, %d feasible, %d pre-screened, %d cache hits; the walks %d, %d, %d, %d",
+				root, float64(fl), float64(capacity), p.Evaluated, p.Feasible, p.PreScreened, p.CacheHits, tog.Len(), feasible, walkPre, classHits)
 		}
 	})
 }

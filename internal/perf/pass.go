@@ -1,0 +1,314 @@
+package perf
+
+import (
+	"math"
+	"slices"
+	"sync"
+
+	"calculon/internal/execution"
+	"calculon/internal/units"
+)
+
+// maxLatticeSlots is the most block-switch combinations a toggle lattice
+// holds: three recompute modes, three (SeqParallel, TPRedoForSP) pairs and
+// fused layers on or off.
+const maxLatticeSlots = 18
+
+// SegmentLattice is what the segment pass (Runner.PassSegment) reads off one
+// toggle lattice. A memory class of a segment is one combination of the
+// block switches — the recompute mode, the (SeqParallel, TPRedoForSP) pair
+// and fused layers, which pick a profile slot — with one of the screen
+// switches (the three offloads, optimizer sharding and DP overlap), and its
+// leaves are the variant-field completions of its pair. The three memory
+// rows read the screen switches through few of them: the weight row
+// WeightOffload, OptimSharding and DPOverlap; the optimizer row
+// OptimSharding and OptimOffload; the activation row ActOffload. So the
+// lattice lists the distinct inputs of each row once. A lattice depends only
+// on the feature set, the second tier and PinBeneficial, so LatticeFor
+// builds each of the twelve once per process.
+type SegmentLattice struct {
+	slots  []latticeSlot // graph slot major, so rows that read only the graph run once per graph
+	slotOf [profileSlots]int8
+	// reach has bit i set when the lattice reaches profile slot i, and
+	// saving the screen switches any combination turns on: the segment
+	// floor's inputs (mem1Floor).
+	reach  uint64
+	saving uint32
+	// screens are the lattice's screen switch combinations (screenBits),
+	// each holding perScreen of a segment's Len leaves; screenOf indexes
+	// them by their bits.
+	screens        []uint32
+	screenOf       [32]uint8
+	perScreen, len int
+	// The distinct inputs of the three rows, as screen bits with every
+	// other switch off, and the index of each combination's.
+	weightRows, optimRows, actRows []uint32
+	weightOf, optimOf, actOf       [32]uint8
+}
+
+// latticeSlot is one block-switch combination of a lattice: its profile
+// slot (slotFor, training), the switches, and how many leaves each of its
+// classes holds.
+type latticeSlot struct {
+	profile   uint32
+	recompute execution.RecomputeMode
+	sp, redo  bool
+	fused     bool
+	leaves    int
+}
+
+// The weight, optimizer and activation rows' screen switches, as screenBits
+// packs them.
+const (
+	weightScreenBits = 1 | 1<<3 | 1<<4
+	optimScreenBits  = 1<<2 | 1<<3
+	actScreenBits    = 1 << 1
+)
+
+var lattices [3][2][2]struct {
+	once sync.Once
+	l    SegmentLattice
+}
+
+// LatticeFor returns the segment lattice of the options' toggles
+// (EnumOptions.Toggles), built on first use and shared by every search.
+func LatticeFor(o *execution.EnumOptions) *SegmentLattice {
+	f := 2 // FeatureAll, and the empty set a search fills with it
+	switch o.Features {
+	case execution.FeatureBaseline:
+		f = 0
+	case execution.FeatureSeqPar:
+		f = 1
+	}
+	e := &lattices[f][b2u(o.HasMem2)][b2u(o.PinBeneficial)]
+	e.once.Do(func() {
+		tog := o.Toggles()
+		e.l = newSegmentLattice(&tog)
+	})
+	return &e.l
+}
+
+// newSegmentLattice reads a lattice off its toggles: the block switch
+// combinations (Toggles.BlockSwitches), the screen switch combinations
+// (Toggles.ScreenSwitches), and each class's length from a class walk.
+func newSegmentLattice(tog *execution.Toggles) SegmentLattice {
+	l := SegmentLattice{len: tog.Len()}
+	var st execution.Strategy
+	tog.BlockSwitches(&st, func(s *execution.Strategy) {
+		l.slots = append(l.slots, latticeSlot{profile: slotFor(s), recompute: s.Recompute,
+			sp: s.SeqParallel, redo: s.TPRedoForSP, fused: s.FusedLayers})
+	})
+	// Graph slot major: the slots of one priced graph are adjacent.
+	slices.SortFunc(l.slots, func(a, b latticeSlot) int {
+		return int(a.profile%graphSlots*4+a.profile/graphSlots) - int(b.profile%graphSlots*4+b.profile/graphSlots)
+	})
+	for i := range l.slotOf {
+		l.slotOf[i] = -1
+	}
+	for i := range l.slots {
+		l.slotOf[l.slots[i].profile] = int8(i)
+		l.reach |= 1 << l.slots[i].profile
+	}
+	l.perScreen = tog.ScreenSwitches(&st, func(s *execution.Strategy) {
+		b := screenBits(s)
+		l.screenOf[b] = uint8(len(l.screens))
+		l.screens = append(l.screens, b)
+		l.saving |= b
+		l.weightOf[b] = rowIndex(&l.weightRows, b&weightScreenBits)
+		l.optimOf[b] = rowIndex(&l.optimRows, b&optimScreenBits)
+		l.actOf[b] = rowIndex(&l.actRows, b&actScreenBits)
+	})
+	root := execution.Strategy{TP: 1, PP: 1, DP: 1, Microbatch: 1, Interleave: 1}
+	w := tog.Classes(&root)
+	for more := true; more; more = w.NextClass() {
+		l.slots[l.slotOf[slotFor(&root)]].leaves = w.Len()
+	}
+	return l
+}
+
+// rowIndex returns the index of key in *rows, appending it if absent.
+func rowIndex(rows *[]uint32, key uint32) uint8 {
+	if i := slices.Index(*rows, key); i >= 0 {
+		return uint8(i)
+	}
+	*rows = append(*rows, key)
+	return uint8(len(*rows) - 1)
+}
+
+// Slots returns the number of block-switch combinations, the profile slots
+// a segment reads.
+func (l *SegmentLattice) Slots() int { return len(l.slots) }
+
+// SegmentPass is one segment's memory verdicts, every class at once, as
+// Runner.PassSegment fills it: the leaf counts of the segment, and per
+// profile slot the classes that fit with their exact first- and
+// second-tier totals. A worker keeps one and reuses it for every segment;
+// the pass allocates only its table of class totals, sized to the lattice,
+// on its first segment.
+type SegmentPass struct {
+	// The segment's leaf counts, exactly what evaluating every leaf
+	// counts: Evaluated is the segment's length, PreScreened the leaves
+	// the pre-screen rejects, CacheHits the admitted leaves less the
+	// profile slots this pass computed, and Feasible the leaves that fit.
+	Evaluated, PreScreened, CacheHits, Feasible int
+
+	lat   *SegmentLattice
+	probe execution.Strategy
+	slots [maxLatticeSlots]slotPass
+	// totals holds the admitted classes' first- and second-tier totals,
+	// slot by slot, each slot's in the lattice's screen order (total).
+	totals [][2]units.Bytes
+	// The rows of the current graph slot and profile slot by row index, as
+	// MemBreakdown.Total adds them, tier by tier: the weights plus their
+	// gradients; the optimizer state; the activations and their gradient
+	// working space, apart.
+	weights [8][2]units.Bytes
+	optim   [4][2]units.Bytes
+	acts    [2][4]units.Bytes
+}
+
+// slotPass is one profile slot's part of a pass.
+type slotPass struct {
+	bound units.Seconds // batchTimeBound, which reads only the profile and the shape
+	rate  float64       // the sample rate of bound
+	least units.Bytes   // the least Mem1 of a fitting class
+	fits  uint32        // bit b: the class with screen bits b is admitted and fits
+}
+
+// total returns the first- and second-tier totals of the class of profile
+// slot i and screen bits b, which the last pass admitted.
+func (p *SegmentPass) total(i int, b uint32) *[2]units.Bytes {
+	return &p.totals[i*len(p.lat.screens)+int(p.lat.screenOf[b])]
+}
+
+// Bound returns the bound keys of profile slot i: the batch-time bound
+// every leaf of the slot shares (RunLeaf's) with the least Mem1 of its
+// fitting classes, and false when none fits. keys are no higher than the
+// bound keys of each fitting class of the slot, so a fold whose admission
+// is monotone in batch time and first-tier memory that turns them away
+// turns every class of the slot away.
+func (p *SegmentPass) Bound(i int) (Keys, bool) {
+	s := &p.slots[i]
+	if s.fits == 0 {
+		return Keys{}, false
+	}
+	return Keys{BatchTime: s.bound, SampleRate: s.rate, Mem1: s.least}, true
+}
+
+// Class returns, for the class *st stands on, its profile slot's index, its
+// bound keys — bit for bit what RunLeaf reports on any of its leaves — and
+// whether it fits. st must be a leaf of the segment the pass was last run
+// on.
+func (p *SegmentPass) Class(st *execution.Strategy) (slot int, k Keys, fits bool) {
+	slot = int(p.lat.slotOf[slotFor(st)])
+	s := &p.slots[slot]
+	b := screenBits(st)
+	if s.fits&(1<<b) == 0 {
+		return slot, Keys{}, false
+	}
+	return slot, Keys{BatchTime: s.bound, SampleRate: s.rate, Mem1: p.total(slot, b)[0]}, true
+}
+
+// PassSegment runs the memory half of every class of the segment rooted at
+// root — the leaves lat's lattice holds from it — at once, on the chain's
+// verdict table and row memo, and writes the verdicts and counts into *p.
+// The root's shape is validated once; every leaf passes the toggle rules
+// (TestLatticeBulkInvariants), so a class is admitted exactly when the
+// pre-screen passes its screen switches. Each memory row runs once per
+// distinct input — the weight and optimizer rows per graph slot and their
+// screen switches, the activation row per profile slot and ActOffload — on
+// the functions the chain runs, and each class's tier totals are summed from
+// its three rows in MemBreakdown.Total's order, so every total, and with it
+// each capacity verdict, is bit for bit the one evaluating the class
+// computes. A slot's profile is read once, only when some screen
+// combination is admitted, so a profile miss is counted here exactly as a
+// chain's step would count it. The search's roots are training strategies
+// that pass ValidateShape; a root that is not has no admitted leaf, and its
+// leaves are only counted as evaluated.
+//
+//calculonvet:ordered
+func (r *Runner) PassSegment(chain *RunInfo, lat *SegmentLattice, root *execution.Strategy, p *SegmentPass) {
+	d := r.chainOf(chain)
+	p.lat = lat
+	if n := len(lat.slots) * len(lat.screens); cap(p.totals) < n {
+		p.totals = make([][2]units.Bytes, n)
+	}
+	p.Evaluated, p.PreScreened, p.CacheHits, p.Feasible = lat.len, 0, 0, 0
+	for i := range lat.slots {
+		p.slots[i].fits = 0
+	}
+	if root.Inference || root.ValidateShape(&r.m) != nil {
+		return
+	}
+	p.probe = *root
+	st := &p.probe
+	var admitted uint32
+	for _, b := range lat.screens {
+		setScreenBits(st, b)
+		if d.screens.check(r.screen, st).OK() {
+			admitted |= 1 << b
+		} else {
+			p.PreScreened += lat.perScreen
+		}
+	}
+	if admitted == 0 {
+		return
+	}
+	p.CacheHits = lat.len - p.PreScreened
+	if fl, ok := r.mem1Floor(d, lat, root); ok && fl > r.sys.Mem1.Capacity {
+		// No leaf fits, and every slot is in the memo: the classes would
+		// all be admitted cache hits that overflow the first tier.
+		return
+	}
+	e := eval{m: &r.m, sys: &r.sys, st: st, memo: &d.memo}
+	e.loadShape()
+	var m1, m2 MemBreakdown     // each row's output, before p keeps it
+	graph := uint32(graphSlots) // none yet
+	for i := range lat.slots {
+		ls, s := &lat.slots[i], &p.slots[i]
+		st.Recompute, st.SeqParallel, st.TPRedoForSP, st.FusedLayers = ls.recompute, ls.sp, ls.redo, ls.fused
+		prof, hit := r.profile(d.memo.rowOf(r, st), st)
+		if !hit {
+			p.CacheHits--
+		}
+		// The slots of one graph share its totals and boundary bytes.
+		e.blockFwd, e.blockBwd, e.blockRecompute = prof.fwd, prof.bwd, prof.recompute
+		if g := ls.profile % graphSlots; g != graph {
+			graph = g
+			e.tot, e.boundaryBytes = prof.tot, prof.boundaryBytes
+			for k, b := range lat.weightRows {
+				setScreenBits(st, b)
+				e.weightRows(&m1, &m2)
+				p.weights[k] = [2]units.Bytes{m1.Weights + m1.WeightGrads, m2.Weights + m2.WeightGrads}
+			}
+			for k, b := range lat.optimRows {
+				setScreenBits(st, b)
+				e.optimizerRows(&m1, &m2)
+				p.optim[k] = [2]units.Bytes{m1.Optimizer, m2.Optimizer}
+			}
+		}
+		for k, b := range lat.actRows {
+			setScreenBits(st, b)
+			e.activationRows(&m1, &m2)
+			p.acts[k] = [4]units.Bytes{m1.Activations, m1.ActGrads, m2.Activations, m2.ActGrads}
+		}
+		s.bound = e.batchTimeBound()
+		s.rate = s.bound.Rate(float64(r.m.Batch))
+		s.least = units.Bytes(math.Inf(1))
+		for _, b := range lat.screens {
+			if admitted&(1<<b) == 0 {
+				continue
+			}
+			w, o, a := &p.weights[lat.weightOf[b]], &p.optim[lat.optimOf[b]], &p.acts[lat.actOf[b]]
+			t1 := w[0] + a[0] + a[1] + o[0]
+			t2 := w[1] + a[2] + a[3] + o[1]
+			*p.total(i, b) = [2]units.Bytes{t1, t2}
+			if t1 > r.sys.Mem1.Capacity || t2 > r.sys.Mem2.Capacity {
+				continue
+			}
+			s.fits |= 1 << b
+			s.least = minBytes(s.least, t1)
+			p.Feasible += ls.leaves
+		}
+	}
+}

@@ -1,0 +1,56 @@
+package perf_test
+
+import (
+	"context"
+	"sync/atomic"
+	"testing"
+
+	"calculon/internal/execution"
+	"calculon/internal/model"
+	"calculon/internal/perf"
+	"calculon/internal/search"
+	"calculon/internal/system"
+	"calculon/internal/units"
+)
+
+// TestSegmentSearchMemoryHalves pins how often the search's chains run the
+// memory half on BenchmarkSegmentSearch's space (gpt3-13B at batch 16 on 16
+// A100s with a 512 GiB second tier, every feature, TP up to 8, no
+// interleaving, top-10 and the Pareto front: 100 segments of 4,032 leaves
+// in 576 memory classes). The memory pass answers every class, so a chain
+// runs it only on the classes the fold can keep and the leaves it descends
+// into: 14,654 times at one worker, where the class-by-class walk ran it
+// 60,819 times. At two workers which chunks each worker's fold sees depends
+// on timing, and so does the count: 15,103 to 21,743 in 30 runs. It must
+// stay under half the class-by-class walk's one-worker count, and the
+// search's counters must not move.
+func TestSegmentSearchMemoryHalves(t *testing.T) {
+	m := model.MustPreset("gpt3-13B").WithBatch(16)
+	sys := system.A100(16).WithMem2(system.DDR5(512 * units.GiB))
+	opts := search.Options{
+		Enum: execution.EnumOptions{Procs: 16, Features: execution.FeatureAll, MaxTP: 8, MaxInterleave: 1},
+		TopK: 10, Pareto: true,
+	}
+	var halves atomic.Int64
+	perf.SetOnMemoryHalf(func(execution.FieldMask) { halves.Add(1) })
+	defer perf.SetOnMemoryHalf(nil)
+	var counts []search.Counts
+	for _, workers := range []int{1, 2} {
+		halves.Store(0)
+		opts.Workers = workers
+		res, err := search.Execution(context.Background(), m, sys, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts = append(counts, res.Counts)
+		switch n := halves.Load(); {
+		case workers == 1 && n != 14654:
+			t.Errorf("one worker ran %d memory halves, want 14,654", n)
+		case workers == 2 && n >= 60819/2:
+			t.Errorf("two workers ran %d memory halves, want fewer than 30,409", n)
+		}
+	}
+	if counts[0] != counts[1] || counts[0].Evaluated != 403200 {
+		t.Errorf("counts %+v at one worker, %+v at two; want 403,200 evaluated at both", counts[0], counts[1])
+	}
+}

@@ -160,7 +160,7 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 		}
 	}
 	tog := opts.Enum.Toggles()
-	floor := perf.NewSegmentFloor(&tog)
+	lat := perf.LatticeFor(&opts.Enum)
 	screen := execution.NewPreScreen(m, execution.Limits{
 		Procs: sys.Procs,
 		Mem1:  sys.Mem1.Capacity,
@@ -171,17 +171,17 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 	for w := range workers {
 		workers[w].fold = fold{topK: opts.TopK, pareto: opts.Pareto}
 	}
-	_ = Pool(ctx, len(workers), chunks.n, func(w, i int) error {
+	_ = Pool(ctx, len(workers), len(chunks.mbs), func(w, i int) error {
 		ws := &workers[w]
-		row, k, seq := chunks.at(i)
+		row, mb, seq := chunks.at(i)
 		if row.pruned {
 			// Every toggle projection failed the closed-form bound: the
 			// leaves are counted whole, exactly as walking them would.
 			leaves := row.microbatches * row.schedules * chunks.segLen
 			ws.chunk = Counts{Evaluated: leaves, PreScreened: leaves, SubtreePruned: leaves}
 		} else {
-			opts.Enum.MicrobatchSegments(&m, row.tpd, k, &ws.root, func(root *execution.Strategy) bool {
-				ws.segment(runner, &tog, &floor, root, seq, opts.CollectRates)
+			opts.Enum.MicrobatchSegments(&m, row.tpd, mb, &ws.root, func(root *execution.Strategy) bool {
+				ws.segment(runner, lat, &tog, root, seq, opts.CollectRates)
 				seq += chunks.segLen
 				return true
 			})
@@ -205,11 +205,12 @@ func executionScored(ctx context.Context, m model.LLM, sys system.System, opts O
 // workChunks is a search's work in the units a worker claims from Pool, in
 // enumeration order: a work chunk per microbatch row of a (t,p,d) subtree
 // (its segments, one per pipeline schedule) and one per pruned subtree. Its
-// table, built once per search, gives a chunk's triple, row and first seq.
+// table, built once per search, gives a chunk's triple, microbatch and
+// first seq.
 type workChunks struct {
 	rows   []tripleChunks
-	n      int // chunks in all
-	segLen int // leaves per segment
+	mbs    []int // each chunk's microbatch size; 0 for a pruned subtree
+	segLen int   // leaves per segment
 }
 
 // tripleChunks is one (t,p,d) subtree's entry in the table.
@@ -223,32 +224,44 @@ type tripleChunks struct {
 }
 
 // newWorkChunks builds the table of the triples, whose first leaf has seq
-// seqBase, running the lattice prune (CheckTriple) on each.
+// seqBase, running the lattice prune (CheckTriple) on each and recording the
+// microbatch of each row it keeps.
 func newWorkChunks(enum *execution.EnumOptions, m *model.LLM, screen *execution.PreScreen, triples [][3]int, seqBase int) workChunks {
 	tog := enum.Toggles()
 	c := workChunks{rows: make([]tripleChunks, len(triples)), segLen: tog.Len()}
-	seq := seqBase
+	seq, n := seqBase, 0
 	for i, tpd := range triples {
 		r := &c.rows[i]
-		r.tpd, r.seq, r.first = tpd, seq, c.n
+		r.tpd, r.seq, r.first = tpd, seq, n
 		r.microbatches, r.schedules = enum.TripleShape(m, tpd)
 		r.pruned = screen.CheckTriple(*enum, tpd) != nil
 		if r.pruned {
-			c.n++
+			n++
 		} else {
-			c.n += r.microbatches
+			n += r.microbatches
 		}
 		seq += r.microbatches * r.schedules * c.segLen
 	}
+	mbs := make([]int, 0, n)
+	for i := range c.rows {
+		if r := &c.rows[i]; r.pruned {
+			mbs = append(mbs, 0)
+		} else {
+			enum.Microbatches(m, r.tpd, func(mb int) bool {
+				mbs = append(mbs, mb)
+				return true
+			})
+		}
+	}
+	c.mbs = mbs
 	return c
 }
 
-// at returns chunk i's triple, its microbatch row within the triple (0 for
-// a pruned triple) and the sequence number of its first leaf.
-func (c *workChunks) at(i int) (row *tripleChunks, k, seq int) {
+// at returns chunk i's triple, its microbatch size (0 for a pruned triple)
+// and the sequence number of its first leaf.
+func (c *workChunks) at(i int) (row *tripleChunks, mb, seq int) {
 	row = &c.rows[sort.Search(len(c.rows), func(j int) bool { return c.rows[j].first > i })-1]
-	k = i - row.first
-	return row, k, row.seq + k*row.schedules*c.segLen
+	return row, c.mbs[i], row.seq + (i-row.first)*row.schedules*c.segLen
 }
 
 // resultFrom converts the merged worker state into the exported Result,
@@ -271,61 +284,64 @@ type workerState struct {
 }
 
 // worker is one search worker: its state, the tallies of the work chunk it
-// is on, its delta chain, the root it writes its chunks' segments into and,
-// last, the Result of a kept leaf, which keeps the next worker's counters
-// off the cache lines this one reads.
+// is on, its delta chain, the root it writes its chunks' segments into, the
+// memory pass of the segment it is on and, last, the Result of a kept leaf,
+// which keeps the next worker's counters off the cache lines this one reads.
 type worker struct {
 	workerState
 	chunk Counts
 	chain perf.RunInfo
 	root  execution.Strategy
+	pass  perf.SegmentPass
 	res   perf.Result
 }
 
-// segment walks one segment class by class on the chain, unless its memory
-// floor (Runner.FloorSegment) shows that no leaf fits the first memory
-// tier: the counters then take the whole segment at once, exactly as the
-// walk would count it, and the walk is skipped. RunLeaf's answer for one
-// leaf of a memory class is the whole class's, so the counters take the
-// class at once; its leaves share one block profile, so all but the first
-// hit the memo if that one reached it (a segment's leaves all pass
-// Validate, so a leaf not pre-screened did). The worker steps through the
-// other leaves of a feasible class only when keeps passes, at the segment's
-// first seq, on the class's bound keys and then on its floor (RunInfo.Floor,
-// which prices the class's first leaf). keeps is monotone in seq as in
-// batch time, and both keys bound every leaf of the class from below, so
-// this admits every leaf of the class a per-leaf test would (docs/MODEL.md,
-// "The leaf path").
-func (ws *worker) segment(runner *perf.Runner, tog *execution.Toggles, floor *perf.SegmentFloor, root *execution.Strategy, seq0 int, collectRates bool) {
-	chain, c := &ws.chain, &ws.chunk
-	if pre, ok := runner.FloorSegment(chain, floor, root); ok {
-		n := tog.Len()
-		c.Evaluated += n
-		c.PreScreened += pre
-		c.CacheHits += n - pre
+// segment evaluates one segment: the memory pass (Runner.PassSegment) gives
+// every class's memory verdict and the segment's counts at once, and the
+// worker steps its chain only to the classes the fold can keep. A profile
+// slot's bound keys (SegmentPass.Bound: the batch-time bound its leaves
+// share, with the least Mem1 of its fitting classes) are tested once, at the
+// segment's first seq: keeps is monotone in batch time, first-tier memory
+// and seq, so a slot they fail holds no leaf the fold keeps, and a segment
+// with no passing slot is done. The class walk then visits each class; it
+// steps the chain (RunLeaf) only on a fitting class of a passing slot whose
+// own bound keys pass keeps, ORing the masks of the classes it skips into
+// that step's mask, and descends into the class only if keeps passes on
+// its floor too (RunInfo.Floor, which prices the class's first leaf). The
+// descent runs keeps on each leaf at its own seq, on the bound keys and then
+// on the exact ones, before building its Result. With collectRates every
+// fitting class is stepped and every leaf of it priced (docs/MODEL.md, "The
+// leaf path").
+func (ws *worker) segment(runner *perf.Runner, lat *perf.SegmentLattice, tog *execution.Toggles, root *execution.Strategy, seq0 int, collectRates bool) {
+	chain, c, p := &ws.chain, &ws.chunk, &ws.pass
+	runner.PassSegment(chain, lat, root, p)
+	c.Evaluated += p.Evaluated
+	c.PreScreened += p.PreScreened
+	c.CacheHits += p.CacheHits
+	c.Feasible += p.Feasible
+	var passing uint32 // bit i: profile slot i may hold a leaf the fold keeps
+	for i := 0; i < lat.Slots(); i++ {
+		if k, ok := p.Bound(i); ok && (collectRates || ws.keeps(seq0, &k)) {
+			passing |= 1 << i
+		}
+	}
+	if passing == 0 {
 		return
 	}
+	var skipped execution.FieldMask // the masks of the classes walked past since the last step
 	w := tog.Classes(root)
 	for more := true; more; more = w.NextClass() {
-		k, ok := runner.RunLeaf(chain, root, w.Mask())
-		n := w.Len()
-		c.Evaluated += n
-		switch {
-		case chain.PreScreened:
-			c.PreScreened += n
-		case chain.CacheHit:
-			c.CacheHits += n
-		default:
-			c.CacheHits += n - 1
-		}
-		if !ok {
+		mask := skipped | w.Mask()
+		skipped = mask
+		i, k, fits := p.Class(root)
+		if !fits || passing&(1<<i) == 0 || !collectRates && !ws.keeps(seq0, &k) {
 			continue
 		}
-		c.Feasible += n
+		skipped = 0
+		if _, ok := runner.RunLeaf(chain, root, mask); !ok {
+			continue
+		}
 		if !collectRates {
-			if !ws.keeps(seq0, &k) {
-				continue
-			}
 			if f := chain.Floor(); !ws.keeps(seq0, &f) {
 				continue
 			}
@@ -347,7 +363,7 @@ func (ws *worker) segment(runner *perf.Runner, tog *execution.Toggles, floor *pe
 			if !w.NextLeaf() {
 				break
 			}
-			k, _ = runner.RunLeaf(chain, root, w.Mask())
+			runner.RunLeaf(chain, root, w.Mask())
 		}
 	}
 }

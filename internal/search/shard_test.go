@@ -271,25 +271,25 @@ func TestWorkChunksTileTheSpace(t *testing.T) {
 			}
 			c := newWorkChunks(&enum, &m, screen, triples[lo:hi], seqBase)
 			var root execution.Strategy
-			for i := 0; i < c.n; i++ {
-				row, k, first := c.at(i)
+			for i := range c.mbs {
+				row, mb, first := c.at(i)
 				if first != seq {
 					t.Fatalf("draw %d shard %d/%d chunk %d: first seq %d, want %d", draw, s, n, i, first, seq)
 				}
 				if row.pruned {
-					if k != 0 || screen.CheckTriple(enum, row.tpd) == nil {
-						t.Fatalf("draw %d chunk %d: pruned row %d of triple %v, which CheckTriple passes", draw, i, k, row.tpd)
+					if mb != 0 || screen.CheckTriple(enum, row.tpd) == nil {
+						t.Fatalf("draw %d chunk %d: pruned row of microbatch %d of triple %v, which CheckTriple passes", draw, i, mb, row.tpd)
 					}
 					pruned++
 					seq += enum.TripleLeafCount(m, row.tpd)
 					continue
 				}
-				enum.MicrobatchSegments(&m, row.tpd, k, &root, func(r *execution.Strategy) bool {
+				enum.MicrobatchSegments(&m, row.tpd, mb, &root, func(r *execution.Strategy) bool {
 					want, ok := firsts[seq]
 					tog.Walk(r, func(leaf *execution.Strategy, _ execution.FieldMask) bool {
 						if !ok || *leaf != want {
-							t.Fatalf("draw %d chunk %d (triple %v, row %d): segment at seq %d starts %+v, EnumerateTriple has %+v",
-								draw, i, row.tpd, k, seq, *leaf, want)
+							t.Fatalf("draw %d chunk %d (triple %v, microbatch %d): segment at seq %d starts %+v, EnumerateTriple has %+v",
+								draw, i, row.tpd, mb, seq, *leaf, want)
 						}
 						return false
 					})
