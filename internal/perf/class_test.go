@@ -370,15 +370,27 @@ func TestLeafClassCoversMemoryFields(t *testing.T) {
 // TestClassFloorReadsNoVariantField: the terms the class floor takes from
 // the time half exactly — the data-parallel group, the optimizer step and
 // the offload transfer times — read no field of execution.VariantFields,
-// so the values one leaf of a memory class leaves are every leaf's.
-// (checkClassFloors checks the floor itself across every class's leaves.)
+// so the values one leaf of a memory class leaves are every leaf's. And
+// the floor pass keys each term's row by exactly the screen switches its
+// mask names, so a row priced once serves every class that shares them.
+// (checkClassFloors checks the floor itself across every class's leaves,
+// and TestPassFloorsMatchChainFloor the pass's floors against it.)
 func TestClassFloorReadsNoVariantField(t *testing.T) {
+	var screen execution.Strategy
+	setScreenBits(&screen, 1<<5-1)
+	screenFields := execution.DiffMask(&execution.Strategy{}, &screen)
 	for _, g := range []struct {
 		name string
 		mask execution.FieldMask
-	}{{"data", dataMask}, {"optimizer", optimMask}, {"offload transfer", offloadXferMask}} {
+		bits uint32
+	}{{"data", dataMask, dataScreenBits}, {"optimizer", optimMask, optimScreenBits}, {"offload transfer", offloadXferMask, xferScreenBits}} {
 		if v := g.mask & execution.VariantFields; v != 0 {
 			t.Errorf("the %s terms read variant fields %b", g.name, v)
+		}
+		var st execution.Strategy
+		setScreenBits(&st, g.bits)
+		if keyed := execution.DiffMask(&execution.Strategy{}, &st); keyed != g.mask&screenFields {
+			t.Errorf("the floor pass keys the %s row by fields %b; its terms read screen fields %b", g.name, keyed, g.mask&screenFields)
 		}
 	}
 }

@@ -182,20 +182,6 @@ func (i *RunInfo) Keys() Keys {
 	return d.keys
 }
 
-// Floor returns the class floor of the chain's last leaf: keys whose
-// BatchTime is no higher than the exact batch time of any leaf of the
-// leaf's memory class — the leaves that differ from it only in
-// execution.VariantFields, whatever their overlap mode and RS+AG switches —
-// so whose SampleRate is no lower, with the class's exact Mem1. The floor
-// reads no variant field, so every leaf of a class gives the same one. Like
-// Result, it runs the time half first if Keys has not, and it is valid only
-// right after RunLeaf reported the leaf feasible.
-func (i *RunInfo) Floor() Keys {
-	k := i.Keys()
-	t := i.delta.e.classFloor()
-	return Keys{BatchTime: t, SampleRate: t.Rate(float64(i.delta.r.m.Batch)), Mem1: k.Mem1}
-}
-
 // Result writes the full Result of the chain's last leaf into *out, running
 // the time half first if Keys has not. It is valid only right after RunLeaf
 // reported that leaf feasible.

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -289,9 +290,11 @@ func TestDeltaEqualsScratch(t *testing.T) {
 // does. leafChain.run holds RunLeaf's bound keys to each feasible leaf's
 // exact keys (Mem1 equal, BatchTime no higher, SampleRate no lower), and
 // the leaf's Result must be the scratch evaluation's. No leaf of the
-// tight-mem1 enumeration fits; there the two paths must agree on that.
-// Then it walks the same spaces class by class (checkClassFloors), and the
-// all-mem2 one again with the beneficial toggles pinned.
+// tight-mem1 enumeration is admitted, and the mixed-mem1 one must hold both
+// a leaf that fits and one that overflows the first tier; where no leaf
+// fits the two paths must agree on that. Then it walks the same spaces
+// class by class (checkClassFloors), and the all-mem2 one again with the
+// beneficial toggles pinned.
 func TestBoundKeysSound(t *testing.T) {
 	feasible, classes := 0, 0
 	for _, tc := range deltaCases() {
@@ -300,19 +303,27 @@ func TestBoundKeysSound(t *testing.T) {
 			t.Fatal(err)
 		}
 		lc := leafChain{r: r}
+		fits, overflows := 0, 0
 		tc.opts.Enumerate(tc.m, func(st execution.Strategy) bool {
 			got, err := lc.run(st)
 			want, wantErr := r.Run(st)
+			var ie *infeasibleError
 			switch {
 			case err != nil && err != ErrInfeasible:
 				t.Fatalf("%s %v: %v", tc.name, st, err)
 			case (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want):
 				t.Fatalf("%s %v: leaf chain (err %v) differs from Run (err %v)", tc.name, st, err, wantErr)
 			case err == nil:
-				feasible++
+				fits++
+			case errors.As(wantErr, &ie) && ie.v.kind == mem1Overflow:
+				overflows++
 			}
 			return true
 		})
+		if tc.name == "mixed-mem1" && (fits == 0 || overflows == 0) {
+			t.Fatalf("%s: %d leaves fit and %d overflow the first tier; want some of each", tc.name, fits, overflows)
+		}
+		feasible += fits
 		classes += checkClassFloors(t, tc)
 		if tc.opts.HasMem2 {
 			tc.opts.PinBeneficial = true
@@ -377,6 +388,22 @@ func checkClassFloors(t *testing.T, tc deltaCase) int {
 	return classes
 }
 
+// Floor returns the class floor of the chain's last leaf: classFloor on the
+// terms the time half left on the chain, with the leaf's exact Mem1. The
+// floor reads no variant field, so every leaf of a class gives the same
+// one, and the floor pass (Runner.PassFloors) prices it from rows instead
+// (TestPassFloorsMatchChainFloor). Like Result, it runs the time half first
+// if Keys has not, and it is valid only right after RunLeaf reported the
+// leaf feasible.
+func (i *RunInfo) Floor() Keys {
+	k := i.Keys()
+	e := &i.delta.e
+	tpFwd, tpBwd := e.tpFloor()
+	c := classTerms{dpPenalty: e.dpPenalty, dpExposed: e.dpExposed, optimTime: e.optimTime, xferFwd: e.xferFwd, xferBwd: e.xferBwd}
+	t := e.classFloor(tpFwd, tpBwd, &c)
+	return Keys{BatchTime: t, SampleRate: t.Rate(float64(i.delta.r.m.Batch)), Mem1: k.Mem1}
+}
+
 type deltaCase struct {
 	name string
 	m    model.LLM
@@ -385,8 +412,10 @@ type deltaCase struct {
 }
 
 // deltaCases are the configurations the chain equivalence tests walk: a
-// sequence-parallel space, every feature with a second memory tier, and a
-// first tier so tight that most leaves overflow it.
+// sequence-parallel space, every feature with a second memory tier, a model
+// whose every leaf the pre-screen rejects, and a first tier so tight that
+// most admitted leaves overflow it while some fit (TestBoundKeysSound
+// checks both happen).
 func deltaCases() []deltaCase {
 	return []deltaCase{
 		{
@@ -405,6 +434,12 @@ func deltaCases() []deltaCase {
 			name: "tight-mem1",
 			m:    model.MustPreset("gpt3-175B").WithBatch(8),
 			sys:  system.A100(8),
+			opts: execution.EnumOptions{Procs: 8, Features: execution.FeatureAll, MaxInterleave: 2},
+		},
+		{
+			name: "mixed-mem1",
+			m:    model.MustPreset("gpt3-13B").WithBatch(16),
+			sys:  system.A100(8).WithMem1Capacity(32 * units.GiB),
 			opts: execution.EnumOptions{Procs: 8, Features: execution.FeatureAll, MaxInterleave: 2},
 		},
 	}
@@ -469,16 +504,16 @@ func TestRunDeltaForeignChain(t *testing.T) {
 // (mirrorSearches), how often the chain runs its memory half, on how many
 // of those runs it reads the block profile and fetches a profile row, and
 // on how many each memory row and time group recomputes. Each segment's
-// memory pass answers every class at once; the chain steps (RunLeaf) only
-// to a fitting class of a profile slot whose bound keys pass keeps, when
-// the class's own bound keys pass too, and prices its first leaf for the
-// class floor, descending into the class when keeps passes on that. The
-// time groups run only when the fold asks for a leaf's exact keys or a
-// class floor, with the masks owed since they last ran. The counts come
-// from the masks step hands the memory half (onMemoryHalf), so production
-// code counts nothing. A widened mask or a lost class answer shows up here
-// as an exact count change rather than as noise in wall time; a narrowed
-// mask must also pass the equivalence suites above.
+// memory pass answers every class at once; the floor half of the pass
+// prices the floors of the fitting classes of the profile slots whose
+// bound keys pass keeps, and selects those whose floors pass too; the chain
+// steps (RunLeaf) only into a selected class and descends through its
+// leaves. The time groups run only when the fold asks for a leaf's exact
+// keys, with the masks owed since they last ran. The counts come from the
+// masks step hands the memory half (onMemoryHalf), so production code
+// counts nothing. A widened mask or a lost class answer shows up here as an
+// exact count change rather than as noise in wall time; a narrowed mask
+// must also pass the equivalence suites above.
 func TestTermGroupRecomputeCounts(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(64)
 	sys := system.A100(64).WithMem2(system.DDR5(512 * units.GiB))
@@ -492,28 +527,30 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 	// 11,088 leaves pre-screened (so 2,065,392 admitted), 2,010,498
 	// feasible, 2,064,654 profile cache hits. No segment is floored: every
 	// one holds a leaf that fits. Of the 515 × 18 profile slots, 1,758 pass
-	// the fold on their bound keys, in 187 segments, whose class walks visit
-	// 107,712 classes. The chain steps to the 21,787 classes whose own bound
-	// keys pass and prices each one's first leaf for its floor, which lets
-	// 1,424 of them through: RunLeaf runs 30,089 times, once per stepped
-	// class and on 8,302 more leaves of the descended classes, and every
-	// run reaches the memory half; 30,089 leaves are priced for time. When
-	// the worker ran RunLeaf on every class it made 304,942 calls and
-	// 303,358 memory halves, the rows rerunning 74,160, 179,901 and 97,335
-	// times; the time groups, which only stepped classes reach, ran as often
-	// as now. The profile is read on 3,474 memory halves: the stepped
-	// classes that move a block switch. Only the 187 walked segments' first
+	// the fold on their bound keys. The floor pass prices the floors of the
+	// 22,167 fitting classes of those slots that the top-K test on the
+	// slot's bound or the front's memory limit leave, and selects classes
+	// in 93 segments, whose class walks visit 42,264 classes up to the last
+	// selected one. The chain steps into the 1,424 selected classes whose
+	// floors still pass keeps — the classes it descended into when it
+	// stepped to each of 21,787 classes to price its first leaf's floor —
+	// so RunLeaf runs 9,726 times, on every leaf of those classes, where it
+	// ran 30,089 times; every run reaches the memory half, and every leaf
+	// is priced for time. Stepping for floors, the rows reran 8,044, 14,215
+	// and 9,791 times and the time groups 7,504, 7,746, 5,349, 14,215 and
+	// 25,614 times. The profile is read on 548 memory halves: the stepped
+	// classes that move a block switch. Only the 93 walked segments' first
 	// steps have a mask that reaches TP or Microbatch; the chain's row memo
 	// fetches a row from the shared memo on 125 calls in all, the memory
-	// passes' included, where (TP, Microbatch) changed.
+	// and floor passes' included, where (TP, Microbatch) changed.
 	want := map[string]int{
-		"leaves": 2076480, "classes": 107712, "pre-screened": 11088, "feasible": 2010498,
-		"cache hits": 2064654, "segments floored": 0, "segments walked": 187, "slots passed": 1758,
-		"floors": 21787, "descents": 1424,
-		"RunLeaf calls": 30089, "memory-half runs": 30089, "timed": 30089,
-		"row steps": 187, "row fetches": 125, "profile reads": 3474, "shape": 187,
-		"mem weights": 8044, "mem optimizer": 14215, "mem activations": 9791,
-		"tensor": 7504, "pipe": 7746, "data": 5349, "optimizer": 14215, "offload": 25614,
+		"leaves": 2076480, "classes": 42264, "pre-screened": 11088, "feasible": 2010498,
+		"cache hits": 2064654, "segments floored": 0, "segments walked": 93, "slots passed": 1758,
+		"class floors priced": 22167, "classes stepped": 1424,
+		"RunLeaf calls": 9726, "memory-half runs": 9726, "timed": 9726,
+		"row steps": 93, "row fetches": 125, "profile reads": 548, "shape": 93,
+		"mem weights": 790, "mem optimizer": 1164, "mem activations": 1001,
+		"tensor": 4578, "pipe": 4820, "data": 610, "optimizer": 1164, "offload": 5454,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recompute counts changed:\n got %v\nwant %v", got, want)
@@ -524,13 +561,16 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 // chain as a single search worker walks it under a top-10 + Pareto fold,
 // and returns its counts: the lattice prune drops a triple the pre-screen
 // rejects whole; every other segment gets its memory pass (PassSegment),
-// which floors it when the segment floor shows no leaf fits; the class walk
-// runs only when some profile slot's bound keys pass keeps, and steps the
-// chain only on the fitting classes of passing slots whose own bound keys
-// pass, ORing the masks of the classes it walks past. Runners from one
-// RunnerGroup share their profile rows, as the sizes of a sweep do. The
-// counts of each memory half and of the term groups it and the time half
-// rerun come through onMemoryHalf.
+// which floors it when the segment floor shows no leaf fits; when some
+// profile slot's bound keys pass keeps, the floor pass (PassFloors) prices
+// the floors of the fitting classes of passing slots that the top-K test
+// on the slot's bound or the front's memory limit leave, and selects those
+// whose floors pass keeps; the class walk runs only when some class is
+// selected, up to the last one, and steps the chain only into a selected
+// class whose floor still passes, ORing the masks of the classes it walks
+// past. Runners from one RunnerGroup share their profile rows, as the
+// sizes of a sweep do. The counts of each memory half and of the term
+// groups it and the time half rerun come through onMemoryHalf.
 func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution.EnumOptions) map[string]int {
 	t.Helper()
 	memGroups := []struct {
@@ -629,31 +669,50 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 				if passing == 0 {
 					return true
 				}
+				var below [MaxSlots]units.Bytes
+				for i := range below[:lat.Slots()] {
+					k, _ := p.Bound(i)
+					switch {
+					case passing&(1<<i) == 0:
+						below[i] = units.Bytes(math.Inf(-1))
+					case fold.entersTop(base, k):
+						below[i] = units.Bytes(math.Inf(1))
+					default:
+						below[i] = fold.frontLimit(k.BatchTime)
+					}
+				}
+				selected := r.PassFloors(&chain, &p, below[:lat.Slots()], func(k *Keys) bool {
+					got["class floors priced"]++
+					return fold.keeps(base, *k)
+				})
+				noteRow()
+				if selected == 0 {
+					return true
+				}
 				got["segments walked"]++
 				var skipped execution.FieldMask
 				w := tog.Classes(root)
-				for more := true; more; more = w.NextClass() {
+				for more := true; more && selected > 0; more = w.NextClass() {
 					got["classes"]++
 					mask := skipped | w.Mask()
 					skipped = mask
-					i, k, fits := p.Class(root)
-					if !fits || passing&(1<<i) == 0 || !fold.keeps(base, k) {
+					floor, ok := p.Selected(root)
+					if !ok {
+						continue
+					}
+					selected--
+					if !fold.keeps(base, floor) {
 						continue
 					}
 					skipped = 0
 					if _, ok := leaf(root, mask); !ok {
 						t.Fatalf("%v: a class the pass fits does not", root)
 					}
-					got["floors"]++
-					price()
-					if !fold.keeps(base, chain.Floor()) {
-						continue
-					}
-					got["descents"]++
+					got["classes stepped"]++
 					for {
-						if seq := base + w.Rank(); fold.keeps(seq, k) {
+						if fold.keeps(base, floor) {
 							exact := price()
-							if fold.keeps(seq, exact) {
+							if seq := base + w.Rank(); fold.keeps(base, exact) && fold.keeps(seq, exact) {
 								fold.offer(seq, exact)
 							}
 						}
@@ -709,12 +768,28 @@ func (f *keysFold) slot(seq int, k Keys) (int, bool) {
 }
 
 func (f *keysFold) keeps(seq int, k Keys) bool {
-	n := len(f.top)
-	if n < f.topK || ahead(seq, k, f.top[n-1]) {
+	if f.entersTop(seq, k) {
 		return true
 	}
 	_, ok := f.slot(seq, k)
 	return ok
+}
+
+// entersTop reports whether the candidate enters the top-K.
+func (f *keysFold) entersTop(seq int, k Keys) bool {
+	n := len(f.top)
+	return n < f.topK || ahead(seq, k, f.top[n-1])
+}
+
+// frontLimit returns the Mem1 of the last front point strictly faster than
+// t, +Inf when there is none: no candidate of batch time t or more enters
+// the front from that memory up.
+func (f *keysFold) frontLimit(t units.Seconds) units.Bytes {
+	i := sort.Search(len(f.front), func(j int) bool { return f.front[j].k.BatchTime >= t })
+	if i == 0 {
+		return units.Bytes(math.Inf(1))
+	}
+	return f.front[i-1].k.Mem1
 }
 
 func (f *keysFold) offer(seq int, k Keys) {

@@ -41,13 +41,15 @@ func TestSegmentFloorCounts(t *testing.T) {
 	// 50,925 leaves: 25,767 in pruned subtrees (every leaf at 64 GPUs) and
 	// 1,198 segments of 21. The floor shows 444 segments hold no leaf that
 	// fits, counting their 9,324 leaves as profile cache hits; the memory
-	// pass prices the other 754, and the class walk runs on the 295 where
-	// some profile slot's bound keys pass the fold. The memory half ran
-	// 11,039 times with every segment walked class by class, 7,043 times
-	// with the floor, and now 1,056 times, once per class the walk steps.
+	// pass prices the other 754, and the class walk runs on the 90 where
+	// the floor pass selects a class. The memory half ran 11,039 times with
+	// every segment walked class by class, 7,043 times with the floor,
+	// 1,056 times stepping to each class of a passing slot whose bound keys
+	// pass (on the 295 segments with such a slot), and now 490 times, once
+	// per leaf of a selected class.
 	want := map[string]int{
 		"leaves": 50925, "pre-screened": 25767, "feasible": 5229, "cache hits": 24006,
-		"segments floored": 444, "segments walked": 295, "memory-half runs": 1056,
+		"segments floored": 444, "segments walked": 90, "memory-half runs": 490,
 	}
 	for k := range want {
 		if got[k] != want[k] {
@@ -58,7 +60,8 @@ func TestSegmentFloorCounts(t *testing.T) {
 
 // TestFloorSegmentAllocatesNothing: once the segment's row holds the
 // lattice's slot minima, the memory pass allocates nothing, whether the
-// segment floor turns the segment away or the pass prices every class.
+// segment floor turns the segment away or the pass prices every class, and
+// neither does the floor pass pricing every fitting class's floor.
 func TestFloorSegmentAllocatesNothing(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(16)
 	opts := execution.EnumOptions{Procs: 8, Features: execution.FeatureAll, HasMem2: true, MaxInterleave: 2}
@@ -92,13 +95,22 @@ func TestFloorSegmentAllocatesNothing(t *testing.T) {
 			if (floored > 0) != (c.name == "floored") {
 				t.Fatalf("%d of %d segments floored", floored, len(roots))
 			}
+			below := make([]units.Bytes, lat.Slots())
+			for i := range below {
+				below[i] = units.Bytes(math.Inf(1))
+			}
+			selected := 0
 			n := testing.AllocsPerRun(3, func() {
 				for i := range roots {
 					r.PassSegment(&chain, lat, &roots[i], &p)
+					selected += r.PassFloors(&chain, &p, below, func(*Keys) bool { return true })
 				}
 			})
 			if n != 0 {
-				t.Fatalf("%d passes on a warm chain allocated %v times per round, want 0", len(roots), n)
+				t.Fatalf("%d memory and floor passes on a warm chain allocated %v times per round, want 0", len(roots), n)
+			}
+			if selected == 0 {
+				t.Fatal("the floor passes selected no class: no floor was priced")
 			}
 		})
 	}

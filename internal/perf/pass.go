@@ -2,6 +2,7 @@ package perf
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -9,10 +10,10 @@ import (
 	"calculon/internal/units"
 )
 
-// maxLatticeSlots is the most block-switch combinations a toggle lattice
-// holds: three recompute modes, three (SeqParallel, TPRedoForSP) pairs and
-// fused layers on or off.
-const maxLatticeSlots = 18
+// MaxSlots is the most block-switch combinations, profile slots, a toggle
+// lattice holds: three recompute modes, three (SeqParallel, TPRedoForSP)
+// pairs and fused layers on or off.
+const MaxSlots = 18
 
 // SegmentLattice is what the segment pass (Runner.PassSegment) reads off one
 // toggle lattice. A memory class of a segment is one combination of the
@@ -40,10 +41,16 @@ type SegmentLattice struct {
 	screens        []uint32
 	screenOf       [32]uint8
 	perScreen, len int
-	// The distinct inputs of the three rows, as screen bits with every
-	// other switch off, and the index of each combination's.
+	// The distinct inputs of the three memory rows, as screen bits with
+	// every other switch off, and the index of each combination's. The
+	// optimizer row's switches are also the optimizer step's.
 	weightRows, optimRows, actRows []uint32
 	weightOf, optimOf, actOf       [32]uint8
+	// The same for the two time rows the class floor reads beyond the
+	// optimizer step (Runner.PassFloors): the data-parallel exposure and
+	// the offload transfers.
+	dataRows, xferRows []uint32
+	dataOf, xferOf     [32]uint8
 }
 
 // latticeSlot is one block-switch combination of a lattice: its profile
@@ -58,11 +65,14 @@ type latticeSlot struct {
 }
 
 // The weight, optimizer and activation rows' screen switches, as screenBits
-// packs them.
+// packs them, and those of the data-parallel exposure (dataComm) and the
+// offload transfers (offload).
 const (
 	weightScreenBits = 1 | 1<<3 | 1<<4
 	optimScreenBits  = 1<<2 | 1<<3
 	actScreenBits    = 1 << 1
+	dataScreenBits   = 1<<3 | 1<<4
+	xferScreenBits   = 1 | 1<<1 | 1<<2 | 1<<3
 )
 
 var lattices [3][2][2]struct {
@@ -117,6 +127,8 @@ func newSegmentLattice(tog *execution.Toggles) SegmentLattice {
 		l.weightOf[b] = rowIndex(&l.weightRows, b&weightScreenBits)
 		l.optimOf[b] = rowIndex(&l.optimRows, b&optimScreenBits)
 		l.actOf[b] = rowIndex(&l.actRows, b&actScreenBits)
+		l.dataOf[b] = rowIndex(&l.dataRows, b&dataScreenBits)
+		l.xferOf[b] = rowIndex(&l.xferRows, b&xferScreenBits)
 	})
 	root := execution.Strategy{TP: 1, PP: 1, DP: 1, Microbatch: 1, Interleave: 1}
 	w := tog.Classes(&root)
@@ -154,7 +166,7 @@ type SegmentPass struct {
 
 	lat   *SegmentLattice
 	probe execution.Strategy
-	slots [maxLatticeSlots]slotPass
+	slots [MaxSlots]slotPass
 	// totals holds the admitted classes' first- and second-tier totals,
 	// slot by slot, each slot's in the lattice's screen order (total).
 	totals [][2]units.Bytes
@@ -165,6 +177,18 @@ type SegmentPass struct {
 	weights [8][2]units.Bytes
 	optim   [4][2]units.Bytes
 	acts    [2][4]units.Bytes
+
+	// The floor pass's selection (Runner.PassFloors), apart from the slots
+	// every segment's memory pass writes: per profile slot the screen bits
+	// of the selected classes, the floor of each class by slot and screen
+	// bits, and the global batch its sample rate is for.
+	picked [MaxSlots]uint32
+	floors [MaxSlots][32]units.Seconds
+	batch  float64
+	// asked is the floor keys PassFloors hands keep, held here: keys on
+	// PassFloors' frame would move to the heap at every call, since keep
+	// may keep the pointer.
+	asked Keys
 }
 
 // slotPass is one profile slot's part of a pass.
@@ -311,4 +335,110 @@ func (r *Runner) PassSegment(chain *RunInfo, lat *SegmentLattice, root *executio
 			p.Feasible += ls.leaves
 		}
 	}
+}
+
+// PassFloors is the floor half of the segment pass, for a search whose fold
+// can keep some leaf of the segment PassSegment last ran on. It prices the
+// class floor of every fitting class of profile slot i whose Mem1 lies
+// below below[i] (one entry per slot), and selects the class when keep
+// accepts its floor keys; Selected reads the selection back, and the count
+// selected is returned. The floor is classFloor's arithmetic on rows priced
+// once per distinct input, on the chain's memo and the functions the
+// chain's time half runs: the TP floor per profile slot, the data-parallel
+// exposure and penalty per slot and (OptimSharding, DPOverlap), the
+// optimizer step per graph slot and (OptimSharding, OptimOffload), and the
+// offload transfers per slot and (the three offloads, OptimSharding). None
+// of them reads a variant field, so each floor is bit for bit what
+// classFloor gives on any leaf of the class after its time half
+// (TestPassFloorsMatchChainFloor), and floorMargin's soundness carries over.
+//
+//calculonvet:ordered
+func (r *Runner) PassFloors(chain *RunInfo, p *SegmentPass, below []units.Bytes, keep func(*Keys) bool) int {
+	d := r.chainOf(chain)
+	lat := p.lat
+	p.batch = float64(r.m.Batch)
+	st := &p.probe
+	e := eval{m: &r.m, sys: &r.sys, st: st, memo: &d.memo}
+	e.loadShape()
+	// Each row's terms by row index, and the rows priced: the optimizer
+	// step's since the graph slot changed, the others' since the slot did.
+	var optim [4]units.Seconds
+	var data [4][2]units.Seconds
+	var xfer [16][2]units.Seconds
+	var haveOptim, haveData, haveXfer uint32
+	graph := uint32(graphSlots) // none yet
+	selected := 0
+	for i := range lat.slots {
+		p.picked[i] = 0
+		var cands uint32
+		for f := p.slots[i].fits; f != 0; f &= f - 1 {
+			if b := bits.TrailingZeros32(f); p.total(i, uint32(b))[0] < below[i] {
+				cands |= 1 << b
+			}
+		}
+		if cands == 0 {
+			continue
+		}
+		ls := &lat.slots[i]
+		st.Recompute, st.SeqParallel, st.TPRedoForSP, st.FusedLayers = ls.recompute, ls.sp, ls.redo, ls.fused
+		prof, _ := r.profile(d.memo.rowOf(r, st), st) // PassSegment read, and counted, it
+		e.loadProfile(prof)
+		if g := ls.profile % graphSlots; g != graph {
+			graph, haveOptim = g, 0
+		}
+		haveData, haveXfer = 0, 0
+		tpFwd, tpBwd := e.tpFloor()
+		for ; cands != 0; cands &= cands - 1 {
+			b := uint32(bits.TrailingZeros32(cands))
+			setScreenBits(st, b)
+			di, oi, xi := lat.dataOf[b], lat.optimOf[b], lat.xferOf[b]
+			if haveData&(1<<di) == 0 {
+				e.dpTotal, e.dpExposed, e.dpPenalty = 0, 0, 0
+				e.dataComm()
+				data[di] = [2]units.Seconds{e.dpPenalty, e.dpExposed}
+				haveData |= 1 << di
+			}
+			if haveOptim&(1<<oi) == 0 {
+				e.optimTime = 0
+				e.optimizer()
+				optim[oi] = e.optimTime
+				haveOptim |= 1 << oi
+			}
+			if haveXfer&(1<<xi) == 0 {
+				// offload leaves the transfer times alone with no offload
+				// switch on; its other outputs are not read here.
+				e.xferFwd, e.xferBwd = 0, 0
+				e.offload()
+				xfer[xi] = [2]units.Seconds{e.xferFwd, e.xferBwd}
+				haveXfer |= 1 << xi
+			}
+			c := classTerms{dpPenalty: data[di][0], dpExposed: data[di][1], optimTime: optim[oi],
+				xferFwd: xfer[xi][0], xferBwd: xfer[xi][1]}
+			p.floors[i][b] = e.classFloor(tpFwd, tpBwd, &c)
+			if p.asked = p.floorKeys(i, b); keep(&p.asked) {
+				p.picked[i] |= 1 << b
+				selected++
+			}
+		}
+	}
+	return selected
+}
+
+// Selected returns, for the class *st stands on, its floor keys and whether
+// the last PassFloors selected it. st must be a leaf of the segment the
+// pass was last run on.
+func (p *SegmentPass) Selected(st *execution.Strategy) (Keys, bool) {
+	i := int(p.lat.slotOf[slotFor(st)])
+	b := screenBits(st)
+	if p.picked[i]&(1<<b) == 0 {
+		return Keys{}, false
+	}
+	return p.floorKeys(i, b), true
+}
+
+// floorKeys returns the floor keys of the class of profile slot i and
+// screen bits b, whose floor the last PassFloors priced.
+func (p *SegmentPass) floorKeys(i int, b uint32) Keys {
+	t := p.floors[i][b]
+	return Keys{BatchTime: t, SampleRate: t.Rate(p.batch), Mem1: p.total(i, b)[0]}
 }

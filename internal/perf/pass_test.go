@@ -52,7 +52,8 @@ func TestSegmentLatticeMatchesWalk(t *testing.T) {
 				}
 				for _, b := range lat.screens {
 					if lat.weightRows[lat.weightOf[b]] != b&weightScreenBits || lat.optimRows[lat.optimOf[b]] != b&optimScreenBits ||
-						lat.actRows[lat.actOf[b]] != b&actScreenBits {
+						lat.actRows[lat.actOf[b]] != b&actScreenBits || lat.dataRows[lat.dataOf[b]] != b&dataScreenBits ||
+						lat.xferRows[lat.xferOf[b]] != b&xferScreenBits {
 						t.Fatalf("%s: screen bits %b point at rows of other switches", name, b)
 					}
 				}
@@ -107,7 +108,7 @@ func TestPassMatchesClassWalk(t *testing.T) {
 					}
 					pr.PassSegment(&pchain, lat, root, &p)
 					var want [4]int // evaluated, pre-screened, cache hits, feasible
-					least := [maxLatticeSlots]units.Bytes{}
+					least := [MaxSlots]units.Bytes{}
 					for i := range least {
 						least[i] = units.Bytes(math.Inf(1))
 					}
@@ -165,5 +166,75 @@ func TestPassMatchesClassWalk(t *testing.T) {
 	}
 	if fits == 0 || totals == 0 {
 		t.Fatalf("%d leaves fit, %d class totals compared: the bound keys or totals went unchecked", fits, totals)
+	}
+}
+
+// TestPassFloorsMatchChainFloor holds the floor half of the pass to the
+// chain's class floor: on every delta case (the all-mem2 one also with the
+// beneficial toggles pinned), for every segment, PassFloors with no memory limit and a keep that takes everything
+// must select exactly the classes RunLeaf finds feasible, each with floor
+// keys bit for bit those RunInfo.Floor gives on the class's first leaf on
+// another Runner's chain.
+func TestPassFloorsMatchChainFloor(t *testing.T) {
+	var cases []deltaCase
+	for _, tc := range deltaCases() {
+		cases = append(cases, tc)
+		if tc.opts.HasMem2 {
+			tc.name += "/pinned"
+			tc.opts.PinBeneficial = true
+			cases = append(cases, tc)
+		}
+	}
+	floors := 0
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pr, err := NewRunner(tc.m, tc.sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wr, err := NewRunner(tc.m, tc.sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tog := tc.opts.Toggles()
+			lat := LatticeFor(&tc.opts)
+			var pchain, wchain RunInfo
+			var p SegmentPass
+			below := make([]units.Bytes, lat.Slots())
+			for i := range below {
+				below[i] = units.Bytes(math.Inf(1))
+			}
+			for _, tpd := range tc.opts.Triples(tc.m) {
+				tc.opts.Segments(&tc.m, tpd, func(root *execution.Strategy) bool {
+					pr.PassSegment(&pchain, lat, root, &p)
+					selected := pr.PassFloors(&pchain, &p, below, func(*Keys) bool { return true })
+					st := *root
+					w := tog.Classes(&st)
+					feasible := 0
+					for more := true; more; more = w.NextClass() {
+						_, ok := wr.RunLeaf(&wchain, &st, w.Mask())
+						pk, picked := p.Selected(&st)
+						if picked != ok {
+							t.Fatalf("%v: the floor pass selects %v, RunLeaf finds it feasible %v", st, picked, ok)
+						}
+						if !ok {
+							continue
+						}
+						feasible++
+						if f := wchain.Floor(); pk != f {
+							t.Fatalf("%v: the pass's floor keys %+v, the chain's %+v", st, pk, f)
+						}
+					}
+					if selected != feasible {
+						t.Fatalf("%v: the floor pass selected %d classes, %d are feasible", root, selected, feasible)
+					}
+					floors += feasible
+					return true
+				})
+			}
+		})
+	}
+	if floors == 0 {
+		t.Fatal("no class floor was compared")
 	}
 }

@@ -900,30 +900,29 @@ func (e *eval) tpFloor() (fwd, bwd units.Seconds) {
 // class whose floor falls that close under the fold's threshold.
 const floorMargin = 1 - 0x1p-32
 
-// classFloor is a lower bound on the batch time of every leaf of the
-// current leaf's memory class — the leaves that differ from it only in
-// execution.VariantFields — read off the terms the time half left on *e.
-// It is batchTimeBound plus every term no variant field reaches: the exact
-// data-parallel exposure and penalty and the optimizer step (dataMask and
-// optimMask hold no variant field), and the TP floor (tpFloor) wherever
-// assemble uses the TP exposure, the bubble included. The offload transfer
-// joins through its coupling with the TP exposure: per block visit a leaf
-// exposes tpExposed of TP time and max(0, xfer − slack − tpExposed) of
-// transfer, together max(tpExposed, xfer − slack), which is no less than
+// classFloor is a lower bound on the batch time of every leaf of a memory
+// class — the leaves that differ only in execution.VariantFields — from the
+// profile and shape terms on *e, the class's TP floor (tpFloor) and the
+// class's terms c. It is batchTimeBound plus every term no variant field
+// reaches: the exact data-parallel exposure and penalty and the optimizer
+// step (dataMask and optimMask hold no variant field), and the TP floor
+// wherever assemble uses the TP exposure, the bubble included. The offload
+// transfer joins through its coupling with the TP exposure: per block visit
+// a leaf exposes tpExposed of TP time and max(0, xfer − slack − tpExposed)
+// of transfer, together max(tpExposed, xfer − slack), which is no less than
 // max(tpFloor, xfer − slack); the transfer times (offloadXferMask) read no
 // variant field either. Dropped are the overlap penalties, the pipeline
 // communication, and the bubble's hops, all ≥ 0. The sum is real-valued
 // sound; floorMargin covers its rounding.
 //
 //calculonvet:ordered
-func (e *eval) classFloor() units.Seconds {
+func (e *eval) classFloor(tpFwd, tpBwd units.Seconds, c *classTerms) units.Seconds {
 	nb := float64(e.n) * float64(e.bp)
-	tpFwd, tpBwd := e.tpFloor()
 	fwd := e.blockFwd.Times(nb)
 	recompute := e.blockRecompute.Times(nb)
 	var bwd, bubble units.Seconds
 	if !e.st.Inference {
-		bwd = e.blockBwd.Times(nb) + e.dpPenalty
+		bwd = e.blockBwd.Times(nb) + c.dpPenalty
 	}
 	if p := e.st.PP; p > 1 {
 		chunk := (e.blockFwd + tpFwd).Times(float64(e.bc))
@@ -932,10 +931,21 @@ func (e *eval) classFloor() units.Seconds {
 		}
 		bubble = chunk.Times(float64(p - 1))
 	}
-	visit := maxSec(tpFwd, e.xferFwd-e.blockFwdSlack) +
-		maxSec(tpBwd, e.xferBwd-(e.blockBwdSlack+e.recompSlack))
-	total := fwd + bwd + recompute + e.optimTime + bubble + visit.Times(nb) + e.dpExposed
+	visit := maxSec(tpFwd, c.xferFwd-e.blockFwdSlack) +
+		maxSec(tpBwd, c.xferBwd-(e.blockBwdSlack+e.recompSlack))
+	total := fwd + bwd + recompute + c.optimTime + bubble + visit.Times(nb) + c.dpExposed
 	return total.Times(floorMargin)
+}
+
+// classTerms are the time terms of a memory class that classFloor reads
+// besides the profile, the shape and the TP floor: the data-parallel
+// penalty and exposure (dataComm), the optimizer step (optimizer) and the
+// offload transfers per block visit (offload). No variant field reaches
+// them.
+type classTerms struct {
+	dpPenalty, dpExposed units.Seconds
+	optimTime            units.Seconds
+	xferFwd, xferBwd     units.Seconds
 }
 
 func minSec(a, b units.Seconds) units.Seconds {

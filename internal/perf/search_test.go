@@ -17,13 +17,14 @@ import (
 // memory half on BenchmarkSegmentSearch's space (gpt3-13B at batch 16 on 16
 // A100s with a 512 GiB second tier, every feature, TP up to 8, no
 // interleaving, top-10 and the Pareto front: 100 segments of 4,032 leaves
-// in 576 memory classes). The memory pass answers every class, so a chain
-// runs it only on the classes the fold can keep and the leaves it descends
-// into: 14,654 times at one worker, where the class-by-class walk ran it
-// 60,819 times. At two workers which chunks each worker's fold sees depends
-// on timing, and so does the count: 15,103 to 21,743 in 30 runs. It must
-// stay under half the class-by-class walk's one-worker count, and the
-// search's counters must not move.
+// in 576 memory classes). The memory pass answers every class and its
+// floor half prices the floors of the classes the fold may keep, so a chain
+// runs the memory half only on the leaves of the classes it selects: 4,767
+// times at one worker, where stepping to each class for its floor ran it
+// 14,654 times and the class-by-class walk 60,819. At two workers which
+// chunks each worker's fold sees depends on timing, and so does the count:
+// 6,315 to 7,572 in 40 runs. It must stay under the one-worker count of
+// stepping for floors, and the search's counters must not move.
 func TestSegmentSearchMemoryHalves(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(16)
 	sys := system.A100(16).WithMem2(system.DDR5(512 * units.GiB))
@@ -44,10 +45,10 @@ func TestSegmentSearchMemoryHalves(t *testing.T) {
 		}
 		counts = append(counts, res.Counts)
 		switch n := halves.Load(); {
-		case workers == 1 && n != 14654:
-			t.Errorf("one worker ran %d memory halves, want 14,654", n)
-		case workers == 2 && n >= 60819/2:
-			t.Errorf("two workers ran %d memory halves, want fewer than 30,409", n)
+		case workers == 1 && n != 4767:
+			t.Errorf("one worker ran %d memory halves, want 4,767", n)
+		case workers == 2 && n >= 14654:
+			t.Errorf("two workers ran %d memory halves, want fewer than 14,654", n)
 		}
 	}
 	if counts[0] != counts[1] || counts[0].Evaluated != 403200 {

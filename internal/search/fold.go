@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"sort"
 
 	"calculon/internal/perf"
@@ -13,6 +14,9 @@ import (
 type SeqResult struct {
 	Seq    int         `json:"seq"`
 	Result perf.Result `json:"result"`
+	// mem1 is Result.Mem1.Total(), the staircase's memory key, kept by the
+	// front for each point it takes (offer); the wire form leaves it out.
+	mem1 units.Bytes
 }
 
 // fold is a search's running answer over the feasible results offered to
@@ -47,7 +51,24 @@ func (f *fold) entersTop(rate float64, seq int) bool {
 func (f *fold) frontSlot(t units.Seconds, m units.Bytes, seq int) (int, bool) {
 	s := f.front
 	i := sort.Search(len(s), func(j int) bool { return precedes(t, m, seq, &s[j]) })
-	return i, f.pareto && (i == 0 || !(s[i-1].Result.Mem1.Total() <= m))
+	return i, f.pareto && (i == 0 || !(s[i-1].mem1 <= m))
+}
+
+// frontLimit returns the first-tier memory from which no candidate of batch
+// time t or more, at any seq, enters the front: the memory of the last
+// point strictly faster than t, which such a candidate's slot follows and
+// whose memory is no lower than that of any point between; +Inf when no
+// point is faster, and -Inf when the fold keeps no front.
+func (f *fold) frontLimit(t units.Seconds) units.Bytes {
+	if !f.pareto {
+		return units.Bytes(math.Inf(-1))
+	}
+	s := f.front
+	i := sort.Search(len(s), func(j int) bool { return !(s[j].Result.BatchTime < t) })
+	if i == 0 {
+		return units.Bytes(math.Inf(1))
+	}
+	return s[i-1].mem1
 }
 
 // keeps reports whether offer would keep a feasible leaf, by the parts'
@@ -87,7 +108,7 @@ func (f *fold) offer(seq int, res *perf.Result) {
 	if i, ok := f.frontSlot(res.BatchTime, m, seq); ok {
 		s := f.front
 		e := i
-		for e < len(s) && s[e].Result.Mem1.Total() >= m {
+		for e < len(s) && s[e].mem1 >= m {
 			e++
 		}
 		if e == i {
@@ -96,7 +117,7 @@ func (f *fold) offer(seq int, res *perf.Result) {
 		} else {
 			s = append(s[:i+1], s[e:]...)
 		}
-		s[i].Seq, s[i].Result = seq, *res
+		s[i].Seq, s[i].Result, s[i].mem1 = seq, *res, m
 		f.front = s
 	}
 }
@@ -135,15 +156,15 @@ func ahead(rate float64, seq int, s *SeqResult) bool {
 	return seq < s.Seq
 }
 
-// precedes reports whether the candidate (t, m, seq) sorts before s in the
-// staircase order: batch time, then first-tier memory, then enumeration
-// order.
+// precedes reports whether the candidate (t, m, seq) sorts before the
+// front point s in the staircase order: batch time, then first-tier
+// memory, then enumeration order.
 func precedes(t units.Seconds, m units.Bytes, seq int, s *SeqResult) bool {
 	if t != s.Result.BatchTime {
 		return t < s.Result.BatchTime
 	}
-	if sm := s.Result.Mem1.Total(); m != sm {
-		return m < sm
+	if m != s.mem1 {
+		return m < s.mem1
 	}
 	return seq < s.Seq
 }

@@ -127,6 +127,11 @@ func FuzzSearch(f *testing.F) {
 	f.Add(uint8(186), uint8(31), uint8(160), uint8(135), uint8(239), uint8(238), uint8(229), uint8(1), uint8(127), uint8(70), uint8(102), uint8(5), uint16(41342))
 	f.Add(uint8(169), uint8(40), uint8(231), uint8(205), uint8(186), uint8(234), uint8(201), uint8(191), uint8(37), uint8(0), uint8(152), uint8(73), uint16(19269))
 	f.Add(uint8(217), uint8(15), uint8(88), uint8(87), uint8(36), uint8(207), uint8(238), uint8(126), uint8(17), uint8(72), uint8(50), uint8(101), uint16(1911))
+	// Fuzzing found these two against a class floor without floorMargin and
+	// against a floor whose data-parallel row ignores optimizer sharding:
+	// each wrongly drops a class the fold keeps.
+	f.Add(uint8(165), uint8(132), uint8(4), uint8(253), uint8(200), uint8(47), uint8(122), uint8(239), uint8(43), uint8(211), uint8(255), uint8(251), uint16(45197))
+	f.Add(uint8(55), uint8(231), uint8(24), uint8(104), uint8(74), uint8(201), uint8(249), uint8(38), uint8(94), uint8(82), uint8(48), uint8(116), uint16(48593))
 
 	f.Fuzz(func(t *testing.T, mSel, scale, procsSel, batchSel, featSel, flags, maxIl, pin, topK, workers, shards, capSel uint8, leafSel uint16) {
 		m, sys, opts, ok := drawSearch(t, mSel, scale, procsSel, batchSel, featSel, flags, maxIl, pin, topK, workers, capSel, leafSel)

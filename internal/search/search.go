@@ -15,12 +15,14 @@ package search
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"calculon/internal/execution"
 	"calculon/internal/model"
 	"calculon/internal/perf"
 	"calculon/internal/system"
+	"calculon/internal/units"
 )
 
 // Options configures an execution search.
@@ -285,14 +287,16 @@ type workerState struct {
 
 // worker is one search worker: its state, the tallies of the work chunk it
 // is on, its delta chain, the root it writes its chunks' segments into, the
-// memory pass of the segment it is on and, last, the Result of a kept leaf,
-// which keeps the next worker's counters off the cache lines this one reads.
+// memory pass of the segment it is on with its slots' memory limits and,
+// last, the Result of a kept leaf, which keeps the next worker's counters
+// off the cache lines this one reads.
 type worker struct {
 	workerState
 	chunk Counts
 	chain perf.RunInfo
 	root  execution.Strategy
 	pass  perf.SegmentPass
+	below [perf.MaxSlots]units.Bytes
 	res   perf.Result
 }
 
@@ -303,15 +307,20 @@ type worker struct {
 // share, with the least Mem1 of its fitting classes) are tested once, at the
 // segment's first seq: keeps is monotone in batch time, first-tier memory
 // and seq, so a slot they fail holds no leaf the fold keeps, and a segment
-// with no passing slot is done. The class walk then visits each class; it
-// steps the chain (RunLeaf) only on a fitting class of a passing slot whose
-// own bound keys pass keeps, ORing the masks of the classes it skips into
-// that step's mask, and descends into the class only if keeps passes on
-// its floor too (RunInfo.Floor, which prices the class's first leaf). The
-// descent runs keeps on each leaf at its own seq, on the bound keys and then
-// on the exact ones, before building its Result. With collectRates every
-// fitting class is stepped and every leaf of it priced (docs/MODEL.md, "The
-// leaf path").
+// with no passing slot is done. For each passing slot one entersTop test on
+// its bound's rate and the front's memory limit at its bound's batch time
+// (frontLimit) leave the classes that may still enter either part: all of
+// them when the rate enters the top list, else those below the limit. The
+// floor half of the pass (Runner.PassFloors) prices those classes' floors
+// and selects the ones whose floor keys pass keeps; each test is implied by
+// the next, so only the floor decides. The class walk then steps the chain
+// (RunLeaf) only into a selected class whose floor still passes keeps,
+// ORing the masks of the classes it skips into that step's mask, and stops
+// after the last selected class. The descent prices a leaf's exact keys
+// only while its class floor passes keeps, and computes its seq only when
+// those keys pass at the segment's first seq, before building its Result.
+// With collectRates every fitting class is stepped and every leaf of it
+// priced (docs/MODEL.md, "The leaf path").
 func (ws *worker) segment(runner *perf.Runner, lat *perf.SegmentLattice, tog *execution.Toggles, root *execution.Strategy, seq0 int, collectRates bool) {
 	chain, c, p := &ws.chain, &ws.chunk, &ws.pass
 	runner.PassSegment(chain, lat, root, p)
@@ -328,36 +337,61 @@ func (ws *worker) segment(runner *perf.Runner, lat *perf.SegmentLattice, tog *ex
 	if passing == 0 {
 		return
 	}
+	selected := 0 // the selected classes the walk has yet to reach
+	if !collectRates {
+		below := ws.below[:lat.Slots()]
+		for i := range below {
+			k, _ := p.Bound(i)
+			switch {
+			case passing&(1<<i) == 0:
+				below[i] = units.Bytes(math.Inf(-1))
+			case ws.entersTop(k.SampleRate, seq0):
+				below[i] = units.Bytes(math.Inf(1))
+			default:
+				below[i] = ws.frontLimit(k.BatchTime)
+			}
+		}
+		if selected = runner.PassFloors(chain, p, below, func(k *perf.Keys) bool { return ws.keeps(seq0, k) }); selected == 0 {
+			return
+		}
+	}
 	var skipped execution.FieldMask // the masks of the classes walked past since the last step
 	w := tog.Classes(root)
-	for more := true; more; more = w.NextClass() {
+	for more := true; more && (collectRates || selected > 0); more = w.NextClass() {
 		mask := skipped | w.Mask()
 		skipped = mask
-		i, k, fits := p.Class(root)
-		if !fits || passing&(1<<i) == 0 || !collectRates && !ws.keeps(seq0, &k) {
-			continue
+		var floor perf.Keys
+		if collectRates {
+			if _, _, fits := p.Class(root); !fits {
+				continue
+			}
+		} else {
+			var ok bool
+			if floor, ok = p.Selected(root); !ok {
+				continue
+			}
+			if selected--; !ws.keeps(seq0, &floor) {
+				continue
+			}
 		}
 		skipped = 0
 		if _, ok := runner.RunLeaf(chain, root, mask); !ok {
 			continue
 		}
-		if !collectRates {
-			if f := chain.Floor(); !ws.keeps(seq0, &f) {
-				continue
-			}
-		}
 		for {
-			// keeps turns a leaf away on its bound keys only if it would
-			// on its exact ones, which are never faster.
-			seq := seq0 + w.Rank()
-			if collectRates || ws.keeps(seq, &k) {
+			// keeps turns a leaf away on its class floor, or at the
+			// segment's first seq, only if it would on its exact keys at
+			// its own seq.
+			if collectRates || ws.keeps(seq0, &floor) {
 				exact := chain.Keys()
 				if collectRates {
 					ws.rates = append(ws.rates, exact.SampleRate)
 				}
-				if ws.keeps(seq, &exact) {
-					chain.Result(&ws.res)
-					ws.offer(seq, &ws.res)
+				if ws.keeps(seq0, &exact) {
+					if seq := seq0 + w.Rank(); ws.keeps(seq, &exact) {
+						chain.Result(&ws.res)
+						ws.offer(seq, &ws.res)
+					}
 				}
 			}
 			if !w.NextLeaf() {
