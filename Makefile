@@ -52,7 +52,7 @@ staticcheck:
 # timing-sensitive ones three times over.
 race:
 	$(GO) test -race -short ./internal/search/... ./internal/perf/... ./internal/execution/... ./internal/experiments/... ./internal/service/... ./internal/resultstore/... ./internal/inference/... ./internal/serving/...
-	$(GO) test -race -short -count=3 ./internal/service/... ./internal/search/... ./internal/serving/... ./internal/perf/... ./cmd/calculon/...
+	$(GO) test -race -short -count=3 ./internal/service/... ./internal/search/... ./internal/serving/... ./internal/perf/... ./internal/resultstore/... ./cmd/calculon/...
 
 # e2e boots a real calculond and drives the full job lifecycle over HTTP
 # (CI's service-e2e job).
@@ -69,6 +69,7 @@ BENCH_CMDS = \
 	$(GO) test -run '^$$' -bench BenchmarkSystemSizeSweep -benchtime 1x ./internal/search; \
 	$(GO) test -run '^$$' -bench BenchmarkRunner -benchtime 100x ./internal/perf; \
 	$(GO) test -run '^$$' -bench BenchmarkSearchWarmStore -benchtime 100x ./internal/resultstore; \
+	$(GO) test -run '^$$' -bench BenchmarkStoreOpen -benchtime 5x -count 3 ./internal/resultstore; \
 	$(GO) test -run '^$$' -bench BenchmarkServingSearch -benchtime 20x -count 3 ./internal/serving; \
 	$(GO) test -run '^$$' -bench 'BenchmarkServingSweep$$' -benchtime 20x -count 3 ./internal/serving; \
 	$(GO) test -run '^$$' -bench BenchmarkServingSweepWide -benchtime 10x -count 3 ./internal/serving

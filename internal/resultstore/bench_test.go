@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -46,4 +47,48 @@ func BenchmarkSearchWarmStore(b *testing.B) {
 		served += res.Evaluated
 	}
 	b.ReportMetric(float64(served)/b.Elapsed().Seconds(), "strategies/s")
+}
+
+// storeOpenRows is how many rows BenchmarkStoreOpen's store holds: about
+// as many as a daemon-mixed run of the benchmark suite leaves behind.
+const storeOpenRows = 700
+
+// BenchmarkStoreOpen measures a restart's replay of a store file: Open of
+// storeOpenRows training rows, each the verdict of one small real search
+// with a top-2 and the Pareto front, stored under distinct keys. rows/s
+// counts rows replayed per wall-clock second; allocs/op is the decoder's
+// allocation count for the whole file.
+func BenchmarkStoreOpen(b *testing.B) {
+	m := model.MustPreset("gpt3-13B").WithBatch(64)
+	sys := system.A100(64)
+	opts := search.Options{
+		Enum:   execution.EnumOptions{Procs: 64, Features: execution.FeatureSeqPar, MaxInterleave: 2},
+		TopK:   2,
+		Pareto: true,
+	}
+	res, err := search.Execution(context.Background(), m, sys, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "store.jsonl")
+	rows := make([]Row, storeOpenRows)
+	for i := range rows {
+		rows[i] = NewRow(fmt.Sprintf("%064x", i), m, sys, res)
+	}
+	writeRows(b, path, rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := st.Stats().Rows; n != storeOpenRows {
+			b.Fatalf("replayed %d rows, want %d", n, storeOpenRows)
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(storeOpenRows*b.N)/b.Elapsed().Seconds(), "rows/s")
 }

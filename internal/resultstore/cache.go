@@ -49,6 +49,7 @@ func (s *Store) Store(m model.LLM, sys system.System, opts search.Options, res s
 	}
 	// The append error is deliberately dropped (see above); a failed write
 	// leaves the in-memory index updated, so the running process still
-	// dedups.
+	// dedups. A row that does not encode is refused and not indexed: the
+	// next identical search evaluates again.
 	_ = s.Append(NewRow(key, m, sys, res))
 }

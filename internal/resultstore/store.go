@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -64,10 +65,13 @@ type Store struct {
 	path string
 	// index serves the last row appended per (kind, key): equal keys of
 	// different kinds are different searches.
-	index   map[rowKey]Row
-	pending []Row
-	batch   int
-	closed  bool
+	index map[rowKey]Row
+	// pending holds the encoded lines of the rows appended since the last
+	// flush, npending their count.
+	pending  []byte
+	npending int
+	batch    int
+	closed   bool
 	// load-time observations, fixed after Open.
 	loaded         int
 	stale          int
@@ -113,40 +117,35 @@ func Open(path string) (*Store, error) {
 }
 
 // load replays the JSONL file into the index and settles the write offset,
-// applying the recovery semantics documented on Open.
+// applying the recovery semantics documented on Open. The file is read in
+// one pass into a buffer sized from Stat, its committed lines are decoded
+// on every core (decodeLines), and the rows are indexed serially in file
+// order, so the first corrupt line still fails Open and duplicate keys
+// still resolve last-write-wins.
 func (s *Store) load() error {
-	data, err := io.ReadAll(s.f)
+	data, err := readAll(s.f)
 	if err != nil {
 		return fmt.Errorf("resultstore: %s: %w", s.path, err)
 	}
-	off := 0
-	var tail []byte // unterminated final-line fragment, if any
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			tail = data[off:]
-			break
+	lines, off := splitLines(data)
+	decodeLines(lines)
+	for _, l := range lines {
+		if l.err != nil {
+			return fmt.Errorf("resultstore: %s: corrupt row at byte %d: %w", s.path, l.off, l.err)
 		}
-		line := data[off : off+nl]
-		if len(bytes.TrimSpace(line)) != 0 {
-			row, err := decodeRow(line)
-			if err != nil {
-				return fmt.Errorf("resultstore: %s: corrupt row at byte %d: %w", s.path, off, err)
-			}
-			s.loaded++
-			if row.stale() {
-				s.stale++
-			} else {
-				s.indexRow(row)
-			}
+		s.loaded++
+		if l.row.stale() {
+			s.stale++
+		} else {
+			s.indexRow(l.row)
 		}
-		off += nl + 1
 	}
-	if tail == nil {
+	if off == len(data) {
 		return nil
 	}
 	// Crash recovery: drop the uncommitted fragment, then salvage it if it
 	// happens to be a complete row that only lost its newline.
+	tail := data[off:]
 	if err := s.f.Truncate(int64(off)); err != nil {
 		return fmt.Errorf("resultstore: %s: truncating partial row: %w", s.path, err)
 	}
@@ -158,7 +157,7 @@ func (s *Store) load() error {
 		s.recoveredBytes = len(tail)
 		return nil
 	}
-	if _, err := s.f.Write(append(append([]byte(nil), tail...), '\n')); err != nil {
+	if _, err := s.f.Write(append(tail, '\n')); err != nil {
 		return fmt.Errorf("resultstore: %s: rewriting salvaged row: %w", s.path, err)
 	}
 	if err := s.f.Sync(); err != nil {
@@ -167,6 +166,67 @@ func (s *Store) load() error {
 	s.loaded++
 	s.indexRow(row)
 	return nil
+}
+
+// readAll reads the rest of f into one buffer sized from Stat, with
+// bytes.MinRead to spare so the read that finds EOF does not grow it.
+func readAll(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	buf.Grow(int(fi.Size()) + bytes.MinRead)
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// line is one committed row of a store file, newline excluded, with its
+// byte offset and what decoding it gave.
+type line struct {
+	off  int
+	text []byte
+	row  Row
+	err  error
+}
+
+// splitLines finds the committed lines of data: newline-terminated and not
+// blank. It returns them in file order with the offset where the committed
+// part ends; data[off:] is the unterminated final-line fragment, if any.
+func splitLines(data []byte) (lines []line, off int) {
+	lines = make([]line, 0, bytes.Count(data, []byte{'\n'}))
+	for off < len(data) {
+		nl := bytes.IndexByte(data[off:], '\n')
+		if nl < 0 {
+			break
+		}
+		if text := data[off : off+nl]; len(bytes.TrimSpace(text)) != 0 {
+			lines = append(lines, line{off: off, text: text})
+		}
+		off += nl + 1
+	}
+	return lines, off
+}
+
+// decodeLines runs decodeRow on every line, on up to GOMAXPROCS goroutines
+// that claim lines from one atomic index; each writes only its own lines'
+// slots. No line, no goroutine.
+func decodeLines(lines []line) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(lines)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(lines)); i = next.Add(1) - 1 {
+				l := &lines[i]
+				l.row, l.err = decodeRow(l.text)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // rowKey is a row's identity in the index.
@@ -212,12 +272,19 @@ func (s *Store) lookup(kind, key string) (Row, bool) {
 }
 
 // Append records a row: the index serves it immediately (last write wins)
-// and the row joins the pending batch, flushed to disk once the batch fills.
-// Call Flush or Close to force the tail out; rows are only crash-durable
-// after their batch has flushed (each flush ends in fsync).
+// and the row's encoded line joins the pending batch, flushed to disk once
+// the batch fills. Call Flush or Close to force the tail out; rows are only
+// crash-durable after their batch has flushed (each flush ends in fsync).
+// The row is encoded before the lock is taken, so encoding holds up no
+// Lookup, and a row that does not encode (a NaN or an infinity in its
+// payload) is refused and not indexed, never left to fail every flush.
 func (s *Store) Append(row Row) error {
 	if err := row.check(); err != nil {
 		return fmt.Errorf("resultstore: refusing to append: %w", err)
+	}
+	data, err := json.Marshal(row)
+	if err != nil {
+		return fmt.Errorf("resultstore: refusing to append row %s: %w", row.Key, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -225,9 +292,10 @@ func (s *Store) Append(row Row) error {
 		return ErrClosed
 	}
 	s.indexRow(row)
-	s.pending = append(s.pending, row)
+	s.pending = append(append(s.pending, data...), '\n')
+	s.npending++
 	s.ctr.appends.Add(1)
-	if len(s.pending) >= s.batch {
+	if s.npending >= s.batch {
 		return s.flushLocked()
 	}
 	return nil
@@ -245,27 +313,18 @@ func (s *Store) Flush() error {
 	return s.flushLocked()
 }
 
-// flushLocked writes and syncs the pending rows. Caller holds mu.
+// flushLocked writes and syncs the pending lines. Caller holds mu.
 func (s *Store) flushLocked() error {
-	if len(s.pending) == 0 {
+	if s.npending == 0 {
 		return nil
 	}
-	var buf bytes.Buffer
-	for _, row := range s.pending {
-		data, err := json.Marshal(row)
-		if err != nil {
-			return fmt.Errorf("resultstore: encoding row %s: %w", row.Key, err)
-		}
-		buf.Write(data)
-		buf.WriteByte('\n')
-	}
-	if _, err := s.f.Write(buf.Bytes()); err != nil {
+	if _, err := s.f.Write(s.pending); err != nil {
 		return fmt.Errorf("resultstore: %s: %w", s.path, err)
 	}
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("resultstore: %s: %w", s.path, err)
 	}
-	s.pending = s.pending[:0]
+	s.pending, s.npending = s.pending[:0], 0
 	s.ctr.flushes.Add(1)
 	return nil
 }

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -324,9 +325,47 @@ func TestStoreRefusesKeylessRow(t *testing.T) {
 	}
 }
 
+// TestStoreRefusesUnencodableRow: a row JSON cannot encode (here an
+// infinite sample rate) is refused at Append and not indexed, so it cannot
+// sit in the pending batch failing every later flush; a good row appended
+// after it still reaches the file.
+func TestStoreRefusesUnencodableRow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := testRow("bad", 1)
+	bad.Verdict.Best.SampleRate = math.Inf(1)
+	if err := st.Append(bad); err == nil {
+		t.Fatal("Append accepted a row with an infinite sample rate")
+	}
+	if _, ok := st.lookup("", "bad"); ok {
+		t.Fatal("a refused row is served")
+	}
+	if err := st.Append(testRow("good", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close after a refused row: %v", err)
+	}
+
+	st2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if s := st2.Stats(); s.Rows != 1 || s.Loaded != 1 {
+		t.Fatalf("reopen stats = %+v, want the one good row", s)
+	}
+	if v, ok := st2.lookup("", "good"); !ok || v.Verdict.Evaluated != 2 {
+		t.Fatalf("good row after reopen = (%+v, %v)", v, ok)
+	}
+}
+
 // writeRows commits rows through the real store (flush + close), producing
 // a file exactly as a clean shutdown leaves it.
-func writeRows(t *testing.T, path string, rows []Row) {
+func writeRows(t testing.TB, path string, rows []Row) {
 	t.Helper()
 	st, err := Open(path)
 	if err != nil {
