@@ -122,6 +122,62 @@ func checkClassWalk(t *testing.T, name string, tog *Toggles, root Strategy,
 	}
 }
 
+// TestClassWalkSeekMatchesNextClass holds Seek to NextClass: for every
+// lattice, a walk that seeks a random subset of the classes, descending
+// into a random subset of those, must stand where a NextClass walk that
+// descends into the same classes stands at each class it seeks (the same
+// strategy, class number, leaf ranks and Gray counter state, so NextClass
+// may follow a Seek), and each Seek must return the OR
+// of the masks NextClass reported since the class the seeking walk last
+// stood on. A seek that passes a (SeqParallel, TPRedoForSP) step after
+// descending changes the completion's rest, so the descents are random too.
+func TestClassWalkSeekMatchesNextClass(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, f := range []FeatureSet{FeatureBaseline, FeatureSeqPar, FeatureAll} {
+		for _, pin := range []bool{false, true} {
+			for _, mem2 := range []bool{false, true} {
+				o := EnumOptions{Features: f, PinBeneficial: pin, HasMem2: mem2}
+				tog := o.Toggles()
+				for round := 0; round < 20; round++ {
+					name := fmt.Sprintf("%s/pin=%v/mem2=%v/round %d", f, pin, mem2, round)
+					root := Strategy{TP: 2, PP: 4, DP: 8, Microbatch: 2, Interleave: 2, OneFOneB: true}
+					a, b := root, root
+					wa, wb := tog.Classes(&a), tog.Classes(&b)
+					visit := 1 + rng.Intn(8) // seek about one class in visit
+					var acc FieldMask
+					for more, k := true, 0; more; more, k = wa.NextClass(), k+1 {
+						if k > 0 {
+							acc |= wa.Mask()
+						}
+						if wa.Class() != k {
+							t.Fatalf("%s: NextClass numbers class %d as %d", name, k, wa.Class())
+						}
+						if rng.Intn(visit) != 0 {
+							continue
+						}
+						if got := wb.Seek(k); got != acc || b != a || wb.Class() != k || wb.Rank() != wa.Rank() || wb.gray != wa.gray {
+							t.Fatalf("%s: Seek(%d) mask %b at %v (class %d, rank %d); NextClass %b at %v (rank %d)",
+								name, k, got, b, wb.Class(), wb.Rank(), acc, a, wa.Rank())
+						}
+						acc = 0
+						if rng.Intn(2) == 0 {
+							continue
+						}
+						for wa.NextLeaf() {
+							if !wb.NextLeaf() || b != a || wb.Mask() != wa.Mask() || wb.Rank() != wa.Rank() {
+								t.Fatalf("%s: class %d: the seeking walk's leaf %v, NextClass's %v", name, k, b, a)
+							}
+						}
+						if wb.NextLeaf() {
+							t.Fatalf("%s: class %d: the seeking walk has more leaves", name, k)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestClassWalkAllocatesNothing: walking a full segment class by class,
 // descending into every class, allocates nothing.
 func TestClassWalkAllocatesNothing(t *testing.T) {

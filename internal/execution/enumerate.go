@@ -2,6 +2,7 @@ package execution
 
 import (
 	"fmt"
+	"math/bits"
 
 	"calculon/internal/model"
 )
@@ -515,7 +516,8 @@ type ClassWalk struct {
 	// Between classes, each variant dimension rests at the end it next
 	// sweeps away from.
 	gray
-	mask FieldMask
+	mask  FieldMask
+	class int // the current class's position in NextClass's order
 }
 
 // The class walk's named dimensions: the (SeqParallel, TPRedoForSP) pair,
@@ -563,7 +565,101 @@ func (w *ClassWalk) Len() int { return w.n[dimVariants] * w.n[dimCompletion] }
 // NextClass moves to a leaf of the next class and reports whether there is
 // one. Call it after NextLeaf has reported false, or without having called
 // NextLeaf in the current class at all.
-func (w *ClassWalk) NextClass() bool { return w.move(w.advance(0, dimVariants-1)) }
+func (w *ClassWalk) NextClass() bool {
+	d := w.advance(0, dimVariants-1)
+	if d >= 0 {
+		w.class++
+	}
+	return w.move(d)
+}
+
+// Class returns the current class's position in NextClass's order, from 0.
+func (w *ClassWalk) Class() int { return w.class }
+
+// Seek moves the walk forward to the first leaf of class k (Class's
+// numbering), k no less than the current class, as NextClass would through
+// every class between, and returns the fields those steps changed: the OR
+// of the masks NextClass would have reported on the way, 0 when k is the
+// current class. Each class dimension's steps come from the Gray code's
+// closed form, so the cost does not grow with the classes passed. Like
+// NextClass, call it after NextLeaf has reported false, or without having
+// called NextLeaf in the current class: the completion then rests where
+// NextClass leaves it, so each step of the (SeqParallel, TPRedoForSP) pair
+// changes the fields NextClass's would.
+func (w *ClassWalk) Seek(k int) FieldMask {
+	var mask FieldMask
+	stride := 1
+	for d := dimVariants - 1; d >= 0; d-- {
+		n, from, to := w.n[d], w.class/stride, k/stride
+		stride *= n
+		switch {
+		case from == to:
+			// Neither this dimension nor any shallower one moves.
+			w.class, w.mask = k, mask
+			return mask
+		case n == 1:
+			// It never moves, and turns at every position.
+			if (to-from)%2 == 1 {
+				w.dir[d] = -w.dir[d]
+			}
+			continue
+		}
+		// Position u of the dimension's sweep holds value u mod n, upward
+		// in even sweeps and downward in odd ones; a step from u to u+1
+		// within a sweep moves the value between j and j+1. Any 2n
+		// positions hold a whole sweep, so every step.
+		steps := uint32(1)<<(n-1) - 1
+		if to-from < 2*n {
+			steps = 0
+			for u := from; u < to; u++ {
+				if (u+1)%n != 0 {
+					j := u % n
+					if u/n%2 == 1 {
+						j = n - 2 - j
+					}
+					steps |= 1 << j
+				}
+			}
+		}
+		for ; steps != 0; steps &= steps - 1 {
+			mask |= w.stepMask(d, bits.TrailingZeros32(steps))
+		}
+		v, dir := to%n, 1
+		if to/n%2 == 1 {
+			v, dir = n-1-v, -1
+		}
+		w.dir[d] = dir
+		if v != w.idx[d] {
+			w.idx[d] = v
+			w.set(d)
+		}
+	}
+	w.class, w.mask = k, mask
+	return mask
+}
+
+// stepMask returns the fields a step of class dimension d between its
+// values j and j+1 changes, in either direction, with the completion at
+// rest.
+func (w *ClassWalk) stepMask(d, j int) FieldMask {
+	a, b := j, j+1
+	if d == dimPair {
+		a, b = w.restingCombo(a), w.restingCombo(b)
+	}
+	var s Strategy
+	w.t.set(&s, walkDim[d], a)
+	return w.t.set(&s, walkDim[d], b)
+}
+
+// restingCombo returns the comm combo of pair value p with the completion
+// at the end it next sweeps away from, where a step of the pair puts it.
+func (w *ClassWalk) restingCombo(p int) int {
+	compl := w.t.projs[p]
+	if w.dir[dimCompletion] < 0 {
+		return compl[len(compl)-1]
+	}
+	return compl[0]
+}
 
 // NextLeaf moves to the current class's next leaf and reports whether there
 // is one; the first leaf of a class is the one NextClass moved to.

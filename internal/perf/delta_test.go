@@ -2,6 +2,7 @@ package perf
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -294,7 +295,10 @@ func TestDeltaEqualsScratch(t *testing.T) {
 // a leaf that fits and one that overflows the first tier; where no leaf
 // fits the two paths must agree on that. Then it walks the same spaces
 // class by class (checkClassFloors), and the all-mem2 one again with the
-// beneficial toggles pinned.
+// beneficial toggles pinned. The seqpar case (32 A100s, TP up to 32 over
+// InfiniBand, whose in-network all-reduce costs about half an RS+AG) must
+// hold a sequence-parallel class whose RS+AG-only TP floor lifts its class
+// floor above the one the cheaper collective gives.
 func TestBoundKeysSound(t *testing.T) {
 	feasible, classes := 0, 0
 	for _, tc := range deltaCases() {
@@ -324,10 +328,15 @@ func TestBoundKeysSound(t *testing.T) {
 			t.Fatalf("%s: %d leaves fit and %d overflow the first tier; want some of each", tc.name, fits, overflows)
 		}
 		feasible += fits
-		classes += checkClassFloors(t, tc)
+		n, tightened := checkClassFloors(t, tc)
+		if tc.name == "seqpar" && tightened == 0 {
+			t.Fatalf("%s: no sequence-parallel class has an RS+AG floor above the all-reduce one", tc.name)
+		}
+		classes += n
 		if tc.opts.HasMem2 {
 			tc.opts.PinBeneficial = true
-			classes += checkClassFloors(t, tc)
+			n, _ = checkClassFloors(t, tc)
+			classes += n
 		}
 	}
 	if feasible == 0 || classes == 0 {
@@ -339,9 +348,14 @@ func TestBoundKeysSound(t *testing.T) {
 // a search worker does, and every leaf of each feasible class with
 // NextLeaf. Each leaf must be feasible, give the floor (RunInfo.Floor) the
 // class's first leaf gave, bit for bit, and be bounded by it (checkBound)
-// at its scratch evaluation's keys. It returns the number of feasible
-// classes.
-func checkClassFloors(t *testing.T, tc deltaCase) int {
+// at its scratch evaluation's keys. The segment's memory pass, run on a
+// chain of its own, gives each class's profile slot its slot floor keys
+// (Runner.SlotFloor), which must be no higher than the class floor keys and
+// every leaf's exact keys (checkSlotBound). It returns the number of
+// feasible classes, and how many of them have sequence parallelism on and a
+// floor above the one the cheaper of all-reduce and RS+AG gives: the
+// classes the RS+AG-only TP floor tightens.
+func checkClassFloors(t *testing.T, tc deltaCase) (classes, tightened int) {
 	t.Helper()
 	r, err := NewRunner(tc.m, tc.sys)
 	if err != nil {
@@ -352,10 +366,18 @@ func checkClassFloors(t *testing.T, tc deltaCase) int {
 		t.Fatal(err)
 	}
 	tog := tc.opts.Toggles()
-	var chain RunInfo
-	classes := 0
+	lat := LatticeFor(&tc.opts)
+	var chain, pchain RunInfo
+	var p SegmentPass
 	for _, tpd := range tc.opts.Triples(tc.m) {
 		tc.opts.Segments(&tc.m, tpd, func(root *execution.Strategy) bool {
+			r.PassSegment(&pchain, lat, root, &p)
+			var slotKeys [MaxSlots]Keys
+			for i := 0; i < lat.Slots(); i++ {
+				if _, ok := p.Bound(i); ok {
+					slotKeys[i] = r.SlotFloor(&pchain, &p, i)
+				}
+			}
 			w := tog.Classes(root)
 			for more := true; more; more = w.NextClass() {
 				if _, ok := r.RunLeaf(&chain, root, w.Mask()); !ok {
@@ -363,6 +385,16 @@ func checkClassFloors(t *testing.T, tc deltaCase) int {
 				}
 				classes++
 				floor := chain.Floor()
+				slot, _, fits := p.Class(root)
+				if !fits {
+					t.Fatalf("%s %v: a feasible class the memory pass does not fit", tc.name, *root)
+				}
+				if err := checkSlotBound(slotKeys[slot], floor); err != nil {
+					t.Fatalf("%s %v: slot floor against the class floor: %v", tc.name, *root, err)
+				}
+				if root.SeqParallel && floor.BatchTime > minCollectiveFloor(&chain) {
+					tightened++
+				}
 				for {
 					want, err := scratch.Run(*root)
 					if err != nil {
@@ -371,8 +403,12 @@ func checkClassFloors(t *testing.T, tc deltaCase) int {
 					if f := chain.Floor(); f != floor {
 						t.Fatalf("%s %v: class floor %+v, the class's first leaf gave %+v", tc.name, *root, f, floor)
 					}
-					if err := checkBound(floor, Keys{want.BatchTime, want.SampleRate, want.Mem1.Total()}); err != nil {
+					exact := Keys{want.BatchTime, want.SampleRate, want.Mem1.Total()}
+					if err := checkBound(floor, exact); err != nil {
 						t.Fatalf("%s %v: class floor: %v", tc.name, *root, err)
+					}
+					if err := checkSlotBound(slotKeys[slot], exact); err != nil {
+						t.Fatalf("%s %v: slot floor: %v", tc.name, *root, err)
 					}
 					if !w.NextLeaf() {
 						break
@@ -385,7 +421,35 @@ func checkClassFloors(t *testing.T, tc deltaCase) int {
 			return true
 		})
 	}
-	return classes
+	return classes, tightened
+}
+
+// checkSlotBound reports whether a slot floor's keys bound keys k of one of
+// its slot's classes or leaves: batch time and first-tier memory no higher,
+// sample rate no lower.
+func checkSlotBound(slot, k Keys) error {
+	if !(slot.Mem1 <= k.Mem1) || !(slot.BatchTime <= k.BatchTime) || !(slot.SampleRate >= k.SampleRate) {
+		return fmt.Errorf("slot floor keys %+v do not bound the keys %+v", slot, k)
+	}
+	return nil
+}
+
+// minCollectiveFloor returns the batch time of the chain's last leaf's
+// class floor with its TP floor priced on the cheaper of all-reduce and
+// RS+AG, whatever the class's switches.
+func minCollectiveFloor(chain *RunInfo) units.Seconds {
+	chain.Keys()
+	e := &chain.delta.e
+	var fwd, bwd units.Seconds
+	if t := e.st.TP; t > 1 {
+		net := e.sys.NetworkPtrFor(t)
+		arFwd, arBwd := e.tpCollectives(net, false)
+		rsFwd, rsBwd := e.tpCollectives(net, true)
+		fwd, _ = overlapTP(minSec(arFwd, rsFwd), execution.MaxHiddenFraction, e.blockFwd)
+		bwd, _ = overlapTP(minSec(arBwd, rsBwd), execution.MaxHiddenFraction, e.blockBwd+e.blockRecompute)
+	}
+	c := classTerms{dpPenalty: e.dpPenalty, dpExposed: e.dpExposed, optimTime: e.optimTime, xferFwd: e.xferFwd, xferBwd: e.xferBwd}
+	return e.classFloor(fwd, bwd, &c)
 }
 
 // Floor returns the class floor of the chain's last leaf: classFloor on the
@@ -506,8 +570,9 @@ func TestRunDeltaForeignChain(t *testing.T) {
 // on how many each memory row and time group recomputes. Each segment's
 // memory pass answers every class at once; the floor half of the pass
 // prices the floors of the fitting classes of the profile slots whose
-// bound keys pass keeps, and selects those whose floors pass too; the chain
-// steps (RunLeaf) only into a selected class and descends through its
+// bound and slot floor keys pass keeps, and selects those whose floors
+// pass too; the class walk seeks the selected classes, and the chain steps
+// (RunLeaf) only into one whose floor still passes and descends through its
 // leaves. The time groups run only when the fold asks for a leaf's exact
 // keys, with the masks owed since they last ran. The counts come from the
 // masks step hands the memory half (onMemoryHalf), so production code
@@ -527,30 +592,32 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 	// 11,088 leaves pre-screened (so 2,065,392 admitted), 2,010,498
 	// feasible, 2,064,654 profile cache hits. No segment is floored: every
 	// one holds a leaf that fits. Of the 515 × 18 profile slots, 1,758 pass
-	// the fold on their bound keys. The floor pass prices the floors of the
-	// 22,167 fitting classes of those slots that the top-K test on the
-	// slot's bound or the front's memory limit leave, and selects classes
-	// in 93 segments, whose class walks visit 42,264 classes up to the last
-	// selected one. The chain steps into the 1,424 selected classes whose
-	// floors still pass keeps — the classes it descended into when it
-	// stepped to each of 21,787 classes to price its first leaf's floor —
-	// so RunLeaf runs 9,726 times, on every leaf of those classes, where it
-	// ran 30,089 times; every run reaches the memory half, and every leaf
-	// is priced for time. Stepping for floors, the rows reran 8,044, 14,215
-	// and 9,791 times and the time groups 7,504, 7,746, 5,349, 14,215 and
-	// 25,614 times. The profile is read on 548 memory halves: the stepped
-	// classes that move a block switch. Only the 93 walked segments' first
+	// the fold on their bound keys, and 1,221 of those on their slot floor
+	// keys too. The floor pass prices the floors of the 18,643 fitting
+	// classes of those slots that the top-K test on the slot floor or the
+	// front's memory limit leave (22,167 when the bound alone chose the
+	// slots), and selects 2,185 classes in 75 segments (93 before), which
+	// the class walks seek; walking to them visited 35,036 classes (42,264
+	// before). The chain steps into the 1,192 selected classes whose floors
+	// still pass keeps (1,424 before), so RunLeaf runs 8,334 times, on every
+	// leaf of those classes, where it ran 9,726 times with the bound alone
+	// and 30,089 times stepping to each class to price its first leaf's
+	// floor; every run reaches the memory half, and every leaf is priced
+	// for time. The profile is read on 427 memory halves: the stepped
+	// classes that move a block switch. Only the 75 walked segments' first
 	// steps have a mask that reaches TP or Microbatch; the chain's row memo
 	// fetches a row from the shared memo on 125 calls in all, the memory
-	// and floor passes' included, where (TP, Microbatch) changed.
+	// and floor passes' included, where (TP, Microbatch) changed. A seek
+	// hands RunLeaf the OR of the masks the walk would have reported, so
+	// every row and group count below is what walking gave.
 	want := map[string]int{
-		"leaves": 2076480, "classes": 42264, "pre-screened": 11088, "feasible": 2010498,
-		"cache hits": 2064654, "segments floored": 0, "segments walked": 93, "slots passed": 1758,
-		"class floors priced": 22167, "classes stepped": 1424,
-		"RunLeaf calls": 9726, "memory-half runs": 9726, "timed": 9726,
-		"row steps": 93, "row fetches": 125, "profile reads": 548, "shape": 93,
-		"mem weights": 790, "mem optimizer": 1164, "mem activations": 1001,
-		"tensor": 4578, "pipe": 4820, "data": 610, "optimizer": 1164, "offload": 5454,
+		"leaves": 2076480, "classes sought": 2185, "pre-screened": 11088, "feasible": 2010498,
+		"cache hits": 2064654, "segments floored": 0, "segments walked": 75, "slots passed": 1758,
+		"slot floors passed": 1221, "class floors priced": 18643, "classes stepped": 1192,
+		"RunLeaf calls": 8334, "memory-half runs": 8334, "timed": 8334,
+		"row steps": 75, "row fetches": 125, "profile reads": 427, "shape": 75,
+		"mem weights": 627, "mem optimizer": 994, "mem activations": 779,
+		"tensor": 3993, "pipe": 4003, "data": 453, "optimizer": 994, "offload": 4758,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recompute counts changed:\n got %v\nwant %v", got, want)
@@ -561,16 +628,17 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 // chain as a single search worker walks it under a top-10 + Pareto fold,
 // and returns its counts: the lattice prune drops a triple the pre-screen
 // rejects whole; every other segment gets its memory pass (PassSegment),
-// which floors it when the segment floor shows no leaf fits; when some
-// profile slot's bound keys pass keeps, the floor pass (PassFloors) prices
-// the floors of the fitting classes of passing slots that the top-K test
-// on the slot's bound or the front's memory limit leave, and selects those
-// whose floors pass keeps; the class walk runs only when some class is
-// selected, up to the last one, and steps the chain only into a selected
-// class whose floor still passes, ORing the masks of the classes it walks
-// past. Runners from one RunnerGroup share their profile rows, as the
-// sizes of a sweep do. The counts of each memory half and of the term
-// groups it and the time half rerun come through onMemoryHalf.
+// which floors it when the segment floor shows no leaf fits; a profile slot
+// whose bound keys pass keeps is tested again on its slot floor keys
+// (SlotFloor), and when some slot passes both, the floor pass (PassFloors)
+// prices the floors of the fitting classes of passing slots that the top-K
+// test on the slot floor or the front's memory limit leave, and selects
+// those whose floors pass keeps; the class walk seeks each selected class
+// (ClassWalk.Seek) and steps the chain only into one whose floor still
+// passes, ORing the masks of the classes it passes. Runners from one
+// RunnerGroup share their profile rows, as the sizes of a sweep do. The
+// counts of each memory half and of the term groups it and the time half
+// rerun come through onMemoryHalf.
 func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution.EnumOptions) map[string]int {
 	t.Helper()
 	memGroups := []struct {
@@ -659,27 +727,28 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 				got["pre-screened"] += p.PreScreened
 				got["cache hits"] += p.CacheHits
 				got["feasible"] += p.Feasible
-				var passing uint32
-				for i := 0; i < lat.Slots(); i++ {
-					if k, ok := p.Bound(i); ok && fold.keeps(base, k) {
-						passing |= 1 << i
-						got["slots passed"]++
-					}
-				}
-				if passing == 0 {
-					return true
-				}
+				passing := false
 				var below [MaxSlots]units.Bytes
 				for i := range below[:lat.Slots()] {
-					k, _ := p.Bound(i)
-					switch {
-					case passing&(1<<i) == 0:
-						below[i] = units.Bytes(math.Inf(-1))
+					below[i] = units.Bytes(math.Inf(-1))
+					if k, ok := p.Bound(i); !ok || !fold.keeps(base, k) {
+						continue
+					}
+					got["slots passed"]++
+					switch k := r.SlotFloor(&chain, &p, i); {
+					case !fold.keeps(base, k):
+						continue
 					case fold.entersTop(base, k):
 						below[i] = units.Bytes(math.Inf(1))
 					default:
 						below[i] = fold.frontLimit(k.BatchTime)
 					}
+					got["slot floors passed"]++
+					passing = true
+				}
+				noteRow()
+				if !passing {
+					return true
 				}
 				selected := r.PassFloors(&chain, &p, below[:lat.Slots()], func(k *Keys) bool {
 					got["class floors priced"]++
@@ -690,20 +759,19 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 					return true
 				}
 				got["segments walked"]++
-				var skipped execution.FieldMask
 				w := tog.Classes(root)
-				for more := true; more && selected > 0; more = w.NextClass() {
-					got["classes"]++
-					mask := skipped | w.Mask()
-					skipped = mask
-					floor, ok := p.Selected(root)
-					if !ok {
-						continue
+				skipped := w.Mask()
+				for k := p.NextSelected(0); k >= 0; k = p.NextSelected(k + 1) {
+					got["classes sought"]++
+					skipped |= w.Seek(k)
+					floor := p.Floor(k)
+					if sel, ok := p.Selected(root); !ok || sel != floor {
+						t.Fatalf("%v: the walk sought class %d, whose floor keys are %+v, onto a class selected %v with %+v", root, k, floor, ok, sel)
 					}
-					selected--
 					if !fold.keeps(base, floor) {
 						continue
 					}
+					mask := skipped
 					skipped = 0
 					if _, ok := leaf(root, mask); !ok {
 						t.Fatalf("%v: a class the pass fits does not", root)

@@ -41,16 +41,43 @@ func TestSegmentFloorCounts(t *testing.T) {
 	// 50,925 leaves: 25,767 in pruned subtrees (every leaf at 64 GPUs) and
 	// 1,198 segments of 21. The floor shows 444 segments hold no leaf that
 	// fits, counting their 9,324 leaves as profile cache hits; the memory
-	// pass prices the other 754, and the class walk runs on the 90 where
-	// the floor pass selects a class. The memory half ran 11,039 times with
-	// every segment walked class by class, 7,043 times with the floor,
-	// 1,056 times stepping to each class of a passing slot whose bound keys
-	// pass (on the 295 segments with such a slot), and now 490 times, once
-	// per leaf of a selected class.
+	// pass prices the other 754, and the class walk runs on the 68 where
+	// the floor pass selects a class (90 when the bound alone chose the
+	// slots the pass prices). The memory half ran 11,039 times with every
+	// segment walked class by class, 7,043 times with the floor, 1,056
+	// times stepping to each class of a passing slot whose bound keys pass
+	// (on the 295 segments with such a slot), 490 times once per leaf of a
+	// selected class, and now 370 times, the slot floor leaving fewer
+	// classes to select.
 	want := map[string]int{
 		"leaves": 50925, "pre-screened": 25767, "feasible": 5229, "cache hits": 24006,
-		"segments floored": 444, "segments walked": 90, "memory-half runs": 490,
+		"segments floored": 444, "segments walked": 68, "memory-half runs": 370,
 	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Errorf("%s: got %d, want %d", k, got[k], want[k])
+		}
+	}
+}
+
+// TestSeqParFloorCounts pins the floor pass where sequence parallelism
+// meets a tensor-parallel group that spans nodes: gpt3-175B at batch 256
+// on 256 A100s, the seqpar feature set, interleaving up to 2, walked by one
+// worker under a top-10 + Pareto fold (mirrorSearches). At t = 16 and 32
+// the group crosses InfiniBand, whose in-network all-reduce costs about
+// half an RS+AG, and a sequence-parallel class must use RS+AG
+// (Strategy.Validate), so its TP floor and its profile slot's slot floor
+// price RS+AG alone. With the cheaper of the two collectives the pass
+// priced 409 class floors and stepped into 145 classes.
+func TestSeqParFloorCounts(t *testing.T) {
+	m := model.MustPreset("gpt3-175B").WithBatch(256)
+	r, err := NewRunner(m, system.A100(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := execution.EnumOptions{Procs: 256, Features: execution.FeatureSeqPar, MaxInterleave: 2}
+	got := mirrorSearches(t, m, []*Runner{r}, opts)
+	want := map[string]int{"class floors priced": 139, "classes stepped": 136}
 	for k := range want {
 		if got[k] != want[k] {
 			t.Errorf("%s: got %d, want %d", k, got[k], want[k])

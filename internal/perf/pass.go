@@ -15,6 +15,10 @@ import (
 // pairs and fused layers on or off.
 const MaxSlots = 18
 
+// maxClasses is the most memory classes a segment holds: a class per
+// profile slot and combination of the five screen switches.
+const maxClasses = MaxSlots * 32
+
 // SegmentLattice is what the segment pass (Runner.PassSegment) reads off one
 // toggle lattice. A memory class of a segment is one combination of the
 // block switches — the recompute mode, the (SeqParallel, TPRedoForSP) pair
@@ -51,6 +55,11 @@ type SegmentLattice struct {
 	// the offload transfers.
 	dataRows, xferRows []uint32
 	dataOf, xferOf     [32]uint8
+	// classOf is each class's place in the class walk's order
+	// (ClassWalk.Class) by profile slot index and screen bits, and classAt
+	// the slot index and screen bits of each place.
+	classOf [MaxSlots][32]uint16
+	classAt [maxClasses][2]uint8
 }
 
 // latticeSlot is one block-switch combination of a lattice: its profile
@@ -133,7 +142,10 @@ func newSegmentLattice(tog *execution.Toggles) SegmentLattice {
 	root := execution.Strategy{TP: 1, PP: 1, DP: 1, Microbatch: 1, Interleave: 1}
 	w := tog.Classes(&root)
 	for more := true; more; more = w.NextClass() {
-		l.slots[l.slotOf[slotFor(&root)]].leaves = w.Len()
+		i := l.slotOf[slotFor(&root)]
+		l.slots[i].leaves = w.Len()
+		b := screenBits(&root)
+		l.classOf[i][b], l.classAt[w.Class()] = uint16(w.Class()), [2]uint8{uint8(i), uint8(b)}
 	}
 	return l
 }
@@ -166,6 +178,7 @@ type SegmentPass struct {
 
 	lat   *SegmentLattice
 	probe execution.Strategy
+	shape [3]int // the probe's n, bp and bc (eval.loadShape)
 	slots [MaxSlots]slotPass
 	// totals holds the admitted classes' first- and second-tier totals,
 	// slot by slot, each slot's in the lattice's screen order (total).
@@ -179,10 +192,11 @@ type SegmentPass struct {
 	acts    [2][4]units.Bytes
 
 	// The floor pass's selection (Runner.PassFloors), apart from the slots
-	// every segment's memory pass writes: per profile slot the screen bits
-	// of the selected classes, the floor of each class by slot and screen
-	// bits, and the global batch its sample rate is for.
-	picked [MaxSlots]uint32
+	// every segment's memory pass writes: the selected classes by their
+	// place in the class walk (ClassWalk.Class), the floor of each class by
+	// profile slot and screen bits, and the global batch its sample rate is
+	// for.
+	chosen [maxClasses / 64]uint64
 	floors [MaxSlots][32]units.Seconds
 	batch  float64
 	// asked is the floor keys PassFloors hands keep, held here: keys on
@@ -197,6 +211,9 @@ type slotPass struct {
 	rate  float64       // the sample rate of bound
 	least units.Bytes   // the least Mem1 of a fitting class
 	fits  uint32        // bit b: the class with screen bits b is admitted and fits
+	// The slot's TP floor, once SlotFloor or PassFloors priced it.
+	tpPriced     bool
+	tpFwd, tpBwd units.Seconds
 }
 
 // total returns the first- and second-tier totals of the class of profile
@@ -219,18 +236,42 @@ func (p *SegmentPass) Bound(i int) (Keys, bool) {
 	return Keys{BatchTime: s.bound, SampleRate: s.rate, Mem1: s.least}, true
 }
 
-// Class returns, for the class *st stands on, its profile slot's index, its
-// bound keys — bit for bit what RunLeaf reports on any of its leaves — and
-// whether it fits. st must be a leaf of the segment the pass was last run
-// on.
-func (p *SegmentPass) Class(st *execution.Strategy) (slot int, k Keys, fits bool) {
-	slot = int(p.lat.slotOf[slotFor(st)])
-	s := &p.slots[slot]
-	b := screenBits(st)
-	if s.fits&(1<<b) == 0 {
-		return slot, Keys{}, false
+// SlotFloor returns the floor keys of profile slot i, whose Bound the last
+// PassSegment reported: classFloor's arithmetic with every class term at 0,
+// that is batchTimeBound plus the slot's TP floor (tpFloor) per block visit
+// over the n·bp visits and the bubble's (p−1)·bc, scaled by floorMargin,
+// with the least Mem1 of the slot's fitting classes. Each class term is
+// ≥ 0 and enters the floor only through sums and maxima, which rounding
+// keeps monotone, so these keys are no higher than the floor keys of each
+// fitting class of the slot bit for bit, and so than every leaf's exact
+// keys. A search asks for them only on a slot whose Bound its fold keeps.
+func (r *Runner) SlotFloor(chain *RunInfo, p *SegmentPass, i int) Keys {
+	e := p.eval(r, r.chainOf(chain))
+	tpFwd, tpBwd := p.onSlot(r, &e, i)
+	t := e.classFloor(tpFwd, tpBwd, &classTerms{})
+	return Keys{BatchTime: t, SampleRate: t.Rate(float64(r.m.Batch)), Mem1: p.slots[i].least}
+}
+
+// eval returns an evaluation of the pass's probe on the chain's memo with
+// the shape of the segment PassSegment last ran on.
+func (p *SegmentPass) eval(r *Runner, d *deltaState) eval {
+	return eval{m: &r.m, sys: &r.sys, st: &p.probe, memo: &d.memo, n: p.shape[0], bp: p.shape[1], bc: p.shape[2]}
+}
+
+// onSlot sets the probe's block switches to profile slot i's, loads the
+// slot's profile into e, and returns the slot's TP floor (tpFloor), priced
+// once per segment.
+func (p *SegmentPass) onSlot(r *Runner, e *eval, i int) (tpFwd, tpBwd units.Seconds) {
+	ls, st := &p.lat.slots[i], &p.probe
+	st.Recompute, st.SeqParallel, st.TPRedoForSP, st.FusedLayers = ls.recompute, ls.sp, ls.redo, ls.fused
+	prof, _ := r.profile(e.memo.rowOf(r, st), st) // PassSegment read, and counted, it
+	e.loadProfile(prof)
+	s := &p.slots[i]
+	if !s.tpPriced {
+		s.tpFwd, s.tpBwd = e.tpFloor()
+		s.tpPriced = true
 	}
-	return slot, Keys{BatchTime: s.bound, SampleRate: s.rate, Mem1: p.total(slot, b)[0]}, true
+	return s.tpFwd, s.tpBwd
 }
 
 // PassSegment runs the memory half of every class of the segment rooted at
@@ -259,7 +300,7 @@ func (r *Runner) PassSegment(chain *RunInfo, lat *SegmentLattice, root *executio
 	}
 	p.Evaluated, p.PreScreened, p.CacheHits, p.Feasible = lat.len, 0, 0, 0
 	for i := range lat.slots {
-		p.slots[i].fits = 0
+		p.slots[i].fits, p.slots[i].tpPriced = 0, false
 	}
 	if root.Inference || root.ValidateShape(&r.m) != nil {
 		return
@@ -286,6 +327,7 @@ func (r *Runner) PassSegment(chain *RunInfo, lat *SegmentLattice, root *executio
 	}
 	e := eval{m: &r.m, sys: &r.sys, st: st, memo: &d.memo}
 	e.loadShape()
+	p.shape = [3]int{e.n, e.bp, e.bc}
 	var m1, m2 MemBreakdown     // each row's output, before p keeps it
 	graph := uint32(graphSlots) // none yet
 	for i := range lat.slots {
@@ -339,27 +381,25 @@ func (r *Runner) PassSegment(chain *RunInfo, lat *SegmentLattice, root *executio
 
 // PassFloors is the floor half of the segment pass, for a search whose fold
 // can keep some leaf of the segment PassSegment last ran on. It prices the
-// class floor of every fitting class of profile slot i whose Mem1 lies
-// below below[i] (one entry per slot), and selects the class when keep
-// accepts its floor keys; Selected reads the selection back, and the count
+// class floor of every fitting class of profile slot i whose Mem1 lies below
+// below[i] (one entry per slot), and selects the class when keep accepts its
+// floor keys; NextSelected and Floor read the selection back, and the count
 // selected is returned. The floor is classFloor's arithmetic on rows priced
-// once per distinct input, on the chain's memo and the functions the
-// chain's time half runs: the TP floor per profile slot, the data-parallel
-// exposure and penalty per slot and (OptimSharding, DPOverlap), the
-// optimizer step per graph slot and (OptimSharding, OptimOffload), and the
-// offload transfers per slot and (the three offloads, OptimSharding). None
-// of them reads a variant field, so each floor is bit for bit what
-// classFloor gives on any leaf of the class after its time half
+// once per distinct input, on the chain's memo and the functions the chain's
+// time half runs: the TP floor per profile slot, the data-parallel exposure
+// and penalty per slot and (OptimSharding, DPOverlap), the optimizer step
+// per graph slot and (OptimSharding, OptimOffload), and the offload
+// transfers per slot and (the three offloads, OptimSharding). None of them
+// reads a variant field, so each floor is bit for bit what classFloor gives
+// on any leaf of the class after its time half
 // (TestPassFloorsMatchChainFloor), and floorMargin's soundness carries over.
 //
 //calculonvet:ordered
 func (r *Runner) PassFloors(chain *RunInfo, p *SegmentPass, below []units.Bytes, keep func(*Keys) bool) int {
-	d := r.chainOf(chain)
 	lat := p.lat
 	p.batch = float64(r.m.Batch)
 	st := &p.probe
-	e := eval{m: &r.m, sys: &r.sys, st: st, memo: &d.memo}
-	e.loadShape()
+	e := p.eval(r, r.chainOf(chain))
 	// Each row's terms by row index, and the rows priced: the optimizer
 	// step's since the graph slot changed, the others' since the slot did.
 	var optim [4]units.Seconds
@@ -368,8 +408,8 @@ func (r *Runner) PassFloors(chain *RunInfo, p *SegmentPass, below []units.Bytes,
 	var haveOptim, haveData, haveXfer uint32
 	graph := uint32(graphSlots) // none yet
 	selected := 0
+	p.chosen = [len(p.chosen)]uint64{}
 	for i := range lat.slots {
-		p.picked[i] = 0
 		var cands uint32
 		for f := p.slots[i].fits; f != 0; f &= f - 1 {
 			if b := bits.TrailingZeros32(f); p.total(i, uint32(b))[0] < below[i] {
@@ -379,15 +419,11 @@ func (r *Runner) PassFloors(chain *RunInfo, p *SegmentPass, below []units.Bytes,
 		if cands == 0 {
 			continue
 		}
-		ls := &lat.slots[i]
-		st.Recompute, st.SeqParallel, st.TPRedoForSP, st.FusedLayers = ls.recompute, ls.sp, ls.redo, ls.fused
-		prof, _ := r.profile(d.memo.rowOf(r, st), st) // PassSegment read, and counted, it
-		e.loadProfile(prof)
-		if g := ls.profile % graphSlots; g != graph {
+		tpFwd, tpBwd := p.onSlot(r, &e, i)
+		if g := lat.slots[i].profile % graphSlots; g != graph {
 			graph, haveOptim = g, 0
 		}
 		haveData, haveXfer = 0, 0
-		tpFwd, tpBwd := e.tpFloor()
 		for ; cands != 0; cands &= cands - 1 {
 			b := uint32(bits.TrailingZeros32(cands))
 			setScreenBits(st, b)
@@ -416,7 +452,8 @@ func (r *Runner) PassFloors(chain *RunInfo, p *SegmentPass, below []units.Bytes,
 				xferFwd: xfer[xi][0], xferBwd: xfer[xi][1]}
 			p.floors[i][b] = e.classFloor(tpFwd, tpBwd, &c)
 			if p.asked = p.floorKeys(i, b); keep(&p.asked) {
-				p.picked[i] |= 1 << b
+				k := lat.classOf[i][b]
+				p.chosen[k/64] |= 1 << (k % 64)
 				selected++
 			}
 		}
@@ -424,16 +461,39 @@ func (r *Runner) PassFloors(chain *RunInfo, p *SegmentPass, below []units.Bytes,
 	return selected
 }
 
-// Selected returns, for the class *st stands on, its floor keys and whether
-// the last PassFloors selected it. st must be a leaf of the segment the
-// pass was last run on.
-func (p *SegmentPass) Selected(st *execution.Strategy) (Keys, bool) {
-	i := int(p.lat.slotOf[slotFor(st)])
-	b := screenBits(st)
-	if p.picked[i]&(1<<b) == 0 {
-		return Keys{}, false
+// NextSelected returns the place in the class walk's order (ClassWalk.Class)
+// of the first class at or after place k that the last PassFloors selected,
+// or -1 when there is none.
+func (p *SegmentPass) NextSelected(k int) int {
+	for w := k / 64; w < len(p.chosen); w++ {
+		rest := p.chosen[w]
+		if w == k/64 {
+			rest &^= 1<<(k%64) - 1
+		}
+		if rest != 0 {
+			return w*64 + bits.TrailingZeros64(rest)
+		}
 	}
-	return p.floorKeys(i, b), true
+	return -1
+}
+
+// NextFitting returns the place in the class walk's order of the first
+// class at or after place k that fits by the last PassSegment, or -1 when
+// there is none.
+func (p *SegmentPass) NextFitting(k int) int {
+	for n := len(p.lat.slots) * len(p.lat.screens); k < n; k++ {
+		if c := p.lat.classAt[k]; p.slots[c[0]].fits&(1<<c[1]) != 0 {
+			return k
+		}
+	}
+	return -1
+}
+
+// Floor returns the floor keys of the class at place k of the class walk's
+// order, which the last PassFloors selected.
+func (p *SegmentPass) Floor(k int) Keys {
+	c := p.lat.classAt[k]
+	return p.floorKeys(int(c[0]), uint32(c[1]))
 }
 
 // floorKeys returns the floor keys of the class of profile slot i and

@@ -238,3 +238,30 @@ func TestPassFloorsMatchChainFloor(t *testing.T) {
 		t.Fatal("no class floor was compared")
 	}
 }
+
+// Class returns, for the class *st stands on, its profile slot's index, its
+// bound keys — bit for bit what RunLeaf reports on any of its leaves — and
+// whether it fits. st must be a leaf of the segment the pass was last run
+// on.
+func (p *SegmentPass) Class(st *execution.Strategy) (slot int, k Keys, fits bool) {
+	slot = int(p.lat.slotOf[slotFor(st)])
+	s := &p.slots[slot]
+	b := screenBits(st)
+	if s.fits&(1<<b) == 0 {
+		return slot, Keys{}, false
+	}
+	return slot, Keys{BatchTime: s.bound, SampleRate: s.rate, Mem1: p.total(slot, b)[0]}, true
+}
+
+// Selected returns, for the class *st stands on, its floor keys and whether
+// the last PassFloors selected it. st must be a leaf of the segment the
+// pass was last run on.
+func (p *SegmentPass) Selected(st *execution.Strategy) (Keys, bool) {
+	i := int(p.lat.slotOf[slotFor(st)])
+	b := screenBits(st)
+	k := p.lat.classOf[i][b]
+	if p.chosen[k/64]&(1<<(k%64)) == 0 {
+		return Keys{}, false
+	}
+	return p.floorKeys(i, b), true
+}

@@ -872,20 +872,26 @@ func (e *eval) batchTimeBound() units.Seconds {
 }
 
 // tpFloor is a lower bound on the exposed TP time per block, forward and
-// backward, of every leaf of the class: tensorComm's formula on the cheaper
-// of the two collective schemes, hidden by the largest fraction any overlap
-// mode hides, capped by the block's compute. The exposed time rises with the
-// collective time and falls with the hidden fraction.
+// backward, of every leaf of the class: tensorComm's formula on the
+// collective scheme the class may use, hidden by the largest fraction any
+// overlap mode hides, capped by the block's compute. Sequence parallelism
+// requires RS+AG (Strategy.Validate), so a class with it on is priced on
+// RS+AG alone, and one without it on the cheaper of RS+AG and all-reduce.
+// The exposed time rises with the collective time and falls with the hidden
+// fraction.
 func (e *eval) tpFloor() (fwd, bwd units.Seconds) {
 	t := e.st.TP
 	if t <= 1 {
 		return 0, 0
 	}
 	net := e.sys.NetworkPtrFor(t)
-	arFwd, arBwd := e.tpCollectives(net, false)
-	rsFwd, rsBwd := e.tpCollectives(net, true)
-	fwd, _ = overlapTP(minSec(arFwd, rsFwd), execution.MaxHiddenFraction, e.blockFwd)
-	bwd, _ = overlapTP(minSec(arBwd, rsBwd), execution.MaxHiddenFraction, e.blockBwd+e.blockRecompute)
+	fwd, bwd = e.tpCollectives(net, true)
+	if !e.st.SeqParallel {
+		arFwd, arBwd := e.tpCollectives(net, false)
+		fwd, bwd = minSec(arFwd, fwd), minSec(arBwd, bwd)
+	}
+	fwd, _ = overlapTP(fwd, execution.MaxHiddenFraction, e.blockFwd)
+	bwd, _ = overlapTP(bwd, execution.MaxHiddenFraction, e.blockBwd+e.blockRecompute)
 	return fwd, bwd
 }
 

@@ -306,21 +306,23 @@ type worker struct {
 // slot's bound keys (SegmentPass.Bound: the batch-time bound its leaves
 // share, with the least Mem1 of its fitting classes) are tested once, at the
 // segment's first seq: keeps is monotone in batch time, first-tier memory
-// and seq, so a slot they fail holds no leaf the fold keeps, and a segment
-// with no passing slot is done. For each passing slot one entersTop test on
-// its bound's rate and the front's memory limit at its bound's batch time
-// (frontLimit) leave the classes that may still enter either part: all of
-// them when the rate enters the top list, else those below the limit. The
-// floor half of the pass (Runner.PassFloors) prices those classes' floors
-// and selects the ones whose floor keys pass keeps; each test is implied by
-// the next, so only the floor decides. The class walk then steps the chain
-// (RunLeaf) only into a selected class whose floor still passes keeps,
-// ORing the masks of the classes it skips into that step's mask, and stops
-// after the last selected class. The descent prices a leaf's exact keys
+// and seq, so a slot they fail holds no leaf the fold keeps. A slot they
+// pass is tested again on its slot floor keys (Runner.SlotFloor: the bound
+// plus the slot's TP floor), and a segment with no slot passing both is
+// done. For each passing slot one entersTop test on its slot floor's rate
+// and the front's memory limit at its slot floor's batch time (frontLimit)
+// leave the classes that may still enter either part: all of them when the
+// rate enters the top list, else those below the limit. The floor half of
+// the pass (Runner.PassFloors) prices those classes' floors and selects the
+// ones whose floor keys pass keeps; each test is implied by the next, so
+// only the floor decides. The class walk then seeks the selected classes in
+// its order (ClassWalk.Seek) and steps the chain (RunLeaf) only into one
+// whose floor still passes keeps, with the OR of the masks of the class
+// steps since the chain's last step. The descent prices a leaf's exact keys
 // only while its class floor passes keeps, and computes its seq only when
 // those keys pass at the segment's first seq, before building its Result.
-// With collectRates every fitting class is stepped and every leaf of it
-// priced (docs/MODEL.md, "The leaf path").
+// With collectRates every fitting class is sought and stepped and every leaf
+// of it priced (docs/MODEL.md, "The leaf path").
 func (ws *worker) segment(runner *perf.Runner, lat *perf.SegmentLattice, tog *execution.Toggles, root *execution.Strategy, seq0 int, collectRates bool) {
 	chain, c, p := &ws.chain, &ws.chunk, &ws.pass
 	runner.PassSegment(chain, lat, root, p)
@@ -328,52 +330,49 @@ func (ws *worker) segment(runner *perf.Runner, lat *perf.SegmentLattice, tog *ex
 	c.PreScreened += p.PreScreened
 	c.CacheHits += p.CacheHits
 	c.Feasible += p.Feasible
-	var passing uint32 // bit i: profile slot i may hold a leaf the fold keeps
-	for i := 0; i < lat.Slots(); i++ {
-		if k, ok := p.Bound(i); ok && (collectRates || ws.keeps(seq0, &k)) {
-			passing |= 1 << i
+	passing := false // some profile slot may hold a leaf the fold keeps
+	below := ws.below[:lat.Slots()]
+	for i := range below {
+		below[i] = units.Bytes(math.Inf(-1))
+		k, ok := p.Bound(i)
+		if !ok || !collectRates && !ws.keeps(seq0, &k) {
+			continue
 		}
-	}
-	if passing == 0 {
-		return
-	}
-	selected := 0 // the selected classes the walk has yet to reach
-	if !collectRates {
-		below := ws.below[:lat.Slots()]
-		for i := range below {
-			k, _ := p.Bound(i)
-			switch {
-			case passing&(1<<i) == 0:
-				below[i] = units.Bytes(math.Inf(-1))
+		if !collectRates {
+			// The slot floor adds the TP floor to the bound, so it is
+			// priced only for a slot the bound alone leaves.
+			switch k = runner.SlotFloor(chain, p, i); {
+			case !ws.keeps(seq0, &k):
+				continue
 			case ws.entersTop(k.SampleRate, seq0):
 				below[i] = units.Bytes(math.Inf(1))
 			default:
 				below[i] = ws.frontLimit(k.BatchTime)
 			}
 		}
-		if selected = runner.PassFloors(chain, p, below, func(k *perf.Keys) bool { return ws.keeps(seq0, k) }); selected == 0 {
-			return
-		}
+		passing = true
 	}
-	var skipped execution.FieldMask // the masks of the classes walked past since the last step
+	if !passing {
+		return
+	}
+	if !collectRates && runner.PassFloors(chain, p, below, func(k *perf.Keys) bool { return ws.keeps(seq0, k) }) == 0 {
+		return
+	}
+	next := p.NextSelected
+	if collectRates {
+		next = p.NextFitting
+	}
 	w := tog.Classes(root)
-	for more := true; more && (collectRates || selected > 0); more = w.NextClass() {
-		mask := skipped | w.Mask()
-		skipped = mask
+	skipped := w.Mask() // changed since the chain's last step: every field, before the first
+	for k := next(0); k >= 0; k = next(k + 1) {
+		skipped |= w.Seek(k)
 		var floor perf.Keys
-		if collectRates {
-			if _, _, fits := p.Class(root); !fits {
-				continue
-			}
-		} else {
-			var ok bool
-			if floor, ok = p.Selected(root); !ok {
-				continue
-			}
-			if selected--; !ws.keeps(seq0, &floor) {
+		if !collectRates {
+			if floor = p.Floor(k); !ws.keeps(seq0, &floor) {
 				continue
 			}
 		}
+		mask := skipped
 		skipped = 0
 		if _, ok := runner.RunLeaf(chain, root, mask); !ok {
 			continue
