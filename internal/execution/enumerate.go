@@ -710,13 +710,15 @@ func (o EnumOptions) SpaceSize(m model.LLM) int {
 }
 
 // LeafCount returns, in closed form, the number of strategies the (t,p,d)
-// subtrees hold: their TripleLeafCount summed.
+// subtrees hold: their TripleLeafCount summed, on one toggle lattice.
 func (o EnumOptions) LeafCount(m model.LLM, triples [][3]int) int {
+	tog := o.Toggles()
 	n := 0
 	for _, tpd := range triples {
-		n += o.TripleLeafCount(m, tpd)
+		mbs, scheds := o.TripleShape(&m, tpd)
+		n += mbs * scheds
 	}
-	return n
+	return n * tog.Len()
 }
 
 // Validate checks the options themselves.

@@ -13,6 +13,8 @@
 package layers
 
 import (
+	"slices"
+
 	"calculon/internal/model"
 	"calculon/internal/units"
 )
@@ -104,9 +106,19 @@ const (
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
+// blockLayers is the number of layers in a block's graph.
+const blockLayers = 13
+
 // Block builds the layer graph of one transformer block for the given model
 // under the given sharding. Layers appear in execution order.
 func Block(m model.LLM, sh Shard) []Layer {
+	return AppendBlock(nil, &m, sh)
+}
+
+// AppendBlock appends Block's layer graph to dst and returns the extended
+// slice, so a caller that builds many graphs can reuse one buffer. It grows
+// dst at most once.
+func AppendBlock(dst []Layer, m *model.LLM, sh Shard) []Layer {
 	if sh.TP < 1 {
 		sh.TP = 1
 	}
@@ -126,7 +138,7 @@ func Block(m model.LLM, sh Shard) []Layer {
 		sl = float64(ceilDiv(m.Seq, sh.TP))
 	}
 
-	ls := make([]Layer, 0, 16)
+	ls, first := slices.Grow(dst, blockLayers), len(dst)
 	add := func(l Layer) {
 		if sh.Inference {
 			l.BwdFLOPs, l.BwdTraffic, l.ActBytes = 0, 0, 0
@@ -282,7 +294,7 @@ func Block(m model.LLM, sh Shard) []Layer {
 	})
 
 	if sh.Fused {
-		for i := range ls {
+		for i := first; i < len(ls); i++ {
 			if ls[i].Fusable {
 				// The op is executed inside the neighbouring kernel's
 				// epilogue: its tensors never round-trip through memory and

@@ -2,6 +2,7 @@ package layers
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -266,5 +267,26 @@ func TestTotalsScaleLinearlyInMicrobatch(t *testing.T) {
 	}
 	if t4.WeightBytes != t1.WeightBytes {
 		t.Error("weights must not depend on microbatch")
+	}
+}
+
+// TestAppendBlockReusesBuffer: AppendBlock appends exactly Block's graph
+// after what dst holds, leaving those layers alone (fusion included), and a
+// buffer with room for a graph builds the next one without allocating.
+func TestAppendBlockReusesBuffer(t *testing.T) {
+	m := gpt3()
+	sh := Shard{TP: 2, Microbatch: 2, SeqParallel: true, Fused: true}
+	prefix := Block(m, Shard{TP: 1, Microbatch: 1})
+	kept := append([]Layer(nil), prefix...)
+	got := AppendBlock(prefix, &m, sh)
+	if !reflect.DeepEqual(got[:len(kept)], kept) {
+		t.Error("AppendBlock changed the layers already in the buffer")
+	}
+	if !reflect.DeepEqual(got[len(kept):], Block(m, sh)) {
+		t.Error("AppendBlock appended a graph other than Block's")
+	}
+	buf := AppendBlock(nil, &m, sh)
+	if n := testing.AllocsPerRun(10, func() { buf = AppendBlock(buf[:0], &m, sh) }); n != 0 {
+		t.Errorf("rebuilding a graph into a reused buffer allocated %v times, want 0", n)
 	}
 }

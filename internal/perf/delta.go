@@ -3,6 +3,7 @@ package perf
 import (
 	"calculon/internal/comm"
 	"calculon/internal/execution"
+	"calculon/internal/layers"
 	"calculon/internal/system"
 	"calculon/internal/units"
 )
@@ -306,12 +307,16 @@ const (
 // keyed on its lookup's exact arguments — the network or memory is the
 // Runner's own, fixed for the chain — so a hit returns what the lookup
 // returned for equal arguments, bit for bit, with no mask reasoning. (±0
-// price alike everywhere here; a NaN key never hits.)
+// price alike everywhere here; a NaN key never hits.) Last, it holds the
+// buffer the chain's graph builds reuse.
 type termMemo struct {
 	comm [numCommSites]commMemo
 
 	row    *profileRow // nil: empty
 	rowKey rowKey
+
+	// layers is the buffer the chain builds block layer graphs into.
+	layers []layers.Layer
 
 	vecOK    bool
 	vecFLOPs units.FLOPs

@@ -38,7 +38,7 @@ func (r *Runner) mem1Floor(d *deltaState, lat *SegmentLattice, root *execution.S
 	st.Recompute = execution.RecomputeNone
 	setScreenBits(&st, lat.saving)
 	e := eval{m: &r.m, sys: &r.sys, st: &st, memo: &d.memo}
-	e.tot = layers.Totals{WeightBytes: mn.weight, ActBytes: mn.acts, MaxOutputBytes: mn.maxOutput}
+	e.tot = &layers.Totals{WeightBytes: mn.weight, ActBytes: mn.acts, MaxOutputBytes: mn.maxOutput}
 	e.loadShape()
 	var mem1, mem2 MemBreakdown
 	e.weightRows(&mem1, &mem2)
@@ -57,24 +57,25 @@ type slotMinima struct {
 }
 
 // slotMinima returns the row's minima over slots, or nil while any of those
-// slots is empty. The row keeps the minima it last computed, keyed by the
-// slot set, so a search, whose lattice reaches one set, computes them once
-// per row; filled slots never change, so kept minima stay exact.
+// slots is untouched (not yet read, and so not yet counted as a miss). The
+// row keeps the minima it last computed, keyed by the slot set, so a search,
+// whose lattice reaches one set, computes them once per row; built graphs
+// never change, so kept minima stay exact.
 func (row *profileRow) slotMinima(slots uint64) *slotMinima {
 	if mn := row.minima.Load(); mn != nil && mn.slots == slots {
 		return mn
+	}
+	if row.touched.Load()&slots != slots {
+		return nil
 	}
 	inf := units.Bytes(math.Inf(1))
 	mn := slotMinima{slots: slots, weight: inf, acts: inf, maxOutput: inf}
 	for s := slots; s != 0; s &= s - 1 {
 		i := bits.TrailingZeros64(s)
-		p := row.profs[i].Load()
-		if p == nil {
-			return nil
-		}
-		mn.weight = minBytes(mn.weight, p.tot.WeightBytes)
-		mn.acts = minBytes(mn.acts, storedActs(&p.tot, p.boundaryBytes, slotRecompute[i>>4]))
-		mn.maxOutput = minBytes(mn.maxOutput, p.tot.MaxOutputBytes)
+		g := row.graphs[i%graphSlots].Load() // published before its slots' bits
+		mn.weight = minBytes(mn.weight, g.tot.WeightBytes)
+		mn.acts = minBytes(mn.acts, storedActs(&g.tot, g.boundaryBytes, slotRecompute[i>>4]))
+		mn.maxOutput = minBytes(mn.maxOutput, g.tot.MaxOutputBytes)
 	}
 	kept := new(slotMinima) // only a complete set of minima reaches the heap
 	*kept = mn

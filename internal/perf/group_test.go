@@ -4,40 +4,43 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"testing/quick"
 
 	"calculon/internal/execution"
+	"calculon/internal/layers"
 	"calculon/internal/model"
 	"calculon/internal/system"
+	"calculon/internal/units"
 )
 
 // TestBlockProfileProcsIndependent is the invariant behind RunnerGroup's
 // cross-size memo sharing: the per-block profile reads nothing that depends
-// on the processor count, so profiles computed at one system size are
+// on the processor count, so profiles priced at one system size are
 // bit-identical at every other. If a size-dependent input ever leaks into
-// computeProfile, sharing the memo across a §5.2 sweep would silently serve
-// wrong timings — this test catches that before the equivalence suite does.
+// the profile's pricing, sharing the memo across a §5.2 sweep would
+// silently serve wrong timings — this test catches that before the
+// equivalence suite does. Each size prices the profiles on a Runner of its
+// own, and their terms, memory half and op times, are compared.
 func TestBlockProfileProcsIndependent(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(32)
-	o := execution.EnumOptions{Procs: 16, Features: execution.FeatureSeqPar, MaxInterleave: 2}
-	var sts []execution.Strategy
-	o.Enumerate(m, func(s execution.Strategy) bool {
-		sts = append(sts, s)
-		return len(sts) < 64
-	})
-	if len(sts) == 0 {
-		t.Fatal("no strategies enumerated")
-	}
+	sts := profileSample(t, m)
 	sizes := []int{8, 64, 1024}
-	for _, st := range sts {
-		base := system.A100(sizes[0])
-		ref := computeProfile(&m, &base, &st)
-		for _, n := range sizes[1:] {
-			sys := system.A100(n)
-			got := computeProfile(&m, &sys, &st)
-			if got != ref {
+	var runners []*Runner
+	for _, n := range sizes {
+		r, err := NewRunner(m, system.A100(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runners = append(runners, r)
+	}
+	for i := range sts {
+		ref, _ := viewTerms(runners[0], new(termMemo), &sts[i], true)
+		for j, r := range runners[1:] {
+			if got, _ := viewTerms(r, new(termMemo), &sts[i], true); got != ref {
 				t.Fatalf("profile for %v differs between %d and %d procs:\n%+v\nvs\n%+v",
-					st, sizes[0], n, ref, got)
+					sts[i], sizes[0], sizes[j+1], ref, got)
 			}
 		}
 	}
@@ -45,10 +48,34 @@ func TestBlockProfileProcsIndependent(t *testing.T) {
 
 // TestBlockProfileBatchIndependent is the invariant behind RunnerAt's batch
 // change: the per-block profile reads the microbatch but never the global
-// batch, so profiles computed at one batch are bit-identical at every
-// other, and one memo serves a serving search's every batch.
+// batch, so profiles priced at one batch are bit-identical at every other,
+// and one memo serves a serving search's every batch.
 func TestBlockProfileBatchIndependent(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(32)
+	sts := profileSample(t, m)
+	sys := system.A100(16)
+	ref, err := NewRunner(m, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []int{1, 64, 4096} {
+		r, err := NewRunner(m.WithBatch(batch), sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range sts {
+			want, _ := viewTerms(ref, new(termMemo), &sts[i], true)
+			if got, _ := viewTerms(r, new(termMemo), &sts[i], true); got != want {
+				t.Fatalf("profile for %v differs between batch %d and %d:\n%+v\nvs\n%+v",
+					sts[i], m.Batch, batch, want, got)
+			}
+		}
+	}
+}
+
+// profileSample returns the first 64 strategies of a small seqpar space.
+func profileSample(t *testing.T, m model.LLM) []execution.Strategy {
+	t.Helper()
 	o := execution.EnumOptions{Procs: 16, Features: execution.FeatureSeqPar, MaxInterleave: 2}
 	var sts []execution.Strategy
 	o.Enumerate(m, func(s execution.Strategy) bool {
@@ -58,14 +85,154 @@ func TestBlockProfileBatchIndependent(t *testing.T) {
 	if len(sts) == 0 {
 		t.Fatal("no strategies enumerated")
 	}
-	sys := system.A100(16)
-	for _, st := range sts {
-		ref := computeProfile(&m, &sys, &st)
-		for _, batch := range []int{1, 64, 4096} {
-			mb := m.WithBatch(batch)
-			if got := computeProfile(&mb, &sys, &st); got != ref {
-				t.Fatalf("profile for %v differs between batch %d and %d:\n%+v\nvs\n%+v",
-					st, m.Batch, batch, ref, got)
+	return sts
+}
+
+// profileTerms is every term of a block profile: its graph's memory half
+// and the op times its recompute mode selects.
+type profileTerms struct {
+	tot                         layers.Totals
+	boundaryBytes               units.Bytes
+	fwd, bwd, recompute         units.Seconds
+	fwdSlack, bwdSlack, rcSlack units.Seconds
+}
+
+// computeProfile is the eager reference for a block profile: the layer
+// graph built afresh and every op priced in one pass, the straight-line
+// loop the memo's lazily timed views are held to.
+func computeProfile(m *model.LLM, sys *system.System, st *execution.Strategy) profileTerms {
+	sh := shardFor(st)
+	ls := layers.Block(*m, sh)
+	p := profileTerms{tot: layers.Sum(ls), boundaryBytes: layers.BlockInputBytes(*m, sh)}
+	var attnFwd, attnSlack units.Seconds
+	for _, l := range ls {
+		ft, fs := opTime(sys, l.Engine, l.FLOPs, l.Traffic)
+		p.fwd += ft
+		p.fwdSlack += fs
+		bt, bs := opTime(sys, l.Engine, l.BwdFLOPs, l.BwdTraffic)
+		p.bwd += bt
+		p.bwdSlack += bs
+		if l.AttnGroup {
+			attnFwd += ft
+			attnSlack += fs
+		}
+	}
+	switch st.Recompute {
+	case execution.RecomputeFull:
+		p.recompute, p.rcSlack = p.fwd, p.fwdSlack
+	case execution.RecomputeAttn:
+		p.recompute, p.rcSlack = attnFwd, attnSlack
+	}
+	return p
+}
+
+// viewTerms reads the terms of the Runner's profile of st through the
+// memo's view, as the search does — the memory half in place, the op times
+// on first read — building a missing graph with its time half when timed.
+// It reports whether the read was a cache hit.
+func viewTerms(r *Runner, memo *termMemo, st *execution.Strategy, timed bool) (profileTerms, bool) {
+	prof, hit := r.profile(memo, st, timed)
+	e := eval{m: &r.m, sys: &r.sys, st: st, memo: memo}
+	e.loadProfile(prof)
+	e.loadTimes(r.times(memo, prof, st))
+	return profileTerms{
+		tot: *e.tot, boundaryBytes: e.boundaryBytes,
+		fwd: e.blockFwd, bwd: e.blockBwd, recompute: e.blockRecompute,
+		fwdSlack: e.blockFwdSlack, bwdSlack: e.blockBwdSlack, rcSlack: e.recompSlack,
+	}, hit
+}
+
+// TestLazyTimesMatchEagerProfile holds the memo's views to the eager
+// reference: on random shards of three models, a fresh Runner's profile of
+// every recompute mode, read in a random order with the graph built timed or
+// untimed, has computeProfile's terms bit for bit, whether its op times were
+// priced with the graph or on a later first read.
+func TestLazyTimesMatchEagerProfile(t *testing.T) {
+	sys := system.A100(64)
+	models := []model.LLM{model.MustPreset("gpt3-13B"), model.MustPreset("gpt3-175B"), model.MustPreset("megatron-1T")}
+	modes := []execution.RecomputeMode{execution.RecomputeNone, execution.RecomputeAttn, execution.RecomputeFull}
+	f := func(mi, tp, mb, switches, order uint8) bool {
+		m := models[int(mi)%len(models)]
+		r, err := NewRunner(m, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := execution.Strategy{
+			TP: int(tp)%m.AttnHeads + 1, Microbatch: int(mb)%8 + 1,
+			SeqParallel: switches&1 != 0, TPRedoForSP: switches&2 != 0,
+			FusedLayers: switches&4 != 0, Inference: switches&8 != 0,
+		}
+		memo := new(termMemo)
+		for k := range modes {
+			st.Recompute = modes[(int(order)+k)%len(modes)]
+			timed := switches>>(4+k)&1 != 0
+			got, _ := viewTerms(r, memo, &st, timed)
+			if want := computeProfile(&m, &sys, &st); got != want {
+				t.Logf("%s %v (timed %v):\n got %+v\nwant %+v", m.Name, st, timed, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestConcurrentFirstTouch has goroutines read every profile slot of one
+// row at once, each on a chain memo of its own and in an order of its own,
+// half building the graphs they miss with their op times and half without:
+// each slot reports exactly one miss across them all, and every goroutine
+// reads the eager reference's terms, whichever built the graph and
+// whichever priced its op times.
+func TestConcurrentFirstTouch(t *testing.T) {
+	m := model.MustPreset("gpt3-13B")
+	sys := system.A100(64)
+	r, err := NewRunner(m, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sts [profileSlots]execution.Strategy
+	for i := range sts {
+		st := &sts[i]
+		*st = execution.Strategy{TP: 8, Microbatch: 2,
+			SeqParallel: i&1 != 0, TPRedoForSP: i&2 != 0, FusedLayers: i&4 != 0, Inference: i&8 != 0,
+			Recompute: slotRecompute[i>>4]}
+		if slotFor(st) != uint32(i) {
+			t.Fatalf("strategy %v packs into slot %d, want %d", *st, slotFor(st), i)
+		}
+	}
+	const goroutines = 8
+	var misses [profileSlots]atomic.Int32
+	got := make([][profileSlots]profileTerms, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			memo := new(termMemo)
+			<-start
+			for k := range sts {
+				i := (k*7 + g*5) % profileSlots
+				terms, hit := viewTerms(r, memo, &sts[i], g%2 == 0)
+				if !hit {
+					misses[i].Add(1)
+				}
+				got[g][i] = terms
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range sts {
+		if n := misses[i].Load(); n != 1 {
+			t.Errorf("slot %d: %d misses across %d goroutines, want exactly 1", i, n, goroutines)
+		}
+		want := computeProfile(&m, &sys, &sts[i])
+		for g := range got {
+			if got[g][i] != want {
+				t.Fatalf("slot %d, goroutine %d:\n got %+v\nwant %+v", i, g, got[g][i], want)
 			}
 		}
 	}

@@ -12,7 +12,7 @@ func (e *eval) actPerMBPerBlock() units.Bytes {
 	if e.st.Inference {
 		return 0
 	}
-	return storedActs(&e.tot, e.boundaryBytes, e.st.Recompute)
+	return storedActs(e.tot, e.boundaryBytes, e.st.Recompute)
 }
 
 // storedActs returns a training block's stored activations per microbatch

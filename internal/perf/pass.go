@@ -207,7 +207,7 @@ type SegmentPass struct {
 
 // slotPass is one profile slot's part of a pass.
 type slotPass struct {
-	bound units.Seconds // batchTimeBound, which reads only the profile and the shape
+	bound units.Seconds // batchTimeBound, which reads only the profile and the shape; set when some class fits
 	rate  float64       // the sample rate of bound
 	least units.Bytes   // the least Mem1 of a fitting class
 	fits  uint32        // bit b: the class with screen bits b is admitted and fits
@@ -246,16 +246,19 @@ func (p *SegmentPass) Bound(i int) (Keys, bool) {
 // fitting class of the slot bit for bit, and so than every leaf's exact
 // keys. A search asks for them only on a slot whose Bound its fold keeps.
 func (r *Runner) SlotFloor(chain *RunInfo, p *SegmentPass, i int) Keys {
-	e := p.eval(r, r.chainOf(chain))
+	var e eval
+	p.evalOn(&e, r, r.chainOf(chain))
 	tpFwd, tpBwd := p.onSlot(r, &e, i)
 	t := e.classFloor(tpFwd, tpBwd, &classTerms{})
 	return Keys{BatchTime: t, SampleRate: t.Rate(float64(r.m.Batch)), Mem1: p.slots[i].least}
 }
 
-// eval returns an evaluation of the pass's probe on the chain's memo with
-// the shape of the segment PassSegment last ran on.
-func (p *SegmentPass) eval(r *Runner, d *deltaState) eval {
-	return eval{m: &r.m, sys: &r.sys, st: &p.probe, memo: &d.memo, n: p.shape[0], bp: p.shape[1], bc: p.shape[2]}
+// evalOn points the zero evaluation *e at the pass's probe on the chain's
+// memo with the shape of the segment PassSegment last ran on. It fills *e in
+// place: an eval returned by value is copied out whole.
+func (p *SegmentPass) evalOn(e *eval, r *Runner, d *deltaState) {
+	e.m, e.sys, e.st, e.memo = &r.m, &r.sys, &p.probe, &d.memo
+	e.n, e.bp, e.bc = p.shape[0], p.shape[1], p.shape[2]
 }
 
 // onSlot sets the probe's block switches to profile slot i's, loads the
@@ -264,8 +267,9 @@ func (p *SegmentPass) eval(r *Runner, d *deltaState) eval {
 func (p *SegmentPass) onSlot(r *Runner, e *eval, i int) (tpFwd, tpBwd units.Seconds) {
 	ls, st := &p.lat.slots[i], &p.probe
 	st.Recompute, st.SeqParallel, st.TPRedoForSP, st.FusedLayers = ls.recompute, ls.sp, ls.redo, ls.fused
-	prof, _ := r.profile(e.memo.rowOf(r, st), st) // PassSegment read, and counted, it
+	prof, _ := r.profile(e.memo, st, true) // PassSegment read, and counted, it
 	e.loadProfile(prof)
+	e.loadTimes(r.times(e.memo, prof, st))
 	s := &p.slots[i]
 	if !s.tpPriced {
 		s.tpFwd, s.tpBwd = e.tpFloor()
@@ -287,7 +291,9 @@ func (p *SegmentPass) onSlot(r *Runner, e *eval, i int) (tpFwd, tpBwd units.Seco
 // each capacity verdict, is bit for bit the one evaluating the class
 // computes. A slot's profile is read once, only when some screen
 // combination is admitted, so a profile miss is counted here exactly as a
-// chain's step would count it. The search's roots are training strategies
+// chain's step would count it; the memory rows read only its graph's memory
+// half, and its op times are read, for the bound, only on a slot where some
+// class fits. The search's roots are training strategies
 // that pass ValidateShape; a root that is not has no admitted leaf, and its
 // leaves are only counted as evaluated.
 //
@@ -333,15 +339,15 @@ func (r *Runner) PassSegment(chain *RunInfo, lat *SegmentLattice, root *executio
 	for i := range lat.slots {
 		ls, s := &lat.slots[i], &p.slots[i]
 		st.Recompute, st.SeqParallel, st.TPRedoForSP, st.FusedLayers = ls.recompute, ls.sp, ls.redo, ls.fused
-		prof, hit := r.profile(d.memo.rowOf(r, st), st)
+		prof, hit := r.profile(&d.memo, st, false)
 		if !hit {
 			p.CacheHits--
 		}
-		// The slots of one graph share its totals and boundary bytes.
-		e.blockFwd, e.blockBwd, e.blockRecompute = prof.fwd, prof.bwd, prof.recompute
+		e.loadProfile(prof)
+		// The slots of one graph share its totals, and so its weight and
+		// optimizer rows.
 		if g := ls.profile % graphSlots; g != graph {
 			graph = g
-			e.tot, e.boundaryBytes = prof.tot, prof.boundaryBytes
 			for k, b := range lat.weightRows {
 				setScreenBits(st, b)
 				e.weightRows(&m1, &m2)
@@ -358,8 +364,6 @@ func (r *Runner) PassSegment(chain *RunInfo, lat *SegmentLattice, root *executio
 			e.activationRows(&m1, &m2)
 			p.acts[k] = [4]units.Bytes{m1.Activations, m1.ActGrads, m2.Activations, m2.ActGrads}
 		}
-		s.bound = e.batchTimeBound()
-		s.rate = s.bound.Rate(float64(r.m.Batch))
 		s.least = units.Bytes(math.Inf(1))
 		for _, b := range lat.screens {
 			if admitted&(1<<b) == 0 {
@@ -375,6 +379,13 @@ func (r *Runner) PassSegment(chain *RunInfo, lat *SegmentLattice, root *executio
 			s.fits |= 1 << b
 			s.least = minBytes(s.least, t1)
 			p.Feasible += ls.leaves
+		}
+		if s.fits != 0 {
+			// Bound is read only on a slot where some class fits, so only
+			// there are the op times read.
+			e.loadTimes(r.times(&d.memo, prof, st))
+			s.bound = e.batchTimeBound()
+			s.rate = s.bound.Rate(float64(r.m.Batch))
 		}
 	}
 }
@@ -399,7 +410,8 @@ func (r *Runner) PassFloors(chain *RunInfo, p *SegmentPass, below []units.Bytes,
 	lat := p.lat
 	p.batch = float64(r.m.Batch)
 	st := &p.probe
-	e := p.eval(r, r.chainOf(chain))
+	var e eval
+	p.evalOn(&e, r, r.chainOf(chain))
 	// Each row's terms by row index, and the rows priced: the optimizer
 	// step's since the graph slot changed, the others' since the slot did.
 	var optim [4]units.Seconds

@@ -164,13 +164,21 @@ func (g *RunnerGroup) RunnerAt(batch, procs int) (*Runner, error) {
 }
 
 // PricedGraphs reports how many block graphs the group's memo holds, each
-// built and priced once.
-func (g *RunnerGroup) PricedGraphs() int {
+// built once with its memory half priced.
+func (g *RunnerGroup) PricedGraphs() int { return g.graphs(false) }
+
+// TimedGraphs reports how many of the group's graphs have had their op
+// times read, and so priced once.
+func (g *RunnerGroup) TimedGraphs() int { return g.graphs(true) }
+
+// graphs counts the group's graphs, only those whose time half is priced
+// when timed.
+func (g *RunnerGroup) graphs(timed bool) int {
 	n := 0
 	g.rows.Range(func(_, v any) bool {
 		row := v.(*profileRow)
 		for i := range row.graphs {
-			if row.graphs[i].Load() != nil {
+			if g := row.graphs[i].Load(); g != nil && (!timed || g.times.Load() != nil) {
 				n++
 			}
 		}
@@ -315,9 +323,10 @@ func (r *Runner) evaluate(s *evalState, mask execution.FieldMask, info *RunInfo,
 	// evaluation put it there — so a lookup would have hit.
 	hit := true
 	if mask.Has(profileMask) {
-		var prof *blockProfile
-		prof, hit = r.profile(e.memo.rowOf(r, e.st), e.st)
+		var prof blockProfile
+		prof, hit = r.profile(e.memo, e.st, true)
 		e.loadProfile(prof)
+		e.loadTimes(r.times(e.memo, prof, e.st))
 	}
 	if mask.Has(shapeMask) {
 		e.loadShape()
@@ -395,19 +404,38 @@ const (
 	profileSlots = 3 * graphSlots
 )
 
-// profileRow is the phase-2 memo for one (TP, Microbatch): the block
-// profiles and priced graphs of every switch combination, each slot filled
-// once. The block profile depends on exactly the layers.Shard fields plus
-// the recompute mode. Pipeline shape (PP, DP, Interleave, schedule) and the
-// overlap/offload/sharding toggles do not reach the block layer graph or
-// its timing, so strategies differing only in those share one profile. A
-// chain holds the row of its current (TP, Microbatch) in its termMemo, so a
-// step that moves only the switches reads its profile with one atomic load.
+// profileRow is the phase-2 memo for one (TP, Microbatch): the priced graph
+// of every block-switch combination, each slot filled once, and the profile
+// slots read so far. The block profile depends on exactly the layers.Shard
+// fields plus the recompute mode. Pipeline shape (PP, DP, Interleave,
+// schedule) and the overlap/offload/sharding toggles do not reach the block
+// layer graph or its timing, so strategies differing only in those share
+// one profile. A chain holds the row of its current (TP, Microbatch) in its
+// termMemo, so a step that moves only the switches reads its profile with
+// two atomic loads.
 type profileRow struct {
-	profs  [profileSlots]atomic.Pointer[blockProfile]
 	graphs [graphSlots]atomic.Pointer[pricedGraph]
+	// touched has bit i set once profile slot i has been read: its one miss
+	// is spent (Runner.profile). A slot's graph is published before its bit.
+	touched atomic.Uint64
 	// minima holds the slot minima the segment floor last asked of the row.
 	minima atomic.Pointer[slotMinima]
+}
+
+// touch sets profile slot i's bit of the touched mask and reports whether
+// this call set it. Go 1.22's sync/atomic has no Or, so it is a
+// CompareAndSwap loop; of racing first reads exactly one sets the bit.
+func (row *profileRow) touch(i uint32) bool {
+	bit := uint64(1) << i
+	for {
+		old := row.touched.Load()
+		if old&bit != 0 {
+			return false
+		}
+		if row.touched.CompareAndSwap(old, old|bit) {
+			return true
+		}
+	}
 }
 
 // slotFor packs the strategy's block switches into its profile slot: the
@@ -429,17 +457,16 @@ func slotFor(st *execution.Strategy) uint32 {
 // bits 4-5, as slotFor packs it.
 var slotRecompute = [3]execution.RecomputeMode{execution.RecomputeNone, execution.RecomputeAttn, execution.RecomputeFull}
 
-// blockProfile is the memoized phase-2 sub-result: everything derived from
-// the transformer-block layer graph for one profile slot — aggregate totals,
-// boundary bytes, and the per-microbatch forward/backward/recompute times
-// with their HBM-idle slack. It is a pure function of (model, system, key),
-// so concurrent duplicate computation is benign: every copy is bit-equal.
+// blockProfile is the phase-2 sub-result of one profile slot, as a view: the
+// priced graph of its shard and the recompute mode, which selects the
+// forward terms replayed. The graph's memory half — aggregate totals and
+// boundary bytes — is read in place (eval.loadProfile); its time half, the
+// per-microbatch forward, backward and recompute times with their HBM-idle
+// slack, is priced on first read (Runner.times) and copied in
+// (eval.loadTimes).
 type blockProfile struct {
-	tot           layers.Totals
-	boundaryBytes units.Bytes
-
-	fwd, bwd, recompute         units.Seconds
-	fwdSlack, bwdSlack, rcSlack units.Seconds
+	g         *pricedGraph
+	recompute execution.RecomputeMode
 }
 
 func shardFor(st *execution.Strategy) layers.Shard {
@@ -453,78 +480,85 @@ func shardFor(st *execution.Strategy) layers.Shard {
 	}
 }
 
-// pricedGraph is the expensive, recompute-independent part of a block
-// profile: the layer graph built and every op priced through the §2.2
-// processing model (the log-shaped efficiency curves live here), with the
-// forward sums pre-accumulated both over all layers and over the attention
-// group. The layer graph and its op pricing never read the recompute mode,
-// which only selects the forward terms replayed, so the three recompute
-// variants of one shard share it: deriving a blockProfile from it is a
-// constant-time copy, and pricing happens once per shard instead of once
-// per (shard, recompute) pair.
+// pricedGraph is the recompute-independent part of a block profile, shared
+// by the three recompute variants of one shard, in two halves. The memory
+// half, the layer graph's totals and boundary bytes, is priced when the
+// graph is built. The time half (opTimes), every op priced through the
+// §2.2 processing model where the log-shaped efficiency curves live, is
+// priced on first read: most graphs a capacity-tight sweep builds hold no
+// class that fits, and their op times are never read. Both halves are pure
+// functions of (model, system, shard), so concurrent duplicate pricing is
+// benign: every copy is bit-equal.
 type pricedGraph struct {
 	tot           layers.Totals
 	boundaryBytes units.Bytes
+	times         atomic.Pointer[opTimes]
+}
 
+// opTimes is a priced graph's time half: the forward and backward sums over
+// all layers and over the attention group.
+type opTimes struct {
 	fwd, bwd           units.Seconds
 	fwdSlack, bwdSlack units.Seconds
 	attnFwd, attnSlack units.Seconds
 }
 
-// priceGraph builds the block layer graph for the strategy's shard and times
-// one microbatch through it. The per-field accumulation visits layers in
-// graph order, matching the historical single-pass loop term for term, so
-// every derived blockProfile is bit-identical to what that loop produced.
-func priceGraph(m *model.LLM, sys *system.System, st *execution.Strategy) pricedGraph {
+// priceGraph builds the block layer graph for the strategy's shard into
+// *buf and prices its memory half, and its time half too when timed.
+func priceGraph(m *model.LLM, sys *system.System, st *execution.Strategy, buf *[]layers.Layer, timed bool) *pricedGraph {
 	sh := shardFor(st)
-	ls := layers.Block(*m, sh)
-	g := pricedGraph{
-		tot:           layers.Sum(ls),
+	*buf = layers.AppendBlock((*buf)[:0], m, sh)
+	g := &pricedGraph{
+		tot:           layers.Sum(*buf),
 		boundaryBytes: layers.BlockInputBytes(*m, sh),
 	}
-	for i := range ls {
-		l := &ls[i]
-		ft, fs := opTime(sys, l.Engine, l.FLOPs, l.Traffic)
-		g.fwd += ft
-		g.fwdSlack += fs
-		bt, bs := opTime(sys, l.Engine, l.BwdFLOPs, l.BwdTraffic)
-		g.bwd += bt
-		g.bwdSlack += bs
-		if l.AttnGroup {
-			g.attnFwd += ft
-			g.attnSlack += fs
-		}
+	if timed {
+		g.times.Store(priceOps(sys, *buf))
 	}
 	return g
 }
 
-// profileFrom selects the recompute portion out of a priced graph: full
-// recompute replays the whole forward pass, attention-only recompute replays
-// the attention group, and no recompute replays nothing.
-func profileFrom(g *pricedGraph, mode execution.RecomputeMode) blockProfile {
-	p := blockProfile{
-		tot:           g.tot,
-		boundaryBytes: g.boundaryBytes,
-		fwd:           g.fwd,
-		bwd:           g.bwd,
-		fwdSlack:      g.fwdSlack,
-		bwdSlack:      g.bwdSlack,
-	}
-	switch mode {
-	case execution.RecomputeFull:
-		p.recompute, p.rcSlack = g.fwd, g.fwdSlack
-	case execution.RecomputeAttn:
-		p.recompute, p.rcSlack = g.attnFwd, g.attnSlack
-	}
-	return p
+// times returns the op times of the profile of st, pricing its graph's time
+// half on first read in the chain's layer buffer. (The view is a value here,
+// not a field of an eval: opTimes publishes through a CompareAndSwap, whose
+// pointer argument escape analysis cannot follow, and a view held in an eval
+// would move a scratch evaluation's frame to the heap.)
+func (r *Runner) times(memo *termMemo, p blockProfile, st *execution.Strategy) *opTimes {
+	return p.g.opTimes(&r.m, &r.sys, st, &memo.layers)
 }
 
-// computeProfile builds the block layer graph and times one microbatch
-// through it: forward, backward, and the recompute portion selected by the
-// strategy.
-func computeProfile(m *model.LLM, sys *system.System, st *execution.Strategy) blockProfile {
-	g := priceGraph(m, sys, st)
-	return profileFrom(&g, st.Recompute)
+// opTimes returns the graph's time half, pricing it on first read from the
+// layer graph of the strategy's shard, which is the graph's, rebuilt into
+// *buf.
+func (g *pricedGraph) opTimes(m *model.LLM, sys *system.System, st *execution.Strategy, buf *[]layers.Layer) *opTimes {
+	if t := g.times.Load(); t != nil {
+		return t
+	}
+	*buf = layers.AppendBlock((*buf)[:0], m, shardFor(st))
+	g.times.CompareAndSwap(nil, priceOps(sys, *buf)) // a racing reader's copy is bit-equal
+	return g.times.Load()
+}
+
+// priceOps times one microbatch through the layer graph ls. The per-field
+// accumulation visits layers in graph order, matching the historical
+// single-pass loop term for term, so every derived profile is bit-identical
+// to what that loop produced.
+func priceOps(sys *system.System, ls []layers.Layer) *opTimes {
+	t := new(opTimes)
+	for i := range ls {
+		l := &ls[i]
+		ft, fs := opTime(sys, l.Engine, l.FLOPs, l.Traffic)
+		t.fwd += ft
+		t.fwdSlack += fs
+		bt, bs := opTime(sys, l.Engine, l.BwdFLOPs, l.BwdTraffic)
+		t.bwd += bt
+		t.bwdSlack += bs
+		if l.AttnGroup {
+			t.attnFwd += ft
+			t.attnSlack += fs
+		}
+	}
+	return t
 }
 
 // row returns the profile row of the strategy's (TP, Microbatch), adding an
@@ -538,34 +572,33 @@ func (r *Runner) row(st *execution.Strategy) *profileRow {
 	return v.(*profileRow)
 }
 
-// profile returns the block profile for the strategy from its row, filling
-// the slot on first use, and reports whether it was a cache hit. A profile
-// miss whose graph slot is filled still reports a miss — the hit flag
-// tracks the profile memo, whose semantics the stats and search counters
-// pin — but skips the graph build and op pricing, which is where nearly all
-// of the profile cost lives.
+// profile returns the block profile for the strategy from the row the
+// chain's memo holds, building its graph on first use, and reports whether
+// it was a cache hit. A graph built here prices its time half too when
+// timed, from the same layer list; otherwise that waits for a first read.
+// A profile miss whose graph slot is filled still reports a miss — the hit
+// flag tracks the profile memo, whose semantics the stats and search
+// counters pin — but skips the graph build, which is where nearly all of
+// the profile cost lives.
 //
 // The hit flag must be deterministic across worker counts and scheduling
 // (the search counters it feeds are pinned bit-identical by equivalence
-// tests), so each distinct profile reports exactly one miss: when two
-// workers race to first-compute one, CompareAndSwap publishes one profile
-// and the loser reports a hit — the same totals a serial run would count.
-func (r *Runner) profile(row *profileRow, st *execution.Strategy) (*blockProfile, bool) {
+// tests), so each distinct profile reports exactly one miss: of the workers
+// racing to read one first, the one whose CompareAndSwap sets its bit of the
+// row's touched mask reports the miss and the others a hit — the same
+// totals a serial run would count. Racing graph builds are benign: one is
+// published and every reader reads it.
+func (r *Runner) profile(memo *termMemo, st *execution.Strategy, timed bool) (blockProfile, bool) {
+	row := memo.rowOf(r, st)
 	i := slotFor(st)
-	slot := &row.profs[i]
-	if p := slot.Load(); p != nil {
-		return p, true
-	}
 	gslot := &row.graphs[i%graphSlots]
-	if gslot.Load() == nil {
-		g := priceGraph(&r.m, &r.sys, st)
-		gslot.CompareAndSwap(nil, &g)
+	g := gslot.Load()
+	if g == nil {
+		if g = priceGraph(&r.m, &r.sys, st, &memo.layers, timed); !gslot.CompareAndSwap(nil, g) {
+			g = gslot.Load()
+		}
 	}
-	p := profileFrom(gslot.Load(), st.Recompute)
-	if slot.CompareAndSwap(nil, &p) {
-		return &p, false
-	}
-	return slot.Load(), true
+	return blockProfile{g: g, recompute: st.Recompute}, !row.touch(i)
 }
 
 // eval carries the intermediate quantities of one evaluation, initialized
@@ -580,7 +613,9 @@ type eval struct {
 	// evaluation holds one of its own.
 	memo *termMemo
 
-	tot layers.Totals
+	// prof is the block profile loaded, and tot its graph's totals.
+	prof blockProfile
+	tot  *layers.Totals
 
 	// Derived shape quantities.
 	n  int // microbatches per pipeline pass
@@ -603,12 +638,27 @@ type eval struct {
 	boundaryBytes                              units.Bytes
 }
 
-// loadProfile copies a block profile's terms into the evaluation.
-func (e *eval) loadProfile(prof *blockProfile) {
-	e.tot = prof.tot
-	e.boundaryBytes = prof.boundaryBytes
-	e.blockFwd, e.blockBwd, e.blockRecompute = prof.fwd, prof.bwd, prof.recompute
-	e.blockFwdSlack, e.blockBwdSlack, e.recompSlack = prof.fwdSlack, prof.bwdSlack, prof.rcSlack
+// loadProfile points the evaluation at a block profile and its graph's
+// memory half, which is all the memory rows read.
+func (e *eval) loadProfile(p blockProfile) {
+	e.prof, e.tot, e.boundaryBytes = p, &p.g.tot, p.g.boundaryBytes
+}
+
+// loadTimes copies the op times t of the loaded profile's graph into the
+// evaluation, the recompute portion selected by the profile's mode: full
+// recompute replays the whole forward pass, attention-only recompute replays
+// the attention group, and no recompute replays nothing.
+func (e *eval) loadTimes(t *opTimes) {
+	e.blockFwd, e.blockBwd = t.fwd, t.bwd
+	e.blockFwdSlack, e.blockBwdSlack = t.fwdSlack, t.bwdSlack
+	switch e.prof.recompute {
+	case execution.RecomputeFull:
+		e.blockRecompute, e.recompSlack = t.fwd, t.fwdSlack
+	case execution.RecomputeAttn:
+		e.blockRecompute, e.recompSlack = t.attnFwd, t.attnSlack
+	default:
+		e.blockRecompute, e.recompSlack = 0, 0
+	}
 }
 
 // loadShape derives the shape quantities from the strategy.
@@ -622,9 +672,10 @@ func (e *eval) loadShape() {
 // profiling, pipeline cross-validation, tests); block times are already
 // computed.
 func newEval(m model.LLM, sys system.System, st execution.Strategy) *eval {
-	prof := computeProfile(&m, &sys, &st)
 	e := &eval{m: &m, sys: &sys, st: &st, memo: new(termMemo)}
-	e.loadProfile(&prof)
+	g := priceGraph(&m, &sys, &st, &e.memo.layers, true)
+	e.loadProfile(blockProfile{g: g, recompute: st.Recompute})
+	e.loadTimes(g.times.Load())
 	e.loadShape()
 	return e
 }

@@ -107,10 +107,19 @@ func Execution(ctx context.Context, m model.LLM, sys system.System, opts Options
 		st.Store = func(res Result) { opts.Cache.Store(m, sys, opts, res) }
 	}
 	// The space size is closed-form over the (tp,pp,dp) lattice — divisor
-	// arithmetic, no enumeration pass — and buys the ETA in snapshots.
-	size := func() int { return opts.Enum.SpaceSize(m) }
+	// arithmetic over the triples the walk takes, no enumeration pass — and
+	// buys the ETA in snapshots. The triples are listed once, and only when
+	// the store does not answer.
+	var triples [][3]int
+	size := func() int {
+		triples = opts.Enum.Triples(m)
+		return opts.Enum.LeafCount(m, triples)
+	}
 	return Run(ctx, opts.Watch, st, size, func(prog *Progress) (Result, error) {
-		merged, err := executionScored(ctx, m, sys, opts, prog, opts.Enum.Triples(m), 0)
+		if triples == nil {
+			triples = opts.Enum.Triples(m) // no Progress asked for the size
+		}
+		merged, err := executionScored(ctx, m, sys, opts, prog, triples, 0)
 		if err != nil {
 			return Result{}, err
 		}
@@ -429,6 +438,18 @@ type ScalingPoint struct {
 // were scheduled. A Progress attached through opts aggregates counters
 // across all sizes.
 func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.System, sizes []int, opts Options) ([]ScalingPoint, error) {
+	var group *perf.RunnerGroup
+	if len(sizes) > 0 {
+		// Sharing is best-effort: a sysAt that varies memo-relevant inputs
+		// with size makes RunnerFor refuse below, and that size falls back
+		// to a private memo.
+		group, _ = perf.NewRunnerGroup(m, sysAt(sizes[0]))
+	}
+	return systemSize(ctx, m, sysAt, sizes, opts, group)
+}
+
+// systemSize is SystemSize on the profile memo of group, when it is not nil.
+func systemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.System, sizes []int, opts Options, group *perf.RunnerGroup) ([]ScalingPoint, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -446,13 +467,6 @@ func SystemSize(ctx context.Context, m model.LLM, sysAt func(procs int) system.S
 	budget := poolSize(opts.Workers)
 	concurrent := max(1, min(len(sizes), budget))
 	perSize := max(1, budget/concurrent)
-	var group *perf.RunnerGroup
-	if len(sizes) > 0 {
-		// Sharing is best-effort: a sysAt that varies memo-relevant inputs
-		// with size makes RunnerFor refuse below, and that size falls back
-		// to a private memo.
-		group, _ = perf.NewRunnerGroup(m, sysAt(sizes[0]))
-	}
 	points := make([]ScalingPoint, len(sizes))
 	err := Pool(ctx, concurrent, len(sizes), func(_, i int) error {
 		n := sizes[i]

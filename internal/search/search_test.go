@@ -9,6 +9,7 @@ import (
 
 	"calculon/internal/execution"
 	"calculon/internal/model"
+	"calculon/internal/perf"
 	"calculon/internal/system"
 	"calculon/internal/units"
 )
@@ -155,6 +156,38 @@ func TestSystemSizeSweep(t *testing.T) {
 	if !(pts[3].Best.SampleRate > pts[0].Best.SampleRate) {
 		t.Errorf("64 GPUs (%f) should outperform 16 (%f)",
 			pts[3].Best.SampleRate, pts[0].Best.SampleRate)
+	}
+}
+
+// TestSystemSizeGraphCounts pins the profile memo's work on one of the
+// capacity-tight §5.2 sweeps the size-sweep benchmark runs: megatron-1T at
+// batch 3072 on 40 GiB A100s, 8 to 2048 GPUs in steps of 8, at one worker.
+// The sweep builds 10,539 block graphs, each with its memory half priced
+// once for every size, and reads the op times of 3,988 of them: only a graph
+// with a profile slot where some class fits prices its efficiency curves,
+// where before every graph built priced them. Neither count depends on the
+// fold, so both hold at any worker count. A memo that stopped being shared
+// across the sizes, or a pass that read op times it does not need, shows
+// here as an exact count change.
+func TestSystemSizeGraphCounts(t *testing.T) {
+	m := model.MustPreset("megatron-1T").WithBatch(3072)
+	tmpl, err := system.Preset("a100-80g", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl = tmpl.WithMem1Capacity(40 * units.GiB)
+	sysAt := func(n int) system.System { return tmpl.WithProcs(n) }
+	sizes := Sizes(8, 2048)
+	group, err := perf.NewRunnerGroup(m, sysAt(sizes[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Enum: execution.EnumOptions{Features: execution.FeatureAll, PinBeneficial: true, MaxInterleave: 4}, Workers: 1}
+	if _, err := systemSize(context.Background(), m, sysAt, sizes, opts, group); err != nil {
+		t.Fatal(err)
+	}
+	if built, timed := group.PricedGraphs(), group.TimedGraphs(); built != 10539 || timed != 3988 {
+		t.Errorf("the sweep built %d block graphs and read the op times of %d, want %d and %d", built, timed, 10539, 3988)
 	}
 }
 
