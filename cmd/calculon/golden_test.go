@@ -14,15 +14,19 @@ var update = flag.Bool("update", false, "rewrite the golden corpus under testdat
 
 // goldenCases are the CLI outputs the search's fast paths promise to keep
 // byte for byte: the paper's headline search (GPT-3 175B at batch 3,072 on
-// 4,096 A100s with a 512 GiB second tier, top-10 and the Pareto front) and
-// the three capacity-tight §5.2 sweeps. Each golden is the command's
-// standard output; none holds a timing.
+// 4,096 A100s with a 512 GiB second tier, top-10 and the Pareto front), the
+// same search's sample-rate histogram (the CollectRates path, which steps
+// the chain into every fitting class and prices every leaf of it) and the
+// three capacity-tight §5.2 sweeps. Each golden is the command's standard
+// output; none holds a timing.
 var goldenCases = []struct {
 	name string
 	args []string
 }{
 	{"search-gpt3-175B", []string{"search", "-model", "gpt3-175B", "-batch", "3072", "-procs", "4096",
 		"-mem2", "512GiB", "-topk", "10", "-pareto", "-json"}},
+	{"search-gpt3-175B-histogram", []string{"search", "-model", "gpt3-175B", "-batch", "3072", "-procs", "4096",
+		"-mem2", "512GiB", "-histogram"}},
 	{"scaling-megatron-1T-38GiB", []string{"scaling", "-model", "megatron-1T", "-batch", "3072",
 		"-hbm", "38GiB", "-step", "8", "-max", "2048", "-csv"}},
 	{"scaling-turing-530B-40GiB", []string{"scaling", "-model", "turing-530B", "-batch", "3072",
@@ -31,8 +35,8 @@ var goldenCases = []struct {
 		"-hbm", "42GiB", "-step", "8", "-max", "2048", "-csv"}},
 }
 
-// TestGoldenCorpus runs each golden command at one and at two workers and
-// requires both outputs to equal its golden under testdata/golden. A
+// TestGoldenCorpus runs each golden command at one, two and three workers
+// and requires every output to equal its golden under testdata/golden. A
 // change that moves one on purpose regenerates the corpus with
 //
 //	go test -run TestGoldenCorpus ./cmd/calculon -update
@@ -46,7 +50,7 @@ func TestGoldenCorpus(t *testing.T) {
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join("testdata", "golden", c.name+".golden")
-			for _, workers := range []string{"1", "2"} {
+			for _, workers := range []string{"1", "2", "3"} {
 				args := append(c.args[1:len(c.args):len(c.args)], "-workers", workers)
 				got := capture(t, func() error { return dispatch(context.Background(), c.args[0], args) })
 				if *update && workers == "1" {

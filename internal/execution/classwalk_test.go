@@ -20,8 +20,6 @@ func classOf(s Strategy) Strategy {
 //   - yield each of Walk's combinations exactly once when it descends into
 //     every class, and one leaf of each class whatever it descends into;
 //   - give each leaf its index in Walk as its rank;
-//   - give each leaf the DiffMask against the leaf it yielded before
-//     (AllFields on the first);
 //   - move only VariantFields inside a class, and report as the class's
 //     Len the number of Walk's leaves in that class.
 func TestClassWalkMatchesWalk(t *testing.T) {
@@ -34,7 +32,7 @@ func TestClassWalkMatchesWalk(t *testing.T) {
 				root := Strategy{TP: 2, PP: 4, DP: 8, Microbatch: 2, Interleave: 2, OneFOneB: true}
 				rankOf := map[Strategy]int{}
 				classLen := map[Strategy]int{}
-				tog.Walk(&root, func(s *Strategy, _ FieldMask) bool {
+				tog.Walk(&root, func(s *Strategy) bool {
 					rankOf[*s] = len(rankOf)
 					classLen[classOf(*s)]++
 					return true
@@ -61,13 +59,6 @@ func checkClassWalk(t *testing.T, name string, tog *Toggles, root Strategy,
 	descendedAll := true
 	var prev *Strategy
 	visit := func(w *ClassWalk) {
-		want := AllFields
-		if prev != nil {
-			want = DiffMask(prev, &st)
-		}
-		if w.Mask() != want {
-			t.Fatalf("%s: leaf %v has mask %b, its diff from the previous leaf is %b", name, st, w.Mask(), want)
-		}
 		rank, ok := rankOf[st]
 		if !ok || seen[st] {
 			t.Fatalf("%s: leaf %v is not one of Walk's or was yielded twice", name, st)
@@ -103,7 +94,7 @@ func checkClassWalk(t *testing.T, name string, tog *Toggles, root Strategy,
 				t.Fatalf("%s: %v moved %b from its class's first leaf %v", name, st, moved, first)
 			}
 		}
-		if w.Mask() != 0 || DiffMask(prev, &st) != 0 {
+		if DiffMask(prev, &st) != 0 {
 			t.Fatalf("%s: an exhausted class moved the strategy", name)
 		}
 		if n != w.Len() {
@@ -127,10 +118,9 @@ func checkClassWalk(t *testing.T, name string, tog *Toggles, root Strategy,
 // into a random subset of those, must stand where a NextClass walk that
 // descends into the same classes stands at each class it seeks (the same
 // strategy, class number, leaf ranks and Gray counter state, so NextClass
-// may follow a Seek), and each Seek must return the OR
-// of the masks NextClass reported since the class the seeking walk last
-// stood on. A seek that passes a (SeqParallel, TPRedoForSP) step after
-// descending changes the completion's rest, so the descents are random too.
+// may follow a Seek). A seek that passes a (SeqParallel, TPRedoForSP) step
+// after descending changes the completion's rest, so the descents are
+// random too.
 func TestClassWalkSeekMatchesNextClass(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, f := range []FeatureSet{FeatureBaseline, FeatureSeqPar, FeatureAll} {
@@ -144,27 +134,22 @@ func TestClassWalkSeekMatchesNextClass(t *testing.T) {
 					a, b := root, root
 					wa, wb := tog.Classes(&a), tog.Classes(&b)
 					visit := 1 + rng.Intn(8) // seek about one class in visit
-					var acc FieldMask
 					for more, k := true, 0; more; more, k = wa.NextClass(), k+1 {
-						if k > 0 {
-							acc |= wa.Mask()
-						}
 						if wa.Class() != k {
 							t.Fatalf("%s: NextClass numbers class %d as %d", name, k, wa.Class())
 						}
 						if rng.Intn(visit) != 0 {
 							continue
 						}
-						if got := wb.Seek(k); got != acc || b != a || wb.Class() != k || wb.Rank() != wa.Rank() || wb.gray != wa.gray {
-							t.Fatalf("%s: Seek(%d) mask %b at %v (class %d, rank %d); NextClass %b at %v (rank %d)",
-								name, k, got, b, wb.Class(), wb.Rank(), acc, a, wa.Rank())
+						if wb.Seek(k); b != a || wb.Class() != k || wb.Rank() != wa.Rank() || wb.gray != wa.gray {
+							t.Fatalf("%s: Seek(%d) at %v (class %d, rank %d); NextClass at %v (rank %d)",
+								name, k, b, wb.Class(), wb.Rank(), a, wa.Rank())
 						}
-						acc = 0
 						if rng.Intn(2) == 0 {
 							continue
 						}
 						for wa.NextLeaf() {
-							if !wb.NextLeaf() || b != a || wb.Mask() != wa.Mask() || wb.Rank() != wa.Rank() {
+							if !wb.NextLeaf() || b != a || wb.Rank() != wa.Rank() {
 								t.Fatalf("%s: class %d: the seeking walk's leaf %v, NextClass's %v", name, k, b, a)
 							}
 						}
@@ -231,7 +216,7 @@ func TestLatticeBulkInvariants(t *testing.T) {
 				tog := o.Toggles()
 				root := Strategy{TP: 2, PP: 4, DP: 8, Microbatch: 2, Interleave: 2, OneFOneB: true}
 				screens, blocks := map[screen]int{}, map[block]bool{}
-				tog.Walk(&root, func(s *Strategy, _ FieldMask) bool {
+				tog.Walk(&root, func(s *Strategy) bool {
 					if err := s.ValidateToggles(); err != nil {
 						t.Fatalf("%s: leaf %v fails the toggle rules: %v", name, s, err)
 					}

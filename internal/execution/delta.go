@@ -1,7 +1,7 @@
 package execution
 
 // FieldMask is a bitset over Strategy fields. Delta evaluation
-// (perf.Runner.RunDelta) diffs two strategies into a FieldMask and uses it
+// (perf.Runner.RunDeltaInto, RunLeaf) diffs two strategies into a FieldMask and uses it
 // to decide which groups of performance terms the change can perturb; a
 // term group whose inputs are all outside the mask carries over from the
 // previous evaluation unrecomputed. The bits must stay in one-to-one

@@ -42,45 +42,7 @@ func toggleDims(a, b Strategy) []string {
 // walkToggles collects the segment rooted at root, in walk order.
 func walkToggles(o EnumOptions, root Strategy, yield func(Strategy) bool) bool {
 	tog := o.Toggles()
-	return tog.Walk(&root, func(s *Strategy, _ FieldMask) bool { return yield(*s) })
-}
-
-// TestWalkMaskMatchesDiff pins the mask Toggles.Walk yields, which the
-// search's delta chain takes instead of diffing leaves: for every feature
-// set, pinned or not, with or without a second tier, the first leaf of a
-// segment carries AllFields and every later leaf exactly the DiffMask
-// against its predecessor. The root is walked twice in place, as a search
-// worker reuses one strategy, so the second walk starts from the first
-// walk's last toggles.
-func TestWalkMaskMatchesDiff(t *testing.T) {
-	for _, f := range []FeatureSet{FeatureBaseline, FeatureSeqPar, FeatureAll} {
-		for _, pin := range []bool{false, true} {
-			for _, mem2 := range []bool{false, true} {
-				o := EnumOptions{Features: f, PinBeneficial: pin, HasMem2: mem2}
-				tog := o.Toggles()
-				root := Strategy{TP: 2, PP: 2, DP: 2, Microbatch: 1, Interleave: 1}
-				for pass := 0; pass < 2; pass++ {
-					var prev Strategy
-					k := 0
-					tog.Walk(&root, func(s *Strategy, mask FieldMask) bool {
-						want := AllFields
-						if k > 0 {
-							want = DiffMask(&prev, s)
-						}
-						if mask != want {
-							t.Fatalf("%+v pass %d leaf %d: mask %b, want %b", o, pass, k, mask, want)
-						}
-						prev = *s
-						k++
-						return true
-					})
-					if k != tog.Len() {
-						t.Fatalf("%+v: walked %d leaves, want %d", o, k, tog.Len())
-					}
-				}
-			}
-		}
-	}
+	return tog.Walk(&root, func(s *Strategy) bool { return yield(*s) })
 }
 
 // TestForEachToggleGrayAdjacent proves the Gray property delta evaluation

@@ -2,7 +2,6 @@ package execution
 
 import (
 	"fmt"
-	"math/bits"
 
 	"calculon/internal/model"
 )
@@ -167,7 +166,7 @@ func (o EnumOptions) EnumerateTriple(m model.LLM, tpd [3]int, yield func(Strateg
 	count := 0
 	tog := o.Toggles()
 	more := o.Segments(&m, tpd, func(root *Strategy) bool {
-		return tog.Walk(root, func(s *Strategy, _ FieldMask) bool {
+		return tog.Walk(root, func(s *Strategy) bool {
 			count++
 			return yield(*s)
 		})
@@ -410,27 +409,25 @@ func (t *Toggles) setScreen(st *Strategy, i int) {
 // an outer one advances, each dimension sweeps alternately up and down, so
 // two successive strategies always differ in exactly one dimension. The
 // offload dimension is itself a 3-bit Gray sequence, so successive offload
-// combos flip a single switch. Each yield carries the fields changed since
-// the previous leaf (their DiffMask; AllFields on the first). Each
-// combination is emitted once. The order defines sequence numbers: a leaf's
+// combos flip a single switch. Each combination is emitted once. The order defines sequence numbers: a leaf's
 // seq is its segment's base plus its Gray rank, its position here, which
 // breaks ties and names the leaf in shard splits and store keys, so
 // changing the order is a strategy-space version bump (resultstore). A
 // search may visit leaves in any order: the parallel search walks class by
 // class (Classes) and computes each leaf's rank.
-func (t *Toggles) Walk(st *Strategy, yield func(*Strategy, FieldMask) bool) bool {
+func (t *Toggles) Walk(st *Strategy, yield func(*Strategy) bool) bool {
 	sizes := t.sizes()
 	g := gray{dir: [8]int{1, 1, 1, 1, 1, 1, 1, 1}}
 	for d, k := range sizes {
 		g.n[d] = k
 		t.set(st, d, 0)
 	}
-	for mask := AllFields; yield(st, mask); {
+	for yield(st) {
 		d := g.advance(0, len(sizes)-1)
 		if d < 0 {
 			return true
 		}
-		mask = t.set(st, d, g.idx[d])
+		t.set(st, d, g.idx[d])
 	}
 	return false
 }
@@ -453,28 +450,25 @@ func (g *gray) advance(lo, hi int) int {
 	return -1
 }
 
-// set writes value j of toggle dimension d into st and returns the fields
-// that changed.
-func (t *Toggles) set(st *Strategy, d, j int) FieldMask {
+// set writes value j of toggle dimension d into st.
+func (t *Toggles) set(st *Strategy, d, j int) {
 	switch d {
 	case 0:
-		return flip(&st.Recompute, t.recomputes[j], FieldRecompute)
+		st.Recompute = t.recomputes[j]
 	case 1:
 		c := &t.comms[j]
-		return flip(&st.TPRSAG, c.rsag, FieldTPRSAG) | flip(&st.SeqParallel, c.sp, FieldSeqParallel) |
-			flip(&st.TPRedoForSP, c.redo, FieldTPRedoForSP) | flip(&st.PPRSAG, c.pprsag, FieldPPRSAG)
+		st.TPRSAG, st.SeqParallel, st.TPRedoForSP, st.PPRSAG = c.rsag, c.sp, c.redo, c.pprsag
 	case 2:
-		return flip(&st.TPOverlap, t.tpOverlaps[j], FieldTPOverlap)
+		st.TPOverlap = t.tpOverlaps[j]
 	case 3:
-		return flip(&st.DPOverlap, t.dpOverlaps[j], FieldDPOverlap)
+		st.DPOverlap = t.dpOverlaps[j]
 	case 4:
-		return flip(&st.OptimSharding, t.shards[j], FieldOptimSharding)
+		st.OptimSharding = t.shards[j]
 	case 5:
-		return flip(&st.FusedLayers, t.fused[j], FieldFusedLayers)
+		st.FusedLayers = t.fused[j]
 	default:
 		o := &t.offloads[j]
-		return flip(&st.WeightOffload, o[0], FieldWeightOffload) | flip(&st.ActOffload, o[1], FieldActOffload) |
-			flip(&st.OptimOffload, o[2], FieldOptimOffload)
+		st.WeightOffload, st.ActOffload, st.OptimOffload = o[0], o[1], o[2]
 	}
 }
 
@@ -516,7 +510,6 @@ type ClassWalk struct {
 	// Between classes, each variant dimension rests at the end it next
 	// sweeps away from.
 	gray
-	mask  FieldMask
 	class int // the current class's position in NextClass's order
 }
 
@@ -545,13 +538,8 @@ func (t *Toggles) Classes(st *Strategy) ClassWalk {
 	for d := range walkDim {
 		w.set(d)
 	}
-	w.mask = AllFields
 	return w
 }
-
-// Mask returns the fields the current leaf changed since the walk's
-// previous leaf: AllFields on the first leaf.
-func (w *ClassWalk) Mask() FieldMask { return w.mask }
 
 // Rank returns the leaf's position in Walk's order (walkDim, inverted).
 func (w *ClassWalk) Rank() int {
@@ -578,16 +566,13 @@ func (w *ClassWalk) Class() int { return w.class }
 
 // Seek moves the walk forward to the first leaf of class k (Class's
 // numbering), k no less than the current class, as NextClass would through
-// every class between, and returns the fields those steps changed: the OR
-// of the masks NextClass would have reported on the way, 0 when k is the
-// current class. Each class dimension's steps come from the Gray code's
-// closed form, so the cost does not grow with the classes passed. Like
-// NextClass, call it after NextLeaf has reported false, or without having
-// called NextLeaf in the current class: the completion then rests where
-// NextClass leaves it, so each step of the (SeqParallel, TPRedoForSP) pair
-// changes the fields NextClass's would.
-func (w *ClassWalk) Seek(k int) FieldMask {
-	var mask FieldMask
+// every class between. Each class dimension's value and direction come from
+// the Gray code's closed form — position u of a dimension's sweep holds
+// value u mod n, upward in even sweeps and downward in odd ones — so the
+// cost does not grow with the classes passed. Like NextClass, call it after
+// NextLeaf has reported false, or without having called NextLeaf in the
+// current class, so the completion rests where NextClass leaves it.
+func (w *ClassWalk) Seek(k int) {
 	stride := 1
 	for d := dimVariants - 1; d >= 0; d-- {
 		n, from, to := w.n[d], w.class/stride, k/stride
@@ -595,34 +580,14 @@ func (w *ClassWalk) Seek(k int) FieldMask {
 		switch {
 		case from == to:
 			// Neither this dimension nor any shallower one moves.
-			w.class, w.mask = k, mask
-			return mask
+			w.class = k
+			return
 		case n == 1:
 			// It never moves, and turns at every position.
 			if (to-from)%2 == 1 {
 				w.dir[d] = -w.dir[d]
 			}
 			continue
-		}
-		// Position u of the dimension's sweep holds value u mod n, upward
-		// in even sweeps and downward in odd ones; a step from u to u+1
-		// within a sweep moves the value between j and j+1. Any 2n
-		// positions hold a whole sweep, so every step.
-		steps := uint32(1)<<(n-1) - 1
-		if to-from < 2*n {
-			steps = 0
-			for u := from; u < to; u++ {
-				if (u+1)%n != 0 {
-					j := u % n
-					if u/n%2 == 1 {
-						j = n - 2 - j
-					}
-					steps |= 1 << j
-				}
-			}
-		}
-		for ; steps != 0; steps &= steps - 1 {
-			mask |= w.stepMask(d, bits.TrailingZeros32(steps))
 		}
 		v, dir := to%n, 1
 		if to/n%2 == 1 {
@@ -634,31 +599,7 @@ func (w *ClassWalk) Seek(k int) FieldMask {
 			w.set(d)
 		}
 	}
-	w.class, w.mask = k, mask
-	return mask
-}
-
-// stepMask returns the fields a step of class dimension d between its
-// values j and j+1 changes, in either direction, with the completion at
-// rest.
-func (w *ClassWalk) stepMask(d, j int) FieldMask {
-	a, b := j, j+1
-	if d == dimPair {
-		a, b = w.restingCombo(a), w.restingCombo(b)
-	}
-	var s Strategy
-	w.t.set(&s, walkDim[d], a)
-	return w.t.set(&s, walkDim[d], b)
-}
-
-// restingCombo returns the comm combo of pair value p with the completion
-// at the end it next sweeps away from, where a step of the pair puts it.
-func (w *ClassWalk) restingCombo(p int) int {
-	compl := w.t.projs[p]
-	if w.dir[dimCompletion] < 0 {
-		return compl[len(compl)-1]
-	}
-	return compl[0]
+	w.class = k
 }
 
 // NextLeaf moves to the current class's next leaf and reports whether there
@@ -667,7 +608,6 @@ func (w *ClassWalk) NextLeaf() bool { return w.move(w.advance(dimVariants, dimCo
 
 // move writes dimension d's new value, when one moved.
 func (w *ClassWalk) move(d int) bool {
-	w.mask = 0
 	if d >= 0 {
 		w.set(d)
 	}
@@ -688,16 +628,7 @@ func (w *ClassWalk) set(d int) {
 		}
 		v = compl[w.idx[dimCompletion]]
 	}
-	w.mask |= w.t.set(w.st, walkDim[d], v)
-}
-
-// flip sets *f to v and returns bit if that changed it.
-func flip[T comparable](f *T, v T, bit FieldMask) (m FieldMask) {
-	if *f != v {
-		m = bit
-	}
-	*f = v
-	return m
+	w.t.set(w.st, walkDim[d], v)
 }
 
 // SpaceSize counts the strategies Enumerate would generate without invoking

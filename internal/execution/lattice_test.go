@@ -108,7 +108,7 @@ func TestSegmentWalkMatchesEnumerateTriple(t *testing.T) {
 							tog := o.Toggles()
 							var got []Strategy
 							for _, root := range roots {
-								tog.Walk(&root, func(s *Strategy, _ FieldMask) bool {
+								tog.Walk(&root, func(s *Strategy) bool {
 									got = append(got, *s)
 									return true
 								})

@@ -11,8 +11,8 @@ import (
 	"calculon/internal/units"
 )
 
-// leafStep is what a RunLeaf chain reported for one leaf: the bound keys,
-// the feasibility and flags, and how many memory halves the chain ran
+// leafStep is what a RunLeaf chain reported for one leaf: the bound keys
+// (RunInfo.Bound, zero when infeasible), the feasibility and flags, and how many memory halves the chain ran
 // inside RunLeaf.
 type leafStep struct {
 	bound  Keys
@@ -21,8 +21,7 @@ type leafStep struct {
 	halves int
 }
 
-// runLeaves feeds seq to one RunLeaf chain with per-step masks, as the
-// search's walk does, and holds every leaf to RunDetailed on a second
+// runLeaves feeds seq to one RunLeaf chain, as the search's walk does, and holds every leaf to RunDetailed on a second
 // runner: the same feasibility and PreScreened/CacheHit flags, bound keys
 // that bound the exact ones, and for the feasible leaves price picks, the
 // same Result through chain.Result with the leaf's flags left as they were.
@@ -43,15 +42,14 @@ func runLeaves(t *testing.T, m model.LLM, sys system.System, seq []execution.Str
 	out := make([]leafStep, len(seq))
 	var chain RunInfo
 	var res Result
-	sts := append([]execution.Strategy(nil), seq...)
-	for i := range sts {
-		sts[i].Normalize()
-		mask := execution.AllFields
-		if i > 0 {
-			mask = execution.DiffMask(&sts[i-1], &sts[i])
-		}
+	for i := range seq {
+		st := seq[i]
 		before := halves
-		k, ok := r.RunLeaf(&chain, &sts[i], mask)
+		ok := r.RunLeaf(&chain, &st)
+		var k Keys
+		if ok {
+			k = chain.Bound()
+		}
 		out[i] = leafStep{bound: k, ok: ok, info: chain, halves: halves - before}
 		want, info, wantErr := scratch.RunDetailed(seq[i])
 		if ok != (wantErr == nil) || chain.PreScreened != info.PreScreened || chain.CacheHit != info.CacheHit {
@@ -176,9 +174,9 @@ func TestLeafTableResetsOnBase(t *testing.T) {
 }
 
 // TestLeafTableAfterRunDelta steps a chain through a RunDeltaInto leaf
-// between two RunLeaf leaves. RunDeltaInto's leaves are diffed against the
-// chain's state, so a RunLeaf after one, with the mask against it, must be
-// evaluated on its base and not answered from the leaf before.
+// between two RunLeaf leaves. Both diff their leaf against the chain's
+// last admitted one, so a RunLeaf after a RunDeltaInto must be evaluated on
+// its base and not answered from the leaf before.
 func TestLeafTableAfterRunDelta(t *testing.T) {
 	m, sys, st := leafCase()
 	st.OptimSharding = true
@@ -190,7 +188,7 @@ func TestLeafTableAfterRunDelta(t *testing.T) {
 	other.TP, other.DP = 4, 2
 	var chain RunInfo
 	a := st
-	if _, ok := r.RunLeaf(&chain, &a, execution.AllFields); !ok {
+	if !r.RunLeaf(&chain, &a) {
 		t.Fatalf("%v does not fit", st)
 	}
 	_, chain, err = runDelta(r, chain, other)
@@ -198,12 +196,12 @@ func TestLeafTableAfterRunDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := other
-	got, ok := r.RunLeaf(&chain, &b, 0)
+	ok := r.RunLeaf(&chain, &b)
 	want, wantErr := r.Run(other)
 	if !ok || wantErr != nil {
 		t.Fatalf("RunLeaf ok %v, Run err %v", ok, wantErr)
 	}
-	if err := checkBound(got, Keys{want.BatchTime, want.SampleRate, want.Mem1.Total()}); err != nil {
+	if err := checkBound(chain.Bound(), Keys{want.BatchTime, want.SampleRate, want.Mem1.Total()}); err != nil {
 		t.Fatalf("RunLeaf after RunDeltaInto: %v", err)
 	}
 }
@@ -245,13 +243,17 @@ func TestClassAnswerHoldsForEveryLeaf(t *testing.T) {
 				tc.opts.Segments(&tc.m, tpd, func(root *execution.Strategy) bool {
 					members := map[execution.Strategy][]execution.Strategy{}
 					st := *root
-					tog.Walk(&st, func(s *execution.Strategy, _ execution.FieldMask) bool {
+					tog.Walk(&st, func(s *execution.Strategy) bool {
 						members[classKey(*s)] = append(members[classKey(*s)], *s)
 						return true
 					})
 					w := tog.Classes(&st)
 					for more := true; more; more = w.NextClass() {
-						k, ok := r.RunLeaf(&chain, &st, w.Mask())
+						ok := r.RunLeaf(&chain, &st)
+						var k Keys
+						if ok {
+							k = chain.Bound()
+						}
 						screened := chain.PreScreened
 						for _, s := range members[classKey(st)] {
 							_, info, err := scratch.RunDetailed(s)
@@ -277,8 +279,8 @@ func TestClassAnswerHoldsForEveryLeaf(t *testing.T) {
 							if !w.NextLeaf() {
 								break
 							}
-							if vk, vok := r.RunLeaf(&chain, &st, w.Mask()); vk != k || vok != ok || chain.PreScreened {
-								t.Fatalf("%v: variant answer %+v %v %+v, class %+v %v", st, vk, vok, chain, k, ok)
+							if !r.RunLeaf(&chain, &st) || chain.Bound() != k || chain.PreScreened {
+								t.Fatalf("%v: variant answer %+v, class bound keys %+v", st, chain, k)
 							}
 						}
 					}
@@ -352,9 +354,11 @@ func TestLeafClassCoversMemoryFields(t *testing.T) {
 		}
 		var chain RunInfo
 		a, b := st, moved
-		k, ok := r.RunLeaf(&chain, &a, execution.AllFields)
+		ok := r.RunLeaf(&chain, &a)
+		k := chain.Bound()
 		halves = halves[:0]
-		vk, vok := r.RunLeaf(&chain, &b, bit)
+		vok := r.RunLeaf(&chain, &b)
+		vk := chain.Bound()
 		if !ok || vok != ok || vk != k {
 			t.Errorf("variant field %s moves RunLeaf's answer from %v %+v to %v %+v", name, ok, k, vok, vk)
 		}

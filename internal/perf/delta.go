@@ -81,9 +81,9 @@ const (
 )
 
 // deltaState carries one evaluation chain's reusable terms between leaves:
-// the last admitted strategy and its evaluation state, the fields changed
-// since, the pre-screen verdicts of the current parallelism base, and the
-// one-entry memos of the log10-priced lookups. It is NOT safe for
+// the last admitted strategy and its evaluation state, the last stepped
+// leaf's verdict, the pre-screen verdicts of the current parallelism base,
+// and the one-entry memos of the log10-priced lookups. It is NOT safe for
 // concurrent use — each worker goroutine threads its own chain through the
 // RunInfo it gets back — while the owning Runner stays shared. Everything
 // here is built lazily by the chain itself, so the Runner constructors do
@@ -95,9 +95,7 @@ type deltaState struct {
 	valid bool
 	prev  execution.Strategy // normalized, groups fully evaluated; e.st points here
 	evalState
-	v        verdict             // the last stepped leaf's, when it failed
-	mask     execution.FieldMask // changed since prev, through the last stepped leaf
-	admitted bool                // the last stepped leaf was; mask is what evaluate got
+	v verdict // the last stepped leaf's, when it failed
 	// pending is the fields changed since the time half last ran: the time
 	// groups owed before the last leaf's exact keys can be read.
 	pending execution.FieldMask
@@ -133,11 +131,7 @@ func (r *Runner) chainOf(chain *RunInfo) *deltaState {
 // A chain must stay within one goroutine; the Runner itself remains safe
 // for concurrent use by many chains.
 func (r *Runner) RunDeltaInto(prev RunInfo, st execution.Strategy, out *Result) (RunInfo, error) {
-	mask := execution.AllFields // step diffs a foreign or empty chain against nothing
-	if prev.delta != nil {
-		mask = execution.DiffMask(&prev.delta.prev, &st)
-	}
-	if !r.step(&prev, &st, mask) {
+	if !r.step(&prev, &st) {
 		*out = Result{}
 		return prev, prev.delta.v.err()
 	}
@@ -145,27 +139,17 @@ func (r *Runner) RunDeltaInto(prev RunInfo, st execution.Strategy, out *Result) 
 	return prev, nil
 }
 
-// RunLeaf is the search's per-leaf entry point. mask is the fields in
-// which *st differs from the chain's previous leaf, as execution's walks
-// (Toggles.Walk, ClassWalk) report it, so the leaf path never diffs
-// strategies. RunLeaf decides only the memory half of the evaluation and
-// reports bound keys: Mem1 exact, and a BatchTime from the profile and
-// shape terms alone that is never above the exact one (so SampleRate is
-// never below it). A fold whose admission test is monotone in batch time
-// can turn a leaf away on these; chain.Keys prices the time terms and
-// returns the exact keys, and chain.Result builds the full Result. RunLeaf
-// allocates nothing on a warm chain and normalizes *st in place. The
-// PreScreened and CacheHit flags are read from *chain afterwards, as from
-// RunDeltaInto's returned RunInfo. Only three toggle rules read
+// RunLeaf is the search's per-leaf entry point: RunDeltaInto's step without
+// the time half. It decides only the memory half of the evaluation and
+// reports whether the leaf is feasible; chain.Keys prices the time terms
+// and returns the exact keys, and chain.Result builds the full Result.
+// RunLeaf allocates nothing on a warm chain and normalizes *st in place.
+// The PreScreened and CacheHit flags are read from *chain afterwards, as
+// from RunDeltaInto's returned RunInfo. Only three toggle rules read
 // execution.VariantFields, so on one segment base the valid leaves of a
-// memory class get one verdict, one PreScreened flag and one bound.
-func (r *Runner) RunLeaf(chain *RunInfo, st *execution.Strategy, mask execution.FieldMask) (Keys, bool) {
-	if !r.step(chain, st, mask) {
-		return Keys{}, false
-	}
-	d := chain.delta
-	bound := d.e.batchTimeBound()
-	return Keys{BatchTime: bound, SampleRate: bound.Rate(float64(r.m.Batch)), Mem1: d.keys.Mem1}, true
+// memory class get one verdict and one PreScreened flag.
+func (r *Runner) RunLeaf(chain *RunInfo, st *execution.Strategy) bool {
+	return r.step(chain, st)
 }
 
 // Keys runs the time half of the evaluation of the chain's last leaf — the
@@ -192,27 +176,25 @@ func (i *RunInfo) Result(out *Result) {
 }
 
 // step evaluates *st on the chain, replacing *chain with the new chain
-// state. mask is the fields changed since the chain's previous leaf; ORed,
-// when that leaf was rejected by admit, with the masks of the leaves
-// rejected since the last admitted one, it is every field changed since
-// the strategy the chain's state belongs to. The chain's shortcuts return
-// what a scratch evaluation computes: an unchanged shape re-checks only the
-// toggle rules, the pre-screen verdict comes from the chain's screenTable,
-// and the priced lookups go through its termMemo. A failing verdict is left
-// in the chain's state. step runs only the memory half; the time groups
-// mask reaches are added to the chain's pending set for Keys.
-func (r *Runner) step(chain *RunInfo, st *execution.Strategy, mask execution.FieldMask) bool {
+// state. It is the one place a chain decides which fields changed: it
+// diffs *st against the last admitted strategy, whose terms the chain
+// holds (every field on a fresh chain), so a leaf's mask does not depend on
+// the leaves rejected since or on the order they came in. The chain's
+// shortcuts return what a scratch evaluation computes: an unchanged shape
+// re-checks only the toggle rules, the pre-screen verdict comes from the
+// chain's screenTable, and the priced lookups go through its termMemo. A
+// failing verdict is left in the chain's state. step runs only the memory
+// half; the time groups the diff reaches are added to the chain's pending
+// set for Keys.
+func (r *Runner) step(chain *RunInfo, st *execution.Strategy) bool {
 	d := r.chainOf(chain)
 	st.Normalize()
-	if !d.valid {
-		mask = execution.AllFields
+	mask := execution.AllFields
+	if d.valid {
+		mask = execution.DiffMask(&d.prev, st)
 	}
-	if !d.admitted {
-		mask |= d.mask
-	}
-	d.mask = mask
 	*chain = RunInfo{delta: d}
-	if d.admitted = r.admit(st, mask, &d.screens, &d.v); !d.admitted {
+	if !r.admit(st, mask, &d.screens, &d.v) {
 		chain.PreScreened = d.v.kind == preScreened
 		return false
 	}

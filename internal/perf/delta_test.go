@@ -234,7 +234,7 @@ func runDeltaChain(t *testing.T, r *Runner, seq []execution.Strategy) ([]Result,
 }
 
 // runLeafChain evaluates the sequence as the search does, through RunLeaf on
-// one chain with per-step masks and one reused Result.
+// one chain with one reused Result.
 func runLeafChain(t *testing.T, r *Runner, seq []execution.Strategy) ([]Result, []RunInfo, []error) {
 	t.Helper()
 	res := make([]Result, len(seq))
@@ -380,7 +380,7 @@ func checkClassFloors(t *testing.T, tc deltaCase) (classes, tightened int) {
 			}
 			w := tog.Classes(root)
 			for more := true; more; more = w.NextClass() {
-				if _, ok := r.RunLeaf(&chain, root, w.Mask()); !ok {
+				if !r.RunLeaf(&chain, root) {
 					continue
 				}
 				classes++
@@ -413,7 +413,7 @@ func checkClassFloors(t *testing.T, tc deltaCase) (classes, tightened int) {
 					if !w.NextLeaf() {
 						break
 					}
-					if _, ok := r.RunLeaf(&chain, root, w.Mask()); !ok {
+					if !r.RunLeaf(&chain, root) {
 						t.Fatalf("%s %v: infeasible leaf in a feasible class", tc.name, *root)
 					}
 				}
@@ -603,21 +603,24 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 	// leaf of those classes, where it ran 9,726 times with the bound alone
 	// and 30,089 times stepping to each class to price its first leaf's
 	// floor; every run reaches the memory half, and every leaf is priced
-	// for time. The profile is read on 427 memory halves: the stepped
-	// classes that move a block switch. Only the 75 walked segments' first
-	// steps have a mask that reaches TP or Microbatch; the chain's row memo
-	// fetches a row from the shared memo on 125 calls in all, the memory
-	// and floor passes' included, where (TP, Microbatch) changed. A seek
-	// hands RunLeaf the OR of the masks the walk would have reported, so
-	// every row and group count below is what walking gave.
+	// for time. RunLeaf diffs each leaf against the chain's last admitted
+	// one, so a mask holds only the fields that leaf moved, not every field
+	// a class step passed on the way (75 row steps, 75 shape runs, 427
+	// profile reads, 779 activation and 994 optimizer row runs when the
+	// seeks ORed those steps' masks). The profile is read on 418 memory
+	// halves: the stepped classes whose block switches differ from the
+	// last admitted leaf's. 28 of the 75 walked segments' first steps move
+	// TP or Microbatch and 60 move the shape; the chain's row memo fetches
+	// a row from the shared memo on 125 calls in all, the memory and floor
+	// passes' included, where (TP, Microbatch) changed.
 	want := map[string]int{
 		"leaves": 2076480, "classes sought": 2185, "pre-screened": 11088, "feasible": 2010498,
 		"cache hits": 2064654, "segments floored": 0, "segments walked": 75, "slots passed": 1758,
 		"slot floors passed": 1221, "class floors priced": 18643, "classes stepped": 1192,
 		"RunLeaf calls": 8334, "memory-half runs": 8334, "timed": 8334,
-		"row steps": 75, "row fetches": 125, "profile reads": 427, "shape": 75,
-		"mem weights": 627, "mem optimizer": 994, "mem activations": 779,
-		"tensor": 3993, "pipe": 4003, "data": 453, "optimizer": 994, "offload": 4758,
+		"row steps": 28, "row fetches": 125, "profile reads": 418, "shape": 60,
+		"mem weights": 627, "mem optimizer": 895, "mem activations": 690,
+		"tensor": 3988, "pipe": 3998, "data": 453, "optimizer": 895, "offload": 4748,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recompute counts changed:\n got %v\nwant %v", got, want)
@@ -635,7 +638,7 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 // test on the slot floor or the front's memory limit leave, and selects
 // those whose floors pass keeps; the class walk seeks each selected class
 // (ClassWalk.Seek) and steps the chain only into one whose floor still
-// passes, ORing the masks of the classes it passes. Runners from one
+// passes. Runners from one
 // RunnerGroup share their profile rows, as the sizes of a sweep do. The
 // counts of each memory half and of the term groups it and the time half
 // rerun come through onMemoryHalf.
@@ -687,11 +690,11 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 				got["row fetches"]++
 			}
 		}
-		leaf := func(st *execution.Strategy, mask execution.FieldMask) (Keys, bool) {
+		leaf := func(st *execution.Strategy) bool {
 			got["RunLeaf calls"]++
-			k, ok := r.RunLeaf(&chain, st, mask)
+			ok := r.RunLeaf(&chain, st)
 			noteRow()
-			return k, ok
+			return ok
 		}
 		// price is chain.Keys counting the time groups it runs: the ones the
 		// masks owed since the time half last ran reach, if any are owed.
@@ -718,7 +721,7 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 			}
 			opts.Segments(&m, tpd, func(root *execution.Strategy) bool {
 				defer func() { base += tog.Len() }()
-				if fl, ok := r.mem1Floor(r.chainOf(&chain), lat, root); ok && fl > r.sys.Mem1.Capacity {
+				if fl, ok := r.mem1Floor(r.chainOf(&chain), lat, root, r.shapeOf(root)); ok && fl > r.sys.Mem1.Capacity {
 					got["segments floored"]++
 				}
 				r.PassSegment(&chain, lat, root, &p)
@@ -760,10 +763,9 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 				}
 				got["segments walked"]++
 				w := tog.Classes(root)
-				skipped := w.Mask()
 				for k := p.NextSelected(0); k >= 0; k = p.NextSelected(k + 1) {
 					got["classes sought"]++
-					skipped |= w.Seek(k)
+					w.Seek(k)
 					floor := p.Floor(k)
 					if sel, ok := p.Selected(root); !ok || sel != floor {
 						t.Fatalf("%v: the walk sought class %d, whose floor keys are %+v, onto a class selected %v with %+v", root, k, floor, ok, sel)
@@ -771,9 +773,7 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 					if !fold.keeps(base, floor) {
 						continue
 					}
-					mask := skipped
-					skipped = 0
-					if _, ok := leaf(root, mask); !ok {
+					if !leaf(root) {
 						t.Fatalf("%v: a class the pass fits does not", root)
 					}
 					got["classes stepped"]++
@@ -787,7 +787,7 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 						if !w.NextLeaf() {
 							break
 						}
-						leaf(root, w.Mask())
+						leaf(root)
 					}
 				}
 				return true

@@ -12,7 +12,8 @@ import (
 // mem1Floor returns a first-tier total no larger than any leaf's of the
 // segment rooted at root, or false when a profile slot it reads is not yet
 // in the memo (or the root is an inference strategy). It runs the three
-// memory rows once on the root's shape, with the slot minima of the root's
+// memory rows once on the root's shape — its (n, bp, bc), which the caller
+// has derived, as no toggle reaches them — with the slot minima of the root's
 // row in place of the block profile — the smallest weight bytes, stored
 // activations and largest output over every slot the lattice reaches — and
 // each screen switch the lattice ever turns on turned on: offloading keeps
@@ -24,7 +25,7 @@ import (
 // total, summed in the same order — is at most that leaf's, bit for bit.
 // The second tier is left out: its rows subtract the resident part, which
 // is not monotone.
-func (r *Runner) mem1Floor(d *deltaState, lat *SegmentLattice, root *execution.Strategy) (units.Bytes, bool) {
+func (r *Runner) mem1Floor(d *deltaState, lat *SegmentLattice, root *execution.Strategy, shape [3]int) (units.Bytes, bool) {
 	if root.Inference {
 		return 0, false
 	}
@@ -39,7 +40,7 @@ func (r *Runner) mem1Floor(d *deltaState, lat *SegmentLattice, root *execution.S
 	setScreenBits(&st, lat.saving)
 	e := eval{m: &r.m, sys: &r.sys, st: &st, memo: &d.memo}
 	e.tot = &layers.Totals{WeightBytes: mn.weight, ActBytes: mn.acts, MaxOutputBytes: mn.maxOutput}
-	e.loadShape()
+	e.n, e.bp, e.bc = shape[0], shape[1], shape[2]
 	var mem1, mem2 MemBreakdown
 	e.weightRows(&mem1, &mem2)
 	e.optimizerRows(&mem1, &mem2)

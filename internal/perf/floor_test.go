@@ -115,7 +115,7 @@ func TestFloorSegmentAllocatesNothing(t *testing.T) {
 			floored := 0
 			for i := range roots {
 				r.PassSegment(&chain, lat, &roots[i], &p)
-				if fl, ok := r.mem1Floor(r.chainOf(&chain), lat, &roots[i]); ok && fl > c.cap {
+				if fl, ok := r.mem1Floor(r.chainOf(&chain), lat, &roots[i], r.shapeOf(&roots[i])); ok && fl > c.cap {
 					floored++
 				}
 			}
@@ -233,16 +233,16 @@ func FuzzSegmentFloor(f *testing.F) {
 		}
 		var chain RunInfo
 		leaf := root
-		if _, ok := roomy.mem1Floor(roomy.chainOf(&chain), lat, &leaf); ok {
+		if _, ok := roomy.mem1Floor(roomy.chainOf(&chain), lat, &leaf, roomy.shapeOf(&leaf)); ok {
 			t.Fatalf("%v: a floor before any leaf filled a slot", root)
 		}
 		var leaves []execution.Strategy
-		tog.Walk(&leaf, func(st *execution.Strategy, mask execution.FieldMask) bool {
-			roomy.RunLeaf(&chain, st, mask)
+		tog.Walk(&leaf, func(st *execution.Strategy) bool {
+			roomy.RunLeaf(&chain, st)
 			leaves = append(leaves, *st)
 			return true
 		})
-		fl, ok := roomy.mem1Floor(roomy.chainOf(&chain), lat, &root)
+		fl, ok := roomy.mem1Floor(roomy.chainOf(&chain), lat, &root, roomy.shapeOf(&root))
 		if !ok {
 			t.Fatalf("%v: no floor after the walk filled the slots", root)
 		}
@@ -265,8 +265,8 @@ func FuzzSegmentFloor(f *testing.F) {
 		walkPre, feasible := 0, 0
 		chain = RunInfo{}
 		leaf = root
-		tog.Walk(&leaf, func(st *execution.Strategy, mask execution.FieldMask) bool {
-			if _, ok := r.RunLeaf(&chain, st, mask); ok {
+		tog.Walk(&leaf, func(st *execution.Strategy) bool {
+			if r.RunLeaf(&chain, st) {
 				feasible++
 			}
 			if chain.PreScreened {
@@ -285,7 +285,7 @@ func FuzzSegmentFloor(f *testing.F) {
 		leaf = root
 		w := tog.Classes(&leaf)
 		for more := true; more; more = w.NextClass() {
-			r.RunLeaf(&chain, &leaf, w.Mask())
+			r.RunLeaf(&chain, &leaf)
 			if !chain.PreScreened && chain.CacheHit {
 				classHits += w.Len()
 			}
@@ -307,4 +307,12 @@ func referenceMem1(m model.LLM, sys system.System, st execution.Strategy) units.
 	s.e.optimizerRows(&s.mem1, &s.mem2)
 	s.e.activationRows(&s.mem1, &s.mem2)
 	return s.mem1.Total()
+}
+
+// shapeOf returns st's shape quantities (n, bp, bc), which PassSegment
+// derives for mem1Floor.
+func (r *Runner) shapeOf(st *execution.Strategy) [3]int {
+	e := eval{m: &r.m, st: st}
+	e.loadShape()
+	return [3]int{e.n, e.bp, e.bc}
 }

@@ -20,7 +20,7 @@ import (
 // Run must never panic, must equal referenceRun bit for bit (or fail with
 // the same message, unless the pre-screen rejected the strategy first),
 // and a success must carry finite, non-negative breakdown terms, an MFU of
-// at most 1, and a breakdown whose Total is the batch time; RunLeaf's bound
+// at most 1, and a breakdown whose Total is the batch time; the chain's bound
 // keys must bound its keys (checkBound), and its class floor the keys of
 // every leaf of its memory class (checkFuzzClass).
 func FuzzRun(f *testing.F) {
@@ -101,14 +101,14 @@ func FuzzRun(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A fresh chain's first leaf: RunLeaf's bound keys must bound the
+		// A fresh chain's first leaf: its bound keys must bound the
 		// Result's, and Keys must return them exactly.
 		var chain RunInfo
 		leaf := st
-		bound, ok := r.RunLeaf(&chain, &leaf, execution.AllFields)
-		if !ok {
+		if !r.RunLeaf(&chain, &leaf) {
 			t.Fatalf("%s %v on %s: Run feasible, RunLeaf not", m.Name, st, sys.Name)
 		}
+		bound := chain.Bound()
 		exact := Keys{got.BatchTime, got.SampleRate, got.Mem1.Total()}
 		if k := chain.Keys(); k != exact {
 			t.Fatalf("%s %v on %s: chain keys %+v, Result keys %+v", m.Name, st, sys.Name, k, exact)

@@ -223,7 +223,7 @@ func (p *SegmentPass) total(i int, b uint32) *[2]units.Bytes {
 }
 
 // Bound returns the bound keys of profile slot i: the batch-time bound
-// every leaf of the slot shares (RunLeaf's) with the least Mem1 of its
+// every leaf of the slot shares (batchTimeBound) with the least Mem1 of its
 // fitting classes, and false when none fits. keys are no higher than the
 // bound keys of each fitting class of the slot, so a fold whose admission
 // is monotone in batch time and first-tier memory that turns them away
@@ -326,14 +326,14 @@ func (r *Runner) PassSegment(chain *RunInfo, lat *SegmentLattice, root *executio
 		return
 	}
 	p.CacheHits = lat.len - p.PreScreened
-	if fl, ok := r.mem1Floor(d, lat, root); ok && fl > r.sys.Mem1.Capacity {
+	e := eval{m: &r.m, sys: &r.sys, st: st, memo: &d.memo}
+	e.loadShape()
+	p.shape = [3]int{e.n, e.bp, e.bc}
+	if fl, ok := r.mem1Floor(d, lat, root, p.shape); ok && fl > r.sys.Mem1.Capacity {
 		// No leaf fits, and every slot is in the memo: the classes would
 		// all be admitted cache hits that overflow the first tier.
 		return
 	}
-	e := eval{m: &r.m, sys: &r.sys, st: st, memo: &d.memo}
-	e.loadShape()
-	p.shape = [3]int{e.n, e.bp, e.bc}
 	var m1, m2 MemBreakdown     // each row's output, before p keeps it
 	graph := uint32(graphSlots) // none yet
 	for i := range lat.slots {

@@ -101,7 +101,7 @@ func TestPassMatchesClassWalk(t *testing.T) {
 				walked := 0
 				tc.opts.Segments(&tc.m, tpd, func(root *execution.Strategy) bool {
 					segments++
-					fl, ok := pr.mem1Floor(pr.chainOf(&pchain), lat, root)
+					fl, ok := pr.mem1Floor(pr.chainOf(&pchain), lat, root, pr.shapeOf(root))
 					cut := ok && fl > tc.sys.Mem1.Capacity
 					if cut {
 						floored++
@@ -115,7 +115,11 @@ func TestPassMatchesClassWalk(t *testing.T) {
 					st := *root
 					w := tog.Classes(&st)
 					for more := true; more; more = w.NextClass() {
-						k, ok := wr.RunLeaf(&wchain, &st, w.Mask())
+						ok := wr.RunLeaf(&wchain, &st)
+						var k Keys
+						if ok {
+							k = wchain.Bound()
+						}
 						n := w.Len()
 						want[0] += n
 						switch {
@@ -212,7 +216,7 @@ func TestPassFloorsMatchChainFloor(t *testing.T) {
 					w := tog.Classes(&st)
 					feasible := 0
 					for more := true; more; more = w.NextClass() {
-						_, ok := wr.RunLeaf(&wchain, &st, w.Mask())
+						ok := wr.RunLeaf(&wchain, &st)
 						pk, picked := p.Selected(&st)
 						if picked != ok {
 							t.Fatalf("%v: the floor pass selects %v, RunLeaf finds it feasible %v", st, picked, ok)

@@ -56,15 +56,12 @@ func referenceRun(m model.LLM, sys system.System, st execution.Strategy) (Result
 	return out, nil
 }
 
-// leafChain feeds strategies to RunLeaf the way the search's walk does:
-// each with the mask of the fields it changes against the previous
-// strategy fed — AllFields for the first — whether or not the chain
-// admitted that one. Accounting for the leaves admit rejects in between is
-// the chain's job.
+// leafChain feeds strategies to RunLeaf the way the search's walk does,
+// one chain for the whole sequence, whether or not the chain admitted the
+// leaf before.
 type leafChain struct {
 	r     *Runner
 	chain RunInfo
-	prev  *execution.Strategy
 	out   Result // reused across leaves, as the search reuses one
 }
 
@@ -72,18 +69,12 @@ type leafChain struct {
 // the Result when feasible, built as the search builds a kept leaf's;
 // otherwise a zero Result and the bare ErrInfeasible, as RunLeaf reports no
 // message. A feasible leaf's exact keys (chain.Keys) must be the Result's,
-// and RunLeaf's bound keys must bound them (checkBound).
+// and its bound keys must bound them (checkBound).
 func (c *leafChain) run(st execution.Strategy) (Result, error) {
-	st.Normalize()
-	mask := execution.AllFields
-	if c.prev != nil {
-		mask = execution.DiffMask(c.prev, &st)
-	}
-	c.prev = &st
-	bound, ok := c.r.RunLeaf(&c.chain, &st, mask)
-	if !ok {
+	if !c.r.RunLeaf(&c.chain, &st) {
 		return Result{}, ErrInfeasible
 	}
+	bound := c.chain.Bound()
 	exact := c.chain.Keys()
 	c.chain.Result(&c.out)
 	if exact != (Keys{c.out.BatchTime, c.out.SampleRate, c.out.Mem1.Total()}) {
@@ -95,7 +86,7 @@ func (c *leafChain) run(st execution.Strategy) (Result, error) {
 	return c.out, nil
 }
 
-// checkBound holds RunLeaf's bound keys to a leaf's exact keys: the same
+// checkBound holds a leaf's bound keys (RunInfo.Bound) to a leaf's exact keys: the same
 // first-tier total, a batch time no higher, a sample rate no lower.
 func checkBound(bound, exact Keys) error {
 	if bound.Mem1 != exact.Mem1 || !(bound.BatchTime <= exact.BatchTime) || !(bound.SampleRate >= exact.SampleRate) {

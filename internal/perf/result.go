@@ -151,8 +151,9 @@ type Result struct {
 
 // Keys are the three figures the search folds a feasible leaf by. The
 // exact keys (RunInfo.Keys) are bit for bit its Result's BatchTime,
-// SampleRate and Mem1.Total(); RunLeaf reports bound keys, with the exact
-// Mem1 and a BatchTime no higher (a SampleRate no lower) than the exact.
+// SampleRate and Mem1.Total(); a profile slot's bound keys
+// (SegmentPass.Bound) and the floors have a Mem1 and a BatchTime no higher
+// (a SampleRate no lower) than those of any leaf they cover.
 type Keys struct {
 	BatchTime  units.Seconds
 	SampleRate float64

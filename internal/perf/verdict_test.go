@@ -88,10 +88,6 @@ func TestVerdictKindsCovered(t *testing.T) {
 			var dChain, lChain, kChain RunInfo
 			var leafRes Result
 			for i, st := range tc.strats {
-				mask := execution.AllFields
-				if i > 0 {
-					mask = execution.DiffMask(&tc.strats[i-1], &st)
-				}
 				want, wantInfo, wantErr := scratch.RunDetailed(st)
 				got, info, err := runDelta(delta, dChain, st)
 				dChain = info
@@ -106,7 +102,7 @@ func TestVerdictKindsCovered(t *testing.T) {
 				}
 
 				lst := st
-				_, ok := leaf.RunLeaf(&lChain, &lst, mask)
+				ok := leaf.RunLeaf(&lChain, &lst)
 				if ok {
 					lChain.Result(&leafRes)
 				}
@@ -121,7 +117,7 @@ func TestVerdictKindsCovered(t *testing.T) {
 
 				kst := st
 				v := verdict{}
-				if !kinds.step(&kChain, &kst, mask) {
+				if !kinds.step(&kChain, &kst) {
 					v = kChain.delta.v
 				}
 				switch {
@@ -159,20 +155,13 @@ func TestRunLeafAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			strats := tc.strats[:len(tc.strats)-tc.invalid]
-			masks := make([]execution.FieldMask, len(strats))
-			for i := range strats {
-				masks[i] = execution.AllFields
-				if i > 0 {
-					masks[i] = execution.DiffMask(&strats[i-1], &strats[i])
-				}
-			}
 			var chain RunInfo
 			var res Result
 			var st execution.Strategy
 			walk := func() {
 				for i := range strats {
 					st = strats[i]
-					if _, ok := r.RunLeaf(&chain, &st, masks[i]); ok {
+					if r.RunLeaf(&chain, &st) {
 						chain.Floor()
 						chain.Result(&res)
 					}

@@ -325,9 +325,9 @@ type worker struct {
 // the pass (Runner.PassFloors) prices those classes' floors and selects the
 // ones whose floor keys pass keeps; each test is implied by the next, so
 // only the floor decides. The class walk then seeks the selected classes in
-// its order (ClassWalk.Seek) and steps the chain (RunLeaf) only into one
-// whose floor still passes keeps, with the OR of the masks of the class
-// steps since the chain's last step. The descent prices a leaf's exact keys
+// its order (ClassWalk.Seek) and steps the chain (RunLeaf, which diffs the
+// leaf against the chain's last admitted one) only into one whose floor
+// still passes keeps. The descent prices a leaf's exact keys
 // only while its class floor passes keeps, and computes its seq only when
 // those keys pass at the segment's first seq, before building its Result.
 // With collectRates every fitting class is sought and stepped and every leaf
@@ -372,18 +372,15 @@ func (ws *worker) segment(runner *perf.Runner, lat *perf.SegmentLattice, tog *ex
 		next = p.NextFitting
 	}
 	w := tog.Classes(root)
-	skipped := w.Mask() // changed since the chain's last step: every field, before the first
 	for k := next(0); k >= 0; k = next(k + 1) {
-		skipped |= w.Seek(k)
+		w.Seek(k)
 		var floor perf.Keys
 		if !collectRates {
 			if floor = p.Floor(k); !ws.keeps(seq0, &floor) {
 				continue
 			}
 		}
-		mask := skipped
-		skipped = 0
-		if _, ok := runner.RunLeaf(chain, root, mask); !ok {
+		if !runner.RunLeaf(chain, root) {
 			continue
 		}
 		for {
@@ -405,7 +402,7 @@ func (ws *worker) segment(runner *perf.Runner, lat *perf.SegmentLattice, tog *ex
 			if !w.NextLeaf() {
 				break
 			}
-			runner.RunLeaf(chain, root, w.Mask())
+			runner.RunLeaf(chain, root)
 		}
 	}
 }

@@ -286,7 +286,7 @@ func TestWorkChunksTileTheSpace(t *testing.T) {
 				}
 				enum.MicrobatchSegments(&m, row.tpd, mb, &root, func(r *execution.Strategy) bool {
 					want, ok := firsts[seq]
-					tog.Walk(r, func(leaf *execution.Strategy, _ execution.FieldMask) bool {
+					tog.Walk(r, func(leaf *execution.Strategy) bool {
 						if !ok || *leaf != want {
 							t.Fatalf("draw %d chunk %d (triple %v, microbatch %d): segment at seq %d starts %+v, EnumerateTriple has %+v",
 								draw, i, row.tpd, mb, seq, *leaf, want)
