@@ -11,16 +11,13 @@
 //	go test -run '^$' -bench BenchmarkExecutionSearch -benchtime 100x -count 3 ./internal/search |
 //	    go run ./cmd/benchdiff -baseline BENCH_BASELINE.json -tolerance 0.30
 //
+// `make bench` pipes every baselined benchmark through one comparison, in
+// the procedure BENCH_BASELINE.json's note records.
+//
 // When a benchmark appears multiple times on stdin (-count=N), the best
 // observation per metric is used — max for higher-is-better metrics, min
 // for allocs/op — because machine noise is one-sided: interference makes a
 // run look slower than the code is, never faster.
-//
-// The baselined sweep pair — BenchmarkSystemSizeSweep with the lattice
-// subtree prune on, BenchmarkSystemSizeSweepNoPrune without — additionally
-// pins the prune's speedup: their baselined strategies/s differ by the
-// measured factor, so losing the prune's win shows up as a tolerance
-// failure on the pruned arm.
 //
 // Pass -update to rewrite the baseline from the fresh run instead of
 // comparing (do this on the reference machine after a deliberate perf

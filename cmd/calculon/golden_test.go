@@ -16,8 +16,10 @@ var update = flag.Bool("update", false, "rewrite the golden corpus under testdat
 // byte for byte: the paper's headline search (GPT-3 175B at batch 3,072 on
 // 4,096 A100s with a 512 GiB second tier, top-10 and the Pareto front), the
 // same search's sample-rate histogram (the CollectRates path, which steps
-// the chain into every fitting class and prices every leaf of it) and the
-// three capacity-tight §5.2 sweeps. Each golden is the command's standard
+// the chain into every fitting class and prices every leaf of it), the
+// three capacity-tight §5.2 sweeps, and three paper studies: Table 3's
+// pinned size sweeps, Fig. 6's search-space statistics (CollectRates
+// again) and Fig. 9's offload grid. Each golden is the command's standard
 // output; none holds a timing.
 var goldenCases = []struct {
 	name string
@@ -33,10 +35,14 @@ var goldenCases = []struct {
 		"-hbm", "40GiB", "-step", "8", "-max", "2048", "-csv"}},
 	{"scaling-palm-540B-42GiB", []string{"scaling", "-model", "palm-540B", "-batch", "3072",
 		"-hbm", "42GiB", "-step", "8", "-max", "2048", "-csv"}},
+	{"study-table3", []string{"study", "table3"}},
+	{"study-fig6-json", []string{"study", "fig6", "-json"}},
+	{"study-fig9-json", []string{"study", "fig9", "-json"}},
 }
 
 // TestGoldenCorpus runs each golden command at one, two and three workers
-// and requires every output to equal its golden under testdata/golden. A
+// (a study, which takes no -workers, once) and requires every output to
+// equal its golden under testdata/golden. A
 // change that moves one on purpose regenerates the corpus with
 //
 //	go test -run TestGoldenCorpus ./cmd/calculon -update
@@ -50,10 +56,17 @@ func TestGoldenCorpus(t *testing.T) {
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join("testdata", "golden", c.name+".golden")
-			for _, workers := range []string{"1", "2", "3"} {
-				args := append(c.args[1:len(c.args):len(c.args)], "-workers", workers)
+			workerFlags := []string{"1", "2", "3"}
+			if c.args[0] == "study" {
+				workerFlags = []string{""}
+			}
+			for _, workers := range workerFlags {
+				args := c.args[1:len(c.args):len(c.args)]
+				if workers != "" {
+					args = append(args, "-workers", workers)
+				}
 				got := capture(t, func() error { return dispatch(context.Background(), c.args[0], args) })
-				if *update && workers == "1" {
+				if *update && workers == workerFlags[0] {
 					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 						t.Fatal(err)
 					}

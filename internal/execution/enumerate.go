@@ -2,6 +2,7 @@ package execution
 
 import (
 	"fmt"
+	"slices"
 
 	"calculon/internal/model"
 )
@@ -139,7 +140,7 @@ func (o EnumOptions) Triples(m model.LLM) [][3]int {
 // No search calls it: the search walks segments class by class on its
 // workers. It is kept as the tests' oracle, the plain leaf-by-leaf listing
 // of the space that the closed-form counts (SpaceSize, TripleLeafCount),
-// the segment and class walks and the reference searches are checked
+// the segment walks, ClassLeaves and the reference searches are checked
 // against.
 func (o EnumOptions) Enumerate(m model.LLM, yield func(Strategy) bool) int {
 	count := 0
@@ -414,10 +415,10 @@ func (t *Toggles) setScreen(st *Strategy, i int) {
 // breaks ties and names the leaf in shard splits and store keys, so
 // changing the order is a strategy-space version bump (resultstore). A
 // search may visit leaves in any order: the parallel search walks class by
-// class (Classes) and computes each leaf's rank.
+// class (ClassLeaves), which yields each leaf's rank.
 func (t *Toggles) Walk(st *Strategy, yield func(*Strategy) bool) bool {
 	sizes := t.sizes()
-	g := gray{dir: [8]int{1, 1, 1, 1, 1, 1, 1, 1}}
+	g := gray{dir: [7]int{1, 1, 1, 1, 1, 1, 1}}
 	for d, k := range sizes {
 		g.n[d] = k
 		t.set(st, d, 0)
@@ -434,7 +435,7 @@ func (t *Toggles) Walk(st *Strategy, yield func(*Strategy) bool) bool {
 
 // gray is a reflected mixed-radix Gray counter: each dimension's value,
 // sweep direction (±1) and number of values.
-type gray struct{ idx, dir, n [8]int }
+type gray struct{ idx, dir, n [7]int }
 
 // advance takes one step over dimensions lo..hi and returns the one that
 // moved: the deepest that can still move in its direction, every deeper one
@@ -487,148 +488,45 @@ func (t *Toggles) rank(g [7]int) int {
 	return r
 }
 
-// VariantFields are the toggles that vary inside one memory class of the
-// class walk (Classes): the TP and PP RS+AG switches and the TP overlap
-// mode. Every other toggle is part of the class.
+// VariantFields are the toggles that vary inside one memory class
+// (ClassLeaves): the TP and PP RS+AG switches and the TP overlap mode. Every
+// other toggle is part of the class.
 const VariantFields = FieldTPRSAG | FieldPPRSAG | FieldTPOverlap
 
-// ClassWalk walks one segment class by class. A class is the leaves that
-// agree on every toggle outside VariantFields, and holds the TP overlap
-// modes times the RS+AG completions its (SeqParallel, TPRedoForSP) pair
-// allows. The walk starts on a leaf of the first class; NextClass moves to
-// a leaf of the next and NextLeaf through the rest of the current one, so a
-// caller that needs one leaf per class pays for no other. The classes
-// follow a reflected Gray code over the class dimensions (recompute, the
-// pair, DP overlap, sharding, fused layers, offloads) and a class's leaves
-// one over the variant dimensions (TP overlap, completion) from the leaf
-// the walk entered it on, so each step changes as few fields as the
-// lattice allows. Like Walk, it writes its root's toggle fields in place
-// and allocates nothing.
-type ClassWalk struct {
-	t  *Toggles
-	st *Strategy
-	// Between classes, each variant dimension rests at the end it next
-	// sweeps away from.
-	gray
-	class int // the current class's position in NextClass's order
-}
-
-// The class walk's named dimensions: the (SeqParallel, TPRedoForSP) pair,
-// the first variant dimension, and the completion within the pair.
-const (
-	dimPair       = 1
-	dimVariants   = 6
-	dimCompletion = 7
-)
-
-// walkDim maps a class-walk dimension to Walk's; the pair and the
-// completion together pick Walk's comm combo.
-var walkDim = [8]int{0, 1, 3, 4, 5, 6, 2, 1}
-
-// Classes returns a class walk of the segment rooted at st, standing on the
-// first leaf of its first class. Like Walk, it overwrites st's toggle
-// fields and leaves the rest alone.
-func (t *Toggles) Classes(st *Strategy) ClassWalk {
-	w := ClassWalk{t: t, st: st}
-	sizes := t.sizes()
-	for d := range walkDim {
-		w.n[d], w.dir[d] = sizes[walkDim[d]], 1
+// ClassLeaves walks the memory class st stands in: the leaves that agree
+// with st on every toggle outside VariantFields, the TP overlap modes times
+// the RS+AG completions its (SeqParallel, TPRedoForSP) pair allows. It
+// writes each leaf's variant fields into st in place, successive leaves one
+// field apart, yields the leaf's rank, its position in Walk's order, and
+// reports whether the walk ran to completion (false when yield stopped it).
+// st's other toggles must hold values of the lattice. It allocates nothing.
+func (t *Toggles) ClassLeaves(st *Strategy, yield func(rank int) bool) bool {
+	g := [7]int{
+		slices.Index(t.recomputes, st.Recompute), 0, 0,
+		slices.Index(t.dpOverlaps, st.DPOverlap), slices.Index(t.shards, st.OptimSharding),
+		slices.Index(t.fused, st.FusedLayers),
+		slices.Index(t.offloads, [3]bool{st.WeightOffload, st.ActOffload, st.OptimOffload}),
 	}
-	w.n[dimPair] = len(t.projs) // set(dimPair) sizes the completion
-	for d := range walkDim {
-		w.set(d)
+	var compl []int
+	for _, p := range t.projs {
+		if c := &t.comms[p[0]]; c.sp == st.SeqParallel && c.redo == st.TPRedoForSP {
+			compl = p
+		}
 	}
-	return w
-}
-
-// Rank returns the leaf's position in Walk's order (walkDim, inverted).
-func (w *ClassWalk) Rank() int {
-	i := &w.idx
-	return w.t.rank([7]int{i[0], w.t.projs[i[dimPair]][i[dimCompletion]], i[6], i[2], i[3], i[4], i[5]})
-}
-
-// Len returns the number of leaves in the current class.
-func (w *ClassWalk) Len() int { return w.n[dimVariants] * w.n[dimCompletion] }
-
-// NextClass moves to a leaf of the next class and reports whether there is
-// one. Call it after NextLeaf has reported false, or without having called
-// NextLeaf in the current class at all.
-func (w *ClassWalk) NextClass() bool {
-	d := w.advance(0, dimVariants-1)
-	if d >= 0 {
-		w.class++
-	}
-	return w.move(d)
-}
-
-// Class returns the current class's position in NextClass's order, from 0.
-func (w *ClassWalk) Class() int { return w.class }
-
-// Seek moves the walk forward to the first leaf of class k (Class's
-// numbering), k no less than the current class, as NextClass would through
-// every class between. Each class dimension's value and direction come from
-// the Gray code's closed form — position u of a dimension's sweep holds
-// value u mod n, upward in even sweeps and downward in odd ones — so the
-// cost does not grow with the classes passed. Like NextClass, call it after
-// NextLeaf has reported false, or without having called NextLeaf in the
-// current class, so the completion rests where NextClass leaves it.
-func (w *ClassWalk) Seek(k int) {
-	stride := 1
-	for d := dimVariants - 1; d >= 0; d-- {
-		n, from, to := w.n[d], w.class/stride, k/stride
-		stride *= n
-		switch {
-		case from == to:
-			// Neither this dimension nor any shallower one moves.
-			w.class = k
-			return
-		case n == 1:
-			// It never moves, and turns at every position.
-			if (to-from)%2 == 1 {
-				w.dir[d] = -w.dir[d]
+	for i, o := range t.tpOverlaps {
+		st.TPOverlap, g[2] = o, i
+		for j := range compl {
+			if i%2 == 1 {
+				j = len(compl) - 1 - j // the completions sweep back and forth
 			}
-			continue
-		}
-		v, dir := to%n, 1
-		if to/n%2 == 1 {
-			v, dir = n-1-v, -1
-		}
-		w.dir[d] = dir
-		if v != w.idx[d] {
-			w.idx[d] = v
-			w.set(d)
-		}
-	}
-	w.class = k
-}
-
-// NextLeaf moves to the current class's next leaf and reports whether there
-// is one; the first leaf of a class is the one NextClass moved to.
-func (w *ClassWalk) NextLeaf() bool { return w.move(w.advance(dimVariants, dimCompletion)) }
-
-// move writes dimension d's new value, when one moved.
-func (w *ClassWalk) move(d int) bool {
-	if d >= 0 {
-		w.set(d)
-	}
-	return d >= 0
-}
-
-// set writes dimension d's value into the strategy. A new pair has its own
-// completions: the completion moves to the end it next sweeps from.
-func (w *ClassWalk) set(d int) {
-	v := w.idx[d]
-	if d == dimPair || d == dimCompletion {
-		compl := w.t.projs[w.idx[dimPair]]
-		if d == dimPair {
-			w.n[dimCompletion], w.idx[dimCompletion] = len(compl), 0
-			if w.dir[dimCompletion] < 0 {
-				w.idx[dimCompletion] = len(compl) - 1
+			g[1] = compl[j]
+			t.set(st, 1, g[1])
+			if !yield(t.rank(g)) {
+				return false
 			}
 		}
-		v = compl[w.idx[dimCompletion]]
 	}
-	w.t.set(w.st, walkDim[d], v)
+	return true
 }
 
 // SpaceSize counts the strategies Enumerate would generate without invoking

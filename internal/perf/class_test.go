@@ -89,7 +89,7 @@ func leafCase() (model.LLM, system.System, execution.Strategy) {
 // TestRunLeafTimeRules feeds a chain leaves that fail a toggle rule over a
 // variant field — sequence parallelism or PP RS+AG without TP RS+AG, an
 // unknown TP overlap mode — between valid leaves of the same classes. The
-// class walk never yields such a leaf, but RunLeaf must still report
+// search never steps into such a leaf, but RunLeaf must still report
 // RunDetailed's verdict and flags for it without running a memory half,
 // and the valid leaf after it must be evaluated against the chain's last
 // admitted leaf, priced or not.
@@ -213,11 +213,34 @@ func classKey(s execution.Strategy) execution.Strategy {
 	return s
 }
 
+// walkClasses calls yield with the leaves of each memory class of the
+// segment rooted at root: Walk's leaves grouped by class key, the classes in
+// the order Walk first reaches them and each class's leaves in Walk's order.
+func walkClasses(tog *execution.Toggles, root execution.Strategy, yield func(leaves []execution.Strategy)) {
+	var classes [][]execution.Strategy
+	index := map[execution.Strategy]int{}
+	tog.Walk(&root, func(s *execution.Strategy) bool {
+		k := classKey(*s)
+		i, ok := index[k]
+		if !ok {
+			i = len(classes)
+			index[k] = i
+			classes = append(classes, nil)
+		}
+		classes[i] = append(classes[i], *s)
+		return true
+	})
+	for _, c := range classes {
+		yield(c)
+	}
+}
+
 // TestClassAnswerHoldsForEveryLeaf walks the first segments of every triple
 // of the TestDeltaEqualsScratch configurations (the first 4,096 leaves or
-// one segment, whichever is more) class by class on one chain,
-// as a search worker does: RunLeaf on one leaf of each class, then into a
-// random half of the classes, pricing a random third of their leaves. The
+// one segment, whichever is more) class by class on one chain
+// (walkClasses), as a search worker does: RunLeaf on one leaf of each
+// class, then into a random half of the classes, pricing a random third of
+// their leaves. The
 // class's answer must be every one of its leaves' RunDetailed verdict and
 // pre-screen flag; a leaf stepped inside a class must get the class's bound
 // keys and verdict; and a priced leaf must get RunDetailed's Result, with
@@ -241,30 +264,27 @@ func TestClassAnswerHoldsForEveryLeaf(t *testing.T) {
 			for _, tpd := range tc.opts.Triples(tc.m) {
 				walked := 0
 				tc.opts.Segments(&tc.m, tpd, func(root *execution.Strategy) bool {
-					members := map[execution.Strategy][]execution.Strategy{}
-					st := *root
-					tog.Walk(&st, func(s *execution.Strategy) bool {
-						members[classKey(*s)] = append(members[classKey(*s)], *s)
-						return true
-					})
-					w := tog.Classes(&st)
-					for more := true; more; more = w.NextClass() {
+					walkClasses(&tog, *root, func(leaves []execution.Strategy) {
+						st := leaves[0]
 						ok := r.RunLeaf(&chain, &st)
 						var k Keys
 						if ok {
 							k = chain.Bound()
 						}
 						screened := chain.PreScreened
-						for _, s := range members[classKey(st)] {
+						for _, s := range leaves {
 							_, info, err := scratch.RunDetailed(s)
 							if (err == nil) != ok || info.PreScreened != screened {
 								t.Fatalf("%v: class answer ok %v pre-screened %v, RunDetailed err %v %+v", s, ok, screened, err, info)
 							}
 						}
 						if !ok || rng.Intn(2) == 0 {
-							continue
+							return
 						}
-						for {
+						for j := range leaves {
+							if st = leaves[j]; j > 0 && (!r.RunLeaf(&chain, &st) || chain.Bound() != k || chain.PreScreened) {
+								t.Fatalf("%v: variant answer %+v, class bound keys %+v", st, chain, k)
+							}
 							if rng.Intn(3) == 0 {
 								want, err := scratch.Run(st)
 								if err != nil {
@@ -276,14 +296,8 @@ func TestClassAnswerHoldsForEveryLeaf(t *testing.T) {
 								}
 								priced++
 							}
-							if !w.NextLeaf() {
-								break
-							}
-							if !r.RunLeaf(&chain, &st) || chain.Bound() != k || chain.PreScreened {
-								t.Fatalf("%v: variant answer %+v, class bound keys %+v", st, chain, k)
-							}
 						}
-					}
+					})
 					walked += tog.Len()
 					return walked < 4096
 				})

@@ -344,9 +344,9 @@ func TestBoundKeysSound(t *testing.T) {
 	}
 }
 
-// checkClassFloors walks the case's space class by class on one chain, as
-// a search worker does, and every leaf of each feasible class with
-// NextLeaf. Each leaf must be feasible, give the floor (RunInfo.Floor) the
+// checkClassFloors walks the case's space class by class on one chain
+// (walkClasses), as a search worker does, and every leaf of each feasible
+// class. Each leaf must be feasible, give the floor (RunInfo.Floor) the
 // class's first leaf gave, bit for bit, and be bounded by it (checkBound)
 // at its scratch evaluation's keys. The segment's memory pass, run on a
 // chain of its own, gives each class's profile slot its slot floor keys
@@ -378,46 +378,43 @@ func checkClassFloors(t *testing.T, tc deltaCase) (classes, tightened int) {
 					slotKeys[i] = r.SlotFloor(&pchain, &p, i)
 				}
 			}
-			w := tog.Classes(root)
-			for more := true; more; more = w.NextClass() {
-				if !r.RunLeaf(&chain, root) {
-					continue
+			walkClasses(&tog, *root, func(leaves []execution.Strategy) {
+				st := leaves[0]
+				if !r.RunLeaf(&chain, &st) {
+					return
 				}
 				classes++
 				floor := chain.Floor()
-				slot, _, fits := p.Class(root)
+				slot, _, fits := p.Class(&st)
 				if !fits {
-					t.Fatalf("%s %v: a feasible class the memory pass does not fit", tc.name, *root)
+					t.Fatalf("%s %v: a feasible class the memory pass does not fit", tc.name, st)
 				}
 				if err := checkSlotBound(slotKeys[slot], floor); err != nil {
-					t.Fatalf("%s %v: slot floor against the class floor: %v", tc.name, *root, err)
+					t.Fatalf("%s %v: slot floor against the class floor: %v", tc.name, st, err)
 				}
-				if root.SeqParallel && floor.BatchTime > minCollectiveFloor(&chain) {
+				if st.SeqParallel && floor.BatchTime > minCollectiveFloor(&chain) {
 					tightened++
 				}
-				for {
-					want, err := scratch.Run(*root)
+				for j := range leaves {
+					if st = leaves[j]; j > 0 && !r.RunLeaf(&chain, &st) {
+						t.Fatalf("%s %v: infeasible leaf in a feasible class", tc.name, st)
+					}
+					want, err := scratch.Run(st)
 					if err != nil {
-						t.Fatalf("%s %v: a leaf of a feasible class: %v", tc.name, *root, err)
+						t.Fatalf("%s %v: a leaf of a feasible class: %v", tc.name, st, err)
 					}
 					if f := chain.Floor(); f != floor {
-						t.Fatalf("%s %v: class floor %+v, the class's first leaf gave %+v", tc.name, *root, f, floor)
+						t.Fatalf("%s %v: class floor %+v, the class's first leaf gave %+v", tc.name, st, f, floor)
 					}
 					exact := Keys{want.BatchTime, want.SampleRate, want.Mem1.Total()}
 					if err := checkBound(floor, exact); err != nil {
-						t.Fatalf("%s %v: class floor: %v", tc.name, *root, err)
+						t.Fatalf("%s %v: class floor: %v", tc.name, st, err)
 					}
 					if err := checkSlotBound(slotKeys[slot], exact); err != nil {
-						t.Fatalf("%s %v: slot floor: %v", tc.name, *root, err)
-					}
-					if !w.NextLeaf() {
-						break
-					}
-					if !r.RunLeaf(&chain, root) {
-						t.Fatalf("%s %v: infeasible leaf in a feasible class", tc.name, *root)
+						t.Fatalf("%s %v: slot floor: %v", tc.name, st, err)
 					}
 				}
-			}
+			})
 			return true
 		})
 	}
@@ -571,9 +568,8 @@ func TestRunDeltaForeignChain(t *testing.T) {
 // memory pass answers every class at once; the floor half of the pass
 // prices the floors of the fitting classes of the profile slots whose
 // bound and slot floor keys pass keeps, and selects those whose floors
-// pass too; the class walk seeks the selected classes, and the chain steps
-// (RunLeaf) only into one whose floor still passes and descends through its
-// leaves. The time groups run only when the fold asks for a leaf's exact
+// pass too, fastest floor first; the chain steps (RunLeaf) through the
+// leaves of each selected class while its floor still passes. The time groups run only when the fold asks for a leaf's exact
 // keys, with the masks owed since they last ran. The counts come from the
 // masks step hands the memory half (onMemoryHalf), so production code
 // counts nothing. A widened mask or a lost class answer shows up here as an
@@ -596,31 +592,32 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 	// keys too. The floor pass prices the floors of the 18,643 fitting
 	// classes of those slots that the top-K test on the slot floor or the
 	// front's memory limit leave (22,167 when the bound alone chose the
-	// slots), and selects 2,185 classes in 75 segments (93 before), which
-	// the class walks seek; walking to them visited 35,036 classes (42,264
-	// before). The chain steps into the 1,192 selected classes whose floors
-	// still pass keeps (1,424 before), so RunLeaf runs 8,334 times, on every
-	// leaf of those classes, where it ran 9,726 times with the bound alone
-	// and 30,089 times stepping to each class to price its first leaf's
-	// floor; every run reaches the memory half, and every leaf is priced
-	// for time. RunLeaf diffs each leaf against the chain's last admitted
-	// one, so a mask holds only the fields that leaf moved, not every field
-	// a class step passed on the way (75 row steps, 75 shape runs, 427
-	// profile reads, 779 activation and 994 optimizer row runs when the
-	// seeks ORed those steps' masks). The profile is read on 418 memory
-	// halves: the stepped classes whose block switches differ from the
-	// last admitted leaf's. 28 of the 75 walked segments' first steps move
-	// TP or Microbatch and 60 move the shape; the chain's row memo fetches
-	// a row from the shared memo on 125 calls in all, the memory and floor
-	// passes' included, where (TP, Microbatch) changed.
+	// slots), and selects 2,185 classes in 75 segments (93 before). The
+	// chain steps into the 926 selected classes whose floors still pass
+	// keeps, fastest floor first, and through a class's leaves while its
+	// floor passes, so RunLeaf runs 6,264 times. Stepping the classes in
+	// the class walk's Gray order through every leaf stepped 1,192 classes
+	// and ran it 8,334 times; with the bound alone choosing the slots 9,726
+	// times, and stepping to each class to price its first leaf's floor
+	// 30,089 times. Every run reaches the memory half, and every leaf is
+	// priced for time. RunLeaf diffs each leaf against the chain's last
+	// admitted one, so a mask holds only the fields that leaf moved. The
+	// floor order crosses profile slots more often than the Gray order did:
+	// the profile is read on 682 memory halves (418 in Gray order), those
+	// whose block switches differ from the last admitted leaf's, and the
+	// weight rows run 862 times (627), the activation rows 783 (690) and
+	// the data-parallel group 686 (453). 28 of the 75 walked segments'
+	// first steps move TP or Microbatch and 60 move the shape; the chain's
+	// row memo fetches a row from the shared memo on 125 calls in all, the
+	// memory and floor passes' included, where (TP, Microbatch) changed.
 	want := map[string]int{
-		"leaves": 2076480, "classes sought": 2185, "pre-screened": 11088, "feasible": 2010498,
+		"leaves": 2076480, "classes selected": 2185, "pre-screened": 11088, "feasible": 2010498,
 		"cache hits": 2064654, "segments floored": 0, "segments walked": 75, "slots passed": 1758,
-		"slot floors passed": 1221, "class floors priced": 18643, "classes stepped": 1192,
-		"RunLeaf calls": 8334, "memory-half runs": 8334, "timed": 8334,
-		"row steps": 28, "row fetches": 125, "profile reads": 418, "shape": 60,
-		"mem weights": 627, "mem optimizer": 895, "mem activations": 690,
-		"tensor": 3988, "pipe": 3998, "data": 453, "optimizer": 895, "offload": 4748,
+		"slot floors passed": 1221, "class floors priced": 18643, "classes stepped": 926,
+		"RunLeaf calls": 6264, "memory-half runs": 6264, "timed": 6264,
+		"row steps": 28, "row fetches": 125, "profile reads": 682, "shape": 60,
+		"mem weights": 862, "mem optimizer": 698, "mem activations": 783,
+		"tensor": 3486, "pipe": 3704, "data": 686, "optimizer": 698, "offload": 3486,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recompute counts changed:\n got %v\nwant %v", got, want)
@@ -636,12 +633,13 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 // (SlotFloor), and when some slot passes both, the floor pass (PassFloors)
 // prices the floors of the fitting classes of passing slots that the top-K
 // test on the slot floor or the front's memory limit leave, and selects
-// those whose floors pass keeps; the class walk seeks each selected class
-// (ClassWalk.Seek) and steps the chain only into one whose floor still
-// passes. Runners from one
-// RunnerGroup share their profile rows, as the sizes of a sweep do. The
-// counts of each memory half and of the term groups it and the time half
-// rerun come through onMemoryHalf.
+// those whose floors pass keeps, fastest floor first; the chain steps
+// through the leaves of each selected class (SetClass, ClassLeaves) while
+// its floor still passes. Runners from one RunnerGroup share their profile
+// rows, as the sizes of a sweep do. The counts of each memory half and of
+// the term groups it and the time half rerun come through onMemoryHalf; a
+// segment counts as floored when its memory pass saw admitted leaves and
+// skipped the slot loop, which resets every slot's least Mem1.
 func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution.EnumOptions) map[string]int {
 	t.Helper()
 	memGroups := []struct {
@@ -721,10 +719,11 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 			}
 			opts.Segments(&m, tpd, func(root *execution.Strategy) bool {
 				defer func() { base += tog.Len() }()
-				if fl, ok := r.mem1Floor(r.chainOf(&chain), lat, root, r.shapeOf(root)); ok && fl > r.sys.Mem1.Capacity {
+				p.slots[0].least = -1
+				r.PassSegment(&chain, lat, root, &p)
+				if p.CacheHits > 0 && p.slots[0].least == -1 {
 					got["segments floored"]++
 				}
-				r.PassSegment(&chain, lat, root, &p)
 				noteRow()
 				got["leaves"] += p.Evaluated
 				got["pre-screened"] += p.PreScreened
@@ -753,42 +752,39 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 				if !passing {
 					return true
 				}
-				selected := r.PassFloors(&chain, &p, below[:lat.Slots()], func(k *Keys) bool {
+				classes := r.PassFloors(&chain, &p, below[:lat.Slots()], func(k *Keys) bool {
 					got["class floors priced"]++
 					return fold.keeps(base, *k)
 				})
 				noteRow()
-				if selected == 0 {
+				if len(classes) == 0 {
 					return true
 				}
 				got["segments walked"]++
-				w := tog.Classes(root)
-				for k := p.NextSelected(0); k >= 0; k = p.NextSelected(k + 1) {
-					got["classes sought"]++
-					w.Seek(k)
-					floor := p.Floor(k)
-					if sel, ok := p.Selected(root); !ok || sel != floor {
-						t.Fatalf("%v: the walk sought class %d, whose floor keys are %+v, onto a class selected %v with %+v", root, k, floor, ok, sel)
+				got["classes selected"] += len(classes)
+				for _, c := range classes {
+					floor := p.Floor(c.Slot, c.Screen)
+					p.SetClass(root, c.Slot, c.Screen)
+					if int(lat.slotOf[slotFor(root)]) != c.Slot || screenBits(root) != c.Screen {
+						t.Fatalf("%v: SetClass(%d, %b) set slot %d, screen bits %b", root, c.Slot, c.Screen, lat.slotOf[slotFor(root)], screenBits(root))
 					}
-					if !fold.keeps(base, floor) {
-						continue
-					}
-					if !leaf(root) {
-						t.Fatalf("%v: a class the pass fits does not", root)
-					}
-					got["classes stepped"]++
-					for {
-						if fold.keeps(base, floor) {
-							exact := price()
-							if seq := base + w.Rank(); fold.keeps(base, exact) && fold.keeps(seq, exact) {
-								fold.offer(seq, exact)
-							}
+					leaves := 0
+					tog.ClassLeaves(root, func(rank int) bool {
+						if !fold.keeps(base, floor) {
+							return false
 						}
-						if !w.NextLeaf() {
-							break
+						if !leaf(root) {
+							t.Fatalf("%v: a class the pass fits does not", root)
 						}
-						leaf(root)
-					}
+						if leaves++; leaves == 1 {
+							got["classes stepped"]++
+						}
+						exact := price()
+						if seq := base + rank; fold.keeps(base, exact) && fold.keeps(seq, exact) {
+							fold.offer(seq, exact)
+						}
+						return true
+					})
 				}
 				return true
 			})

@@ -16,3 +16,8 @@ func (i *RunInfo) Bound() Keys {
 	t := d.e.batchTimeBound()
 	return Keys{BatchTime: t, SampleRate: t.Rate(float64(d.r.m.Batch)), Mem1: d.keys.Mem1}
 }
+
+// MirrorSearches is mirrorSearches, the tests' copy of the search worker's
+// segment step, for the tests outside the package that hold it to the
+// search.
+var MirrorSearches = mirrorSearches

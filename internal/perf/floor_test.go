@@ -41,8 +41,8 @@ func TestSegmentFloorCounts(t *testing.T) {
 	// 50,925 leaves: 25,767 in pruned subtrees (every leaf at 64 GPUs) and
 	// 1,198 segments of 21. The floor shows 444 segments hold no leaf that
 	// fits, counting their 9,324 leaves as profile cache hits; the memory
-	// pass prices the other 754, and the class walk runs on the 68 where
-	// the floor pass selects a class (90 when the bound alone chose the
+	// pass prices the other 754, and the chain steps into classes on the 68
+	// where the floor pass selects one (90 when the bound alone chose the
 	// slots the pass prices). The memory half ran 11,039 times with every
 	// segment walked class by class, 7,043 times with the floor, 1,056
 	// times stepping to each class of a passing slot whose bound keys pass
@@ -130,7 +130,7 @@ func TestFloorSegmentAllocatesNothing(t *testing.T) {
 			n := testing.AllocsPerRun(3, func() {
 				for i := range roots {
 					r.PassSegment(&chain, lat, &roots[i], &p)
-					selected += r.PassFloors(&chain, &p, below, func(*Keys) bool { return true })
+					selected += len(r.PassFloors(&chain, &p, below, func(*Keys) bool { return true }))
 				}
 			})
 			if n != 0 {
@@ -157,7 +157,7 @@ func TestFloorSegmentAllocatesNothing(t *testing.T) {
 //   - the memory pass (PassSegment) on a fresh chain, floored or not,
 //     counts what the walks count: every leaf evaluated, the pre-screened
 //     and feasible leaves a leaf-by-leaf walk finds, and the cache hits a
-//     class walk counts.
+//     class-by-class walk (walkClasses) counts.
 func FuzzSegmentFloor(f *testing.F) {
 	// Scaled gpt3-175B on 16 A100s with DDR, every feature, just under the
 	// floor; megatron-1T on 8 A100s, SeqPar, at half the floor; turing-530B
@@ -282,14 +282,12 @@ func FuzzSegmentFloor(f *testing.F) {
 		})
 		classHits := 0
 		chain = RunInfo{}
-		leaf = root
-		w := tog.Classes(&leaf)
-		for more := true; more; more = w.NextClass() {
-			r.RunLeaf(&chain, &leaf)
+		walkClasses(&tog, root, func(leaves []execution.Strategy) {
+			r.RunLeaf(&chain, &leaves[0])
 			if !chain.PreScreened && chain.CacheHit {
-				classHits += w.Len()
+				classHits += len(leaves)
 			}
-		}
+		})
 		if p.Evaluated != tog.Len() || p.Feasible != feasible || p.PreScreened != walkPre || p.CacheHits != classHits || floored && feasible != 0 {
 			t.Fatalf("%v (floor %v, capacity %v): the pass counts %d evaluated, %d feasible, %d pre-screened, %d cache hits; the walks %d, %d, %d, %d",
 				root, float64(fl), float64(capacity), p.Evaluated, p.Feasible, p.PreScreened, p.CacheHits, tog.Len(), feasible, walkPre, classHits)

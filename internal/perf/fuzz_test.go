@@ -139,21 +139,22 @@ func FuzzRun(f *testing.F) {
 	})
 }
 
-// checkFuzzClass walks every leaf of st's memory class with NextLeaf: the
-// class walk over every toggle, moved by NextClass to the class that agrees
-// with st outside execution.VariantFields. Each leaf must be feasible, as
-// st is, and floor must bound its exact keys (checkBound).
+// checkFuzzClass runs every leaf of st's memory class: the leaves of the
+// toggle walk over every toggle that share st's class key. Each leaf must be
+// feasible, as st is, and floor must bound its exact keys (checkBound).
 func checkFuzzClass(t *testing.T, r *Runner, st execution.Strategy, floor Keys) {
 	t.Helper()
 	tog := execution.EnumOptions{Features: execution.FeatureAll, HasMem2: true}.Toggles()
-	leaf := st
-	w := tog.Classes(&leaf)
-	for execution.DiffMask(&leaf, &st)&^execution.VariantFields != 0 {
-		if !w.NextClass() {
-			t.Fatalf("%v: no class of the toggle walk holds it", st)
+	var class []execution.Strategy
+	walkClasses(&tog, st, func(leaves []execution.Strategy) {
+		if classKey(leaves[0]) == classKey(st) {
+			class = leaves
 		}
+	})
+	if class == nil {
+		t.Fatalf("%v: no class of the toggle walk holds it", st)
 	}
-	for more := true; more; more = w.NextLeaf() {
+	for _, leaf := range class {
 		res, err := r.Run(leaf)
 		if err != nil {
 			t.Fatalf("%v, a leaf of the class of %v: %v", leaf, st, err)

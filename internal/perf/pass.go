@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -14,10 +15,6 @@ import (
 // lattice holds: three recompute modes, three (SeqParallel, TPRedoForSP)
 // pairs and fused layers on or off.
 const MaxSlots = 18
-
-// maxClasses is the most memory classes a segment holds: a class per
-// profile slot and combination of the five screen switches.
-const maxClasses = MaxSlots * 32
 
 // SegmentLattice is what the segment pass (Runner.PassSegment) reads off one
 // toggle lattice. A memory class of a segment is one combination of the
@@ -55,11 +52,6 @@ type SegmentLattice struct {
 	// the offload transfers.
 	dataRows, xferRows []uint32
 	dataOf, xferOf     [32]uint8
-	// classOf is each class's place in the class walk's order
-	// (ClassWalk.Class) by profile slot index and screen bits, and classAt
-	// the slot index and screen bits of each place.
-	classOf [MaxSlots][32]uint16
-	classAt [maxClasses][2]uint8
 }
 
 // latticeSlot is one block-switch combination of a lattice: its profile
@@ -71,6 +63,11 @@ type latticeSlot struct {
 	sp, redo  bool
 	fused     bool
 	leaves    int
+}
+
+// set writes the slot's block switches into st.
+func (ls *latticeSlot) set(st *execution.Strategy) {
+	st.Recompute, st.SeqParallel, st.TPRedoForSP, st.FusedLayers = ls.recompute, ls.sp, ls.redo, ls.fused
 }
 
 // The weight, optimizer and activation rows' screen switches, as screenBits
@@ -109,7 +106,8 @@ func LatticeFor(o *execution.EnumOptions) *SegmentLattice {
 
 // newSegmentLattice reads a lattice off its toggles: the block switch
 // combinations (Toggles.BlockSwitches), the screen switch combinations
-// (Toggles.ScreenSwitches), and each class's length from a class walk.
+// (Toggles.ScreenSwitches), and the leaves of each slot's classes
+// (Toggles.ClassLeaves).
 func newSegmentLattice(tog *execution.Toggles) SegmentLattice {
 	l := SegmentLattice{len: tog.Len()}
 	var st execution.Strategy
@@ -139,13 +137,13 @@ func newSegmentLattice(tog *execution.Toggles) SegmentLattice {
 		l.dataOf[b] = rowIndex(&l.dataRows, b&dataScreenBits)
 		l.xferOf[b] = rowIndex(&l.xferRows, b&xferScreenBits)
 	})
-	root := execution.Strategy{TP: 1, PP: 1, DP: 1, Microbatch: 1, Interleave: 1}
-	w := tog.Classes(&root)
-	for more := true; more; more = w.NextClass() {
-		i := l.slotOf[slotFor(&root)]
-		l.slots[i].leaves = w.Len()
-		b := screenBits(&root)
-		l.classOf[i][b], l.classAt[w.Class()] = uint16(w.Class()), [2]uint8{uint8(i), uint8(b)}
+	for i := range l.slots {
+		ls := &l.slots[i]
+		ls.set(&st)
+		tog.ClassLeaves(&st, func(int) bool {
+			ls.leaves++
+			return true
+		})
 	}
 	return l
 }
@@ -167,8 +165,8 @@ func (l *SegmentLattice) Slots() int { return len(l.slots) }
 // Runner.PassSegment fills it: the leaf counts of the segment, and per
 // profile slot the classes that fit with their exact first- and
 // second-tier totals. A worker keeps one and reuses it for every segment;
-// the pass allocates only its table of class totals, sized to the lattice,
-// on its first segment.
+// the pass allocates only its tables of class totals and selected classes,
+// sized to the lattice, on its first segment.
 type SegmentPass struct {
 	// The segment's leaf counts, exactly what evaluating every leaf
 	// counts: Evaluated is the segment's length, PreScreened the leaves
@@ -192,17 +190,23 @@ type SegmentPass struct {
 	acts    [2][4]units.Bytes
 
 	// The floor pass's selection (Runner.PassFloors), apart from the slots
-	// every segment's memory pass writes: the selected classes by their
-	// place in the class walk (ClassWalk.Class), the floor of each class by
-	// profile slot and screen bits, and the global batch its sample rate is
-	// for.
-	chosen [maxClasses / 64]uint64
+	// every segment's memory pass writes: the selected classes, fastest
+	// floor first, the floor of each class by profile slot and screen bits,
+	// and the global batch its sample rate is for.
+	order  []Class
 	floors [MaxSlots][32]units.Seconds
 	batch  float64
 	// asked is the floor keys PassFloors hands keep, held here: keys on
 	// PassFloors' frame would move to the heap at every call, since keep
 	// may keep the pointer.
 	asked Keys
+}
+
+// Class names a memory class of a segment by its coordinates: the index of
+// its profile slot in the lattice and its screen bits.
+type Class struct {
+	Slot   int
+	Screen uint32
 }
 
 // slotPass is one profile slot's part of a pass.
@@ -265,8 +269,8 @@ func (p *SegmentPass) evalOn(e *eval, r *Runner, d *deltaState) {
 // slot's profile into e, and returns the slot's TP floor (tpFloor), priced
 // once per segment.
 func (p *SegmentPass) onSlot(r *Runner, e *eval, i int) (tpFwd, tpBwd units.Seconds) {
-	ls, st := &p.lat.slots[i], &p.probe
-	st.Recompute, st.SeqParallel, st.TPRedoForSP, st.FusedLayers = ls.recompute, ls.sp, ls.redo, ls.fused
+	st := &p.probe
+	p.lat.slots[i].set(st)
 	prof, _ := r.profile(e.memo, st, true) // PassSegment read, and counted, it
 	e.loadProfile(prof)
 	e.loadTimes(r.times(e.memo, prof, st))
@@ -302,7 +306,7 @@ func (r *Runner) PassSegment(chain *RunInfo, lat *SegmentLattice, root *executio
 	d := r.chainOf(chain)
 	p.lat = lat
 	if n := len(lat.slots) * len(lat.screens); cap(p.totals) < n {
-		p.totals = make([][2]units.Bytes, n)
+		p.totals, p.order = make([][2]units.Bytes, n), make([]Class, 0, n)
 	}
 	p.Evaluated, p.PreScreened, p.CacheHits, p.Feasible = lat.len, 0, 0, 0
 	for i := range lat.slots {
@@ -338,7 +342,7 @@ func (r *Runner) PassSegment(chain *RunInfo, lat *SegmentLattice, root *executio
 	graph := uint32(graphSlots) // none yet
 	for i := range lat.slots {
 		ls, s := &lat.slots[i], &p.slots[i]
-		st.Recompute, st.SeqParallel, st.TPRedoForSP, st.FusedLayers = ls.recompute, ls.sp, ls.redo, ls.fused
+		ls.set(st)
 		prof, hit := r.profile(&d.memo, st, false)
 		if !hit {
 			p.CacheHits--
@@ -393,20 +397,23 @@ func (r *Runner) PassSegment(chain *RunInfo, lat *SegmentLattice, root *executio
 // PassFloors is the floor half of the segment pass, for a search whose fold
 // can keep some leaf of the segment PassSegment last ran on. It prices the
 // class floor of every fitting class of profile slot i whose Mem1 lies below
-// below[i] (one entry per slot), and selects the class when keep accepts its
-// floor keys; NextSelected and Floor read the selection back, and the count
-// selected is returned. The floor is classFloor's arithmetic on rows priced
-// once per distinct input, on the chain's memo and the functions the chain's
-// time half runs: the TP floor per profile slot, the data-parallel exposure
-// and penalty per slot and (OptimSharding, DPOverlap), the optimizer step
-// per graph slot and (OptimSharding, OptimOffload), and the offload
-// transfers per slot and (the three offloads, OptimSharding). None of them
+// below[i] (one entry per slot), selects the class when keep accepts its
+// floor keys, and returns the selected classes in ascending floor batch
+// time, ties in slot and screen order, so a search steps first into the
+// classes most likely to enter its fold; Floor reads a selected class's
+// floor keys back. The slice is the pass's, valid until its next use. The
+// floor is classFloor's arithmetic on rows priced once per distinct input,
+// on the chain's memo and the functions the chain's time half runs: the TP
+// floor per profile slot, the data-parallel exposure and penalty per slot
+// and (OptimSharding, DPOverlap), the optimizer step per graph slot and
+// (OptimSharding, OptimOffload), and the offload transfers per slot and
+// (the three offloads, OptimSharding). None of them
 // reads a variant field, so each floor is bit for bit what classFloor gives
 // on any leaf of the class after its time half
 // (TestPassFloorsMatchChainFloor), and floorMargin's soundness carries over.
 //
 //calculonvet:ordered
-func (r *Runner) PassFloors(chain *RunInfo, p *SegmentPass, below []units.Bytes, keep func(*Keys) bool) int {
+func (r *Runner) PassFloors(chain *RunInfo, p *SegmentPass, below []units.Bytes, keep func(*Keys) bool) []Class {
 	lat := p.lat
 	p.batch = float64(r.m.Batch)
 	st := &p.probe
@@ -419,8 +426,7 @@ func (r *Runner) PassFloors(chain *RunInfo, p *SegmentPass, below []units.Bytes,
 	var xfer [16][2]units.Seconds
 	var haveOptim, haveData, haveXfer uint32
 	graph := uint32(graphSlots) // none yet
-	selected := 0
-	p.chosen = [len(p.chosen)]uint64{}
+	p.order = p.order[:0]
 	for i := range lat.slots {
 		var cands uint32
 		for f := p.slots[i].fits; f != 0; f &= f - 1 {
@@ -463,54 +469,40 @@ func (r *Runner) PassFloors(chain *RunInfo, p *SegmentPass, below []units.Bytes,
 			c := classTerms{dpPenalty: data[di][0], dpExposed: data[di][1], optimTime: optim[oi],
 				xferFwd: xfer[xi][0], xferBwd: xfer[xi][1]}
 			p.floors[i][b] = e.classFloor(tpFwd, tpBwd, &c)
-			if p.asked = p.floorKeys(i, b); keep(&p.asked) {
-				k := lat.classOf[i][b]
-				p.chosen[k/64] |= 1 << (k % 64)
-				selected++
+			if p.asked = p.Floor(i, b); keep(&p.asked) {
+				p.order = append(p.order, Class{i, b})
 			}
 		}
 	}
-	return selected
+	slices.SortStableFunc(p.order, func(x, y Class) int {
+		return cmp.Compare(p.floors[x.Slot][x.Screen], p.floors[y.Slot][y.Screen])
+	})
+	return p.order
 }
 
-// NextSelected returns the place in the class walk's order (ClassWalk.Class)
-// of the first class at or after place k that the last PassFloors selected,
-// or -1 when there is none.
-func (p *SegmentPass) NextSelected(k int) int {
-	for w := k / 64; w < len(p.chosen); w++ {
-		rest := p.chosen[w]
-		if w == k/64 {
-			rest &^= 1<<(k%64) - 1
-		}
-		if rest != 0 {
-			return w*64 + bits.TrailingZeros64(rest)
-		}
-	}
-	return -1
-}
-
-// NextFitting returns the place in the class walk's order of the first
-// class at or after place k that fits by the last PassSegment, or -1 when
-// there is none.
-func (p *SegmentPass) NextFitting(k int) int {
-	for n := len(p.lat.slots) * len(p.lat.screens); k < n; k++ {
-		if c := p.lat.classAt[k]; p.slots[c[0]].fits&(1<<c[1]) != 0 {
-			return k
+// Fitting returns the classes that fit by the last PassSegment, slot by
+// slot. The slice is the pass's, valid until its next use.
+func (p *SegmentPass) Fitting() []Class {
+	p.order = p.order[:0]
+	for i := range p.lat.slots {
+		for f := p.slots[i].fits; f != 0; f &= f - 1 {
+			p.order = append(p.order, Class{i, uint32(bits.TrailingZeros32(f))})
 		}
 	}
-	return -1
+	return p.order
 }
 
-// Floor returns the floor keys of the class at place k of the class walk's
-// order, which the last PassFloors selected.
-func (p *SegmentPass) Floor(k int) Keys {
-	c := p.lat.classAt[k]
-	return p.floorKeys(int(c[0]), uint32(c[1]))
+// SetClass sets st's block switches to profile slot i's and its screen
+// switches to the screen bits b: st then stands in that class of the
+// segment, whose leaves Toggles.ClassLeaves walks.
+func (p *SegmentPass) SetClass(st *execution.Strategy, i int, b uint32) {
+	p.lat.slots[i].set(st)
+	setScreenBits(st, b)
 }
 
-// floorKeys returns the floor keys of the class of profile slot i and
-// screen bits b, whose floor the last PassFloors priced.
-func (p *SegmentPass) floorKeys(i int, b uint32) Keys {
+// Floor returns the floor keys of the class of profile slot i and screen
+// bits b, whose floor the last PassFloors priced.
+func (p *SegmentPass) Floor(i int, b uint32) Keys {
 	t := p.floors[i][b]
 	return Keys{BatchTime: t, SampleRate: t.Rate(p.batch), Mem1: p.total(i, b)[0]}
 }

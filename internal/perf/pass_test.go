@@ -3,6 +3,7 @@ package perf
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"calculon/internal/execution"
@@ -12,10 +13,10 @@ import (
 )
 
 // TestSegmentLatticeMatchesWalk reads each of the twelve lattices (feature
-// set × second tier × PinBeneficial) back off a class walk: LatticeFor
-// builds each once; every class of a segment belongs to one of the
-// lattice's profile slots and screen combinations, holds its slot's leaf
-// count, and each (slot, screen) pair is one class; the classes cover the
+// set × second tier × PinBeneficial) back off Walk's leaves grouped by
+// class (walkClasses): LatticeFor builds each once; every class of a
+// segment belongs to one of the lattice's profile slots and screen
+// combinations, holds its slot's leaf count, and each (slot, screen) pair is one class; the classes cover the
 // segment; and each screen combination's row indices name rows whose
 // inputs are that combination's own switches.
 func TestSegmentLatticeMatchesWalk(t *testing.T) {
@@ -32,20 +33,20 @@ func TestSegmentLatticeMatchesWalk(t *testing.T) {
 				root := execution.Strategy{TP: 2, PP: 2, DP: 2, Microbatch: 1, Interleave: 1, OneFOneB: true}
 				seen := map[[2]uint32]bool{}
 				leaves := 0
-				w := tog.Classes(&root)
-				for more := true; more; more = w.NextClass() {
-					i := lat.slotOf[slotFor(&root)]
-					b := screenBits(&root)
-					if i < 0 || lat.slots[i].leaves != w.Len() {
-						t.Fatalf("%s: class %v in slot %d of %d leaves", name, root, i, w.Len())
+				walkClasses(&tog, root, func(class []execution.Strategy) {
+					st := &class[0]
+					i := lat.slotOf[slotFor(st)]
+					b := screenBits(st)
+					if i < 0 || lat.slots[i].leaves != len(class) {
+						t.Fatalf("%s: class %v in slot %d of %d leaves", name, *st, i, len(class))
 					}
 					key := [2]uint32{uint32(i), b}
 					if seen[key] {
 						t.Fatalf("%s: two classes in slot %d with screen bits %b", name, i, b)
 					}
 					seen[key] = true
-					leaves += w.Len()
-				}
+					leaves += len(class)
+				})
 				if len(seen) != lat.Slots()*len(lat.screens) || leaves != lat.len || lat.perScreen*len(lat.screens) != lat.len {
 					t.Fatalf("%s: %d classes of %d leaves; the lattice has %d slots × %d screens, %d leaves, %d per screen",
 						name, len(seen), leaves, lat.Slots(), len(lat.screens), lat.len, lat.perScreen)
@@ -65,10 +66,10 @@ func TestSegmentLatticeMatchesWalk(t *testing.T) {
 // TestPassMatchesClassWalk holds the memory pass to the class-by-class walk
 // it replaced, on the chain-equivalence configurations and a capacity-tight
 // one that the segment floor cuts: for each segment (up to 4,096 leaves per
-// triple), PassSegment on one Runner and a RunLeaf on every class on
-// another, each with its own memo, must agree on every class's verdict
-// (pre-screened, fits or not), bound keys and, unless the floor turned the
-// segment away, tier totals, and on the segment's evaluated, pre-screened,
+// triple), PassSegment on one Runner and a RunLeaf on the first leaf of
+// every class (walkClasses) on another, each with its own memo, must agree
+// on every class's verdict (pre-screened, fits or not), bound keys and,
+// unless the floor turned the segment away, tier totals, and on the segment's evaluated, pre-screened,
 // cache-hit and feasible counts, the walk counting a class's leaves at once
 // as the search did. Each slot's bound keys must be its classes' batch-time
 // bound with the least Mem1 of its fitting classes.
@@ -112,15 +113,14 @@ func TestPassMatchesClassWalk(t *testing.T) {
 					for i := range least {
 						least[i] = units.Bytes(math.Inf(1))
 					}
-					st := *root
-					w := tog.Classes(&st)
-					for more := true; more; more = w.NextClass() {
+					walkClasses(&tog, *root, func(leaves []execution.Strategy) {
+						st := leaves[0]
 						ok := wr.RunLeaf(&wchain, &st)
 						var k Keys
 						if ok {
 							k = wchain.Bound()
 						}
-						n := w.Len()
+						n := len(leaves)
 						want[0] += n
 						switch {
 						case wchain.PreScreened:
@@ -149,9 +149,9 @@ func TestPassMatchesClassWalk(t *testing.T) {
 								t.Fatalf("%v: slot %d's bound keys %+v, the class's %+v", st, i, bk, k)
 							}
 						}
-					}
+					})
 					if got := [4]int{p.Evaluated, p.PreScreened, p.CacheHits, p.Feasible}; got != want {
-						t.Fatalf("%v: the pass counts %v, the class walk %v", root, got, want)
+						t.Fatalf("%v: the pass counts %v, the class-by-class walk %v", root, got, want)
 					}
 					for i := 0; i < lat.Slots(); i++ {
 						if k, ok := p.Bound(i); ok != !math.IsInf(float64(least[i]), 1) || ok && k.Mem1 != least[i] {
@@ -175,10 +175,11 @@ func TestPassMatchesClassWalk(t *testing.T) {
 
 // TestPassFloorsMatchChainFloor holds the floor half of the pass to the
 // chain's class floor: on every delta case (the all-mem2 one also with the
-// beneficial toggles pinned), for every segment, PassFloors with no memory limit and a keep that takes everything
-// must select exactly the classes RunLeaf finds feasible, each with floor
-// keys bit for bit those RunInfo.Floor gives on the class's first leaf on
-// another Runner's chain.
+// beneficial toggles pinned), for every segment, PassFloors with no memory
+// limit and a keep that takes everything must select exactly the classes
+// RunLeaf finds feasible, each with floor keys bit for bit those
+// RunInfo.Floor gives on the class's first leaf on another Runner's chain,
+// and hand them back in ascending floor, ties in slot and screen order.
 func TestPassFloorsMatchChainFloor(t *testing.T) {
 	var cases []deltaCase
 	for _, tc := range deltaCases() {
@@ -211,26 +212,31 @@ func TestPassFloorsMatchChainFloor(t *testing.T) {
 			for _, tpd := range tc.opts.Triples(tc.m) {
 				tc.opts.Segments(&tc.m, tpd, func(root *execution.Strategy) bool {
 					pr.PassSegment(&pchain, lat, root, &p)
-					selected := pr.PassFloors(&pchain, &p, below, func(*Keys) bool { return true })
-					st := *root
-					w := tog.Classes(&st)
+					order := pr.PassFloors(&pchain, &p, below, func(*Keys) bool { return true })
+					for j := 1; j < len(order); j++ {
+						a, b := order[j-1], order[j]
+						if fa, fb := p.floors[a.Slot][a.Screen], p.floors[b.Slot][b.Screen]; fa > fb || fa == fb && (a.Slot > b.Slot || a.Slot == b.Slot && a.Screen >= b.Screen) {
+							t.Fatalf("%v: the floor pass hands class %+v (floor %v) before %+v (floor %v)", root, a, fa, b, fb)
+						}
+					}
 					feasible := 0
-					for more := true; more; more = w.NextClass() {
+					walkClasses(&tog, *root, func(leaves []execution.Strategy) {
+						st := leaves[0]
 						ok := wr.RunLeaf(&wchain, &st)
 						pk, picked := p.Selected(&st)
 						if picked != ok {
 							t.Fatalf("%v: the floor pass selects %v, RunLeaf finds it feasible %v", st, picked, ok)
 						}
 						if !ok {
-							continue
+							return
 						}
 						feasible++
 						if f := wchain.Floor(); pk != f {
 							t.Fatalf("%v: the pass's floor keys %+v, the chain's %+v", st, pk, f)
 						}
-					}
-					if selected != feasible {
-						t.Fatalf("%v: the floor pass selected %d classes, %d are feasible", root, selected, feasible)
+					})
+					if len(order) != feasible {
+						t.Fatalf("%v: the floor pass selected %d classes, %d are feasible", root, len(order), feasible)
 					}
 					floors += feasible
 					return true
@@ -261,11 +267,9 @@ func (p *SegmentPass) Class(st *execution.Strategy) (slot int, k Keys, fits bool
 // the last PassFloors selected it. st must be a leaf of the segment the
 // pass was last run on.
 func (p *SegmentPass) Selected(st *execution.Strategy) (Keys, bool) {
-	i := int(p.lat.slotOf[slotFor(st)])
-	b := screenBits(st)
-	k := p.lat.classOf[i][b]
-	if p.chosen[k/64]&(1<<(k%64)) == 0 {
+	c := Class{int(p.lat.slotOf[slotFor(st)]), screenBits(st)}
+	if !slices.Contains(p.order, c) {
 		return Keys{}, false
 	}
-	return p.floorKeys(i, b), true
+	return p.Floor(c.Slot, c.Screen), true
 }

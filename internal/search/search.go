@@ -311,7 +311,7 @@ type worker struct {
 
 // segment evaluates one segment: the memory pass (Runner.PassSegment) gives
 // every class's memory verdict and the segment's counts at once, and the
-// worker steps its chain only to the classes the fold can keep. A profile
+// worker steps its chain only into the classes the fold can keep. A profile
 // slot's bound keys (SegmentPass.Bound: the batch-time bound its leaves
 // share, with the least Mem1 of its fitting classes) are tested once, at the
 // segment's first seq: keeps is monotone in batch time, first-tier memory
@@ -323,15 +323,15 @@ type worker struct {
 // leave the classes that may still enter either part: all of them when the
 // rate enters the top list, else those below the limit. The floor half of
 // the pass (Runner.PassFloors) prices those classes' floors and selects the
-// ones whose floor keys pass keeps; each test is implied by the next, so
-// only the floor decides. The class walk then seeks the selected classes in
-// its order (ClassWalk.Seek) and steps the chain (RunLeaf, which diffs the
-// leaf against the chain's last admitted one) only into one whose floor
-// still passes keeps. The descent prices a leaf's exact keys
-// only while its class floor passes keeps, and computes its seq only when
-// those keys pass at the segment's first seq, before building its Result.
-// With collectRates every fitting class is sought and stepped and every leaf
-// of it priced (docs/MODEL.md, "The leaf path").
+// ones whose floor keys pass keeps, fastest floor first; each test is
+// implied by the next, so only the floor decides. The worker sets each
+// selected class on the root (SegmentPass.SetClass) and steps the chain
+// (RunLeaf, which diffs the leaf against the chain's last admitted one)
+// through its leaves (Toggles.ClassLeaves) while the class floor still
+// passes keeps. A leaf's exact keys are priced only then, and tested at its
+// own seq only when they pass at the segment's first seq, before its Result
+// is built. With collectRates every fitting class is stepped, slot by slot,
+// and every leaf of it priced (docs/MODEL.md, "The leaf path").
 func (ws *worker) segment(runner *perf.Runner, lat *perf.SegmentLattice, tog *execution.Toggles, root *execution.Strategy, seq0 int, collectRates bool) {
 	chain, c, p := &ws.chain, &ws.chunk, &ws.pass
 	runner.PassSegment(chain, lat, root, p)
@@ -364,46 +364,33 @@ func (ws *worker) segment(runner *perf.Runner, lat *perf.SegmentLattice, tog *ex
 	if !passing {
 		return
 	}
-	if !collectRates && runner.PassFloors(chain, p, below, func(k *perf.Keys) bool { return ws.keeps(seq0, k) }) == 0 {
-		return
-	}
-	next := p.NextSelected
+	var classes []perf.Class
 	if collectRates {
-		next = p.NextFitting
+		classes = p.Fitting()
+	} else {
+		classes = runner.PassFloors(chain, p, below, func(k *perf.Keys) bool { return ws.keeps(seq0, k) })
 	}
-	w := tog.Classes(root)
-	for k := next(0); k >= 0; k = next(k + 1) {
-		w.Seek(k)
-		var floor perf.Keys
-		if !collectRates {
-			if floor = p.Floor(k); !ws.keeps(seq0, &floor) {
-				continue
-			}
+	var floor perf.Keys
+	leaf := func(rank int) bool {
+		// keeps turns a leaf away on its class floor, or at the segment's
+		// first seq, only if it would on its exact keys at its own seq.
+		if !collectRates && !ws.keeps(seq0, &floor) || !runner.RunLeaf(chain, root) {
+			return false
 		}
-		if !runner.RunLeaf(chain, root) {
-			continue
+		exact := chain.Keys()
+		if collectRates {
+			ws.rates = append(ws.rates, exact.SampleRate)
 		}
-		for {
-			// keeps turns a leaf away on its class floor, or at the
-			// segment's first seq, only if it would on its exact keys at
-			// its own seq.
-			if collectRates || ws.keeps(seq0, &floor) {
-				exact := chain.Keys()
-				if collectRates {
-					ws.rates = append(ws.rates, exact.SampleRate)
-				}
-				if ws.keeps(seq0, &exact) {
-					if seq := seq0 + w.Rank(); ws.keeps(seq, &exact) {
-						chain.Result(&ws.res)
-						ws.offer(seq, &ws.res)
-					}
-				}
-			}
-			if !w.NextLeaf() {
-				break
-			}
-			runner.RunLeaf(chain, root)
+		if seq := seq0 + rank; ws.keeps(seq0, &exact) && ws.keeps(seq, &exact) {
+			chain.Result(&ws.res)
+			ws.offer(seq, &ws.res)
 		}
+		return true
+	}
+	for _, k := range classes {
+		floor = p.Floor(k.Slot, k.Screen)
+		p.SetClass(root, k.Slot, k.Screen)
+		tog.ClassLeaves(root, leaf)
 	}
 }
 
