@@ -38,6 +38,10 @@ var goldenCases = []struct {
 	{"study-table3", []string{"study", "table3"}},
 	{"study-fig6-json", []string{"study", "fig6", "-json"}},
 	{"study-fig9-json", []string{"study", "fig9", "-json"}},
+	{"study-table3-full", []string{"study", "table3", "-full"}},
+	{"study-fig7-full", []string{"study", "fig7", "-full"}},
+	{"study-fig10-full", []string{"study", "fig10", "-full"}},
+	{"study-fig11-full", []string{"study", "fig11", "-full"}},
 }
 
 // TestGoldenCorpus runs each golden command at one, two and three workers
