@@ -2,9 +2,13 @@ package execution
 
 import (
 	"fmt"
-	"math/bits"
+	"reflect"
+	"slices"
 	"testing"
 )
+
+// variantFields are the Strategy fields that vary inside a memory class.
+var variantFields = []string{"TPRSAG", "PPRSAG", "TPOverlap"}
 
 // classOf is a leaf with its variant toggles cleared: the leaves of one
 // memory class share it.
@@ -13,11 +17,89 @@ func classOf(s Strategy) Strategy {
 	return s
 }
 
+// diffFields returns the names of the Strategy fields on which a and b
+// differ.
+func diffFields(a, b Strategy) []string {
+	av, bv := reflect.ValueOf(a), reflect.ValueOf(b)
+	var names []string
+	for i := range av.NumField() {
+		if av.Field(i).Interface() != bv.Field(i).Interface() {
+			names = append(names, av.Type().Field(i).Name)
+		}
+	}
+	return names
+}
+
+// flipField sets field i of *s to another value of its kind.
+func flipField(t *testing.T, s *Strategy, i int) {
+	t.Helper()
+	f := reflect.ValueOf(s).Elem().Field(i)
+	switch f.Kind() {
+	case reflect.Bool:
+		f.SetBool(!f.Bool())
+	case reflect.Int:
+		f.SetInt(f.Int() + 1)
+	case reflect.String:
+		f.SetString(f.String() + "x")
+	default:
+		t.Fatalf("Strategy field %s has kind %s; teach flipField to change it",
+			reflect.TypeFor[Strategy]().Field(i).Name, f.Kind())
+	}
+}
+
+// TestSameClass flips each Strategy field of several strategies by
+// reflection: flipping a field outside variantFields must put the strategy
+// in another class, flipping one of variantFields (or all three) must keep
+// it in its class. A field added to Strategy is class-defining unless
+// SameClass and variantFields both name it, so this test needs no update
+// for it.
+func TestSameClass(t *testing.T) {
+	for _, base := range []Strategy{
+		{},
+		validBase(),
+		{TP: 4, PP: 2, DP: 8, Microbatch: 2, Interleave: 2, OneFOneB: true, Recompute: RecomputeAttn,
+			SeqParallel: true, TPRSAG: true, TPRedoForSP: true, TPOverlap: TPOverlapRing, DPOverlap: true,
+			PPRSAG: true, OptimSharding: true, FusedLayers: true, WeightOffload: true, ActOffload: true, OptimOffload: true},
+	} {
+		if !SameClass(&base, &base) {
+			t.Fatalf("%+v is not in its own class", base)
+		}
+		all := base
+		for i := range reflect.TypeFor[Strategy]().NumField() {
+			name := reflect.TypeFor[Strategy]().Field(i).Name
+			moved := base
+			flipField(t, &moved, i)
+			variant := slices.Contains(variantFields, name)
+			if SameClass(&base, &moved) != variant || SameClass(&moved, &base) != variant {
+				t.Errorf("flipping %s of %+v: SameClass = %v, want %v", name, base, !variant, variant)
+			}
+			if variant {
+				flipField(t, &all, i)
+			}
+		}
+		if !SameClass(&base, &all) {
+			t.Errorf("flipping every variant field of %+v left its class", base)
+		}
+	}
+}
+
+func ExampleSameClass() {
+	a := Strategy{TP: 4, PP: 2, DP: 8, Microbatch: 1, Interleave: 1, TPRSAG: true}
+	b := a
+	b.PPRSAG, b.TPOverlap = true, TPOverlapRing
+	c := a
+	c.ActOffload = true
+	fmt.Println(SameClass(&a, &b), SameClass(&a, &c))
+	// Output: true false
+}
+
 // TestClassLeavesMatchWalk is ClassLeaves' oracle: on every toggle lattice
 // (feature set × second tier × PinBeneficial), for every class — each
 // combination of BlockSwitches with each of ScreenSwitches — ClassLeaves
 // must
 //   - yield as each leaf's rank the index of that leaf in Walk's order;
+//   - yield only leaves SameClass puts in the class of the leaf it starts
+//     from;
 //   - move one variant field per step and nothing else;
 //   - yield as many leaves as Walk's leaves of the class, the same count
 //     for every class of one block-switch combination;
@@ -45,7 +127,7 @@ func TestClassLeavesMatchWalk(t *testing.T) {
 					slotLen := -1
 					tog.ScreenSwitches(b, func(s *Strategy) {
 						st := *s
-						first, prev, n := classOf(st), st, 0
+						root, first, prev, n := st, classOf(st), st, 0
 						tog.ClassLeaves(&st, func(rank int) bool {
 							if rank < 0 || rank >= len(walk) || walk[rank] != st {
 								t.Fatalf("%s: leaf %v yielded as rank %d", name, st, rank)
@@ -54,11 +136,11 @@ func TestClassLeavesMatchWalk(t *testing.T) {
 								t.Fatalf("%s: rank %d yielded twice", name, rank)
 							}
 							ranked[rank] = true
-							if classOf(st) != first {
-								t.Fatalf("%s: leaf %v left the class of %v", name, st, first)
+							if !SameClass(&root, &st) || classOf(st) != first {
+								t.Fatalf("%s: leaf %v left the class of %v", name, st, root)
 							}
-							if d := DiffMask(&prev, &st); n > 0 && bits.OnesCount64(uint64(d)) != 1 {
-								t.Fatalf("%s: %v to %v moves fields %b", name, prev, st, d)
+							if d := diffFields(prev, st); n > 0 && len(d) != 1 {
+								t.Fatalf("%s: %v to %v moves fields %v", name, prev, st, d)
 							}
 							prev = st
 							n++

@@ -160,15 +160,11 @@ func (s *Strategy) Validate(m *model.LLM) error {
 	return s.ValidateToggles()
 }
 
-// ShapeFields are the fields ValidateShape reads: the parallelism degrees,
-// the microbatch size, and the pipeline schedule. Two strategies that agree
-// on them (for the same model) get the same ValidateShape verdict.
-const ShapeFields = FieldTP | FieldPP | FieldDP | FieldMicrobatch |
-	FieldInterleave | FieldOneFOneB
-
-// ValidateShape checks the rules over ShapeFields: the parallelism degrees,
-// microbatch size, and interleaving factor against the model, and the
-// schedule the interleaving needs.
+// ValidateShape checks the rules over the shape fields: the parallelism
+// degrees, microbatch size, and interleaving factor against the model, and
+// the schedule the interleaving needs. It reads no other field, so two
+// strategies that agree on TP, PP, DP, Microbatch, Interleave and OneFOneB
+// (for the same model) get the same verdict.
 func (s *Strategy) ValidateShape(m *model.LLM) error {
 	if s.TP < 1 || s.PP < 1 || s.DP < 1 {
 		return fmt.Errorf("execution: parallelism degrees must be ≥1, got (%d,%d,%d)", s.TP, s.PP, s.DP)
@@ -204,7 +200,7 @@ func (s *Strategy) ValidateShape(m *model.LLM) error {
 	return nil
 }
 
-// ValidateToggles checks the rules over every field outside ShapeFields:
+// ValidateToggles checks the rules over every field outside the shape:
 // the recompute and overlap modes, the dependencies between the
 // communication switches, and the techniques inference excludes. It reads
 // no model.

@@ -1,8 +1,10 @@
 package perf
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"calculon/internal/execution"
@@ -37,7 +39,7 @@ func runLeaves(t *testing.T, m model.LLM, sys system.System, seq []execution.Str
 		t.Fatal(err)
 	}
 	halves := 0
-	onMemoryHalf = func(execution.FieldMask) { halves++ }
+	onMemoryHalf = func(groups) { halves++ }
 	defer func() { onMemoryHalf = nil }()
 	out := make([]leafStep, len(seq))
 	var chain RunInfo
@@ -174,7 +176,7 @@ func TestLeafTableResetsOnBase(t *testing.T) {
 }
 
 // TestLeafTableAfterRunDelta steps a chain through a RunDeltaInto leaf
-// between two RunLeaf leaves. Both diff their leaf against the chain's
+// between two RunLeaf leaves. Both compare their leaf with the chain's
 // last admitted one, so a RunLeaf after a RunDeltaInto must be evaluated on
 // its base and not answered from the leaf before.
 func TestLeafTableAfterRunDelta(t *testing.T) {
@@ -309,106 +311,157 @@ func TestClassAnswerHoldsForEveryLeaf(t *testing.T) {
 	}
 }
 
-// TestLeafClassCoversMemoryFields derives from the term-group masks that
-// the memory half (the profile, the shape and the three memory rows), the
-// pre-screen (its five switches; see screenTable) and batchTimeBound (which
-// reads profile and shape outputs) read no field of
-// execution.VariantFields, while every other toggle reaches one of them.
-// Then it checks the same on a chain: moving a variant field leaves
-// RunLeaf's verdict and bound keys as they were and reruns no memory row,
-// and moving any other toggle reruns one. A new Strategy field that
-// reaches the memory half fails here until it is kept out of
-// VariantFields.
-func TestLeafClassCoversMemoryFields(t *testing.T) {
-	screenFields := execution.FieldWeightOffload | execution.FieldActOffload |
-		execution.FieldOptimOffload | execution.FieldOptimSharding | execution.FieldDPOverlap
-	memoryGroups := profileMask | shapeMask | memWeightsMask | memOptimMask | memActsMask
-	memory := memoryGroups | screenFields
-	if memory&execution.VariantFields != 0 {
-		t.Fatalf("the memory half or the pre-screen reads variant fields %b", memory&execution.VariantFields)
+// variantFlip names a flip of one variant field (TPOverlap to each other
+// mode) and the eval terms it may move: a TPRSAG or TPOverlap flip moves
+// nothing outside tensorComm's and offload's outputs, a PPRSAG flip nothing
+// outside pipelineComm's.
+type variantFlip struct {
+	name  string
+	moves []string
+	set   func(*execution.Strategy)
+}
+
+func variantFlips() []variantFlip {
+	tensorTerms := []string{"fwdPenalty", "bwdPenalty", "tpFwdPerBlock", "tpBwdPerBlock",
+		"tpFwdExposedPerBlock", "tpBwdExposedPerBlock",
+		// offload reads tensorComm's exposed times as its overlap windows.
+		"offloadTotal", "offloadExposed", "offloadBWRequired", "offloadBWUsed"}
+	pipeTerms := []string{"ppPerMicrobatch", "ppExposedPerMicrobatch"}
+	flips := []variantFlip{
+		{"TPRSAG", tensorTerms, func(s *execution.Strategy) { s.TPRSAG = !s.TPRSAG }},
+		{"PPRSAG", pipeTerms, func(s *execution.Strategy) { s.PPRSAG = !s.PPRSAG }},
 	}
-	m, sys, st := leafCase()
-	st.TPRSAG = true // so SP and PP RS+AG flips pass the toggle rules
-	r, err := NewRunner(m, sys)
-	if err != nil {
-		t.Fatal(err)
+	for _, o := range []execution.TPOverlapMode{execution.TPOverlapNone, execution.TPOverlapPipe, execution.TPOverlapRing} {
+		flips = append(flips, variantFlip{"TPOverlap=" + string(o), tensorTerms, func(s *execution.Strategy) { s.TPOverlap = o }})
 	}
-	var halves []execution.FieldMask
-	onMemoryHalf = func(mask execution.FieldMask) { halves = append(halves, mask) }
-	defer func() { onMemoryHalf = nil }()
-	v := reflect.ValueOf(&st).Elem()
-	seen := execution.FieldMask(0)
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		moved := st
-		mf := reflect.ValueOf(&moved).Elem().Field(i)
-		switch x := f.Interface().(type) {
-		case bool:
-			mf.SetBool(!x)
-		case int:
-			mf.SetInt(int64(x + 1))
-		case execution.RecomputeMode:
-			mf.Set(reflect.ValueOf(execution.RecomputeAttn))
-		case execution.TPOverlapMode:
-			mf.Set(reflect.ValueOf(execution.TPOverlapRing))
-		default:
-			t.Fatalf("field %s: unhandled type %s", v.Type().Field(i).Name, f.Type())
-		}
-		bit := execution.DiffMask(&st, &moved)
-		seen |= bit
-		if bit.Has(execution.ShapeFields | execution.FieldInference) {
-			continue // the segment base
-		}
-		name := v.Type().Field(i).Name
-		if !bit.Has(execution.VariantFields) {
-			if !bit.Has(memory) {
-				t.Errorf("toggle %s reaches neither the memory half nor the pre-screen, but is no variant field", name)
+	return flips
+}
+
+// walkVariantFlips evaluates random admitted strategies of several spaces,
+// with and without a second tier, through the reference evaluator
+// (referenceEval), flips each variant field of each, and hands check the
+// two evaluations. A flip that passes the toggle rules must pass the
+// pre-screen too.
+func walkVariantFlips(t *testing.T, check func(name string, st execution.Strategy, f variantFlip, base, got *evalState)) {
+	t.Helper()
+	cases := append(deltaCases(), deltaCase{
+		name: "175B-mem2",
+		m:    model.MustPreset("gpt3-175B").WithBatch(16),
+		sys:  system.A100(16).WithMem2(system.DDR5(512 * units.GiB)),
+		opts: execution.EnumOptions{Procs: 16, Features: execution.FeatureAll, HasMem2: true, MaxInterleave: 2},
+	})
+	flips := variantFlips()
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range cases {
+		// A uniform sample of the space's leaves.
+		var sample []execution.Strategy
+		n := 0
+		tc.opts.Enumerate(tc.m, func(s execution.Strategy) bool {
+			if n++; len(sample) < 400 {
+				sample = append(sample, s)
+			} else if j := rng.Intn(n); j < len(sample) {
+				sample[j] = s
 			}
-			continue
+			return true
+		})
+		admitted := 0
+		for _, st := range sample {
+			_, base, err := referenceEval(tc.m, tc.sys, st)
+			if err != nil {
+				continue
+			}
+			if admitted++; admitted > 40 {
+				break
+			}
+			for _, f := range flips {
+				v := st
+				f.set(&v)
+				if v == st || v.Validate(&tc.m) != nil {
+					continue // no move, or a toggle rule the chain re-checks
+				}
+				_, got, err := referenceEval(tc.m, tc.sys, v)
+				if err != nil {
+					t.Fatalf("%s: %v passes the pre-screen, %s flipped does not: %v", tc.name, st, f.name, err)
+				}
+				check(tc.name, st, f, base, got)
+			}
 		}
-		var chain RunInfo
-		a, b := st, moved
-		ok := r.RunLeaf(&chain, &a)
-		k := chain.Bound()
-		halves = halves[:0]
-		vok := r.RunLeaf(&chain, &b)
-		vk := chain.Bound()
-		if !ok || vok != ok || vk != k {
-			t.Errorf("variant field %s moves RunLeaf's answer from %v %+v to %v %+v", name, ok, k, vok, vk)
+		if admitted == 0 {
+			t.Fatalf("%s: no sampled leaf is admitted", tc.name)
 		}
-		if len(halves) != 1 || halves[0].Has(memoryGroups) {
-			t.Errorf("variant field %s reran memory rows: memory halves %b", name, halves)
-		}
-	}
-	if seen != execution.ShapeFields|execution.FieldInference|memory|execution.VariantFields {
-		t.Errorf("strategy fields cover %b", seen)
 	}
 }
 
-// TestClassFloorReadsNoVariantField: the terms the class floor takes from
-// the time half exactly — the data-parallel group, the optimizer step and
-// the offload transfer times — read no field of execution.VariantFields,
-// so the values one leaf of a memory class leaves are every leaf's. And
-// the floor pass keys each term's row by exactly the screen switches its
-// mask names, so a row priced once serves every class that shares them.
-// (checkClassFloors checks the floor itself across every class's leaves,
-// and TestPassFloorsMatchChainFloor the pass's floors against it.)
-func TestClassFloorReadsNoVariantField(t *testing.T) {
-	var screen execution.Strategy
-	setScreenBits(&screen, 1<<5-1)
-	screenFields := execution.DiffMask(&execution.Strategy{}, &screen)
-	for _, g := range []struct {
-		name string
-		mask execution.FieldMask
-		bits uint32
-	}{{"data", dataMask, dataScreenBits}, {"optimizer", optimMask, optimScreenBits}, {"offload transfer", offloadXferMask, xferScreenBits}} {
-		if v := g.mask & execution.VariantFields; v != 0 {
-			t.Errorf("the %s terms read variant fields %b", g.name, v)
+// shapeTerms are the eval terms loadShape derives from the strategy.
+var shapeTerms = []string{"n", "bp", "bc"}
+
+// TestLeafClassCoversMemoryFields derives from the code what a chain's step
+// inside a memory class (step) rests on: flipping a variant field through
+// the reference evaluator leaves the pre-screen verdict, the memory rows,
+// the profile's totals and the shape bit for bit as they were, so the
+// memory class a leaf's non-variant fields name holds its memory half.
+func TestLeafClassCoversMemoryFields(t *testing.T) {
+	flips := 0
+	walkVariantFlips(t, func(name string, st execution.Strategy, f variantFlip, base, got *evalState) {
+		flips++
+		if *got.e.tot != *base.e.tot || got.e.prof.recompute != base.e.prof.recompute ||
+			got.e.boundaryBytes != base.e.boundaryBytes {
+			t.Fatalf("%s: flipping %s of %v moves the block profile", name, f.name, st)
 		}
-		var st execution.Strategy
-		setScreenBits(&st, g.bits)
-		if keyed := execution.DiffMask(&execution.Strategy{}, &st); keyed != g.mask&screenFields {
-			t.Errorf("the floor pass keys the %s row by fields %b; its terms read screen fields %b", g.name, keyed, g.mask&screenFields)
+		if !reflect.DeepEqual(got.mem1, base.mem1) || !reflect.DeepEqual(got.mem2, base.mem2) {
+			t.Fatalf("%s: flipping %s of %v moves the memory rows", name, f.name, st)
+		}
+		if got.e.n != base.e.n || got.e.bp != base.e.bp || got.e.bc != base.e.bc {
+			t.Fatalf("%s: flipping %s of %v moves the shape", name, f.name, st)
+		}
+	})
+	if flips == 0 {
+		t.Fatal("no variant flip passed the toggle rules: the test checks nothing")
+	}
+}
+
+// TestClassFloorReadsNoVariantField derives from the code what PassFloors'
+// class floor and the chain's variant step (variantGroups) rest on: on the
+// same flips, every time term the evaluation holds is compared bit for
+// bit. The data-parallel, optimizer and offload-transfer terms the class
+// floor takes exactly never move, so the values one leaf of a memory class
+// leaves are every leaf's; a flip moves nothing outside its own groups. A
+// term added to eval is held fixed within a class unless it is named in
+// variantFlips.
+func TestClassFloorReadsNoVariantField(t *testing.T) {
+	// The inputs, the memo and the profile a reference evaluation builds
+	// afresh, and the profile and shape TestLeafClassCoversMemoryFields
+	// compares.
+	skip := append([]string{"m", "sys", "st", "memo", "prof", "tot", "boundaryBytes"}, shapeTerms...)
+	moved := map[string]int{}
+	walkVariantFlips(t, func(name string, st execution.Strategy, f variantFlip, base, got *evalState) {
+		bv, gv := reflect.ValueOf(&base.e).Elem(), reflect.ValueOf(&got.e).Elem()
+		for i := range bv.NumField() {
+			term := bv.Type().Field(i).Name
+			if slices.Contains(skip, term) {
+				continue
+			}
+			var same bool
+			switch a, b := bv.Field(i), gv.Field(i); a.Kind() {
+			case reflect.Float64:
+				same = math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+			case reflect.Int:
+				same = a.Int() == b.Int()
+			default:
+				t.Fatalf("eval term %s has kind %s; teach this test to compare it", term, a.Kind())
+			}
+			switch {
+			case same:
+			case slices.Contains(f.moves, term):
+				moved[f.name]++
+			default:
+				t.Fatalf("%s: flipping %s of %v moves %s", name, f.name, st, term)
+			}
+		}
+	})
+	for _, f := range variantFlips() {
+		if moved[f.name] == 0 {
+			t.Errorf("no %s flip moved a term it may move: the test checks nothing for it", f.name)
 		}
 	}
 }

@@ -8,77 +8,42 @@ import (
 	"calculon/internal/units"
 )
 
-// Term-group invalidation masks: for each group of evaluation terms, the set
-// of Strategy fields whose change can perturb the group's outputs. A group
-// is recomputed exactly when the field diff since its last run intersects
-// its mask; otherwise its outputs — pure functions of unchanged inputs —
-// carry over bit-identically from that run. On a chain the memory rows run
-// on every admitted leaf, the time groups only when a caller asks for the
-// leaf's exact keys (RunInfo.Keys). Masks compose along the dataflow: a
-// group that reads another group's outputs includes that group's mask
-// (profileMask sits inside every consumer, tensorMask inside offloadMask).
-// The tests that compare delta chains against the straight-line reference
-// evaluator pin that these masks are sufficient; being too wide only costs
-// speed, never correctness.
+// groups is a set of an evaluation's term groups: the ones a chain owes
+// before it can read a leaf's keys. Inside one memory class
+// (execution.SameClass) leaves differ only in the three fields ClassLeaves
+// writes, and those reach two time groups and nothing else: the block
+// profile, the shape, the memory rows, the pre-screen, dataComm and the
+// optimizer read none of them (TestLeafClassCoversMemoryFields and
+// TestClassFloorReadsNoVariantField pin this on the reference evaluator). Any other step reruns every group.
+type groups uint8
+
 const (
-	// shapeMask covers the derived shape quantities n (microbatches per
-	// pipeline pass: DP and Microbatch), bp (blocks per processor: PP), and
-	// bc (blocks per chunk: PP and Interleave).
-	shapeMask = execution.FieldPP | execution.FieldDP |
-		execution.FieldMicrobatch | execution.FieldInterleave
+	// tensorGroups is tensorComm, which TPRSAG and TPOverlap shape, and
+	// offload, which reads tensorComm's exposed times as overlap windows.
+	tensorGroups groups = 1 << iota
+	// pipeGroup is pipelineComm, which PPRSAG shards.
+	pipeGroup
+	// classGroups is every group a memory class holds fixed: the block
+	// profile, the shape quantities, the three memory rows, dataComm and
+	// the optimizer.
+	classGroups
 
-	// profileMask covers the memoized per-block profile: exactly its
-	// inputs (tp, microbatch, recompute, seqParallel, tpRedo, fused,
-	// inference; see profileRow). Every downstream group reads profile
-	// outputs, so profileMask is included in all of them.
-	profileMask = execution.FieldTP | execution.FieldMicrobatch |
-		execution.FieldRecompute | execution.FieldSeqParallel |
-		execution.FieldTPRedoForSP | execution.FieldFusedLayers |
-		execution.FieldInference
-
-	// tensorMask covers eval.tensorComm: TP collectives sized by
-	// (TP, Microbatch), shaped by TPRSAG/TPRedoForSP/Recompute, overlapped
-	// per TPOverlap against the profile's block times.
-	tensorMask = profileMask | execution.FieldTPRSAG | execution.FieldTPOverlap
-
-	// pipeMask covers eval.pipelineComm: boundary traffic per (PP,
-	// Interleave, Inference), sharded per PPRSAG/SeqParallel/TP, sized by
-	// the profile's boundary bytes.
-	pipeMask = profileMask | execution.FieldPP | execution.FieldPPRSAG |
-		execution.FieldInterleave
-
-	// dataMask covers eval.dataComm: gradient synchronization over DP,
-	// shaped by OptimSharding/DPOverlap, overlapped against the profile's
-	// block times across the shape quantities.
-	dataMask = profileMask | shapeMask | execution.FieldOptimSharding |
-		execution.FieldDPOverlap | execution.FieldOneFOneB
-
-	// optimMask covers eval.optimizer: the Adam step over the local
-	// (possibly sharded, possibly offloaded) parameters.
-	optimMask = profileMask | shapeMask | execution.FieldOptimSharding |
-		execution.FieldOptimOffload
-
-	// offloadXferMask covers the offload transfer times per block visit
-	// (eval.xferFwd, xferBwd): the bytes the offload switches move, sized
-	// by the profile, the microbatch count and the optimizer sharding, over
-	// the second tier's bandwidth.
-	offloadXferMask = profileMask | shapeMask | execution.FieldWeightOffload |
-		execution.FieldActOffload | execution.FieldOptimOffload |
-		execution.FieldOptimSharding
-
-	// offloadMask covers eval.offload, which reads tensorComm's exposed
-	// times as overlap windows next to the transfer times.
-	offloadMask = tensorMask | offloadXferMask
-
-	// The memory rows (memory.go); activations read OneFOneB for the
-	// in-flight microbatch count. An offload flip reruns one row.
-	memWeightsMask = profileMask | shapeMask | execution.FieldWeightOffload |
-		execution.FieldOptimSharding | execution.FieldDPOverlap
-	memOptimMask = profileMask | shapeMask | execution.FieldOptimSharding |
-		execution.FieldOptimOffload
-	memActsMask = profileMask | shapeMask | execution.FieldOneFOneB |
-		execution.FieldActOffload
+	allGroups = tensorGroups | pipeGroup | classGroups
 )
+
+// variantGroups returns the time groups a step between two leaves of one
+// memory class reaches: the tensor groups when TPRSAG or TPOverlap moved,
+// the pipe group when PPRSAG moved.
+func variantGroups(a, b *execution.Strategy) groups {
+	var g groups
+	if a.TPRSAG != b.TPRSAG || a.TPOverlap != b.TPOverlap {
+		g |= tensorGroups
+	}
+	if a.PPRSAG != b.PPRSAG {
+		g |= pipeGroup
+	}
+	return g
+}
 
 // deltaState carries one evaluation chain's reusable terms between leaves:
 // the last admitted strategy and its evaluation state, the last stepped
@@ -96,9 +61,9 @@ type deltaState struct {
 	prev  execution.Strategy // normalized, groups fully evaluated; e.st points here
 	evalState
 	v verdict // the last stepped leaf's, when it failed
-	// pending is the fields changed since the time half last ran: the time
-	// groups owed before the last leaf's exact keys can be read.
-	pending execution.FieldMask
+	// pending is the time groups owed, since the time half last ran, before
+	// the last leaf's exact keys can be read.
+	pending groups
 
 	screens screenTable
 	memo    termMemo // e.memo points here
@@ -115,18 +80,16 @@ func (r *Runner) chainOf(chain *RunInfo) *deltaState {
 	return d
 }
 
-// RunDeltaInto evaluates one strategy incrementally against the previous
-// evaluation of the same chain and writes the result into *out: it diffs
-// st against the last strategy this chain fully evaluated and recomputes
-// only the term groups the changed fields can perturb, carrying everything
-// else forward unrecomputed. The chain is threaded through RunInfo — pass
-// the RunInfo returned by the previous RunDeltaInto call (or a zero RunInfo
-// to start a chain). Results, feasibility verdicts, and RunInfo flags are
-// bit-identical to RunDetailed; only the work differs. The fewer fields
-// change between successive calls — e.g. along execution's Gray-code toggle
-// order, where neighbors differ in one toggle — the more is reused. On
-// success *out holds the result; on error *out is zeroed, exactly the
-// Result a scratch call would have returned.
+// RunDeltaInto evaluates one strategy on a chain and writes the result into
+// *out. When st is in the memory class of the last strategy the chain
+// admitted, it reruns only the time groups the moved variant fields reach
+// and carries everything else forward; any other strategy is evaluated
+// whole. The chain is threaded through RunInfo — pass the RunInfo returned
+// by the previous RunDeltaInto call (or a zero RunInfo to start a chain).
+// Results, feasibility verdicts, and RunInfo flags are bit-identical to
+// RunDetailed; only the work differs. On success *out holds the result; on
+// error *out is zeroed, exactly the Result a scratch call would have
+// returned.
 //
 // A chain must stay within one goroutine; the Runner itself remains safe
 // for concurrent use by many chains.
@@ -145,9 +108,9 @@ func (r *Runner) RunDeltaInto(prev RunInfo, st execution.Strategy, out *Result) 
 // and returns the exact keys, and chain.Result builds the full Result.
 // RunLeaf allocates nothing on a warm chain and normalizes *st in place.
 // The PreScreened and CacheHit flags are read from *chain afterwards, as
-// from RunDeltaInto's returned RunInfo. Only three toggle rules read
-// execution.VariantFields, so on one segment base the valid leaves of a
-// memory class get one verdict and one PreScreened flag.
+// from RunDeltaInto's returned RunInfo. Only three toggle rules read the
+// fields that vary inside a memory class, so on one segment base the valid
+// leaves of a class get one verdict and one PreScreened flag.
 func (r *Runner) RunLeaf(chain *RunInfo, st *execution.Strategy) bool {
 	return r.step(chain, st)
 }
@@ -176,25 +139,25 @@ func (i *RunInfo) Result(out *Result) {
 }
 
 // step evaluates *st on the chain, replacing *chain with the new chain
-// state. It is the one place a chain decides which fields changed: it
-// diffs *st against the last admitted strategy, whose terms the chain
-// holds (every field on a fresh chain), so a leaf's mask does not depend on
-// the leaves rejected since or on the order they came in. The chain's
-// shortcuts return what a scratch evaluation computes: an unchanged shape
-// re-checks only the toggle rules, the pre-screen verdict comes from the
-// chain's screenTable, and the priced lookups go through its termMemo. A
+// state. It is the one place a chain decides what it reuses: a leaf in the
+// memory class of the last admitted strategy, whose terms the chain holds,
+// re-checks the toggle rules and the carried memory rows and owes the time
+// groups its variant fields reach; any other leaf (every leaf of a fresh
+// chain) is evaluated whole and owes every group. What a leaf reuses thus
+// does not depend on the leaves rejected since. The pre-screen verdict comes
+// from the chain's screenTable and the priced lookups go through its
+// termMemo, so every shortcut returns what a scratch evaluation computes. A
 // failing verdict is left in the chain's state. step runs only the memory
-// half; the time groups the diff reaches are added to the chain's pending
-// set for Keys.
+// half; the time groups owed are added to the chain's pending set for Keys.
 func (r *Runner) step(chain *RunInfo, st *execution.Strategy) bool {
 	d := r.chainOf(chain)
 	st.Normalize()
-	mask := execution.AllFields
-	if d.valid {
-		mask = execution.DiffMask(&d.prev, st)
+	g := allGroups
+	if d.valid && execution.SameClass(&d.prev, st) {
+		g = variantGroups(&d.prev, st)
 	}
 	*chain = RunInfo{delta: d}
-	if !r.admit(st, mask, &d.screens, &d.v) {
+	if !r.admit(st, g, &d.screens, &d.v) {
 		chain.PreScreened = d.v.kind == preScreened
 		return false
 	}
@@ -203,18 +166,18 @@ func (r *Runner) step(chain *RunInfo, st *execution.Strategy) bool {
 	}
 	// The eval reads the strategy from d.prev, which is now st; a later
 	// infeasibility (memory overflow) does not invalidate it as the next
-	// diff base.
+	// leaf's class base.
 	d.prev, d.valid = *st, true
-	d.pending |= mask
+	d.pending |= g
 	if onMemoryHalf != nil {
-		onMemoryHalf(mask)
+		onMemoryHalf(g)
 	}
-	return r.evaluate(&d.evalState, mask, chain, &d.v)
+	return r.evaluate(&d.evalState, g, chain, &d.v)
 }
 
-// onMemoryHalf, when set, is called with the mask of every memory half a
+// onMemoryHalf, when set, is called with the groups of every memory half a
 // chain runs. Tests count runs with it; production code leaves it nil.
-var onMemoryHalf func(execution.FieldMask)
+var onMemoryHalf func(groups)
 
 // screenTable holds a chain's pre-screen verdicts for one base: PreScreen.Check
 // reads the parallelism degrees, the pass mode, and the five screen switches
@@ -281,14 +244,14 @@ const (
 // size through an efficiency curve (a log10 each): the collectives of
 // tensorComm, pipelineComm and dataComm, and the optimizer's vector rate,
 // first-tier access time and second-tier bandwidth. Their arguments change
-// only with the parallelism degrees, microbatch and sharding, while the
-// delta masks re-run the groups on every toggle that reaches the block
-// profile. Next to them it holds the profile row of the chain's (TP,
+// only with the parallelism degrees, microbatch and sharding, while a chain
+// reruns the groups on every step between memory classes. Next to them it holds the profile row of the chain's (TP,
 // Microbatch), so a step that moves only the block switches — every class
 // step of a segment — reads its profile without hashing a key. Each memo is
 // keyed on its lookup's exact arguments — the network or memory is the
 // Runner's own, fixed for the chain — so a hit returns what the lookup
-// returned for equal arguments, bit for bit, with no mask reasoning. (±0
+// returned for equal arguments, bit for bit, with no reasoning about which
+// fields moved. (±0
 // price alike everywhere here; a NaN key never hits.) Last, it holds the
 // buffer the chain's graph builds reuse.
 type termMemo struct {

@@ -17,8 +17,9 @@ import (
 )
 
 // deltaSequences builds strategy sequences that exercise the delta path:
-// the real enumeration order (Gray-adjacent toggles inside each triple, so
-// most steps reuse most groups), random jumps (every mask bit flips),
+// the real enumeration order (Gray-adjacent toggles inside each triple,
+// whose TP overlap and RS+AG steps stay inside one memory class), random
+// jumps (nearly every step leaves its class),
 // random walks of single-field mutations (see mutationSequence), the
 // enumeration order with runs of rejected leaves (see detourSequence), and
 // runs of it that leave a profile row and come back (see rowRevisitSequence).
@@ -83,9 +84,8 @@ func rowRevisitSequence(enum []execution.Strategy) []execution.Strategy {
 // before every other leaf: that leaf with twice the data parallelism (more
 // processors than the system has, or a degree the batch does not divide),
 // then with sequence parallelism but no TP RS+AG (a toggle rule). A chain
-// fed per-step masks must charge the leaf after the run with every field
-// changed since the last admitted one, not only its step from the last
-// rejected one.
+// must class the leaf after the run against the last admitted one, not
+// against the last rejected one.
 func detourSequence(enum []execution.Strategy) []execution.Strategy {
 	out := make([]execution.Strategy, 0, 2*len(enum))
 	for i, s := range enum {
@@ -563,18 +563,18 @@ func TestRunDeltaForeignChain(t *testing.T) {
 // TestTermGroupRecomputeCounts pins, for one fixed search walked on a
 // single chain as one search worker walks it under a top-10 + Pareto fold
 // (mirrorSearches), how often the chain runs its memory half, on how many
-// of those runs it reads the block profile and fetches a profile row, and
-// on how many each memory row and time group recomputes. Each segment's
-// memory pass answers every class at once; the floor half of the pass
-// prices the floors of the fitting classes of the profile slots whose
-// bound and slot floor keys pass keeps, and selects those whose floors
-// pass too, fastest floor first; the chain steps (RunLeaf) through the
-// leaves of each selected class while its floor still passes. The time groups run only when the fold asks for a leaf's exact
-// keys, with the masks owed since they last ran. The counts come from the
-// masks step hands the memory half (onMemoryHalf), so production code
-// counts nothing. A widened mask or a lost class answer shows up here as an
-// exact count change rather than as noise in wall time; a narrowed mask
-// must also pass the equivalence suites above.
+// of those runs it reads the block profile and reruns the memory rows, and
+// how often each time group recomputes. Each segment's memory pass answers
+// every class at once; the floor half of the pass prices the floors of the
+// fitting classes of the profile slots whose bound and slot floor keys
+// pass keeps, and selects those whose floors pass too, fastest floor
+// first; the chain steps (RunLeaf) through the leaves of each selected
+// class while its floor still passes. The time groups run only when the
+// fold asks for a leaf's exact keys, with the groups owed since they last
+// ran. The counts come from the groups step hands the memory half
+// (onMemoryHalf), so production code counts nothing. A lost class answer,
+// or a step that owes more than its class's variant fields reach, shows up
+// here as an exact count change rather than as noise in wall time.
 func TestTermGroupRecomputeCounts(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(64)
 	sys := system.A100(64).WithMem2(system.DDR5(512 * units.GiB))
@@ -600,24 +600,24 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 	// and ran it 8,334 times; with the bound alone choosing the slots 9,726
 	// times, and stepping to each class to price its first leaf's floor
 	// 30,089 times. Every run reaches the memory half, and every leaf is
-	// priced for time. RunLeaf diffs each leaf against the chain's last
-	// admitted one, so a mask holds only the fields that leaf moved. The
-	// floor order crosses profile slots more often than the Gray order did:
-	// the profile is read on 682 memory halves (418 in Gray order), those
-	// whose block switches differ from the last admitted leaf's, and the
-	// weight rows run 862 times (627), the activation rows 783 (690) and
-	// the data-parallel group 686 (453). 28 of the 75 walked segments'
-	// first steps move TP or Microbatch and 60 move the shape; the chain's
-	// row memo fetches a row from the shared memo on 125 calls in all, the
-	// memory and floor passes' included, where (TP, Microbatch) changed.
+	// priced for time. Each class entry is evaluated whole: it reads the
+	// profile, the shape and the three memory rows, and owes every time
+	// group, so those and the data-parallel and optimizer groups run 926
+	// times, once per class stepped. (Per-field masks, which reran only
+	// the groups a leaf's diff reached, read the profile 682 times, the
+	// shape 60, the weight, optimizer and activation rows 862, 698 and 783,
+	// and ran the data-parallel group 686 times.) A step inside a class reruns only the
+	// tensor and offload groups (3,486) when it moves TPRSAG or TPOverlap,
+	// and the pipe group (3,704) when it moves PPRSAG. The chain's row memo
+	// fetches a row from the shared memo on 125 calls in all, the memory and
+	// floor passes' included, where (TP, Microbatch) changed.
 	want := map[string]int{
 		"leaves": 2076480, "classes selected": 2185, "pre-screened": 11088, "feasible": 2010498,
 		"cache hits": 2064654, "segments floored": 0, "segments walked": 75, "slots passed": 1758,
 		"slot floors passed": 1221, "class floors priced": 18643, "classes stepped": 926,
 		"RunLeaf calls": 6264, "memory-half runs": 6264, "timed": 6264,
-		"row steps": 28, "row fetches": 125, "profile reads": 682, "shape": 60,
-		"mem weights": 862, "mem optimizer": 698, "mem activations": 783,
-		"tensor": 3486, "pipe": 3704, "data": 686, "optimizer": 698, "offload": 3486,
+		"row fetches": 125, "evaluated whole": 926,
+		"tensor and offload": 3486, "pipe": 3704, "data and optimizer": 926,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recompute counts changed:\n got %v\nwant %v", got, want)
@@ -642,33 +642,22 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 // skipped the slot loop, which resets every slot's least Mem1.
 func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution.EnumOptions) map[string]int {
 	t.Helper()
-	memGroups := []struct {
-		name string
-		mask execution.FieldMask
-	}{
-		{"row steps", execution.FieldTP | execution.FieldMicrobatch}, {"profile reads", profileMask},
-		{"shape", shapeMask}, {"mem weights", memWeightsMask},
-		{"mem optimizer", memOptimMask}, {"mem activations", memActsMask},
-	}
 	timeGroups := []struct {
 		name string
-		mask execution.FieldMask
+		g    groups
 	}{
-		{"tensor", tensorMask}, {"pipe", pipeMask}, {"data", dataMask},
-		{"optimizer", optimMask}, {"offload", offloadMask},
+		{"tensor and offload", tensorGroups}, {"pipe", pipeGroup}, {"data and optimizer", classGroups},
 	}
 	got := map[string]int{"segments floored": 0, "segments walked": 0}
-	// pending mirrors the chain's: the masks of the memory-half runs since
+	// pending mirrors the chain's: the groups of the memory-half runs since
 	// the time half last ran.
-	var pending execution.FieldMask
-	onMemoryHalf = func(mask execution.FieldMask) {
+	var pending groups
+	onMemoryHalf = func(g groups) {
 		got["memory-half runs"]++
-		for _, g := range memGroups {
-			if mask.Has(g.mask) {
-				got[g.name]++
-			}
+		if g&classGroups != 0 {
+			got["evaluated whole"]++
 		}
-		pending |= mask
+		pending |= g
 	}
 	defer func() { onMemoryHalf = nil }()
 	tog := opts.Toggles()
@@ -694,13 +683,13 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 			noteRow()
 			return ok
 		}
-		// price is chain.Keys counting the time groups it runs: the ones the
-		// masks owed since the time half last ran reach, if any are owed.
+		// price is chain.Keys counting the time groups it runs: the ones owed
+		// since the time half last ran, if any are.
 		price := func() Keys {
 			if pending != 0 {
 				got["timed"]++
 				for _, g := range timeGroups {
-					if pending.Has(g.mask) {
+					if pending&g.g != 0 {
 						got[g.name]++
 					}
 				}

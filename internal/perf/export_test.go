@@ -1,11 +1,14 @@
 package perf
 
-import "calculon/internal/execution"
-
-// SetOnMemoryHalf sets the hook step calls with the mask of every memory
-// half a chain runs, for the tests outside the package that count them
-// (nil to clear it). It must not change while a chain runs.
-func SetOnMemoryHalf(f func(execution.FieldMask)) { onMemoryHalf = f }
+// SetOnMemoryHalf sets a hook step calls on every memory half a chain runs,
+// for the tests outside the package that count them (nil to clear it). It
+// must not change while a chain runs.
+func SetOnMemoryHalf(f func()) {
+	onMemoryHalf = nil
+	if f != nil {
+		onMemoryHalf = func(groups) { f() }
+	}
+}
 
 // Bound returns the bound keys of the chain's last leaf, which RunLeaf
 // reported feasible: Mem1 exact, and a BatchTime from the profile and shape

@@ -297,7 +297,7 @@ func FuzzSegmentFloor(f *testing.F) {
 
 // referenceMem1 is the first-tier total referenceRun computes for st,
 // whether or not it fits: the memory rows on a block profile built from
-// the layer graph, with no memo, chain or mask.
+// the layer graph, with no memo or chain.
 func referenceMem1(m model.LLM, sys system.System, st execution.Strategy) units.Bytes {
 	st.Normalize()
 	s := evalState{e: *newEval(m, sys, st)}

@@ -12,29 +12,50 @@ import (
 )
 
 // referenceRun is the test-only reference evaluator every fast path is held
-// to: one straight-line evaluation with no pre-screen, no memo, no field
-// mask and no verdict table. It normalizes and validates the strategy,
+// to: one straight-line evaluation with no pre-screen, no memo, no class
+// reuse and no verdict table. It normalizes and validates the strategy,
 // applies the exact processor and offload-tier rules, builds the block
 // profile from the layer graph, runs all six term groups and the memory
-// accounting, and checks capacity. Its verdicts and Results must equal
-// Run's, except that a strategy the pre-screen rejects fails here on the
-// capacity check, with that check's message.
+// accounting (referenceEval), and checks capacity. Its verdicts and Results
+// must equal Run's, except that a strategy the pre-screen rejects fails
+// here on the capacity check, with that check's message.
 func referenceRun(m model.LLM, sys system.System, st execution.Strategy) (Result, error) {
-	if err := m.Validate(); err != nil {
+	r, s, err := referenceEval(m, sys, st)
+	if err != nil {
 		return Result{}, err
 	}
+	var v verdict
+	if !r.capacity(s, &v) {
+		return Result{}, v.err()
+	}
+	s.e.assemble(&s.time)
+	s.keys.BatchTime = s.time.Total()
+	s.keys.SampleRate = s.keys.BatchTime.Rate(float64(r.m.Batch))
+	var out Result
+	r.finish(s, &out)
+	return out, nil
+}
+
+// referenceEval is referenceRun up to the capacity check: it returns the
+// runner and the state with every term group and memory row of st priced
+// straight-line, or the model's, the system's or st's validation error or
+// the exact fit rules' verdict.
+func referenceEval(m model.LLM, sys system.System, st execution.Strategy) (*Runner, *evalState, error) {
+	if err := m.Validate(); err != nil {
+		return nil, nil, err
+	}
 	if err := sys.Validate(); err != nil {
-		return Result{}, err
+		return nil, nil, err
 	}
 	r := newRunner(m, sys, nil) // the reference builds its profile without the memo
 	st.Normalize()
 	if err := st.Validate(&r.m); err != nil {
-		return Result{}, verdict{kind: invalidStrategy, cause: err}.err()
+		return nil, nil, verdict{kind: invalidStrategy, cause: err}.err()
 	}
 	if sv := r.screen.CheckFit(&st); !sv.OK() {
-		return Result{}, verdict{kind: preScreened, screen: sv}.err()
+		return nil, nil, verdict{kind: preScreened, screen: sv}.err()
 	}
-	s := evalState{e: *newEval(r.m, r.sys, st)}
+	s := &evalState{e: *newEval(r.m, r.sys, st)}
 	e := &s.e
 	e.tensorComm()
 	e.pipelineComm()
@@ -44,16 +65,7 @@ func referenceRun(m model.LLM, sys system.System, st execution.Strategy) (Result
 	e.weightRows(&s.mem1, &s.mem2)
 	e.optimizerRows(&s.mem1, &s.mem2)
 	e.activationRows(&s.mem1, &s.mem2)
-	var v verdict
-	if !r.capacity(&s, &v) {
-		return Result{}, v.err()
-	}
-	e.assemble(&s.time)
-	s.keys.BatchTime = s.time.Total()
-	s.keys.SampleRate = s.keys.BatchTime.Rate(float64(r.m.Batch))
-	var out Result
-	r.finish(&s, &out)
-	return out, nil
+	return r, s, nil
 }
 
 // leafChain feeds strategies to RunLeaf the way the search's walk does,

@@ -214,7 +214,7 @@ func (r *Runner) Run(st execution.Strategy) (Result, error) {
 // attribute pre-screen rejections and cache hits without touching shared
 // counters.
 func (r *Runner) RunDetailed(st execution.Strategy) (Result, RunInfo, error) {
-	// A scratch evaluation is a chain of one, every field changed, its
+	// A scratch evaluation is a chain of one, every group owed, its
 	// state, memo and verdict table on this frame instead of in a
 	// deltaState (whose self-pointers would move it to the heap).
 	var res Result
@@ -224,12 +224,12 @@ func (r *Runner) RunDetailed(st execution.Strategy) (Result, RunInfo, error) {
 	var screens screenTable
 	s := evalState{e: eval{m: &r.m, sys: &r.sys, st: &st, memo: &memo}}
 	st.Normalize()
-	ok := r.admit(&st, execution.AllFields, &screens, &v) && r.evaluate(&s, execution.AllFields, &info, &v)
+	ok := r.admit(&st, allGroups, &screens, &v) && r.evaluate(&s, allGroups, &info, &v)
 	info.PreScreened = v.kind == preScreened
 	if !ok {
 		return res, info, v.err()
 	}
-	r.timeTerms(&s, execution.AllFields)
+	r.timeTerms(&s, allGroups)
 	r.finish(&s, &res)
 	return res, info, nil
 }
@@ -282,14 +282,14 @@ func (r *Runner) finish(s *evalState, out *Result) {
 }
 
 // admit applies the checks that precede every term group: the structural
-// rules and the phase-1 pre-screen, writing a rejection into *v. mask is
-// the set of fields changed since a strategy that passed Validate on this
-// model (AllFields when there is none): an unchanged shape passes the
-// shape rules again, so only the toggle rules are checked. screens is the
+// rules and the phase-1 pre-screen, writing a rejection into *v. g is the
+// set of groups owed; without classGroups st is in the memory class of a
+// strategy that passed Validate on this model, so it passes the shape
+// rules again and only the toggle rules are checked. screens is the
 // chain's verdict table.
-func (r *Runner) admit(st *execution.Strategy, mask execution.FieldMask, screens *screenTable, v *verdict) bool {
+func (r *Runner) admit(st *execution.Strategy, g groups, screens *screenTable, v *verdict) bool {
 	var err error
-	if mask.Has(execution.ShapeFields) {
+	if g&classGroups != 0 {
 		err = st.Validate(&r.m)
 	} else {
 		err = st.ValidateToggles()
@@ -308,36 +308,29 @@ func (r *Runner) admit(st *execution.Strategy, mask execution.FieldMask, screens
 // evaluate is the memory half of the evaluator behind every entry point;
 // timeTerms is the time half. *s holds the terms of the last strategy
 // evaluated on it (zero for a scratch evaluation), s.e.st the admitted
-// strategy now to evaluate, and mask the fields that differ between the two
-// (AllFields for a scratch evaluation). evaluate loads the block profile
-// and shape quantities, reruns the memory rows mask reaches, and checks
+// strategy now to evaluate, and g the groups owed (allGroups for a scratch
+// evaluation). With classGroups evaluate loads the block profile and shape
+// quantities and reruns the memory rows; without, st is in the memory class
+// of the last strategy and the rows carry over. Either way it checks
 // capacity; none of that reads a time group, so a leaf that overflows
 // memory never prices one. Whatever a half does not recompute it carries
-// forward: its outputs are pure functions of inputs the diff proves
-// unchanged, so every mask yields what AllFields yields, bit for bit (the
+// forward: its outputs are pure functions of fields a class holds fixed,
+// so every group set yields what allGroups yields, bit for bit (the
 // reference evaluator in the tests pins this). evaluate sets info.CacheHit
 // and reports whether the strategy fits, writing an overflow into *v.
-func (r *Runner) evaluate(s *evalState, mask execution.FieldMask, info *RunInfo, v *verdict) bool {
+func (r *Runner) evaluate(s *evalState, g groups, info *RunInfo, v *verdict) bool {
 	e := &s.e
 	// An unchanged profile is necessarily in the memo — the previous
 	// evaluation put it there — so a lookup would have hit.
 	hit := true
-	if mask.Has(profileMask) {
+	if g&classGroups != 0 {
 		var prof blockProfile
 		prof, hit = r.profile(e.memo, e.st, true)
 		e.loadProfile(prof)
 		e.loadTimes(r.times(e.memo, prof, e.st))
-	}
-	if mask.Has(shapeMask) {
 		e.loadShape()
-	}
-	if mask.Has(memWeightsMask) {
 		e.weightRows(&s.mem1, &s.mem2)
-	}
-	if mask.Has(memOptimMask) {
 		e.optimizerRows(&s.mem1, &s.mem2)
-	}
-	if mask.Has(memActsMask) {
 		e.activationRows(&s.mem1, &s.mem2)
 	}
 	info.CacheHit = hit
@@ -345,33 +338,31 @@ func (r *Runner) evaluate(s *evalState, mask execution.FieldMask, info *RunInfo,
 }
 
 // timeTerms is the time half: on a strategy evaluate found to fit, it
-// reruns the term groups mask reaches — mask being the fields changed since
-// the time half last ran on *s — then assembles the batch breakdown and
-// sets the exact batch time and sample rate keys.
-func (r *Runner) timeTerms(s *evalState, mask execution.FieldMask) {
+// reruns the term groups in g — the groups owed since the time half last
+// ran on *s — then assembles the batch breakdown and sets the exact batch
+// time and sample rate keys.
+func (r *Runner) timeTerms(s *evalState, g groups) {
 	e := &s.e
 	// Each group's outputs are zeroed before the recompute because the
 	// methods accumulate (+=) or early-return leaving zeros (TP≤1, PP≤1,
 	// no offload) — exactly the state a zero-initialized eval has.
-	if mask.Has(tensorMask) {
+	if g&tensorGroups != 0 {
 		e.tpFwdPerBlock, e.tpBwdPerBlock = 0, 0
 		e.tpFwdExposedPerBlock, e.tpBwdExposedPerBlock = 0, 0
 		e.fwdPenalty, e.bwdPenalty = 0, 0
 		e.tensorComm()
 	}
-	if mask.Has(pipeMask) {
+	if g&pipeGroup != 0 {
 		e.ppPerMicrobatch, e.ppExposedPerMicrobatch = 0, 0
 		e.pipelineComm()
 	}
-	if mask.Has(dataMask) {
+	if g&classGroups != 0 {
 		e.dpTotal, e.dpExposed, e.dpPenalty = 0, 0, 0
 		e.dataComm()
-	}
-	if mask.Has(optimMask) {
 		e.optimTime = 0
 		e.optimizer()
 	}
-	if mask.Has(offloadMask) {
+	if g&tensorGroups != 0 {
 		e.xferFwd, e.xferBwd = 0, 0
 		e.offloadTotal, e.offloadExposed = 0, 0
 		e.offloadBWRequired, e.offloadBWUsed = 0, 0
@@ -958,19 +949,20 @@ func (e *eval) tpFloor() (fwd, bwd units.Seconds) {
 const floorMargin = 1 - 0x1p-32
 
 // classFloor is a lower bound on the batch time of every leaf of a memory
-// class — the leaves that differ only in execution.VariantFields — from the
+// class — the leaves execution.SameClass puts in one class — from the
 // profile and shape terms on *e, the class's TP floor (tpFloor) and the
 // class's terms c. It is batchTimeBound plus every term no variant field
 // reaches: the exact data-parallel exposure and penalty and the optimizer
-// step (dataMask and optimMask hold no variant field), and the TP floor
-// wherever assemble uses the TP exposure, the bubble included. The offload
-// transfer joins through its coupling with the TP exposure: per block visit
-// a leaf exposes tpExposed of TP time and max(0, xfer − slack − tpExposed)
-// of transfer, together max(tpExposed, xfer − slack), which is no less than
-// max(tpFloor, xfer − slack); the transfer times (offloadXferMask) read no
-// variant field either. Dropped are the overlap penalties, the pipeline
-// communication, and the bubble's hops, all ≥ 0. The sum is real-valued
-// sound; floorMargin covers its rounding.
+// step, and the TP floor wherever assemble uses the TP exposure, the bubble
+// included. The offload transfer joins through its coupling with the TP
+// exposure: per block visit a leaf exposes tpExposed of TP time and
+// max(0, xfer − slack − tpExposed) of transfer, together
+// max(tpExposed, xfer − slack), which is no less than
+// max(tpFloor, xfer − slack). That the variant fields move none of these
+// terms is pinned on the reference evaluator
+// (TestClassFloorReadsNoVariantField). Dropped are the overlap penalties,
+// the pipeline communication, and the bubble's hops, all ≥ 0. The sum is
+// real-valued sound; floorMargin covers its rounding.
 //
 //calculonvet:ordered
 func (e *eval) classFloor(tpFwd, tpBwd units.Seconds, c *classTerms) units.Seconds {

@@ -36,7 +36,7 @@ func TestSegmentSearchMemoryHalves(t *testing.T) {
 		TopK: 10, Pareto: true,
 	}
 	var halves atomic.Int64
-	perf.SetOnMemoryHalf(func(execution.FieldMask) { halves.Add(1) })
+	perf.SetOnMemoryHalf(func() { halves.Add(1) })
 	defer perf.SetOnMemoryHalf(nil)
 	var counts []search.Counts
 	for _, workers := range []int{1, 2} {
@@ -74,7 +74,7 @@ func TestSearchRunsMirrorMemoryHalves(t *testing.T) {
 	enum := execution.EnumOptions{Procs: 64, Features: execution.FeatureAll, HasMem2: true}
 	want := perf.MirrorSearches(t, m, []*perf.Runner{r}, enum)["memory-half runs"]
 	var halves atomic.Int64
-	perf.SetOnMemoryHalf(func(execution.FieldMask) { halves.Add(1) })
+	perf.SetOnMemoryHalf(func() { halves.Add(1) })
 	defer perf.SetOnMemoryHalf(nil)
 	opts := search.Options{Enum: enum, Workers: 1, TopK: 10, Pareto: true}
 	if _, err := search.Execution(context.Background(), m, sys, opts); err != nil {

@@ -326,8 +326,8 @@ type worker struct {
 // ones whose floor keys pass keeps, fastest floor first; each test is
 // implied by the next, so only the floor decides. The worker sets each
 // selected class on the root (SegmentPass.SetClass) and steps the chain
-// (RunLeaf, which diffs the leaf against the chain's last admitted one)
-// through its leaves (Toggles.ClassLeaves) while the class floor still
+// (RunLeaf, which reuses terms inside the memory class of the chain's last
+// admitted leaf) through its leaves (Toggles.ClassLeaves) while the class floor still
 // passes keeps. A leaf's exact keys are priced only then, and tested at its
 // own seq only when they pass at the segment's first seq, before its Result
 // is built. With collectRates every fitting class is stepped, slot by slot,
