@@ -16,8 +16,11 @@ var update = flag.Bool("update", false, "rewrite the golden corpus under testdat
 // byte for byte: the paper's headline search (GPT-3 175B at batch 3,072 on
 // 4,096 A100s with a 512 GiB second tier, top-10 and the Pareto front), the
 // same search's sample-rate histogram (the CollectRates path, which steps
-// the chain into every fitting class and prices every leaf of it), the
-// three capacity-tight §5.2 sweeps, and three paper studies: Table 3's
+// the chain into every fitting class and prices every leaf of it), CI's
+// GPT-3 13B searches (on the seqpar lattice, where each profile slot holds
+// one memory class, best-only and with top-K; on the baseline lattice; and
+// at 64 GPUs), the chat serving scenario's search, the three
+// capacity-tight §5.2 sweeps, and three paper studies: Table 3's
 // pinned size sweeps, Fig. 6's search-space statistics (CollectRates
 // again) and Fig. 9's offload grid. Each golden is the command's standard
 // output; none holds a timing.
@@ -29,6 +32,15 @@ var goldenCases = []struct {
 		"-mem2", "512GiB", "-topk", "10", "-pareto", "-json"}},
 	{"search-gpt3-175B-histogram", []string{"search", "-model", "gpt3-175B", "-batch", "3072", "-procs", "4096",
 		"-mem2", "512GiB", "-histogram"}},
+	{"search-gpt3-13B-seqpar", []string{"search", "-model", "gpt3-13B", "-batch", "32", "-procs", "16",
+		"-system", "a100-80g", "-features", "seqpar", "-topk", "3", "-pareto", "-json"}},
+	{"search-gpt3-13B-seqpar-best", []string{"search", "-model", "gpt3-13B", "-batch", "32", "-procs", "16",
+		"-system", "a100-80g", "-features", "seqpar", "-topk", "0", "-json"}},
+	{"search-gpt3-13B-baseline", []string{"search", "-model", "gpt3-13B", "-batch", "32", "-procs", "16",
+		"-system", "a100-80g", "-features", "baseline", "-topk", "3", "-pareto", "-json"}},
+	{"search-gpt3-13B-64", []string{"search", "-model", "gpt3-13B", "-batch", "64", "-procs", "64",
+		"-topk", "10", "-pareto", "-json"}},
+	{"serve-search-chat", []string{"serve-search", "-scenario", "../../configs/scenarios/serving-chat.json", "-json"}},
 	{"scaling-megatron-1T-38GiB", []string{"scaling", "-model", "megatron-1T", "-batch", "3072",
 		"-hbm", "38GiB", "-step", "8", "-max", "2048", "-csv"}},
 	{"scaling-turing-530B-40GiB", []string{"scaling", "-model", "turing-530B", "-batch", "3072",
