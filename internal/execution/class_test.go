@@ -47,11 +47,21 @@ func flipField(t *testing.T, s *Strategy, i int) {
 	}
 }
 
+// sameClass reports whether a and b are leaves of one memory class: they
+// differ at most in the fields ClassLeaves writes, the TP and PP RS+AG
+// switches and the TP overlap mode. Every other field, a future one
+// included, is part of the class.
+func sameClass(a, b *Strategy) bool {
+	c := *b
+	c.TPRSAG, c.PPRSAG, c.TPOverlap = a.TPRSAG, a.PPRSAG, a.TPOverlap
+	return c == *a
+}
+
 // TestSameClass flips each Strategy field of several strategies by
 // reflection: flipping a field outside variantFields must put the strategy
 // in another class, flipping one of variantFields (or all three) must keep
 // it in its class. A field added to Strategy is class-defining unless
-// SameClass and variantFields both name it, so this test needs no update
+// sameClass and variantFields both name it, so this test needs no update
 // for it.
 func TestSameClass(t *testing.T) {
 	for _, base := range []Strategy{
@@ -61,7 +71,7 @@ func TestSameClass(t *testing.T) {
 			SeqParallel: true, TPRSAG: true, TPRedoForSP: true, TPOverlap: TPOverlapRing, DPOverlap: true,
 			PPRSAG: true, OptimSharding: true, FusedLayers: true, WeightOffload: true, ActOffload: true, OptimOffload: true},
 	} {
-		if !SameClass(&base, &base) {
+		if !sameClass(&base, &base) {
 			t.Fatalf("%+v is not in its own class", base)
 		}
 		all := base
@@ -70,27 +80,17 @@ func TestSameClass(t *testing.T) {
 			moved := base
 			flipField(t, &moved, i)
 			variant := slices.Contains(variantFields, name)
-			if SameClass(&base, &moved) != variant || SameClass(&moved, &base) != variant {
-				t.Errorf("flipping %s of %+v: SameClass = %v, want %v", name, base, !variant, variant)
+			if sameClass(&base, &moved) != variant || sameClass(&moved, &base) != variant {
+				t.Errorf("flipping %s of %+v: sameClass = %v, want %v", name, base, !variant, variant)
 			}
 			if variant {
 				flipField(t, &all, i)
 			}
 		}
-		if !SameClass(&base, &all) {
+		if !sameClass(&base, &all) {
 			t.Errorf("flipping every variant field of %+v left its class", base)
 		}
 	}
-}
-
-func ExampleSameClass() {
-	a := Strategy{TP: 4, PP: 2, DP: 8, Microbatch: 1, Interleave: 1, TPRSAG: true}
-	b := a
-	b.PPRSAG, b.TPOverlap = true, TPOverlapRing
-	c := a
-	c.ActOffload = true
-	fmt.Println(SameClass(&a, &b), SameClass(&a, &c))
-	// Output: true false
 }
 
 // TestClassLeavesMatchWalk is ClassLeaves' oracle: on every toggle lattice
@@ -98,7 +98,7 @@ func ExampleSameClass() {
 // combination of BlockSwitches with each of ScreenSwitches — ClassLeaves
 // must
 //   - yield as each leaf's rank the index of that leaf in Walk's order;
-//   - yield only leaves SameClass puts in the class of the leaf it starts
+//   - yield only leaves sameClass puts in the class of the leaf it starts
 //     from;
 //   - move one variant field per step and nothing else;
 //   - yield as many leaves as Walk's leaves of the class, the same count
@@ -136,7 +136,7 @@ func TestClassLeavesMatchWalk(t *testing.T) {
 								t.Fatalf("%s: rank %d yielded twice", name, rank)
 							}
 							ranked[rank] = true
-							if !SameClass(&root, &st) || classOf(st) != first {
+							if !sameClass(&root, &st) || classOf(st) != first {
 								t.Fatalf("%s: leaf %v left the class of %v", name, st, root)
 							}
 							if d := diffFields(prev, st); n > 0 && len(d) != 1 {

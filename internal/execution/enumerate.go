@@ -488,23 +488,14 @@ func (t *Toggles) rank(g [7]int) int {
 	return r
 }
 
-// SameClass reports whether a and b are leaves of one memory class: they
-// differ at most in the fields ClassLeaves writes, the TP and PP RS+AG
-// switches and the TP overlap mode. Every other field, a future one
-// included, is part of the class.
-func SameClass(a, b *Strategy) bool {
-	c := *b
-	c.TPRSAG, c.PPRSAG, c.TPOverlap = a.TPRSAG, a.PPRSAG, a.TPOverlap
-	return c == *a
-}
-
-// ClassLeaves walks the memory class st stands in: the leaves SameClass
-// puts with st, the TP overlap modes times the RS+AG completions its
-// (SeqParallel, TPRedoForSP) pair allows. It writes each leaf's variant
-// fields into st in place, successive leaves one field apart, yields the
-// leaf's rank, its position in Walk's order, and reports whether the walk
-// ran to completion (false when yield stopped it). st's other toggles must
-// hold values of the lattice. It allocates nothing.
+// ClassLeaves walks the memory class st stands in: the leaves that differ
+// from st at most in the TP and PP RS+AG switches and the TP overlap mode,
+// the TP overlap modes times the RS+AG completions its (SeqParallel,
+// TPRedoForSP) pair allows. It writes each leaf's variant fields into st
+// in place, successive leaves one field apart, yields the leaf's rank, its
+// position in Walk's order, and reports whether the walk ran to completion
+// (false when yield stopped it). st's other toggles must hold values of
+// the lattice. It allocates nothing.
 func (t *Toggles) ClassLeaves(st *Strategy, yield func(rank int) bool) bool {
 	g := [7]int{
 		slices.Index(t.recomputes, st.Recompute), 0, 0,

@@ -13,71 +13,6 @@ import (
 	"calculon/internal/units"
 )
 
-// leafStep is what a RunLeaf chain reported for one leaf: the bound keys
-// (RunInfo.Bound, zero when infeasible), the feasibility and flags, and how many memory halves the chain ran
-// inside RunLeaf.
-type leafStep struct {
-	bound  Keys
-	ok     bool
-	info   RunInfo
-	halves int
-}
-
-// runLeaves feeds seq to one RunLeaf chain, as the search's walk does, and holds every leaf to RunDetailed on a second
-// runner: the same feasibility and PreScreened/CacheHit flags, bound keys
-// that bound the exact ones, and for the feasible leaves price picks, the
-// same Result through chain.Result with the leaf's flags left as they were.
-// The leaves price skips leave their time groups owed to a later leaf.
-func runLeaves(t *testing.T, m model.LLM, sys system.System, seq []execution.Strategy, price func(i int) bool) []leafStep {
-	t.Helper()
-	r, err := NewRunner(m, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch, err := NewRunner(m, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	halves := 0
-	onMemoryHalf = func(groups) { halves++ }
-	defer func() { onMemoryHalf = nil }()
-	out := make([]leafStep, len(seq))
-	var chain RunInfo
-	var res Result
-	for i := range seq {
-		st := seq[i]
-		before := halves
-		ok := r.RunLeaf(&chain, &st)
-		var k Keys
-		if ok {
-			k = chain.Bound()
-		}
-		out[i] = leafStep{bound: k, ok: ok, info: chain, halves: halves - before}
-		want, info, wantErr := scratch.RunDetailed(seq[i])
-		if ok != (wantErr == nil) || chain.PreScreened != info.PreScreened || chain.CacheHit != info.CacheHit {
-			t.Fatalf("leaf %d %v: RunLeaf ok %v %+v, RunDetailed err %v %+v", i, seq[i], ok, chain, wantErr, info)
-		}
-		if !ok {
-			continue
-		}
-		if err := checkBound(k, Keys{want.BatchTime, want.SampleRate, want.Mem1.Total()}); err != nil {
-			t.Fatalf("leaf %d %v: %v", i, seq[i], err)
-		}
-		if price(i) {
-			chain.Result(&res)
-			if !reflect.DeepEqual(res, want) {
-				t.Fatalf("leaf %d %v: chain Result differs from RunDetailed:\n got %+v\nwant %+v", i, seq[i], res, want)
-			}
-			if chain.PreScreened != info.PreScreened || chain.CacheHit != info.CacheHit {
-				t.Fatalf("leaf %d %v: pricing changed the flags to %+v", i, seq[i], chain)
-			}
-		}
-	}
-	return out
-}
-
-func always(int) bool { return true }
-
 // leafCase is a roomy two-tier system on which the base strategy and its
 // toggle variants fit.
 func leafCase() (model.LLM, system.System, execution.Strategy) {
@@ -88,65 +23,13 @@ func leafCase() (model.LLM, system.System, execution.Strategy) {
 	return m, sys, st
 }
 
-// TestRunLeafTimeRules feeds a chain leaves that fail a toggle rule over a
-// variant field — sequence parallelism or PP RS+AG without TP RS+AG, an
-// unknown TP overlap mode — between valid leaves of the same classes. The
-// search never steps into such a leaf, but RunLeaf must still report
-// RunDetailed's verdict and flags for it without running a memory half,
-// and the valid leaf after it must be evaluated against the chain's last
-// admitted leaf, priced or not.
-func TestRunLeafTimeRules(t *testing.T) {
-	m, sys, base := leafCase()
-	sp := base
-	sp.TPRSAG, sp.SeqParallel = true, true
-	noRSAG := sp
-	noRSAG.TPRSAG = false // sequence parallelism without TP RS+AG
-	spPipe := sp
-	spPipe.TPOverlap = execution.TPOverlapPipe
-	badOverlap := sp
-	badOverlap.TPOverlap = "bogus"
-	plain := base
-	ppNoRSAG := plain
-	ppNoRSAG.PPRSAG = true // PP RS+AG without TP RS+AG
-	ppRSAG := ppNoRSAG
-	ppRSAG.TPRSAG = true
-	seq := []execution.Strategy{
-		noRSAG,     // 0: invalid
-		sp,         // 1
-		noRSAG,     // 2: invalid
-		spPipe,     // 3: a variant of 1
-		badOverlap, // 4: invalid
-		sp,         // 5
-		ppNoRSAG,   // 6: invalid
-		plain,      // 7: another class
-		ppNoRSAG,   // 8: invalid
-		ppRSAG,     // 9: a variant of 7
-	}
-	for _, price := range []func(int) bool{always, func(int) bool { return false }} {
-		got := runLeaves(t, m, sys, seq, price)
-		for i, wantHalves := range []int{0, 1, 0, 1, 0, 1, 0, 1, 0, 1} {
-			if got[i].halves != wantHalves {
-				t.Errorf("leaf %d %v: %d memory halves in RunLeaf, want %d", i, seq[i], got[i].halves, wantHalves)
-			}
-		}
-		for _, i := range []int{1, 3, 5, 7, 9} {
-			if !got[i].ok {
-				t.Fatalf("leaf %d %v: want a feasible leaf", i, seq[i])
-			}
-		}
-		if got[3].bound != got[1].bound || got[9].bound != got[7].bound {
-			t.Errorf("variants of one class got different bound keys: %+v %+v, %+v %+v",
-				got[1].bound, got[3].bound, got[7].bound, got[9].bound)
-		}
-	}
-}
-
-// TestLeafTableResetsOnBase moves a chain between segment bases — each base
-// field in turn, then back to the first base — on one memory class, where
-// the verdicts differ. No verdict kept for a leaf of one base may answer a
-// leaf of another: every leaf must get its own base's verdict (runLeaves
-// holds each to RunDetailed), and a variant of the class on the moved base
-// the same answer as the class's first leaf there.
+// TestLeafTableResetsOnBase moves a class stepper between segment bases —
+// each base field in turn, then back to the first base — on one memory
+// class, where the verdicts differ. The segment pass keeps the chain's
+// pre-screen verdicts per (TP, PP, DP) base, and no verdict kept for one
+// base may answer a leaf of another: every leaf must get its own base's
+// verdict and Result (RunDetailed's), and a variant of the class on the
+// moved base the same bound keys as the class's first leaf there.
 func TestLeafTableResetsOnBase(t *testing.T) {
 	m, sys, st := leafCase()
 	st.OptimSharding = true
@@ -156,55 +39,39 @@ func TestLeafTableResetsOnBase(t *testing.T) {
 		func(s *execution.Strategy) { s.Microbatch = 2 },
 		func(s *execution.Strategy) { s.TP, s.PP, s.OneFOneB = 4, 2, false },
 		func(s *execution.Strategy) { s.PP, s.TP, s.Interleave = 2, 4, 2 },
-		func(s *execution.Strategy) {
-			s.Inference, s.Recompute, s.OptimSharding = true, execution.RecomputeNone, false
-		},
 	}
+	opts := execution.EnumOptions{Features: execution.FeatureAll, HasMem2: true}
 	for mi, move := range moves {
+		r, err := NewRunner(m, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, err := NewRunner(m, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
 		other := st
 		move(&other)
 		twin := other
 		twin.TPRSAG = !twin.TPRSAG // a variant field: same class
-		got := runLeaves(t, m, sys, []execution.Strategy{st, other, twin, st}, func(int) bool { return false })
-		if got[1].bound == got[0].bound {
-			t.Errorf("move %d: the two bases have equal bound keys %+v; the base change went unchecked", mi, got[0].bound)
+		cc := newClassChain(r, opts)
+		var bounds [4]Keys
+		for i, s := range []execution.Strategy{st, other, twin, st} {
+			got, err := cc.run(s)
+			want, wantErr := scratch.Run(s)
+			if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("move %d, leaf %d %v: class stepper err %v, RunDetailed err %v", mi, i, s, err, wantErr)
+			}
+			if err == nil {
+				bounds[i] = cc.chain.Bound()
+			}
 		}
-		if got[2].ok != got[1].ok || got[2].bound != got[1].bound {
-			t.Errorf("move %d: a variant got %v %+v, its class %v %+v", mi, got[2].ok, got[2].bound, got[1].ok, got[1].bound)
+		if bounds[1] == bounds[0] {
+			t.Errorf("move %d: the two bases have equal bound keys %+v; the base change went unchecked", mi, bounds[0])
 		}
-	}
-}
-
-// TestLeafTableAfterRunDelta steps a chain through a RunDeltaInto leaf
-// between two RunLeaf leaves. Both compare their leaf with the chain's
-// last admitted one, so a RunLeaf after a RunDeltaInto must be evaluated on
-// its base and not answered from the leaf before.
-func TestLeafTableAfterRunDelta(t *testing.T) {
-	m, sys, st := leafCase()
-	st.OptimSharding = true
-	r, err := NewRunner(m, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := st
-	other.TP, other.DP = 4, 2
-	var chain RunInfo
-	a := st
-	if !r.RunLeaf(&chain, &a) {
-		t.Fatalf("%v does not fit", st)
-	}
-	_, chain, err = runDelta(r, chain, other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := other
-	ok := r.RunLeaf(&chain, &b)
-	want, wantErr := r.Run(other)
-	if !ok || wantErr != nil {
-		t.Fatalf("RunLeaf ok %v, Run err %v", ok, wantErr)
-	}
-	if err := checkBound(chain.Bound(), Keys{want.BatchTime, want.SampleRate, want.Mem1.Total()}); err != nil {
-		t.Fatalf("RunLeaf after RunDeltaInto: %v", err)
+		if bounds[2] != bounds[1] {
+			t.Errorf("move %d: a variant got bound keys %+v, its class %+v", mi, bounds[2], bounds[1])
+		}
 	}
 }
 
@@ -238,18 +105,20 @@ func walkClasses(tog *execution.Toggles, root execution.Strategy, yield func(lea
 }
 
 // TestClassAnswerHoldsForEveryLeaf walks the first segments of every triple
-// of the TestDeltaEqualsScratch configurations (the first 4,096 leaves or
-// one segment, whichever is more) class by class on one chain
-// (walkClasses), as a search worker does: RunLeaf on one leaf of each
-// class, then into a random half of the classes, pricing a random third of
-// their leaves. The
-// class's answer must be every one of its leaves' RunDetailed verdict and
-// pre-screen flag; a leaf stepped inside a class must get the class's bound
-// keys and verdict; and a priced leaf must get RunDetailed's Result, with
-// the time groups it owes from the leaves before it that nobody priced.
+// of every chain case's lattice (latticeCases; the first 4,096 leaves or one
+// segment, whichever is more) on one chain, as a search worker does. The
+// pass's answer for a class (SegmentPass.Class) must be every one of its
+// leaves' RunDetailed verdict. Then the chain steps into the classes twice:
+// every class the pass fits, slot by slot (SegmentPass.Fitting, the
+// CollectRates path), and every class the floor pass selects with nothing
+// turned away (PassFloors), fastest floor first; each class is entered
+// (EnterClass) and its leaves priced (RunLeaf) until a random quarter of
+// the classes stop after a random leaf, as a floor that stops passing
+// does. Every priced leaf's exact keys must be RunDetailed's, and a random
+// third of them must get RunDetailed's Result (RunInfo.Result).
 func TestClassAnswerHoldsForEveryLeaf(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, tc := range deltaCases() {
+	for _, tc := range latticeCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := NewRunner(tc.m, tc.sys)
 			if err != nil {
@@ -260,52 +129,68 @@ func TestClassAnswerHoldsForEveryLeaf(t *testing.T) {
 				t.Fatal(err)
 			}
 			tog := tc.opts.Toggles()
+			lat := LatticeFor(&tc.opts)
 			var chain RunInfo
+			var p SegmentPass
 			var res Result
-			priced := 0
+			below := make([]units.Bytes, lat.Slots())
+			for i := range below {
+				below[i] = units.Bytes(math.Inf(1))
+			}
+			priced, results := 0, 0
 			for _, tpd := range tc.opts.Triples(tc.m) {
 				walked := 0
 				tc.opts.Segments(&tc.m, tpd, func(root *execution.Strategy) bool {
+					r.PassSegment(&chain, lat, root, &p)
+					want := map[execution.Strategy]Result{}
 					walkClasses(&tog, *root, func(leaves []execution.Strategy) {
-						st := leaves[0]
-						ok := r.RunLeaf(&chain, &st)
-						var k Keys
-						if ok {
-							k = chain.Bound()
-						}
-						screened := chain.PreScreened
+						_, _, fits := p.Class(&leaves[0])
 						for _, s := range leaves {
-							_, info, err := scratch.RunDetailed(s)
-							if (err == nil) != ok || info.PreScreened != screened {
-								t.Fatalf("%v: class answer ok %v pre-screened %v, RunDetailed err %v %+v", s, ok, screened, err, info)
+							res, err := scratch.Run(s)
+							if (err == nil) != fits {
+								t.Fatalf("%v: the pass fits its class %v, RunDetailed err %v", s, fits, err)
 							}
-						}
-						if !ok || rng.Intn(2) == 0 {
-							return
-						}
-						for j := range leaves {
-							if st = leaves[j]; j > 0 && (!r.RunLeaf(&chain, &st) || chain.Bound() != k || chain.PreScreened) {
-								t.Fatalf("%v: variant answer %+v, class bound keys %+v", st, chain, k)
-							}
-							if rng.Intn(3) == 0 {
-								want, err := scratch.Run(st)
-								if err != nil {
-									t.Fatalf("%v: %v", st, err)
-								}
-								chain.Result(&res)
-								if !reflect.DeepEqual(res, want) {
-									t.Fatalf("%v: chain Result differs from RunDetailed:\n got %+v\nwant %+v", st, res, want)
-								}
-								priced++
-							}
+							want[s] = res
 						}
 					})
+					for _, classes := range [][]Class{
+						slices.Clone(p.Fitting()),
+						r.PassFloors(&chain, &p, below, func(*Keys) bool { return true }),
+					} {
+						for _, c := range classes {
+							stop := -1
+							if rng.Intn(4) == 0 {
+								stop = rng.Intn(8)
+							}
+							r.EnterClass(&chain, &p, root, c.Slot, c.Screen)
+							n := 0
+							tog.ClassLeaves(root, func(int) bool {
+								if n++; n-1 == stop {
+									return false
+								}
+								priced++
+								exact := r.RunLeaf(&chain)
+								w := want[*root]
+								if k := (Keys{w.BatchTime, w.SampleRate, w.Mem1.Total()}); exact != k {
+									t.Fatalf("%v: keys %+v, RunDetailed's %+v", root, exact, k)
+								}
+								if rng.Intn(3) == 0 {
+									results++
+									chain.Result(&res)
+									if !reflect.DeepEqual(res, w) {
+										t.Fatalf("%v: chain Result differs from RunDetailed:\n got %+v\nwant %+v", root, res, w)
+									}
+								}
+								return true
+							})
+						}
+					}
 					walked += tog.Len()
 					return walked < 4096
 				})
 			}
-			if priced == 0 && tc.name != "tight-mem1" {
-				t.Fatal("no leaf was priced")
+			if (priced == 0 || results == 0) && tc.name != "tight-mem1" {
+				t.Fatalf("%d leaves priced, %d Results built", priced, results)
 			}
 		})
 	}
@@ -395,10 +280,10 @@ func walkVariantFlips(t *testing.T, check func(name string, st execution.Strateg
 // shapeTerms are the eval terms loadShape derives from the strategy.
 var shapeTerms = []string{"n", "bp", "bc"}
 
-// TestLeafClassCoversMemoryFields derives from the code what a chain's step
-// inside a memory class (step) rests on: flipping a variant field through
-// the reference evaluator leaves the pre-screen verdict, the memory rows,
-// the profile's totals and the shape bit for bit as they were, so the
+// TestLeafClassCoversMemoryFields derives from the code what pricing a leaf
+// from its class (EnterClass, RunLeaf) rests on: flipping a variant field
+// through the reference evaluator leaves the pre-screen verdict, the memory
+// rows, the profile's totals and the shape bit for bit as they were, so the
 // memory class a leaf's non-variant fields name holds its memory half.
 func TestLeafClassCoversMemoryFields(t *testing.T) {
 	flips := 0
@@ -421,7 +306,7 @@ func TestLeafClassCoversMemoryFields(t *testing.T) {
 }
 
 // TestClassFloorReadsNoVariantField derives from the code what PassFloors'
-// class floor and the chain's variant step (variantGroups) rest on: on the
+// class floor and RunLeaf's variant terms rest on: on the
 // same flips, every time term the evaluation holds is compared bit for
 // bit. The data-parallel, optimizer and offload-transfer terms the class
 // floor takes exactly never move, so the values one leaf of a memory class

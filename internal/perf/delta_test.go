@@ -233,34 +233,23 @@ func runDeltaChain(t *testing.T, r *Runner, seq []execution.Strategy) ([]Result,
 	return res, infos, errs
 }
 
-// runLeafChain evaluates the sequence as the search does, through RunLeaf on
-// one chain with one reused Result.
-func runLeafChain(t *testing.T, r *Runner, seq []execution.Strategy) ([]Result, []RunInfo, []error) {
-	t.Helper()
-	res := make([]Result, len(seq))
-	infos := make([]RunInfo, len(seq))
-	errs := make([]error, len(seq))
-	lc := leafChain{r: r}
-	for i, st := range seq {
-		res[i], errs[i] = lc.run(st)
-		infos[i] = lc.chain
-	}
-	return res, infos, errs
-}
-
 // TestDeltaEqualsScratch is the randomized equivalence property of the
-// evaluation chains: over real enumeration orders, random jump sequences
-// and single-field mutation walks, for systems with and without a second
-// memory tier, RunDeltaInto and RunLeaf chains must reproduce RunDetailed bit
-// for bit — Result values, feasibility verdicts, error messages, and the
-// PreScreened/CacheHit flags the search counters sum — and RunDetailed and
-// the RunLeaf chain must both match the straight-line reference evaluator.
-// Each path gets its own fresh Runner so memo warm-up behaves exactly as it
-// would in a pure scratch or pure chain search.
+// evaluation paths: over real enumeration orders, random jump sequences,
+// single-field mutation walks, detours through rejected leaves and row
+// revisits, on the lattice of every chain case (latticeCases), RunDeltaInto
+// must reproduce RunDetailed bit for bit — Result values, feasibility
+// verdicts, error messages, and the PreScreened/CacheHit flags the search
+// counters sum — RunDetailed must match the straight-line reference
+// evaluator, and the class stepper (classChain) must give every leaf of the
+// case's lattice in the sequence RunDetailed's feasibility and Result, its
+// exact keys the Result's. Each path gets its own fresh Runner so memo
+// warm-up behaves as it would in a pure scratch or a pure class-stepping
+// search.
 func TestDeltaEqualsScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, tc := range deltaCases() {
+	for _, tc := range latticeCases() {
 		t.Run(tc.name, func(t *testing.T) {
+			stepped := 0
 			for si, seq := range deltaSequences(t, rng, tc.m, tc.opts) {
 				runners := make([]*Runner, 3)
 				for i := range runners {
@@ -272,33 +261,44 @@ func TestDeltaEqualsScratch(t *testing.T) {
 				}
 				sRes, sInfo, sErr := runScratch(t, runners[0], seq)
 				dRes, dInfo, dErr := runDeltaChain(t, runners[1], seq)
-				lRes, lInfo, lErr := runLeafChain(t, runners[2], seq)
 				compareRuns(t, si, seq, sRes, sInfo, sErr, dRes, dInfo, dErr)
+				cc := newClassChain(runners[2], tc.opts)
 				for i, st := range seq {
 					checkReference(t, "RunDetailed", tc.m, tc.sys, st, sRes[i], sInfo[i], sErr[i])
-					checkReference(t, "RunLeaf", tc.m, tc.sys, st, lRes[i], lInfo[i], lErr[i])
-					if lInfo[i].PreScreened != sInfo[i].PreScreened || lInfo[i].CacheHit != sInfo[i].CacheHit {
-						t.Fatalf("seq %d step %d %+v: RunLeaf info %+v, RunDetailed %+v", si, i, st, lInfo[i], sInfo[i])
+					if !latticeLeaf(&cc.tog, cc.lat, st) {
+						continue
+					}
+					stepped++
+					got, err := cc.run(st)
+					if err != nil && err != ErrInfeasible {
+						t.Fatalf("seq %d step %d %v: %v", si, i, st, err)
+					}
+					if (err == nil) != (sErr[i] == nil) || !reflect.DeepEqual(got, sRes[i]) {
+						t.Fatalf("seq %d step %d %v: class stepper err %v, RunDetailed err %v:\n got %+v\nwant %+v",
+							si, i, st, err, sErr[i], got, sRes[i])
 					}
 				}
+			}
+			if stepped == 0 {
+				t.Fatal("no leaf of the lattice in the sequences: the class stepper went unchecked")
 			}
 		})
 	}
 }
 
 // TestBoundKeysSound walks every leaf of the TestDeltaEqualsScratch
-// configurations in enumeration order on one leaf chain, as a search worker
-// does. leafChain.run holds RunLeaf's bound keys to each feasible leaf's
-// exact keys (Mem1 equal, BatchTime no higher, SampleRate no lower), and
-// the leaf's Result must be the scratch evaluation's. No leaf of the
-// tight-mem1 enumeration is admitted, and the mixed-mem1 one must hold both
-// a leaf that fits and one that overflows the first tier; where no leaf
-// fits the two paths must agree on that. Then it walks the same spaces
-// class by class (checkClassFloors), and the all-mem2 one again with the
-// beneficial toggles pinned. The seqpar case (32 A100s, TP up to 32 over
-// InfiniBand, whose in-network all-reduce costs about half an RS+AG) must
-// hold a sequence-parallel class whose RS+AG-only TP floor lifts its class
-// floor above the one the cheaper collective gives.
+// configurations in enumeration order on one class stepper (classChain),
+// which holds the bound keys of each fitting leaf's class to its exact keys
+// (Mem1 equal, BatchTime no higher, SampleRate no lower), and the leaf's
+// Result must be the scratch evaluation's. No leaf of the tight-mem1
+// enumeration is admitted, and the mixed-mem1 one must hold both a leaf
+// that fits and one that overflows the first tier; where no leaf fits the
+// two paths must agree on that. Then it walks the same spaces class by
+// class (checkClassFloors), and the all-mem2 one again with the beneficial
+// toggles pinned. The seqpar case (32 A100s, TP up to 32 over InfiniBand,
+// whose in-network all-reduce costs about half an RS+AG) must hold a
+// sequence-parallel class whose RS+AG-only TP floor lifts its class floor
+// above the one the cheaper collective gives.
 func TestBoundKeysSound(t *testing.T) {
 	feasible, classes := 0, 0
 	for _, tc := range deltaCases() {
@@ -306,17 +306,17 @@ func TestBoundKeysSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lc := leafChain{r: r}
+		cc := newClassChain(r, tc.opts)
 		fits, overflows := 0, 0
 		tc.opts.Enumerate(tc.m, func(st execution.Strategy) bool {
-			got, err := lc.run(st)
+			got, err := cc.run(st)
 			want, wantErr := r.Run(st)
 			var ie *infeasibleError
 			switch {
 			case err != nil && err != ErrInfeasible:
 				t.Fatalf("%s %v: %v", tc.name, st, err)
 			case (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want):
-				t.Fatalf("%s %v: leaf chain (err %v) differs from Run (err %v)", tc.name, st, err, wantErr)
+				t.Fatalf("%s %v: class stepper (err %v) differs from Run (err %v)", tc.name, st, err, wantErr)
 			case err == nil:
 				fits++
 			case errors.As(wantErr, &ie) && ie.v.kind == mem1Overflow:
@@ -344,17 +344,18 @@ func TestBoundKeysSound(t *testing.T) {
 	}
 }
 
-// checkClassFloors walks the case's space class by class on one chain
-// (walkClasses), as a search worker does, and every leaf of each feasible
-// class. Each leaf must be feasible, give the floor (RunInfo.Floor) the
-// class's first leaf gave, bit for bit, and be bounded by it (checkBound)
-// at its scratch evaluation's keys. The segment's memory pass, run on a
-// chain of its own, gives each class's profile slot its slot floor keys
-// (Runner.SlotFloor), which must be no higher than the class floor keys and
-// every leaf's exact keys (checkSlotBound). It returns the number of
-// feasible classes, and how many of them have sequence parallelism on and a
-// floor above the one the cheaper of all-reduce and RS+AG gives: the
-// classes the RS+AG-only TP floor tightens.
+// checkClassFloors walks the case's space segment by segment on one chain,
+// as a search worker on the CollectRates path does: the memory pass, then
+// each class it fits (SegmentPass.Fitting) entered (EnterClass) and every
+// leaf of it priced (RunLeaf). Each leaf's exact keys must be its scratch
+// evaluation's, every leaf of a class must give the floor (RunInfo.Floor)
+// the class's first leaf gave, bit for bit, and be bounded by it
+// (checkBound). The pass's slot floor keys (Runner.SlotFloor) must be no
+// higher than the class floor keys and every leaf's exact keys
+// (checkSlotBound). It returns the number of fitting classes, and how many
+// of them have sequence parallelism on and a floor above the one the
+// cheaper of all-reduce and RS+AG gives: the classes the RS+AG-only TP floor
+// tightens.
 func checkClassFloors(t *testing.T, tc deltaCase) (classes, tightened int) {
 	t.Helper()
 	r, err := NewRunner(tc.m, tc.sys)
@@ -367,54 +368,52 @@ func checkClassFloors(t *testing.T, tc deltaCase) (classes, tightened int) {
 	}
 	tog := tc.opts.Toggles()
 	lat := LatticeFor(&tc.opts)
-	var chain, pchain RunInfo
+	var chain RunInfo
 	var p SegmentPass
 	for _, tpd := range tc.opts.Triples(tc.m) {
 		tc.opts.Segments(&tc.m, tpd, func(root *execution.Strategy) bool {
-			r.PassSegment(&pchain, lat, root, &p)
+			r.PassSegment(&chain, lat, root, &p)
 			var slotKeys [MaxSlots]Keys
 			for i := 0; i < lat.Slots(); i++ {
 				if _, ok := p.Bound(i); ok {
-					slotKeys[i] = r.SlotFloor(&pchain, &p, i)
+					slotKeys[i] = r.SlotFloor(&chain, &p, i)
 				}
 			}
-			walkClasses(&tog, *root, func(leaves []execution.Strategy) {
-				st := leaves[0]
-				if !r.RunLeaf(&chain, &st) {
-					return
-				}
+			for _, c := range p.Fitting() {
 				classes++
-				floor := chain.Floor()
-				slot, _, fits := p.Class(&st)
-				if !fits {
-					t.Fatalf("%s %v: a feasible class the memory pass does not fit", tc.name, st)
-				}
-				if err := checkSlotBound(slotKeys[slot], floor); err != nil {
-					t.Fatalf("%s %v: slot floor against the class floor: %v", tc.name, st, err)
-				}
-				if st.SeqParallel && floor.BatchTime > minCollectiveFloor(&chain) {
-					tightened++
-				}
-				for j := range leaves {
-					if st = leaves[j]; j > 0 && !r.RunLeaf(&chain, &st) {
-						t.Fatalf("%s %v: infeasible leaf in a feasible class", tc.name, st)
-					}
-					want, err := scratch.Run(st)
+				r.EnterClass(&chain, &p, root, c.Slot, c.Screen)
+				var floor Keys
+				first := true
+				tog.ClassLeaves(root, func(int) bool {
+					exact := r.RunLeaf(&chain)
+					want, err := scratch.Run(*root)
 					if err != nil {
-						t.Fatalf("%s %v: a leaf of a feasible class: %v", tc.name, st, err)
+						t.Fatalf("%s %v: a leaf of a fitting class: %v", tc.name, root, err)
 					}
-					if f := chain.Floor(); f != floor {
-						t.Fatalf("%s %v: class floor %+v, the class's first leaf gave %+v", tc.name, st, f, floor)
+					if k := (Keys{want.BatchTime, want.SampleRate, want.Mem1.Total()}); exact != k {
+						t.Fatalf("%s %v: keys %+v, scratch %+v", tc.name, root, exact, k)
 					}
-					exact := Keys{want.BatchTime, want.SampleRate, want.Mem1.Total()}
+					switch f := chain.Floor(); {
+					case first:
+						floor, first = f, false
+						if err := checkSlotBound(slotKeys[c.Slot], floor); err != nil {
+							t.Fatalf("%s %v: slot floor against the class floor: %v", tc.name, root, err)
+						}
+						if root.SeqParallel && floor.BatchTime > minCollectiveFloor(&chain) {
+							tightened++
+						}
+					case f != floor:
+						t.Fatalf("%s %v: class floor %+v, the class's first leaf gave %+v", tc.name, root, f, floor)
+					}
 					if err := checkBound(floor, exact); err != nil {
-						t.Fatalf("%s %v: class floor: %v", tc.name, st, err)
+						t.Fatalf("%s %v: class floor: %v", tc.name, root, err)
 					}
-					if err := checkSlotBound(slotKeys[slot], exact); err != nil {
-						t.Fatalf("%s %v: slot floor: %v", tc.name, st, err)
+					if err := checkSlotBound(slotKeys[c.Slot], exact); err != nil {
+						t.Fatalf("%s %v: slot floor: %v", tc.name, root, err)
 					}
-				}
-			})
+					return true
+				})
+			}
 			return true
 		})
 	}
@@ -435,7 +434,6 @@ func checkSlotBound(slot, k Keys) error {
 // class floor with its TP floor priced on the cheaper of all-reduce and
 // RS+AG, whatever the class's switches.
 func minCollectiveFloor(chain *RunInfo) units.Seconds {
-	chain.Keys()
 	e := &chain.delta.e
 	var fwd, bwd units.Seconds
 	if t := e.st.TP; t > 1 {
@@ -449,20 +447,23 @@ func minCollectiveFloor(chain *RunInfo) units.Seconds {
 	return e.classFloor(fwd, bwd, &c)
 }
 
-// Floor returns the class floor of the chain's last leaf: classFloor on the
-// terms the time half left on the chain, with the leaf's exact Mem1. The
-// floor reads no variant field, so every leaf of a class gives the same
-// one, and the floor pass (Runner.PassFloors) prices it from rows instead
-// (TestPassFloorsMatchChainFloor). Like Result, it runs the time half first
-// if Keys has not, and it is valid only right after RunLeaf reported the
-// leaf feasible.
+// Floor returns the class floor of the chain's last leaf, which RunLeaf
+// priced: floorKeys on the chain's state. The floor reads no variant field,
+// so every leaf of a class gives the same one, and the floor pass
+// (Runner.PassFloors) prices it from rows instead
+// (TestPassFloorsMatchChainFloor).
 func (i *RunInfo) Floor() Keys {
-	k := i.Keys()
-	e := &i.delta.e
+	return i.delta.r.floorKeys(&i.delta.evalState)
+}
+
+// floorKeys returns the class floor keys of a state whose time terms are
+// priced: classFloor on its terms, with its exact Mem1.
+func (r *Runner) floorKeys(s *evalState) Keys {
+	e := &s.e
 	tpFwd, tpBwd := e.tpFloor()
 	c := classTerms{dpPenalty: e.dpPenalty, dpExposed: e.dpExposed, optimTime: e.optimTime, xferFwd: e.xferFwd, xferBwd: e.xferBwd}
 	t := e.classFloor(tpFwd, tpBwd, &c)
-	return Keys{BatchTime: t, SampleRate: t.Rate(float64(i.delta.r.m.Batch)), Mem1: k.Mem1}
+	return Keys{BatchTime: t, SampleRate: t.Rate(float64(r.m.Batch)), Mem1: s.keys.Mem1}
 }
 
 type deltaCase struct {
@@ -506,6 +507,18 @@ func deltaCases() []deltaCase {
 	}
 }
 
+// latticeCases are the chain cases with the two lattices they leave out:
+// the baseline feature set, and every feature with a second tier and the
+// beneficial toggles pinned.
+func latticeCases() []deltaCase {
+	cases := deltaCases()
+	baseline := cases[0]
+	baseline.name, baseline.opts.Features = "baseline", execution.FeatureBaseline
+	pinned := cases[1]
+	pinned.name, pinned.opts.PinBeneficial = "all-mem2-pinned", true
+	return append(cases, baseline, pinned)
+}
+
 func compareRuns(t *testing.T, si int, seq []execution.Strategy,
 	sRes []Result, sInfo []RunInfo, sErr []error,
 	dRes []Result, dInfo []RunInfo, dErr []error) {
@@ -533,23 +546,30 @@ func compareRuns(t *testing.T, si int, seq []execution.Strategy,
 	}
 }
 
-// TestRunDeltaForeignChain checks that a RunInfo from one Runner's chain
-// fed into another Runner starts a fresh chain instead of reusing foreign
-// state.
+// TestRunDeltaForeignChain checks that a chain one Runner built, handed
+// to another Runner's segment pass and class entry, is replaced by a fresh
+// chain instead of lending it foreign state: the class stepper on the
+// second Runner must give that Runner's RunDetailed Result.
 func TestRunDeltaForeignChain(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(32)
 	a, _ := NewRunner(m, system.A100(32))
 	b, _ := NewRunner(m, system.A100(32).WithMem1Capacity(10*units.TiB))
+	opts := execution.EnumOptions{Procs: 32, Features: execution.FeatureAll}
 	st := execution.Strategy{TP: 4, PP: 2, DP: 4, Microbatch: 1, Interleave: 1}
-	_, info, err := runDelta(a, RunInfo{}, st)
-	if err != nil {
+	ca := newClassChain(a, opts)
+	if _, err := ca.run(st); err != nil {
 		t.Fatal(err)
 	}
 	st2 := st
 	st2.Recompute = execution.RecomputeFull
-	got, _, err := runDelta(b, info, st2)
+	cb := newClassChain(b, opts)
+	cb.chain = ca.chain
+	got, err := cb.run(st2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cb.chain.delta == ca.chain.delta {
+		t.Fatal("the second Runner kept the first one's chain")
 	}
 	want, _, err := b.RunDetailed(st2)
 	if err != nil {
@@ -562,19 +582,16 @@ func TestRunDeltaForeignChain(t *testing.T) {
 
 // TestTermGroupRecomputeCounts pins, for one fixed search walked on a
 // single chain as one search worker walks it under a top-10 + Pareto fold
-// (mirrorSearches), how often the chain runs its memory half, on how many
-// of those runs it reads the block profile and reruns the memory rows, and
-// how often each time group recomputes. Each segment's memory pass answers
-// every class at once; the floor half of the pass prices the floors of the
-// fitting classes of the profile slots whose bound and slot floor keys
-// pass keeps, and selects those whose floors pass too, fastest floor
-// first; the chain steps (RunLeaf) through the leaves of each selected
-// class while its floor still passes. The time groups run only when the
-// fold asks for a leaf's exact keys, with the groups owed since they last
-// ran. The counts come from the groups step hands the memory half
-// (onMemoryHalf), so production code counts nothing. A lost class answer,
-// or a step that owes more than its class's variant fields reach, shows up
-// here as an exact count change rather than as noise in wall time.
+// (mirrorSearches), how many classes the chain steps into and how many
+// leaves it prices. Each segment's
+// memory pass answers every class at once; the floor half of the pass
+// prices the floors of the fitting classes of the profile slots whose bound
+// and slot floor keys pass keeps, and selects those whose floors pass too,
+// fastest floor first; the chain enters each selected class whose floor
+// still passes (EnterClass) and prices its leaves (RunLeaf) while the floor
+// passes. The leaves priced come from the hook RunLeaf calls (onLeaf), so
+// production code counts nothing. A lost class answer shows up here as an
+// exact count change rather than as noise in wall time.
 func TestTermGroupRecomputeCounts(t *testing.T) {
 	m := model.MustPreset("gpt3-13B").WithBatch(64)
 	sys := system.A100(64).WithMem2(system.DDR5(512 * units.GiB))
@@ -595,29 +612,25 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 	// slots), and selects 2,185 classes in 75 segments (93 before). The
 	// chain steps into the 926 selected classes whose floors still pass
 	// keeps, fastest floor first, and through a class's leaves while its
-	// floor passes, so RunLeaf runs 6,264 times. Stepping the classes in
-	// the class walk's Gray order through every leaf stepped 1,192 classes
-	// and ran it 8,334 times; with the bound alone choosing the slots 9,726
-	// times, and stepping to each class to price its first leaf's floor
-	// 30,089 times. Every run reaches the memory half, and every leaf is
-	// priced for time. Each class entry is evaluated whole: it reads the
-	// profile, the shape and the three memory rows, and owes every time
-	// group, so those and the data-parallel and optimizer groups run 926
-	// times, once per class stepped. (Per-field masks, which reran only
-	// the groups a leaf's diff reached, read the profile 682 times, the
-	// shape 60, the weight, optimizer and activation rows 862, 698 and 783,
-	// and ran the data-parallel group 686 times.) A step inside a class reruns only the
-	// tensor and offload groups (3,486) when it moves TPRSAG or TPOverlap,
-	// and the pipe group (3,704) when it moves PPRSAG. The chain's row memo
-	// fetches a row from the shared memo on 125 calls in all, the memory and
-	// floor passes' included, where (TP, Microbatch) changed.
+	// floor passes, so it prices 6,264 leaves. Stepping the classes in the
+	// class walk's Gray order through every leaf stepped 1,192 classes and
+	// priced 8,334 leaves; with the bound alone choosing the slots 9,726,
+	// and stepping to each class to price its first leaf's floor 30,089.
+	// A class entry takes the profile, the shape and Mem1 from the pass and
+	// prices the data-parallel and optimizer groups once, 926 times; a leaf
+	// runs no memory half and reprices the tensor, pipe and offload groups,
+	// 6,264 times each. (Before classes started from the pass, the chain
+	// evaluated each class entry whole, 926 times, ran a memory half on
+	// each of the 6,264 leaves, and reran the tensor and offload groups
+	// only on a class entry or a TPRSAG or TPOverlap move, 3,486 times, and
+	// the pipe group only on an entry or a PPRSAG move, 3,704 times.) The
+	// chain's row memo fetches a row from the shared memo on 125 calls in
+	// all, where (TP, Microbatch) changed.
 	want := map[string]int{
 		"leaves": 2076480, "classes selected": 2185, "pre-screened": 11088, "feasible": 2010498,
 		"cache hits": 2064654, "segments floored": 0, "segments walked": 75, "slots passed": 1758,
 		"slot floors passed": 1221, "class floors priced": 18643, "classes stepped": 926,
-		"RunLeaf calls": 6264, "memory-half runs": 6264, "timed": 6264,
-		"row fetches": 125, "evaluated whole": 926,
-		"tensor and offload": 3486, "pipe": 3704, "data and optimizer": 926,
+		"leaves priced": 6264, "row fetches": 125,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recompute counts changed:\n got %v\nwant %v", got, want)
@@ -633,33 +646,18 @@ func TestTermGroupRecomputeCounts(t *testing.T) {
 // (SlotFloor), and when some slot passes both, the floor pass (PassFloors)
 // prices the floors of the fitting classes of passing slots that the top-K
 // test on the slot floor or the front's memory limit leave, and selects
-// those whose floors pass keeps, fastest floor first; the chain steps
-// through the leaves of each selected class (SetClass, ClassLeaves) while
-// its floor still passes. Runners from one RunnerGroup share their profile
-// rows, as the sizes of a sweep do. The counts of each memory half and of
-// the term groups it and the time half rerun come through onMemoryHalf; a
+// those whose floors pass keeps, fastest floor first; the chain enters each
+// selected class whose floor still passes (EnterClass) and prices its
+// leaves (ClassLeaves, RunLeaf) while the floor passes. Runners from one
+// RunnerGroup share their profile rows, as the sizes of a sweep do. The
+// leaves priced come through onLeaf; a
 // segment counts as floored when its memory pass saw admitted leaves and
 // skipped the slot loop, which resets every slot's least Mem1.
 func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution.EnumOptions) map[string]int {
 	t.Helper()
-	timeGroups := []struct {
-		name string
-		g    groups
-	}{
-		{"tensor and offload", tensorGroups}, {"pipe", pipeGroup}, {"data and optimizer", classGroups},
-	}
 	got := map[string]int{"segments floored": 0, "segments walked": 0}
-	// pending mirrors the chain's: the groups of the memory-half runs since
-	// the time half last ran.
-	var pending groups
-	onMemoryHalf = func(g groups) {
-		got["memory-half runs"]++
-		if g&classGroups != 0 {
-			got["evaluated whole"]++
-		}
-		pending |= g
-	}
-	defer func() { onMemoryHalf = nil }()
+	onLeaf = func() { got["leaves priced"]++ }
+	defer func() { onLeaf = nil }()
 	tog := opts.Toggles()
 	lat := LatticeFor(&opts)
 	var p SegmentPass
@@ -676,26 +674,6 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 				row = m.row
 				got["row fetches"]++
 			}
-		}
-		leaf := func(st *execution.Strategy) bool {
-			got["RunLeaf calls"]++
-			ok := r.RunLeaf(&chain, st)
-			noteRow()
-			return ok
-		}
-		// price is chain.Keys counting the time groups it runs: the ones owed
-		// since the time half last ran, if any are.
-		price := func() Keys {
-			if pending != 0 {
-				got["timed"]++
-				for _, g := range timeGroups {
-					if pending&g.g != 0 {
-						got[g.name]++
-					}
-				}
-				pending = 0
-			}
-			return chain.Keys()
 		}
 		base := 0
 		for _, tpd := range opts.Triples(m) {
@@ -753,22 +731,20 @@ func mirrorSearches(t *testing.T, m model.LLM, runners []*Runner, opts execution
 				got["classes selected"] += len(classes)
 				for _, c := range classes {
 					floor := p.Floor(c.Slot, c.Screen)
-					p.SetClass(root, c.Slot, c.Screen)
-					if int(lat.slotOf[slotFor(root)]) != c.Slot || screenBits(root) != c.Screen {
-						t.Fatalf("%v: SetClass(%d, %b) set slot %d, screen bits %b", root, c.Slot, c.Screen, lat.slotOf[slotFor(root)], screenBits(root))
+					if !fold.keeps(base, floor) {
+						continue
 					}
-					leaves := 0
+					got["classes stepped"]++
+					r.EnterClass(&chain, &p, root, c.Slot, c.Screen)
+					noteRow()
+					if int(lat.slotOf[slotFor(root)]) != c.Slot || screenBits(root) != c.Screen {
+						t.Fatalf("%v: EnterClass(%d, %b) set slot %d, screen bits %b", root, c.Slot, c.Screen, lat.slotOf[slotFor(root)], screenBits(root))
+					}
 					tog.ClassLeaves(root, func(rank int) bool {
 						if !fold.keeps(base, floor) {
 							return false
 						}
-						if !leaf(root) {
-							t.Fatalf("%v: a class the pass fits does not", root)
-						}
-						if leaves++; leaves == 1 {
-							got["classes stepped"]++
-						}
-						exact := price()
+						exact := r.RunLeaf(&chain)
 						if seq := base + rank; fold.keeps(base, exact) && fold.keeps(seq, exact) {
 							fold.offer(seq, exact)
 						}

@@ -43,15 +43,15 @@ func TestSegmentFloorCounts(t *testing.T) {
 	// fits, counting their 9,324 leaves as profile cache hits; the memory
 	// pass prices the other 754, and the chain steps into classes on the 68
 	// where the floor pass selects one (90 when the bound alone chose the
-	// slots the pass prices). The memory half ran 11,039 times with every
-	// segment walked class by class, 7,043 times with the floor, 1,056
-	// times stepping to each class of a passing slot whose bound keys pass
-	// (on the 295 segments with such a slot), 490 times once per leaf of a
-	// selected class, and now 370 times, the slot floor leaving fewer
-	// classes to select.
+	// slots the pass prices). The chain ran a memory half 11,039 times with
+	// every segment walked class by class, 7,043 times with the floor,
+	// 1,056 times stepping to each class of a passing slot whose bound keys
+	// pass (on the 295 segments with such a slot), and 490 times once per
+	// leaf of a selected class; it now prices 370 leaves, the slot floor
+	// leaving fewer classes to select, and runs no memory half.
 	want := map[string]int{
 		"leaves": 50925, "pre-screened": 25767, "feasible": 5229, "cache hits": 24006,
-		"segments floored": 444, "segments walked": 68, "memory-half runs": 370,
+		"segments floored": 444, "segments walked": 68, "leaves priced": 370,
 	}
 	for k := range want {
 		if got[k] != want[k] {
@@ -238,7 +238,7 @@ func FuzzSegmentFloor(f *testing.F) {
 		}
 		var leaves []execution.Strategy
 		tog.Walk(&leaf, func(st *execution.Strategy) bool {
-			roomy.RunLeaf(&chain, st)
+			_, _, _ = roomy.RunDetailed(*st)
 			leaves = append(leaves, *st)
 			return true
 		})
@@ -263,13 +263,13 @@ func FuzzSegmentFloor(f *testing.F) {
 		r.PassSegment(&fresh, lat, &root, &p)
 		floored := fl > capacity
 		walkPre, feasible := 0, 0
-		chain = RunInfo{}
 		leaf = root
 		tog.Walk(&leaf, func(st *execution.Strategy) bool {
-			if r.RunLeaf(&chain, st) {
+			_, info, err := r.RunDetailed(*st)
+			if err == nil {
 				feasible++
 			}
-			if chain.PreScreened {
+			if info.PreScreened {
 				walkPre++
 			}
 			if !floored {
@@ -281,10 +281,8 @@ func FuzzSegmentFloor(f *testing.F) {
 			return true
 		})
 		classHits := 0
-		chain = RunInfo{}
 		walkClasses(&tog, root, func(leaves []execution.Strategy) {
-			r.RunLeaf(&chain, &leaves[0])
-			if !chain.PreScreened && chain.CacheHit {
+			if _, info, _ := r.RunDetailed(leaves[0]); !info.PreScreened && info.CacheHit {
 				classHits += len(leaves)
 			}
 		})

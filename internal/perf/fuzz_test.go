@@ -20,9 +20,10 @@ import (
 // Run must never panic, must equal referenceRun bit for bit (or fail with
 // the same message, unless the pre-screen rejected the strategy first),
 // and a success must carry finite, non-negative breakdown terms, an MFU of
-// at most 1, and a breakdown whose Total is the batch time; the chain's bound
-// keys must bound its keys (checkBound), and its class floor the keys of
-// every leaf of its memory class (checkFuzzClass).
+// at most 1, and a breakdown whose Total is the batch time; on a training
+// leaf of the every-feature lattice the class stepper's keys must be the
+// Result's, its class's bound keys must bound them (checkBound), and its
+// class floor the keys of every leaf of its memory class (checkFuzzClass).
 func FuzzRun(f *testing.F) {
 	// Feasible: gpt3-13B t8 p4 d2 with full recompute on A100s; gpt3-175B
 	// t8 p8 offloading weights and optimizer to a 512 GiB tier; gpt3-6.7B
@@ -101,22 +102,25 @@ func FuzzRun(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A fresh chain's first leaf: its bound keys must bound the
-		// Result's, and Keys must return them exactly.
-		var chain RunInfo
-		leaf := st
-		if !r.RunLeaf(&chain, &leaf) {
-			t.Fatalf("%s %v on %s: Run feasible, RunLeaf not", m.Name, st, sys.Name)
+		// The class stepper on a fresh chain, for a training leaf of the
+		// every-feature lattice: its bound keys must bound the Result's,
+		// and RunLeaf must return them exactly.
+		opts := execution.EnumOptions{Features: execution.FeatureAll, HasMem2: true}
+		cc := newClassChain(r, opts)
+		if latticeLeaf(&cc.tog, cc.lat, st) {
+			if !cc.enter(st) {
+				t.Fatalf("%s %v on %s: Run feasible, the segment pass does not fit its class", m.Name, st, sys.Name)
+			}
+			bound := cc.chain.Bound()
+			exact := Keys{got.BatchTime, got.SampleRate, got.Mem1.Total()}
+			if k := r.RunLeaf(&cc.chain); k != exact {
+				t.Fatalf("%s %v on %s: chain keys %+v, Result keys %+v", m.Name, st, sys.Name, k, exact)
+			}
+			if err := checkBound(bound, exact); err != nil {
+				t.Fatalf("%s %v on %s: %v", m.Name, st, sys.Name, err)
+			}
+			checkFuzzClass(t, r, st, cc.chain.Floor())
 		}
-		bound := chain.Bound()
-		exact := Keys{got.BatchTime, got.SampleRate, got.Mem1.Total()}
-		if k := chain.Keys(); k != exact {
-			t.Fatalf("%s %v on %s: chain keys %+v, Result keys %+v", m.Name, st, sys.Name, k, exact)
-		}
-		if err := checkBound(bound, exact); err != nil {
-			t.Fatalf("%s %v on %s: %v", m.Name, st, sys.Name, err)
-		}
-		checkFuzzClass(t, r, st, chain.Floor())
 
 		tb := got.Time
 		for name, v := range map[string]units.Seconds{

@@ -70,7 +70,7 @@ func (e *eval) offload() {
 		// The updated state and weights stream back during the step itself;
 		// that write-back time is priced inside optimTime (the step is the
 		// max of compute and streaming), counted here in the total. The
-		// optimizer, which timeTerms runs before offload, priced it.
+		// optimizer, which classTimes runs before offload, priced it.
 		e.offloadTotal += e.optimWriteback
 	}
 	e.offloadBWRequired = req

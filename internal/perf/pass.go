@@ -269,17 +269,25 @@ func (p *SegmentPass) evalOn(e *eval, r *Runner, d *deltaState) {
 // slot's profile into e, and returns the slot's TP floor (tpFloor), priced
 // once per segment.
 func (p *SegmentPass) onSlot(r *Runner, e *eval, i int) (tpFwd, tpBwd units.Seconds) {
-	st := &p.probe
-	p.lat.slots[i].set(st)
-	prof, _ := r.profile(e.memo, st, true) // PassSegment read, and counted, it
-	e.loadProfile(prof)
-	e.loadTimes(r.times(e.memo, prof, st))
+	p.lat.slots[i].set(&p.probe)
+	p.loadSlot(r, e, i)
 	s := &p.slots[i]
 	if !s.tpPriced {
 		s.tpFwd, s.tpBwd = e.tpFloor()
 		s.tpPriced = true
 	}
 	return s.tpFwd, s.tpBwd
+}
+
+// loadSlot loads the block profile and op times of profile slot i, whose
+// block switches e.st holds, into e from the row e's memo holds: the pass
+// read, and counted, a slot where some class fits, so its graph is built,
+// and the chain's memo holds the segment's row until the next segment.
+func (p *SegmentPass) loadSlot(r *Runner, e *eval, i int) {
+	ls := &p.lat.slots[i]
+	prof := blockProfile{g: e.memo.row.graphs[ls.profile%graphSlots].Load(), recompute: ls.recompute}
+	e.loadProfile(prof)
+	e.loadTimes(r.times(e.memo, prof, e.st))
 }
 
 // PassSegment runs the memory half of every class of the segment rooted at
@@ -294,10 +302,10 @@ func (p *SegmentPass) onSlot(r *Runner, e *eval, i int) (tpFwd, tpBwd units.Seco
 // its three rows in MemBreakdown.Total's order, so every total, and with it
 // each capacity verdict, is bit for bit the one evaluating the class
 // computes. A slot's profile is read once, only when some screen
-// combination is admitted, so a profile miss is counted here exactly as a
-// chain's step would count it; the memory rows read only its graph's memory
-// half, and its op times are read, for the bound, only on a slot where some
-// class fits. The search's roots are training strategies
+// combination is admitted, so a profile miss is counted here exactly as
+// evaluating the slot's first admitted leaf would count it; the memory rows
+// read only its graph's memory half, and its op times are read, for the
+// bound, only on a slot where some class fits. The search's roots are training strategies
 // that pass ValidateShape; a root that is not has no admitted leaf, and its
 // leaves are only counted as evaluated.
 //
@@ -403,13 +411,13 @@ func (r *Runner) PassSegment(chain *RunInfo, lat *SegmentLattice, root *executio
 // classes most likely to enter its fold; Floor reads a selected class's
 // floor keys back. The slice is the pass's, valid until its next use. The
 // floor is classFloor's arithmetic on rows priced once per distinct input,
-// on the chain's memo and the functions the chain's time half runs: the TP
+// on the chain's memo and the functions a leaf's time terms run: the TP
 // floor per profile slot, the data-parallel exposure and penalty per slot
 // and (OptimSharding, DPOverlap), the optimizer step per graph slot and
 // (OptimSharding, OptimOffload), and the offload transfers per slot and
 // (the three offloads, OptimSharding). None of them
 // reads a variant field, so each floor is bit for bit what classFloor gives
-// on any leaf of the class after its time half
+// on any leaf of the class after its time terms
 // (TestPassFloorsMatchChainFloor), and floorMargin's soundness carries over.
 //
 //calculonvet:ordered
@@ -490,14 +498,6 @@ func (p *SegmentPass) Fitting() []Class {
 		}
 	}
 	return p.order
-}
-
-// SetClass sets st's block switches to profile slot i's and its screen
-// switches to the screen bits b: st then stands in that class of the
-// segment, whose leaves Toggles.ClassLeaves walks.
-func (p *SegmentPass) SetClass(st *execution.Strategy, i int, b uint32) {
-	p.lat.slots[i].set(st)
-	setScreenBits(st, b)
 }
 
 // Floor returns the floor keys of the class of profile slot i and screen

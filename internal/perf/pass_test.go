@@ -66,8 +66,8 @@ func TestSegmentLatticeMatchesWalk(t *testing.T) {
 // TestPassMatchesClassWalk holds the memory pass to the class-by-class walk
 // it replaced, on the chain-equivalence configurations and a capacity-tight
 // one that the segment floor cuts: for each segment (up to 4,096 leaves per
-// triple), PassSegment on one Runner and a RunLeaf on the first leaf of
-// every class (walkClasses) on another, each with its own memo, must agree
+// triple), PassSegment on one Runner and a scratch evaluation of the first
+// leaf of every class (walkClasses) on another must agree
 // on every class's verdict (pre-screened, fits or not), bound keys and,
 // unless the floor turned the segment away, tier totals, and on the segment's evaluated, pre-screened,
 // cache-hit and feasible counts, the walk counting a class's leaves at once
@@ -95,7 +95,7 @@ func TestPassMatchesClassWalk(t *testing.T) {
 			}
 			tog := tc.opts.Toggles()
 			lat := LatticeFor(&tc.opts)
-			var pchain, wchain RunInfo
+			var pchain RunInfo
 			var p SegmentPass
 			segments, floored := 0, 0
 			for _, tpd := range tc.opts.Triples(tc.m) {
@@ -115,31 +115,30 @@ func TestPassMatchesClassWalk(t *testing.T) {
 					}
 					walkClasses(&tog, *root, func(leaves []execution.Strategy) {
 						st := leaves[0]
-						ok := wr.RunLeaf(&wchain, &st)
+						s, info, _, ok := scratchState(wr, st)
 						var k Keys
 						if ok {
-							k = wchain.Bound()
+							k = wr.boundKeys(s)
 						}
 						n := len(leaves)
 						want[0] += n
 						switch {
-						case wchain.PreScreened:
+						case info.PreScreened:
 							want[1] += n
-						case wchain.CacheHit:
+						case info.CacheHit:
 							want[2] += n
 						default:
 							want[2] += n - 1
 						}
 						i, pk, pfits := p.Class(&st)
 						if pfits != ok || ok && pk != k {
-							t.Fatalf("%v: the pass answers fits %v %+v, RunLeaf %v %+v", st, pfits, pk, ok, k)
+							t.Fatalf("%v: the pass answers fits %v %+v, scratch %v %+v", st, pfits, pk, ok, k)
 						}
-						if !wchain.PreScreened && !cut {
+						if !info.PreScreened && !cut {
 							totals++
-							d, b := wchain.delta, screenBits(&st)
-							if tot := p.total(i, b); tot[0] != d.mem1.Total() || tot[1] != d.mem2.Total() {
-								t.Fatalf("%v: the pass's totals %v, %v; the chain's %v, %v",
-									st, float64(tot[0]), float64(tot[1]), float64(d.mem1.Total()), float64(d.mem2.Total()))
+							if tot := p.total(i, screenBits(&st)); tot[0] != s.mem1.Total() || tot[1] != s.mem2.Total() {
+								t.Fatalf("%v: the pass's totals %v, %v; scratch %v, %v",
+									st, float64(tot[0]), float64(tot[1]), float64(s.mem1.Total()), float64(s.mem2.Total()))
 							}
 						}
 						if ok {
@@ -177,9 +176,10 @@ func TestPassMatchesClassWalk(t *testing.T) {
 // chain's class floor: on every delta case (the all-mem2 one also with the
 // beneficial toggles pinned), for every segment, PassFloors with no memory
 // limit and a keep that takes everything must select exactly the classes
-// RunLeaf finds feasible, each with floor keys bit for bit those
-// RunInfo.Floor gives on the class's first leaf on another Runner's chain,
-// and hand them back in ascending floor, ties in slot and screen order.
+// whose first leaf a scratch evaluation on another Runner finds feasible,
+// each with floor keys bit for bit the ones that evaluation's terms give
+// (floorKeys), and hand them back in ascending floor, ties in slot and
+// screen order.
 func TestPassFloorsMatchChainFloor(t *testing.T) {
 	var cases []deltaCase
 	for _, tc := range deltaCases() {
@@ -203,7 +203,7 @@ func TestPassFloorsMatchChainFloor(t *testing.T) {
 			}
 			tog := tc.opts.Toggles()
 			lat := LatticeFor(&tc.opts)
-			var pchain, wchain RunInfo
+			var pchain RunInfo
 			var p SegmentPass
 			below := make([]units.Bytes, lat.Slots())
 			for i := range below {
@@ -222,17 +222,17 @@ func TestPassFloorsMatchChainFloor(t *testing.T) {
 					feasible := 0
 					walkClasses(&tog, *root, func(leaves []execution.Strategy) {
 						st := leaves[0]
-						ok := wr.RunLeaf(&wchain, &st)
+						s, _, _, ok := scratchState(wr, st)
 						pk, picked := p.Selected(&st)
 						if picked != ok {
-							t.Fatalf("%v: the floor pass selects %v, RunLeaf finds it feasible %v", st, picked, ok)
+							t.Fatalf("%v: the floor pass selects %v, scratch finds it feasible %v", st, picked, ok)
 						}
 						if !ok {
 							return
 						}
 						feasible++
-						if f := wchain.Floor(); pk != f {
-							t.Fatalf("%v: the pass's floor keys %+v, the chain's %+v", st, pk, f)
+						if f := wr.floorKeys(s); pk != f {
+							t.Fatalf("%v: the pass's floor keys %+v, scratch's %+v", st, pk, f)
 						}
 					})
 					if len(order) != feasible {
@@ -250,7 +250,7 @@ func TestPassFloorsMatchChainFloor(t *testing.T) {
 }
 
 // Class returns, for the class *st stands on, its profile slot's index, its
-// bound keys — bit for bit what RunLeaf reports on any of its leaves — and
+// bound keys — bit for bit a scratch evaluation's of any of its leaves — and
 // whether it fits. st must be a leaf of the segment the pass was last run
 // on.
 func (p *SegmentPass) Class(st *execution.Strategy) (slot int, k Keys, fits bool) {

@@ -16,9 +16,9 @@ import (
 //   - soundness: whenever the pre-screen rejects, the reference evaluator
 //     (which has no pre-screen) also rejects — the filter never costs a
 //     feasible configuration;
-//   - verdict identity: the two-phase Runner, through Run and through a
-//     RunLeaf chain, agrees with the reference on feasibility for every
-//     strategy, and feasible results carry identical numbers.
+//   - verdict identity: the two-phase Runner, through Run and through the
+//     class stepper (classChain), agrees with the reference on feasibility
+//     for every strategy, and feasible results carry identical numbers.
 func TestPreScreenSoundAndExact(t *testing.T) {
 	cases := []struct {
 		m   model.LLM
@@ -44,7 +44,6 @@ func TestPreScreenSoundAndExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lc := leafChain{r: leaf}
 
 		screen := execution.NewPreScreen(tc.m, execution.Limits{
 			Procs: tc.sys.Procs,
@@ -58,14 +57,15 @@ func TestPreScreenSoundAndExact(t *testing.T) {
 			HasMem2:       tc.sys.Mem2.Present(),
 			MaxInterleave: 2,
 		}
+		cc := newClassChain(leaf, enum)
 		checked, screened := 0, 0
 		enum.Enumerate(tc.m, func(st execution.Strategy) bool {
 			checked++
 			label := tc.m.Name + " on " + tc.sys.Name
 			fastRes, info, fastErr := fast.RunDetailed(st)
 			checkReference(t, label+" Run", tc.m, tc.sys, st, fastRes, info, fastErr)
-			leafGot, leafErr := lc.run(st)
-			checkReference(t, label+" RunLeaf", tc.m, tc.sys, st, leafGot, lc.chain, leafErr)
+			leafGot, leafErr := cc.run(st)
+			checkReference(t, label+" class stepper", tc.m, tc.sys, st, leafGot, RunInfo{}, leafErr)
 			if info.PreScreened {
 				screened++
 			}

@@ -150,7 +150,7 @@ type Result struct {
 }
 
 // Keys are the three figures the search folds a feasible leaf by. The
-// exact keys (RunInfo.Keys) are bit for bit its Result's BatchTime,
+// exact keys (Runner.RunLeaf) are bit for bit its Result's BatchTime,
 // SampleRate and Mem1.Total(); a profile slot's bound keys
 // (SegmentPass.Bound) and the floors have a Mem1 and a BatchTime no higher
 // (a SampleRate no lower) than those of any leaf they cover.

@@ -197,9 +197,9 @@ type RunInfo struct {
 	// rather than recomputed.
 	CacheHit bool
 
-	// delta carries the evaluation chain RunDeltaInto threads from call to
-	// call; nil after a scratch evaluation. Opaque to callers: pass the
-	// RunInfo back to the next RunDeltaInto unmodified.
+	// delta carries the evaluation chain the segment pass, EnterClass and
+	// RunLeaf thread from call to call; nil after a scratch evaluation.
+	// Opaque to callers: pass the RunInfo back unmodified.
 	delta *deltaState
 }
 
@@ -214,30 +214,22 @@ func (r *Runner) Run(st execution.Strategy) (Result, error) {
 // attribute pre-screen rejections and cache hits without touching shared
 // counters.
 func (r *Runner) RunDetailed(st execution.Strategy) (Result, RunInfo, error) {
-	// A scratch evaluation is a chain of one, every group owed, its
-	// state, memo and verdict table on this frame instead of in a
-	// deltaState (whose self-pointers would move it to the heap).
+	// The state, memo and verdict live on this frame rather than in a
+	// deltaState, whose pointers into itself would move them to the heap.
 	var res Result
 	var info RunInfo
 	var v verdict // written only on failure; apart from s, which points at st
 	var memo termMemo
-	var screens screenTable
 	s := evalState{e: eval{m: &r.m, sys: &r.sys, st: &st, memo: &memo}}
-	st.Normalize()
-	ok := r.admit(&st, allGroups, &screens, &v) && r.evaluate(&s, allGroups, &info, &v)
-	info.PreScreened = v.kind == preScreened
-	if !ok {
+	if !r.scratch(&s, &info, &v) {
 		return res, info, v.err()
 	}
-	r.timeTerms(&s, allGroups)
 	r.finish(&s, &res)
 	return res, info, nil
 }
 
 // evalState is one evaluation's working state: the term groups, the memory
-// rows, and the breakdown and fold keys of a fit. keys.Mem1 is set by the
-// memory half (evaluate), the batch time and sample rate by the time half
-// (timeTerms).
+// rows, and the breakdown and fold keys of a fit.
 type evalState struct {
 	e          eval
 	mem1, mem2 MemBreakdown
@@ -245,9 +237,32 @@ type evalState struct {
 	keys       Keys
 }
 
-// capacity checks the per-tier memory totals against the system, writing
-// an overflow into *v. On a fit it sets the first-tier fold key.
-func (r *Runner) capacity(s *evalState, v *verdict) bool {
+// scratch evaluates the strategy s.e.st points at whole, on s.e's memo: it
+// normalizes the strategy, applies the structural rules and the phase-1
+// pre-screen, loads the block profile and the shape, runs the three memory
+// rows and checks capacity — none of which reads a time term, so a strategy
+// that overflows memory never prices one — and on a fit prices the class
+// terms and the leaf terms. It sets info's flags and reports whether the
+// strategy fits, writing a failing verdict into *v.
+func (r *Runner) scratch(s *evalState, info *RunInfo, v *verdict) bool {
+	e := &s.e
+	st := e.st
+	st.Normalize()
+	if err := st.Validate(&r.m); err != nil {
+		*v = verdict{kind: invalidStrategy, cause: err}
+		return false
+	}
+	if sv := r.screen.Check(st); !sv.OK() {
+		*v = verdict{kind: preScreened, screen: sv}
+		info.PreScreened = true
+		return false
+	}
+	prof, hit := r.profile(e.memo, st, true)
+	info.CacheHit = hit
+	e.loadProfile(prof)
+	e.loadTimes(r.times(e.memo, prof, st))
+	e.loadShape()
+	s.memoryRows()
 	t1 := s.mem1.Total()
 	if t1 > r.sys.Mem1.Capacity {
 		*v = verdict{kind: mem1Overflow, need: t1, have: r.sys.Mem1.Capacity}
@@ -258,7 +273,16 @@ func (r *Runner) capacity(s *evalState, v *verdict) bool {
 		return false
 	}
 	s.keys.Mem1 = t1
+	e.classTimes()
+	r.leafTimes(s)
 	return true
+}
+
+// memoryRows runs the three memory rows into the state's breakdowns.
+func (s *evalState) memoryRows() {
+	s.e.weightRows(&s.mem1, &s.mem2)
+	s.e.optimizerRows(&s.mem1, &s.mem2)
+	s.e.activationRows(&s.mem1, &s.mem2)
 }
 
 // finish assembles the Result of a feasible evaluation into *out. It sets
@@ -281,93 +305,38 @@ func (r *Runner) finish(s *evalState, out *Result) {
 	out.MFU = useful.Ratio(peak.For(s.keys.BatchTime))
 }
 
-// admit applies the checks that precede every term group: the structural
-// rules and the phase-1 pre-screen, writing a rejection into *v. g is the
-// set of groups owed; without classGroups st is in the memory class of a
-// strategy that passed Validate on this model, so it passes the shape
-// rules again and only the toggle rules are checked. screens is the
-// chain's verdict table.
-func (r *Runner) admit(st *execution.Strategy, g groups, screens *screenTable, v *verdict) bool {
-	var err error
-	if g&classGroups != 0 {
-		err = st.Validate(&r.m)
-	} else {
-		err = st.ValidateToggles()
-	}
-	if err != nil {
-		*v = verdict{kind: invalidStrategy, cause: err}
-		return false
-	}
-	if sv := screens.check(r.screen, st); !sv.OK() {
-		*v = verdict{kind: preScreened, screen: sv}
-		return false
-	}
-	return true
+// The time half of an evaluation comes in two parts. Each part zeroes a
+// term group's outputs before rerunning it because the methods accumulate
+// (+=) or early-return leaving zeros (TP≤1, PP≤1, no offload) — exactly the
+// state a zero-initialized eval has.
+
+// classTimes prices the time terms a memory class holds fixed: dataComm and
+// the optimizer step. They read no variant field
+// (TestClassFloorReadsNoVariantField).
+func (e *eval) classTimes() {
+	e.dpTotal, e.dpExposed, e.dpPenalty = 0, 0, 0
+	e.dataComm()
+	e.optimTime = 0
+	e.optimizer()
 }
 
-// evaluate is the memory half of the evaluator behind every entry point;
-// timeTerms is the time half. *s holds the terms of the last strategy
-// evaluated on it (zero for a scratch evaluation), s.e.st the admitted
-// strategy now to evaluate, and g the groups owed (allGroups for a scratch
-// evaluation). With classGroups evaluate loads the block profile and shape
-// quantities and reruns the memory rows; without, st is in the memory class
-// of the last strategy and the rows carry over. Either way it checks
-// capacity; none of that reads a time group, so a leaf that overflows
-// memory never prices one. Whatever a half does not recompute it carries
-// forward: its outputs are pure functions of fields a class holds fixed,
-// so every group set yields what allGroups yields, bit for bit (the
-// reference evaluator in the tests pins this). evaluate sets info.CacheHit
-// and reports whether the strategy fits, writing an overflow into *v.
-func (r *Runner) evaluate(s *evalState, g groups, info *RunInfo, v *verdict) bool {
+// leafTimes prices the time terms the variant fields reach, after
+// classTimes: tensorComm, pipelineComm and offload, which reads
+// tensorComm's exposed times as overlap windows and the optimizer's
+// write-back. Then it assembles the batch breakdown and sets the exact
+// batch time and sample rate keys.
+func (r *Runner) leafTimes(s *evalState) {
 	e := &s.e
-	// An unchanged profile is necessarily in the memo — the previous
-	// evaluation put it there — so a lookup would have hit.
-	hit := true
-	if g&classGroups != 0 {
-		var prof blockProfile
-		prof, hit = r.profile(e.memo, e.st, true)
-		e.loadProfile(prof)
-		e.loadTimes(r.times(e.memo, prof, e.st))
-		e.loadShape()
-		e.weightRows(&s.mem1, &s.mem2)
-		e.optimizerRows(&s.mem1, &s.mem2)
-		e.activationRows(&s.mem1, &s.mem2)
-	}
-	info.CacheHit = hit
-	return r.capacity(s, v)
-}
-
-// timeTerms is the time half: on a strategy evaluate found to fit, it
-// reruns the term groups in g — the groups owed since the time half last
-// ran on *s — then assembles the batch breakdown and sets the exact batch
-// time and sample rate keys.
-func (r *Runner) timeTerms(s *evalState, g groups) {
-	e := &s.e
-	// Each group's outputs are zeroed before the recompute because the
-	// methods accumulate (+=) or early-return leaving zeros (TP≤1, PP≤1,
-	// no offload) — exactly the state a zero-initialized eval has.
-	if g&tensorGroups != 0 {
-		e.tpFwdPerBlock, e.tpBwdPerBlock = 0, 0
-		e.tpFwdExposedPerBlock, e.tpBwdExposedPerBlock = 0, 0
-		e.fwdPenalty, e.bwdPenalty = 0, 0
-		e.tensorComm()
-	}
-	if g&pipeGroup != 0 {
-		e.ppPerMicrobatch, e.ppExposedPerMicrobatch = 0, 0
-		e.pipelineComm()
-	}
-	if g&classGroups != 0 {
-		e.dpTotal, e.dpExposed, e.dpPenalty = 0, 0, 0
-		e.dataComm()
-		e.optimTime = 0
-		e.optimizer()
-	}
-	if g&tensorGroups != 0 {
-		e.xferFwd, e.xferBwd = 0, 0
-		e.offloadTotal, e.offloadExposed = 0, 0
-		e.offloadBWRequired, e.offloadBWUsed = 0, 0
-		e.offload()
-	}
+	e.tpFwdPerBlock, e.tpBwdPerBlock = 0, 0
+	e.tpFwdExposedPerBlock, e.tpBwdExposedPerBlock = 0, 0
+	e.fwdPenalty, e.bwdPenalty = 0, 0
+	e.tensorComm()
+	e.ppPerMicrobatch, e.ppExposedPerMicrobatch = 0, 0
+	e.pipelineComm()
+	e.xferFwd, e.xferBwd = 0, 0
+	e.offloadTotal, e.offloadExposed = 0, 0
+	e.offloadBWRequired, e.offloadBWUsed = 0, 0
+	e.offload()
 	e.assemble(&s.time)
 	batch := s.time.Total()
 	s.keys.BatchTime, s.keys.SampleRate = batch, batch.Rate(float64(r.m.Batch))
@@ -402,8 +371,8 @@ const (
 // schedule) and the overlap/offload/sharding toggles do not reach the block
 // layer graph or its timing, so strategies differing only in those share
 // one profile. A chain holds the row of its current (TP, Microbatch) in its
-// termMemo, so a step that moves only the switches reads its profile with
-// two atomic loads.
+// termMemo, so the passes and class entries of a segment read its profiles
+// with an atomic load each.
 type profileRow struct {
 	graphs [graphSlots]atomic.Pointer[pricedGraph]
 	// touched has bit i set once profile slot i has been read: its one miss
@@ -949,7 +918,7 @@ func (e *eval) tpFloor() (fwd, bwd units.Seconds) {
 const floorMargin = 1 - 0x1p-32
 
 // classFloor is a lower bound on the batch time of every leaf of a memory
-// class — the leaves execution.SameClass puts in one class — from the
+// class — the leaves Toggles.ClassLeaves walks — from the
 // profile and shape terms on *e, the class's TP floor (tpFloor) and the
 // class's terms c. It is batchTimeBound plus every term no variant field
 // reaches: the exact data-parallel exposure and penalty and the optimizer

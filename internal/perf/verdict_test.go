@@ -18,6 +18,7 @@ type verdictChain struct {
 	name    string
 	m       model.LLM
 	sys     system.System
+	opts    execution.EnumOptions // the lattice the strategies are leaves of
 	strats  []execution.Strategy
 	invalid int
 }
@@ -36,8 +37,9 @@ func verdictChains() []verdictChain {
 		fits = append(fits, s)
 		return true
 	})
-	o.Procs = 16
-	o.Enumerate(m, func(s execution.Strategy) bool {
+	wide := o
+	wide.Procs = 16
+	wide.Enumerate(m, func(s execution.Strategy) bool {
 		tooMany = append(tooMany, s)
 		return len(tooMany) < 500
 	})
@@ -54,18 +56,18 @@ func verdictChains() []verdictChain {
 	}
 	tight := system.A100(8).WithMem1Capacity(24 * units.GiB).WithMem2(system.DDR5(20 * units.GiB))
 	return []verdictChain{
-		{"screened", m, tight, cat(fits, invalid), len(invalid)},
-		{"one-tier", m, system.A100(8), cat(fits, tooMany, invalid), len(invalid)},
+		{"screened", m, tight, o, cat(fits, invalid), len(invalid)},
+		{"one-tier", m, system.A100(8), o, cat(fits, tooMany, invalid), len(invalid)},
 	}
 }
 
 // TestVerdictKindsCovered drives chains through every verdict kind and holds
 // each evaluation path to the same answer on every leaf: RunDeltaInto's error
 // text must equal RunDetailed's (TestDeltaEqualsScratch checks this only
-// for the kinds its random sequences happen to reach), RunLeaf, reusing
-// one Result across the whole chain, must report the same feasibility and
-// write exactly RunDetailed's Result, and RunDetailed must match the
-// reference evaluator.
+// for the kinds its random sequences happen to reach), the class stepper
+// (classChain), reusing one Result across the whole chain, must report the
+// same feasibility on every leaf of the chain's lattice and write exactly
+// RunDetailed's Result, and RunDetailed must match the reference evaluator.
 func TestVerdictKindsCovered(t *testing.T) {
 	// The outcomes a chain can reach: the verdict kinds, with pre-screened
 	// split into the bound that rejects.
@@ -76,7 +78,7 @@ func TestVerdictKindsCovered(t *testing.T) {
 	seen := map[string]int{}
 	for _, tc := range verdictChains() {
 		t.Run(tc.name, func(t *testing.T) {
-			runners := make([]*Runner, 4)
+			runners := make([]*Runner, 3)
 			for i := range runners {
 				r, err := NewRunner(tc.m, tc.sys)
 				if err != nil {
@@ -84,9 +86,9 @@ func TestVerdictKindsCovered(t *testing.T) {
 				}
 				runners[i] = r
 			}
-			scratch, delta, leaf, kinds := runners[0], runners[1], runners[2], runners[3]
-			var dChain, lChain, kChain RunInfo
-			var leafRes Result
+			scratch, delta := runners[0], runners[1]
+			cc := newClassChain(runners[2], tc.opts)
+			var dChain RunInfo
 			for i, st := range tc.strats {
 				want, wantInfo, wantErr := scratch.RunDetailed(st)
 				got, info, err := runDelta(delta, dChain, st)
@@ -100,26 +102,18 @@ func TestVerdictKindsCovered(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("leaf %d %v: RunDeltaInto result differs from RunDetailed", i, st)
 				}
-
-				lst := st
-				ok := leaf.RunLeaf(&lChain, &lst)
-				if ok {
-					lChain.Result(&leafRes)
-				}
-				if ok != (wantErr == nil) || lChain.PreScreened != wantInfo.PreScreened || lChain.CacheHit != wantInfo.CacheHit {
-					t.Fatalf("leaf %d %v: RunLeaf = %v with %+v, RunDetailed err %v with %+v",
-						i, st, ok, lChain, wantErr, wantInfo)
-				}
-				if ok && !reflect.DeepEqual(leafRes, want) {
-					t.Fatalf("leaf %d %v: RunLeaf result differs from RunDetailed:\n got %+v\nwant %+v", i, st, leafRes, want)
+				if latticeLeaf(&cc.tog, cc.lat, st) {
+					leafRes, leafErr := cc.run(st)
+					if (leafErr == nil) != (wantErr == nil) {
+						t.Fatalf("leaf %d %v: class stepper err %v, RunDetailed err %v", i, st, leafErr, wantErr)
+					}
+					if !reflect.DeepEqual(leafRes, want) {
+						t.Fatalf("leaf %d %v: class stepper result differs from RunDetailed:\n got %+v\nwant %+v", i, st, leafRes, want)
+					}
 				}
 				checkReference(t, "RunDetailed", tc.m, tc.sys, st, want, wantInfo, wantErr)
 
-				kst := st
-				v := verdict{}
-				if !kinds.step(&kChain, &kst) {
-					v = kChain.delta.v
-				}
+				_, _, v, _ := scratchState(scratch, st)
 				switch {
 				case v.kind != preScreened:
 					seen[outcomes[v.kind]]++
@@ -141,12 +135,12 @@ func TestVerdictKindsCovered(t *testing.T) {
 	}
 }
 
-// TestRunLeafAllocatesNothing pins the search's per-leaf cost: on a warm
-// chain — the chain state and the shared profile memo both populated —
-// evaluating a leaf allocates nothing,
-// whichever verdict it reaches. Structurally invalid strategies are left
-// out: the enumeration never produces them, and their verdict carries the
-// error Strategy.Validate built.
+// TestRunLeafAllocatesNothing pins the search's per-class and per-leaf
+// cost: on a warm chain — the chain state and the shared profile memo both
+// populated — entering every class the segment pass fits (EnterClass) and
+// pricing each of its leaves (RunLeaf), with its class floor and its
+// Result, allocates nothing. The segments are those of the verdict chains'
+// leaves.
 func TestRunLeafAllocatesNothing(t *testing.T) {
 	for _, tc := range verdictChains() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -154,22 +148,42 @@ func TestRunLeafAllocatesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			strats := tc.strats[:len(tc.strats)-tc.invalid]
+			tog, lat := tc.opts.Toggles(), LatticeFor(&tc.opts)
+			var roots []execution.Strategy
+			seen := map[execution.Strategy]bool{}
+			for _, st := range tc.strats {
+				if k := segmentKey(st); latticeLeaf(&tog, lat, st) && !seen[k] {
+					seen[k] = true
+					roots = append(roots, st)
+				}
+			}
 			var chain RunInfo
+			var p SegmentPass
 			var res Result
-			var st execution.Strategy
+			priced := 0
+			leaf := func(int) bool {
+				r.RunLeaf(&chain)
+				chain.Floor()
+				chain.Result(&res)
+				priced++
+				return true
+			}
 			walk := func() {
-				for i := range strats {
-					st = strats[i]
-					if r.RunLeaf(&chain, &st) {
-						chain.Floor()
-						chain.Result(&res)
+				for i := range roots {
+					root := &roots[i]
+					r.PassSegment(&chain, lat, root, &p)
+					for _, c := range p.Fitting() {
+						r.EnterClass(&chain, &p, root, c.Slot, c.Screen)
+						tog.ClassLeaves(root, leaf)
 					}
 				}
 			}
 			walk()
+			if priced == 0 {
+				t.Fatal("no class fits: no leaf was priced")
+			}
 			if n := testing.AllocsPerRun(3, walk); n != 0 {
-				t.Fatalf("a warm chain of %d leaves allocated %v times per pass, want 0", len(strats), n)
+				t.Fatalf("a warm chain over %d segments allocated %v times per pass, want 0", len(roots), n)
 			}
 		})
 	}

@@ -12,10 +12,10 @@ import (
 
 // BenchmarkExecutionSearch measures end-to-end search throughput — the
 // paper's headline capability ("millions of combinations in only a few
-// minutes on a standard desktop computer"). Each worker threads a delta
-// chain through the Gray-code-adjacent toggle order, recomputing only the
-// term groups each flipped toggle can perturb. The strategies-per-second
-// metric is the number to watch.
+// minutes on a standard desktop computer"). Each worker runs the memory
+// and floor passes on each segment and starts its chain on the classes
+// they select, pricing only the terms a leaf's variant fields reach. The
+// strategies-per-second metric is the number to watch.
 func BenchmarkExecutionSearch(b *testing.B) {
 	benchExecutionSearch(b, func(*Options) {})
 }
@@ -53,8 +53,8 @@ func benchExecutionSearch(b *testing.B, configure func(*Options)) {
 // every feature with a second memory tier, 4,032 leaves in 576 memory
 // classes per segment, as in the paper's headline search, where the
 // BenchmarkExecutionSearch pair has 12-leaf SeqPar segments. It keeps a
-// top-10 and the Pareto front, as the CLI does, so it times the class
-// walk, one RunLeaf per class and the descents the fold asks for.
+// top-10 and the Pareto front, as the CLI does, so it times the passes,
+// the class entries and the leaves the fold asks for.
 func BenchmarkSegmentSearch(b *testing.B) {
 	m := model.MustPreset("gpt3-13B").WithBatch(16)
 	sys := system.A100(16).WithMem2(system.DDR5(512 * units.GiB))

@@ -295,10 +295,10 @@ type workerState struct {
 }
 
 // worker is one search worker: its state, the tallies of the work chunk it
-// is on, its delta chain, the root it writes its chunks' segments into, the
-// memory pass of the segment it is on with its slots' memory limits and,
-// last, the Result of a kept leaf, which keeps the next worker's counters
-// off the cache lines this one reads.
+// is on, its evaluation chain, the root it writes its chunks' segments
+// into, the memory pass of the segment it is on with its slots' memory
+// limits and, last, the Result of a kept leaf, which keeps the next
+// worker's counters off the cache lines this one reads.
 type worker struct {
 	workerState
 	chunk Counts
@@ -324,14 +324,14 @@ type worker struct {
 // rate enters the top list, else those below the limit. The floor half of
 // the pass (Runner.PassFloors) prices those classes' floors and selects the
 // ones whose floor keys pass keeps, fastest floor first; each test is
-// implied by the next, so only the floor decides. The worker sets each
-// selected class on the root (SegmentPass.SetClass) and steps the chain
-// (RunLeaf, which reuses terms inside the memory class of the chain's last
-// admitted leaf) through its leaves (Toggles.ClassLeaves) while the class floor still
-// passes keeps. A leaf's exact keys are priced only then, and tested at its
-// own seq only when they pass at the segment's first seq, before its Result
-// is built. With collectRates every fitting class is stepped, slot by slot,
-// and every leaf of it priced (docs/MODEL.md, "The leaf path").
+// implied by the next, so only the floor decides. For each selected class
+// whose floor still passes keeps, the worker starts the chain on the class
+// from the pass (Runner.EnterClass, which sets the class on the root) and
+// prices its leaves (Toggles.ClassLeaves, RunLeaf: the variant terms only)
+// while the floor passes. A leaf's exact keys are tested at its own seq only
+// when they pass at the segment's first seq, before its Result is built.
+// With collectRates every fitting class is stepped, slot by slot, and every
+// leaf of it priced (docs/MODEL.md, "The leaf path").
 func (ws *worker) segment(runner *perf.Runner, lat *perf.SegmentLattice, tog *execution.Toggles, root *execution.Strategy, seq0 int, collectRates bool) {
 	chain, c, p := &ws.chain, &ws.chunk, &ws.pass
 	runner.PassSegment(chain, lat, root, p)
@@ -374,10 +374,10 @@ func (ws *worker) segment(runner *perf.Runner, lat *perf.SegmentLattice, tog *ex
 	leaf := func(rank int) bool {
 		// keeps turns a leaf away on its class floor, or at the segment's
 		// first seq, only if it would on its exact keys at its own seq.
-		if !collectRates && !ws.keeps(seq0, &floor) || !runner.RunLeaf(chain, root) {
+		if !collectRates && !ws.keeps(seq0, &floor) {
 			return false
 		}
-		exact := chain.Keys()
+		exact := runner.RunLeaf(chain)
 		if collectRates {
 			ws.rates = append(ws.rates, exact.SampleRate)
 		}
@@ -388,8 +388,10 @@ func (ws *worker) segment(runner *perf.Runner, lat *perf.SegmentLattice, tog *ex
 		return true
 	}
 	for _, k := range classes {
-		floor = p.Floor(k.Slot, k.Screen)
-		p.SetClass(root, k.Slot, k.Screen)
+		if floor = p.Floor(k.Slot, k.Screen); !collectRates && !ws.keeps(seq0, &floor) {
+			continue
+		}
+		runner.EnterClass(chain, p, root, k.Slot, k.Screen)
 		tog.ClassLeaves(root, leaf)
 	}
 }
